@@ -1,26 +1,28 @@
 """Joint transmission dispatch and distribution voltage regulation.
 
 A regularized saddle-point engine couples a transmission-level economic
-dispatch with voltage regulation on radial distribution feeders.  Two
-interchangeable drivers — a monolithic iteration (`solve`) and a
-message-passing market simulation (`run_market`) — produce identical
-trajectories, which is the point: the price-and-incentive protocol loses
-nothing relative to centrally coordinated gradient steps.
+dispatch with voltage regulation on radial distribution feeders.  One
+driver loop runs two interchangeable rounds — a monolithic step (`solve`)
+and a message-passing market round (`run_market`) — and they produce
+identical trajectories and records, which is the point: the
+price-and-incentive protocol loses nothing relative to centrally
+coordinated gradient steps.
 
 Layout
 ------
 ``network``      case dataclasses, JSON parsing, feeder-to-bus attachment
 ``lindistflow``  affine voltage/head-draw model of a radial feeder
 ``acpf``         backward/forward power-flow sweep and slack accounting
-``core``         costs, states, gradients, step-size audit, `solve`
-``market``       agents, message bus, operator step, `run_market`
+``core``         costs, states, gradients, step-size audit, events, the
+                 shared driver loop `run_rounds`, `solve`
+``market``       agents, message bus, operator step; `run_market` routes
+                 the round's messages through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle
 ``cli``          ``tdcoopt run | compare | oracle | lindump``
 """
 
 from .acpf import (
-    AcSolution,
     SlackAccount,
     SweepDivergence,
     SweepResult,
@@ -111,7 +113,6 @@ from .trace import Trace, TraceRecord, read_trace, trace_columns, write_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcSolution",
     "AgentMessage",
     "Bus",
     "CaseError",

@@ -24,10 +24,10 @@ from .network import DistributionFeeder, TransmissionSystem, feeder_topology
 __all__ = [
     "SweepDivergence",
     "SweepResult",
-    "AcSolution",
     "sweep_feeder",
     "recompute_branch_mismatch",
     "SlackAccount",
+    "fixed_injection",
     "record_slack",
     "slack_residual",
 ]
@@ -52,34 +52,6 @@ class SweepResult:
     loss: float  # total I^2 r line loss, p.u.
     iterations: int
     residual: float  # final max voltage change between passes
-
-
-@dataclass(frozen=True)
-class AcSolution:
-    """One power-flow snapshot over all feeders of a coupled system."""
-
-    feeders: tuple[SweepResult, ...]
-    tag: int | None = None  # iteration index the snapshot belongs to
-
-    @property
-    def v(self) -> tuple[np.ndarray, ...]:
-        return tuple(f.v for f in self.feeders)
-
-    @property
-    def P_L(self) -> np.ndarray:
-        return np.array([f.P_L for f in self.feeders])
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([f.loss for f in self.feeders])
-
-    @property
-    def iterations(self) -> int:
-        return max((f.iterations for f in self.feeders), default=0)
-
-    @property
-    def residual(self) -> float:
-        return max((f.residual for f in self.feeders), default=0.0)
 
 
 def sweep_feeder(
@@ -222,28 +194,30 @@ def recompute_branch_mismatch(
 # slack-bus bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SlackAccount:
     """Recorded slack-bus output; the balance target for the whole run.
 
-    ``P0_slack`` is set exactly once at scenario start. ``P_slack_current``
-    tracks the implied slack output of the latest residual evaluation.
+    ``P0_slack`` is set exactly once at scenario start.
     """
 
     P0_slack: float
-    P_slack_current: float = 0.0
 
 
-def _fixed_injection(ts: TransmissionSystem) -> float:
+def fixed_injection(ts: TransmissionSystem) -> float:
+    """Summed fixed injections ``p0`` of every bus except the slack bus."""
     return sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id)
+
+
+def _implied_slack(ts: TransmissionSystem, P_M: np.ndarray, P_L: np.ndarray) -> float:
+    return float(np.sum(P_L)) - float(np.sum(P_M)) - fixed_injection(ts)
 
 
 def record_slack(
     ts: TransmissionSystem, P_M: np.ndarray, P_L: np.ndarray
 ) -> SlackAccount:
     """Record the slack output implied by the initial operating point."""
-    current = float(np.sum(P_L)) - float(np.sum(P_M)) - _fixed_injection(ts)
-    return SlackAccount(P0_slack=current, P_slack_current=current)
+    return SlackAccount(P0_slack=_implied_slack(ts, P_M, P_L))
 
 
 def slack_residual(
@@ -255,6 +229,4 @@ def slack_residual(
     start; this quantity replaces the raw power-balance expression in the
     price update, which freezes the slack bus out of the balancing task.
     """
-    current = float(np.sum(P_L)) - float(np.sum(P_M)) - _fixed_injection(ts)
-    account.P_slack_current = current
-    return account.P0_slack - current
+    return account.P0_slack - _implied_slack(ts, P_M, P_L)

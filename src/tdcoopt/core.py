@@ -18,9 +18,12 @@ Each iteration is one synchronous round: DERs and generators move first
 (using the prices of the previous round), the network response at the new
 setpoints is then measured — either through the affine model or through an
 exact power-flow sweep — and the dual variables move last, consuming that
-measurement.  The decentralized market engine runs the identical round
-with the identical arithmetic; the shared pieces live here
-(:func:`der_signals`, :func:`dual_update`, the update expressions).
+measurement.  One driver loop, :func:`run_rounds`, serves both engines:
+it takes the starting measurement and slack record, fires events,
+measures step norms, guards against divergence, keeps the records, and
+applies the stopping rule.  An engine supplies only its round — here
+:func:`primal_dual_step`; the market engine routes the same arithmetic
+(:func:`der_signals`, :func:`dual_update`) as messages between agents.
 
 Primal vectors ``p``/``q`` span every feeder node; nodes without a DER are
 pinned by ``[0, 0]`` boxes.  The sign convention makes the converged price
@@ -44,7 +47,7 @@ from .acpf import (
     slack_residual,
     sweep_feeder,
 )
-from .lindistflow import LinearFeederModel, build_lindistflow
+from .lindistflow import LinearFeederModel, build_lindistflow, predict
 from .network import (
     CaseError,
     CoupledSystem,
@@ -79,11 +82,13 @@ __all__ = [
     "StepsizeReport",
     "GeneratorOutage",
     "DerCapacityScale",
+    "resolve_event",
     "apply_event",
     "primal_dual_step",
     "StepOutcome",
     "default_probes",
     "iteration_record",
+    "run_rounds",
     "solve",
     "SolveResult",
 ]
@@ -209,9 +214,10 @@ class SolverConfig:
 class DispatchProblem:
     """A coupled system compiled into flat arrays for the iteration.
 
-    The box arrays are runtime state: scheduled events rescale DER boxes
-    and zero out failed generators in place.  All vectors over feeder
-    nodes use the coupled system's global node ordering.
+    The boxes are the limits at the start of a run; an event yields a
+    modified copy (:func:`apply_event`) and never edits them in place.
+    All vectors over feeder nodes use the coupled system's global node
+    ordering.
     """
 
     system: CoupledSystem
@@ -222,7 +228,6 @@ class DispatchProblem:
     gen_coef: np.ndarray  # quadratic cost coefficients
     gen_lo: np.ndarray
     gen_hi: np.ndarray
-    online: np.ndarray  # bool per generator
     gen_costs: tuple[Cost, ...]
     # DERs, expanded over all feeder nodes (zeros where no DER)
     a_p: np.ndarray
@@ -232,9 +237,6 @@ class DispatchProblem:
     q_lo: np.ndarray
     q_hi: np.ndarray
     der_costs: tuple[Cost, ...] = field(default=())
-    # base boxes, kept for reference (events scale the runtime copies)
-    base_gen_lo: np.ndarray = field(default=None, repr=False)
-    base_gen_hi: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -257,7 +259,6 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     gens = system.transmission.generators
     gen_bus = np.array([g.bus_id for g in gens], dtype=int)
     gen_coef = np.array([g.cost_coefficient for g in gens])
-    online = np.array([g.online for g in gens], dtype=bool)
     gen_lo = np.array([g.p_min if g.online else 0.0 for g in gens])
     gen_hi = np.array([g.p_max if g.online else 0.0 for g in gens])
     gen_costs = tuple(
@@ -298,7 +299,6 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         gen_coef=gen_coef,
         gen_lo=gen_lo,
         gen_hi=gen_hi,
-        online=online,
         gen_costs=gen_costs,
         a_p=a_p,
         a_q=a_q,
@@ -307,8 +307,6 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         q_lo=q_lo,
         q_hi=q_hi,
         der_costs=tuple(der_costs),
-        base_gen_lo=gen_lo.copy(),
-        base_gen_hi=gen_hi.copy(),
     )
 
 
@@ -413,8 +411,7 @@ def measure_feeders(
         p_k = p_list[k]
         q_k = q_list[k]
         if feedback == "linear":
-            v = model.c + model.A @ p_k + model.B @ q_k
-            P_L[k] = model.d + float(model.M @ p_k) + float(model.N @ q_k)
+            v, P_L[k] = predict(model, p_k, q_k)
             v_list.append(v)
         elif feedback == "ac":
             res = sweep_feeder(
@@ -524,10 +521,9 @@ def dual_update(
 # ---------------------------------------------------------------------------
 
 def _balance(problem: DispatchProblem, P_M, P_L, account: SlackAccount | None):
-    ts = problem.system.transmission
-    fixed = sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id)
-    P0 = 0.0 if account is None else account.P0_slack
-    return P0 - (float(np.sum(P_L)) - float(np.sum(P_M)) - fixed)
+    if account is None:
+        account = SlackAccount(P0_slack=0.0)
+    return slack_residual(account, problem.system.transmission, P_M, P_L)
 
 
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
@@ -552,11 +548,9 @@ def eval_lagrangian(
     P_L = np.zeros(len(problem.models))
     for k, model in enumerate(problem.models):
         sl = problem.system.feeder_slice(k)
-        v = model.c + model.A @ x.p[sl] + model.B @ x.q[sl]
-        n = model.n_nodes
+        v, P_L[k] = predict(model, x.p[sl], x.q[sl])
         g = np.concatenate([v - limits.v_max, limits.v_min - v])
         value += float(y.mu[k] @ g)
-        P_L[k] = model.d + float(model.M @ x.p[sl]) + float(model.N @ x.q[sl])
     value += y.lam * _balance(problem, x.P_M, P_L, account)
     if eta:
         mu_sq = sum(float(mu @ mu) for mu in y.mu)
@@ -716,8 +710,12 @@ class DerCapacityScale:
             raise ValueError(f"scale factor must be positive, got {self.factor}")
 
 
-def apply_event(problem: DispatchProblem, x: PrimalState, event) -> PrimalState:
-    """Mutate the problem's runtime limits and re-project the state."""
+def resolve_event(problem: DispatchProblem, event) -> tuple[int | None, float]:
+    """What an event does: the generator it trips, or the DER box factor.
+
+    Returns ``(index, 1.0)`` for an outage of the generator at ``index``
+    and ``(None, factor)`` for a DER capacity rescale.
+    """
     if isinstance(event, GeneratorOutage):
         hits = np.flatnonzero(problem.gen_bus == event.bus_id)
         if len(hits) == 0:
@@ -725,24 +723,40 @@ def apply_event(problem: DispatchProblem, x: PrimalState, event) -> PrimalState:
                 f"outage targets bus {event.bus_id}, which hosts no generator",
                 iteration=event.iteration,
             )
-        i = int(hits[0])
-        problem.online[i] = False
-        problem.gen_lo[i] = 0.0
-        problem.gen_hi[i] = 0.0
-        P = x.P_M.copy()
-        P[i] = 0.0
-        return replace(x, P_M=P)
+        return int(hits[0]), 1.0
     if isinstance(event, DerCapacityScale):
-        problem.p_lo *= event.factor
-        problem.p_hi *= event.factor
-        problem.q_lo *= event.factor
-        problem.q_hi *= event.factor
-        return replace(
-            x,
-            p=np.clip(x.p, problem.p_lo, problem.p_hi),
-            q=np.clip(x.q, problem.q_lo, problem.q_hi),
-        )
+        return None, event.factor
     raise EngineError(f"unknown event type {type(event).__name__}")
+
+
+def apply_event(
+    problem: DispatchProblem, x: PrimalState, event
+) -> tuple[DispatchProblem, PrimalState]:
+    """The problem with the event's limits, and ``x`` re-projected into them.
+
+    Returns a copy; the caller's problem is left untouched.
+    """
+    tripped, factor = resolve_event(problem, event)
+    if tripped is not None:
+        gen_lo = problem.gen_lo.copy()
+        gen_hi = problem.gen_hi.copy()
+        gen_lo[tripped] = 0.0
+        gen_hi[tripped] = 0.0
+        P = x.P_M.copy()
+        P[tripped] = 0.0
+        return replace(problem, gen_lo=gen_lo, gen_hi=gen_hi), replace(x, P_M=P)
+    problem = replace(
+        problem,
+        p_lo=problem.p_lo * factor,
+        p_hi=problem.p_hi * factor,
+        q_lo=problem.q_lo * factor,
+        q_hi=problem.q_hi * factor,
+    )
+    return problem, replace(
+        x,
+        p=np.clip(x.p, problem.p_lo, problem.p_hi),
+        q=np.clip(x.q, problem.q_lo, problem.q_hi),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +771,6 @@ class StepOutcome:
     y: DualState
     measurement: Measurement
     balance_residual: float
-    step_primal: float  # ||x' - x||_inf / eps
-    step_dual: float  # ||y' - y||_inf / eps
 
 
 def primal_dual_step(
@@ -823,26 +835,7 @@ def primal_dual_step(
         cfg.eta,
     )
 
-    step_primal = max(
-        _inf_diff(p_new, x.p), _inf_diff(q_new, x.q), _inf_diff(P_new, x.P_M)
-    ) / eps
-    step_dual = abs(y_new.lam - y.lam)
-    for k in range(len(y.mu)):
-        step_dual = max(step_dual, _inf_diff(y_new.mu[k], y.mu[k]))
-    step_dual /= eps
-
-    return StepOutcome(
-        x=x_new,
-        y=y_new,
-        measurement=meas,
-        balance_residual=residual,
-        step_primal=step_primal,
-        step_dual=step_dual,
-    )
-
-
-def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
+    return StepOutcome(x=x_new, y=y_new, measurement=meas, balance_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -916,32 +909,35 @@ class SolveResult:
         return self.status == "converged"
 
 
-def solve(
+# One round of an engine: ``step(problem, x, y, account, t, warm, signals)``
+# runs round ``t`` from the price vectors ``signals`` of the current duals
+# and returns its outcome plus the price vectors of the new duals.
+Signals = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+Step = Callable[..., tuple[StepOutcome, Signals]]
+
+
+def run_rounds(
     problem: DispatchProblem,
     cfg: SolverConfig,
-    x0: PrimalState | None = None,
-    y0: DualState | None = None,
-    account: SlackAccount | None = None,
-    events: tuple = (),
-    probes: tuple[int, ...] | None = None,
+    x: PrimalState,
+    y: DualState,
+    account: SlackAccount | None,
+    events: tuple,
+    probes: tuple[int, ...],
+    step: Step,
+    route_event: Callable[[int | None, float], None] | None = None,
 ) -> SolveResult:
-    """Iterate rounds until the tolerances are met or ``max_iter`` runs out.
+    """The driver loop of both engines: iterate ``step`` until done.
 
     Events fire just before the step of their scheduled iteration, so the
-    record of that iteration already shows their effect.  Without an
-    explicit slack account, the implied slack output at the start is
-    recorded and held as the balance target.  Raises
-    :class:`DivergenceError` when the state passes the blow-up bound.
+    record of that iteration already shows their effect; ``route_event``
+    receives each one resolved (see :func:`resolve_event`), for engines
+    that keep limits of their own.  Step norms are measured from the
+    state after the event.  Without an explicit slack account, the
+    implied slack output at the start is recorded and held as the balance
+    target.  Raises :class:`DivergenceError` when the state passes the
+    blow-up bound.
     """
-    if x0 is None or y0 is None:
-        x_init, y_init = initial_state(problem)
-        x = x_init if x0 is None else x0
-        y = y_init if y0 is None else y0
-    else:
-        x, y = x0, y0
-    if probes is None:
-        probes = default_probes(problem)
-
     report = check_stepsize(problem, cfg.eta) if problem.registered_costs else None
     if report is not None and cfg.eps > report.eps_bound:
         level = logging.WARNING if cfg.eta > 0 else logging.INFO
@@ -982,10 +978,21 @@ def solve(
     for t in range(1, cfg.max_iter + 1):
         for event in events:
             if event.iteration == t:
-                x = apply_event(problem, x, event)
-        outcome = primal_dual_step(
-            problem, x, y, account, cfg, iteration=t, warm=warm, signals=signals
-        )
+                problem, x = apply_event(problem, x, event)
+                if route_event is not None:
+                    route_event(*resolve_event(problem, event))
+        outcome, signals = step(problem, x, y, account, t, warm, signals)
+
+        step_primal = max(
+            _inf_diff(outcome.x.p, x.p),
+            _inf_diff(outcome.x.q, x.q),
+            _inf_diff(outcome.x.P_M, x.P_M),
+        ) / cfg.eps
+        step_dual = abs(outcome.y.lam - y.lam)
+        for k in range(len(y.mu)):
+            step_dual = max(step_dual, _inf_diff(outcome.y.mu[k], y.mu[k]))
+        step_dual /= cfg.eps
+
         x, y = outcome.x, outcome.y
         warm = outcome.measurement.v
         executed = t
@@ -1001,7 +1008,6 @@ def solve(
                 iteration=t,
             )
 
-        signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
         records.append(
             iteration_record(
                 problem,
@@ -1012,8 +1018,8 @@ def solve(
                 outcome.balance_residual,
                 signals,
                 probes,
-                outcome.step_primal,
-                outcome.step_dual,
+                step_primal,
+                step_dual,
             )
         )
         if history is not None:
@@ -1022,8 +1028,8 @@ def solve(
         # never stop while scheduled events are still ahead: the run must
         # reach and absorb every perturbation before it can count as done
         if (
-            outcome.step_primal < cfg.tol_primal
-            and outcome.step_dual < cfg.tol_dual
+            step_primal < cfg.tol_primal
+            and step_dual < cfg.tol_dual
             and abs(outcome.balance_residual) < cfg.tol_balance
             and all(event.iteration <= t for event in events)
         ):
@@ -1039,6 +1045,38 @@ def solve(
         account=account,
         history=history,
     )
+
+
+def solve(
+    problem: DispatchProblem,
+    cfg: SolverConfig,
+    x0: PrimalState | None = None,
+    y0: DualState | None = None,
+    account: SlackAccount | None = None,
+    events: tuple = (),
+    probes: tuple[int, ...] | None = None,
+) -> SolveResult:
+    """Iterate :func:`primal_dual_step` rounds (see :func:`run_rounds`).
+
+    The caller's ``problem`` is not modified, events included.
+    """
+    x_init, y_init = initial_state(problem)
+    x = x_init if x0 is None else x0
+    y = y_init if y0 is None else y0
+    if probes is None:
+        probes = default_probes(problem)
+
+    def step(problem, x, y, account, t, warm, signals):
+        outcome = primal_dual_step(
+            problem, x, y, account, cfg, iteration=t, warm=warm, signals=signals
+        )
+        return outcome, der_signals(problem.models, outcome.y, cfg.zero_lambda_to_ders)
+
+    return run_rounds(problem, cfg, x, y, account, events, probes, step)
+
+
+def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b))) if len(a) else 0.0
 
 
 def _inf_norm(a: np.ndarray) -> float:

@@ -10,11 +10,15 @@ capacity data ever reaches the operator — it works from setpoint reports,
 the feeder electrical models, and the transmission data alone (its feeder
 records carry no DER entries at all).
 
-In gradient mode the produced trajectory coincides with the centralized
-engine's, coordinate for coordinate: both engines call the same shared
-update arithmetic in the same order.  Best-response mode instead lets
-users jump straight to their box-clamped optimum against the current
-prices (a dual-ascent variant, quadratic costs only).
+This module only routes messages: the rounds run inside the centralized
+engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
+events, step norms, records and the stopping rule; the market passes
+each fired event on to the agents it concerns.  In gradient mode the
+produced trajectory and records coincide with the centralized engine's,
+bit for bit: both engines call the same shared update arithmetic in the
+same order.  Best-response mode instead lets users jump straight to their
+box-clamped optimum against the current prices (a dual-ascent variant,
+quadratic costs only).
 
 Rounds are strictly synchronous: one broadcast, one report per agent, one
 power-flow result per feeder, one dual update.  A missing, duplicated, or
@@ -28,23 +32,23 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .acpf import SlackAccount, record_slack, slack_residual
+from .acpf import SlackAccount
 from .core import (
-    DivergenceError,
     DualState,
-    EngineError,
     Measurement,
     PrimalState,
     SolveResult,
     SolverConfig,
+    StepOutcome,
     build_problem,
     default_probes,
     der_signals,
     dual_update,
     initial_state,
-    iteration_record,
+    iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     measure_feeders,
     project_box,
+    run_rounds,
 )
 from .network import (
     CoupledSystem,
@@ -305,12 +309,7 @@ class OperatorConfig:
     limits: VoltageLimits
     feeders: tuple[DistributionFeeder, ...]
     expected_reports: tuple[str, ...]
-    eps: float
-    eta: float
-    feedback: str = "linear"
-    zero_lambda_to_ders: bool = False
-    ac_tol: float = 1e-8
-    ac_max_iter: int = 100
+    solver: SolverConfig  # stepsize, regularization, feedback source
 
     def __post_init__(self):
         for feeder in self.feeders:
@@ -336,7 +335,6 @@ class OperatorOutcome:
 
 def operator_step(
     reports: list[AgentMessage],
-    pf_results: Measurement | None,
     y: DualState,
     models,
     cfg: OperatorConfig,
@@ -346,9 +344,7 @@ def operator_step(
 ) -> OperatorOutcome:
     """Validate the round, measure the network, update duals, price anew.
 
-    ``pf_results`` may carry an externally produced measurement for this
-    round; by default the operator runs the power flow itself.  Any
-    missing, duplicated, or stale report aborts the round.
+    Any missing, duplicated, or stale report aborts the round.
     """
     seen: dict[str, AgentMessage] = {}
     for msg in reports:
@@ -377,29 +373,23 @@ def operator_step(
             p_list[pay["feeder"]][pay["node"]] = pay["p"]
             q_list[pay["feeder"]][pay["node"]] = pay["q"]
 
-    if pf_results is not None:
-        if pf_results.tag != tag:
-            raise RoundAbort(
-                f"stale power-flow result: tag {pf_results.tag}, round {tag}"
-            )
-        meas = pf_results
-    else:
-        meas = measure_feeders(
-            cfg.feeders,
-            models,
-            p_list,
-            q_list,
-            feedback=cfg.feedback,
-            warm=warm,
-            tag=tag,
-            ac_tol=cfg.ac_tol,
-            ac_max_iter=cfg.ac_max_iter,
-        )
+    solver = cfg.solver
+    meas = measure_feeders(
+        cfg.feeders,
+        models,
+        p_list,
+        q_list,
+        feedback=solver.feedback,
+        warm=warm,
+        tag=tag,
+        ac_tol=solver.ac_tol,
+        ac_max_iter=solver.ac_max_iter,
+    )
 
     y_new, residual = dual_update(
-        cfg.ts, cfg.limits, y, meas, P_M, account, cfg.eps, cfg.eta
+        cfg.ts, cfg.limits, y, meas, P_M, account, solver.eps, solver.eta
     )
-    alphas, betas = der_signals(models, y_new, cfg.zero_lambda_to_ders)
+    alphas, betas = der_signals(models, y_new, solver.zero_lambda_to_ders)
     signals = IncentiveSignals(
         alpha=alphas, beta=betas, lambda_broadcast=y_new.lam, iteration_tag=tag
     )
@@ -415,7 +405,7 @@ def operator_step(
 
 
 # ---------------------------------------------------------------------------
-# the market loop
+# the market round
 # ---------------------------------------------------------------------------
 
 def run_market(
@@ -432,24 +422,27 @@ def run_market(
 ) -> SolveResult:
     """Run synchronous market rounds until the stopping rule fires.
 
-    In ``gradient`` mode the trajectory equals the centralized engine's.
-    ``x0`` seeds the agents (its ``p``/``q`` entries at nodes without a
-    DER are ignored; agents exist only where DERs do).
+    The rounds go through the centralized engine's driver loop
+    (:func:`~tdcoopt.core.run_rounds`); this engine only routes each
+    round's messages between the agents and the operator, and passes
+    every fired event on to the agents it concerns.  In ``gradient`` mode
+    the trajectory equals the centralized engine's.  ``x0`` seeds the
+    agents (its ``p``/``q`` entries at nodes without a DER are ignored;
+    agents exist only where DERs do).
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
-    problem = build_problem(system, limits)  # diagnostics mirror only
+    # the shared loop's view of the limits; the agents keep their own
+    problem = build_problem(system, limits)
     models = problem.models
     if probes is None:
         probes = default_probes(problem)
     if bus is None:
         bus = MessageBus()
     ts = system.transmission
-
-    if x0 is None or y0 is None:
-        x_init, y_init = initial_state(problem)
-        x0 = x_init if x0 is None else x0
-        y0 = y_init if y0 is None else y0
+    x_init, y_init = initial_state(problem)
+    x0 = x_init if x0 is None else x0
+    y0 = y_init if y0 is None else y0
 
     users: list[UserAgent] = []
     for k, feeder in enumerate(system.feeders):
@@ -474,76 +467,34 @@ def run_market(
         )
         for i, gen in enumerate(ts.generators)
     ]
-    agents = users + generators
-
     op_cfg = OperatorConfig(
         ts=ts,
         limits=limits,
         feeders=tuple(replace(f, ders=()) for f in system.feeders),
-        expected_reports=tuple(a.name for a in agents),
-        eps=cfg.eps,
-        eta=cfg.eta,
-        feedback=cfg.feedback,
-        zero_lambda_to_ders=cfg.zero_lambda_to_ders,
-        ac_tol=cfg.ac_tol,
-        ac_max_iter=cfg.ac_max_iter,
+        expected_reports=tuple(a.name for a in users + generators),
+        solver=cfg,
     )
+    broadcast: IncentiveSignals | None = None  # the operator's latest prices
 
-    y = y0
-    p_list0 = [np.zeros(m.n_nodes) for m in models]
-    q_list0 = [np.zeros(m.n_nodes) for m in models]
-    for u in users:
-        p_list0[u.feeder_pos][u.node_pos] = u.p
-        q_list0[u.feeder_pos][u.node_pos] = u.q
-    P0 = np.array([g.P for g in generators])
-    meas = measure_feeders(
-        op_cfg.feeders,
-        models,
-        p_list0,
-        q_list0,
-        feedback=cfg.feedback,
-        tag=0,
-        ac_tol=cfg.ac_tol,
-        ac_max_iter=cfg.ac_max_iter,
-    )
-    if account is None:
-        account = record_slack(ts, P0, meas.P_L)
-    residual = slack_residual(account, ts, P0, meas.P_L)
-
-    alphas, betas = der_signals(models, y, cfg.zero_lambda_to_ders)
-    signals = IncentiveSignals(
-        alpha=alphas, beta=betas, lambda_broadcast=y.lam, iteration_tag=0
-    )
-    bus.publish(
-        AgentMessage("signal-broadcast", "operator", 0, signals)
-    )
-
-    x = _assemble(p_list0, q_list0, P0)
-    records = [
-        iteration_record(
-            problem, 0, x, y, meas, residual, (alphas, betas), probes, None, None
-        )
-    ]
-    history = [(x, y)] if cfg.record_state else None
-    warm = meas.v
-
-    status = "not-converged"
-    executed = 0
-    for t in range(1, cfg.max_iter + 1):
-        for event in events:
-            if event.iteration == t:
-                _apply_market_event(users, generators, event)
+    def step(problem, x, y, account, t, warm, signals):
+        nonlocal broadcast
+        if broadcast is None:  # the opening broadcast, at the starting duals
+            alphas, betas = signals
+            broadcast = IncentiveSignals(
+                alpha=alphas, beta=betas, lambda_broadcast=y.lam, iteration_tag=0
+            )
+            bus.publish(AgentMessage("signal-broadcast", "operator", 0, broadcast))
 
         for u in users:
-            u.step(signals, cfg.eps, mode)
+            u.step(broadcast, cfg.eps, mode)
             bus.publish(u.report(t))
         for g in generators:
-            g.step(signals, cfg.eps)
+            g.step(broadcast, cfg.eps)
             bus.publish(g.report(t))
 
-        reports = bus.collect("setpoint-report", t)
         outcome = operator_step(
-            reports, None, y, models, op_cfg, account, tag=t, warm=warm
+            bus.collect("setpoint-report", t), y, models, op_cfg, account,
+            tag=t, warm=warm,
         )
         for k, v in enumerate(outcome.measurement.v):
             bus.publish(
@@ -566,70 +517,31 @@ def run_market(
                 {"lambda": outcome.y.lam, "residual": outcome.balance_residual},
             )
         )
-        bus.publish(AgentMessage("signal-broadcast", "operator", t, outcome.signals))
+        broadcast = outcome.signals
+        bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
 
-        x_new = _assemble(outcome.p_list, outcome.q_list, outcome.P_M)
-        eps = cfg.eps
-        step_primal = max(
-            _inf_diff(x_new.p, x.p),
-            _inf_diff(x_new.q, x.q),
-            _inf_diff(x_new.P_M, x.P_M),
-        ) / eps
-        step_dual = abs(outcome.y.lam - y.lam)
-        for k in range(len(y.mu)):
-            step_dual = max(step_dual, _inf_diff(outcome.y.mu[k], y.mu[k]))
-        step_dual /= eps
+        return StepOutcome(
+            x=_assemble(outcome.p_list, outcome.q_list, outcome.P_M),
+            y=outcome.y,
+            measurement=outcome.measurement,
+            balance_residual=outcome.balance_residual,
+        ), (broadcast.alpha, broadcast.beta)
 
-        x, y = x_new, outcome.y
-        warm = outcome.measurement.v
-        signals = outcome.signals
-        executed = t
+    def route_event(tripped: int | None, factor: float) -> None:
+        if tripped is not None:
+            generators[tripped].trip()
+        else:
+            for u in users:
+                u.scale_capacity(factor)
 
-        worst = max(
-            _inf_norm(x.p), _inf_norm(x.q), _inf_norm(x.P_M), abs(y.lam)
-        )
-        if not np.isfinite(worst) or worst > cfg.divergence_limit:
-            raise DivergenceError(
-                f"state norm {worst:.3g} exceeded the blow-up bound "
-                f"{cfg.divergence_limit:.3g} at round {t}; reduce the stepsize",
-                iteration=t,
-            )
-
-        records.append(
-            iteration_record(
-                problem,
-                t,
-                x,
-                y,
-                outcome.measurement,
-                outcome.balance_residual,
-                (signals.alpha, signals.beta),
-                probes,
-                step_primal,
-                step_dual,
-            )
-        )
-        if history is not None:
-            history.append((x, y))
-
-        # same guard as the monolithic loop: pending events veto stopping
-        if (
-            step_primal < cfg.tol_primal
-            and step_dual < cfg.tol_dual
-            and abs(outcome.balance_residual) < cfg.tol_balance
-            and all(event.iteration <= t for event in events)
-        ):
-            status = "converged"
-            break
-
-    return SolveResult(
-        status=status,
-        iterations=executed,
-        x=x,
-        y=y,
-        records=records,
-        account=account,
-        history=history,
+    p_list = [np.zeros(m.n_nodes) for m in models]
+    q_list = [np.zeros(m.n_nodes) for m in models]
+    for u in users:
+        p_list[u.feeder_pos][u.node_pos] = u.p
+        q_list[u.feeder_pos][u.node_pos] = u.q
+    x = _assemble(p_list, q_list, np.array([g.P for g in generators]))
+    return run_rounds(
+        problem, cfg, x, y0, account, events, probes, step, route_event
     )
 
 
@@ -637,29 +549,3 @@ def _assemble(p_list, q_list, P_M: np.ndarray) -> PrimalState:
     p = np.concatenate(p_list) if len(p_list) else np.zeros(0)
     q = np.concatenate(q_list) if len(q_list) else np.zeros(0)
     return PrimalState(p=p.copy(), q=q.copy(), P_M=np.asarray(P_M, dtype=float).copy())
-
-
-def _apply_market_event(users, generators, event) -> None:
-    from .core import DerCapacityScale, GeneratorOutage
-
-    if isinstance(event, GeneratorOutage):
-        hits = [g for g in generators if g.gen.bus_id == event.bus_id]
-        if not hits:
-            raise EngineError(
-                f"outage targets bus {event.bus_id}, which hosts no generator",
-                iteration=event.iteration,
-            )
-        hits[0].trip()
-    elif isinstance(event, DerCapacityScale):
-        for u in users:
-            u.scale_capacity(event.factor)
-    else:
-        raise EngineError(f"unknown event type {type(event).__name__}")
-
-
-def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
-
-
-def _inf_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if len(a) else 0.0

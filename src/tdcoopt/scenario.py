@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acpf import SlackAccount
+from .acpf import SlackAccount, fixed_injection
 from .core import (
     DerCapacityScale,
     DispatchProblem,
@@ -525,7 +525,7 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
 
     # affine pieces: total head draw and per-node voltages as functions of
     # the gridded variables
-    fixed_inj = sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id)
+    fixed_inj = fixed_injection(ts)
     P0 = scenario.slack_value if scenario.slack_mode == "explicit" else None
     if P0 is None:
         raise ValueError(

@@ -98,7 +98,7 @@ def test_criterion_1_gradients_match_finite_differences():
     )
     system = attach_feeders(ts, [feeder_a, feeder_b])
     problem = build_problem(system, VoltageLimits(0.95, 1.05))
-    account = SlackAccount(P0_slack=0.3, P_slack_current=0.3)
+    account = SlackAccount(P0_slack=0.3)
     eta = 0.07
     h = 1e-6
     n_states = 120
@@ -405,7 +405,7 @@ def test_criterion_5_stepsize_certificate():
     # so P* = 2 / (1 + 2 eta) and lam* = -2 P*
     P_star = 2.0 / (1.0 + 2.0 * eta)
     lam_star = -2.0 * P_star
-    account = SlackAccount(P0_slack=0.0, P_slack_current=0.0)
+    account = SlackAccount(P0_slack=0.0)
 
     def distances(history):
         return np.array(

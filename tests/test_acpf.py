@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcoopt.acpf import (
-    AcSolution,
     SlackAccount,
     SweepDivergence,
     record_slack,
@@ -143,20 +142,6 @@ def test_injection_length_validation():
         sweep_feeder(feeder, np.zeros(3), np.zeros(3), v_init=np.ones(5))
 
 
-def test_ac_solution_aggregates():
-    feeder = make_chain_feeder(n_nodes=3)
-    zero = np.zeros(3)
-    r1 = sweep_feeder(feeder, zero, zero)
-    r2 = sweep_feeder(feeder, np.full(3, 1e-3), zero)
-    sol = AcSolution(feeders=(r1, r2), tag=5)
-    assert sol.v == (pytest.approx(r1.v), pytest.approx(r2.v))
-    np.testing.assert_allclose(sol.P_L, [r1.P_L, r2.P_L])
-    np.testing.assert_allclose(sol.losses, [r1.loss, r2.loss])
-    assert sol.iterations == max(r1.iterations, r2.iterations)
-    assert sol.residual == max(r1.residual, r2.residual)
-    assert AcSolution(feeders=()).iterations == 0
-
-
 @settings(deadline=None, max_examples=30)
 @given(
     n_nodes=st.integers(min_value=1, max_value=8),
@@ -199,7 +184,6 @@ def test_slack_residual_sign_convention():
     assert slack_residual(account, ts, P_M + 0.25, P_L) == pytest.approx(0.25)
     # extra feeder draw under-supplies
     assert slack_residual(account, ts, P_M, P_L + 0.1) == pytest.approx(-0.1)
-    assert account.P_slack_current == pytest.approx(account.P0_slack + 0.1)
 
 
 def test_slack_bus_p0_excluded_from_fixed_injection():
@@ -214,9 +198,10 @@ def test_slack_bus_p0_excluded_from_fixed_injection():
     assert account.P0_slack == pytest.approx(1.1)
 
 
-def test_slack_account_is_mutable_state():
+def test_slack_residual_is_pure():
     account = SlackAccount(P0_slack=0.5)
     ts = make_ts([(1, 1.0)])
-    slack_residual(account, ts, np.array([0.7]), np.array([0.0]))
-    assert account.P0_slack == 0.5
-    assert account.P_slack_current == pytest.approx(2.0 - 0.7)
+    first = slack_residual(account, ts, np.array([0.7]), np.array([0.0]))
+    assert first == pytest.approx(0.5 - (2.0 - 0.7))
+    assert account == SlackAccount(P0_slack=0.5)
+    assert slack_residual(account, ts, np.array([0.7]), np.array([0.0])) == first

@@ -45,6 +45,7 @@ from tdcoopt.core import (
     solve,
     total_cost,
 )
+from tdcoopt.market import run_market
 from tdcoopt.network import CaseError, Der, VoltageLimits, attach_feeders
 
 from conftest import make_chain_feeder, make_system, make_ts
@@ -129,7 +130,6 @@ def test_build_problem_layout():
     np.testing.assert_allclose(problem.q_lo, [0, -0.02, -0.02, 0, -0.02, -0.02])
     # one p cost and one q cost per DER, after the generator costs
     assert len(problem.registered_costs) == 2 + 2 * 4
-    assert problem.base_gen_hi is not problem.gen_hi
 
 
 def test_build_problem_rejects_two_ders_on_one_node():
@@ -413,12 +413,14 @@ def test_check_stepsize_refuses_unknown_modulus():
 def test_generator_outage_event(limits):
     problem = build_problem(make_system(), limits)
     x, _ = initial_state(problem)
-    x2 = apply_event(problem, x, GeneratorOutage(iteration=5, bus_id=2))
+    P_before = x.P_M.copy()
+    tripped, x2 = apply_event(problem, x, GeneratorOutage(iteration=5, bus_id=2))
     assert x2.P_M[1] == 0.0
-    assert not problem.online[1]
-    assert problem.gen_lo[1] == problem.gen_hi[1] == 0.0
-    assert problem.base_gen_hi[1] == 10.0  # reference boxes untouched
+    assert tripped.gen_lo[1] == tripped.gen_hi[1] == 0.0
     assert x2.P_M[0] == x.P_M[0]
+    # the caller's problem and state are left as they were
+    assert problem.gen_hi[1] == 10.0
+    np.testing.assert_array_equal(x.P_M, P_before)
 
 
 def test_outage_unknown_bus(limits):
@@ -434,9 +436,10 @@ def test_der_capacity_scale_event(limits):
     x, _ = initial_state(problem)
     x = dataclasses.replace(x, p=problem.p_hi.copy())
     hi_before = problem.p_hi.copy()
-    x2 = apply_event(problem, x, DerCapacityScale(iteration=5, factor=0.5))
-    np.testing.assert_allclose(problem.p_hi, hi_before * 0.5)
-    np.testing.assert_allclose(x2.p, problem.p_hi)  # re-clipped into the box
+    scaled, x2 = apply_event(problem, x, DerCapacityScale(iteration=5, factor=0.5))
+    np.testing.assert_allclose(scaled.p_hi, hi_before * 0.5)
+    np.testing.assert_allclose(x2.p, scaled.p_hi)  # re-clipped into the box
+    np.testing.assert_array_equal(problem.p_hi, hi_before)  # caller's copy kept
     with pytest.raises(ValueError, match="positive"):
         DerCapacityScale(iteration=5, factor=0.0)
 
@@ -520,13 +523,45 @@ def test_solve_waits_for_scheduled_events():
     assert res.records[3000].P_M[1] == 0.0
 
 
-def test_solve_logs_stepsize_advisory(caplog):
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_solve_logs_stepsize_advisory(caplog, engine):
+    # both engines share the driver loop that checks the stepsize
     problem = dispatch_only([(1, 1.0)])
     cfg = SolverConfig(eps=0.9, max_iter=1, tol_primal=0.0, tol_dual=0.0,
                        tol_balance=0.0)
+    account = SlackAccount(P0_slack=0.0)
     with caplog.at_level(logging.INFO, logger="tdcoopt.core"):
-        solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
+        if engine == "core":
+            solve(problem, cfg, account=account)
+        else:
+            run_market(problem.system, problem.limits, cfg, account=account)
     assert any("advisory only at eta=0" in rec.message for rec in caplog.records)
+
+
+def test_problem_can_be_reused_after_an_event_run(limits):
+    # events act on a copy of the problem: a later run on the same problem
+    # must equal a run on a freshly built one
+    system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(system, limits)
+    arrays = {
+        name: getattr(problem, name).copy()
+        for name in ("gen_lo", "gen_hi", "p_lo", "p_hi", "q_lo", "q_hi")
+    }
+    cfg = SolverConfig(eps=0.01, max_iter=80, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0)
+    events = (
+        GeneratorOutage(iteration=20, bus_id=2),
+        DerCapacityScale(iteration=20, factor=2.0),
+    )
+    solve(problem, cfg, events=events)
+    for name, before in arrays.items():
+        np.testing.assert_array_equal(getattr(problem, name), before, err_msg=name)
+
+    again = solve(problem, cfg)
+    fresh = solve(build_problem(system, limits), cfg)
+    assert again.records == fresh.records
+    np.testing.assert_array_equal(again.x.P_M, fresh.x.P_M)
+    assert again.y.lam == fresh.y.lam
 
 
 def test_default_probes_pick_deepest_node(limits):
