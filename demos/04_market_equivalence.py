@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tdcoopt.core import build_problem
 from tdcoopt.market import MessageBus, run_market
 from tdcoopt.scenario import load_scenario, run_scenario_in_memory
 
@@ -49,7 +50,7 @@ def main() -> None:
     # peek at the wire traffic of a tiny run
     bus = MessageBus(record=True)
     tiny = dataclasses.replace(cfg, max_iter=2, record_state=False)
-    run_market(sc.system, sc.limits, tiny, bus=bus)
+    run_market(build_problem(sc.system, sc.limits), tiny, bus=bus)
     print(f"\nmessages per round on a 2-iteration run "
           f"({len(bus.journal)} total):")
     for t in (0, 1, 2):

@@ -39,8 +39,7 @@ def main() -> None:
           f"{post.lam:.4f} at the end (deeper price, more generation)")
 
     problem = build_problem(sc.system, sc.limits)
-    meas = measure(problem, res.x, feedback="ac")
-    v = np.concatenate(meas.v)
+    v = measure(problem, res.x, feedback="ac").v
     at_cap = int(np.sum(v > 1.05 - 1e-3))
     print(f"  exact voltages in [{v.min():.4f}, {v.max():.4f}] p.u.; "
           f"{at_cap} nodes ride the 1.05 cap")

@@ -11,10 +11,12 @@ coordinated gradient steps.
 Layout
 ------
 ``network``      case dataclasses, JSON parsing, feeder-to-bus attachment
-``lindistflow``  affine voltage/head-draw model of a radial feeder
+``lindistflow``  the compiled feeder: affine voltage/head-draw model
+                 plus the topology the sweep reads
 ``acpf``         backward/forward power-flow sweep and slack accounting
-``core``         costs, states, gradients, step-size audit, events, the
-                 shared driver loop `run_rounds`, `solve`
+``core``         `build_problem` (compiles each feeder once), costs,
+                 states, gradients, step-size audit, events, the shared
+                 driver loop `run_rounds`, `solve`
 ``market``       agents, message bus, operator step; `run_market` routes
                  the round's messages through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip
@@ -68,7 +70,6 @@ from .market import (
     IncentiveSignals,
     MessageBus,
     OperatorConfig,
-    OperatorOutcome,
     RoundAbort,
     UserAgent,
     generator_step,
@@ -136,7 +137,6 @@ __all__ = [
     "Measurement",
     "MessageBus",
     "OperatorConfig",
-    "OperatorOutcome",
     "OracleInfeasible",
     "OracleReport",
     "PrimalState",

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DistributionFeeder, TransmissionSystem, feeder_topology
+from .lindistflow import LinearFeederModel
+from .network import (
+    TransmissionSystem,
+    feeder_topology,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
+)
 
 __all__ = [
     "SweepDivergence",
@@ -55,14 +59,14 @@ class SweepResult:
 
 
 def sweep_feeder(
-    feeder: DistributionFeeder,
+    model: LinearFeederModel,
     p: np.ndarray,
     q: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
     v_init: np.ndarray | None = None,
 ) -> SweepResult:
-    """Solve the feeder's exact power flow for DER injections ``p``, ``q``.
+    """Solve the compiled feeder's exact power flow for DER injections.
 
     ``p`` and ``q`` are added to the fixed base injections of each node
     (positive = generation).  ``v_init`` warm-starts the voltage profile;
@@ -70,21 +74,21 @@ def sweep_feeder(
 
     Raises :class:`SweepDivergence` on non-convergence or voltage collapse.
     """
-    n = feeder.n_nodes
+    n = model.n_nodes
     if len(p) != n or len(q) != n:
         raise ValueError(f"injection vectors must have length {n}")
-    topo = feeder_topology(feeder)
+    topo = model.topology
     order = topo.order
     parent = topo.parent
     r = topo.r
     x = topo.x
 
-    p_inj = [feeder.nodes[j].p_load + float(p[j]) for j in range(n)]
-    q_inj = [feeder.nodes[j].q_load + float(q[j]) for j in range(n)]
+    p_inj = (model.p0 + p).tolist()
+    q_inj = (model.q0 + q).tolist()
 
-    v0_sq = feeder.v0 * feeder.v0
+    v0_sq = model.v0 * model.v0
     if v_init is None:
-        v = [feeder.v0] * n
+        v = [model.v0] * n
     else:
         if len(v_init) != n:
             raise ValueError(f"v_init must have length {n}")
@@ -124,7 +128,7 @@ def sweep_feeder(
             )
             if u_j <= 0.0:
                 raise SweepDivergence(
-                    f"voltage collapse at node {feeder.nodes[j].id} "
+                    f"voltage collapse at node {model.node_ids[j]} "
                     f"(iteration {it})",
                     iterations=it,
                     residual=math.inf,
@@ -155,18 +159,18 @@ def sweep_feeder(
 
 
 def recompute_branch_mismatch(
-    feeder: DistributionFeeder, p: np.ndarray, q: np.ndarray, result: SweepResult
+    model: LinearFeederModel, p: np.ndarray, q: np.ndarray, result: SweepResult
 ) -> float:
     """Max violation of the exact branch-flow equations at a sweep solution.
 
     Used by tests to confirm the returned fixed point: rebuilding branch
     flows and voltages from ``result.v`` must reproduce them.
     """
-    topo = feeder_topology(feeder)
-    n = feeder.n_nodes
+    topo = model.topology
+    n = model.n_nodes
     v = result.v
-    P_recv = np.array([-(feeder.nodes[j].p_load + p[j]) for j in range(n)])
-    Q_recv = np.array([-(feeder.nodes[j].q_load + q[j]) for j in range(n)])
+    P_recv = -(model.p0 + p)
+    Q_recv = -(model.q0 + q)
     P_send = np.zeros(n)
     Q_send = np.zeros(n)
     ell = np.zeros(n)
@@ -180,7 +184,7 @@ def recompute_branch_mismatch(
     mismatch = 0.0
     for j in topo.order:
         pj = topo.parent[j]
-        u_up = feeder.v0 ** 2 if pj < 0 else v[pj] ** 2
+        u_up = model.v0 ** 2 if pj < 0 else v[pj] ** 2
         u_j = (
             u_up
             - 2.0 * (topo.r[j] * P_send[j] + topo.x[j] * Q_send[j])
@@ -209,24 +213,26 @@ def fixed_injection(ts: TransmissionSystem) -> float:
     return sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id)
 
 
-def _implied_slack(ts: TransmissionSystem, P_M: np.ndarray, P_L: np.ndarray) -> float:
-    return float(np.sum(P_L)) - float(np.sum(P_M)) - fixed_injection(ts)
+def _implied_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> float:
+    return float(np.sum(P_L)) - float(np.sum(P_M)) - fixed
 
 
-def record_slack(
-    ts: TransmissionSystem, P_M: np.ndarray, P_L: np.ndarray
-) -> SlackAccount:
-    """Record the slack output implied by the initial operating point."""
-    return SlackAccount(P0_slack=_implied_slack(ts, P_M, P_L))
+def record_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> SlackAccount:
+    """Record the slack output implied by the initial operating point.
+
+    ``fixed`` is the transmission system's :func:`fixed_injection`.
+    """
+    return SlackAccount(P0_slack=_implied_slack(fixed, P_M, P_L))
 
 
 def slack_residual(
-    account: SlackAccount, ts: TransmissionSystem, P_M: np.ndarray, P_L: np.ndarray
+    account: SlackAccount, fixed: float, P_M: np.ndarray, P_L: np.ndarray
 ) -> float:
     """Deviation of the implied slack output from its recorded value.
 
+    ``fixed`` is the transmission system's :func:`fixed_injection`.
     Positive when the controllable fleet now over-supplies relative to the
     start; this quantity replaces the raw power-balance expression in the
     price update, which freezes the slack bus out of the balancing task.
     """
-    return account.P0_slack - _implied_slack(ts, P_M, P_L)
+    return account.P0_slack - _implied_slack(fixed, P_M, P_L)

@@ -25,8 +25,13 @@ applies the stopping rule.  An engine supplies only its round — here
 :func:`primal_dual_step`; the market engine routes the same arithmetic
 (:func:`der_signals`, :func:`dual_update`) as messages between agents.
 
-Primal vectors ``p``/``q`` span every feeder node; nodes without a DER are
-pinned by ``[0, 0]`` boxes.  The sign convention makes the converged price
+:func:`build_problem` compiles each feeder once, and the round runs on
+flat global vectors: primal ``p``/``q``, voltages and price vectors span
+every feeder node in the coupled system's order (nodes without a DER are
+pinned by ``[0, 0]`` boxes), and ``mu`` holds the upper-band multipliers
+of all nodes, then the lower-band ones.  Only the per-feeder matvec or
+sweep, writing into the feeder's slice, and the per-feeder trace cells
+loop over feeders.  The sign convention makes the converged price
 ``lambda`` negative when extra generation is needed: the stationarity
 condition for each generator is ``2 c P + lambda = 0``.
 """
@@ -43,17 +48,13 @@ import numpy as np
 from .acpf import (
     SlackAccount,
     SweepDivergence,
+    fixed_injection,
     record_slack,
     slack_residual,
     sweep_feeder,
 )
 from .lindistflow import LinearFeederModel, build_lindistflow, predict
-from .network import (
-    CaseError,
-    CoupledSystem,
-    VoltageLimits,
-    feeder_topology,
-)
+from .network import CaseError, CoupledSystem, VoltageLimits
 from .trace import TraceRecord
 
 __all__ = [
@@ -157,20 +158,15 @@ class PrimalState:
 
 @dataclass(frozen=True)
 class DualState:
-    """Balance price and per-feeder voltage-band multipliers.
+    """Balance price and voltage-band multipliers.
 
-    ``mu[k]`` stacks the upper-bound rows then the lower-bound rows, so it
-    has twice the feeder's node count; it is componentwise nonnegative.
+    ``mu`` has 2N entries for N feeder nodes: the upper-band multipliers
+    of all nodes in global order, then the lower-band ones.  It is
+    componentwise nonnegative.
     """
 
     lam: float
-    mu: tuple[np.ndarray, ...]
-
-    def mu_upper(self, k: int) -> np.ndarray:
-        return self.mu[k][: len(self.mu[k]) // 2]
-
-    def mu_lower(self, k: int) -> np.ndarray:
-        return self.mu[k][len(self.mu[k]) // 2 :]
+    mu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -217,12 +213,13 @@ class DispatchProblem:
     The boxes are the limits at the start of a run; an event yields a
     modified copy (:func:`apply_event`) and never edits them in place.
     All vectors over feeder nodes use the coupled system's global node
-    ordering.
+    ordering; ``models[k].span`` is feeder k's slice of them.
     """
 
     system: CoupledSystem
     limits: VoltageLimits
-    models: tuple[LinearFeederModel, ...]
+    models: tuple[LinearFeederModel, ...]  # each feeder, compiled once
+    fixed_injection: float  # summed fixed bus injections, slack bus excluded
     # generators
     gen_bus: np.ndarray  # bus id per generator
     gen_coef: np.ndarray  # quadratic cost coefficients
@@ -252,8 +249,14 @@ class DispatchProblem:
 
 
 def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProblem:
-    """Compile a coupled system into the flat-array problem form."""
-    models = tuple(build_lindistflow(f) for f in system.feeders)
+    """Compile a coupled system into the flat-array problem form.
+
+    This is the one place a feeder is compiled (:func:`build_lindistflow`).
+    """
+    models = tuple(
+        build_lindistflow(f, offset)
+        for f, offset in zip(system.feeders, system.offsets)
+    )
     N = system.n_total
 
     gens = system.transmission.generators
@@ -295,6 +298,7 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         system=system,
         limits=limits,
         models=models,
+        fixed_injection=fixed_injection(system.transmission),
         gen_bus=gen_bus,
         gen_coef=gen_coef,
         gen_lo=gen_lo,
@@ -352,11 +356,7 @@ def initial_state(
     p = np.clip(np.zeros(N), problem.p_lo, problem.p_hi)
     q = np.clip(np.zeros(N), problem.q_lo, problem.q_hi)
     x = PrimalState(p=p, q=q, P_M=P)
-    y = DualState(
-        lam=0.0,
-        mu=tuple(np.zeros(2 * m.n_nodes) for m in problem.models),
-    )
-    return x, y
+    return x, DualState(lam=0.0, mu=np.zeros(2 * N))
 
 
 def project_box(value: float, lo: float, hi: float) -> float:
@@ -372,13 +372,15 @@ def project_box(value: float, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Network response at one primal state: per-feeder voltages and draws.
+    """Network response at one primal state: node voltages and head draws.
 
-    ``tag`` identifies the iteration the snapshot belongs to; the dual
-    update refuses snapshots tagged with a different iteration.
+    ``v`` spans all feeder nodes in global order; ``P_L`` has one entry
+    per feeder.  ``tag`` identifies the iteration the snapshot belongs
+    to; the dual update refuses snapshots tagged with a different
+    iteration.
     """
 
-    v: tuple[np.ndarray, ...]
+    v: np.ndarray
     P_L: np.ndarray
     tag: int | None
     source: str  # "linear" | "ac"
@@ -387,49 +389,52 @@ class Measurement:
 
 
 def measure_feeders(
-    feeders,
     models: tuple[LinearFeederModel, ...],
-    p_list,
-    q_list,
+    p: np.ndarray,
+    q: np.ndarray,
     feedback: str = "linear",
-    warm: tuple[np.ndarray, ...] | None = None,
+    warm: np.ndarray | None = None,
     tag: int | None = None,
     ac_tol: float = 1e-8,
     ac_max_iter: int = 100,
 ) -> Measurement:
-    """Voltages and head draws for per-feeder injection vectors.
+    """Voltages and head draws for global injection vectors ``p``, ``q``.
 
     ``linear`` evaluates the affine models; ``ac`` runs the exact sweep
-    (optionally warm-started from ``warm`` voltage profiles).  Needs only
-    the feeders' electrical data, so the market operator can call it.
+    (optionally warm-started from the ``warm`` voltages).  Needs only the
+    compiled feeder models, so the market operator can call it.  A failed
+    sweep raises :class:`EngineError` carrying ``tag`` as its iteration.
     """
-    v_list: list[np.ndarray] = []
+    if feedback not in ("linear", "ac"):
+        raise ValueError(f"unknown feedback mode {feedback!r}")
+    v = np.empty(len(p))
     P_L = np.zeros(len(models))
     ac_iterations = 0
     ac_residual = 0.0
     for k, model in enumerate(models):
-        p_k = p_list[k]
-        q_k = q_list[k]
+        sl = model.span
         if feedback == "linear":
-            v, P_L[k] = predict(model, p_k, q_k)
-            v_list.append(v)
-        elif feedback == "ac":
+            v[sl], P_L[k] = predict(model, p[sl], q[sl])
+            continue
+        try:
             res = sweep_feeder(
-                feeders[k],
-                p_k,
-                q_k,
+                model,
+                p[sl],
+                q[sl],
                 tol=ac_tol,
                 max_iter=ac_max_iter,
-                v_init=None if warm is None else warm[k],
+                v_init=None if warm is None else warm[sl],
             )
-            v_list.append(res.v)
-            P_L[k] = res.P_L
-            ac_iterations = max(ac_iterations, res.iterations)
-            ac_residual = max(ac_residual, res.residual)
-        else:
-            raise ValueError(f"unknown feedback mode {feedback!r}")
+        except SweepDivergence as exc:
+            raise EngineError(
+                f"power flow failed at iteration {tag}: {exc}", iteration=tag
+            ) from exc
+        v[sl] = res.v
+        P_L[k] = res.P_L
+        ac_iterations = max(ac_iterations, res.iterations)
+        ac_residual = max(ac_residual, res.residual)
     return Measurement(
-        v=tuple(v_list),
+        v=v,
         P_L=P_L,
         tag=tag,
         source=feedback,
@@ -442,19 +447,16 @@ def measure(
     problem: DispatchProblem,
     x: PrimalState,
     feedback: str = "linear",
-    warm: tuple[np.ndarray, ...] | None = None,
+    warm: np.ndarray | None = None,
     tag: int | None = None,
     ac_tol: float = 1e-8,
     ac_max_iter: int = 100,
 ) -> Measurement:
     """Feeder voltages and head draws at the setpoints of ``x``."""
-    system = problem.system
-    slices = [system.feeder_slice(k) for k in range(len(system.feeders))]
     return measure_feeders(
-        system.feeders,
         problem.models,
-        [x.p[sl] for sl in slices],
-        [x.q[sl] for sl in slices],
+        x.p,
+        x.q,
         feedback=feedback,
         warm=warm,
         tag=tag,
@@ -471,27 +473,35 @@ def der_signals(
     models: tuple[LinearFeederModel, ...],
     y: DualState,
     zero_lambda: bool = False,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-feeder price vectors (alpha, beta) for the DER updates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Price vectors (alpha, beta) over all feeder nodes for the DER updates.
 
-    ``alpha_k = -lambda M_k + A_k' (mu_upper - mu_lower)`` and likewise
-    ``beta_k`` with ``N_k`` and ``B_k``.  With ``zero_lambda`` the
+    On feeder k, ``alpha = -lambda M_k + A_k' (mu_upper - mu_lower)`` and
+    likewise ``beta`` with ``N_k`` and ``B_k``.  With ``zero_lambda`` the
     balance price is hidden from the DERs (voltage terms remain) — the
     no-participation baseline.
     """
     lam = 0.0 if zero_lambda else y.lam
-    alphas: list[np.ndarray] = []
-    betas: list[np.ndarray] = []
-    for k, model in enumerate(models):
-        n = model.n_nodes
-        w = y.mu[k][:n] - y.mu[k][n:]
-        alphas.append(-lam * model.M + model.A.T @ w)
-        betas.append(-lam * model.N + model.B.T @ w)
-    return tuple(alphas), tuple(betas)
+    n = len(y.mu) // 2
+    w = y.mu[:n] - y.mu[n:]
+    alpha = np.empty(n)
+    beta = np.empty(n)
+    # per feeder, not one block-diagonal product: that would change the
+    # rounding of the sums
+    for model in models:
+        sl = model.span
+        alpha[sl] = -lam * model.M + model.A.T @ w[sl]
+        beta[sl] = -lam * model.N + model.B.T @ w[sl]
+    return alpha, beta
+
+
+def _band_violation(limits: VoltageLimits, v: np.ndarray) -> np.ndarray:
+    """Constraint values ``g(v)``: upper-band rows, then lower-band rows."""
+    return np.concatenate([v - limits.v_max, limits.v_min - v])
 
 
 def dual_update(
-    ts,
+    fixed: float,
     limits: VoltageLimits,
     y: DualState,
     measurement: Measurement,
@@ -503,17 +513,15 @@ def dual_update(
     """Projected dual ascent step consuming a network measurement.
 
     Multipliers rise with the measured constraint violations; the price
-    integrates the balance residual.  Returns the new duals and the
-    residual that drove the price.
+    integrates the balance residual (``fixed`` is the summed fixed bus
+    injection, see :func:`~tdcoopt.acpf.slack_residual`).  Returns the
+    new duals and the residual that drove the price.
     """
-    mu_new: list[np.ndarray] = []
-    for k, v in enumerate(measurement.v):
-        g = np.concatenate([v - limits.v_max, limits.v_min - v])
-        mu = y.mu[k]
-        mu_new.append(np.maximum(mu + eps * (g - eta * mu), 0.0))
-    residual = slack_residual(account, ts, P_M, measurement.P_L)
+    g = _band_violation(limits, measurement.v)
+    mu_new = np.maximum(y.mu + eps * (g - eta * y.mu), 0.0)
+    residual = slack_residual(account, fixed, P_M, measurement.P_L)
     lam_new = y.lam + eps * (residual - eta * y.lam)
-    return DualState(lam=lam_new, mu=tuple(mu_new)), residual
+    return DualState(lam=lam_new, mu=mu_new), residual
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +531,7 @@ def dual_update(
 def _balance(problem: DispatchProblem, P_M, P_L, account: SlackAccount | None):
     if account is None:
         account = SlackAccount(P0_slack=0.0)
-    return slack_residual(account, problem.system.transmission, P_M, P_L)
+    return slack_residual(account, problem.fixed_injection, P_M, P_L)
 
 
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
@@ -543,18 +551,12 @@ def eval_lagrangian(
     eta: float = 0.0,
 ) -> float:
     """The regularized Lagrangian, with the affine feeder model throughout."""
+    meas = measure(problem, x, feedback="linear")
     value = total_cost(problem, x)
-    limits = problem.limits
-    P_L = np.zeros(len(problem.models))
-    for k, model in enumerate(problem.models):
-        sl = problem.system.feeder_slice(k)
-        v, P_L[k] = predict(model, x.p[sl], x.q[sl])
-        g = np.concatenate([v - limits.v_max, limits.v_min - v])
-        value += float(y.mu[k] @ g)
-    value += y.lam * _balance(problem, x.P_M, P_L, account)
+    value += float(y.mu @ _band_violation(problem.limits, meas.v))
+    value += y.lam * _balance(problem, x.P_M, meas.P_L, account)
     if eta:
-        mu_sq = sum(float(mu @ mu) for mu in y.mu)
-        value -= 0.5 * eta * (y.lam * y.lam + mu_sq)
+        value -= 0.5 * eta * (y.lam * y.lam + float(y.mu @ y.mu))
     return value
 
 
@@ -566,9 +568,7 @@ def grad_primal(
     Composed exactly as the decentralized agents compute them: private
     cost gradient plus the received price vector.
     """
-    alphas, betas = der_signals(problem.models, y)
-    alpha = np.concatenate(alphas) if alphas else np.zeros(0)
-    beta = np.concatenate(betas) if betas else np.zeros(0)
+    alpha, beta = der_signals(problem.models, y)
     dp = 2.0 * problem.a_p * x.p + alpha
     dq = 2.0 * problem.a_q * x.q + beta
     dP = 2.0 * problem.gen_coef * x.P_M + y.lam
@@ -584,7 +584,7 @@ def grad_dual(
     feedback: str = "linear",
     measurement: Measurement | None = None,
     iteration: int | None = None,
-) -> tuple[float, tuple[np.ndarray, ...]]:
+) -> tuple[float, np.ndarray]:
     """Partial gradients of L in (lambda, mu), from the chosen feedback.
 
     With ``feedback='ac'`` a fresh measurement must be supplied; one
@@ -601,13 +601,9 @@ def grad_dual(
     elif measurement is None:
         measurement = measure(problem, x, feedback="linear", tag=iteration)
 
-    limits = problem.limits
-    dmu: list[np.ndarray] = []
-    for k, v in enumerate(measurement.v):
-        g = np.concatenate([v - limits.v_max, limits.v_min - v])
-        dmu.append(g - eta * y.mu[k])
+    dmu = _band_violation(problem.limits, measurement.v) - eta * y.mu
     dlam = _balance(problem, x.P_M, measurement.P_L, account) - eta * y.lam
-    return dlam, tuple(dmu)
+    return dlam, dmu
 
 
 # ---------------------------------------------------------------------------
@@ -659,28 +655,26 @@ def check_stepsize(
     G = problem.n_generators
     xdim = 2 * N + G
     ydim = 2 * N + 1
-    H = np.diag(
-        np.concatenate(
-            [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
-        )
-    )
-    C = np.zeros((xdim, ydim))
-    for k, model in enumerate(problem.models):
-        sl = problem.system.feeder_slice(k)
-        n = model.n_nodes
-        off = 2 * problem.system.offsets[k]
-        up = slice(off, off + n)
-        lo = slice(off + n, off + 2 * n)
-        C[sl, up] = model.A
-        C[sl, lo] = -model.A
-        q_rows = slice(N + sl.start, N + sl.stop)
-        C[q_rows, up] = model.B
-        C[q_rows, lo] = -model.B
+    # F = [[H, C], [-C', eta I]] with H the diagonal cost curvature, built
+    # in place without separate blocks: at N=403 F alone is 21 MB, the
+    # dense SVD copies it, and that moment sets a run's peak memory
+    F = np.zeros((xdim + ydim, xdim + ydim))
+    curvature = [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
+    np.fill_diagonal(F, np.concatenate([*curvature, np.full(ydim, float(eta))]))
+    C = F[:xdim, xdim:]
+    # rows: p then q; columns: upper-band then lower-band multipliers
+    for model in problem.models:
+        sl = model.span
+        shifted = slice(N + sl.start, N + sl.stop)
+        C[sl, sl] = model.A
+        C[sl, shifted] = -model.A
+        C[shifted, sl] = model.B
+        C[shifted, shifted] = -model.B
         C[sl, -1] = -model.M
-        C[q_rows, -1] = -model.N
+        C[shifted, -1] = -model.N
     C[2 * N :, -1] = 1.0
+    F[xdim:, :xdim] = -C.T
 
-    F = np.block([[H, C], [-C.T, eta * np.eye(ydim)]])
     l = float(np.linalg.norm(F, 2))
     eps_bound = 2.0 * s / (l * l) if l > 0 else math.inf
     return StepsizeReport(s=s, l=l, eps_bound=eps_bound)
@@ -780,8 +774,8 @@ def primal_dual_step(
     account: SlackAccount,
     cfg: SolverConfig,
     iteration: int | None = None,
-    warm: tuple[np.ndarray, ...] | None = None,
-    signals: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None,
+    warm: np.ndarray | None = None,
+    signals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StepOutcome:
     """One synchronous round: primal moves, network response, dual moves.
 
@@ -790,9 +784,7 @@ def primal_dual_step(
     """
     if signals is None:
         signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
-    alphas, betas = signals
-    alpha = np.concatenate(alphas) if alphas else np.zeros(0)
-    beta = np.concatenate(betas) if betas else np.zeros(0)
+    alpha, beta = signals
     eps = cfg.eps
 
     p_new = np.clip(
@@ -808,24 +800,17 @@ def primal_dual_step(
     )
     x_new = PrimalState(p=p_new, q=q_new, P_M=P_new)
 
-    try:
-        meas = measure(
-            problem,
-            x_new,
-            feedback=cfg.feedback,
-            warm=warm,
-            tag=iteration,
-            ac_tol=cfg.ac_tol,
-            ac_max_iter=cfg.ac_max_iter,
-        )
-    except SweepDivergence as exc:
-        raise EngineError(
-            f"power flow failed at iteration {iteration}: {exc}",
-            iteration=iteration,
-        ) from exc
-
+    meas = measure(
+        problem,
+        x_new,
+        feedback=cfg.feedback,
+        warm=warm,
+        tag=iteration,
+        ac_tol=cfg.ac_tol,
+        ac_max_iter=cfg.ac_max_iter,
+    )
     y_new, residual = dual_update(
-        problem.system.transmission,
+        problem.fixed_injection,
         problem.limits,
         y,
         meas,
@@ -845,9 +830,9 @@ def primal_dual_step(
 def default_probes(problem: DispatchProblem) -> tuple[int, ...]:
     """One probe node per feeder: the node of largest path impedance."""
     probes = []
-    for feeder in problem.system.feeders:
-        topo = feeder_topology(feeder)
-        depth = [0.0] * feeder.n_nodes
+    for model in problem.models:
+        topo = model.topology
+        depth = [0.0] * model.n_nodes
         best, best_depth = 0, -1.0
         for j in topo.order:
             parent_depth = depth[topo.parent[j]] if topo.parent[j] >= 0 else 0.0
@@ -865,24 +850,30 @@ def iteration_record(
     y: DualState,
     measurement: Measurement,
     balance_residual: float,
-    signals: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]],
+    signals: tuple[np.ndarray, np.ndarray],
     probes: tuple[int, ...],
     step_primal: float | None,
     step_dual: float | None,
 ) -> TraceRecord:
-    """Assemble the per-iteration diagnostics row."""
-    alphas, betas = signals
+    """Assemble the per-iteration diagnostics row.
+
+    ``probes`` holds one node position per feeder, counted within it.
+    """
+    alpha, beta = signals
+    v = measurement.v
+    spans = [model.span for model in problem.models]
+    at_probe = [sl.start + j for sl, j in zip(spans, probes)]
     return TraceRecord(
         iteration=iteration,
         lam=y.lam,
-        P_M=tuple(float(v) for v in x.P_M),
-        P_L=tuple(float(v) for v in measurement.P_L),
-        v_min=tuple(float(np.min(v)) for v in measurement.v),
-        v_max=tuple(float(np.max(v)) for v in measurement.v),
+        P_M=tuple(float(P) for P in x.P_M),
+        P_L=tuple(float(P) for P in measurement.P_L),
+        v_min=tuple(float(np.min(v[sl])) for sl in spans),
+        v_max=tuple(float(np.max(v[sl])) for sl in spans),
         slack_residual=balance_residual,
         total_cost=total_cost(problem, x),
-        alpha_probe=tuple(float(alphas[k][j]) for k, j in enumerate(probes)),
-        beta_probe=tuple(float(betas[k][j]) for k, j in enumerate(probes)),
+        alpha_probe=tuple(float(alpha[i]) for i in at_probe),
+        beta_probe=tuple(float(beta[i]) for i in at_probe),
         step_primal=step_primal,
         step_dual=step_dual,
     )
@@ -912,7 +903,7 @@ class SolveResult:
 # One round of an engine: ``step(problem, x, y, account, t, warm, signals)``
 # runs round ``t`` from the price vectors ``signals`` of the current duals
 # and returns its outcome plus the price vectors of the new duals.
-Signals = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+Signals = tuple[np.ndarray, np.ndarray]
 Step = Callable[..., tuple[StepOutcome, Signals]]
 
 
@@ -959,10 +950,10 @@ def run_rounds(
         ac_tol=cfg.ac_tol,
         ac_max_iter=cfg.ac_max_iter,
     )
-    ts = problem.system.transmission
+    fixed = problem.fixed_injection
     if account is None:
-        account = record_slack(ts, x.P_M, meas.P_L)
-    residual = slack_residual(account, ts, x.P_M, meas.P_L)
+        account = record_slack(fixed, x.P_M, meas.P_L)
+    residual = slack_residual(account, fixed, x.P_M, meas.P_L)
     signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
 
     records = [
@@ -988,10 +979,9 @@ def run_rounds(
             _inf_diff(outcome.x.q, x.q),
             _inf_diff(outcome.x.P_M, x.P_M),
         ) / cfg.eps
-        step_dual = abs(outcome.y.lam - y.lam)
-        for k in range(len(y.mu)):
-            step_dual = max(step_dual, _inf_diff(outcome.y.mu[k], y.mu[k]))
-        step_dual /= cfg.eps
+        step_dual = max(
+            abs(outcome.y.lam - y.lam), _inf_diff(outcome.y.mu, y.mu)
+        ) / cfg.eps
 
         x, y = outcome.x, outcome.y
         warm = outcome.measurement.v

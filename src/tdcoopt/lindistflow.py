@@ -1,4 +1,4 @@
-"""Linearized feeder model: voltages and head power affine in DER injections.
+"""Compiled feeder model: voltages and head power affine in DER injections.
 
 Dropping line losses from the branch-flow equations leaves an affine map
 
@@ -13,16 +13,21 @@ substation-to-j paths, divided by the substation voltage.  Both are
 symmetric positive semidefinite by construction.  Losslessness makes every
 unit of local injection displace exactly one unit of head draw, so
 ``M = -1`` and ``N = 0`` elementwise.
+
+The same model also carries what the exact sweep needs (topology, base
+injections, substation voltage) and where the feeder's nodes sit in the
+global node vectors, but no DER data: it is all the market operator may
+know about a feeder.  :func:`tdcoopt.core.build_problem` compiles each
+feeder once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .network import DistributionFeeder, feeder_topology
+from .network import DistributionFeeder, FeederTopology, feeder_topology
 
 __all__ = [
     "LinearFeederModel",
@@ -33,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearFeederModel:
-    """Affine sensitivities of one feeder around its fixed base injections."""
+    """One feeder compiled for the iteration; holds no DER data."""
 
     feeder_id: str
     A: np.ndarray  # dv/dp, n x n, symmetric PSD
@@ -42,15 +47,22 @@ class LinearFeederModel:
     M: np.ndarray  # dP_L/dp, all -1
     N: np.ndarray  # dP_L/dq, all 0
     d: float  # head draw at zero DER output
+    node_ids: tuple[int, ...]  # case-file node id per position
+    topology: FeederTopology
+    p0: np.ndarray  # fixed base injections per node
+    q0: np.ndarray
+    v0: float  # substation voltage magnitude
+    span: slice  # the feeder's positions in the global node vectors
 
     @property
     def n_nodes(self) -> int:
         return len(self.c)
 
 
-@lru_cache(maxsize=128)
-def build_lindistflow(feeder: DistributionFeeder) -> LinearFeederModel:
-    """Assemble the affine model for ``feeder``.
+def build_lindistflow(
+    feeder: DistributionFeeder, offset: int = 0
+) -> LinearFeederModel:
+    """Compile ``feeder``, its nodes placed at ``offset`` in global vectors.
 
     The path matrices come from the edge-path incidence ``T`` (edge e lies
     on the path to node j), giving ``A = T' diag(r) T / v0``.
@@ -75,10 +87,22 @@ def build_lindistflow(feeder: DistributionFeeder) -> LinearFeederModel:
     N = np.zeros(n)
     d = -float(np.sum(p0))
 
-    for arr in (A, B, c, M, N):
+    for arr in (A, B, c, M, N, p0, q0):
         arr.flags.writeable = False
     return LinearFeederModel(
-        feeder_id=feeder.feeder_id, A=A, B=B, c=c, M=M, N=N, d=d
+        feeder_id=feeder.feeder_id,
+        A=A,
+        B=B,
+        c=c,
+        M=M,
+        N=N,
+        d=d,
+        node_ids=tuple(node.id for node in feeder.nodes),
+        topology=topo,
+        p0=p0,
+        q0=q0,
+        v0=feeder.v0,
+        span=slice(offset, offset + n),
     )
 
 

@@ -7,8 +7,8 @@ private cost plus ``alpha p + beta q``); the operator collects the
 reported setpoints, measures the network response, performs the dual
 update, and broadcasts fresh incentive signals.  No private cost or
 capacity data ever reaches the operator — it works from setpoint reports,
-the feeder electrical models, and the transmission data alone (its feeder
-records carry no DER entries at all).
+the compiled feeder models of the problem (which hold no DER data), and
+the transmission data alone.
 
 This module only routes messages: the rounds run inside the centralized
 engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
@@ -32,15 +32,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .acpf import SlackAccount
+from .acpf import SlackAccount, fixed_injection
 from .core import (
+    DispatchProblem,
     DualState,
-    Measurement,
     PrimalState,
     SolveResult,
     SolverConfig,
     StepOutcome,
-    build_problem,
     default_probes,
     der_signals,
     dual_update,
@@ -50,14 +49,8 @@ from .core import (
     project_box,
     run_rounds,
 )
-from .network import (
-    CoupledSystem,
-    Der,
-    DistributionFeeder,
-    Generator,
-    TransmissionSystem,
-    VoltageLimits,
-)
+from .lindistflow import LinearFeederModel
+from .network import Der, Generator, TransmissionSystem, VoltageLimits
 
 __all__ = [
     "RoundAbort",
@@ -70,7 +63,6 @@ __all__ = [
     "UserAgent",
     "GeneratorAgent",
     "OperatorConfig",
-    "OperatorOutcome",
     "operator_step",
     "run_market",
 ]
@@ -86,11 +78,11 @@ class RoundAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class IncentiveSignals:
-    """Broadcast prices: per-feeder (alpha, beta) vectors plus the balance
+    """Broadcast prices: (alpha, beta) over all feeder nodes plus the balance
     price for generators, all tagged with the round they were computed in."""
 
-    alpha: tuple[np.ndarray, ...]
-    beta: tuple[np.ndarray, ...]
+    alpha: np.ndarray
+    beta: np.ndarray
     lambda_broadcast: float
     iteration_tag: int
 
@@ -124,8 +116,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, IncentiveSignals):
         return {
-            "alpha": [_jsonable(a) for a in value.alpha],
-            "beta": [_jsonable(b) for b in value.beta],
+            "alpha": _jsonable(value.alpha),
+            "beta": _jsonable(value.beta),
             "lambda": value.lambda_broadcast,
             "iteration_tag": value.iteration_tag,
         }
@@ -136,36 +128,45 @@ def _jsonable(value):
 class MessageBus:
     """In-process bus with deterministic delivery order.
 
-    ``drop`` is a fault-injection hook: messages it matches are silently
-    discarded, which the synchronous round logic then surfaces as a
+    Only the current round's messages can be collected: a message tagged
+    with another round discards every queued one.  ``drop`` is a
+    fault-injection hook: messages it matches are silently discarded,
+    which the synchronous round logic then surfaces as a
     :class:`RoundAbort`.  With ``record`` set, every delivered message is
-    kept in ``journal`` for debugging (JSON-dumpable).
+    also kept in ``journal`` for debugging (JSON-dumpable).
     """
 
     drop: Callable[[AgentMessage], bool] | None = None
     record: bool = False
     journal: list[AgentMessage] = field(default_factory=list)
     _queues: dict = field(default_factory=dict)
+    _round: int | None = None
 
     def publish(self, message: AgentMessage) -> bool:
         if self.drop is not None and self.drop(message):
             return False
-        self._queues.setdefault((message.kind, message.iteration_tag), []).append(
-            message
-        )
+        if message.iteration_tag != self._round:
+            self._queues.clear()
+            self._round = message.iteration_tag
+        self._queues.setdefault(message.kind, []).append(message)
         if self.record:
             self.journal.append(message)
         return True
 
     def collect(self, kind: str, tag: int) -> list[AgentMessage]:
-        return list(self._queues.get((kind, tag), []))
+        if tag != self._round:
+            return []
+        return list(self._queues.get(kind, []))
 
     def counts(self, tag: int) -> dict[str, int]:
-        return {
-            kind: len(msgs)
-            for (kind, t), msgs in self._queues.items()
-            if t == tag
-        }
+        """Messages of round ``tag`` per kind, read from the journal."""
+        if not self.record:
+            raise ValueError("message counts need a recording bus (record=True)")
+        counts: dict[str, int] = {}
+        for msg in self.journal:
+            if msg.iteration_tag == tag:
+                counts[msg.kind] = counts.get(msg.kind, 0) + 1
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +225,14 @@ class UserAgent:
     """A DER owner: private cost and limits, plus the current setpoint."""
 
     name: str
-    feeder_pos: int
-    node_pos: int
+    index: int  # the DER node's position in the global node vectors
     der: Der
     p: float = 0.0
     q: float = 0.0
 
     def step(self, signals: IncentiveSignals, eps: float, mode: str) -> None:
-        alpha = float(signals.alpha[self.feeder_pos][self.node_pos])
-        beta = float(signals.beta[self.feeder_pos][self.node_pos])
+        alpha = float(signals.alpha[self.index])
+        beta = float(signals.beta[self.index])
         if mode == "gradient":
             self.p, self.q = user_step(
                 (self.p, self.q), (alpha, beta), self.der, eps
@@ -247,12 +247,7 @@ class UserAgent:
             kind="setpoint-report",
             sender=self.name,
             iteration_tag=tag,
-            payload={
-                "feeder": self.feeder_pos,
-                "node": self.node_pos,
-                "p": self.p,
-                "q": self.q,
-            },
+            payload={"node": self.index, "p": self.p, "q": self.q},
         )
 
     def scale_capacity(self, factor: float) -> None:
@@ -296,55 +291,38 @@ class GeneratorAgent:
 # operator
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorConfig:
-    """Everything the operator is allowed to know.
+    """What the operator knows besides the compiled feeder models.
 
-    The feeder records here must carry no DER entries (strip them with
-    ``dataclasses.replace(feeder, ders=())``); the operator sees topology,
-    impedances, and base loads, never user costs or limits.
+    Those models carry topology, impedances and base loads, never user
+    costs or limits.
     """
 
     ts: TransmissionSystem
     limits: VoltageLimits
-    feeders: tuple[DistributionFeeder, ...]
     expected_reports: tuple[str, ...]
     solver: SolverConfig  # stepsize, regularization, feedback source
+    fixed_injection: float = field(init=False)  # summed once, from ``ts``
 
     def __post_init__(self):
-        for feeder in self.feeders:
-            if feeder.ders:
-                raise ValueError(
-                    f"operator feeder record {feeder.feeder_id} still "
-                    "carries DER data; strip it first"
-                )
-
-
-@dataclass(frozen=True)
-class OperatorOutcome:
-    """Dual update plus fresh signals, with the measurement they rest on."""
-
-    y: DualState
-    signals: IncentiveSignals
-    measurement: Measurement
-    balance_residual: float
-    P_M: np.ndarray
-    p_list: tuple[np.ndarray, ...]
-    q_list: tuple[np.ndarray, ...]
+        object.__setattr__(self, "fixed_injection", fixed_injection(self.ts))
 
 
 def operator_step(
     reports: list[AgentMessage],
     y: DualState,
-    models,
+    models: tuple[LinearFeederModel, ...],
     cfg: OperatorConfig,
     account: SlackAccount,
     tag: int,
-    warm: tuple[np.ndarray, ...] | None = None,
-) -> OperatorOutcome:
+    warm: np.ndarray | None = None,
+) -> tuple[StepOutcome, IncentiveSignals]:
     """Validate the round, measure the network, update duals, price anew.
 
-    Any missing, duplicated, or stale report aborts the round.
+    Returns the round's outcome (reported setpoints, new duals, and the
+    measurement they rest on) and the fresh signals.  Any missing,
+    duplicated, or stale report aborts the round.
     """
     seen: dict[str, AgentMessage] = {}
     for msg in reports:
@@ -362,23 +340,23 @@ def operator_step(
             f"round {tag} missing reports from: {', '.join(missing)}"
         )
 
-    p_list = [np.zeros(m.n_nodes) for m in models]
-    q_list = [np.zeros(m.n_nodes) for m in models]
+    n = sum(m.n_nodes for m in models)
+    p = np.zeros(n)
+    q = np.zeros(n)
     P_M = np.zeros(len(cfg.ts.generators))
     for msg in seen.values():
         pay = msg.payload
         if "generator" in pay:
             P_M[pay["generator"]] = pay["P"]
         else:
-            p_list[pay["feeder"]][pay["node"]] = pay["p"]
-            q_list[pay["feeder"]][pay["node"]] = pay["q"]
+            p[pay["node"]] = pay["p"]
+            q[pay["node"]] = pay["q"]
 
     solver = cfg.solver
     meas = measure_feeders(
-        cfg.feeders,
         models,
-        p_list,
-        q_list,
+        p,
+        q,
         feedback=solver.feedback,
         warm=warm,
         tag=tag,
@@ -387,20 +365,17 @@ def operator_step(
     )
 
     y_new, residual = dual_update(
-        cfg.ts, cfg.limits, y, meas, P_M, account, solver.eps, solver.eta
+        cfg.fixed_injection, cfg.limits, y, meas, P_M, account,
+        solver.eps, solver.eta,
     )
-    alphas, betas = der_signals(models, y_new, solver.zero_lambda_to_ders)
-    signals = IncentiveSignals(
-        alpha=alphas, beta=betas, lambda_broadcast=y_new.lam, iteration_tag=tag
-    )
-    return OperatorOutcome(
+    alpha, beta = der_signals(models, y_new, solver.zero_lambda_to_ders)
+    return StepOutcome(
+        x=PrimalState(p=p, q=q, P_M=P_M),
         y=y_new,
-        signals=signals,
         measurement=meas,
         balance_residual=residual,
-        P_M=P_M,
-        p_list=tuple(p_list),
-        q_list=tuple(q_list),
+    ), IncentiveSignals(
+        alpha=alpha, beta=beta, lambda_broadcast=y_new.lam, iteration_tag=tag
     )
 
 
@@ -409,8 +384,7 @@ def operator_step(
 # ---------------------------------------------------------------------------
 
 def run_market(
-    system: CoupledSystem,
-    limits: VoltageLimits,
+    problem: DispatchProblem,
     cfg: SolverConfig,
     events: tuple = (),
     mode: str = "gradient",
@@ -425,21 +399,21 @@ def run_market(
     The rounds go through the centralized engine's driver loop
     (:func:`~tdcoopt.core.run_rounds`); this engine only routes each
     round's messages between the agents and the operator, and passes
-    every fired event on to the agents it concerns.  In ``gradient`` mode
-    the trajectory equals the centralized engine's.  ``x0`` seeds the
-    agents (its ``p``/``q`` entries at nodes without a DER are ignored;
-    agents exist only where DERs do).
+    every fired event on to the agents it concerns.  The agents take
+    their private data from ``problem.system``; the operator gets only
+    ``problem.models``.  In ``gradient`` mode the trajectory equals the
+    centralized engine's.  ``x0`` seeds the agents (its ``p``/``q``
+    entries at nodes without a DER are ignored; agents exist only where
+    DERs do).  The caller's ``problem`` is not modified, events included.
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
-    # the shared loop's view of the limits; the agents keep their own
-    problem = build_problem(system, limits)
+    system = problem.system
     models = problem.models
     if probes is None:
         probes = default_probes(problem)
     if bus is None:
         bus = MessageBus()
-    ts = system.transmission
     x_init, y_init = initial_state(problem)
     x0 = x_init if x0 is None else x0
     y0 = y_init if y0 is None else y0
@@ -448,13 +422,11 @@ def run_market(
     for k, feeder in enumerate(system.feeders):
         index = feeder.node_index()
         for der in feeder.ders:
-            j = index[der.node_id]
-            g = system.global_index(k, j)
+            g = system.global_index(k, index[der.node_id])
             users.append(
                 UserAgent(
                     name=f"user:{feeder.feeder_id}:{der.node_id}",
-                    feeder_pos=k,
-                    node_pos=j,
+                    index=g,
                     der=der,
                     p=float(x0.p[g]),
                     q=float(x0.q[g]),
@@ -465,12 +437,11 @@ def run_market(
             name=f"generator:{gen.bus_id}", index=i, gen=gen,
             P=0.0 if not gen.online else float(x0.P_M[i]),
         )
-        for i, gen in enumerate(ts.generators)
+        for i, gen in enumerate(system.transmission.generators)
     ]
     op_cfg = OperatorConfig(
-        ts=ts,
-        limits=limits,
-        feeders=tuple(replace(f, ders=()) for f in system.feeders),
+        ts=system.transmission,
+        limits=problem.limits,
         expected_reports=tuple(a.name for a in users + generators),
         solver=cfg,
     )
@@ -479,9 +450,9 @@ def run_market(
     def step(problem, x, y, account, t, warm, signals):
         nonlocal broadcast
         if broadcast is None:  # the opening broadcast, at the starting duals
-            alphas, betas = signals
+            alpha, beta = signals
             broadcast = IncentiveSignals(
-                alpha=alphas, beta=betas, lambda_broadcast=y.lam, iteration_tag=0
+                alpha=alpha, beta=beta, lambda_broadcast=y.lam, iteration_tag=0
             )
             bus.publish(AgentMessage("signal-broadcast", "operator", 0, broadcast))
 
@@ -492,11 +463,12 @@ def run_market(
             g.step(broadcast, cfg.eps)
             bus.publish(g.report(t))
 
-        outcome = operator_step(
+        outcome, broadcast = operator_step(
             bus.collect("setpoint-report", t), y, models, op_cfg, account,
             tag=t, warm=warm,
         )
-        for k, v in enumerate(outcome.measurement.v):
+        meas = outcome.measurement
+        for k, model in enumerate(models):
             bus.publish(
                 AgentMessage(
                     "pf-result",
@@ -504,8 +476,8 @@ def run_market(
                     t,
                     {
                         "feeder": k,
-                        "v": v,
-                        "P_L": float(outcome.measurement.P_L[k]),
+                        "v": meas.v[model.span],
+                        "P_L": float(meas.P_L[k]),
                     },
                 )
             )
@@ -517,15 +489,8 @@ def run_market(
                 {"lambda": outcome.y.lam, "residual": outcome.balance_residual},
             )
         )
-        broadcast = outcome.signals
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
-
-        return StepOutcome(
-            x=_assemble(outcome.p_list, outcome.q_list, outcome.P_M),
-            y=outcome.y,
-            measurement=outcome.measurement,
-            balance_residual=outcome.balance_residual,
-        ), (broadcast.alpha, broadcast.beta)
+        return outcome, (broadcast.alpha, broadcast.beta)
 
     def route_event(tripped: int | None, factor: float) -> None:
         if tripped is not None:
@@ -534,18 +499,12 @@ def run_market(
             for u in users:
                 u.scale_capacity(factor)
 
-    p_list = [np.zeros(m.n_nodes) for m in models]
-    q_list = [np.zeros(m.n_nodes) for m in models]
+    p = np.zeros(problem.n_nodes)
+    q = np.zeros(problem.n_nodes)
     for u in users:
-        p_list[u.feeder_pos][u.node_pos] = u.p
-        q_list[u.feeder_pos][u.node_pos] = u.q
-    x = _assemble(p_list, q_list, np.array([g.P for g in generators]))
+        p[u.index] = u.p
+        q[u.index] = u.q
+    x = PrimalState(p=p, q=q, P_M=np.array([g.P for g in generators]))
     return run_rounds(
         problem, cfg, x, y0, account, events, probes, step, route_event
     )
-
-
-def _assemble(p_list, q_list, P_M: np.ndarray) -> PrimalState:
-    p = np.concatenate(p_list) if len(p_list) else np.zeros(0)
-    q = np.concatenate(q_list) if len(q_list) else np.zeros(0)
-    return PrimalState(p=p.copy(), q=q.copy(), P_M=np.asarray(P_M, dtype=float).copy())

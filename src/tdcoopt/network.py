@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 __all__ = [
     "CaseError",
@@ -125,9 +124,6 @@ class DistributionFeeder:
     def node_index(self) -> dict[int, int]:
         """Node id -> position in ``nodes`` (and in every per-feeder vector)."""
         return {n.id: i for i, n in enumerate(self.nodes)}
-
-    def parent_of(self) -> dict[int, int]:
-        return {ln.child: ln.parent for ln in self.lines}
 
 
 @dataclass(frozen=True)
@@ -499,18 +495,6 @@ class CoupledSystem:
             raise IndexError(f"node position {node_pos} out of range")
         return self.offsets[feeder_pos] + node_pos
 
-    def feeder_node(self, global_pos: int) -> tuple[int, int]:
-        if not (0 <= global_pos < self.n_total):
-            raise IndexError(f"global position {global_pos} out of range")
-        for k in range(len(self.feeders) - 1, -1, -1):
-            if global_pos >= self.offsets[k]:
-                return k, global_pos - self.offsets[k]
-        raise IndexError(global_pos)  # unreachable
-
-    def feeder_slice(self, feeder_pos: int) -> slice:
-        start = self.offsets[feeder_pos]
-        return slice(start, start + self.feeders[feeder_pos].n_nodes)
-
 
 @dataclass(frozen=True)
 class FeederTopology:
@@ -527,7 +511,6 @@ class FeederTopology:
     x: tuple[float, ...]
 
 
-@lru_cache(maxsize=128)
 def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
     n = feeder.n_nodes
     idx = feeder.node_index()

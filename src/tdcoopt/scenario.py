@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acpf import SlackAccount, fixed_injection
+from .acpf import SlackAccount
 from .core import (
     DerCapacityScale,
     DispatchProblem,
@@ -40,6 +40,7 @@ from .core import (
     total_cost,
 )
 from .market import run_market
+from .lindistflow import predict
 from .network import (
     CaseError,
     CoupledSystem,
@@ -312,7 +313,7 @@ def _label(text: str) -> str:
 def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
     """Execute the scenario and write its trace CSV and summary JSON."""
     problem = build_problem(scenario.system, scenario.limits)
-    result = run_scenario_in_memory(scenario)
+    result = run_scenario_in_memory(scenario, problem)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,15 +345,16 @@ def _summarize(
     last = result.records[-1]
     active: dict[str, dict[str, list[int]]] = {}
     threshold = 1e-8
-    for k, feeder in enumerate(system.feeders):
-        n = feeder.n_nodes
-        mu = result.y.mu[k]
-        active[feeder.feeder_id] = {
+    mu_upper = result.y.mu[: problem.n_nodes]
+    mu_lower = result.y.mu[problem.n_nodes :]
+    for model in problem.models:
+        sl = model.span
+        active[model.feeder_id] = {
             "upper": [
-                feeder.nodes[j].id for j in np.flatnonzero(mu[:n] > threshold)
+                model.node_ids[j] for j in np.flatnonzero(mu_upper[sl] > threshold)
             ],
             "lower": [
-                feeder.nodes[j].id for j in np.flatnonzero(mu[n:] > threshold)
+                model.node_ids[j] for j in np.flatnonzero(mu_lower[sl] > threshold)
             ],
         }
 
@@ -504,8 +506,6 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     most four free decision variables in total.
     """
     problem = build_problem(scenario.system, scenario.limits)
-    system = scenario.system
-    ts = system.transmission
     N = problem.n_nodes
 
     free_p = [int(i) for i in np.flatnonzero(problem.p_hi > problem.p_lo)]
@@ -525,7 +525,7 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
 
     # affine pieces: total head draw and per-node voltages as functions of
     # the gridded variables
-    fixed_inj = fixed_injection(ts)
+    fixed_inj = problem.fixed_injection
     P0 = scenario.slack_value if scenario.slack_mode == "explicit" else None
     if P0 is None:
         raise ValueError(
@@ -568,8 +568,8 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
                 P[:, i] = points[:, d]
         violation = np.zeros(m)
         P_L = np.zeros(m)
-        for k, model in enumerate(problem.models):
-            sl = system.feeder_slice(k)
+        for model in problem.models:
+            sl = model.span
             v = model.c + p[:, sl] @ model.A.T + q[:, sl] @ model.B.T
             violation = np.maximum(violation, np.max(v - problem.limits.v_max, axis=1))
             violation = np.maximum(violation, np.max(problem.limits.v_min - v, axis=1))
@@ -624,10 +624,10 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     if best_point is None:
         raise OracleInfeasible("no feasible point found")
 
-    oracle_P = _full_point(problem, system, dims, best_point, elim, fixed_inj, P0)
+    oracle_P = _full_point(problem, dims, best_point, elim, P0)
 
     # engine's converged point on the same instance
-    run = run_scenario_in_memory(scenario)
+    run = run_scenario_in_memory(scenario, problem)
     xe = run.x
     engine_point = {
         "p": [float(v) for v in xe.p],
@@ -661,7 +661,7 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     )
 
 
-def _full_point(problem, system, dims, x, elim, fixed_inj, P0):
+def _full_point(problem, dims, x, elim, P0):
     N = problem.n_nodes
     p = np.zeros(N)
     q = np.zeros(N)
@@ -673,11 +673,8 @@ def _full_point(problem, system, dims, x, elim, fixed_inj, P0):
             q[i] = x[d]
         else:
             P[i] = x[d]
-    P_L = 0.0
-    for k, model in enumerate(problem.models):
-        sl = system.feeder_slice(k)
-        P_L += model.d + float(model.M @ p[sl]) + float(model.N @ q[sl])
-    P[elim] = P_L - fixed_inj - P0 - (float(np.sum(P)) - P[elim])
+    P_L = sum(predict(m, p[m.span], q[m.span])[1] for m in problem.models)
+    P[elim] = P_L - problem.fixed_injection - P0 - (float(np.sum(P)) - P[elim])
     return {"p": p, "q": q, "P_M": P}
 
 
@@ -693,9 +690,16 @@ def _project_dims(problem, dims, x: PrimalState) -> np.ndarray:
     return out
 
 
-def run_scenario_in_memory(scenario: Scenario) -> SolveResult:
-    """Run the scenario's engine without writing any files."""
-    problem = build_problem(scenario.system, scenario.limits)
+def run_scenario_in_memory(
+    scenario: Scenario, problem: DispatchProblem | None = None
+) -> SolveResult:
+    """Run the scenario's engine without writing any files.
+
+    ``problem`` is the scenario's compiled problem when the caller has
+    built it already (it is not modified).
+    """
+    if problem is None:
+        problem = build_problem(scenario.system, scenario.limits)
     probes = _probe_positions(scenario, problem)
     rng = (
         np.random.default_rng(scenario.seed)
@@ -726,8 +730,7 @@ def run_scenario_in_memory(scenario: Scenario) -> SolveResult:
         )
     mode = "gradient" if scenario.engine == "market" else "best-response"
     return run_market(
-        scenario.system,
-        scenario.limits,
+        problem,
         scenario.config,
         events=events,
         mode=mode,

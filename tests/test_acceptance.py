@@ -114,15 +114,13 @@ def test_criterion_1_gradients_match_finite_differences():
         )
         y = DualState(
             lam=rng.uniform(-5.0, 5.0),
-            mu=tuple(
-                rng.uniform(0.0, 2.0, 2 * m.n_nodes) for m in problem.models
-            ),
+            mu=rng.uniform(0.0, 2.0, 2 * n_nodes),
         )
         d_p = rng.normal(size=n_nodes)
         d_q = rng.normal(size=n_nodes)
         d_P = rng.normal(size=n_gens)
         d_lam = rng.normal()
-        d_mu = tuple(rng.normal(size=2 * m.n_nodes) for m in problem.models)
+        d_mu = rng.normal(size=2 * n_nodes)
 
         dp, dq, dP = grad_primal(problem, x, y)
         dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
@@ -131,7 +129,7 @@ def test_criterion_1_gradients_match_finite_differences():
             + float(dq @ d_q)
             + float(dP @ d_P)
             + dlam * d_lam
-            + sum(float(g @ d) for g, d in zip(dmu, d_mu))
+            + float(dmu @ d_mu)
         )
 
         def shifted(sign: float):
@@ -142,7 +140,7 @@ def test_criterion_1_gradients_match_finite_differences():
             )
             ys = DualState(
                 lam=y.lam + sign * h * d_lam,
-                mu=tuple(m + sign * h * d for m, d in zip(y.mu, d_mu)),
+                mu=y.mu + sign * h * d_mu,
             )
             return eval_lagrangian(problem, xs, ys, account=account, eta=eta)
 
@@ -229,11 +227,7 @@ def test_criterion_3_engine_equivalence():
             float(np.max(np.abs(xa.q - xb.q))),
             float(np.max(np.abs(xa.P_M - xb.P_M))),
             abs(ya.lam - yb.lam),
-            max(
-                (float(np.max(np.abs(ma - mb)))
-                 for ma, mb in zip(ya.mu, yb.mu)),
-                default=0.0,
-            ),
+            float(np.max(np.abs(ya.mu - yb.mu))),
         )
     dt = time.perf_counter() - t0
     ok = len(run_core.history) == 1001 and dev < 1e-12 and dt < 30.0
@@ -431,7 +425,7 @@ def test_criterion_5_stepsize_certificate():
 
     cfg_bad = dataclasses.replace(cfg_good, eps=10.0 * bound)
     x1 = PrimalState(p=np.zeros(0), q=np.zeros(0), P_M=np.array([P_star]))
-    y1 = DualState(lam=lam_star + 1.0, mu=())
+    y1 = DualState(lam=lam_star + 1.0, mu=np.zeros(0))
     try:
         res_bad = solve(problem, cfg_bad, x0=x1, y0=y1, account=account)
         d_bad = distances(res_bad.history)
@@ -497,16 +491,12 @@ def test_criterion_6_voltage_regulation(default_runs):
     art = default_runs["full"]
     res = art.result
     problem = build_problem(art.scenario.system, art.scenario.limits)
-    meas = measure(problem, res.x, feedback="ac")
-    v_all = np.concatenate(meas.v)
-    v_min = float(v_all.min())
-    v_max = float(v_all.max())
+    v = measure(problem, res.x, feedback="ac").v
+    v_min = float(v.min())
+    v_max = float(v.max())
 
-    pinned = 0
-    for k, v in enumerate(meas.v):
-        n = problem.models[k].n_nodes
-        mu_up = res.y.mu[k][:n]
-        pinned += int(np.sum((np.abs(v - 1.05) <= 1e-3) & (mu_up > 1e-8)))
+    mu_up = res.y.mu[: problem.n_nodes]
+    pinned = int(np.sum((np.abs(v - 1.05) <= 1e-3) & (mu_up > 1e-8)))
 
     slack_dev = abs(res.records[-1].slack_residual)
     dt = time.perf_counter() - t0
@@ -616,8 +606,9 @@ def test_criterion_9_linear_model_accuracy():
         feeder = parse_case((CASES_DIR / f"{name}.json").read_text())
         n = len(feeder.nodes)
         zeros = np.zeros(n)
-        exact = sweep_feeder(feeder, zeros, zeros, tol=1e-12)
-        v_lin, _ = predict(build_lindistflow(feeder), zeros, zeros)
+        model = build_lindistflow(feeder)
+        exact = sweep_feeder(model, zeros, zeros, tol=1e-12)
+        v_lin, _ = predict(model, zeros, zeros)
         err = float(np.max(np.abs(v_lin - exact.v)))
 
         half = dataclasses.replace(
@@ -629,8 +620,9 @@ def test_criterion_9_linear_model_accuracy():
                 for node in feeder.nodes
             ),
         )
-        exact_half = sweep_feeder(half, zeros, zeros, tol=1e-12)
-        v_half, _ = predict(build_lindistflow(half), zeros, zeros)
+        model_half = build_lindistflow(half)
+        exact_half = sweep_feeder(model_half, zeros, zeros, tol=1e-12)
+        v_half, _ = predict(model_half, zeros, zeros)
         err_half = float(np.max(np.abs(v_half - exact_half.v)))
 
         worst_err = max(worst_err, err)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcoopt.acpf import SlackAccount
+from tdcoopt.acpf import SlackAccount, fixed_injection, sweep_feeder
 from tdcoopt.core import (
     Cost,
     DerCapacityScale,
@@ -128,6 +128,9 @@ def test_build_problem_layout():
     np.testing.assert_allclose(problem.a_p != 0, [0, 1, 1, 0, 1, 1])
     np.testing.assert_allclose(problem.p_hi, [0, 0.05, 0.05, 0, 0.05, 0.05])
     np.testing.assert_allclose(problem.q_lo, [0, -0.02, -0.02, 0, -0.02, -0.02])
+    # each feeder's slice of the global node vectors
+    assert [m.span for m in problem.models] == [slice(0, 3), slice(3, 6)]
+    assert problem.fixed_injection == -2.0  # the load bus
     # one p cost and one q cost per DER, after the generator costs
     assert len(problem.registered_costs) == 2 + 2 * 4
 
@@ -147,7 +150,7 @@ def test_initial_state_modes():
     np.testing.assert_allclose(x_mid.P_M, [5.0, 5.0])
     np.testing.assert_allclose(x_mid.p, 0.0)
     assert y.lam == 0.0
-    assert all(np.all(mu == 0.0) for mu in y.mu)
+    np.testing.assert_array_equal(y.mu, np.zeros(12))  # 2 x 6 nodes
 
     x_set, _ = initial_state(problem, mode="setpoint")
     np.testing.assert_allclose(x_set.P_M, [0.0, 0.0])  # recorded setpoints
@@ -168,12 +171,6 @@ def test_initial_state_errors():
         initial_state(problem, mode="cold")
 
 
-def test_dual_state_mu_halves():
-    y = DualState(lam=0.0, mu=(np.array([1.0, 2.0, 3.0, 4.0]),))
-    np.testing.assert_allclose(y.mu_upper(0), [1.0, 2.0])
-    np.testing.assert_allclose(y.mu_lower(0), [3.0, 4.0])
-
-
 # ---------------------------------------------------------------------------
 # price signals and the dual update
 # ---------------------------------------------------------------------------
@@ -181,34 +178,46 @@ def test_dual_state_mu_halves():
 def test_der_signals_balance_term():
     # with zero multipliers alpha is the balance price itself (M = -1)
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
-    y = DualState(lam=-2.0, mu=(np.zeros(6),))
-    alphas, betas = der_signals(problem.models, y)
-    np.testing.assert_allclose(alphas[0], -2.0)
-    np.testing.assert_allclose(betas[0], 0.0)
+    y = DualState(lam=-2.0, mu=np.zeros(6))
+    alpha, beta = der_signals(problem.models, y)
+    np.testing.assert_allclose(alpha, -2.0)
+    np.testing.assert_allclose(beta, 0.0)
 
 
 def test_der_signals_voltage_term():
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     model = problem.models[0]
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])  # upper rows then lower
-    y = DualState(lam=0.0, mu=(mu,))
-    alphas, betas = der_signals(problem.models, y)
+    y = DualState(lam=0.0, mu=mu)
+    alpha, beta = der_signals(problem.models, y)
     w = mu[:3] - mu[3:]
-    np.testing.assert_allclose(alphas[0], model.A.T @ w, atol=1e-15)
-    np.testing.assert_allclose(betas[0], model.B.T @ w, atol=1e-15)
+    np.testing.assert_allclose(alpha, model.A.T @ w, atol=1e-15)
+    np.testing.assert_allclose(beta, model.B.T @ w, atol=1e-15)
+
+
+def test_der_signals_two_feeders_use_global_layout(limits):
+    # mu holds the upper rows of all six nodes, then all lower rows
+    problem = build_problem(make_system(n_feeders=2), limits)
+    rng = np.random.default_rng(4)
+    mu = rng.uniform(0.0, 1.0, 12)
+    alpha, _ = der_signals(problem.models, DualState(lam=0.0, mu=mu))
+    w = mu[:6] - mu[6:]
+    for model in problem.models:
+        sl = model.span
+        np.testing.assert_array_equal(alpha[sl], model.A.T @ w[sl])
 
 
 def test_der_signals_zero_lambda_baseline():
     # hiding the balance price keeps the voltage terms intact
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])
-    y = DualState(lam=-2.0, mu=(mu,))
+    y = DualState(lam=-2.0, mu=mu)
     with_lam, _ = der_signals(problem.models, y)
     hidden, _ = der_signals(problem.models, y, zero_lambda=True)
-    y_mu_only = DualState(lam=0.0, mu=(mu,))
+    y_mu_only = DualState(lam=0.0, mu=mu)
     mu_only, _ = der_signals(problem.models, y_mu_only)
-    np.testing.assert_allclose(hidden[0], mu_only[0], atol=1e-15)
-    assert not np.allclose(hidden[0], with_lam[0])
+    np.testing.assert_allclose(hidden, mu_only, atol=1e-15)
+    assert not np.allclose(hidden, with_lam)
 
 
 def test_dual_update_arithmetic(limits):
@@ -218,21 +227,22 @@ def test_dual_update_arithmetic(limits):
     ts = make_ts([(1, 1.0)], load_bus=5, load=2.0)
     from tdcoopt.core import Measurement
 
-    meas = Measurement(v=(np.array([1.06]),), P_L=np.array([0.3]), tag=1,
+    meas = Measurement(v=np.array([1.06]), P_L=np.array([0.3]), tag=1,
                        source="linear")
-    y = DualState(lam=0.0, mu=(np.array([0.02, 0.03]),))
+    y = DualState(lam=0.0, mu=np.array([0.02, 0.03]))
     account = SlackAccount(P0_slack=1.1)  # matches P_M=1.2, P_L=0.3
+    fixed = fixed_injection(ts)
     y_new, residual = dual_update(
-        ts, limits, y, meas, np.array([1.2]), account, eps=0.1, eta=0.5
+        fixed, limits, y, meas, np.array([1.2]), account, eps=0.1, eta=0.5
     )
     assert residual == pytest.approx(0.0)
     # g = [1.06 - 1.05, 0.95 - 1.06] = [0.01, -0.11]
-    assert y_new.mu[0][0] == pytest.approx(0.02 + 0.1 * (0.01 - 0.5 * 0.02))
-    assert y_new.mu[0][1] == pytest.approx(0.03 + 0.1 * (-0.11 - 0.5 * 0.03))
+    assert y_new.mu[0] == pytest.approx(0.02 + 0.1 * (0.01 - 0.5 * 0.02))
+    assert y_new.mu[1] == pytest.approx(0.03 + 0.1 * (-0.11 - 0.5 * 0.03))
     assert y_new.lam == pytest.approx(0.0)
 
     y_up, residual_up = dual_update(
-        ts, limits, y, meas, np.array([1.7]), account, eps=0.1, eta=0.0
+        fixed, limits, y, meas, np.array([1.7]), account, eps=0.1, eta=0.0
     )
     assert residual_up == pytest.approx(0.5)  # over-supply by 0.5
     assert y_up.lam == pytest.approx(0.05)
@@ -242,13 +252,15 @@ def test_dual_update_clamps_at_zero(limits):
     ts = make_ts([(1, 1.0)])
     from tdcoopt.core import Measurement
 
-    meas = Measurement(v=(np.array([1.0]),), P_L=np.array([0.0]), tag=1,
+    meas = Measurement(v=np.array([1.0]), P_L=np.array([0.0]), tag=1,
                        source="linear")
-    y = DualState(lam=0.0, mu=(np.zeros(2),))
+    y = DualState(lam=0.0, mu=np.zeros(2))
     account = SlackAccount(P0_slack=0.0)
-    y_new, _ = dual_update(ts, limits, y, meas, np.zeros(1), account, 0.1, 0.0)
-    assert np.all(y_new.mu[0] >= 0.0)
-    np.testing.assert_allclose(y_new.mu[0], 0.0)  # violations are negative
+    y_new, _ = dual_update(
+        fixed_injection(ts), limits, y, meas, np.zeros(1), account, 0.1, 0.0
+    )
+    assert np.all(y_new.mu >= 0.0)
+    np.testing.assert_allclose(y_new.mu, 0.0)  # violations are negative
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +279,20 @@ def test_measure_linear_matches_model(limits):
     meas = measure(problem, x, feedback="linear", tag=7)
     assert meas.source == "linear" and meas.tag == 7
     for k, model in enumerate(problem.models):
-        sl = problem.system.feeder_slice(k)
+        sl = model.span
         np.testing.assert_allclose(
-            meas.v[k], model.c + model.A @ x.p[sl] + model.B @ x.q[sl]
+            meas.v[sl], model.c + model.A @ x.p[sl] + model.B @ x.q[sl]
         )
         assert meas.P_L[k] == pytest.approx(model.d - x.p[sl].sum())
 
 
 def test_measure_ac_matches_sweep(limits):
-    from tdcoopt.acpf import sweep_feeder
-
     problem = build_problem(make_system(n_feeders=1), limits)
     x, _ = initial_state(problem)
     meas = measure(problem, x, feedback="ac", tag=3)
     assert meas.source == "ac"
-    ref = sweep_feeder(problem.system.feeders[0], x.p, x.q)
-    np.testing.assert_allclose(meas.v[0], ref.v, atol=1e-12)
+    ref = sweep_feeder(problem.models[0], x.p, x.q)
+    np.testing.assert_allclose(meas.v, ref.v, atol=1e-12)
     assert meas.ac_iterations >= 1
 
 
@@ -308,7 +318,7 @@ def test_gradients_match_finite_differences(limits, rng):
         q=rng.uniform(-0.01, 0.01, problem.n_nodes),
         P_M=rng.uniform(1.0, 3.0, 2),
     )
-    y = DualState(lam=-0.8, mu=(rng.uniform(0.0, 0.5, 6),))
+    y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 6))
 
     dp, dq, dP = grad_primal(problem, x, y)
     dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
@@ -338,9 +348,9 @@ def test_gradients_match_finite_differences(limits, rng):
     for j in range(6):
         e = np.zeros(6)
         e[j] = h
-        fd = (L(x, DualState(lam=y.lam, mu=(y.mu[0] + e,)))
-              - L(x, DualState(lam=y.lam, mu=(y.mu[0] - e,)))) / (2 * h)
-        assert dmu[0][j] == pytest.approx(fd, abs=1e-7)
+        fd = (L(x, DualState(lam=y.lam, mu=y.mu + e))
+              - L(x, DualState(lam=y.lam, mu=y.mu - e))) / (2 * h)
+        assert dmu[j] == pytest.approx(fd, abs=1e-7)
 
 
 def test_grad_dual_requires_fresh_ac_measurement(limits):
@@ -357,10 +367,10 @@ def test_grad_dual_requires_fresh_ac_measurement(limits):
 def test_eval_lagrangian_regularization(limits, rng):
     problem = build_problem(make_system(n_feeders=1), limits)
     x, _ = initial_state(problem)
-    y = DualState(lam=-1.2, mu=(rng.uniform(0, 1, 6),))
+    y = DualState(lam=-1.2, mu=rng.uniform(0, 1, 6))
     plain = eval_lagrangian(problem, x, y, eta=0.0)
     damped = eval_lagrangian(problem, x, y, eta=0.4)
-    mu_sq = float(y.mu[0] @ y.mu[0])
+    mu_sq = float(y.mu @ y.mu)
     assert damped == pytest.approx(plain - 0.2 * (1.44 + mu_sq))
 
 
@@ -534,7 +544,7 @@ def test_solve_logs_stepsize_advisory(caplog, engine):
         if engine == "core":
             solve(problem, cfg, account=account)
         else:
-            run_market(problem.system, problem.limits, cfg, account=account)
+            run_market(problem, cfg, account=account)
     assert any("advisory only at eta=0" in rec.message for rec in caplog.records)
 
 
@@ -587,10 +597,9 @@ def test_solve_with_voltage_constraint(limits):
                        tol_dual=1e-3, tol_balance=1e-3)
     res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
     assert res.converged
-    meas = measure(problem, res.x, feedback="linear")
-    v = meas.v[0]
+    v = measure(problem, res.x, feedback="linear").v
     assert np.max(v) <= tight.v_max + 2e-3
-    mu_up = res.y.mu_upper(0)
+    mu_up = res.y.mu[: problem.n_nodes]
     binding = np.abs(v - tight.v_max) < 2e-3
     assert binding.any()
     assert mu_up[binding].max() > 1e-3

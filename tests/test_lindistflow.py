@@ -75,7 +75,7 @@ def test_predict_tracks_sweep_to_loss_order():
     rng = np.random.default_rng(11)
     p = rng.uniform(0.0, 2e-3, 5)
     q = rng.uniform(-1e-3, 1e-3, 5)
-    exact = sweep_feeder(feeder, p, q, tol=1e-12)
+    exact = sweep_feeder(model, p, q, tol=1e-12)
     v_lin, P_L_lin = predict(model, p, q)
     err_full = float(np.max(np.abs(v_lin - exact.v)))
     assert err_full < 1e-3
@@ -91,16 +91,15 @@ def test_predict_tracks_sweep_to_loss_order():
             for n in feeder.nodes
         ),
     )
-    exact_half = sweep_feeder(half, p / 2, q / 2, tol=1e-12)
-    v_half, _ = predict(build_lindistflow(half), p / 2, q / 2)
+    model_half = build_lindistflow(half)
+    exact_half = sweep_feeder(model_half, p / 2, q / 2, tol=1e-12)
+    v_half, _ = predict(model_half, p / 2, q / 2)
     err_half = float(np.max(np.abs(v_half - exact_half.v)))
     assert err_full / err_half > 3.0
 
 
-def test_model_is_cached_and_frozen():
-    feeder = make_chain_feeder(n_nodes=3)
-    model = build_lindistflow(feeder)
-    assert build_lindistflow(feeder) is model
+def test_model_is_frozen():
+    model = build_lindistflow(make_chain_feeder(n_nodes=3))
     with pytest.raises(ValueError, match="read-only"):
         model.A[0, 0] = 99.0
 

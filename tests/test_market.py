@@ -93,8 +93,7 @@ def test_generator_step():
 
 
 def test_user_agent_scale_capacity():
-    agent = UserAgent(name="u", feeder_pos=0, node_pos=0, der=small_der(),
-                      p=0.05, q=0.02)
+    agent = UserAgent(name="u", index=0, der=small_der(), p=0.05, q=0.02)
     agent.scale_capacity(0.5)
     assert agent.der.box() == pytest.approx((0.0, 0.025, -0.01, 0.01))
     assert agent.p == pytest.approx(0.025)  # re-clipped
@@ -122,8 +121,9 @@ def test_gradient_mode_matches_centralized_engine(feedback):
                        tol_dual=0.0, tol_balance=0.0, feedback=feedback,
                        record_state=True)
     system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
-    core_res = solve(build_problem(system, LIMITS), cfg, events=EVENTS)
-    market_res = run_market(system, LIMITS, cfg, events=EVENTS)
+    problem = build_problem(system, LIMITS)
+    core_res = solve(problem, cfg, events=EVENTS)
+    market_res = run_market(problem, cfg, events=EVENTS)
 
     assert market_res.iterations == core_res.iterations
     for (xc, yc), (xm, ym) in zip(core_res.history, market_res.history):
@@ -131,8 +131,7 @@ def test_gradient_mode_matches_centralized_engine(feedback):
         assert np.max(np.abs(xc.q - xm.q)) < 1e-12
         assert np.max(np.abs(xc.P_M - xm.P_M)) < 1e-12
         assert abs(yc.lam - ym.lam) < 1e-12
-        for k in range(len(yc.mu)):
-            assert np.max(np.abs(yc.mu[k] - ym.mu[k])) < 1e-12
+        assert np.max(np.abs(yc.mu - ym.mu)) < 1e-12
     # one driver loop writes both: every field of every record agrees,
     # the step norms of the event round included
     assert market_res.records == core_res.records
@@ -144,16 +143,18 @@ def test_market_seeds_agents_from_x0():
     x0, y0 = initial_state(problem)
     x0 = dataclasses.replace(x0, p=np.array([0.0, 0.01, 0.02]))
     cfg = SolverConfig(eps=0.01, max_iter=0)
-    res = run_market(system, LIMITS, cfg, x0=x0, y0=y0)
+    res = run_market(problem, cfg, x0=x0, y0=y0)
     np.testing.assert_allclose(res.x.p, [0.0, 0.01, 0.02])
 
 
 def test_best_response_reaches_the_same_saddle():
-    system = make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(
+        make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
+    )
     cfg = SolverConfig(eps=0.02, max_iter=30000, tol_primal=1e-8,
                        tol_dual=1e-8, tol_balance=1e-8)
-    grad = run_market(system, LIMITS, cfg, mode="gradient")
-    br = run_market(system, LIMITS, cfg, mode="best-response")
+    grad = run_market(problem, cfg, mode="gradient")
+    br = run_market(problem, cfg, mode="best-response")
     assert grad.converged and br.converged
     assert br.y.lam == pytest.approx(grad.y.lam, abs=1e-5)
     np.testing.assert_allclose(br.x.P_M, grad.x.P_M, atol=1e-5)
@@ -162,37 +163,36 @@ def test_best_response_reaches_the_same_saddle():
 
 def test_best_response_fixpoint_is_box_clamped_optimum():
     system = make_system(n_feeders=1)
+    problem = build_problem(system, LIMITS)
     cfg = SolverConfig(eps=0.02, max_iter=30000, tol_primal=1e-9,
                        tol_dual=1e-9, tol_balance=1e-9)
-    res = run_market(system, LIMITS, cfg, mode="best-response")
+    res = run_market(problem, cfg, mode="best-response")
     assert res.converged
-    problem = build_problem(system, LIMITS)
     from tdcoopt.core import der_signals
 
-    alphas, betas = der_signals(problem.models, res.y)
+    alpha, beta = der_signals(problem.models, res.y)
     for feeder_pos, feeder in enumerate(system.feeders):
         index = feeder.node_index()
         for der in feeder.ders:
-            j = index[der.node_id]
-            g = system.global_index(feeder_pos, j)
+            g = system.global_index(feeder_pos, index[der.node_id])
             p_star, q_star = user_best_response(
-                (float(alphas[feeder_pos][j]), float(betas[feeder_pos][j])), der
+                (float(alpha[g]), float(beta[g])), der
             )
             assert res.x.p[g] == pytest.approx(p_star, abs=1e-7)
             assert res.x.q[g] == pytest.approx(q_star, abs=1e-7)
 
 
 def test_unknown_market_mode():
-    system = make_system(n_feeders=1)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
     with pytest.raises(ValueError, match="market mode"):
-        run_market(system, LIMITS, SolverConfig(max_iter=1), mode="auction")
+        run_market(problem, SolverConfig(max_iter=1), mode="auction")
 
 
 def test_market_divergence_error():
-    system = make_system(n_feeders=1)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
     cfg = SolverConfig(eps=50.0, max_iter=100, divergence_limit=300.0)
     with pytest.raises(DivergenceError, match="blow-up"):
-        run_market(system, LIMITS, cfg)
+        run_market(problem, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +200,12 @@ def test_market_divergence_error():
 # ---------------------------------------------------------------------------
 
 def test_round_message_counts():
-    system = make_system(n_feeders=2)  # 2 DERs per feeder, 2 generators
+    # 2 DERs per feeder, 2 generators
+    problem = build_problem(make_system(n_feeders=2), LIMITS)
     bus = MessageBus(record=True)
     cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
                        tol_balance=0.0)
-    run_market(system, LIMITS, cfg, bus=bus)
+    run_market(problem, cfg, bus=bus)
     assert bus.counts(0) == {"signal-broadcast": 1}
     for t in (1, 2, 3):
         assert bus.counts(t) == {
@@ -216,12 +217,27 @@ def test_round_message_counts():
     assert len(bus.journal) == 1 + 3 * 10
 
 
+def test_bus_keeps_only_the_current_round():
+    problem = build_problem(make_system(n_feeders=2), LIMITS)
+    bus = MessageBus()
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0)
+    run_market(problem, cfg, bus=bus)
+    for kind in ("setpoint-report", "pf-result", "dual-update",
+                 "signal-broadcast"):
+        assert bus.collect(kind, 1) == []
+    assert len(bus.collect("setpoint-report", 3)) == 6
+    assert bus.journal == []
+    with pytest.raises(ValueError, match="record=True"):
+        bus.counts(3)
+
+
 def test_journal_is_json_dumpable_and_private():
-    system = make_system(n_feeders=1)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
     bus = MessageBus(record=True)
     cfg = SolverConfig(eps=0.01, max_iter=2, tol_primal=0.0, tol_dual=0.0,
                        tol_balance=0.0)
-    run_market(system, LIMITS, cfg, bus=bus)
+    run_market(problem, cfg, bus=bus)
     dump = json.dumps([m.to_jsonable() for m in bus.journal])
     # no private cost or capacity field ever crosses the bus
     for secret in ("a_p", "a_q", "p_min", "p_max", "q_min", "q_max",
@@ -229,27 +245,15 @@ def test_journal_is_json_dumpable_and_private():
         assert secret not in dump
 
 
-def test_operator_config_rejects_unstripped_feeders():
-    system = make_system(n_feeders=1)
-    with pytest.raises(ValueError, match="strip"):
-        OperatorConfig(
-            ts=system.transmission,
-            limits=LIMITS,
-            feeders=system.feeders,  # still carries DER records
-            expected_reports=(),
-            solver=SolverConfig(eps=0.01),
-        )
-
-
 def test_incentive_signals_jsonable():
     signals = IncentiveSignals(
-        alpha=(np.array([0.1]),), beta=(np.array([0.2]),),
+        alpha=np.array([0.1]), beta=np.array([0.2]),
         lambda_broadcast=-1.0, iteration_tag=4,
     )
     msg = AgentMessage("signal-broadcast", "operator", 4, signals)
     encoded = json.loads(json.dumps(msg.to_jsonable()))
     assert encoded["payload"]["lambda"] == -1.0
-    assert encoded["payload"]["alpha"] == [[0.1]]
+    assert encoded["payload"]["alpha"] == [0.1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,6 @@ def operator_fixture():
     cfg = OperatorConfig(
         ts=system.transmission,
         limits=LIMITS,
-        feeders=tuple(dataclasses.replace(f, ders=()) for f in system.feeders),
         expected_reports=("user:f0:3", "generator:1"),
         solver=SolverConfig(eps=0.01),
     )
@@ -278,13 +281,15 @@ def test_operator_step_accepts_complete_round():
     problem, y, cfg = operator_fixture()
     account = SlackAccount(P0_slack=0.0)
     reports = [
-        report("user:f0:3", 1, feeder=0, node=1, p=0.01, q=0.0),
+        report("user:f0:3", 1, node=1, p=0.01, q=0.0),
         report("generator:1", 1, generator=0, P=1.5),
     ]
-    outcome = operator_step(reports, y, problem.models, cfg, account, tag=1)
-    assert outcome.P_M[0] == 1.5
-    assert outcome.p_list[0][1] == 0.01
-    assert outcome.signals.iteration_tag == 1
+    outcome, signals = operator_step(
+        reports, y, problem.models, cfg, account, tag=1
+    )
+    assert outcome.x.P_M[0] == 1.5
+    np.testing.assert_array_equal(outcome.x.p, [0.0, 0.01, 0.0])
+    assert signals.iteration_tag == 1
     # the operator's dual update consumed its own measurement
     assert outcome.measurement.tag == 1
 
@@ -300,7 +305,7 @@ def test_operator_step_rejects_missing_report():
 def test_operator_step_rejects_stale_report():
     problem, y, cfg = operator_fixture()
     reports = [
-        report("user:f0:3", 0, feeder=0, node=1, p=0.0, q=0.0),
+        report("user:f0:3", 0, node=1, p=0.0, q=0.0),
         report("generator:1", 1, generator=0, P=1.5),
     ]
     with pytest.raises(RoundAbort, match="stale report"):
@@ -311,8 +316,8 @@ def test_operator_step_rejects_stale_report():
 def test_operator_step_rejects_duplicate_report():
     problem, y, cfg = operator_fixture()
     reports = [
-        report("user:f0:3", 1, feeder=0, node=1, p=0.0, q=0.0),
-        report("user:f0:3", 1, feeder=0, node=1, p=0.01, q=0.0),
+        report("user:f0:3", 1, node=1, p=0.0, q=0.0),
+        report("user:f0:3", 1, node=1, p=0.01, q=0.0),
         report("generator:1", 1, generator=0, P=1.5),
     ]
     with pytest.raises(RoundAbort, match="duplicate report"):
@@ -321,20 +326,20 @@ def test_operator_step_rejects_duplicate_report():
 
 
 def test_dropped_message_aborts_the_run():
-    system = make_system(n_feeders=1)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
     bus = MessageBus(
         drop=lambda m: m.kind == "setpoint-report" and m.sender == "user:f0:4"
     )
     cfg = SolverConfig(eps=0.01, max_iter=5)
     with pytest.raises(RoundAbort, match="missing reports from: user:f0:4"):
-        run_market(system, LIMITS, cfg, bus=bus)
+        run_market(problem, cfg, bus=bus)
 
 
 def test_market_event_unknown_bus_aborts():
     from tdcoopt.core import EngineError
 
-    system = make_system(n_feeders=1)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
     cfg = SolverConfig(eps=0.01, max_iter=5)
     with pytest.raises(EngineError, match="hosts no generator"):
-        run_market(system, LIMITS, cfg,
+        run_market(problem, cfg,
                    events=(GeneratorOutage(iteration=2, bus_id=404),))

@@ -211,9 +211,7 @@ def test_coupled_system_slices_partition_nodes():
     f2 = make_chain_feeder("b", n_nodes=4, host_bus=6)
     system = attach_feeders(ts, [f1, f2])
     assert system.n_total == 7
-    s1, s2 = system.feeder_slice(0), system.feeder_slice(1)
-    assert (s1.start, s1.stop) == (0, 3)
-    assert (s2.start, s2.stop) == (3, 7)
+    assert system.offsets == (0, 3)
     assert system.global_index(1, 0) == 3
 
 
@@ -227,11 +225,6 @@ def test_feeder_topology_orders_parents_first():
             assert parent in seen
         seen.add(pos)
     assert len(seen) == feeder.n_nodes
-
-
-def test_feeder_topology_is_cached():
-    feeder = make_chain_feeder(n_nodes=4)
-    assert feeder_topology(feeder) is feeder_topology(feeder)
 
 
 def test_duplicate_feeder_ids_rejected():

@@ -4,14 +4,17 @@ and the command-line front end (exit codes 0 converged / 2 not / 1 error).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tdcoopt import acpf, core, lindistflow, network
 from tdcoopt.cli import main
-from tdcoopt.core import DerCapacityScale, GeneratorOutage
+from tdcoopt.core import DerCapacityScale, EngineError, GeneratorOutage
+from tdcoopt.network import serialize_case
 from tdcoopt.scenario import (
     OracleInfeasible,
     ScenarioError,
@@ -24,7 +27,7 @@ from tdcoopt.scenario import (
 )
 from tdcoopt.trace import read_trace
 
-from conftest import CASES_DIR, SCENARIOS_DIR
+from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder
 
 
 def write_scenario(tmp_path, patch: dict | None = None, drop: tuple = ()):
@@ -234,6 +237,27 @@ def test_run_scenario_is_deterministic(tmp_path):
     assert a.summary_path.read_bytes() == b.summary_path.read_bytes()
 
 
+def test_run_builds_each_feeder_topology_once(tmp_path, monkeypatch):
+    # a run compiles each feeder once; the sweeps and the probe choice
+    # read the compiled model instead of asking for the topology again
+    calls = collections.Counter()
+    original = network.feeder_topology
+
+    def counted(feeder):
+        calls[feeder.feeder_id] += 1
+        return original(feeder)
+
+    for module in (network, lindistflow, acpf, core):
+        if hasattr(module, "feeder_topology"):
+            monkeypatch.setattr(module, "feeder_topology", counted)
+    for engine in ("core", "market"):
+        calls.clear()
+        sc = load_scenario(SCENARIOS_DIR / "default.json", {"engine": engine})
+        assert sc.config.feedback == "ac"
+        run_scenario(fixed_horizon(sc, 3), out_dir=tmp_path / engine)
+        assert calls == {f.feeder_id: 1 for f in sc.system.feeders}
+
+
 def test_run_in_memory_matches_run_scenario(tmp_path):
     sc = fixed_horizon(load_scenario(SCENARIOS_DIR / "oracle_demo.json"), 25)
     mem = run_scenario_in_memory(sc)
@@ -409,6 +433,24 @@ def test_cli_run_error_exit_1(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_failure_is_an_engine_error(tmp_path, capsys):
+    # no power flow exists under a 5000-fold load: each engine fails at
+    # its starting measurement with an EngineError, which the CLI reports
+    case = tmp_path / "heavy.json"
+    case.write_text(serialize_case(make_chain_feeder("heavy", load=10.0)))
+    path = write_scenario(
+        tmp_path,
+        {"feeders": [{"case": str(case), "host_bus": 3}], "feedback": "ac"},
+    )
+    for engine in ("core", "market"):
+        sc = load_scenario(path, {"engine": engine})
+        with pytest.raises(EngineError, match="failed at iteration 0") as exc:
+            run_scenario_in_memory(sc)
+        assert exc.value.iteration == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: power flow failed" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):

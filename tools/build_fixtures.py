@@ -319,7 +319,9 @@ def synthetic_feeder(
         ders=(),
     )
     result = sweep_feeder(
-        feeder, np.zeros(feeder.n_nodes), np.zeros(feeder.n_nodes)
+        build_lindistflow(feeder),
+        np.zeros(feeder.n_nodes),
+        np.zeros(feeder.n_nodes),
     )
     drop = 1.0 - float(np.min(result.v))
     scale = target_drop / drop
@@ -391,8 +393,8 @@ SYNTHETIC = {
 def verify_feeder(feeder: DistributionFeeder) -> str:
     n = feeder.n_nodes
     zero = np.zeros(n)
-    ac = sweep_feeder(feeder, zero, zero)
     model = build_lindistflow(feeder)
+    ac = sweep_feeder(model, zero, zero)
     v_lin, _ = predict(model, zero, zero)
     err_full = float(np.max(np.abs(v_lin - ac.v)))
 
@@ -409,8 +411,8 @@ def verify_feeder(feeder: DistributionFeeder) -> str:
         lines=feeder.lines,
         ders=feeder.ders,
     )
-    ac_half = sweep_feeder(half, zero, zero)
     model_half = build_lindistflow(half)
+    ac_half = sweep_feeder(model_half, zero, zero)
     v_lin_half, _ = predict(model_half, zero, zero)
     err_half = float(np.max(np.abs(v_lin_half - ac_half.v)))
     ratio = err_full / err_half if err_half > 0 else float("inf")
