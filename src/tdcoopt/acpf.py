@@ -15,6 +15,7 @@ residual that is independent of any globally consistent load data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,9 @@ def sweep_feeder(
                 residual = change
             v[j] = v_new
         if residual < tol:
-            P_L = sum(P_send[j] for j in order if parent[j] < 0)
-            Q_L = sum(Q_send[j] for j in order if parent[j] < 0)
-            loss = sum(r[j] * ell[j] for j in range(n))
+            P_L = sum(P_send[j] for j in topo.roots)
+            Q_L = sum(Q_send[j] for j in topo.roots)
+            loss = sum(map(operator.mul, r, ell))
             return SweepResult(
                 v=np.array(v),
                 P_L=P_L,

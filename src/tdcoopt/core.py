@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -98,11 +99,16 @@ logger = logging.getLogger(__name__)
 
 
 class EngineError(RuntimeError):
-    """Engine failure carrying the iteration it happened at."""
+    """Engine failure carrying the iteration it happened at.
+
+    A failure inside :func:`run_rounds` also carries ``records``, the
+    trace rows of the iterations completed before it.
+    """
 
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+        self.records: list[TraceRecord] | None = None
 
 
 class DivergenceError(EngineError):
@@ -632,9 +638,20 @@ def check_stepsize(
 
     ``s`` is the smallest strong-convexity modulus among the registered
     costs (and ``eta`` when positive); ``l`` is the spectral norm of the
-    assembled primal-dual operator matrix, whose off-diagonal blocks are
-    the (skew) couplings through the affine feeder model and the balance
-    constraint.
+    primal-dual operator ``F = [[H, C], [-C', eta I]]``, where ``H`` is
+    the diagonal cost curvature and ``C`` couples the primal blocks
+    (p, q, P_M) to the duals (upper-band mu, lower-band mu, lambda)
+    through the affine feeder model and the balance constraint.
+
+    ``F`` is never assembled: ``l**2 = lambda_max(F' F)`` comes from
+    Lanczos iteration with full reorthogonalisation, applying ``F`` and
+    ``F'`` block by block with each feeder's own matrices.  The start
+    vector is drawn from a fixed seed, so reruns give the same ``l`` bit
+    for bit.  Iteration stops when the residual of the top Ritz pair is
+    at most 1e-14 relative (this includes the Krylov space running out)
+    or after as many steps as ``F`` has columns.  A test on the Ritz
+    value alone would stop inside a cluster of near-equal top singular
+    values, short of the largest.
     """
     registered = problem.registered_costs if costs is None else tuple(costs)
     if not registered:
@@ -652,30 +669,80 @@ def check_stepsize(
         s = min(s, eta)
 
     N = problem.n_nodes
-    G = problem.n_generators
-    xdim = 2 * N + G
-    ydim = 2 * N + 1
-    # F = [[H, C], [-C', eta I]] with H the diagonal cost curvature, built
-    # in place without separate blocks: at N=403 F alone is 21 MB, the
-    # dense SVD copies it, and that moment sets a run's peak memory
-    F = np.zeros((xdim + ydim, xdim + ydim))
-    curvature = [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
-    np.fill_diagonal(F, np.concatenate([*curvature, np.full(ydim, float(eta))]))
-    C = F[:xdim, xdim:]
-    # rows: p then q; columns: upper-band then lower-band multipliers
-    for model in problem.models:
-        sl = model.span
-        shifted = slice(N + sl.start, N + sl.stop)
-        C[sl, sl] = model.A
-        C[sl, shifted] = -model.A
-        C[shifted, sl] = model.B
-        C[shifted, shifted] = -model.B
-        C[sl, -1] = -model.M
-        C[shifted, -1] = -model.N
-    C[2 * N :, -1] = 1.0
-    F[xdim:, :xdim] = -C.T
+    xdim = 2 * N + problem.n_generators
+    dim = xdim + 2 * N + 1
+    models = problem.models
+    curvature = np.concatenate(
+        [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
+    )
 
-    l = float(np.linalg.norm(F, 2))
+    def couple(y: np.ndarray) -> np.ndarray:
+        """``C y``: y holds upper-band mu, lower-band mu, then lambda."""
+        w = y[:N] - y[N : 2 * N]
+        lam = y[-1]
+        out = np.empty(xdim)
+        for model in models:
+            sl = model.span
+            out[sl] = model.A @ w[sl] - lam * model.M
+            out[N + sl.start : N + sl.stop] = model.B @ w[sl] - lam * model.N
+        out[2 * N :] = lam
+        return out
+
+    def couple_t(x: np.ndarray) -> np.ndarray:
+        """``C' x``: x holds p, q, then P_M."""
+        p, q = x[:N], x[N : 2 * N]
+        out = np.empty(2 * N + 1)
+        head = 0.0
+        for model in models:
+            sl = model.span
+            u = model.A.T @ p[sl] + model.B.T @ q[sl]
+            out[sl] = u
+            out[N + sl.start : N + sl.stop] = -u
+            head += float(model.M @ p[sl]) + float(model.N @ q[sl])
+        out[-1] = float(np.sum(x[2 * N :])) - head
+        return out
+
+    def gram(z: np.ndarray) -> np.ndarray:
+        """``F' F z``."""
+        x, y = z[:xdim], z[xdim:]
+        fx = curvature * x + couple(y)
+        fy = eta * y - couple_t(x)
+        return np.concatenate([curvature * fx - couple(fy), couple_t(fx) + eta * fy])
+
+    # a seeded random start: the all-ones vector can be orthogonal to the
+    # top singular vector when feeders are laid out symmetrically.  The
+    # standard library's generator, whose random() sequence is fixed across
+    # Python versions, because importing numpy.random costs ~14 ms, three
+    # times this whole certificate on the default scenario
+    rng = random.Random(0)
+    v = np.array([rng.random() - 0.5 for _ in range(dim)])
+    v /= math.sqrt(float(v @ v))
+    basis: list[np.ndarray] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    for _ in range(dim):
+        basis.append(v)
+        r = gram(v)
+        if betas:
+            r -= betas[-1] * basis[-2]
+        alphas.append(float(v @ r))
+        r -= alphas[-1] * v
+        Q = np.array(basis)
+        for _ in range(2):  # full reorthogonalisation, twice is enough
+            r -= Q.T @ (Q @ r)
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vectors = np.linalg.eigh(T)
+        theta = float(ritz[-1])
+        beta = math.sqrt(float(r @ r))
+        # beta times the last entry of the top eigenvector of T is the
+        # residual of the top Ritz pair; it also covers breakdown (beta
+        # near 0, the Krylov space exhausted)
+        if beta * abs(float(vectors[-1, -1])) <= 1e-14 * theta:
+            break
+        betas.append(beta)
+        v = r / beta
+
+    l = math.sqrt(theta)
     eps_bound = 2.0 * s / (l * l) if l > 0 else math.inf
     return StepsizeReport(s=s, l=l, eps_bound=eps_bound)
 
@@ -885,7 +952,11 @@ def iteration_record(
 
 @dataclass
 class SolveResult:
-    """Final states, per-iteration records, and the stopping status."""
+    """Final states, per-iteration records, and the stopping status.
+
+    ``stepsize`` is the run's certificate (:func:`check_stepsize`), or
+    ``None`` when the problem registers no costs.
+    """
 
     status: str  # "converged" | "not-converged"
     iterations: int  # steps actually executed
@@ -894,6 +965,7 @@ class SolveResult:
     records: list[TraceRecord]
     account: SlackAccount
     history: list[tuple[PrimalState, DualState]] | None = None
+    stepsize: StepsizeReport | None = None
 
     @property
     def converged(self) -> bool:
@@ -927,7 +999,8 @@ def run_rounds(
     state after the event.  Without an explicit slack account, the
     implied slack output at the start is recorded and held as the balance
     target.  Raises :class:`DivergenceError` when the state passes the
-    blow-up bound.
+    blow-up bound; any :class:`EngineError` raised here leaves with the
+    records kept so far.
     """
     report = check_stepsize(problem, cfg.eta) if problem.registered_costs else None
     if report is not None and cfg.eps > report.eps_bound:
@@ -942,89 +1015,94 @@ def run_rounds(
             "" if cfg.eta > 0 else " — advisory only at eta=0",
         )
 
-    meas = measure(
-        problem,
-        x,
-        feedback=cfg.feedback,
-        tag=0,
-        ac_tol=cfg.ac_tol,
-        ac_max_iter=cfg.ac_max_iter,
-    )
-    fixed = problem.fixed_injection
-    if account is None:
-        account = record_slack(fixed, x.P_M, meas.P_L)
-    residual = slack_residual(account, fixed, x.P_M, meas.P_L)
-    signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
-
-    records = [
-        iteration_record(
-            problem, 0, x, y, meas, residual, signals, probes, None, None
+    records: list[TraceRecord] = []
+    try:
+        meas = measure(
+            problem,
+            x,
+            feedback=cfg.feedback,
+            tag=0,
+            ac_tol=cfg.ac_tol,
+            ac_max_iter=cfg.ac_max_iter,
         )
-    ]
-    history = [(x, y)] if cfg.record_state else None
-    warm = meas.v
-
-    status = "not-converged"
-    executed = 0
-    for t in range(1, cfg.max_iter + 1):
-        for event in events:
-            if event.iteration == t:
-                problem, x = apply_event(problem, x, event)
-                if route_event is not None:
-                    route_event(*resolve_event(problem, event))
-        outcome, signals = step(problem, x, y, account, t, warm, signals)
-
-        step_primal = max(
-            _inf_diff(outcome.x.p, x.p),
-            _inf_diff(outcome.x.q, x.q),
-            _inf_diff(outcome.x.P_M, x.P_M),
-        ) / cfg.eps
-        step_dual = max(
-            abs(outcome.y.lam - y.lam), _inf_diff(outcome.y.mu, y.mu)
-        ) / cfg.eps
-
-        x, y = outcome.x, outcome.y
-        warm = outcome.measurement.v
-        executed = t
-
-        bound = cfg.divergence_limit
-        worst = max(
-            _inf_norm(x.p), _inf_norm(x.q), _inf_norm(x.P_M), abs(y.lam)
-        )
-        if not math.isfinite(worst) or worst > bound:
-            raise DivergenceError(
-                f"state norm {worst:.3g} exceeded the blow-up bound {bound:.3g} "
-                f"at iteration {t}; reduce the stepsize",
-                iteration=t,
-            )
+        fixed = problem.fixed_injection
+        if account is None:
+            account = record_slack(fixed, x.P_M, meas.P_L)
+        residual = slack_residual(account, fixed, x.P_M, meas.P_L)
+        signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
 
         records.append(
             iteration_record(
-                problem,
-                t,
-                x,
-                y,
-                outcome.measurement,
-                outcome.balance_residual,
-                signals,
-                probes,
-                step_primal,
-                step_dual,
+                problem, 0, x, y, meas, residual, signals, probes, None, None
             )
         )
-        if history is not None:
-            history.append((x, y))
+        history = [(x, y)] if cfg.record_state else None
+        warm = meas.v
 
-        # never stop while scheduled events are still ahead: the run must
-        # reach and absorb every perturbation before it can count as done
-        if (
-            step_primal < cfg.tol_primal
-            and step_dual < cfg.tol_dual
-            and abs(outcome.balance_residual) < cfg.tol_balance
-            and all(event.iteration <= t for event in events)
-        ):
-            status = "converged"
-            break
+        status = "not-converged"
+        executed = 0
+        for t in range(1, cfg.max_iter + 1):
+            for event in events:
+                if event.iteration == t:
+                    problem, x = apply_event(problem, x, event)
+                    if route_event is not None:
+                        route_event(*resolve_event(problem, event))
+            outcome, signals = step(problem, x, y, account, t, warm, signals)
+
+            step_primal = max(
+                _inf_diff(outcome.x.p, x.p),
+                _inf_diff(outcome.x.q, x.q),
+                _inf_diff(outcome.x.P_M, x.P_M),
+            ) / cfg.eps
+            step_dual = max(
+                abs(outcome.y.lam - y.lam), _inf_diff(outcome.y.mu, y.mu)
+            ) / cfg.eps
+
+            x, y = outcome.x, outcome.y
+            warm = outcome.measurement.v
+            executed = t
+
+            bound = cfg.divergence_limit
+            worst = max(
+                _inf_norm(x.p), _inf_norm(x.q), _inf_norm(x.P_M), abs(y.lam)
+            )
+            if not math.isfinite(worst) or worst > bound:
+                raise DivergenceError(
+                    f"state norm {worst:.3g} exceeded the blow-up bound {bound:.3g} "
+                    f"at iteration {t}; reduce the stepsize",
+                    iteration=t,
+                )
+
+            records.append(
+                iteration_record(
+                    problem,
+                    t,
+                    x,
+                    y,
+                    outcome.measurement,
+                    outcome.balance_residual,
+                    signals,
+                    probes,
+                    step_primal,
+                    step_dual,
+                )
+            )
+            if history is not None:
+                history.append((x, y))
+
+            # never stop while scheduled events are still ahead: the run must
+            # reach and absorb every perturbation before it can count as done
+            if (
+                step_primal < cfg.tol_primal
+                and step_dual < cfg.tol_dual
+                and abs(outcome.balance_residual) < cfg.tol_balance
+                and all(event.iteration <= t for event in events)
+            ):
+                status = "converged"
+                break
+    except EngineError as exc:
+        exc.records = records
+        raise
 
     return SolveResult(
         status=status,
@@ -1034,6 +1112,7 @@ def run_rounds(
         records=records,
         account=account,
         history=history,
+        stepsize=report,
     )
 
 

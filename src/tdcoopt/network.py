@@ -501,7 +501,8 @@ class FeederTopology:
     """Per-node edge arrays for a radial feeder, in ``nodes`` order.
 
     ``parent[j]`` is the position of node j's parent, or -1 for the
-    substation; ``order`` lists positions parents-first; ``r``/``x`` are the
+    substation; ``order`` lists positions parents-first, starting with
+    ``roots``, the nodes fed by the substation; ``r``/``x`` are the
     impedances of the edge feeding each node.
     """
 
@@ -509,6 +510,7 @@ class FeederTopology:
     parent: tuple[int, ...]
     r: tuple[float, ...]
     x: tuple[float, ...]
+    roots: tuple[int, ...]
 
 
 def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
@@ -543,7 +545,13 @@ def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
         queue.extend(children.get(j, []))
     if len(order) != n:
         raise CaseError(f"feeder {feeder.feeder_id}: topology is not a rooted tree")
-    return FeederTopology(order=tuple(order), parent=tuple(parent), r=tuple(r), x=tuple(x))
+    return FeederTopology(
+        order=tuple(order),
+        parent=tuple(parent),
+        r=tuple(r),
+        x=tuple(x),
+        roots=tuple(roots),
+    )
 
 
 def attach_feeders(

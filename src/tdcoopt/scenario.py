@@ -4,8 +4,10 @@ A scenario JSON bundles everything one experiment needs: the transmission
 case, feeder cases with their host buses, voltage limits, solver
 configuration, engine choice, scheduled events, and initial-state
 options.  Running one produces a per-iteration CSV trace and a JSON
-summary (final dispatch, final voltages, active constraint sets, and the
-converged price of each phase between events).
+summary (final dispatch, final voltages, active constraint sets, the
+stepsize certificate, and the converged price of each phase between
+events).  A failed run leaves the trace up to the failure and a summary
+that names the failing iteration.
 
 ``compare_runs`` diffs two traces over a shared horizon — used to price
 DER participation against the baseline run that hides the balance price
@@ -29,6 +31,7 @@ from .core import (
     DerCapacityScale,
     DispatchProblem,
     DualState,
+    EngineError,
     GeneratorOutage,
     PrimalState,
     SolveResult,
@@ -311,10 +314,14 @@ def _label(text: str) -> str:
 
 
 def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
-    """Execute the scenario and write its trace CSV and summary JSON."""
-    problem = build_problem(scenario.system, scenario.limits)
-    result = run_scenario_in_memory(scenario, problem)
+    """Execute the scenario and write its trace CSV and summary JSON.
 
+    When the engine fails (:class:`~tdcoopt.core.EngineError`), the trace
+    of the iterations completed before the failure and a summary with
+    ``status: "error"``, the failing iteration and the message are still
+    written; then the error is re-raised.
+    """
+    problem = build_problem(scenario.system, scenario.limits)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gen_labels = tuple(
@@ -324,11 +331,27 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
         _label(f.feeder_id) for f in scenario.system.feeders
     )
     trace_path = out / f"{_label(scenario.name)}_trace.csv"
-    write_trace(trace_path, result.records, gen_labels, feeder_labels)
-
-    summary = _summarize(scenario, problem, result)
     summary_path = out / f"{_label(scenario.name)}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+    def write(records: list[TraceRecord], summary: dict) -> None:
+        write_trace(trace_path, records, gen_labels, feeder_labels)
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+    try:
+        result = run_scenario_in_memory(scenario, problem)
+    except EngineError as exc:
+        write(
+            exc.records or [],
+            {
+                **_run_header(scenario),
+                "status": "error",
+                "iteration": exc.iteration,
+                "message": str(exc),
+            },
+        )
+        raise
+    summary = _summarize(scenario, problem, result)
+    write(result.records, summary)
     return RunArtifacts(
         scenario=scenario,
         result=result,
@@ -336,6 +359,25 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
         summary_path=summary_path,
         summary=summary,
     )
+
+
+def _run_header(scenario: Scenario) -> dict:
+    """The summary fields that describe the run's set-up."""
+    return {
+        "scenario": scenario.name,
+        "engine": scenario.engine,
+        "feedback": scenario.config.feedback,
+        "seed": scenario.seed,
+        "config": {
+            "eps": scenario.config.eps,
+            "eta": scenario.config.eta,
+            "max_iter": scenario.config.max_iter,
+            "tol_primal": scenario.config.tol_primal,
+            "tol_dual": scenario.config.tol_dual,
+            "tol_balance": scenario.config.tol_balance,
+            "zero_lambda_to_ders": scenario.config.zero_lambda_to_ders,
+        },
+    }
 
 
 def _summarize(
@@ -375,22 +417,20 @@ def _summarize(
             }
         )
 
+    report = result.stepsize
+    stepsize = None
+    if report is not None:
+        stepsize = {
+            "s": report.s,
+            "l": report.l,
+            "eps_bound": report.eps_bound,
+            "eps_over_bound": scenario.config.eps / report.eps_bound,
+        }
     return {
-        "scenario": scenario.name,
-        "engine": scenario.engine,
-        "feedback": scenario.config.feedback,
+        **_run_header(scenario),
         "status": result.status,
         "iterations": executed,
-        "seed": scenario.seed,
-        "config": {
-            "eps": scenario.config.eps,
-            "eta": scenario.config.eta,
-            "max_iter": scenario.config.max_iter,
-            "tol_primal": scenario.config.tol_primal,
-            "tol_dual": scenario.config.tol_dual,
-            "tol_balance": scenario.config.tol_balance,
-            "zero_lambda_to_ders": scenario.config.zero_lambda_to_ders,
-        },
+        "stepsize": stepsize,
         "final": {
             "lambda": result.y.lam,
             "total_cost": total_cost(problem, result.x),

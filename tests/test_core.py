@@ -12,10 +12,11 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcoopt.acpf import SlackAccount, fixed_injection, sweep_feeder
@@ -47,8 +48,9 @@ from tdcoopt.core import (
 )
 from tdcoopt.market import run_market
 from tdcoopt.network import CaseError, Der, VoltageLimits, attach_feeders
+from tdcoopt.scenario import load_scenario
 
-from conftest import make_chain_feeder, make_system, make_ts
+from conftest import SCENARIOS_DIR, make_chain_feeder, make_system, make_ts
 
 
 def dispatch_only(gen_specs, load=2.0):
@@ -405,6 +407,118 @@ def test_check_stepsize_eta_zero_uses_cost_curvature():
     report = check_stepsize(problem, eta=0.0)
     assert report.s == pytest.approx(2.0)  # smallest modulus 2 * 1.0
     assert report.eps_bound == pytest.approx(2 * 2.0 / report.l**2)
+
+
+def dense_operator(problem, eta: float) -> np.ndarray:
+    """Reference oracle: the assembled ``F = [[H, C], [-C', eta I]]``.
+
+    Rows of ``C``: p, q, then P_M; columns: upper-band mu, lower-band mu,
+    then lambda.
+    """
+    N = problem.n_nodes
+    xdim = 2 * N + problem.n_generators
+    ydim = 2 * N + 1
+    F = np.zeros((xdim + ydim, xdim + ydim))
+    curvature = [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
+    np.fill_diagonal(F, np.concatenate([*curvature, np.full(ydim, float(eta))]))
+    C = F[:xdim, xdim:]
+    for model in problem.models:
+        sl = model.span
+        shifted = slice(N + sl.start, N + sl.stop)
+        C[sl, sl] = model.A
+        C[sl, shifted] = -model.A
+        C[shifted, sl] = model.B
+        C[shifted, shifted] = -model.B
+        C[sl, -1] = -model.M
+        C[shifted, -1] = -model.N
+    C[2 * N :, -1] = 1.0
+    F[xdim:, :xdim] = -C.T
+    return F
+
+
+def scenario_problem(name: str):
+    sc = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    return build_problem(sc.system, sc.limits), sc.config.eta
+
+
+der_specs = st.fixed_dictionaries(
+    {
+        "a_p": st.floats(0.05, 5.0),
+        "a_q": st.floats(0.01, 2.0),
+        "p_max": st.floats(0.01, 0.2),
+    }
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n_feeders=st.integers(0, 3),
+    n_nodes=st.integers(1, 8),
+    layout=st.dictionaries(st.integers(2, 9), der_specs, max_size=8),
+    gen_costs=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+    eta=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+)
+# three identical one-node feeders: the top singular values cluster within
+# ~1e-9 relative, and a test on the top Ritz value alone stops early there
+@example(
+    n_feeders=3,
+    n_nodes=1,
+    layout={2: {"a_p": 1.0, "a_q": 2.0, "p_max": 0.1}},
+    gen_costs=[1.5],
+    eta=0.0,
+)
+def test_check_stepsize_matches_dense_norm(n_feeders, n_nodes, layout, gen_costs, eta):
+    # every feeder gets the same DER layout: symmetric layouts, where a
+    # structured start vector can miss the top singular vector
+    system = make_system(
+        n_feeders=n_feeders,
+        gen_specs=[(bus, c) for bus, c in zip((1, 2, 3), gen_costs)],
+        der_layout=layout,
+        n_feeder_nodes=n_nodes,
+    )
+    problem = build_problem(system, VoltageLimits(0.95, 1.05))
+    reference = float(np.linalg.norm(dense_operator(problem, eta), 2))
+    assert check_stepsize(problem, eta).l == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name", ["default", "default_baseline", "dispatch9", "oracle_demo"]
+)
+def test_check_stepsize_matches_dense_norm_on_shipped_scenarios(name):
+    problem, eta = scenario_problem(name)
+    reference = float(np.linalg.norm(dense_operator(problem, eta), 2))
+    assert check_stepsize(problem, eta).l == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, recorded",
+    # the dense SVD's values, recorded before the matrix-free certificate
+    [("default", 83.85020071799615), ("full39", 83.85791500078878)],
+)
+def test_check_stepsize_reproduces_recorded_norms(name, recorded):
+    problem, eta = scenario_problem(name)
+    report = check_stepsize(problem, eta)
+    assert report.l == pytest.approx(recorded, rel=1e-12)
+    assert check_stepsize(problem, eta) == report  # reruns agree bit for bit
+
+
+def test_check_stepsize_never_assembles_the_operator(monkeypatch):
+    problem, eta = scenario_problem("full39")
+    dim = 4 * problem.n_nodes + problem.n_generators + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the operator")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    tracemalloc.start()
+    try:
+        report = check_stepsize(problem, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.l == pytest.approx(83.85791500078878, rel=1e-12)
+    assert peak < dim * dim * 8  # not even one dim x dim float array
 
 
 def test_check_stepsize_refuses_unknown_modulus():

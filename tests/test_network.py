@@ -216,15 +216,18 @@ def test_coupled_system_slices_partition_nodes():
 
 
 def test_feeder_topology_orders_parents_first():
-    feeder = parse_case((CASES_DIR / "case33bw.json").read_text())
-    topo = feeder_topology(feeder)
-    seen = set()
-    for pos in topo.order:
-        parent = topo.parent[pos]
-        if parent >= 0:
-            assert parent in seen
-        seen.add(pos)
-    assert len(seen) == feeder.n_nodes
+    for case in ("case33bw.json", "feeder18.json"):
+        feeder = parse_case((CASES_DIR / case).read_text())
+        topo = feeder_topology(feeder)
+        seen = set()
+        for pos in topo.order:
+            parent = topo.parent[pos]
+            if parent >= 0:
+                assert parent in seen
+            seen.add(pos)
+        assert len(seen) == feeder.n_nodes
+        # the substation's children, in order (feeder18 has three)
+        assert topo.roots == tuple(j for j in topo.order if topo.parent[j] < 0)
 
 
 def test_duplicate_feeder_ids_rejected():

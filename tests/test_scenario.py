@@ -229,6 +229,47 @@ def test_run_scenario_writes_trace_and_summary(tmp_path):
     )
 
 
+def test_summary_reports_the_stepsize_certificate(tmp_path):
+    # the shipped runs use eps = 5e-4, about 8.79 times the certified bound
+    sc = fixed_horizon(load_scenario(SCENARIOS_DIR / "default.json"), 2)
+    stepsize = run_scenario(sc, out_dir=tmp_path).summary["stepsize"]
+    assert stepsize["l"] == pytest.approx(83.85020071799615, rel=1e-12)
+    assert stepsize["eps_bound"] == 2 * stepsize["s"] / stepsize["l"] ** 2
+    assert stepsize["eps_over_bound"] == pytest.approx(8.79, abs=0.005)
+
+
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_failed_run_leaves_partial_trace_and_error_summary(tmp_path, engine):
+    # at a blow-up stepsize the price passes the divergence bound a few
+    # iterations in; the rows before the failure and a summary naming it
+    # are still written
+    sc = load_scenario(
+        SCENARIOS_DIR / "dispatch9.json", {"engine": engine, "eps": 1e5}
+    )
+    with pytest.raises(core.DivergenceError) as exc:
+        run_scenario(sc, out_dir=tmp_path)
+    failed_at = exc.value.iteration
+    assert failed_at > 1
+
+    trace = read_trace(tmp_path / "dispatch9_trace.csv")
+    assert trace.column("iteration").tolist() == list(range(failed_at))
+    summary = json.loads((tmp_path / "dispatch9_summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["iteration"] == failed_at
+    assert summary["message"] == str(exc.value)
+    assert summary["engine"] == engine
+    assert summary["config"]["eps"] == 1e5
+
+
+def test_cli_run_failure_keeps_exit_code_and_writes_artifacts(tmp_path, capsys):
+    path = SCENARIOS_DIR / "dispatch9.json"
+    assert main(["run", str(path), "--eps", "1e5", "--out", str(tmp_path)]) == 1
+    assert "error: state norm" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "dispatch9_summary.json").read_text())
+    assert summary["status"] == "error"
+    assert len(read_trace(tmp_path / "dispatch9_trace.csv")) == summary["iteration"]
+
+
 def test_run_scenario_is_deterministic(tmp_path):
     sc = fixed_horizon(load_scenario(SCENARIOS_DIR / "oracle_demo.json"), 30)
     a = run_scenario(sc, out_dir=tmp_path / "a")
@@ -451,6 +492,10 @@ def test_sweep_failure_is_an_engine_error(tmp_path, capsys):
         assert exc.value.iteration == 0
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "error: power flow failed" in capsys.readouterr().err
+    # nothing completed: the trace holds only its header
+    assert len(read_trace(tmp_path / "out" / "t_trace.csv")) == 0
+    summary = json.loads((tmp_path / "out" / "t_summary.json").read_text())
+    assert (summary["status"], summary["iteration"]) == ("error", 0)
 
 
 def test_cli_compare(tmp_path, capsys):
