@@ -14,9 +14,9 @@ Layout
 ``lindistflow``  the compiled feeder: affine voltage/head-draw model
                  plus the topology the sweep reads
 ``acpf``         backward/forward power-flow sweep and slack accounting
-``core``         `build_problem` (compiles each feeder once), costs,
-                 states, gradients, step-size audit, events, the shared
-                 driver loop `run_rounds`, `solve`
+``core``         `build_problem` (compiles each feeder once), states,
+                 the gradients the round steps along, step-size audit,
+                 events, the shared driver loop `run_rounds`, `solve`
 ``market``       agents, message bus, operator step; `run_market` routes
                  the round's messages through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip
@@ -33,7 +33,6 @@ from .acpf import (
     sweep_feeder,
 )
 from .core import (
-    Cost,
     DerCapacityScale,
     DispatchProblem,
     DivergenceError,
@@ -59,7 +58,6 @@ from .core import (
     measure_feeders,
     primal_dual_step,
     project_box,
-    quadratic_cost,
     solve,
     total_cost,
 )
@@ -118,7 +116,6 @@ __all__ = [
     "Bus",
     "CaseError",
     "ComparisonReport",
-    "Cost",
     "CoupledSystem",
     "Der",
     "DerCapacityScale",
@@ -179,7 +176,6 @@ __all__ = [
     "primal_dual_step",
     "probe_oracle",
     "project_box",
-    "quadratic_cost",
     "read_trace",
     "rebase_feeder",
     "record_slack",

@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import EngineError
 from .lindistflow import build_lindistflow
-from .market import RoundAbort
 from .network import CaseError, DistributionFeeder, parse_case
 from .scenario import (
     OracleInfeasible,
@@ -181,7 +180,6 @@ def main(argv=None) -> int:
         ScenarioError,
         CaseError,
         EngineError,
-        RoundAbort,
         OracleInfeasible,
         ValueError,
         OSError,

@@ -41,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -62,8 +62,6 @@ __all__ = [
     "EngineError",
     "DivergenceError",
     "StaleFeedbackError",
-    "Cost",
-    "quadratic_cost",
     "PrimalState",
     "DualState",
     "SolverConfig",
@@ -120,36 +118,6 @@ class StaleFeedbackError(EngineError):
 
 
 # ---------------------------------------------------------------------------
-# costs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cost:
-    """A registered cost: value, gradient, and strong-convexity modulus.
-
-    ``modulus`` may be ``None`` for costs whose curvature is unknown; the
-    stepsize check refuses those.
-    """
-
-    value: Callable[[float], float]
-    gradient: Callable[[float], float]
-    modulus: float | None
-    label: str = ""
-
-
-def quadratic_cost(coefficient: float, label: str = "") -> Cost:
-    """The built-in cost family ``c * x**2`` (modulus ``2 c``)."""
-    if coefficient <= 0:
-        raise ValueError(f"cost coefficient must be positive, got {coefficient}")
-    return Cost(
-        value=lambda z: coefficient * z * z,
-        gradient=lambda z: 2.0 * coefficient * z,
-        modulus=2.0 * coefficient,
-        label=label,
-    )
-
-
-# ---------------------------------------------------------------------------
 # states and configuration
 # ---------------------------------------------------------------------------
 
@@ -193,8 +161,6 @@ class SolverConfig:
     feedback: str = "linear"  # "linear" | "ac"
     zero_lambda_to_ders: bool = False  # baseline: hide the price from DERs
     divergence_limit: float = 1e6
-    ac_tol: float = 1e-8
-    ac_max_iter: int = 100
     record_state: bool = False  # keep the full (x, y) trajectory
 
     def __post_init__(self):
@@ -231,7 +197,6 @@ class DispatchProblem:
     gen_coef: np.ndarray  # quadratic cost coefficients
     gen_lo: np.ndarray
     gen_hi: np.ndarray
-    gen_costs: tuple[Cost, ...]
     # DERs, expanded over all feeder nodes (zeros where no DER)
     a_p: np.ndarray
     a_q: np.ndarray
@@ -239,7 +204,6 @@ class DispatchProblem:
     p_hi: np.ndarray
     q_lo: np.ndarray
     q_hi: np.ndarray
-    der_costs: tuple[Cost, ...] = field(default=())
 
     @property
     def n_nodes(self) -> int:
@@ -249,15 +213,14 @@ class DispatchProblem:
     def n_generators(self) -> int:
         return len(self.gen_coef)
 
-    @property
-    def registered_costs(self) -> tuple[Cost, ...]:
-        return self.gen_costs + self.der_costs
-
 
 def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProblem:
     """Compile a coupled system into the flat-array problem form.
 
     This is the one place a feeder is compiled (:func:`build_lindistflow`).
+    Every cost coefficient must be positive: the costs must be strongly
+    convex for the stepsize certificate, and ``a_p`` is zero exactly
+    where no DER sits.
     """
     models = tuple(
         build_lindistflow(f, offset)
@@ -266,14 +229,17 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     N = system.n_total
 
     gens = system.transmission.generators
+    for g in gens:
+        if g.cost_coefficient <= 0:
+            raise CaseError(
+                f"generator@{g.bus_id}: cost coefficient must be positive, "
+                f"got {g.cost_coefficient}",
+                element=f"generator@{g.bus_id}",
+            )
     gen_bus = np.array([g.bus_id for g in gens], dtype=int)
     gen_coef = np.array([g.cost_coefficient for g in gens])
     gen_lo = np.array([g.p_min if g.online else 0.0 for g in gens])
     gen_hi = np.array([g.p_max if g.online else 0.0 for g in gens])
-    gen_costs = tuple(
-        quadratic_cost(g.cost_coefficient, label=f"generator@{g.bus_id}")
-        for g in gens
-    )
 
     a_p = np.zeros(N)
     a_q = np.zeros(N)
@@ -281,7 +247,6 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     p_hi = np.zeros(N)
     q_lo = np.zeros(N)
     q_hi = np.zeros(N)
-    der_costs: list[Cost] = []
     for k, feeder in enumerate(system.feeders):
         index = feeder.node_index()
         seen: set[int] = set()
@@ -291,14 +256,18 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
                     f"feeder {feeder.feeder_id}: two DERs on node {der.node_id}",
                     element=f"der@{der.node_id}",
                 )
+            if der.a_p <= 0 or der.a_q <= 0:
+                tag = f"der@{feeder.feeder_id}:{der.node_id}"
+                raise CaseError(
+                    f"{tag}: cost coefficients must be positive, got "
+                    f"a_p={der.a_p}, a_q={der.a_q}",
+                    element=tag,
+                )
             seen.add(der.node_id)
             g = system.global_index(k, index[der.node_id])
             a_p[g] = der.a_p
             a_q[g] = der.a_q
             p_lo[g], p_hi[g], q_lo[g], q_hi[g] = der.box()
-            tag = f"der@{feeder.feeder_id}:{der.node_id}"
-            der_costs.append(quadratic_cost(der.a_p, label=f"{tag}:p"))
-            der_costs.append(quadratic_cost(der.a_q, label=f"{tag}:q"))
 
     return DispatchProblem(
         system=system,
@@ -309,14 +278,12 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         gen_coef=gen_coef,
         gen_lo=gen_lo,
         gen_hi=gen_hi,
-        gen_costs=gen_costs,
         a_p=a_p,
         a_q=a_q,
         p_lo=p_lo,
         p_hi=p_hi,
         q_lo=q_lo,
         q_hi=q_hi,
-        der_costs=tuple(der_costs),
     )
 
 
@@ -382,7 +349,7 @@ class Measurement:
 
     ``v`` spans all feeder nodes in global order; ``P_L`` has one entry
     per feeder.  ``tag`` identifies the iteration the snapshot belongs
-    to; the dual update refuses snapshots tagged with a different
+    to; :func:`grad_dual` refuses AC snapshots tagged with a different
     iteration.
     """
 
@@ -401,8 +368,6 @@ def measure_feeders(
     feedback: str = "linear",
     warm: np.ndarray | None = None,
     tag: int | None = None,
-    ac_tol: float = 1e-8,
-    ac_max_iter: int = 100,
 ) -> Measurement:
     """Voltages and head draws for global injection vectors ``p``, ``q``.
 
@@ -424,12 +389,7 @@ def measure_feeders(
             continue
         try:
             res = sweep_feeder(
-                model,
-                p[sl],
-                q[sl],
-                tol=ac_tol,
-                max_iter=ac_max_iter,
-                v_init=None if warm is None else warm[sl],
+                model, p[sl], q[sl], v_init=None if warm is None else warm[sl]
             )
         except SweepDivergence as exc:
             raise EngineError(
@@ -455,19 +415,10 @@ def measure(
     feedback: str = "linear",
     warm: np.ndarray | None = None,
     tag: int | None = None,
-    ac_tol: float = 1e-8,
-    ac_max_iter: int = 100,
 ) -> Measurement:
     """Feeder voltages and head draws at the setpoints of ``x``."""
     return measure_feeders(
-        problem.models,
-        x.p,
-        x.q,
-        feedback=feedback,
-        warm=warm,
-        tag=tag,
-        ac_tol=ac_tol,
-        ac_max_iter=ac_max_iter,
+        problem.models, x.p, x.q, feedback=feedback, warm=warm, tag=tag
     )
 
 
@@ -475,11 +426,14 @@ def measure(
 # shared round pieces (used verbatim by the market engine)
 # ---------------------------------------------------------------------------
 
+Signals = tuple[np.ndarray, np.ndarray]  # the price vectors (alpha, beta)
+
+
 def der_signals(
     models: tuple[LinearFeederModel, ...],
     y: DualState,
     zero_lambda: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Signals:
     """Price vectors (alpha, beta) over all feeder nodes for the DER updates.
 
     On feeder k, ``alpha = -lambda M_k + A_k' (mu_upper - mu_lower)`` and
@@ -506,6 +460,28 @@ def _band_violation(limits: VoltageLimits, v: np.ndarray) -> np.ndarray:
     return np.concatenate([v - limits.v_max, limits.v_min - v])
 
 
+def _dual_gradient(
+    fixed: float,
+    limits: VoltageLimits,
+    y: DualState,
+    measurement: Measurement,
+    P_M: np.ndarray,
+    account: SlackAccount,
+    eta: float,
+) -> tuple[float, np.ndarray, float]:
+    """Partial gradients of L in (lambda, mu) at a measurement.
+
+    Returns ``(dlam, dmu, residual)``, where ``residual`` is the balance
+    residual in ``dlam`` (``fixed`` is the summed fixed bus injection, see
+    :func:`~tdcoopt.acpf.slack_residual`).  The one copy of the dual
+    gradient: :func:`dual_update` steps along it, :func:`grad_dual`
+    returns it.
+    """
+    dmu = _band_violation(limits, measurement.v) - eta * y.mu
+    residual = slack_residual(account, fixed, P_M, measurement.P_L)
+    return residual - eta * y.lam, dmu, residual
+
+
 def dual_update(
     fixed: float,
     limits: VoltageLimits,
@@ -519,25 +495,22 @@ def dual_update(
     """Projected dual ascent step consuming a network measurement.
 
     Multipliers rise with the measured constraint violations; the price
-    integrates the balance residual (``fixed`` is the summed fixed bus
-    injection, see :func:`~tdcoopt.acpf.slack_residual`).  Returns the
-    new duals and the residual that drove the price.
+    integrates the balance residual.  Returns the new duals and the
+    residual that drove the price.
     """
-    g = _band_violation(limits, measurement.v)
-    mu_new = np.maximum(y.mu + eps * (g - eta * y.mu), 0.0)
-    residual = slack_residual(account, fixed, P_M, measurement.P_L)
-    lam_new = y.lam + eps * (residual - eta * y.lam)
-    return DualState(lam=lam_new, mu=mu_new), residual
+    dlam, dmu, residual = _dual_gradient(
+        fixed, limits, y, measurement, P_M, account, eta
+    )
+    mu_new = np.maximum(y.mu + eps * dmu, 0.0)
+    return DualState(lam=y.lam + eps * dlam, mu=mu_new), residual
 
 
 # ---------------------------------------------------------------------------
 # Lagrangian and gradients
 # ---------------------------------------------------------------------------
 
-def _balance(problem: DispatchProblem, P_M, P_L, account: SlackAccount | None):
-    if account is None:
-        account = SlackAccount(P0_slack=0.0)
-    return slack_residual(account, problem.fixed_injection, P_M, P_L)
+# the balance target when no slack account is given
+_ZERO_SLACK = SlackAccount(P0_slack=0.0)
 
 
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
@@ -553,28 +526,36 @@ def eval_lagrangian(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount | None = None,
+    account: SlackAccount = _ZERO_SLACK,
     eta: float = 0.0,
 ) -> float:
     """The regularized Lagrangian, with the affine feeder model throughout."""
     meas = measure(problem, x, feedback="linear")
     value = total_cost(problem, x)
     value += float(y.mu @ _band_violation(problem.limits, meas.v))
-    value += y.lam * _balance(problem, x.P_M, meas.P_L, account)
+    value += y.lam * slack_residual(
+        account, problem.fixed_injection, x.P_M, meas.P_L
+    )
     if eta:
         value -= 0.5 * eta * (y.lam * y.lam + float(y.mu @ y.mu))
     return value
 
 
 def grad_primal(
-    problem: DispatchProblem, x: PrimalState, y: DualState
+    problem: DispatchProblem,
+    x: PrimalState,
+    y: DualState,
+    signals: Signals | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial gradients of L in the primal blocks (p, q, P_M).
 
     Composed exactly as the decentralized agents compute them: private
-    cost gradient plus the received price vector.
+    cost gradient plus the received price vector.  ``signals`` are the
+    round's price vectors (:func:`der_signals`) when already computed;
+    by default they are those of ``y`` with the balance price shown to
+    the DERs.
     """
-    alpha, beta = der_signals(problem.models, y)
+    alpha, beta = der_signals(problem.models, y) if signals is None else signals
     dp = 2.0 * problem.a_p * x.p + alpha
     dq = 2.0 * problem.a_q * x.q + beta
     dP = 2.0 * problem.gen_coef * x.P_M + y.lam
@@ -585,7 +566,7 @@ def grad_dual(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount | None = None,
+    account: SlackAccount = _ZERO_SLACK,
     eta: float = 0.0,
     feedback: str = "linear",
     measurement: Measurement | None = None,
@@ -607,8 +588,10 @@ def grad_dual(
     elif measurement is None:
         measurement = measure(problem, x, feedback="linear", tag=iteration)
 
-    dmu = _band_violation(problem.limits, measurement.v) - eta * y.mu
-    dlam = _balance(problem, x.P_M, measurement.P_L, account) - eta * y.lam
+    dlam, dmu, _ = _dual_gradient(
+        problem.fixed_injection, problem.limits, y, measurement, x.P_M,
+        account, eta,
+    )
     return dlam, dmu
 
 
@@ -629,19 +612,17 @@ class StepsizeReport:
     eps_bound: float
 
 
-def check_stepsize(
-    problem: DispatchProblem,
-    eta: float,
-    costs: tuple[Cost, ...] | None = None,
-) -> StepsizeReport:
+def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | None:
     """Bound the provably safe stepsize ``2 s / l**2``.
 
-    ``s`` is the smallest strong-convexity modulus among the registered
-    costs (and ``eta`` when positive); ``l`` is the spectral norm of the
-    primal-dual operator ``F = [[H, C], [-C', eta I]]``, where ``H`` is
-    the diagonal cost curvature and ``C`` couples the primal blocks
-    (p, q, P_M) to the duals (upper-band mu, lower-band mu, lambda)
-    through the affine feeder model and the balance constraint.
+    ``s`` is the smallest cost curvature: ``2 c`` over the generators and
+    ``2 a_p``, ``2 a_q`` over the DERs (and ``eta`` when positive); a
+    problem with neither generators nor DERs has none, and gets ``None``.
+    ``l`` is the spectral norm of the primal-dual operator
+    ``F = [[H, C], [-C', eta I]]``, where ``H`` is the diagonal cost
+    curvature and ``C`` couples the primal blocks (p, q, P_M) to the
+    duals (upper-band mu, lower-band mu, lambda) through the affine
+    feeder model and the balance constraint.
 
     ``F`` is never assembled: ``l**2 = lambda_max(F' F)`` comes from
     Lanczos iteration with full reorthogonalisation, applying ``F`` and
@@ -653,21 +634,6 @@ def check_stepsize(
     value alone would stop inside a cluster of near-equal top singular
     values, short of the largest.
     """
-    registered = problem.registered_costs if costs is None else tuple(costs)
-    if not registered:
-        raise ValueError("no costs registered")
-    moduli = []
-    for cost in registered:
-        if cost.modulus is None:
-            raise ValueError(
-                f"cost {cost.label or '<unnamed>'} has no strong-convexity "
-                "modulus; supply one to certify a stepsize"
-            )
-        moduli.append(cost.modulus)
-    s = min(moduli)
-    if eta > 0:
-        s = min(s, eta)
-
     N = problem.n_nodes
     xdim = 2 * N + problem.n_generators
     dim = xdim + 2 * N + 1
@@ -675,6 +641,15 @@ def check_stepsize(
     curvature = np.concatenate(
         [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
     )
+    # build_problem leaves a_p zero exactly where no DER sits
+    der = problem.a_p > 0
+    has_cost = np.concatenate([der, der, np.ones(problem.n_generators, bool)])
+    moduli = curvature[has_cost]
+    if not moduli.size:
+        return None
+    s = float(np.min(moduli))
+    if eta > 0:
+        s = min(s, eta)
 
     def couple(y: np.ndarray) -> np.ndarray:
         """``C y``: y holds upper-band mu, lower-band mu, then lambda."""
@@ -842,46 +817,33 @@ def primal_dual_step(
     cfg: SolverConfig,
     iteration: int | None = None,
     warm: np.ndarray | None = None,
-    signals: tuple[np.ndarray, np.ndarray] | None = None,
+    signals: Signals | None = None,
 ) -> StepOutcome:
     """One synchronous round: primal moves, network response, dual moves.
 
-    ``signals`` may carry the already-computed price vectors for the
-    current duals (they are recomputed otherwise).
+    The primal blocks step along :func:`grad_primal` and the duals along
+    the gradient :func:`grad_dual` returns, each projected.  ``signals``
+    may carry the already-computed price vectors for the current duals
+    (they are recomputed otherwise).
     """
     if signals is None:
         signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
-    alpha, beta = signals
     eps = cfg.eps
 
-    p_new = np.clip(
-        x.p - eps * (2.0 * problem.a_p * x.p + alpha), problem.p_lo, problem.p_hi
+    dp, dq, dP = grad_primal(problem, x, y, signals)
+    x_new = PrimalState(
+        p=np.clip(x.p - eps * dp, problem.p_lo, problem.p_hi),
+        q=np.clip(x.q - eps * dq, problem.q_lo, problem.q_hi),
+        P_M=np.clip(x.P_M - eps * dP, problem.gen_lo, problem.gen_hi),
     )
-    q_new = np.clip(
-        x.q - eps * (2.0 * problem.a_q * x.q + beta), problem.q_lo, problem.q_hi
-    )
-    P_new = np.clip(
-        x.P_M - eps * (2.0 * problem.gen_coef * x.P_M + y.lam),
-        problem.gen_lo,
-        problem.gen_hi,
-    )
-    x_new = PrimalState(p=p_new, q=q_new, P_M=P_new)
 
-    meas = measure(
-        problem,
-        x_new,
-        feedback=cfg.feedback,
-        warm=warm,
-        tag=iteration,
-        ac_tol=cfg.ac_tol,
-        ac_max_iter=cfg.ac_max_iter,
-    )
+    meas = measure(problem, x_new, feedback=cfg.feedback, warm=warm, tag=iteration)
     y_new, residual = dual_update(
         problem.fixed_injection,
         problem.limits,
         y,
         meas,
-        P_new,
+        x_new.P_M,
         account,
         eps,
         cfg.eta,
@@ -917,7 +879,7 @@ def iteration_record(
     y: DualState,
     measurement: Measurement,
     balance_residual: float,
-    signals: tuple[np.ndarray, np.ndarray],
+    signals: Signals,
     probes: tuple[int, ...],
     step_primal: float | None,
     step_dual: float | None,
@@ -955,7 +917,7 @@ class SolveResult:
     """Final states, per-iteration records, and the stopping status.
 
     ``stepsize`` is the run's certificate (:func:`check_stepsize`), or
-    ``None`` when the problem registers no costs.
+    ``None`` when the problem has neither generators nor DERs.
     """
 
     status: str  # "converged" | "not-converged"
@@ -975,7 +937,6 @@ class SolveResult:
 # One round of an engine: ``step(problem, x, y, account, t, warm, signals)``
 # runs round ``t`` from the price vectors ``signals`` of the current duals
 # and returns its outcome plus the price vectors of the new duals.
-Signals = tuple[np.ndarray, np.ndarray]
 Step = Callable[..., tuple[StepOutcome, Signals]]
 
 
@@ -1002,7 +963,7 @@ def run_rounds(
     blow-up bound; any :class:`EngineError` raised here leaves with the
     records kept so far.
     """
-    report = check_stepsize(problem, cfg.eta) if problem.registered_costs else None
+    report = check_stepsize(problem, cfg.eta)
     if report is not None and cfg.eps > report.eps_bound:
         level = logging.WARNING if cfg.eta > 0 else logging.INFO
         logger.log(
@@ -1017,14 +978,7 @@ def run_rounds(
 
     records: list[TraceRecord] = []
     try:
-        meas = measure(
-            problem,
-            x,
-            feedback=cfg.feedback,
-            tag=0,
-            ac_tol=cfg.ac_tol,
-            ac_max_iter=cfg.ac_max_iter,
-        )
+        meas = measure(problem, x, feedback=cfg.feedback, tag=0)
         fixed = problem.fixed_injection
         if account is None:
             account = record_slack(fixed, x.P_M, meas.P_L)

@@ -20,9 +20,14 @@ same order.  Best-response mode instead lets users jump straight to their
 box-clamped optimum against the current prices (a dual-ascent variant,
 quadratic costs only).
 
-Rounds are strictly synchronous: one broadcast, one report per agent, one
-power-flow result per feeder, one dual update.  A missing, duplicated, or
-stale message — including any injected bus fault — aborts the round.
+Rounds are strictly synchronous: the agents step on the one price
+broadcast of the previous round they collect from the bus, and the
+operator on exactly one report per agent of the current round.  A
+missing, duplicated, or stale broadcast or report — including one an
+injected bus fault drops — aborts the run with a :class:`RoundAbort`
+naming the round.  The power-flow results and dual updates the operator
+also publishes are for observers and the bus journal; no agent reads
+them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .acpf import SlackAccount, fixed_injection
 from .core import (
     DispatchProblem,
     DualState,
+    EngineError,
     PrimalState,
     SolveResult,
     SolverConfig,
@@ -68,8 +74,11 @@ __all__ = [
 ]
 
 
-class RoundAbort(RuntimeError):
-    """The synchronous round contract was violated (missing/stale message)."""
+class RoundAbort(EngineError):
+    """The synchronous round contract was violated (missing/stale message).
+
+    ``iteration`` is the round that broke.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +139,10 @@ class MessageBus:
 
     Only the current round's messages can be collected: a message tagged
     with another round discards every queued one.  ``drop`` is a
-    fault-injection hook: messages it matches are silently discarded,
-    which the synchronous round logic then surfaces as a
-    :class:`RoundAbort`.  With ``record`` set, every delivered message is
-    also kept in ``journal`` for debugging (JSON-dumpable).
+    fault-injection hook: messages it matches are silently discarded; a
+    dropped broadcast or report then surfaces as a :class:`RoundAbort`.
+    With ``record`` set, every delivered message is also kept in
+    ``journal`` for debugging (JSON-dumpable).
     """
 
     drop: Callable[[AgentMessage], bool] | None = None
@@ -258,9 +267,6 @@ class UserAgent:
         self.p = project_box(self.p, p_lo, p_hi)
         self.q = project_box(self.q, q_lo, q_hi)
 
-    def cost_value(self) -> float:
-        return self.der.a_p * self.p * self.p + self.der.a_q * self.q * self.q
-
 
 @dataclass
 class GeneratorAgent:
@@ -329,15 +335,19 @@ def operator_step(
         if msg.iteration_tag != tag:
             raise RoundAbort(
                 f"stale report from {msg.sender}: tag {msg.iteration_tag}, "
-                f"round {tag}"
+                f"round {tag}",
+                iteration=tag,
             )
         if msg.sender in seen:
-            raise RoundAbort(f"duplicate report from {msg.sender} in round {tag}")
+            raise RoundAbort(
+                f"duplicate report from {msg.sender} in round {tag}", iteration=tag
+            )
         seen[msg.sender] = msg
     missing = [s for s in cfg.expected_reports if s not in seen]
     if missing:
         raise RoundAbort(
-            f"round {tag} missing reports from: {', '.join(missing)}"
+            f"round {tag} missing reports from: {', '.join(missing)}",
+            iteration=tag,
         )
 
     n = sum(m.n_nodes for m in models)
@@ -354,14 +364,7 @@ def operator_step(
 
     solver = cfg.solver
     meas = measure_feeders(
-        models,
-        p,
-        q,
-        feedback=solver.feedback,
-        warm=warm,
-        tag=tag,
-        ac_tol=solver.ac_tol,
-        ac_max_iter=solver.ac_max_iter,
+        models, p, q, feedback=solver.feedback, warm=warm, tag=tag
     )
 
     y_new, residual = dual_update(
@@ -445,22 +448,28 @@ def run_market(
         expected_reports=tuple(a.name for a in users + generators),
         solver=cfg,
     )
-    broadcast: IncentiveSignals | None = None  # the operator's latest prices
 
     def step(problem, x, y, account, t, warm, signals):
-        nonlocal broadcast
-        if broadcast is None:  # the opening broadcast, at the starting duals
+        if t == 1:  # the opening broadcast, at the starting duals
             alpha, beta = signals
-            broadcast = IncentiveSignals(
+            opening = IncentiveSignals(
                 alpha=alpha, beta=beta, lambda_broadcast=y.lam, iteration_tag=0
             )
-            bus.publish(AgentMessage("signal-broadcast", "operator", 0, broadcast))
+            bus.publish(AgentMessage("signal-broadcast", "operator", 0, opening))
 
+        received = bus.collect("signal-broadcast", t - 1)
+        if len(received) != 1:
+            raise RoundAbort(
+                f"round {t} received {len(received)} signal broadcasts "
+                f"from round {t - 1}, expected one",
+                iteration=t,
+            )
+        prices = received[0].payload
         for u in users:
-            u.step(broadcast, cfg.eps, mode)
+            u.step(prices, cfg.eps, mode)
             bus.publish(u.report(t))
         for g in generators:
-            g.step(broadcast, cfg.eps)
+            g.step(prices, cfg.eps)
             bus.publish(g.report(t))
 
         outcome, broadcast = operator_step(

@@ -2,7 +2,8 @@
 
 The finite-difference check here is the small sibling of the acceptance
 gate's randomized version: the analytic gradients must match central
-differences of the scalar Lagrangian.  The two-generator dispatch has the
+differences of the scalar Lagrangian, and the round must step along
+exactly those gradients.  The two-generator dispatch has the
 closed form P_k = D (1/c_k) / sum(1/c_j) with the balance price at
 -2 c_k P_k, which pins the whole loop end to end.
 """
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from tdcoopt.acpf import SlackAccount, fixed_injection, sweep_feeder
 from tdcoopt.core import (
-    Cost,
     DerCapacityScale,
     DivergenceError,
     DualState,
@@ -41,8 +41,8 @@ from tdcoopt.core import (
     grad_primal,
     initial_state,
     measure,
+    primal_dual_step,
     project_box,
-    quadratic_cost,
     solve,
     total_cost,
 )
@@ -63,19 +63,23 @@ def dispatch_only(gen_specs, load=2.0):
 # costs and configuration
 # ---------------------------------------------------------------------------
 
-def test_quadratic_cost():
-    cost = quadratic_cost(1.5, label="g")
-    assert cost.value(2.0) == pytest.approx(6.0)
-    assert cost.gradient(2.0) == pytest.approx(6.0)
-    assert cost.modulus == pytest.approx(3.0)
-    assert cost.label == "g"
+def test_build_problem_rejects_nonpositive_costs(limits):
+    # attach_feeders does not validate, so the compiled problem must: the
+    # certificate needs every cost strongly convex
+    system = make_system(n_feeders=1)
+    ts = system.transmission
+    free = dataclasses.replace(ts.generators[1], cost_coefficient=0.0)
+    flat = dataclasses.replace(ts, generators=(ts.generators[0], free))
+    with pytest.raises(CaseError, match="generator@2.*positive") as exc:
+        build_problem(attach_feeders(flat, system.feeders), limits)
+    assert exc.value.element == "generator@2"
 
-
-def test_quadratic_cost_rejects_nonpositive():
-    with pytest.raises(ValueError, match="positive"):
-        quadratic_cost(0.0)
-    with pytest.raises(ValueError, match="positive"):
-        quadratic_cost(-1.0)
+    feeder = system.feeders[0]
+    bad = dataclasses.replace(feeder.ders[0], a_q=-1.0)
+    feeder = dataclasses.replace(feeder, ders=(bad, *feeder.ders[1:]))
+    with pytest.raises(CaseError, match="a_q=-1.0") as exc:
+        build_problem(attach_feeders(ts, [feeder]), limits)
+    assert exc.value.element == f"der@f0:{bad.node_id}"
 
 
 def test_solver_config_validation():
@@ -133,8 +137,6 @@ def test_build_problem_layout():
     # each feeder's slice of the global node vectors
     assert [m.span for m in problem.models] == [slice(0, 3), slice(3, 6)]
     assert problem.fixed_injection == -2.0  # the load bus
-    # one p cost and one q cost per DER, after the generator costs
-    assert len(problem.registered_costs) == 2 + 2 * 4
 
 
 def test_build_problem_rejects_two_ders_on_one_node():
@@ -355,6 +357,59 @@ def test_gradients_match_finite_differences(limits, rng):
         assert dmu[j] == pytest.approx(fd, abs=1e-7)
 
 
+@pytest.mark.parametrize("zero_lambda", [False, True])
+@pytest.mark.parametrize("feedback", ["linear", "ac"])
+def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lambda):
+    # the round's arithmetic is the gradients above, bit for bit: the
+    # primal blocks step along grad_primal (with the balance price hidden
+    # from the DERs in the baseline), the duals along grad_dual at the
+    # round's own measurement
+    problem = build_problem(make_system(n_feeders=2), limits)
+    eta, eps, t = 0.3, 0.02, 4
+    cfg = SolverConfig(
+        eps=eps, eta=eta, feedback=feedback, zero_lambda_to_ders=zero_lambda
+    )
+    account = SlackAccount(P0_slack=0.4)
+    x = PrimalState(
+        p=rng.uniform(problem.p_lo, problem.p_hi),
+        q=rng.uniform(problem.q_lo, problem.q_hi),
+        P_M=rng.uniform(1.0, 3.0, problem.n_generators),
+    )
+    y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
+
+    out = primal_dual_step(problem, x, y, account, cfg, iteration=t)
+
+    if zero_lambda:
+        signals = der_signals(problem.models, y, zero_lambda=True)
+        dp, dq, dP = grad_primal(problem, x, y, signals)
+    else:
+        dp, dq, dP = grad_primal(problem, x, y)
+    np.testing.assert_array_equal(
+        out.x.p, np.clip(x.p - eps * dp, problem.p_lo, problem.p_hi)
+    )
+    np.testing.assert_array_equal(
+        out.x.q, np.clip(x.q - eps * dq, problem.q_lo, problem.q_hi)
+    )
+    np.testing.assert_array_equal(
+        out.x.P_M, np.clip(x.P_M - eps * dP, problem.gen_lo, problem.gen_hi)
+    )
+
+    meas = out.measurement
+    assert meas.source == feedback and meas.tag == t
+    dlam, dmu = grad_dual(
+        problem, out.x, y, account=account, eta=eta, feedback=feedback,
+        measurement=meas, iteration=t,
+    )
+    np.testing.assert_array_equal(out.y.mu, np.maximum(y.mu + eps * dmu, 0.0))
+    assert out.y.lam == y.lam + eps * dlam
+    # without the regularization the price gradient is the residual itself
+    residual, _ = grad_dual(
+        problem, out.x, y, account=account, feedback=feedback,
+        measurement=meas, iteration=t,
+    )
+    assert out.balance_residual == residual
+
+
 def test_grad_dual_requires_fresh_ac_measurement(limits):
     problem = build_problem(make_system(n_feeders=1), limits)
     x, y = initial_state(problem)
@@ -521,13 +576,18 @@ def test_check_stepsize_never_assembles_the_operator(monkeypatch):
     assert peak < dim * dim * 8  # not even one dim x dim float array
 
 
-def test_check_stepsize_refuses_unknown_modulus():
-    problem = dispatch_only([(1, 1.0)])
-    opaque = Cost(value=abs, gradient=np.sign, modulus=None, label="piecewise")
-    with pytest.raises(ValueError, match="piecewise"):
-        check_stepsize(problem, eta=0.1, costs=(opaque,))
-    with pytest.raises(ValueError, match="no costs"):
-        check_stepsize(problem, eta=0.1, costs=())
+def test_check_stepsize_takes_s_from_the_smallest_curvature(limits):
+    # DER a_q = 0.1 is the flattest cost; nodes without a DER carry none
+    problem = build_problem(make_system(n_feeders=1), limits)
+    assert check_stepsize(problem, eta=0.0).s == 2.0 * 0.1
+    assert check_stepsize(problem, eta=0.05).s == 0.05
+
+
+def test_check_stepsize_without_costs_certifies_nothing():
+    problem = dispatch_only([])
+    assert check_stepsize(problem, eta=0.1) is None
+    result = solve(problem, SolverConfig(eps=0.1, max_iter=2))
+    assert result.stepsize is None
 
 
 # ---------------------------------------------------------------------------

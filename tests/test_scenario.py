@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from tdcoopt import acpf, core, lindistflow, network
+from tdcoopt import acpf, core, lindistflow, market, network
 from tdcoopt.cli import main
 from tdcoopt.core import DerCapacityScale, EngineError, GeneratorOutage
 from tdcoopt.network import serialize_case
@@ -261,6 +261,37 @@ def test_failed_run_leaves_partial_trace_and_error_summary(tmp_path, engine):
     assert summary["config"]["eps"] == 1e5
 
 
+def test_broken_market_round_leaves_partial_trace_and_error_summary(
+    tmp_path, monkeypatch, capsys
+):
+    # a report lost in round 3 aborts the run like any engine failure:
+    # rows 0-2, a summary naming round 3, exit code 1 from the CLI
+    bus_type = market.MessageBus
+
+    def lossy_bus():
+        return bus_type(
+            drop=lambda m: m.kind == "setpoint-report" and m.iteration_tag == 3
+            and m.sender.startswith("generator")
+        )
+
+    monkeypatch.setattr(market, "MessageBus", lossy_bus)
+    path = SCENARIOS_DIR / "dispatch9.json"
+    sc = load_scenario(path, {"engine": "market"})
+    with pytest.raises(market.RoundAbort) as exc:
+        run_scenario(sc, out_dir=tmp_path)
+    assert exc.value.iteration == 3
+    trace = read_trace(tmp_path / "dispatch9_trace.csv")
+    assert trace.column("iteration").tolist() == [0, 1, 2]
+    summary = json.loads((tmp_path / "dispatch9_summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["iteration"] == 3
+    assert "missing reports" in summary["message"]
+
+    args = ["run", str(path), "--engine", "market", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "error: round 3 missing reports" in capsys.readouterr().err
+
+
 def test_cli_run_failure_keeps_exit_code_and_writes_artifacts(tmp_path, capsys):
     path = SCENARIOS_DIR / "dispatch9.json"
     assert main(["run", str(path), "--eps", "1e5", "--out", str(tmp_path)]) == 1
@@ -297,6 +328,23 @@ def test_run_builds_each_feeder_topology_once(tmp_path, monkeypatch):
         assert sc.config.feedback == "ac"
         run_scenario(fixed_horizon(sc, 3), out_dir=tmp_path / engine)
         assert calls == {f.feeder_id: 1 for f in sc.system.feeders}
+
+
+def test_only_a_random_start_creates_a_generator(tmp_path, monkeypatch):
+    # a seeded run from the recorded setpoints never draws a random number,
+    # so it must not pay for importing numpy.random
+    def refuse(seed=None):
+        raise AssertionError("random generator created")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    sc = load_scenario(
+        write_scenario(tmp_path, {"init": {"mode": "setpoint"}, "seed": 7})
+    )
+    assert sc.seed == 7
+    assert run_scenario_in_memory(fixed_horizon(sc, 3)).iterations == 3
+    random_start = dataclasses.replace(sc, init_mode="random")
+    with pytest.raises(AssertionError, match="generator created"):
+        run_scenario_in_memory(random_start)
 
 
 def test_run_in_memory_matches_run_scenario(tmp_path):
