@@ -16,9 +16,11 @@ Layout
 ``acpf``         backward/forward power-flow sweep and slack accounting
 ``core``         `build_problem` (compiles each feeder once), states,
                  the gradients the round steps along, step-size audit,
-                 events, the shared driver loop `run_rounds`, `solve`
-``market``       agents, message bus, operator step; `run_market` routes
-                 the round's messages through the shared loop
+                 events (applied once, to the compiled problem), the
+                 shared driver loop `run_rounds`, `solve`
+``market``       agents stepping on their own entries of the compiled
+                 problem, message bus, operator step; `run_market`
+                 routes the round's messages through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle
 ``cli``          ``tdcoopt run | compare | oracle | lindump``

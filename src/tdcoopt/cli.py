@@ -13,7 +13,7 @@ oracle
     Solve a small scenario by grid refinement and print the gap between
     the oracle optimum and the engine's converged point.
 lindump
-    Debug aid: write the affine feeder-model pieces (A, B, c, M, N, d)
+    Debug aid: write the affine feeder-model pieces (A, B, c, d)
     of one feeder case as CSV files.
 
 Logging verbosity comes from the ``TDCOOPT_LOG`` environment variable
@@ -144,13 +144,7 @@ def _cmd_lindump(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = feeder.feeder_id
-    for name, arr in (
-        ("A", model.A),
-        ("B", model.B),
-        ("c", model.c),
-        ("M", model.M),
-        ("N", model.N),
-    ):
+    for name, arr in (("A", model.A), ("B", model.B), ("c", model.c)):
         target = out / f"{stem}_{name}.csv"
         np.savetxt(target, np.atleast_2d(arr), delimiter=",")
         print(f"wrote {target}")

@@ -82,7 +82,6 @@ __all__ = [
     "StepsizeReport",
     "GeneratorOutage",
     "DerCapacityScale",
-    "resolve_event",
     "apply_event",
     "primal_dual_step",
     "StepOutcome",
@@ -436,10 +435,11 @@ def der_signals(
 ) -> Signals:
     """Price vectors (alpha, beta) over all feeder nodes for the DER updates.
 
-    On feeder k, ``alpha = -lambda M_k + A_k' (mu_upper - mu_lower)`` and
-    likewise ``beta`` with ``N_k`` and ``B_k``.  With ``zero_lambda`` the
-    balance price is hidden from the DERs (voltage terms remain) — the
-    no-participation baseline.
+    On feeder k, ``alpha = lambda + A_k' (mu_upper - mu_lower)`` (a unit
+    of local injection displaces a unit of head draw) and
+    ``beta = B_k' (mu_upper - mu_lower)`` (reactive injections leave the
+    head draw alone).  With ``zero_lambda`` the balance price is hidden
+    from the DERs (voltage terms remain) — the no-participation baseline.
     """
     lam = 0.0 if zero_lambda else y.lam
     n = len(y.mu) // 2
@@ -450,8 +450,8 @@ def der_signals(
     # rounding of the sums
     for model in models:
         sl = model.span
-        alpha[sl] = -lam * model.M + model.A.T @ w[sl]
-        beta[sl] = -lam * model.N + model.B.T @ w[sl]
+        alpha[sl] = lam + model.A.T @ w[sl]
+        beta[sl] = model.B.T @ w[sl]
     return alpha, beta
 
 
@@ -658,8 +658,8 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
         out = np.empty(xdim)
         for model in models:
             sl = model.span
-            out[sl] = model.A @ w[sl] - lam * model.M
-            out[N + sl.start : N + sl.stop] = model.B @ w[sl] - lam * model.N
+            out[sl] = model.A @ w[sl] + lam
+            out[N + sl.start : N + sl.stop] = model.B @ w[sl]
         out[2 * N :] = lam
         return out
 
@@ -673,7 +673,8 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
             u = model.A.T @ p[sl] + model.B.T @ q[sl]
             out[sl] = u
             out[N + sl.start : N + sl.stop] = -u
-            head += float(model.M @ p[sl]) + float(model.N @ q[sl])
+            # the lossless head draw, summed as ``predict`` sums it
+            head -= float(np.ones(model.n_nodes) @ p[sl])
         out[-1] = float(np.sum(x[2 * N :])) - head
         return out
 
@@ -746,11 +747,13 @@ class DerCapacityScale:
             raise ValueError(f"scale factor must be positive, got {self.factor}")
 
 
-def resolve_event(problem: DispatchProblem, event) -> tuple[int | None, float]:
-    """What an event does: the generator it trips, or the DER box factor.
+def apply_event(
+    problem: DispatchProblem, x: PrimalState, event
+) -> tuple[DispatchProblem, PrimalState]:
+    """The problem with the event's limits, and ``x`` re-projected into them.
 
-    Returns ``(index, 1.0)`` for an outage of the generator at ``index``
-    and ``(None, factor)`` for a DER capacity rescale.
+    Returns a copy; the caller's problem is left untouched.  This is the
+    one place an event acts: both engines step on the returned problem.
     """
     if isinstance(event, GeneratorOutage):
         hits = np.flatnonzero(problem.gen_bus == event.bus_id)
@@ -759,21 +762,7 @@ def resolve_event(problem: DispatchProblem, event) -> tuple[int | None, float]:
                 f"outage targets bus {event.bus_id}, which hosts no generator",
                 iteration=event.iteration,
             )
-        return int(hits[0]), 1.0
-    if isinstance(event, DerCapacityScale):
-        return None, event.factor
-    raise EngineError(f"unknown event type {type(event).__name__}")
-
-
-def apply_event(
-    problem: DispatchProblem, x: PrimalState, event
-) -> tuple[DispatchProblem, PrimalState]:
-    """The problem with the event's limits, and ``x`` re-projected into them.
-
-    Returns a copy; the caller's problem is left untouched.
-    """
-    tripped, factor = resolve_event(problem, event)
-    if tripped is not None:
+        tripped = int(hits[0])
         gen_lo = problem.gen_lo.copy()
         gen_hi = problem.gen_hi.copy()
         gen_lo[tripped] = 0.0
@@ -781,6 +770,9 @@ def apply_event(
         P = x.P_M.copy()
         P[tripped] = 0.0
         return replace(problem, gen_lo=gen_lo, gen_hi=gen_hi), replace(x, P_M=P)
+    if not isinstance(event, DerCapacityScale):
+        raise EngineError(f"unknown event type {type(event).__name__}")
+    factor = event.factor
     problem = replace(
         problem,
         p_lo=problem.p_lo * factor,
@@ -949,17 +941,16 @@ def run_rounds(
     events: tuple,
     probes: tuple[int, ...],
     step: Step,
-    route_event: Callable[[int | None, float], None] | None = None,
 ) -> SolveResult:
     """The driver loop of both engines: iterate ``step`` until done.
 
     Events fire just before the step of their scheduled iteration, so the
-    record of that iteration already shows their effect; ``route_event``
-    receives each one resolved (see :func:`resolve_event`), for engines
-    that keep limits of their own.  Step norms are measured from the
-    state after the event.  Without an explicit slack account, the
-    implied slack output at the start is recorded and held as the balance
-    target.  Raises :class:`DivergenceError` when the state passes the
+    record of that iteration already shows their effect: the loop applies
+    each one (:func:`apply_event`) and hands ``step`` the changed problem,
+    the only copy of the limits either engine reads.  Step norms are
+    measured from the state after the event.  Without an explicit slack
+    account, the implied slack output at the start is recorded and held
+    as the balance target.  Raises :class:`DivergenceError` when the state passes the
     blow-up bound; any :class:`EngineError` raised here leaves with the
     records kept so far.
     """
@@ -999,8 +990,6 @@ def run_rounds(
             for event in events:
                 if event.iteration == t:
                     problem, x = apply_event(problem, x, event)
-                    if route_event is not None:
-                        route_event(*resolve_event(problem, event))
             outcome, signals = step(problem, x, y, account, t, warm, signals)
 
             step_primal = max(

@@ -3,7 +3,7 @@
 Dropping line losses from the branch-flow equations leaves an affine map
 
     v   = A p + B q + c        (node voltage magnitudes)
-    P_L = M . p + N . q + d    (real power drawn at the substation)
+    P_L = d - sum(p)           (real power drawn at the substation)
 
 where ``p``, ``q`` are the controllable DER injections at every node and
 the fixed base injections are folded into ``c`` and ``d``.  ``A`` and
@@ -11,8 +11,8 @@ the fixed base injections are folded into ``c`` and ``d``.  ``A`` and
 the summed r (or x) over the edges shared by the substation-to-i and
 substation-to-j paths, divided by the substation voltage.  Both are
 symmetric positive semidefinite by construction.  Losslessness makes every
-unit of local injection displace exactly one unit of head draw, so
-``M = -1`` and ``N = 0`` elementwise.
+unit of local injection displace exactly one unit of head draw, and
+reactive injections do not move the head draw at all.
 
 The same model also carries what the exact sweep needs (topology, base
 injections, substation voltage) and where the feeder's nodes sit in the
@@ -44,8 +44,6 @@ class LinearFeederModel:
     A: np.ndarray  # dv/dp, n x n, symmetric PSD
     B: np.ndarray  # dv/dq, n x n, symmetric PSD
     c: np.ndarray  # voltages at zero DER output
-    M: np.ndarray  # dP_L/dp, all -1
-    N: np.ndarray  # dP_L/dq, all 0
     d: float  # head draw at zero DER output
     node_ids: tuple[int, ...]  # case-file node id per position
     topology: FeederTopology
@@ -83,19 +81,15 @@ def build_lindistflow(
     p0 = np.array([node.p_load for node in feeder.nodes])
     q0 = np.array([node.q_load for node in feeder.nodes])
     c = feeder.v0 + A @ p0 + B @ q0
-    M = np.full(n, -1.0)
-    N = np.zeros(n)
     d = -float(np.sum(p0))
 
-    for arr in (A, B, c, M, N, p0, q0):
+    for arr in (A, B, c, p0, q0):
         arr.flags.writeable = False
     return LinearFeederModel(
         feeder_id=feeder.feeder_id,
         A=A,
         B=B,
         c=c,
-        M=M,
-        N=N,
         d=d,
         node_ids=tuple(node.id for node in feeder.nodes),
         topology=topo,
@@ -111,5 +105,6 @@ def predict(
 ) -> tuple[np.ndarray, float]:
     """Voltage profile and head draw for DER injections ``p``, ``q``."""
     v = model.c + model.A @ p + model.B @ q
-    P_L = model.d + float(model.M @ p) + float(model.N @ q)
+    # a BLAS dot with ones, not np.sum: pairwise summation rounds differently
+    P_L = model.d - float(np.ones(len(p)) @ p)
     return v, P_L

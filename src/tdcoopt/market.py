@@ -7,16 +7,18 @@ private cost plus ``alpha p + beta q``); the operator collects the
 reported setpoints, measures the network response, performs the dual
 update, and broadcasts fresh incentive signals.  No private cost or
 capacity data ever reaches the operator — it works from setpoint reports,
-the compiled feeder models of the problem (which hold no DER data), and
-the transmission data alone.
+the compiled feeder models of the problem (which hold no DER data), the
+summed fixed injection and the generator count alone.
 
 This module only routes messages: the rounds run inside the centralized
 engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
-events, step norms, records and the stopping rule; the market passes
-each fired event on to the agents it concerns.  In gradient mode the
-produced trajectory and records coincide with the centralized engine's,
-bit for bit: both engines call the same shared update arithmetic in the
-same order.  Best-response mode instead lets users jump straight to their
+events, step norms, records and the stopping rule.  Each agent reads its
+cost coefficient and box from its own entries of the problem the loop
+hands the round, so an event exists once, in that problem, and reaches
+an agent with no message of its own.  In gradient mode the produced
+trajectory and records coincide with the centralized engine's, bit for
+bit: both engines call the same shared update arithmetic in the same
+order.  Best-response mode instead lets users jump straight to their
 box-clamped optimum against the current prices (a dual-ascent variant,
 quadratic costs only).
 
@@ -32,12 +34,12 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from .acpf import SlackAccount, fixed_injection
+from .acpf import SlackAccount
 from .core import (
     DispatchProblem,
     DualState,
@@ -56,7 +58,7 @@ from .core import (
     run_rounds,
 )
 from .lindistflow import LinearFeederModel
-from .network import Der, Generator, TransmissionSystem, VoltageLimits
+from .network import VoltageLimits
 
 __all__ = [
     "RoundAbort",
@@ -182,47 +184,54 @@ class MessageBus:
 # agent update rules (pure)
 # ---------------------------------------------------------------------------
 
+Box = tuple[float, float, float, float]  # p_lo, p_hi, q_lo, q_hi
+
+
 def user_step(
     state: tuple[float, float],
     signals: tuple[float, float],
-    der: Der,
+    cost: tuple[float, float],
+    box: Box,
     eps: float,
 ) -> tuple[float, float]:
     """One projected gradient step on the user's own objective.
 
-    Uses only the user's private cost data and the received prices.
+    Uses only the user's private cost coefficients ``(a_p, a_q)``, its
+    box and the received prices.  The step starts from the setpoint held
+    inside the box, which a capacity cut may have moved it out of.
     """
     p, q = state
+    p_lo, p_hi, q_lo, q_hi = box
+    if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):  # rare: after a cut
+        p = project_box(p, p_lo, p_hi)
+        q = project_box(q, q_lo, q_hi)
     alpha, beta = signals
-    p_lo, p_hi, q_lo, q_hi = der.box()
-    p_new = project_box(p - eps * (2.0 * der.a_p * p + alpha), p_lo, p_hi)
-    q_new = project_box(q - eps * (2.0 * der.a_q * q + beta), q_lo, q_hi)
+    a_p, a_q = cost
+    p_new = project_box(p - eps * (2.0 * a_p * p + alpha), p_lo, p_hi)
+    q_new = project_box(q - eps * (2.0 * a_q * q + beta), q_lo, q_hi)
     return p_new, q_new
 
 
 def user_best_response(
-    signals: tuple[float, float], der: Der
+    signals: tuple[float, float], cost: tuple[float, float], box: Box
 ) -> tuple[float, float]:
     """Box-clamped exact minimizer of the user objective (quadratic cost)."""
     alpha, beta = signals
-    p_lo, p_hi, q_lo, q_hi = der.box()
-    p_star = project_box(-alpha / (2.0 * der.a_p), p_lo, p_hi)
-    q_star = project_box(-beta / (2.0 * der.a_q), q_lo, q_hi)
+    a_p, a_q = cost
+    p_lo, p_hi, q_lo, q_hi = box
+    p_star = project_box(-alpha / (2.0 * a_p), p_lo, p_hi)
+    q_star = project_box(-beta / (2.0 * a_q), q_lo, q_hi)
     return p_star, q_star
 
 
-def generator_step(P_M: float, lam: float, gen: Generator, eps: float) -> float:
-    """One projected gradient step for a dispatchable generator.
+def generator_step(
+    P_M: float, lam: float, c: float, lo: float, hi: float, eps: float
+) -> float:
+    """One projected gradient step on the cost ``c P**2`` over ``[lo, hi]``.
 
-    An offline generator holds zero output regardless of the price.
+    An offline generator has the box ``[0, 0]`` and so holds zero output.
     """
-    if not gen.online:
-        return 0.0
-    return project_box(
-        P_M - eps * (2.0 * gen.cost_coefficient * P_M + lam),
-        gen.p_min,
-        gen.p_max,
-    )
+    return project_box(P_M - eps * (2.0 * c * P_M + lam), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +240,35 @@ def generator_step(P_M: float, lam: float, gen: Generator, eps: float) -> float:
 
 @dataclass
 class UserAgent:
-    """A DER owner: private cost and limits, plus the current setpoint."""
+    """A DER owner and its current setpoint.
+
+    Its private cost and limits are its own entries of the compiled
+    problem, at ``index``.
+    """
 
     name: str
     index: int  # the DER node's position in the global node vectors
-    der: Der
     p: float = 0.0
     q: float = 0.0
 
-    def step(self, signals: IncentiveSignals, eps: float, mode: str) -> None:
-        alpha = float(signals.alpha[self.index])
-        beta = float(signals.beta[self.index])
+    def step(
+        self,
+        problem: DispatchProblem,
+        signals: IncentiveSignals,
+        eps: float,
+        mode: str,
+    ) -> None:
+        i = self.index
+        prices = (signals.alpha.item(i), signals.beta.item(i))
+        cost = (problem.a_p.item(i), problem.a_q.item(i))
+        box = (
+            problem.p_lo.item(i), problem.p_hi.item(i),
+            problem.q_lo.item(i), problem.q_hi.item(i),
+        )
         if mode == "gradient":
-            self.p, self.q = user_step(
-                (self.p, self.q), (alpha, beta), self.der, eps
-            )
+            self.p, self.q = user_step((self.p, self.q), prices, cost, box, eps)
         elif mode == "best-response":
-            self.p, self.q = user_best_response((alpha, beta), self.der)
+            self.p, self.q = user_best_response(prices, cost, box)
         else:
             raise ValueError(f"unknown market mode {mode!r}")
 
@@ -259,26 +280,27 @@ class UserAgent:
             payload={"node": self.index, "p": self.p, "q": self.q},
         )
 
-    def scale_capacity(self, factor: float) -> None:
-        self.der = replace(
-            self.der, capacity_scale=self.der.capacity_scale * factor
-        )
-        p_lo, p_hi, q_lo, q_hi = self.der.box()
-        self.p = project_box(self.p, p_lo, p_hi)
-        self.q = project_box(self.q, q_lo, q_hi)
-
 
 @dataclass
 class GeneratorAgent:
-    """A dispatchable generator: cost, box, online flag, current output."""
+    """A dispatchable generator and its current output.
+
+    Its cost coefficient and box are its own entries of the compiled
+    problem, at ``index``.
+    """
 
     name: str
     index: int
-    gen: Generator
     P: float = 0.0
 
-    def step(self, signals: IncentiveSignals, eps: float) -> None:
-        self.P = generator_step(self.P, signals.lambda_broadcast, self.gen, eps)
+    def step(
+        self, problem: DispatchProblem, signals: IncentiveSignals, eps: float
+    ) -> None:
+        i = self.index
+        self.P = generator_step(
+            self.P, signals.lambda_broadcast, problem.gen_coef.item(i),
+            problem.gen_lo.item(i), problem.gen_hi.item(i), eps,
+        )
 
     def report(self, tag: int) -> AgentMessage:
         return AgentMessage(
@@ -287,10 +309,6 @@ class GeneratorAgent:
             iteration_tag=tag,
             payload={"generator": self.index, "P": self.P},
         )
-
-    def trip(self) -> None:
-        self.gen = replace(self.gen, online=False)
-        self.P = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +323,11 @@ class OperatorConfig:
     costs or limits.
     """
 
-    ts: TransmissionSystem
+    fixed_injection: float  # summed fixed bus injections, slack bus excluded
+    n_generators: int
     limits: VoltageLimits
     expected_reports: tuple[str, ...]
     solver: SolverConfig  # stepsize, regularization, feedback source
-    fixed_injection: float = field(init=False)  # summed once, from ``ts``
-
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_injection", fixed_injection(self.ts))
 
 
 def operator_step(
@@ -353,7 +368,7 @@ def operator_step(
     n = sum(m.n_nodes for m in models)
     p = np.zeros(n)
     q = np.zeros(n)
-    P_M = np.zeros(len(cfg.ts.generators))
+    P_M = np.zeros(cfg.n_generators)
     for msg in seen.values():
         pay = msg.payload
         if "generator" in pay:
@@ -401,13 +416,14 @@ def run_market(
 
     The rounds go through the centralized engine's driver loop
     (:func:`~tdcoopt.core.run_rounds`); this engine only routes each
-    round's messages between the agents and the operator, and passes
-    every fired event on to the agents it concerns.  The agents take
-    their private data from ``problem.system``; the operator gets only
-    ``problem.models``.  In ``gradient`` mode the trajectory equals the
-    centralized engine's.  ``x0`` seeds the agents (its ``p``/``q``
-    entries at nodes without a DER are ignored; agents exist only where
-    DERs do).  The caller's ``problem`` is not modified, events included.
+    round's messages between the agents and the operator.  Each round
+    the agents read their private data from their own entries of the
+    problem the loop hands it, events applied; the operator gets only
+    ``problem.models``, the fixed injection and the generator count.  In
+    ``gradient`` mode the trajectory equals the centralized engine's.
+    ``x0`` seeds the agents (its ``p``/``q`` entries at nodes without a
+    DER are ignored; agents exist only where DERs do).  The caller's
+    ``problem`` is not modified, events included.
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
@@ -430,20 +446,17 @@ def run_market(
                 UserAgent(
                     name=f"user:{feeder.feeder_id}:{der.node_id}",
                     index=g,
-                    der=der,
                     p=float(x0.p[g]),
                     q=float(x0.q[g]),
                 )
             )
     generators = [
-        GeneratorAgent(
-            name=f"generator:{gen.bus_id}", index=i, gen=gen,
-            P=0.0 if not gen.online else float(x0.P_M[i]),
-        )
-        for i, gen in enumerate(system.transmission.generators)
+        GeneratorAgent(name=f"generator:{bus}", index=i, P=float(x0.P_M[i]))
+        for i, bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
-        ts=system.transmission,
+        fixed_injection=problem.fixed_injection,
+        n_generators=problem.n_generators,
         limits=problem.limits,
         expected_reports=tuple(a.name for a in users + generators),
         solver=cfg,
@@ -466,10 +479,10 @@ def run_market(
             )
         prices = received[0].payload
         for u in users:
-            u.step(prices, cfg.eps, mode)
+            u.step(problem, prices, cfg.eps, mode)
             bus.publish(u.report(t))
         for g in generators:
-            g.step(prices, cfg.eps)
+            g.step(problem, prices, cfg.eps)
             bus.publish(g.report(t))
 
         outcome, broadcast = operator_step(
@@ -501,19 +514,10 @@ def run_market(
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
         return outcome, (broadcast.alpha, broadcast.beta)
 
-    def route_event(tripped: int | None, factor: float) -> None:
-        if tripped is not None:
-            generators[tripped].trip()
-        else:
-            for u in users:
-                u.scale_capacity(factor)
-
     p = np.zeros(problem.n_nodes)
     q = np.zeros(problem.n_nodes)
     for u in users:
         p[u.index] = u.p
         q[u.index] = u.q
     x = PrimalState(p=p, q=q, P_M=np.array([g.P for g in generators]))
-    return run_rounds(
-        problem, cfg, x, y0, account, events, probes, step, route_event
-    )
+    return run_rounds(problem, cfg, x, y0, account, events, probes, step)

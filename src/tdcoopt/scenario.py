@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,11 +168,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
             cfg_raw[key] = overrides[key]
     if overrides.get("feedback") is not None:
         cfg_raw["feedback"] = overrides["feedback"]
-    known = {
-        "eps", "eta", "max_iter", "tol_primal", "tol_dual", "tol_balance",
-        "feedback", "zero_lambda_to_ders", "divergence_limit", "record_state",
-    }
-    unknown = set(cfg_raw) - known
+    unknown = set(cfg_raw) - {f.name for f in fields(SolverConfig)}
     if unknown:
         raise ScenarioError(f"{name}: unknown config fields {sorted(unknown)}")
     try:
@@ -612,7 +608,9 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
             v = model.c + p[:, sl] @ model.A.T + q[:, sl] @ model.B.T
             violation = np.maximum(violation, np.max(v - problem.limits.v_max, axis=1))
             violation = np.maximum(violation, np.max(problem.limits.v_min - v, axis=1))
-            P_L += model.d + p[:, sl] @ model.M + q[:, sl] @ model.N
+            # lossless head draw, as in ``predict``: a BLAS product with
+            # ones, not np.sum
+            P_L += model.d - p[:, sl] @ np.ones(model.n_nodes)
         P[:, elim] = P_L - fixed_inj - P0 - (np.sum(P, axis=1) - P[:, elim])
         violation = np.maximum(violation, P[:, elim] - problem.gen_hi[elim])
         violation = np.maximum(violation, problem.gen_lo[elim] - P[:, elim])

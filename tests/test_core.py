@@ -484,8 +484,8 @@ def dense_operator(problem, eta: float) -> np.ndarray:
         C[sl, shifted] = -model.A
         C[shifted, sl] = model.B
         C[shifted, shifted] = -model.B
-        C[sl, -1] = -model.M
-        C[shifted, -1] = -model.N
+        C[sl, -1] = 1.0  # lossless: the head draw moves by -1 per unit of p
+        C[shifted, -1] = 0.0  # and not at all with q
     C[2 * N :, -1] = 1.0
     F[xdim:, :xdim] = -C.T
     return F

@@ -44,7 +44,8 @@ def test_readme_cli_commands(tmp_path, monkeypatch, capsys):
         argv = [str(ROOT / a) if a.startswith("src/") else a for a in argv]
         assert main(argv) == 0, argv
     assert "final a - b   : 0.000000" in capsys.readouterr().out
-    assert (tmp_path / "model_csvs" / "feeder4_A.csv").exists()
+    written = {f.name for f in (tmp_path / "model_csvs").iterdir()}
+    assert written == {f"feeder4_{piece}.csv" for piece in "ABcd"}
 
 
 @pytest.mark.parametrize(

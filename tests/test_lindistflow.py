@@ -34,13 +34,17 @@ def test_chain_path_matrices_by_hand():
 
 def test_chain_offsets_by_hand():
     # [DERIVED] c = v0 + A p0 + B q0 with p0 = -0.002, q0 = -0.001 per
-    # node; d is the total base draw
+    # node; d is the total base draw, which the lossless injections
+    # displace one for one (P_L = d - sum p) while q leaves it alone
     feeder = make_chain_feeder(n_nodes=3, load=2e-3)
     model = build_lindistflow(feeder)
     np.testing.assert_allclose(model.c, [0.999844, 0.99974, 0.999688], atol=1e-12)
     assert model.d == pytest.approx(0.006)
-    np.testing.assert_allclose(model.M, -1.0)
-    np.testing.assert_allclose(model.N, 0.0)
+    p = np.array([1e-3, 2e-3, 4e-3])
+    _, P_L = predict(model, p, np.zeros(3))
+    assert P_L == pytest.approx(0.006 - 7e-3, abs=1e-15)
+    _, P_L_q = predict(model, p, np.array([5e-3, -1e-3, 2e-3]))
+    assert P_L_q == P_L
     assert model.n_nodes == 3
 
 

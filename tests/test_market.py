@@ -30,19 +30,17 @@ from tdcoopt.core import (
 )
 from tdcoopt.market import (
     AgentMessage,
-    GeneratorAgent,
     IncentiveSignals,
     MessageBus,
     OperatorConfig,
     RoundAbort,
-    UserAgent,
     generator_step,
     operator_step,
     run_market,
     user_best_response,
     user_step,
 )
-from tdcoopt.network import Der, Generator, VoltageLimits
+from tdcoopt.network import VoltageLimits
 
 from conftest import make_system, make_ts
 
@@ -51,11 +49,16 @@ EVENTS = (
     GeneratorOutage(iteration=60, bus_id=2),
     DerCapacityScale(iteration=60, factor=2.0),
 )
+# two cuts in a row: each agent's box must be the problem's
+# ``(p_min * 0.3) * 0.7``, not a rebuilt ``(0.3 * 0.7) * p_min``
+TWO_RESCALES = (
+    DerCapacityScale(iteration=50, factor=0.3),
+    DerCapacityScale(iteration=100, factor=0.7),
+)
 
-
-def small_der() -> Der:
-    return Der(node_id=3, a_p=1.0, a_q=0.1, p_min=0.0, p_max=0.05,
-               q_min=-0.02, q_max=0.02)
+# a DER's cost (a_p, a_q) and box (p_lo, p_hi, q_lo, q_hi)
+COST = (1.0, 0.1)
+BOX = (0.0, 0.05, -0.02, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -64,57 +67,82 @@ def small_der() -> Der:
 
 def test_user_step_arithmetic():
     # [TRIVIAL] one projected gradient step from (0.01, 0.0)
-    der = small_der()
-    p, q = user_step((0.01, 0.0), (-1.0, 0.5), der, eps=0.01)
+    p, q = user_step((0.01, 0.0), (-1.0, 0.5), COST, BOX, eps=0.01)
     assert p == pytest.approx(0.01 - 0.01 * (2 * 0.01 - 1.0))
     assert q == pytest.approx(max(-0.02, 0.0 - 0.01 * 0.5))
 
 
 def test_user_step_projects_into_box():
-    der = small_der()
-    p, q = user_step((0.05, 0.02), (-100.0, -100.0), der, eps=1.0)
+    p, q = user_step((0.05, 0.02), (-100.0, -100.0), COST, BOX, eps=1.0)
     assert (p, q) == (0.05, 0.02)
+
+
+def test_user_step_starts_from_the_setpoint_held_in_the_box():
+    # a setpoint a capacity cut left outside the box steps from the box
+    # edge, as the centralized engine's re-projected state does
+    outside = user_step((0.09, -0.05), (0.0, 0.0), COST, BOX, eps=0.01)
+    at_edge = user_step((0.05, -0.02), (0.0, 0.0), COST, BOX, eps=0.01)
+    assert outside == at_edge
 
 
 def test_user_best_response():
     # [DERIVED] unconstrained argmin of a_p p^2 + alpha p is -alpha / 2 a_p
-    der = small_der()
-    p, q = user_best_response((-0.06, -0.002), der)
+    p, q = user_best_response((-0.06, -0.002), COST, BOX)
     assert p == pytest.approx(0.03)
     assert q == pytest.approx(0.01)
-    p_clamped, _ = user_best_response((-1.0, 0.0), der)
+    p_clamped, _ = user_best_response((-1.0, 0.0), COST, BOX)
     assert p_clamped == 0.05
 
 
 def test_generator_step():
-    gen = Generator(bus_id=1, cost_coefficient=1.0, p_min=0.0, p_max=10.0)
-    assert generator_step(1.0, -4.0, gen, eps=0.1) == pytest.approx(1.2)
-    offline = dataclasses.replace(gen, online=False)
-    assert generator_step(1.0, -4.0, offline, eps=0.1) == 0.0
+    assert generator_step(1.0, -4.0, 1.0, 0.0, 10.0, eps=0.1) == pytest.approx(1.2)
+    # an offline generator is the box [0, 0]: zero output at any price
+    assert generator_step(1.0, -4.0, 1.0, 0.0, 0.0, eps=0.1) == 0.0
 
 
-def test_user_agent_scale_capacity():
-    agent = UserAgent(name="u", index=0, der=small_der(), p=0.05, q=0.02)
-    agent.scale_capacity(0.5)
-    assert agent.der.box() == pytest.approx((0.0, 0.025, -0.01, 0.01))
-    assert agent.p == pytest.approx(0.025)  # re-clipped
-    agent.scale_capacity(4.0)
-    assert agent.der.box()[1] == pytest.approx(0.1)
-
-
-def test_generator_agent_trip():
-    gen = Generator(bus_id=1, cost_coefficient=1.0, p_min=0.0, p_max=10.0)
-    agent = GeneratorAgent(name="g", index=0, gen=gen, P=3.0)
-    agent.trip()
-    assert agent.P == 0.0 and not agent.gen.online
+@pytest.mark.parametrize(
+    "events",
+    [(GeneratorOutage(iteration=3, bus_id=2),),
+     (DerCapacityScale(iteration=3, factor=0.5),)],
+    ids=["trip", "rescale"],
+)
+def test_agents_follow_the_events_of_the_problem(events):
+    # an event reaches the agents only through the problem the loop hands
+    # each round: their setpoints after it equal the centralized engine's
+    problem = build_problem(
+        make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
+    )
+    x0, _ = initial_state(problem)
+    # start at the top of every DER box, so a cut must move the setpoints
+    x0 = dataclasses.replace(x0, p=problem.p_hi.copy(), q=problem.q_hi.copy())
+    for max_iter in (3, 6):
+        cfg = SolverConfig(eps=0.01, max_iter=max_iter, tol_primal=0.0,
+                           tol_dual=0.0, tol_balance=0.0)
+        core_x = solve(problem, cfg, x0=x0, events=events).x
+        market_x = run_market(problem, cfg, x0=x0, events=events).x
+        np.testing.assert_array_equal(market_x.p, core_x.p)
+        np.testing.assert_array_equal(market_x.q, core_x.q)
+        np.testing.assert_array_equal(market_x.P_M, core_x.P_M)
+    if isinstance(events[0], GeneratorOutage):
+        assert market_x.P_M[1] == 0.0
+    else:
+        assert np.all(market_x.p <= 0.5 * problem.p_hi)
 
 
 # ---------------------------------------------------------------------------
 # trajectory equivalence with the centralized engine
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("feedback", ["linear", "ac"])
-def test_gradient_mode_matches_centralized_engine(feedback):
+@pytest.mark.parametrize(
+    "feedback, events",
+    [
+        pytest.param("linear", EVENTS, id="linear"),
+        pytest.param("ac", EVENTS, id="ac"),
+        pytest.param("linear", TWO_RESCALES, id="linear-two-rescales"),
+        pytest.param("ac", TWO_RESCALES, id="ac-two-rescales"),
+    ],
+)
+def test_gradient_mode_matches_centralized_engine(feedback, events):
     # identical rounds, identical arithmetic: every iterate must agree to
     # the last bit (1e-12 leaves room only for float noise, none expected)
     cfg = SolverConfig(eps=0.01, eta=0.0, max_iter=120, tol_primal=0.0,
@@ -122,8 +150,8 @@ def test_gradient_mode_matches_centralized_engine(feedback):
                        record_state=True)
     system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
     problem = build_problem(system, LIMITS)
-    core_res = solve(problem, cfg, events=EVENTS)
-    market_res = run_market(problem, cfg, events=EVENTS)
+    core_res = solve(problem, cfg, events=events)
+    market_res = run_market(problem, cfg, events=events)
 
     assert market_res.iterations == core_res.iterations
     for (xc, yc), (xm, ym) in zip(core_res.history, market_res.history):
@@ -171,15 +199,14 @@ def test_best_response_fixpoint_is_box_clamped_optimum():
     from tdcoopt.core import der_signals
 
     alpha, beta = der_signals(problem.models, res.y)
-    for feeder_pos, feeder in enumerate(system.feeders):
-        index = feeder.node_index()
-        for der in feeder.ders:
-            g = system.global_index(feeder_pos, index[der.node_id])
-            p_star, q_star = user_best_response(
-                (float(alpha[g]), float(beta[g])), der
-            )
-            assert res.x.p[g] == pytest.approx(p_star, abs=1e-7)
-            assert res.x.q[g] == pytest.approx(q_star, abs=1e-7)
+    for g in np.flatnonzero(problem.a_p):
+        p_star, q_star = user_best_response(
+            (float(alpha[g]), float(beta[g])),
+            (problem.a_p[g], problem.a_q[g]),
+            (problem.p_lo[g], problem.p_hi[g], problem.q_lo[g], problem.q_hi[g]),
+        )
+        assert res.x.p[g] == pytest.approx(p_star, abs=1e-7)
+        assert res.x.q[g] == pytest.approx(q_star, abs=1e-7)
 
 
 def test_unknown_market_mode():
@@ -265,7 +292,8 @@ def operator_fixture():
     problem = build_problem(system, LIMITS)
     _, y = initial_state(problem)
     cfg = OperatorConfig(
-        ts=system.transmission,
+        fixed_injection=problem.fixed_injection,
+        n_generators=problem.n_generators,
         limits=LIMITS,
         expected_reports=("user:f0:3", "generator:1"),
         solver=SolverConfig(eps=0.01),
