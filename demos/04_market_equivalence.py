@@ -37,12 +37,8 @@ def main() -> None:
 
     dev = 0.0
     for (xa, ya), (xb, yb) in zip(core.history, market.history):
-        dev = max(
-            dev,
-            float(np.max(np.abs(xa.p - xb.p))),
-            float(np.max(np.abs(xa.P_M - xb.P_M))),
-            abs(ya.lam - yb.lam),
-        )
+        # every primal coordinate at once: z = [p, q, P_M]
+        dev = max(dev, float(np.max(np.abs(xa.z - xb.z))), abs(ya.lam - yb.lam))
     print(f"default scenario, {cfg.max_iter} iterations, both engines:")
     print(f"  max coordinate deviation {dev:.3e}")
     print(f"  final price lambda       {market.y.lam:.6f}")

@@ -14,11 +14,12 @@ Layout
 ``lindistflow``  the compiled feeder: affine voltage/head-draw model
                  plus the topology the sweep reads
 ``acpf``         backward/forward power-flow sweep and slack accounting
-``core``         `build_problem` (compiles each feeder once), states,
-                 the gradients the round steps along, step-size audit,
+``core``         `build_problem` (compiles each feeder once; one cost
+                 and one box vector over the primal ``z = [p, q, P_M]``),
+                 states, the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
                  shared driver loop `run_rounds`, `solve`
-``market``       agents stepping on their own entries of the compiled
+``market``       agents stepping on their own coordinates of the compiled
                  problem, message bus, operator step; `run_market`
                  routes the round's messages through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip

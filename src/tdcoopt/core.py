@@ -26,12 +26,16 @@ applies the stopping rule.  An engine supplies only its round — here
 (:func:`der_signals`, :func:`dual_update`) as messages between agents.
 
 :func:`build_problem` compiles each feeder once, and the round runs on
-flat global vectors: primal ``p``/``q``, voltages and price vectors span
-every feeder node in the coupled system's order (nodes without a DER are
-pinned by ``[0, 0]`` boxes), and ``mu`` holds the upper-band multipliers
-of all nodes, then the lower-band ones.  Only the per-feeder matvec or
-sweep, writing into the feeder's slice, and the per-feeder trace cells
-loop over feeders.  The sign convention makes the converged price
+flat global vectors.  The primal is one vector ``z = [p, q, P_M]``: the
+real and reactive DER injections at every feeder node in the coupled
+system's order, then the generator outputs.  One cost-coefficient vector
+and one box share that layout (nodes without a DER are pinned by
+``[0, 0]`` boxes), so the primal step, its projection, its norm and the
+events are each one expression over ``z``.  Voltages span every feeder
+node, the DER prices span ``z[:2N]``, and ``mu`` holds the upper-band
+multipliers of all nodes, then the lower-band ones.  Only the per-feeder
+matvec or sweep, writing into the feeder's slice, and the per-feeder
+trace cells loop over feeders.  The sign convention makes the converged price
 ``lambda`` negative when extra generation is needed: the stationarity
 condition for each generator is ``2 c P + lambda = 0``.
 """
@@ -122,11 +126,27 @@ class StaleFeedbackError(EngineError):
 
 @dataclass(frozen=True)
 class PrimalState:
-    """All primal decisions: DER injections (global) and generator outputs."""
+    """All primal decisions as one vector ``z = [p, q, P_M]``.
 
-    p: np.ndarray  # real DER injections, one entry per feeder node
-    q: np.ndarray  # reactive DER injections
-    P_M: np.ndarray  # generator outputs
+    ``p`` and ``q`` are the real and reactive DER injections, one entry
+    per feeder node (``n_nodes`` of each); ``P_M`` the generator outputs.
+    All three are views of ``z``.
+    """
+
+    z: np.ndarray
+    n_nodes: int
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.z[: self.n_nodes]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.z[self.n_nodes : 2 * self.n_nodes]
+
+    @property
+    def P_M(self) -> np.ndarray:
+        return self.z[2 * self.n_nodes :]
 
 
 @dataclass(frozen=True)
@@ -181,28 +201,24 @@ class SolverConfig:
 class DispatchProblem:
     """A coupled system compiled into flat arrays for the iteration.
 
-    The boxes are the limits at the start of a run; an event yields a
-    modified copy (:func:`apply_event`) and never edits them in place.
-    All vectors over feeder nodes use the coupled system's global node
-    ordering; ``models[k].span`` is feeder k's slice of them.
+    ``coef``, ``lo`` and ``hi`` span the primal vector ``z = [p, q, P_M]``
+    (:class:`PrimalState`): the cost of ``z`` is ``sum(coef * z * z)``,
+    with ``a_p``, ``a_q`` at each DER's node (zero where none sits) and
+    each generator's coefficient, and ``[lo, hi]`` is its box.  The boxes
+    are the limits at the start of a run; an event yields a modified copy
+    (:func:`apply_event`) and never edits them in place.  All vectors
+    over feeder nodes use the coupled system's global node ordering;
+    ``models[k].span`` is feeder k's slice of them.
     """
 
     system: CoupledSystem
     limits: VoltageLimits
     models: tuple[LinearFeederModel, ...]  # each feeder, compiled once
     fixed_injection: float  # summed fixed bus injections, slack bus excluded
-    # generators
     gen_bus: np.ndarray  # bus id per generator
-    gen_coef: np.ndarray  # quadratic cost coefficients
-    gen_lo: np.ndarray
-    gen_hi: np.ndarray
-    # DERs, expanded over all feeder nodes (zeros where no DER)
-    a_p: np.ndarray
-    a_q: np.ndarray
-    p_lo: np.ndarray
-    p_hi: np.ndarray
-    q_lo: np.ndarray
-    q_hi: np.ndarray
+    coef: np.ndarray  # quadratic cost coefficient per entry of z
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -210,7 +226,7 @@ class DispatchProblem:
 
     @property
     def n_generators(self) -> int:
-        return len(self.gen_coef)
+        return len(self.gen_bus)
 
 
 def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProblem:
@@ -218,7 +234,7 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
 
     This is the one place a feeder is compiled (:func:`build_lindistflow`).
     Every cost coefficient must be positive: the costs must be strongly
-    convex for the stepsize certificate, and ``a_p`` is zero exactly
+    convex for the stepsize certificate, and ``coef`` is zero exactly
     where no DER sits.
     """
     models = tuple(
@@ -226,26 +242,22 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         for f, offset in zip(system.feeders, system.offsets)
     )
     N = system.n_total
-
     gens = system.transmission.generators
-    for g in gens:
+    coef = np.zeros(2 * N + len(gens))
+    lo = np.zeros(2 * N + len(gens))
+    hi = np.zeros(2 * N + len(gens))
+
+    for i, g in enumerate(gens, start=2 * N):
         if g.cost_coefficient <= 0:
             raise CaseError(
                 f"generator@{g.bus_id}: cost coefficient must be positive, "
                 f"got {g.cost_coefficient}",
                 element=f"generator@{g.bus_id}",
             )
-    gen_bus = np.array([g.bus_id for g in gens], dtype=int)
-    gen_coef = np.array([g.cost_coefficient for g in gens])
-    gen_lo = np.array([g.p_min if g.online else 0.0 for g in gens])
-    gen_hi = np.array([g.p_max if g.online else 0.0 for g in gens])
+        coef[i] = g.cost_coefficient
+        if g.online:
+            lo[i], hi[i] = g.p_min, g.p_max
 
-    a_p = np.zeros(N)
-    a_q = np.zeros(N)
-    p_lo = np.zeros(N)
-    p_hi = np.zeros(N)
-    q_lo = np.zeros(N)
-    q_hi = np.zeros(N)
     for k, feeder in enumerate(system.feeders):
         index = feeder.node_index()
         seen: set[int] = set()
@@ -264,25 +276,18 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
                 )
             seen.add(der.node_id)
             g = system.global_index(k, index[der.node_id])
-            a_p[g] = der.a_p
-            a_q[g] = der.a_q
-            p_lo[g], p_hi[g], q_lo[g], q_hi[g] = der.box()
+            coef[g], coef[N + g] = der.a_p, der.a_q
+            lo[g], hi[g], lo[N + g], hi[N + g] = der.box()
 
     return DispatchProblem(
         system=system,
         limits=limits,
         models=models,
         fixed_injection=fixed_injection(system.transmission),
-        gen_bus=gen_bus,
-        gen_coef=gen_coef,
-        gen_lo=gen_lo,
-        gen_hi=gen_hi,
-        a_p=a_p,
-        a_q=a_q,
-        p_lo=p_lo,
-        p_hi=p_hi,
-        q_lo=q_lo,
-        q_hi=q_hi,
+        gen_bus=np.array([g.bus_id for g in gens], dtype=int),
+        coef=coef,
+        lo=lo,
+        hi=hi,
     )
 
 
@@ -299,36 +304,27 @@ def initial_state(
     An explicit ``P_M`` overrides the mode.  Everything is projected into
     the current boxes.
     """
-    gens = problem.system.transmission.generators
+    N = problem.n_nodes
+    lo, hi = problem.lo[2 * N :], problem.hi[2 * N :]
     if P_M is not None:
-        P = np.clip(np.asarray(P_M, dtype=float), problem.gen_lo, problem.gen_hi)
+        P = np.asarray(P_M, dtype=float)
     elif mode == "midbox":
-        mid = 0.5 * (problem.gen_lo + problem.gen_hi)
+        mid = 0.5 * (lo + hi)
         P = np.where(np.isfinite(mid), mid, 0.0)
-        P = np.clip(P, problem.gen_lo, problem.gen_hi)
     elif mode == "setpoint":
-        P = np.clip(
-            np.array([g.setpoint_initial for g in gens]),
-            problem.gen_lo,
-            problem.gen_hi,
-        )
+        gens = problem.system.transmission.generators
+        P = np.array([g.setpoint_initial for g in gens])
     elif mode == "random":
         if rng is None:
             raise ValueError("mode='random' requires an rng")
-        if not (
-            np.all(np.isfinite(problem.gen_lo))
-            and np.all(np.isfinite(problem.gen_hi))
-        ):
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("mode='random' requires finite generator boxes")
-        P = rng.uniform(problem.gen_lo, problem.gen_hi)
+        P = rng.uniform(lo, hi)
     else:
         raise ValueError(f"unknown init mode {mode!r}")
 
-    N = problem.n_nodes
-    p = np.clip(np.zeros(N), problem.p_lo, problem.p_hi)
-    q = np.clip(np.zeros(N), problem.q_lo, problem.q_hi)
-    x = PrimalState(p=p, q=q, P_M=P)
-    return x, DualState(lam=0.0, mu=np.zeros(2 * N))
+    z = np.clip(np.concatenate([np.zeros(2 * N), P]), problem.lo, problem.hi)
+    return PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
 
 
 def project_box(value: float, lo: float, hi: float) -> float:
@@ -425,34 +421,32 @@ def measure(
 # shared round pieces (used verbatim by the market engine)
 # ---------------------------------------------------------------------------
 
-Signals = tuple[np.ndarray, np.ndarray]  # the price vectors (alpha, beta)
-
-
 def der_signals(
     models: tuple[LinearFeederModel, ...],
     y: DualState,
     zero_lambda: bool = False,
-) -> Signals:
-    """Price vectors (alpha, beta) over all feeder nodes for the DER updates.
+) -> np.ndarray:
+    """The DER prices: one array over the DER coordinates ``z[:2N]``.
 
-    On feeder k, ``alpha = lambda + A_k' (mu_upper - mu_lower)`` (a unit
-    of local injection displaces a unit of head draw) and
-    ``beta = B_k' (mu_upper - mu_lower)`` (reactive injections leave the
-    head draw alone).  With ``zero_lambda`` the balance price is hidden
-    from the DERs (voltage terms remain) — the no-participation baseline.
+    Its first N entries are ``alpha``, priced against ``p``; on feeder k,
+    ``alpha = lambda + A_k' (mu_upper - mu_lower)`` (a unit of local
+    injection displaces a unit of head draw).  The last N are ``beta``,
+    priced against ``q``: ``beta = B_k' (mu_upper - mu_lower)`` (reactive
+    injections leave the head draw alone).  With ``zero_lambda`` the
+    balance price is hidden from the DERs (voltage terms remain) — the
+    no-participation baseline.
     """
     lam = 0.0 if zero_lambda else y.lam
     n = len(y.mu) // 2
     w = y.mu[:n] - y.mu[n:]
-    alpha = np.empty(n)
-    beta = np.empty(n)
+    prices = np.empty(2 * n)
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
     for model in models:
         sl = model.span
-        alpha[sl] = lam + model.A.T @ w[sl]
-        beta[sl] = model.B.T @ w[sl]
-    return alpha, beta
+        prices[sl] = lam + model.A.T @ w[sl]
+        prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
+    return prices
 
 
 def _band_violation(limits: VoltageLimits, v: np.ndarray) -> np.ndarray:
@@ -514,12 +508,13 @@ _ZERO_SLACK = SlackAccount(P0_slack=0.0)
 
 
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
-    """Generation cost plus DER cost at the given primal state."""
-    return float(
-        np.sum(problem.gen_coef * x.P_M * x.P_M)
-        + np.sum(problem.a_p * x.p * x.p)
-        + np.sum(problem.a_q * x.q * x.q)
-    )
+    """Generation cost plus DER cost at the given primal state.
+
+    Summed per block, generators first, then ``p`` and ``q``.
+    """
+    N = x.n_nodes
+    cost = problem.coef * x.z * x.z
+    return float(np.sum(cost[2 * N :]) + np.sum(cost[:N]) + np.sum(cost[N : 2 * N]))
 
 
 def eval_lagrangian(
@@ -545,21 +540,20 @@ def grad_primal(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    signals: Signals | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial gradients of L in the primal blocks (p, q, P_M).
+    signals: np.ndarray | None = None,
+) -> np.ndarray:
+    """Partial gradient of L in the primal vector ``z = [p, q, P_M]``.
 
-    Composed exactly as the decentralized agents compute them: private
-    cost gradient plus the received price vector.  ``signals`` are the
-    round's price vectors (:func:`der_signals`) when already computed;
-    by default they are those of ``y`` with the balance price shown to
-    the DERs.
+    Composed exactly as the decentralized agents compute it: private
+    cost gradient plus the received price, the DER prices for ``p`` and
+    ``q`` and the balance price for ``P_M``.  ``signals`` are the round's
+    DER prices (:func:`der_signals`) when already computed; by default
+    they are those of ``y`` with the balance price shown to the DERs.
     """
-    alpha, beta = der_signals(problem.models, y) if signals is None else signals
-    dp = 2.0 * problem.a_p * x.p + alpha
-    dq = 2.0 * problem.a_q * x.q + beta
-    dP = 2.0 * problem.gen_coef * x.P_M + y.lam
-    return dp, dq, dP
+    prices = der_signals(problem.models, y) if signals is None else signals
+    return 2.0 * problem.coef * x.z + np.concatenate(
+        [prices, np.full(problem.n_generators, y.lam)]
+    )
 
 
 def grad_dual(
@@ -615,12 +609,12 @@ class StepsizeReport:
 def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | None:
     """Bound the provably safe stepsize ``2 s / l**2``.
 
-    ``s`` is the smallest cost curvature: ``2 c`` over the generators and
-    ``2 a_p``, ``2 a_q`` over the DERs (and ``eta`` when positive); a
-    problem with neither generators nor DERs has none, and gets ``None``.
-    ``l`` is the spectral norm of the primal-dual operator
-    ``F = [[H, C], [-C', eta I]]``, where ``H`` is the diagonal cost
-    curvature and ``C`` couples the primal blocks (p, q, P_M) to the
+    ``s`` is the smallest cost curvature ``2 coef`` over the entries of
+    ``z`` that carry a cost, the generators and the DERs (and ``eta``
+    when positive); a problem with neither generators nor DERs has none,
+    and gets ``None``.  ``l`` is the spectral norm of the primal-dual
+    operator ``F = [[H, C], [-C', eta I]]``, where ``H`` is the diagonal
+    cost curvature and ``C`` couples the primal vector (p, q, P_M) to the
     duals (upper-band mu, lower-band mu, lambda) through the affine
     feeder model and the balance constraint.
 
@@ -635,16 +629,12 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
     values, short of the largest.
     """
     N = problem.n_nodes
-    xdim = 2 * N + problem.n_generators
+    xdim = len(problem.coef)
     dim = xdim + 2 * N + 1
     models = problem.models
-    curvature = np.concatenate(
-        [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
-    )
-    # build_problem leaves a_p zero exactly where no DER sits
-    der = problem.a_p > 0
-    has_cost = np.concatenate([der, der, np.ones(problem.n_generators, bool)])
-    moduli = curvature[has_cost]
+    curvature = 2.0 * problem.coef
+    # build_problem leaves coef zero exactly where no DER sits
+    moduli = curvature[problem.coef > 0]
     if not moduli.size:
         return None
     s = float(np.min(moduli))
@@ -752,9 +742,14 @@ def apply_event(
 ) -> tuple[DispatchProblem, PrimalState]:
     """The problem with the event's limits, and ``x`` re-projected into them.
 
-    Returns a copy; the caller's problem is left untouched.  This is the
-    one place an event acts: both engines step on the returned problem.
+    Returns copies; the caller's problem and state are left untouched.
+    Only the coordinates of ``z`` the event names change: an outage pins
+    its generator's entry to ``[0, 0]``, a capacity rescale scales the
+    DER entries ``z[:2N]`` and pulls them back into their boxes.  This is
+    the one place an event acts: both engines step on the returned problem.
     """
+    N = x.n_nodes
+    lo, hi, z = problem.lo.copy(), problem.hi.copy(), x.z.copy()
     if isinstance(event, GeneratorOutage):
         hits = np.flatnonzero(problem.gen_bus == event.bus_id)
         if len(hits) == 0:
@@ -762,29 +757,16 @@ def apply_event(
                 f"outage targets bus {event.bus_id}, which hosts no generator",
                 iteration=event.iteration,
             )
-        tripped = int(hits[0])
-        gen_lo = problem.gen_lo.copy()
-        gen_hi = problem.gen_hi.copy()
-        gen_lo[tripped] = 0.0
-        gen_hi[tripped] = 0.0
-        P = x.P_M.copy()
-        P[tripped] = 0.0
-        return replace(problem, gen_lo=gen_lo, gen_hi=gen_hi), replace(x, P_M=P)
-    if not isinstance(event, DerCapacityScale):
+        i = 2 * N + int(hits[0])
+        lo[i] = hi[i] = z[i] = 0.0
+    elif isinstance(event, DerCapacityScale):
+        der = slice(0, 2 * N)
+        lo[der] *= event.factor
+        hi[der] *= event.factor
+        z[der] = np.clip(z[der], lo[der], hi[der])
+    else:
         raise EngineError(f"unknown event type {type(event).__name__}")
-    factor = event.factor
-    problem = replace(
-        problem,
-        p_lo=problem.p_lo * factor,
-        p_hi=problem.p_hi * factor,
-        q_lo=problem.q_lo * factor,
-        q_hi=problem.q_hi * factor,
-    )
-    return problem, replace(
-        x,
-        p=np.clip(x.p, problem.p_lo, problem.p_hi),
-        q=np.clip(x.q, problem.q_lo, problem.q_hi),
-    )
+    return replace(problem, lo=lo, hi=hi), PrimalState(z, N)
 
 
 # ---------------------------------------------------------------------------
@@ -809,25 +791,21 @@ def primal_dual_step(
     cfg: SolverConfig,
     iteration: int | None = None,
     warm: np.ndarray | None = None,
-    signals: Signals | None = None,
+    signals: np.ndarray | None = None,
 ) -> StepOutcome:
     """One synchronous round: primal moves, network response, dual moves.
 
-    The primal blocks step along :func:`grad_primal` and the duals along
+    The primal vector steps along :func:`grad_primal` and the duals along
     the gradient :func:`grad_dual` returns, each projected.  ``signals``
-    may carry the already-computed price vectors for the current duals
+    may carry the already-computed DER prices for the current duals
     (they are recomputed otherwise).
     """
     if signals is None:
         signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
     eps = cfg.eps
 
-    dp, dq, dP = grad_primal(problem, x, y, signals)
-    x_new = PrimalState(
-        p=np.clip(x.p - eps * dp, problem.p_lo, problem.p_hi),
-        q=np.clip(x.q - eps * dq, problem.q_lo, problem.q_hi),
-        P_M=np.clip(x.P_M - eps * dP, problem.gen_lo, problem.gen_hi),
-    )
+    step = x.z - eps * grad_primal(problem, x, y, signals)
+    x_new = PrimalState(np.clip(step, problem.lo, problem.hi), x.n_nodes)
 
     meas = measure(problem, x_new, feedback=cfg.feedback, warm=warm, tag=iteration)
     y_new, residual = dual_update(
@@ -871,16 +849,17 @@ def iteration_record(
     y: DualState,
     measurement: Measurement,
     balance_residual: float,
-    signals: Signals,
+    signals: np.ndarray,
     probes: tuple[int, ...],
     step_primal: float | None,
     step_dual: float | None,
 ) -> TraceRecord:
     """Assemble the per-iteration diagnostics row.
 
-    ``probes`` holds one node position per feeder, counted within it.
+    ``probes`` holds one node position per feeder, counted within it;
+    ``signals`` are the DER prices, alpha then beta.
     """
-    alpha, beta = signals
+    N = problem.n_nodes
     v = measurement.v
     spans = [model.span for model in problem.models]
     at_probe = [sl.start + j for sl, j in zip(spans, probes)]
@@ -893,8 +872,8 @@ def iteration_record(
         v_max=tuple(float(np.max(v[sl])) for sl in spans),
         slack_residual=balance_residual,
         total_cost=total_cost(problem, x),
-        alpha_probe=tuple(float(alpha[i]) for i in at_probe),
-        beta_probe=tuple(float(beta[i]) for i in at_probe),
+        alpha_probe=tuple(float(signals[i]) for i in at_probe),
+        beta_probe=tuple(float(signals[N + i]) for i in at_probe),
         step_primal=step_primal,
         step_dual=step_dual,
     )
@@ -927,9 +906,9 @@ class SolveResult:
 
 
 # One round of an engine: ``step(problem, x, y, account, t, warm, signals)``
-# runs round ``t`` from the price vectors ``signals`` of the current duals
-# and returns its outcome plus the price vectors of the new duals.
-Step = Callable[..., tuple[StepOutcome, Signals]]
+# runs round ``t`` from the DER prices ``signals`` of the current duals and
+# returns its outcome plus the DER prices of the new duals.
+Step = Callable[..., tuple[StepOutcome, np.ndarray]]
 
 
 def run_rounds(
@@ -992,11 +971,7 @@ def run_rounds(
                     problem, x = apply_event(problem, x, event)
             outcome, signals = step(problem, x, y, account, t, warm, signals)
 
-            step_primal = max(
-                _inf_diff(outcome.x.p, x.p),
-                _inf_diff(outcome.x.q, x.q),
-                _inf_diff(outcome.x.P_M, x.P_M),
-            ) / cfg.eps
+            step_primal = _inf_diff(outcome.x.z, x.z) / cfg.eps
             step_dual = max(
                 abs(outcome.y.lam - y.lam), _inf_diff(outcome.y.mu, y.mu)
             ) / cfg.eps
@@ -1006,9 +981,7 @@ def run_rounds(
             executed = t
 
             bound = cfg.divergence_limit
-            worst = max(
-                _inf_norm(x.p), _inf_norm(x.q), _inf_norm(x.P_M), abs(y.lam)
-            )
+            worst = max(_inf_norm(x.z), abs(y.lam))
             if not math.isfinite(worst) or worst > bound:
                 raise DivergenceError(
                     f"state norm {worst:.3g} exceeded the blow-up bound {bound:.3g} "

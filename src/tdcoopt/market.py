@@ -13,10 +13,12 @@ summed fixed injection and the generator count alone.
 This module only routes messages: the rounds run inside the centralized
 engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
 events, step norms, records and the stopping rule.  Each agent reads its
-cost coefficient and box from its own entries of the problem the loop
-hands the round, so an event exists once, in that problem, and reaches
-an agent with no message of its own.  In gradient mode the produced
-trajectory and records coincide with the centralized engine's, bit for
+cost coefficient and box from its own coordinates of the problem's
+``coef``, ``lo`` and ``hi`` over the primal vector ``z = [p, q, P_M]``,
+as the loop hands the round that problem, so an event exists once, in
+that problem, and reaches an agent with no message of its own.  The
+operator assembles one ``z`` from the reports.  In gradient mode the
+produced trajectory and records coincide with the centralized engine's, bit for
 bit: both engines call the same shared update arithmetic in the same
 order.  Best-response mode instead lets users jump straight to their
 box-clamped optimum against the current prices (a dual-ascent variant,
@@ -89,11 +91,11 @@ class RoundAbort(EngineError):
 
 @dataclass(frozen=True)
 class IncentiveSignals:
-    """Broadcast prices: (alpha, beta) over all feeder nodes plus the balance
-    price for generators, all tagged with the round they were computed in."""
+    """Broadcast prices: the DER prices over ``z[:2N]`` (alpha, then beta)
+    plus the balance price for generators, all tagged with the round they
+    were computed in."""
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    prices: np.ndarray
     lambda_broadcast: float
     iteration_tag: int
 
@@ -127,8 +129,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, IncentiveSignals):
         return {
-            "alpha": _jsonable(value.alpha),
-            "beta": _jsonable(value.beta),
+            "prices": _jsonable(value.prices),
             "lambda": value.lambda_broadcast,
             "iteration_tag": value.iteration_tag,
         }
@@ -242,29 +243,31 @@ def generator_step(
 class UserAgent:
     """A DER owner and its current setpoint.
 
-    Its private cost and limits are its own entries of the compiled
-    problem, at ``index``.
+    Its private cost and limits are its own coordinates of the compiled
+    problem: ``index`` for ``p``, ``q_index`` for ``q``.  Its prices sit
+    at the same coordinates of the broadcast.
     """
 
     name: str
     index: int  # the DER node's position in the global node vectors
+    q_index: int  # index + the number of feeder nodes
     p: float = 0.0
     q: float = 0.0
 
     def step(
         self,
-        problem: DispatchProblem,
+        coef: list[float],
+        lo: list[float],
+        hi: list[float],
         signals: IncentiveSignals,
         eps: float,
         mode: str,
     ) -> None:
-        i = self.index
-        prices = (signals.alpha.item(i), signals.beta.item(i))
-        cost = (problem.a_p.item(i), problem.a_q.item(i))
-        box = (
-            problem.p_lo.item(i), problem.p_hi.item(i),
-            problem.q_lo.item(i), problem.q_hi.item(i),
-        )
+        """Move on ``coef``, ``lo`` and ``hi``, the problem's as lists."""
+        i, j = self.index, self.q_index
+        prices = (signals.prices.item(i), signals.prices.item(j))
+        cost = (coef[i], coef[j])
+        box = (lo[i], hi[i], lo[j], hi[j])
         if mode == "gradient":
             self.p, self.q = user_step((self.p, self.q), prices, cost, box, eps)
         elif mode == "best-response":
@@ -285,21 +288,27 @@ class UserAgent:
 class GeneratorAgent:
     """A dispatchable generator and its current output.
 
-    Its cost coefficient and box are its own entries of the compiled
-    problem, at ``index``.
+    Its cost coefficient and box are its own coordinate ``z_index`` of
+    the compiled problem.
     """
 
     name: str
-    index: int
+    index: int  # the generator's position among the generators
+    z_index: int  # index + twice the number of feeder nodes
     P: float = 0.0
 
     def step(
-        self, problem: DispatchProblem, signals: IncentiveSignals, eps: float
+        self,
+        coef: list[float],
+        lo: list[float],
+        hi: list[float],
+        signals: IncentiveSignals,
+        eps: float,
     ) -> None:
-        i = self.index
+        """Move on ``coef``, ``lo`` and ``hi``, the problem's as lists."""
+        i = self.z_index
         self.P = generator_step(
-            self.P, signals.lambda_broadcast, problem.gen_coef.item(i),
-            problem.gen_lo.item(i), problem.gen_hi.item(i), eps,
+            self.P, signals.lambda_broadcast, coef[i], lo[i], hi[i], eps
         )
 
     def report(self, tag: int) -> AgentMessage:
@@ -366,34 +375,30 @@ def operator_step(
         )
 
     n = sum(m.n_nodes for m in models)
-    p = np.zeros(n)
-    q = np.zeros(n)
-    P_M = np.zeros(cfg.n_generators)
+    z = np.zeros(2 * n + cfg.n_generators)
     for msg in seen.values():
         pay = msg.payload
         if "generator" in pay:
-            P_M[pay["generator"]] = pay["P"]
+            z[2 * n + pay["generator"]] = pay["P"]
         else:
-            p[pay["node"]] = pay["p"]
-            q[pay["node"]] = pay["q"]
+            z[pay["node"]] = pay["p"]
+            z[n + pay["node"]] = pay["q"]
+    x = PrimalState(z, n)
 
     solver = cfg.solver
     meas = measure_feeders(
-        models, p, q, feedback=solver.feedback, warm=warm, tag=tag
+        models, x.p, x.q, feedback=solver.feedback, warm=warm, tag=tag
     )
 
     y_new, residual = dual_update(
-        cfg.fixed_injection, cfg.limits, y, meas, P_M, account,
+        cfg.fixed_injection, cfg.limits, y, meas, x.P_M, account,
         solver.eps, solver.eta,
     )
-    alpha, beta = der_signals(models, y_new, solver.zero_lambda_to_ders)
+    prices = der_signals(models, y_new, solver.zero_lambda_to_ders)
     return StepOutcome(
-        x=PrimalState(p=p, q=q, P_M=P_M),
-        y=y_new,
-        measurement=meas,
-        balance_residual=residual,
+        x=x, y=y_new, measurement=meas, balance_residual=residual
     ), IncentiveSignals(
-        alpha=alpha, beta=beta, lambda_broadcast=y_new.lam, iteration_tag=tag
+        prices=prices, lambda_broadcast=y_new.lam, iteration_tag=tag
     )
 
 
@@ -437,6 +442,7 @@ def run_market(
     x0 = x_init if x0 is None else x0
     y0 = y_init if y0 is None else y0
 
+    N = problem.n_nodes
     users: list[UserAgent] = []
     for k, feeder in enumerate(system.feeders):
         index = feeder.node_index()
@@ -446,12 +452,16 @@ def run_market(
                 UserAgent(
                     name=f"user:{feeder.feeder_id}:{der.node_id}",
                     index=g,
+                    q_index=N + g,
                     p=float(x0.p[g]),
                     q=float(x0.q[g]),
                 )
             )
     generators = [
-        GeneratorAgent(name=f"generator:{bus}", index=i, P=float(x0.P_M[i]))
+        GeneratorAgent(
+            name=f"generator:{bus}", index=i, z_index=2 * N + i,
+            P=float(x0.P_M[i]),
+        )
         for i, bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
@@ -462,11 +472,18 @@ def run_market(
         solver=cfg,
     )
 
+    # the agents read the problem last handed in as lists of Python floats,
+    # converted again only when an event hands in a new one
+    held = coef = lo = hi = None
+
     def step(problem, x, y, account, t, warm, signals):
+        nonlocal held, coef, lo, hi
+        if problem is not held:
+            held = problem
+            coef, lo, hi = (a.tolist() for a in (problem.coef, problem.lo, problem.hi))
         if t == 1:  # the opening broadcast, at the starting duals
-            alpha, beta = signals
             opening = IncentiveSignals(
-                alpha=alpha, beta=beta, lambda_broadcast=y.lam, iteration_tag=0
+                prices=signals, lambda_broadcast=y.lam, iteration_tag=0
             )
             bus.publish(AgentMessage("signal-broadcast", "operator", 0, opening))
 
@@ -479,10 +496,10 @@ def run_market(
             )
         prices = received[0].payload
         for u in users:
-            u.step(problem, prices, cfg.eps, mode)
+            u.step(coef, lo, hi, prices, cfg.eps, mode)
             bus.publish(u.report(t))
         for g in generators:
-            g.step(problem, prices, cfg.eps)
+            g.step(coef, lo, hi, prices, cfg.eps)
             bus.publish(g.report(t))
 
         outcome, broadcast = operator_step(
@@ -512,12 +529,12 @@ def run_market(
             )
         )
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
-        return outcome, (broadcast.alpha, broadcast.beta)
+        return outcome, broadcast.prices
 
-    p = np.zeros(problem.n_nodes)
-    q = np.zeros(problem.n_nodes)
+    z = np.zeros(len(problem.coef))
     for u in users:
-        p[u.index] = u.p
-        q[u.index] = u.q
-    x = PrimalState(p=p, q=q, P_M=np.array([g.P for g in generators]))
+        z[u.index], z[u.q_index] = u.p, u.q
+    for g in generators:
+        z[g.z_index] = g.P
+    x = PrimalState(z, N)
     return run_rounds(problem, cfg, x, y0, account, events, probes, step)

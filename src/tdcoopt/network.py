@@ -156,9 +156,13 @@ def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
             raise CaseError(f"line ({u},{v}): unknown bus {u}", element=(u, v))
         if v not in seen:
             raise CaseError(f"line ({u},{v}): unknown bus {v}", element=(u, v))
+    hosts: set[int] = set()
     for g in ts.generators:
         if g.bus_id not in seen:
             raise CaseError(f"generator at unknown bus {g.bus_id}", element=g.bus_id)
+        if g.bus_id in hosts:
+            raise CaseError(f"two generators on bus {g.bus_id}", element=g.bus_id)
+        hosts.add(g.bus_id)
         if g.p_min > g.p_max:
             raise CaseError(f"generator at bus {g.bus_id}: p_min > p_max", element=g.bus_id)
         if g.cost_coefficient <= 0:

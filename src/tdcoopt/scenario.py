@@ -121,7 +121,8 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     """Read and validate a scenario file; case paths resolve relative to it.
 
     ``overrides`` (engine, feedback, max_iter, eps, eta, seed) are applied
-    before validation, so command-line flags are checked like file fields.
+    before validation, so command-line flags are checked like file fields;
+    an override that is ``None`` keeps the file's value.
     """
     path = Path(path)
     try:
@@ -240,7 +241,9 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
                     f"{name}: probe node {node} not in feeder {fid}"
                 )
 
-    seed = overrides.get("seed", raw.get("seed"))
+    seed = overrides.get("seed")
+    if seed is None:
+        seed = raw.get("seed")
     if init_mode == "random" and seed is None:
         raise ScenarioError(f"{name}: init mode 'random' requires a seed")
 
@@ -543,20 +546,19 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     problem = build_problem(scenario.system, scenario.limits)
     N = problem.n_nodes
 
-    free_p = [int(i) for i in np.flatnonzero(problem.p_hi > problem.p_lo)]
-    free_q = [int(i) for i in np.flatnonzero(problem.q_hi > problem.q_lo)]
-    free_g = [int(i) for i in np.flatnonzero(problem.gen_hi > problem.gen_lo)]
-    n_free = len(free_p) + len(free_q) + len(free_g)
-    if n_free > 4:
+    # the free coordinates of z = [p, q, P_M]; the last one, a generator,
+    # is eliminated by the balance constraint and the others are gridded
+    free = np.flatnonzero(problem.hi > problem.lo)
+    if len(free) > 4:
         raise ValueError(
-            f"instance has {n_free} free decision variables; "
+            f"instance has {len(free)} free decision variables; "
             "the oracle handles at most 4"
         )
-    if not free_g:
+    if not len(free) or free[-1] < 2 * N:
         raise ValueError("oracle needs at least one free generator to absorb "
                          "the balance constraint")
-    elim = free_g[-1]
-    grid_g = free_g[:-1]
+    elim = int(free[-1])
+    dims = free[:-1]
 
     # affine pieces: total head draw and per-node voltages as functions of
     # the gridded variables
@@ -568,39 +570,14 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
             "(scenario slack mode 'explicit')"
         )
 
-    dims = (
-        [("p", i) for i in free_p]
-        + [("q", i) for i in free_q]
-        + [("P", i) for i in grid_g]
-    )
-    lo = np.array(
-        [
-            problem.p_lo[i] if kind == "p" else
-            problem.q_lo[i] if kind == "q" else problem.gen_lo[i]
-            for kind, i in dims
-        ]
-    )
-    hi = np.array(
-        [
-            problem.p_hi[i] if kind == "p" else
-            problem.q_hi[i] if kind == "q" else problem.gen_hi[i]
-            for kind, i in dims
-        ]
-    )
+    lo, hi = problem.lo[dims], problem.hi[dims]
 
     def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objective and feasibility for an (m, ndim) batch of grid points."""
         m = len(points)
-        p = np.zeros((m, N))
-        q = np.zeros((m, N))
-        P = np.zeros((m, problem.n_generators))
-        for d, (kind, i) in enumerate(dims):
-            if kind == "p":
-                p[:, i] = points[:, d]
-            elif kind == "q":
-                q[:, i] = points[:, d]
-            else:
-                P[:, i] = points[:, d]
+        z = np.zeros((m, len(problem.coef)))
+        z[:, dims] = points
+        p, q, P = z[:, :N], z[:, N : 2 * N], z[:, 2 * N :]
         violation = np.zeros(m)
         P_L = np.zeros(m)
         for model in problem.models:
@@ -611,13 +588,15 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
             # lossless head draw, as in ``predict``: a BLAS product with
             # ones, not np.sum
             P_L += model.d - p[:, sl] @ np.ones(model.n_nodes)
-        P[:, elim] = P_L - fixed_inj - P0 - (np.sum(P, axis=1) - P[:, elim])
-        violation = np.maximum(violation, P[:, elim] - problem.gen_hi[elim])
-        violation = np.maximum(violation, problem.gen_lo[elim] - P[:, elim])
+        z[:, elim] = P_L - fixed_inj - P0 - (np.sum(P, axis=1) - z[:, elim])
+        violation = np.maximum(violation, z[:, elim] - problem.hi[elim])
+        violation = np.maximum(violation, problem.lo[elim] - z[:, elim])
+        # summed per block, generators first, as ``total_cost`` sums
+        cost = problem.coef * z * z
         objective = (
-            np.sum(problem.gen_coef * P * P, axis=1)
-            + np.sum(problem.a_p * p * p, axis=1)
-            + np.sum(problem.a_q * q * q, axis=1)
+            np.sum(cost[:, 2 * N :], axis=1)
+            + np.sum(cost[:, :N], axis=1)
+            + np.sum(cost[:, N : 2 * N], axis=1)
         )
         return objective, violation
 
@@ -661,7 +640,7 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     if best_point is None:
         raise OracleInfeasible("no feasible point found")
 
-    oracle_P = _full_point(problem, dims, best_point, elim, P0)
+    oracle = _full_point(problem, dims, best_point, elim, P0)
 
     # engine's converged point on the same instance
     run = run_scenario_in_memory(scenario, problem)
@@ -672,14 +651,10 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
         "P_M": [float(v) for v in xe.P_M],
     }
     eng_obj = total_cost(problem, xe)
-    eng_vec = np.concatenate([xe.p, xe.q, xe.P_M])
-    ora_vec = np.concatenate(
-        [oracle_P["p"], oracle_P["q"], oracle_P["P_M"]]
-    )
-    coord_gap = float(np.max(np.abs(eng_vec - ora_vec))) if len(eng_vec) else 0.0
+    coord_gap = float(np.max(np.abs(xe.z - oracle.z)))
 
     # feasibility of the engine point under the same model
-    _, eng_vio = evaluate(_project_dims(problem, dims, xe).reshape(1, -1))
+    _, eng_vio = evaluate(xe.z[dims].reshape(1, -1))
     gap_rel = abs(eng_obj - best_obj) / max(1.0, abs(best_obj))
     return OracleReport(
         objective_oracle=best_obj,
@@ -688,9 +663,9 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
         coordinate_gap_inf=coord_gap,
         engine_feasibility=float(eng_vio[0]),
         point_oracle={
-            "p": [float(v) for v in oracle_P["p"]],
-            "q": [float(v) for v in oracle_P["q"]],
-            "P_M": [float(v) for v in oracle_P["P_M"]],
+            "p": [float(v) for v in oracle.p],
+            "q": [float(v) for v in oracle.q],
+            "P_M": [float(v) for v in oracle.P_M],
         },
         point_engine=engine_point,
         resolution=resolution,
@@ -698,33 +673,14 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
     )
 
 
-def _full_point(problem, dims, x, elim, P0):
-    N = problem.n_nodes
-    p = np.zeros(N)
-    q = np.zeros(N)
-    P = np.zeros(problem.n_generators)
-    for d, (kind, i) in enumerate(dims):
-        if kind == "p":
-            p[i] = x[d]
-        elif kind == "q":
-            q[i] = x[d]
-        else:
-            P[i] = x[d]
-    P_L = sum(predict(m, p[m.span], q[m.span])[1] for m in problem.models)
-    P[elim] = P_L - problem.fixed_injection - P0 - (float(np.sum(P)) - P[elim])
-    return {"p": p, "q": q, "P_M": P}
-
-
-def _project_dims(problem, dims, x: PrimalState) -> np.ndarray:
-    out = np.zeros(len(dims))
-    for d, (kind, i) in enumerate(dims):
-        if kind == "p":
-            out[d] = x.p[i]
-        elif kind == "q":
-            out[d] = x.q[i]
-        else:
-            out[d] = x.P_M[i]
-    return out
+def _full_point(problem, dims, point, elim, P0) -> PrimalState:
+    """The primal state at a grid point, the balance closed by ``elim``."""
+    z = np.zeros(len(problem.coef))
+    z[dims] = point
+    x = PrimalState(z, problem.n_nodes)
+    P_L = sum(predict(m, x.p[m.span], x.q[m.span])[1] for m in problem.models)
+    z[elim] = P_L - problem.fixed_injection - P0 - (float(np.sum(x.P_M)) - z[elim])
+    return x
 
 
 def run_scenario_in_memory(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tdcoopt
+from tdcoopt.core import PrimalState
 from tdcoopt.network import (
     Bus,
     CoupledSystem,
@@ -138,6 +139,11 @@ def make_system(
         for k in range(n_feeders)
     ]
     return attach_feeders(ts, feeders)
+
+
+def primal(p, q, P_M) -> PrimalState:
+    """The primal state ``z = [p, q, P_M]`` from its three blocks."""
+    return PrimalState(np.concatenate([p, q, P_M]), len(p))
 
 
 @pytest.fixture

@@ -52,7 +52,7 @@ from tdcoopt.scenario import (
     run_scenario_in_memory,
 )
 
-from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder, make_ts
+from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder, make_ts, primal
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -102,42 +102,38 @@ def test_criterion_1_gradients_match_finite_differences():
     eta = 0.07
     h = 1e-6
     n_states = 120
-    n_nodes = problem.p_lo.size
-    n_gens = problem.gen_lo.size
+    n_nodes = problem.n_nodes
+    n_gens = problem.n_generators
+    p_box = problem.lo[:n_nodes], problem.hi[:n_nodes]
+    q_box = problem.lo[n_nodes : 2 * n_nodes], problem.hi[n_nodes : 2 * n_nodes]
 
     worst = 0.0
     for _ in range(n_states):
-        x = PrimalState(
-            p=rng.uniform(problem.p_lo, problem.p_hi),
-            q=rng.uniform(problem.q_lo, problem.q_hi),
-            P_M=rng.uniform(0.0, 3.0, n_gens),
+        x = primal(
+            rng.uniform(*p_box),
+            rng.uniform(*q_box),
+            rng.uniform(0.0, 3.0, n_gens),
         )
         y = DualState(
             lam=rng.uniform(-5.0, 5.0),
             mu=rng.uniform(0.0, 2.0, 2 * n_nodes),
         )
-        d_p = rng.normal(size=n_nodes)
-        d_q = rng.normal(size=n_nodes)
-        d_P = rng.normal(size=n_gens)
+        d_x = np.concatenate(
+            [
+                rng.normal(size=n_nodes),
+                rng.normal(size=n_nodes),
+                rng.normal(size=n_gens),
+            ]
+        )
         d_lam = rng.normal()
         d_mu = rng.normal(size=2 * n_nodes)
 
-        dp, dq, dP = grad_primal(problem, x, y)
+        dx = grad_primal(problem, x, y)
         dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
-        analytic = (
-            float(dp @ d_p)
-            + float(dq @ d_q)
-            + float(dP @ d_P)
-            + dlam * d_lam
-            + float(dmu @ d_mu)
-        )
+        analytic = float(dx @ d_x) + dlam * d_lam + float(dmu @ d_mu)
 
         def shifted(sign: float):
-            xs = PrimalState(
-                p=x.p + sign * h * d_p,
-                q=x.q + sign * h * d_q,
-                P_M=x.P_M + sign * h * d_P,
-            )
+            xs = PrimalState(x.z + sign * h * d_x, n_nodes)
             ys = DualState(
                 lam=y.lam + sign * h * d_lam,
                 mu=y.mu + sign * h * d_mu,
@@ -323,7 +319,8 @@ def _random_small_instance(seed: int) -> Scenario:
     theta = rng.uniform(0.4, 0.75)
     wide = build_problem(system, VoltageLimits(0.9, 2.0))
     v_zero, _ = predict(model, np.zeros(3), np.zeros(3))
-    v_corner, _ = predict(model, wide.p_hi, wide.q_lo)
+    n = wide.n_nodes
+    v_corner, _ = predict(model, wide.hi[:n], wide.lo[n : 2 * n])
     span = float(v_corner.max() - v_zero.max())
     if u < 0.5 and span > 8e-3:
         v_max = float(v_corner.max() - theta * span)
@@ -424,7 +421,7 @@ def test_criterion_5_stepsize_certificate():
     max_increase = float(np.max(np.diff(d)))
 
     cfg_bad = dataclasses.replace(cfg_good, eps=10.0 * bound)
-    x1 = PrimalState(p=np.zeros(0), q=np.zeros(0), P_M=np.array([P_star]))
+    x1 = PrimalState(np.array([P_star]), 0)
     y1 = DualState(lam=lam_star + 1.0, mu=np.zeros(0))
     try:
         res_bad = solve(problem, cfg_bad, x0=x1, y0=y1, account=account)

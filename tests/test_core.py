@@ -27,7 +27,6 @@ from tdcoopt.core import (
     DualState,
     EngineError,
     GeneratorOutage,
-    PrimalState,
     SolverConfig,
     StaleFeedbackError,
     apply_event,
@@ -50,7 +49,7 @@ from tdcoopt.market import run_market
 from tdcoopt.network import CaseError, Der, VoltageLimits, attach_feeders
 from tdcoopt.scenario import load_scenario
 
-from conftest import SCENARIOS_DIR, make_chain_feeder, make_system, make_ts
+from conftest import SCENARIOS_DIR, make_chain_feeder, make_system, make_ts, primal
 
 
 def dispatch_only(gen_specs, load=2.0):
@@ -128,12 +127,18 @@ def test_build_problem_layout():
     problem = build_problem(system, VoltageLimits(0.95, 1.05))
     assert problem.n_nodes == 6  # two 3-node feeders
     assert problem.n_generators == 2
-    np.testing.assert_allclose(problem.gen_coef, [1.0, 1.5])
-    np.testing.assert_allclose(problem.gen_hi, [10.0, 10.0])
-    # DERs sit on nodes 3 and 4, global positions 1, 2 / 4, 5
-    np.testing.assert_allclose(problem.a_p != 0, [0, 1, 1, 0, 1, 1])
-    np.testing.assert_allclose(problem.p_hi, [0, 0.05, 0.05, 0, 0.05, 0.05])
-    np.testing.assert_allclose(problem.q_lo, [0, -0.02, -0.02, 0, -0.02, -0.02])
+    # z = [p (6), q (6), P_M (2)]; DERs sit on nodes 3 and 4, global
+    # positions 1, 2 / 4, 5, and nodes without one are pinned at [0, 0]
+    der = np.array([0, 1, 1, 0, 1, 1])
+    np.testing.assert_array_equal(
+        problem.coef, np.concatenate([1.0 * der, 0.1 * der, [1.0, 1.5]])
+    )
+    np.testing.assert_array_equal(
+        problem.lo, np.concatenate([0.0 * der, -0.02 * der, [0.0, 0.0]])
+    )
+    np.testing.assert_array_equal(
+        problem.hi, np.concatenate([0.05 * der, 0.02 * der, [10.0, 10.0]])
+    )
     # each feeder's slice of the global node vectors
     assert [m.span for m in problem.models] == [slice(0, 3), slice(3, 6)]
     assert problem.fixed_injection == -2.0  # the load bus
@@ -183,7 +188,7 @@ def test_der_signals_balance_term():
     # with zero multipliers alpha is the balance price itself (M = -1)
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     y = DualState(lam=-2.0, mu=np.zeros(6))
-    alpha, beta = der_signals(problem.models, y)
+    alpha, beta = np.split(der_signals(problem.models, y), 2)
     np.testing.assert_allclose(alpha, -2.0)
     np.testing.assert_allclose(beta, 0.0)
 
@@ -193,7 +198,7 @@ def test_der_signals_voltage_term():
     model = problem.models[0]
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])  # upper rows then lower
     y = DualState(lam=0.0, mu=mu)
-    alpha, beta = der_signals(problem.models, y)
+    alpha, beta = np.split(der_signals(problem.models, y), 2)
     w = mu[:3] - mu[3:]
     np.testing.assert_allclose(alpha, model.A.T @ w, atol=1e-15)
     np.testing.assert_allclose(beta, model.B.T @ w, atol=1e-15)
@@ -204,7 +209,7 @@ def test_der_signals_two_feeders_use_global_layout(limits):
     problem = build_problem(make_system(n_feeders=2), limits)
     rng = np.random.default_rng(4)
     mu = rng.uniform(0.0, 1.0, 12)
-    alpha, _ = der_signals(problem.models, DualState(lam=0.0, mu=mu))
+    alpha, _ = np.split(der_signals(problem.models, DualState(lam=0.0, mu=mu)), 2)
     w = mu[:6] - mu[6:]
     for model in problem.models:
         sl = model.span
@@ -216,10 +221,10 @@ def test_der_signals_zero_lambda_baseline():
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])
     y = DualState(lam=-2.0, mu=mu)
-    with_lam, _ = der_signals(problem.models, y)
-    hidden, _ = der_signals(problem.models, y, zero_lambda=True)
+    with_lam = der_signals(problem.models, y)
+    hidden = der_signals(problem.models, y, zero_lambda=True)
     y_mu_only = DualState(lam=0.0, mu=mu)
-    mu_only, _ = der_signals(problem.models, y_mu_only)
+    mu_only = der_signals(problem.models, y_mu_only)
     np.testing.assert_allclose(hidden, mu_only, atol=1e-15)
     assert not np.allclose(hidden, with_lam)
 
@@ -275,10 +280,11 @@ def test_measure_linear_matches_model(limits):
     problem = build_problem(make_system(n_feeders=2), limits)
     x, _ = initial_state(problem)
     rng = np.random.default_rng(5)
-    x = PrimalState(
-        p=rng.uniform(problem.p_lo, problem.p_hi),
-        q=rng.uniform(problem.q_lo, problem.q_hi),
-        P_M=x.P_M,
+    N = problem.n_nodes
+    x = primal(
+        rng.uniform(problem.lo[:N], problem.hi[:N]),
+        rng.uniform(problem.lo[N : 2 * N], problem.hi[N : 2 * N]),
+        x.P_M,
     )
     meas = measure(problem, x, feedback="linear", tag=7)
     assert meas.source == "linear" and meas.tag == 7
@@ -317,35 +323,27 @@ def test_gradients_match_finite_differences(limits, rng):
     )
     eta = 0.07
     account = SlackAccount(P0_slack=0.4)
-    x = PrimalState(
-        p=rng.uniform(-0.01, 0.01, problem.n_nodes),
-        q=rng.uniform(-0.01, 0.01, problem.n_nodes),
-        P_M=rng.uniform(1.0, 3.0, 2),
+    x = primal(
+        rng.uniform(-0.01, 0.01, problem.n_nodes),
+        rng.uniform(-0.01, 0.01, problem.n_nodes),
+        rng.uniform(1.0, 3.0, 2),
     )
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 6))
 
-    dp, dq, dP = grad_primal(problem, x, y)
+    dx = grad_primal(problem, x, y)
     dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
 
     def L(x_, y_):
         return eval_lagrangian(problem, x_, y_, account=account, eta=eta)
 
     h = 1e-6
-    for i in range(problem.n_nodes):
-        e = np.zeros(problem.n_nodes)
+    assert len(dx) == len(x.z) == 2 * problem.n_nodes + 2
+    for i in range(len(x.z)):  # every p, then every q, then every P_M
+        e = np.zeros(len(x.z))
         e[i] = h
-        fd = (L(dataclasses.replace(x, p=x.p + e), y)
-              - L(dataclasses.replace(x, p=x.p - e), y)) / (2 * h)
-        assert dp[i] == pytest.approx(fd, abs=1e-7)
-        fd = (L(dataclasses.replace(x, q=x.q + e), y)
-              - L(dataclasses.replace(x, q=x.q - e), y)) / (2 * h)
-        assert dq[i] == pytest.approx(fd, abs=1e-7)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        fd = (L(dataclasses.replace(x, P_M=x.P_M + e), y)
-              - L(dataclasses.replace(x, P_M=x.P_M - e), y)) / (2 * h)
-        assert dP[i] == pytest.approx(fd, abs=1e-7)
+        fd = (L(dataclasses.replace(x, z=x.z + e), y)
+              - L(dataclasses.replace(x, z=x.z - e), y)) / (2 * h)
+        assert dx[i] == pytest.approx(fd, abs=1e-7)
     fd = (L(x, dataclasses.replace(y, lam=y.lam + h))
           - L(x, dataclasses.replace(y, lam=y.lam - h))) / (2 * h)
     assert dlam == pytest.approx(fd, abs=1e-7)
@@ -361,7 +359,7 @@ def test_gradients_match_finite_differences(limits, rng):
 @pytest.mark.parametrize("feedback", ["linear", "ac"])
 def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lambda):
     # the round's arithmetic is the gradients above, bit for bit: the
-    # primal blocks step along grad_primal (with the balance price hidden
+    # primal vector steps along grad_primal (with the balance price hidden
     # from the DERs in the baseline), the duals along grad_dual at the
     # round's own measurement
     problem = build_problem(make_system(n_feeders=2), limits)
@@ -370,10 +368,11 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
         eps=eps, eta=eta, feedback=feedback, zero_lambda_to_ders=zero_lambda
     )
     account = SlackAccount(P0_slack=0.4)
-    x = PrimalState(
-        p=rng.uniform(problem.p_lo, problem.p_hi),
-        q=rng.uniform(problem.q_lo, problem.q_hi),
-        P_M=rng.uniform(1.0, 3.0, problem.n_generators),
+    N = problem.n_nodes
+    x = primal(
+        rng.uniform(problem.lo[:N], problem.hi[:N]),
+        rng.uniform(problem.lo[N : 2 * N], problem.hi[N : 2 * N]),
+        rng.uniform(1.0, 3.0, problem.n_generators),
     )
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
 
@@ -381,17 +380,11 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
 
     if zero_lambda:
         signals = der_signals(problem.models, y, zero_lambda=True)
-        dp, dq, dP = grad_primal(problem, x, y, signals)
+        dx = grad_primal(problem, x, y, signals)
     else:
-        dp, dq, dP = grad_primal(problem, x, y)
+        dx = grad_primal(problem, x, y)
     np.testing.assert_array_equal(
-        out.x.p, np.clip(x.p - eps * dp, problem.p_lo, problem.p_hi)
-    )
-    np.testing.assert_array_equal(
-        out.x.q, np.clip(x.q - eps * dq, problem.q_lo, problem.q_hi)
-    )
-    np.testing.assert_array_equal(
-        out.x.P_M, np.clip(x.P_M - eps * dP, problem.gen_lo, problem.gen_hi)
+        out.x.z, np.clip(x.z - eps * dx, problem.lo, problem.hi)
     )
 
     meas = out.measurement
@@ -435,10 +428,7 @@ def test_total_cost_arithmetic(limits):
     problem = build_problem(
         make_system(n_feeders=1, gen_specs=[(1, 2.0)]), limits
     )
-    x = PrimalState(
-        p=np.array([0.0, 0.1, 0.2]), q=np.array([0.0, 0.0, 0.3]),
-        P_M=np.array([3.0]),
-    )
+    x = primal([0.0, 0.1, 0.2], [0.0, 0.0, 0.3], [3.0])
     # [TRIVIAL] 2*9 + 1*(0.01 + 0.04) + 0.1*0.09, DERs on nodes 3 and 4
     assert total_cost(problem, x) == pytest.approx(18.0 + 0.05 + 0.009)
 
@@ -474,8 +464,9 @@ def dense_operator(problem, eta: float) -> np.ndarray:
     xdim = 2 * N + problem.n_generators
     ydim = 2 * N + 1
     F = np.zeros((xdim + ydim, xdim + ydim))
-    curvature = [2.0 * problem.a_p, 2.0 * problem.a_q, 2.0 * problem.gen_coef]
-    np.fill_diagonal(F, np.concatenate([*curvature, np.full(ydim, float(eta))]))
+    np.fill_diagonal(
+        F, np.concatenate([2.0 * problem.coef, np.full(ydim, float(eta))])
+    )
     C = F[:xdim, xdim:]
     for model in problem.models:
         sl = model.span
@@ -594,17 +585,29 @@ def test_check_stepsize_without_costs_certifies_nothing():
 # events
 # ---------------------------------------------------------------------------
 
-def test_generator_outage_event(limits):
+def test_generator_outage_event(limits, rng):
     problem = build_problem(make_system(), limits)
+    N = problem.n_nodes
+    # DER setpoints away from zero, so leaving them alone is visible
     x, _ = initial_state(problem)
-    P_before = x.P_M.copy()
+    x = primal(
+        rng.uniform(problem.lo[:N], problem.hi[:N]),
+        rng.uniform(problem.lo[N : 2 * N], problem.hi[N : 2 * N]),
+        x.P_M,
+    )
+    z_before = x.z.copy()
     tripped, x2 = apply_event(problem, x, GeneratorOutage(iteration=5, bus_id=2))
     assert x2.P_M[1] == 0.0
-    assert tripped.gen_lo[1] == tripped.gen_hi[1] == 0.0
+    assert tripped.lo[2 * N + 1] == tripped.hi[2 * N + 1] == 0.0
     assert x2.P_M[0] == x.P_M[0]
+    # the outage changes only the coordinate it names
+    untouched = np.arange(len(x.z)) != 2 * N + 1
+    np.testing.assert_array_equal(x2.z[untouched], z_before[untouched])
+    np.testing.assert_array_equal(tripped.lo[untouched], problem.lo[untouched])
+    np.testing.assert_array_equal(tripped.hi[untouched], problem.hi[untouched])
     # the caller's problem and state are left as they were
-    assert problem.gen_hi[1] == 10.0
-    np.testing.assert_array_equal(x.P_M, P_before)
+    assert problem.hi[2 * N + 1] == 10.0
+    np.testing.assert_array_equal(x.z, z_before)
 
 
 def test_outage_unknown_bus(limits):
@@ -617,13 +620,18 @@ def test_outage_unknown_bus(limits):
 
 def test_der_capacity_scale_event(limits):
     problem = build_problem(make_system(n_feeders=1), limits)
-    x, _ = initial_state(problem)
-    x = dataclasses.replace(x, p=problem.p_hi.copy())
-    hi_before = problem.p_hi.copy()
+    N = problem.n_nodes
+    # DERs at the top of their boxes; generators outside theirs ([0, 10])
+    x = primal(problem.hi[:N], problem.hi[N : 2 * N], [99.0, -5.0])
+    hi_before = problem.hi.copy()
     scaled, x2 = apply_event(problem, x, DerCapacityScale(iteration=5, factor=0.5))
-    np.testing.assert_allclose(scaled.p_hi, hi_before * 0.5)
-    np.testing.assert_allclose(x2.p, scaled.p_hi)  # re-clipped into the box
-    np.testing.assert_array_equal(problem.p_hi, hi_before)  # caller's copy kept
+    np.testing.assert_array_equal(scaled.hi[: 2 * N], hi_before[: 2 * N] * 0.5)
+    np.testing.assert_array_equal(x2.z[: 2 * N], scaled.hi[: 2 * N])  # re-clipped
+    # the rescale leaves every generator bit alone, even outside its box
+    np.testing.assert_array_equal(x2.P_M, [99.0, -5.0])
+    np.testing.assert_array_equal(scaled.lo[2 * N :], problem.lo[2 * N :])
+    np.testing.assert_array_equal(scaled.hi[2 * N :], problem.hi[2 * N :])
+    np.testing.assert_array_equal(problem.hi, hi_before)  # caller's copy kept
     with pytest.raises(ValueError, match="positive"):
         DerCapacityScale(iteration=5, factor=0.0)
 
@@ -727,10 +735,7 @@ def test_problem_can_be_reused_after_an_event_run(limits):
     # must equal a run on a freshly built one
     system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
     problem = build_problem(system, limits)
-    arrays = {
-        name: getattr(problem, name).copy()
-        for name in ("gen_lo", "gen_hi", "p_lo", "p_hi", "q_lo", "q_hi")
-    }
+    arrays = {name: getattr(problem, name).copy() for name in ("coef", "lo", "hi")}
     cfg = SolverConfig(eps=0.01, max_iter=80, tol_primal=0.0, tol_dual=0.0,
                        tol_balance=0.0)
     events = (

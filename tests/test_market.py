@@ -10,7 +10,6 @@ instead of silently degrading.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -42,7 +41,7 @@ from tdcoopt.market import (
 )
 from tdcoopt.network import VoltageLimits
 
-from conftest import make_system, make_ts
+from conftest import make_system, primal
 
 LIMITS = VoltageLimits(v_min=0.95, v_max=1.05)
 EVENTS = (
@@ -114,7 +113,8 @@ def test_agents_follow_the_events_of_the_problem(events):
     )
     x0, _ = initial_state(problem)
     # start at the top of every DER box, so a cut must move the setpoints
-    x0 = dataclasses.replace(x0, p=problem.p_hi.copy(), q=problem.q_hi.copy())
+    N = problem.n_nodes
+    x0 = primal(problem.hi[:N], problem.hi[N : 2 * N], x0.P_M)
     for max_iter in (3, 6):
         cfg = SolverConfig(eps=0.01, max_iter=max_iter, tol_primal=0.0,
                            tol_dual=0.0, tol_balance=0.0)
@@ -126,7 +126,7 @@ def test_agents_follow_the_events_of_the_problem(events):
     if isinstance(events[0], GeneratorOutage):
         assert market_x.P_M[1] == 0.0
     else:
-        assert np.all(market_x.p <= 0.5 * problem.p_hi)
+        assert np.all(market_x.p <= 0.5 * problem.hi[:N])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_market_seeds_agents_from_x0():
     system = make_system(n_feeders=1)
     problem = build_problem(system, LIMITS)
     x0, y0 = initial_state(problem)
-    x0 = dataclasses.replace(x0, p=np.array([0.0, 0.01, 0.02]))
+    x0 = primal([0.0, 0.01, 0.02], x0.q, x0.P_M)
     cfg = SolverConfig(eps=0.01, max_iter=0)
     res = run_market(problem, cfg, x0=x0, y0=y0)
     np.testing.assert_allclose(res.x.p, [0.0, 0.01, 0.02])
@@ -198,12 +198,15 @@ def test_best_response_fixpoint_is_box_clamped_optimum():
     assert res.converged
     from tdcoopt.core import der_signals
 
-    alpha, beta = der_signals(problem.models, res.y)
-    for g in np.flatnonzero(problem.a_p):
+    prices = der_signals(problem.models, res.y)
+    N = problem.n_nodes
+    lo, hi = problem.lo, problem.hi
+    for g in np.flatnonzero(problem.coef[:N]):
+        h = N + g  # the DER's q coordinate, in z and in the prices
         p_star, q_star = user_best_response(
-            (float(alpha[g]), float(beta[g])),
-            (problem.a_p[g], problem.a_q[g]),
-            (problem.p_lo[g], problem.p_hi[g], problem.q_lo[g], problem.q_hi[g]),
+            (float(prices[g]), float(prices[h])),
+            (problem.coef[g], problem.coef[h]),
+            (lo[g], hi[g], lo[h], hi[h]),
         )
         assert res.x.p[g] == pytest.approx(p_star, abs=1e-7)
         assert res.x.q[g] == pytest.approx(q_star, abs=1e-7)
@@ -274,13 +277,12 @@ def test_journal_is_json_dumpable_and_private():
 
 def test_incentive_signals_jsonable():
     signals = IncentiveSignals(
-        alpha=np.array([0.1]), beta=np.array([0.2]),
-        lambda_broadcast=-1.0, iteration_tag=4,
+        prices=np.array([0.1, 0.2]), lambda_broadcast=-1.0, iteration_tag=4,
     )
     msg = AgentMessage("signal-broadcast", "operator", 4, signals)
     encoded = json.loads(json.dumps(msg.to_jsonable()))
     assert encoded["payload"]["lambda"] == -1.0
-    assert encoded["payload"]["alpha"] == [0.1]
+    assert encoded["payload"]["prices"] == [0.1, 0.2]
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,17 @@ def test_transmission_validation_duplicate_bus():
         validate_transmission(ts)
 
 
+def test_transmission_validation_two_generators_on_one_bus():
+    # generators are named by their bus (trace columns, summary, market
+    # agents, outage events), so a second one on a bus is refused
+    raw = json.loads((CASES_DIR / "gen9.json").read_text())
+    first = next(g for g in raw["generators"] if g["bus"] == 1)
+    raw["generators"].append(dict(first))
+    with pytest.raises(CaseError, match="two generators on bus 1") as exc:
+        parse_case(json.dumps(raw))
+    assert exc.value.element == 1
+
+
 def test_transmission_validation_unknown_slack():
     ts = TransmissionSystem(
         name="t",

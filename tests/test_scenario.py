@@ -525,6 +525,23 @@ def test_cli_run_iteration_limit_exit_2(tmp_path, capsys):
     assert "not-converged" in capsys.readouterr().out
 
 
+def test_cli_run_keeps_the_scenario_files_seed(tmp_path, capsys):
+    # without --seed the file's seed holds, also for a random start that
+    # needs one; with --seed the flag wins
+    raw = json.loads((SCENARIOS_DIR / "dispatch9.json").read_text())
+    raw["transmission"] = str(CASES_DIR / "gen9.json")
+    raw["init"] = {"mode": "random"}
+    raw["seed"] = 7
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(raw))
+    for flags, seed in (([], 7), (["--seed", "3"], 3)):
+        out = tmp_path / str(seed)
+        argv = ["run", str(path), "--out", str(out), "--max-iter", "5"]
+        assert main(argv + flags) == 2, capsys.readouterr().err
+        summary = json.loads((out / "dispatch9_summary.json").read_text())
+        assert summary["seed"] == seed
+
+
 def test_cli_run_error_exit_1(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == 1
