@@ -6,6 +6,14 @@ I^2 z losses with voltages from the previous pass, the forward pass
 propagates squared voltage magnitudes down from the substation.  The fixed
 point satisfies the exact single-phase branch-flow equations.
 
+:func:`sweep_feeder` runs the sweep in C (``_sweep.c``, through
+``ctypes``): compiled with the system ``cc`` at the first AC sweep,
+cached under ``$XDG_CACHE_HOME/tdcoopt`` by the sha256 of source and
+flags, and bound to each feeder through the addresses of its compiled
+tree arrays.  The kernel repeats :func:`_sweep_python` operation for
+operation, so both give the same bits; the Python sweep is the reference
+and runs where no kernel can be built.
+
 The transmission level stays lossless: the slack bus supplies whatever the
 generators, feeders, and fixed injections do not, and its recorded initial
 output turns the power-balance constraint into a deviation-from-start
@@ -14,9 +22,16 @@ residual that is independent of any globally consistent load data.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import math
-import operator
+import os
+import shutil
+import stat
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +51,8 @@ __all__ = [
     "record_slack",
     "slack_residual",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class SweepDivergence(RuntimeError):
@@ -73,11 +90,80 @@ def sweep_feeder(
     (positive = generation).  ``v_init`` warm-starts the voltage profile;
     the default is a flat start at the substation voltage.
 
+    Runs the compiled kernel, or :func:`_sweep_python` where none can be
+    built; both give the same bits.
+
     Raises :class:`SweepDivergence` on non-convergence or voltage collapse.
     """
     n = model.n_nodes
     if len(p) != n or len(q) != n:
         raise ValueError(f"injection vectors must have length {n}")
+    if v_init is not None and len(v_init) != n:
+        raise ValueError(f"v_init must have length {n}")
+    kernel = _sweep_kernel()
+    if kernel is None:
+        return _sweep_python(model, p, q, tol, max_iter, v_init)
+
+    vector = ctypes.c_double * n
+    p_inj, q_inj, v_buf = vector(), vector(), vector()
+    np.add(model.p0, p, out=np.frombuffer(p_inj))
+    np.add(model.q0, q, out=np.frombuffer(q_inj))
+    v = np.frombuffer(v_buf)
+    v[:] = model.v0 if v_init is None else v_init
+
+    out = (ctypes.c_double * 4)()  # P_L, Q_L, loss, residual
+    info = (ctypes.c_int * 2)()  # iterations, collapsing node
+    order, parent, roots, r, x = model.tree_addresses
+    status = kernel(
+        n, order, parent, roots, len(model.roots), r, x, p_inj, q_inj,
+        model.v0, tol, max_iter, v_buf, out, info,
+    )
+    if status == _CONVERGED:
+        return SweepResult(
+            v=v, P_L=out[0], Q_L=out[1], loss=out[2],
+            iterations=info[0], residual=out[3],
+        )
+    if status == _COLLAPSE:
+        raise _collapse(model, info[1], info[0])
+    if status == _NOT_CONVERGED:
+        raise _not_converged(max_iter, out[3])
+    if status == _ZERO_VOLTAGE:
+        raise ZeroDivisionError("float division by zero")
+    raise MemoryError("sweep kernel could not allocate its scratch")
+
+
+def _collapse(model: LinearFeederModel, j: int, it: int) -> SweepDivergence:
+    return SweepDivergence(
+        f"voltage collapse at node {model.node_ids[j]} (iteration {it})",
+        iterations=it,
+        residual=math.inf,
+    )
+
+
+def _not_converged(max_iter: int, residual: float) -> SweepDivergence:
+    return SweepDivergence(
+        f"sweep did not converge within {max_iter} iterations "
+        f"(last voltage change {residual:.3e})",
+        iterations=max_iter,
+        residual=residual,
+    )
+
+
+def _sweep_python(
+    model: LinearFeederModel,
+    p: np.ndarray,
+    q: np.ndarray,
+    tol: float,
+    max_iter: int,
+    v_init: np.ndarray | None,
+) -> SweepResult:
+    """The sweep in plain Python: the reference the C kernel mirrors.
+
+    Arguments as :func:`sweep_feeder`, lengths already checked.  Sums are
+    accumulated left to right from 0.0, as in the kernel (``sum()`` of
+    floats is compensated from Python 3.12 on).
+    """
+    n = model.n_nodes
     topo = model.topology
     order = topo.order
     parent = topo.parent
@@ -91,8 +177,6 @@ def sweep_feeder(
     if v_init is None:
         v = [model.v0] * n
     else:
-        if len(v_init) != n:
-            raise ValueError(f"v_init must have length {n}")
         v = [float(vi) for vi in v_init]
 
     rev = order[::-1]
@@ -128,21 +212,19 @@ def sweep_feeder(
                 + (r[j] * r[j] + x[j] * x[j]) * ell[j]
             )
             if u_j <= 0.0:
-                raise SweepDivergence(
-                    f"voltage collapse at node {model.node_ids[j]} "
-                    f"(iteration {it})",
-                    iterations=it,
-                    residual=math.inf,
-                )
+                raise _collapse(model, j, it)
             v_new = math.sqrt(u_j)
             change = abs(v_new - v[j])
             if change > residual:
                 residual = change
             v[j] = v_new
         if residual < tol:
-            P_L = sum(P_send[j] for j in topo.roots)
-            Q_L = sum(Q_send[j] for j in topo.roots)
-            loss = sum(map(operator.mul, r, ell))
+            P_L = Q_L = loss = 0.0
+            for j in topo.roots:
+                P_L += P_send[j]
+                Q_L += Q_send[j]
+            for j in range(n):
+                loss += r[j] * ell[j]
             return SweepResult(
                 v=np.array(v),
                 P_L=P_L,
@@ -151,12 +233,103 @@ def sweep_feeder(
                 iterations=it,
                 residual=residual,
             )
-    raise SweepDivergence(
-        f"sweep did not converge within {max_iter} iterations "
-        f"(last voltage change {residual:.3e})",
-        iterations=max_iter,
-        residual=residual,
+    raise _not_converged(max_iter, residual)
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel
+# ---------------------------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_BUILD = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)
+# status codes of ``tdcoopt_sweep``, in the order of its enum
+_CONVERGED, _COLLAPSE, _NOT_CONVERGED, _ZERO_VOLTAGE = range(4)
+
+
+@functools.cache
+def _sweep_kernel():
+    """``tdcoopt_sweep`` from the cached build of ``_sweep.c``, or ``None``.
+
+    Built on the first call with the system C compiler; ``None`` (after
+    one logged line) where no compiler, no private cache directory or no
+    successful build is available.
+    """
+    cc = shutil.which("cc")
+    try:
+        if cc is None:
+            raise FileNotFoundError("no C compiler (cc) on PATH")
+        library = _build_kernel(cc, _cache_dir())
+        kernel = ctypes.CDLL(str(library)).tdcoopt_sweep
+    except OSError as exc:
+        logger.warning("compiled sweep unavailable, using the Python sweep: %s", exc)
+        return None
+    c_int, c_double, address = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    doubles = ctypes.POINTER(c_double)
+    kernel.argtypes = (
+        c_int, address, address, address, c_int, address, address,
+        doubles, doubles, c_double, c_double, c_int,
+        doubles, doubles, ctypes.POINTER(c_int),
     )
+    kernel.restype = c_int
+    return kernel
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/tdcoopt`` (default ``~/.cache/tdcoopt``).
+
+    Created with mode 0700; refused unless it is a real directory owned
+    by this user that nobody else can write to.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    directory = Path(base, "tdcoopt")
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = directory.lstat()
+    if (
+        not stat.S_ISDIR(st.st_mode)
+        or st.st_uid != os.getuid()
+        or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise PermissionError(f"{directory} is not a private directory")
+    return directory
+
+
+def _build_kernel(cc: str, directory: Path) -> Path:
+    """Path of the kernel library in ``directory``, compiled by ``cc`` if missing.
+
+    The file is named after the sha256 of the source and the build flags,
+    and compiled under a temporary name that is then renamed into place.
+    """
+    # imported on the first AC sweep only: hashlib loads OpenSSL (~4 MB
+    # resident) and subprocess adds ~0.4 MB, which linear runs never need
+    import hashlib
+    import subprocess
+
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_BUILD + _LIBS).encode()).hexdigest()
+    library = directory / f"sweep-{digest}.so"
+    if library.exists():
+        return library
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".so")
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [cc, *_BUILD, "-o", tmp, str(_SOURCE), *_LIBS],
+            capture_output=True, timeout=300,
+        )
+        if done.returncode != 0:
+            stderr = done.stderr.decode(errors="replace").strip()
+            first = (stderr.splitlines() or ["no output"])[0]
+            raise OSError(f"cc exited with status {done.returncode}: {first}")
+        os.replace(tmp, library)
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"cc did not finish within {exc.timeout} s") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return library
 
 
 def recompute_branch_mismatch(

@@ -235,7 +235,8 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     This is the one place a feeder is compiled (:func:`build_lindistflow`).
     Every cost coefficient must be positive: the costs must be strongly
     convex for the stepsize certificate, and ``coef`` is zero exactly
-    where no DER sits.
+    where no DER sits.  Each bus holds at most one generator, since events
+    name generators by bus.
     """
     models = tuple(
         build_lindistflow(f, offset)
@@ -246,8 +247,14 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     coef = np.zeros(2 * N + len(gens))
     lo = np.zeros(2 * N + len(gens))
     hi = np.zeros(2 * N + len(gens))
+    gen_bus = [g.bus_id for g in gens]
 
     for i, g in enumerate(gens, start=2 * N):
+        if gen_bus.count(g.bus_id) > 1:
+            raise CaseError(
+                f"generator@{g.bus_id}: two generators on one bus",
+                element=f"generator@{g.bus_id}",
+            )
         if g.cost_coefficient <= 0:
             raise CaseError(
                 f"generator@{g.bus_id}: cost coefficient must be positive, "
@@ -284,7 +291,7 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         limits=limits,
         models=models,
         fixed_injection=fixed_injection(system.transmission),
-        gen_bus=np.array([g.bus_id for g in gens], dtype=int),
+        gen_bus=np.array(gen_bus, dtype=int),
         coef=coef,
         lo=lo,
         hi=hi,
@@ -664,7 +671,7 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
             out[sl] = u
             out[N + sl.start : N + sl.stop] = -u
             # the lossless head draw, summed as ``predict`` sums it
-            head -= float(np.ones(model.n_nodes) @ p[sl])
+            head -= float(model.ones @ p[sl])
         out[-1] = float(np.sum(x[2 * N :])) - head
         return out
 

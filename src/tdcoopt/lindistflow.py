@@ -14,16 +14,17 @@ symmetric positive semidefinite by construction.  Losslessness makes every
 unit of local injection displace exactly one unit of head draw, and
 reactive injections do not move the head draw at all.
 
-The same model also carries what the exact sweep needs (topology, base
-injections, substation voltage) and where the feeder's nodes sit in the
-global node vectors, but no DER data: it is all the market operator may
-know about a feeder.  :func:`tdcoopt.core.build_problem` compiles each
-feeder once.
+The same model also carries what the exact sweep needs (topology, also
+as C arrays for the compiled sweep, base injections, substation voltage)
+and where the feeder's nodes sit in the global node vectors, but no DER
+data: it is all the market operator may know about a feeder.
+:func:`tdcoopt.core.build_problem` compiles each feeder once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +52,30 @@ class LinearFeederModel:
     q0: np.ndarray
     v0: float  # substation voltage magnitude
     span: slice  # the feeder's positions in the global node vectors
+    # ``topology`` as contiguous intc/float64 arrays, for the compiled sweep
+    order: np.ndarray
+    parent: np.ndarray
+    roots: np.ndarray
+    r: np.ndarray
+    x: np.ndarray
+    ones: np.ndarray  # the head draw's BLAS dot operand
 
     @property
     def n_nodes(self) -> int:
         return len(self.c)
+
+    @cached_property
+    def tree_addresses(self) -> tuple[int, ...]:
+        """Data addresses of ``order``, ``parent``, ``roots``, ``r``, ``x``."""
+        return tuple(
+            a.ctypes.data for a in (self.order, self.parent, self.roots, self.r, self.x)
+        )
+
+    def __getstate__(self):
+        # a copy holds copies of the arrays, so it takes its own addresses
+        state = dict(self.__dict__)
+        state.pop("tree_addresses", None)
+        return state
 
 
 def build_lindistflow(
@@ -83,7 +104,11 @@ def build_lindistflow(
     c = feeder.v0 + A @ p0 + B @ q0
     d = -float(np.sum(p0))
 
-    for arr in (A, B, c, p0, q0):
+    order = np.array(topo.order, dtype=np.intc)
+    parent = np.array(topo.parent, dtype=np.intc)
+    roots = np.array(topo.roots, dtype=np.intc)
+    ones = np.ones(n)
+    for arr in (A, B, c, p0, q0, order, parent, roots, r, x, ones):
         arr.flags.writeable = False
     return LinearFeederModel(
         feeder_id=feeder.feeder_id,
@@ -97,6 +122,12 @@ def build_lindistflow(
         q0=q0,
         v0=feeder.v0,
         span=slice(offset, offset + n),
+        order=order,
+        parent=parent,
+        roots=roots,
+        r=r,
+        x=x,
+        ones=ones,
     )
 
 
@@ -106,5 +137,5 @@ def predict(
     """Voltage profile and head draw for DER injections ``p``, ``q``."""
     v = model.c + model.A @ p + model.B @ q
     # a BLAS dot with ones, not np.sum: pairwise summation rounds differently
-    P_L = model.d - float(np.ones(len(p)) @ p)
+    P_L = model.d - float(model.ones @ p)
     return v, P_L

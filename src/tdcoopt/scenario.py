@@ -587,7 +587,7 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
             violation = np.maximum(violation, np.max(problem.limits.v_min - v, axis=1))
             # lossless head draw, as in ``predict``: a BLAS product with
             # ones, not np.sum
-            P_L += model.d - p[:, sl] @ np.ones(model.n_nodes)
+            P_L += model.d - p[:, sl] @ model.ones
         z[:, elim] = P_L - fixed_inj - P0 - (np.sum(P, axis=1) - z[:, elim])
         violation = np.maximum(violation, z[:, elim] - problem.hi[elim])
         violation = np.maximum(violation, problem.lo[elim] - z[:, elim])

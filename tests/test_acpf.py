@@ -10,13 +10,18 @@ conservation identities that hold exactly regardless of the data.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
+import os
+import shutil
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdcoopt import acpf
 from tdcoopt.acpf import (
     SlackAccount,
     SweepDivergence,
@@ -27,7 +32,7 @@ from tdcoopt.acpf import (
     sweep_feeder,
 )
 from tdcoopt.lindistflow import build_lindistflow
-from tdcoopt.network import parse_case
+from tdcoopt.network import DistributionFeeder, FeederLine, FeederNode, parse_case
 
 from conftest import CASES_DIR, make_chain_feeder, make_ts
 
@@ -54,11 +59,11 @@ def test_case33bw_published_solution():
     assert res.iterations <= 10
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["case33bw", "feeder4", "feeder18", "feeder22", "feeder42sce",
-     "feeder69", "feeder85", "feeder141"],
-)
+SHIPPED_FEEDERS = ["case33bw", "feeder4", "feeder18", "feeder22", "feeder42sce",
+                   "feeder69", "feeder85", "feeder141"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_FEEDERS)
 def test_sweep_is_a_branch_flow_fixed_point(name):
     # [DERIVED] rebuilding branch flows and voltages from the returned
     # profile must reproduce it to the sweep tolerance
@@ -163,6 +168,214 @@ def test_fixed_point_property(n_nodes, load, inj):
     assert recompute_branch_mismatch(model, p, q, res) < 1e-9
     consumed = n_nodes * load - p.sum()
     assert res.P_L == pytest.approx(consumed + res.loss, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel against the Python reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kernel():
+    # with a compiler on PATH, falling back to the Python sweep is a failure
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: sweep_feeder runs the Python sweep")
+    kernel = acpf._sweep_kernel()
+    assert kernel is not None, "cc is on PATH but the compiled sweep did not load"
+    return kernel
+
+
+def outcome(sweep, model, p, q, tol=1e-8, max_iter=100, v_init=None):
+    """Everything a sweep returns or raises, floats as their bytes."""
+    try:
+        res = sweep(model, p, q, tol, max_iter, v_init)
+    except (SweepDivergence, ZeroDivisionError) as exc:
+        residual = getattr(exc, "residual", None)
+        return (type(exc), str(exc), getattr(exc, "iterations", None),
+                None if residual is None else np.float64(residual).tobytes())
+    scalars = np.array([res.P_L, res.Q_L, res.loss, res.residual])
+    return res.v.tobytes(), scalars.tobytes(), res.iterations
+
+
+def assert_kernel_matches_reference(model, p, q, **kwargs):
+    fast = outcome(sweep_feeder, model, p, q, **kwargs)
+    assert fast == outcome(acpf._sweep_python, model, p, q, **kwargs)
+    return fast
+
+
+def test_sweep_feeder_runs_the_kernel(kernel, monkeypatch):
+    def reference(*args):
+        raise AssertionError("sweep_feeder ran the Python sweep")
+
+    monkeypatch.setattr(acpf, "_sweep_python", reference)
+    model = build_lindistflow(load_feeder("case33bw"))
+    zero = np.zeros(model.n_nodes)
+    assert sweep_feeder(model, zero, zero).iterations > 0
+
+
+@pytest.mark.parametrize("name", SHIPPED_FEEDERS)
+def test_kernel_matches_reference_on_shipped_feeders(kernel, name):
+    model = build_lindistflow(load_feeder(name))
+    n = model.n_nodes
+    rng = np.random.default_rng(sum(map(ord, name)))
+    zero = np.zeros(n)
+    cold = assert_kernel_matches_reference(model, zero, zero)
+    assert cold[2] > 1
+    for _ in range(3):
+        p = rng.uniform(-2e-3, 2e-3, n)
+        q = rng.uniform(-1e-3, 1e-3, n)
+        solved = sweep_feeder(model, p, q, tol=1e-12)
+        assert_kernel_matches_reference(model, p, q)
+        assert_kernel_matches_reference(model, p, q, tol=1e-12)
+        # warm starts: the solution itself, a nudged and a flat profile
+        assert_kernel_matches_reference(model, p, q, v_init=solved.v)
+        nudged = solved.v * rng.uniform(0.99, 1.01, n)
+        assert_kernel_matches_reference(model, p, q, v_init=nudged)
+        assert_kernel_matches_reference(model, p, q, v_init=np.ones(n))
+
+
+@st.composite
+def radial_feeders(draw):
+    """A random tree: each node hangs off an earlier one or the substation."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    ids = draw(st.permutations(range(2, n + 2)))
+    impedance = st.floats(min_value=1e-4, max_value=0.05)
+    heavy = draw(st.sampled_from([1.0, 30.0]))  # heavy feeders can collapse
+    load = st.floats(min_value=-4e-2 * heavy, max_value=1e-2)
+    nodes, lines = [], []
+    for k, node_id in enumerate(ids):
+        up = draw(st.integers(min_value=-1, max_value=k - 1))
+        parent = 1 if up < 0 else ids[up]
+        lines.append(FeederLine(parent, node_id, draw(impedance), draw(impedance)))
+        nodes.append(FeederNode(node_id, draw(load), draw(load)))
+    order = draw(st.permutations(range(n)))
+    return DistributionFeeder(
+        feeder_id="drawn", host_bus_id=None, base_mva=100.0, substation_id=1,
+        v0=draw(st.floats(min_value=0.95, max_value=1.05)),
+        nodes=tuple(nodes[k] for k in order),
+        lines=tuple(lines[k] for k in order),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    feeder=radial_feeders(),
+    data=st.data(),
+    max_iter=st.sampled_from([1, 3, 100]),
+    warm=st.booleans(),
+)
+def test_kernel_matches_reference_on_drawn_feeders(kernel, feeder, data, max_iter, warm):
+    # converged, collapsed and exhausted sweeps alike
+    model = build_lindistflow(feeder)
+    n = model.n_nodes
+    vectors = st.lists(st.floats(min_value=-2e-2, max_value=2e-2), min_size=n, max_size=n)
+    p = np.array(data.draw(vectors))
+    q = np.array(data.draw(vectors))
+    v_init = None
+    if warm:
+        v_init = np.array(data.draw(st.lists(
+            st.floats(min_value=0.5, max_value=1.2), min_size=n, max_size=n)))
+    assert_kernel_matches_reference(model, p, q, max_iter=max_iter, v_init=v_init)
+
+
+def test_kernel_matches_reference_on_collapse(kernel):
+    feeder = make_chain_feeder(n_nodes=3, load=2e-3, r=0.02)
+    heavy = dataclasses.replace(
+        feeder,
+        nodes=tuple(
+            dataclasses.replace(n, p_load=n.p_load * 5000) for n in feeder.nodes
+        ),
+    )
+    zero = np.zeros(3)
+    kind, message, iterations, residual = assert_kernel_matches_reference(
+        build_lindistflow(heavy), zero, zero
+    )
+    assert kind is SweepDivergence and "voltage collapse at node" in message
+    assert iterations >= 1 and residual == np.float64(math.inf).tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_kernel_matches_reference_when_iterations_run_out(kernel, max_iter):
+    model = build_lindistflow(load_feeder("case33bw"))
+    zero = np.zeros(model.n_nodes)
+    kind, message, iterations, _ = assert_kernel_matches_reference(
+        model, zero, zero, tol=1e-15, max_iter=max_iter
+    )
+    assert kind is SweepDivergence and "did not converge" in message
+    assert iterations == max_iter
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_kernel_matches_reference_on_a_zero_warm_start(kernel, where):
+    model = build_lindistflow(load_feeder("feeder18"))
+    v_init = np.ones(model.n_nodes)
+    v_init[model.order[where]] = 0.0
+    zero = np.zeros(model.n_nodes)
+    kind, message, _, _ = assert_kernel_matches_reference(
+        model, zero, zero, v_init=v_init
+    )
+    assert kind is ZeroDivisionError
+    with pytest.raises(ZeroDivisionError):
+        sweep_feeder(model, zero, zero, v_init=v_init)
+
+
+# ---------------------------------------------------------------------------
+# building and caching the kernel
+# ---------------------------------------------------------------------------
+
+def test_kernel_is_cached_under_xdg_cache_home(kernel, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    directory = acpf._cache_dir()
+    assert directory == tmp_path / "tdcoopt"
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+    cc = shutil.which("cc")
+    library = acpf._build_kernel(cc, directory)
+    assert library.parent == directory and library.name.startswith("sweep-")
+    assert [p.name for p in directory.iterdir()] == [library.name]  # no temporaries
+    built = library.stat().st_mtime_ns
+    assert acpf._build_kernel(cc, directory) == library
+    assert library.stat().st_mtime_ns == built
+
+
+def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert acpf._cache_dir() == tmp_path / ".cache" / "tdcoopt"
+
+
+@pytest.mark.parametrize("kind", ["shared", "symlink"])
+def test_cache_dir_must_be_private(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if kind == "shared":
+        (tmp_path / "tdcoopt").mkdir()
+        os.chmod(tmp_path / "tdcoopt", 0o777)
+    else:
+        (tmp_path / "elsewhere").mkdir(mode=0o700)
+        (tmp_path / "tdcoopt").symlink_to(tmp_path / "elsewhere")
+    with pytest.raises(PermissionError, match="not a private directory"):
+        acpf._cache_dir()
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", "shared-cache", "bad-build"])
+def test_kernel_falls_back_with_one_logged_line(tmp_path, monkeypatch, caplog, failure):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if failure == "no-compiler":
+        monkeypatch.setattr(acpf.shutil, "which", lambda name: None)
+    elif failure == "shared-cache":
+        (tmp_path / "tdcoopt").mkdir()
+        os.chmod(tmp_path / "tdcoopt", 0o777)
+    else:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(acpf, "_SOURCE", broken)
+    with caplog.at_level(logging.WARNING, logger="tdcoopt.acpf"):
+        assert acpf._sweep_kernel.__wrapped__() is None
+    assert len(caplog.records) == 1
+    assert "using the Python sweep" in caplog.records[0].getMessage()
+    if failure == "no-compiler":
+        assert not (tmp_path / "tdcoopt").exists()
+    assert not list(tmp_path.glob("tdcoopt/*.so"))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ def test_build_problem_rejects_nonpositive_costs(limits):
     assert exc.value.element == f"der@f0:{bad.node_id}"
 
 
+def test_build_problem_rejects_two_generators_on_one_bus(limits):
+    # an outage names its generator by bus; with two on bus 1 it would
+    # trip only the first and leave the second dispatching
+    system = make_system(n_feeders=1)
+    ts = system.transmission
+    twin = dataclasses.replace(ts, generators=(ts.generators[0],) * 2)
+    with pytest.raises(CaseError, match="generator@1.*two generators") as exc:
+        build_problem(attach_feeders(twin, system.feeders), limits)
+    assert exc.value.element == "generator@1"
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="eps"):
         SolverConfig(eps=0.0)

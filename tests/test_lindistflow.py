@@ -10,6 +10,8 @@ acceptance suite; here a small chain confirms the same behavior cheaply.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,32 @@ def test_model_is_frozen():
     model = build_lindistflow(make_chain_feeder(n_nodes=3))
     with pytest.raises(ValueError, match="read-only"):
         model.A[0, 0] = 99.0
+
+
+def test_model_holds_the_tree_as_c_arrays():
+    # the compiled sweep reads these through their addresses, taken once
+    feeder = parse_case((CASES_DIR / "feeder18.json").read_text())
+    model = build_lindistflow(feeder)
+    topo = model.topology
+    for name, dtype in [("order", np.intc), ("parent", np.intc),
+                        ("roots", np.intc), ("r", np.float64),
+                        ("x", np.float64), ("ones", np.float64)]:
+        arr = getattr(model, name)
+        assert arr.dtype == dtype and arr.flags.c_contiguous, name
+        assert not arr.flags.writeable, name
+    assert model.order.tolist() == list(topo.order)
+    assert model.parent.tolist() == list(topo.parent)
+    assert model.roots.tolist() == list(topo.roots)
+    assert model.r.tolist() == list(topo.r) and model.x.tolist() == list(topo.x)
+    assert model.ones.tolist() == [1.0] * model.n_nodes
+    assert model.tree_addresses is model.tree_addresses
+    assert model.tree_addresses[0] == model.order.ctypes.data
+    # a copy owns copies of the arrays, so it must not reuse the addresses
+    twin = copy.deepcopy(model)
+    assert twin.tree_addresses == tuple(
+        a.ctypes.data for a in (twin.order, twin.parent, twin.roots, twin.r, twin.x)
+    )
+    assert set(twin.tree_addresses).isdisjoint(model.tree_addresses)
 
 
 @settings(deadline=None, max_examples=40)
