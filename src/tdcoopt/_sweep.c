@@ -5,28 +5,38 @@
  * and plain left-to-right sums.  Built without -ffast-math and with
  * -ffp-contract=off, so every result matches the Python sweep bit for bit.
  *
- * order/parent/roots, r/x: the feeder tree (parent -1 at the substation).
- * p_inj/q_inj: net nodal injections.  v: the starting voltages on entry,
- * the solution on success.  out: P_L, Q_L, loss, residual.  info: the
- * iteration count, then the collapsing node's position.
+ * Every buffer lives in the feeder's workspace (acpf.SweepWorkspace), bound
+ * once per feeder model, so a call allocates nothing.  order/parent/roots,
+ * r/x: the feeder tree (parent -1 at the substation).  p_inj/q_inj: net
+ * nodal injections.  v: the starting voltages on entry, the solution on
+ * success.  out: P_L, Q_L, loss, residual.  info: the iteration count,
+ * then the collapsing node's position.  scratch: 5n doubles, each written
+ * before it is read in every pass.
  */
 #include <math.h>
-#include <stdlib.h>
 
-enum { CONVERGED, COLLAPSE, NOT_CONVERGED, ZERO_VOLTAGE, NO_MEMORY };
+enum { CONVERGED, COLLAPSE, NOT_CONVERGED, ZERO_VOLTAGE };
 
-int tdcoopt_sweep(int n, const int *order, const int *parent,
-                  const int *roots, int n_roots, const double *r,
-                  const double *x, const double *p_inj, const double *q_inj,
-                  double v0, double tol, int max_iter, double *v,
-                  double *out, int *info)
+/* mirrored field for field by acpf._Sweep */
+struct sweep {
+    const int *order, *parent, *roots;
+    const double *r, *x, *p_inj, *q_inj;
+    double *v, *out, *scratch;
+    int *info;
+    double v0, tol;
+    int n, n_roots, max_iter;
+};
+
+int tdcoopt_sweep(const struct sweep *s)
 {
-    double *P_send = malloc(5 * (size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (P_send == NULL)
-        return NO_MEMORY;
-    double *Q_send = P_send + n, *ell = Q_send + n;
+    const int n = s->n, n_roots = s->n_roots, max_iter = s->max_iter;
+    const int *order = s->order, *parent = s->parent, *roots = s->roots;
+    const double *r = s->r, *x = s->x, *p_inj = s->p_inj, *q_inj = s->q_inj;
+    double *v = s->v, *out = s->out;
+    int *info = s->info;
+    double *P_send = s->scratch, *Q_send = P_send + n, *ell = Q_send + n;
     double *P_recv = ell + n, *Q_recv = P_recv + n;
-    double v0_sq = v0 * v0;
+    double tol = s->tol, v0_sq = s->v0 * s->v0;
     double residual = INFINITY;
     int status = NOT_CONVERGED;
 
@@ -94,6 +104,5 @@ int tdcoopt_sweep(int n, const int *order, const int *parent,
         info[0] = max_iter;
 done:
     out[3] = residual;
-    free(P_send);
     return status;
 }

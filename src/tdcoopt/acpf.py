@@ -7,10 +7,16 @@ propagates squared voltage magnitudes down from the substation.  The fixed
 point satisfies the exact single-phase branch-flow equations.
 
 :func:`sweep_feeder` runs the sweep in C (``_sweep.c``, through
-``ctypes``): compiled with the system ``cc`` at the first AC sweep,
-cached under ``$XDG_CACHE_HOME/tdcoopt`` by the sha256 of source and
-flags, and bound to each feeder through the addresses of its compiled
-tree arrays.  The kernel repeats :func:`_sweep_python` operation for
+``ctypes``): compiled with the system ``cc`` at the first AC sweep and
+cached under ``$XDG_CACHE_HOME/tdcoopt``, named by the CRC-32 and length
+of source and flags and checked byte for byte against a stored copy of
+them before it is loaded.  Each feeder model is bound to the kernel once:
+its :class:`SweepWorkspace` holds the injection, voltage and result
+buffers, the kernel's scratch and one C struct pointing at all of them
+and at the model's tree arrays, so a call writes the injections and the
+starting voltages and passes a single pointer.  A workspace is reused by
+every sweep of its model, so one model must not be swept from two
+threads at once.  The kernel repeats :func:`_sweep_python` operation for
 operation, so both give the same bits; the Python sweep is the reference
 and runs where no kernel can be built.
 
@@ -30,6 +36,7 @@ import os
 import shutil
 import stat
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,9 +71,9 @@ class SweepDivergence(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepResult:
-    """Single-feeder slice of an AC solution."""
+    """Single-feeder slice of an AC solution; ``v`` is its own array."""
 
     v: np.ndarray  # node voltage magnitudes, p.u.
     P_L: float  # real power entering at the substation (positive = draw)
@@ -104,32 +111,25 @@ def sweep_feeder(
     if kernel is None:
         return _sweep_python(model, p, q, tol, max_iter, v_init)
 
-    vector = ctypes.c_double * n
-    p_inj, q_inj, v_buf = vector(), vector(), vector()
-    np.add(model.p0, p, out=np.frombuffer(p_inj))
-    np.add(model.q0, q, out=np.frombuffer(q_inj))
-    v = np.frombuffer(v_buf)
-    v[:] = model.v0 if v_init is None else v_init
-
-    out = (ctypes.c_double * 4)()  # P_L, Q_L, loss, residual
-    info = (ctypes.c_int * 2)()  # iterations, collapsing node
-    order, parent, roots, r, x = model.tree_addresses
-    status = kernel(
-        n, order, parent, roots, len(model.roots), r, x, p_inj, q_inj,
-        model.v0, tol, max_iter, v_buf, out, info,
-    )
+    ws = model.sweep_workspace
+    np.add(model.p0, p, out=ws.p_inj)
+    np.add(model.q0, q, out=ws.q_inj)
+    ws.v[:] = model.v0 if v_init is None else v_init
+    ws.sweep.tol = tol
+    ws.sweep.max_iter = max_iter
+    status = kernel(ws.address)
     if status == _CONVERGED:
+        P_L, Q_L, loss, residual = ws.out.tolist()
         return SweepResult(
-            v=v, P_L=out[0], Q_L=out[1], loss=out[2],
-            iterations=info[0], residual=out[3],
+            v=ws.v.copy(), P_L=P_L, Q_L=Q_L, loss=loss,
+            iterations=int(ws.info[0]), residual=residual,
         )
     if status == _COLLAPSE:
-        raise _collapse(model, info[1], info[0])
+        iterations, j = ws.info.tolist()
+        raise _collapse(model, j, iterations)
     if status == _NOT_CONVERGED:
-        raise _not_converged(max_iter, out[3])
-    if status == _ZERO_VOLTAGE:
-        raise ZeroDivisionError("float division by zero")
-    raise MemoryError("sweep kernel could not allocate its scratch")
+        raise _not_converged(max_iter, float(ws.out[3]))
+    raise ZeroDivisionError("float division by zero")
 
 
 def _collapse(model: LinearFeederModel, j: int, it: int) -> SweepDivergence:
@@ -247,6 +247,56 @@ _LIBS = ("-lm",)
 _CONVERGED, _COLLAPSE, _NOT_CONVERGED, _ZERO_VOLTAGE = range(4)
 
 
+class _Sweep(ctypes.Structure):
+    """``struct sweep`` of ``_sweep.c``, field for field."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "order", "parent", "roots", "r", "x", "p_inj", "q_inj",
+            "v", "out", "scratch", "info",
+        )),
+        ("v0", ctypes.c_double),
+        ("tol", ctypes.c_double),
+        ("n", ctypes.c_int),
+        ("n_roots", ctypes.c_int),
+        ("max_iter", ctypes.c_int),
+    ]
+
+
+class SweepWorkspace:
+    """One feeder model bound to the compiled sweep: its buffers and struct.
+
+    Built once per model (``LinearFeederModel.sweep_workspace``) and reused
+    by every :func:`sweep_feeder` call on it, so a call allocates nothing
+    but the copy of ``v`` it returns.  ``sweep`` points at the buffers here
+    and at the model's read-only tree arrays, all kept alive in ``arrays``;
+    ``address`` is the struct's address, the kernel's one argument.  Not
+    to be shared across threads.
+    """
+
+    __slots__ = (
+        "p_inj", "q_inj", "v", "out", "info", "scratch", "arrays", "sweep", "address",
+    )
+
+    def __init__(self, model: LinearFeederModel):
+        n = model.n_nodes
+        self.p_inj = np.empty(n)
+        self.q_inj = np.empty(n)
+        self.v = np.empty(n)
+        self.out = np.zeros(4)  # P_L, Q_L, loss, residual
+        self.info = np.zeros(2, dtype=np.intc)  # iterations, collapsing node
+        self.scratch = np.empty(5 * n)
+        self.arrays = (
+            model.order, model.parent, model.roots, model.r, model.x,
+            self.p_inj, self.q_inj, self.v, self.out, self.scratch, self.info,
+        )
+        self.sweep = _Sweep(
+            *(a.ctypes.data for a in self.arrays),
+            v0=model.v0, n=n, n_roots=len(model.roots),
+        )
+        self.address = ctypes.addressof(self.sweep)
+
+
 @functools.cache
 def _sweep_kernel():
     """``tdcoopt_sweep`` from the cached build of ``_sweep.c``, or ``None``.
@@ -264,14 +314,8 @@ def _sweep_kernel():
     except OSError as exc:
         logger.warning("compiled sweep unavailable, using the Python sweep: %s", exc)
         return None
-    c_int, c_double, address = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-    doubles = ctypes.POINTER(c_double)
-    kernel.argtypes = (
-        c_int, address, address, address, c_int, address, address,
-        doubles, doubles, c_double, c_double, c_int,
-        doubles, doubles, ctypes.POINTER(c_int),
-    )
-    kernel.restype = c_int
+    kernel.argtypes = (ctypes.c_void_p,)  # a SweepWorkspace's address
+    kernel.restype = ctypes.c_int
     return kernel
 
 
@@ -299,19 +343,24 @@ def _cache_dir() -> Path:
 def _build_kernel(cc: str, directory: Path) -> Path:
     """Path of the kernel library in ``directory``, compiled by ``cc`` if missing.
 
-    The file is named after the sha256 of the source and the build flags,
-    and compiled under a temporary name that is then renamed into place.
+    The key is the source followed by the build flags.  The library is
+    named after the key's CRC-32 and length, and a copy of the key sits
+    beside it (``.key``); a library is used only when that copy equals
+    the key byte for byte, and rebuilt otherwise.  Each file is written
+    under a temporary name and renamed into place, the library first.
     """
-    # imported on the first AC sweep only: hashlib loads OpenSSL (~4 MB
-    # resident) and subprocess adds ~0.4 MB, which linear runs never need
-    import hashlib
+    key = _SOURCE.read_bytes() + " ".join(_BUILD + _LIBS).encode()
+    stem = f"sweep-{zlib.crc32(key):08x}-{len(key)}"
+    library = directory / f"{stem}.so"
+    stored = directory / f"{stem}.key"
+    try:
+        if library.exists() and stored.read_bytes() == key:
+            return library
+    except FileNotFoundError:
+        pass
+    # imported on a cache miss only: subprocess adds ~0.4 MB resident
     import subprocess
 
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_BUILD + _LIBS).encode()).hexdigest()
-    library = directory / f"sweep-{digest}.so"
-    if library.exists():
-        return library
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".so")
     os.close(fd)
     try:
@@ -324,6 +373,10 @@ def _build_kernel(cc: str, directory: Path) -> Path:
             first = (stderr.splitlines() or ["no output"])[0]
             raise OSError(f"cc exited with status {done.returncode}: {first}")
         os.replace(tmp, library)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".key")
+        with os.fdopen(fd, "wb") as f:
+            f.write(key)
+        os.replace(tmp, stored)
     except subprocess.TimeoutExpired as exc:
         raise OSError(f"cc did not finish within {exc.timeout} s") from None
     finally:

@@ -442,11 +442,22 @@ def der_signals(
     injections leave the head draw alone).  With ``zero_lambda`` the
     balance price is hidden from the DERs (voltage terms remain) — the
     no-participation baseline.
+
+    When no band is active (``w`` all zero) the products are skipped:
+    they would all be ``+0.0``, since ``A`` and ``B`` are finite and
+    ``mu`` holds no ``-0.0`` (it starts at ``+0.0``, and
+    :func:`dual_update` clamps with ``np.maximum(., 0.0)``), so ``w`` is
+    ``+0.0`` too.  The prices are then ``lambda + 0.0`` and ``0.0``, the
+    same bits.
     """
     lam = 0.0 if zero_lambda else y.lam
     n = len(y.mu) // 2
     w = y.mu[:n] - y.mu[n:]
     prices = np.empty(2 * n)
+    if not w.any():
+        prices[:n] = lam + 0.0
+        prices[n:] = 0.0
+        return prices
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
     for model in models:
@@ -521,7 +532,7 @@ def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
     """
     N = x.n_nodes
     cost = problem.coef * x.z * x.z
-    return float(np.sum(cost[2 * N :]) + np.sum(cost[:N]) + np.sum(cost[N : 2 * N]))
+    return float(cost[2 * N :].sum() + cost[:N].sum() + cost[N : 2 * N].sum())
 
 
 def eval_lagrangian(
@@ -857,30 +868,30 @@ def iteration_record(
     measurement: Measurement,
     balance_residual: float,
     signals: np.ndarray,
-    probes: tuple[int, ...],
+    probes: np.ndarray,
     step_primal: float | None,
     step_dual: float | None,
 ) -> TraceRecord:
     """Assemble the per-iteration diagnostics row.
 
-    ``probes`` holds one node position per feeder, counted within it;
-    ``signals`` are the DER prices, alpha then beta.
+    ``probes`` holds one global node position per feeder (an integer
+    array); ``signals`` are the DER prices, alpha then beta.  Every
+    feeder must have a node.
     """
     N = problem.n_nodes
     v = measurement.v
-    spans = [model.span for model in problem.models]
-    at_probe = [sl.start + j for sl, j in zip(spans, probes)]
+    starts = problem.system.offsets
     return TraceRecord(
         iteration=iteration,
         lam=y.lam,
-        P_M=tuple(float(P) for P in x.P_M),
-        P_L=tuple(float(P) for P in measurement.P_L),
-        v_min=tuple(float(np.min(v[sl])) for sl in spans),
-        v_max=tuple(float(np.max(v[sl])) for sl in spans),
+        P_M=tuple(x.P_M.tolist()),
+        P_L=tuple(measurement.P_L.tolist()),
+        v_min=tuple(np.minimum.reduceat(v, starts).tolist()),
+        v_max=tuple(np.maximum.reduceat(v, starts).tolist()),
         slack_residual=balance_residual,
         total_cost=total_cost(problem, x),
-        alpha_probe=tuple(float(signals[i]) for i in at_probe),
-        beta_probe=tuple(float(signals[N + i]) for i in at_probe),
+        alpha_probe=tuple(signals[probes].tolist()),
+        beta_probe=tuple(signals[N:][probes].tolist()),
         step_primal=step_primal,
         step_dual=step_dual,
     )
@@ -936,9 +947,10 @@ def run_rounds(
     the only copy of the limits either engine reads.  Step norms are
     measured from the state after the event.  Without an explicit slack
     account, the implied slack output at the start is recorded and held
-    as the balance target.  Raises :class:`DivergenceError` when the state passes the
-    blow-up bound; any :class:`EngineError` raised here leaves with the
-    records kept so far.
+    as the balance target.  ``probes`` holds one node position per
+    feeder, counted within it.  Raises :class:`DivergenceError` when the
+    state passes the blow-up bound; any :class:`EngineError` raised here
+    leaves with the records kept so far.
     """
     report = check_stepsize(problem, cfg.eta)
     if report is not None and cfg.eps > report.eps_bound:
@@ -953,6 +965,12 @@ def run_rounds(
             "" if cfg.eta > 0 else " — advisory only at eta=0",
         )
 
+    if any(model.n_nodes == 0 for model in problem.models):
+        raise ValueError("a feeder without nodes has no voltage range to record")
+    at_probe = np.array(
+        [model.span.start + j for model, j in zip(problem.models, probes)],
+        dtype=np.intp,
+    )
     records: list[TraceRecord] = []
     try:
         meas = measure(problem, x, feedback=cfg.feedback, tag=0)
@@ -964,7 +982,7 @@ def run_rounds(
 
         records.append(
             iteration_record(
-                problem, 0, x, y, meas, residual, signals, probes, None, None
+                problem, 0, x, y, meas, residual, signals, at_probe, None, None
             )
         )
         history = [(x, y)] if cfg.record_state else None
@@ -1005,7 +1023,7 @@ def run_rounds(
                     outcome.measurement,
                     outcome.balance_residual,
                     signals,
-                    probes,
+                    at_probe,
                     step_primal,
                     step_dual,
                 )
@@ -1068,8 +1086,8 @@ def solve(
 
 
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
+    return float(np.abs(a - b).max()) if len(a) else 0.0
 
 
 def _inf_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if len(a) else 0.0
+    return float(np.abs(a).max()) if len(a) else 0.0

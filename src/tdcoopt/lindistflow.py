@@ -65,16 +65,20 @@ class LinearFeederModel:
         return len(self.c)
 
     @cached_property
-    def tree_addresses(self) -> tuple[int, ...]:
-        """Data addresses of ``order``, ``parent``, ``roots``, ``r``, ``x``."""
-        return tuple(
-            a.ctypes.data for a in (self.order, self.parent, self.roots, self.r, self.x)
-        )
+    def sweep_workspace(self):
+        """This model bound to the compiled sweep (:class:`~tdcoopt.acpf.SweepWorkspace`).
+
+        Built on first use and reused by every sweep of the model, so the
+        model must not be swept from two threads at once.
+        """
+        from .acpf import SweepWorkspace  # acpf imports this module
+
+        return SweepWorkspace(self)
 
     def __getstate__(self):
-        # a copy holds copies of the arrays, so it takes its own addresses
+        # a copy holds its own arrays, so it binds its own workspace
         state = dict(self.__dict__)
-        state.pop("tree_addresses", None)
+        state.pop("sweep_workspace", None)
         return state
 
 

@@ -9,12 +9,16 @@ conservation identities that hold exactly regardless of the data.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 import math
 import os
+import pickle
 import shutil
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +322,75 @@ def test_kernel_matches_reference_on_a_zero_warm_start(kernel, where):
         sweep_feeder(model, zero, zero, v_init=v_init)
 
 
+def test_kernel_workspace_is_exact_across_interleaved_models(kernel):
+    # each model owns its workspace: alternating two models, and sweeping
+    # one model twice in a row, gives the reference bits every time
+    models = [build_lindistflow(load_feeder(name)) for name in ("feeder69", "feeder141")]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        for model in models + models[::-1]:
+            n = model.n_nodes
+            p = rng.uniform(-2e-3, 2e-3, n)
+            q = rng.uniform(-1e-3, 1e-3, n)
+            assert_kernel_matches_reference(model, p, q)
+            assert_kernel_matches_reference(model, p, q, v_init=np.ones(n))
+
+
+def test_kernel_result_owns_its_voltages(kernel):
+    model = build_lindistflow(load_feeder("case33bw"))
+    n = model.n_nodes
+    zero = np.zeros(n)
+    first = sweep_feeder(model, zero, zero)
+    kept = first.v.tobytes()
+    assert not np.shares_memory(first.v, model.sweep_workspace.v)
+    later = sweep_feeder(model, np.full(n, 1e-3), zero)
+    assert later.v.tobytes() != kept
+    assert first.v.tobytes() == kept
+    assert not np.shares_memory(first.v, later.v)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+def test_kernel_copied_model_binds_its_own_buffers(kernel, how):
+    model = build_lindistflow(load_feeder("feeder22"))
+    n = model.n_nodes
+    zero = np.zeros(n)
+    sweep_feeder(model, zero, zero)  # bind the original first
+    twin = {
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+        "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+    }[how](model)
+    ours, theirs = model.sweep_workspace, twin.sweep_workspace
+    assert ours is not theirs
+    for name in ("p_inj", "q_inj", "v", "out", "info", "scratch"):
+        assert not np.shares_memory(getattr(ours, name), getattr(theirs, name)), name
+    p = np.full(n, 5e-4)
+    assert outcome(sweep_feeder, twin, p, zero) == outcome(
+        acpf._sweep_python, model, p, zero
+    )
+
+
+def test_kernel_is_exact_after_each_failure(kernel):
+    # a failed sweep leaves the workspace half written; the next call must
+    # not depend on it
+    model = build_lindistflow(load_feeder("feeder18"))
+    n = model.n_nodes
+    zero = np.zeros(n)
+    p = np.full(n, 1e-3)
+    zero_start = np.ones(n)
+    zero_start[model.order[-1]] = 0.0
+    failures = [
+        (SweepDivergence, dict(p=np.full(n, -5.0))),  # collapse
+        (SweepDivergence, dict(tol=1e-15, max_iter=2)),  # not converged
+        (ZeroDivisionError, dict(v_init=zero_start)),
+    ]
+    for error, kwargs in failures:
+        with pytest.raises(error):
+            sweep_feeder(model, kwargs.pop("p", p), zero, **kwargs)
+        assert_kernel_matches_reference(model, p, zero)
+        assert_kernel_matches_reference(model, p, zero, v_init=np.ones(n))
+
+
 # ---------------------------------------------------------------------------
 # building and caching the kernel
 # ---------------------------------------------------------------------------
@@ -329,11 +402,59 @@ def test_kernel_is_cached_under_xdg_cache_home(kernel, tmp_path, monkeypatch):
     assert stat.S_IMODE(directory.stat().st_mode) == 0o700
     cc = shutil.which("cc")
     library = acpf._build_kernel(cc, directory)
+    key = library.with_suffix(".key")
     assert library.parent == directory and library.name.startswith("sweep-")
-    assert [p.name for p in directory.iterdir()] == [library.name]  # no temporaries
+    # no temporaries: the library and the copy of its key
+    assert sorted(p.name for p in directory.iterdir()) == [key.name, library.name]
+    assert key.read_bytes() == (
+        acpf._SOURCE.read_bytes() + " ".join(acpf._BUILD + acpf._LIBS).encode()
+    )
     built = library.stat().st_mtime_ns
     assert acpf._build_kernel(cc, directory) == library
     assert library.stat().st_mtime_ns == built
+
+
+@pytest.mark.parametrize("stale", ["other-key", "truncated-key", "no-key"])
+def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
+    # a name shared with another source (CRC-32 collides) or a half-written
+    # cache must never be loaded
+    cc = shutil.which("cc")
+    library = acpf._build_kernel(cc, tmp_path)
+    key = library.with_suffix(".key")
+    expected = key.read_bytes()
+    library.write_bytes(b"not the kernel")
+    if stale == "other-key":
+        key.write_bytes(bytes(b ^ 1 for b in expected))
+    elif stale == "truncated-key":
+        key.write_bytes(expected[:-1])
+    else:
+        key.unlink()
+    assert acpf._build_kernel(cc, tmp_path) == library
+    assert library.read_bytes()[:4] == b"\x7fELF"
+    assert key.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == [key.name, library.name]
+
+
+def test_ac_sweep_with_a_cached_kernel_imports_neither_hashlib_nor_subprocess(kernel):
+    # hashlib loads OpenSSL, ~3.5 MB resident in every AC run
+    code = (
+        "import sys, numpy as np\n"
+        "from tdcoopt.acpf import sweep_feeder\n"
+        "from tdcoopt.lindistflow import build_lindistflow\n"
+        "from tdcoopt.network import parse_case\n"
+        f"feeder = parse_case(open({str(CASES_DIR / 'feeder4.json')!r}).read())\n"
+        "model = build_lindistflow(feeder)\n"
+        "zero = np.zeros(model.n_nodes)\n"
+        "assert sweep_feeder(model, zero, zero).iterations > 0\n"
+        "print(sorted({'hashlib', '_hashlib', 'subprocess'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):

@@ -283,6 +283,82 @@ def test_dual_update_clamps_at_zero(limits):
     np.testing.assert_allclose(y_new.mu, 0.0)  # violations are negative
 
 
+def per_feeder_prices(models, y, zero_lambda=False):
+    """der_signals as one product per feeder, with no shortcut."""
+    lam = 0.0 if zero_lambda else y.lam
+    n = len(y.mu) // 2
+    w = y.mu[:n] - y.mu[n:]
+    prices = np.empty(2 * n)
+    for model in models:
+        sl = model.span
+        prices[sl] = lam + model.A.T @ w[sl]
+        prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
+    return prices
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    duals=st.sampled_from(["zero", "one-feeder", "equal-bands", "random"]),
+    lam=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-10.0, max_value=10.0),
+    ),
+    zero_lambda=st.booleans(),
+    data=st.data(),
+)
+def test_der_signals_match_the_per_feeder_products(duals, lam, zero_lambda, data):
+    # the all-zero shortcut must give the products' bits, -0.0 price included
+    problem = build_problem(
+        make_system(n_feeders=3, n_feeder_nodes=4), VoltageLimits(0.95, 1.05)
+    )
+    N = problem.n_nodes
+    values = st.floats(min_value=0.0, max_value=5.0)
+    mu = np.zeros(2 * N)
+    if duals == "one-feeder":
+        sl = problem.models[data.draw(st.integers(0, 2))].span
+        band = data.draw(st.sampled_from([0, N]))
+        mu[band + sl.start : band + sl.stop] = data.draw(
+            st.lists(values, min_size=4, max_size=4)
+        )
+    elif duals == "equal-bands":
+        mu[:N] = mu[N:] = data.draw(st.lists(values, min_size=N, max_size=N))
+    elif duals == "random":
+        mu[:] = data.draw(st.lists(values, min_size=2 * N, max_size=2 * N))
+    y = DualState(lam=lam, mu=mu)
+    expected = per_feeder_prices(problem.models, y, zero_lambda)
+    got = der_signals(problem.models, y, zero_lambda)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    steps=st.lists(
+        st.lists(
+            st.sampled_from([0.95, 1.05, 0.9, 1.1, 1.0, 0.9500000000000001]),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    eps=st.sampled_from([1e-3, 0.5, 40.0]),
+    eta=st.sampled_from([0.0, 0.1, 2.0]),
+)
+def test_dual_update_never_makes_a_negative_zero(steps, eps, eta):
+    # der_signals' shortcut relies on mu holding no -0.0; voltages drawn on
+    # the band edges make zero violations, large steps make clamping
+    from tdcoopt.core import Measurement
+
+    limits = VoltageLimits(0.95, 1.05)
+    fixed = fixed_injection(make_ts([(1, 1.0)]))
+    account = SlackAccount(P0_slack=0.0)
+    y = DualState(lam=0.0, mu=np.zeros(6))
+    for t, v in enumerate(steps, start=1):
+        meas = Measurement(v=np.array(v), P_L=np.zeros(1), tag=t, source="linear")
+        y, _ = dual_update(fixed, limits, y, meas, np.zeros(1), account, eps, eta)
+        assert not np.signbit(y.mu).any(), y.mu
+
+
 # ---------------------------------------------------------------------------
 # measurements
 # ---------------------------------------------------------------------------
@@ -696,6 +772,68 @@ def test_records_cover_every_iteration():
         account=SlackAccount(P0_slack=0.0),
     )
     assert len(res2.history) == len(res2.records)
+
+
+def record_by_slices(problem, t, x, y, meas, residual, signals, probes, sp, sd):
+    """iteration_record as one reduction and one conversion per feeder."""
+    from tdcoopt.trace import TraceRecord
+
+    N = problem.n_nodes
+    v = meas.v
+    spans = [model.span for model in problem.models]
+    at_probe = [sl.start + j for sl, j in zip(spans, probes)]
+    cost = problem.coef * x.z * x.z
+    return TraceRecord(
+        iteration=t,
+        lam=y.lam,
+        P_M=tuple(float(P) for P in x.P_M),
+        P_L=tuple(float(P) for P in meas.P_L),
+        v_min=tuple(float(np.min(v[sl])) for sl in spans),
+        v_max=tuple(float(np.max(v[sl])) for sl in spans),
+        slack_residual=residual,
+        total_cost=float(
+            np.sum(cost[2 * N :]) + np.sum(cost[:N]) + np.sum(cost[N : 2 * N])
+        ),
+        alpha_probe=tuple(float(signals[i]) for i in at_probe),
+        beta_probe=tuple(float(signals[N + i]) for i in at_probe),
+        step_primal=sp,
+        step_dual=sd,
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_feeders=st.integers(1, 3))
+def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
+    from tdcoopt.core import Measurement, iteration_record
+
+    problem = build_problem(
+        make_system(n_feeders=n_feeders, n_feeder_nodes=5), VoltageLimits(0.95, 1.05)
+    )
+    rng = np.random.default_rng(seed)
+    N, G = problem.n_nodes, problem.n_generators
+    x = primal(rng.normal(size=N), rng.normal(size=N), rng.normal(size=G))
+    y = DualState(lam=float(rng.normal()), mu=rng.uniform(0, 1, 2 * N))
+    meas = Measurement(
+        v=rng.uniform(0.9, 1.1, N), P_L=rng.normal(size=n_feeders), tag=1,
+        source="ac",
+    )
+    signals = rng.normal(size=2 * N)
+    probes = tuple(int(j) for j in rng.integers(0, 5, n_feeders))
+    at_probe = np.array([m.span.start + j for m, j in zip(problem.models, probes)])
+    args = (0.25, signals)
+    got = iteration_record(problem, 7, x, y, meas, *args, at_probe, 1.5, None)
+    expected = record_by_slices(problem, 7, x, y, meas, *args, probes, 1.5, None)
+    assert got == expected
+    for name in ("P_M", "P_L", "v_min", "v_max", "alpha_probe", "beta_probe"):
+        assert all(type(value) is float for value in getattr(got, name)), name
+    assert type(got.total_cost) is float
+
+
+def test_solve_refuses_a_feeder_without_nodes(limits):
+    # its voltage range is undefined, so its record cells cannot be filled
+    system = make_system(n_feeders=2, n_feeder_nodes=0, der_layout={})
+    with pytest.raises(ValueError, match="feeder without nodes"):
+        solve(build_problem(system, limits), SolverConfig(max_iter=3))
 
 
 def test_solve_divergence_error():

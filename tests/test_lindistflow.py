@@ -126,14 +126,15 @@ def test_model_holds_the_tree_as_c_arrays():
     assert model.roots.tolist() == list(topo.roots)
     assert model.r.tolist() == list(topo.r) and model.x.tolist() == list(topo.x)
     assert model.ones.tolist() == [1.0] * model.n_nodes
-    assert model.tree_addresses is model.tree_addresses
-    assert model.tree_addresses[0] == model.order.ctypes.data
-    # a copy owns copies of the arrays, so it must not reuse the addresses
+    workspace = model.sweep_workspace
+    assert model.sweep_workspace is workspace
+    assert workspace.sweep.order == model.order.ctypes.data
+    assert workspace.sweep.x == model.x.ctypes.data
+    # a copy owns copies of the arrays, so it must bind its own workspace
     twin = copy.deepcopy(model)
-    assert twin.tree_addresses == tuple(
-        a.ctypes.data for a in (twin.order, twin.parent, twin.roots, twin.r, twin.x)
-    )
-    assert set(twin.tree_addresses).isdisjoint(model.tree_addresses)
+    assert twin.sweep_workspace is not workspace
+    assert twin.sweep_workspace.sweep.order == twin.order.ctypes.data
+    assert twin.sweep_workspace.sweep.order != workspace.sweep.order
 
 
 @settings(deadline=None, max_examples=40)
