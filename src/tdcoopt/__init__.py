@@ -18,10 +18,12 @@ Layout
                  and one box vector over the primal ``z = [p, q, P_M]``),
                  states, the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
-                 shared driver loop `run_rounds`, `solve`
+                 round's shared network half `settle`, the shared driver
+                 loop `run_rounds`, `solve`
 ``market``       agents stepping on their own coordinates of the compiled
-                 problem, message bus, operator step; `run_market`
-                 routes the round's messages through the shared loop
+                 problem, message bus, operator step (ends in `settle`);
+                 `run_market` routes the round's messages through the
+                 shared loop
 ``trace``        per-iteration CSV records, write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle
 ``cli``          ``tdcoopt run | compare | oracle | lindump``
@@ -61,6 +63,7 @@ from .core import (
     measure_feeders,
     primal_dual_step,
     project_box,
+    settle,
     solve,
     total_cost,
 )
@@ -185,6 +188,7 @@ __all__ = [
     "run_market",
     "run_scenario",
     "serialize_case",
+    "settle",
     "slack_residual",
     "solve",
     "sweep_feeder",

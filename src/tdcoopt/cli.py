@@ -31,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EngineError
+from .core import FEEDBACK_MODES, EngineError
 from .lindistflow import build_lindistflow
 from .network import CaseError, DistributionFeeder, parse_case
 from .scenario import (
+    ENGINES,
     OracleInfeasible,
     ScenarioError,
     compare_runs,
@@ -61,10 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument(
-        "--engine", choices=("core", "market", "market-br"), default=None
-    )
-    run_p.add_argument("--feedback", choices=("linear", "ac"), default=None)
+    run_p.add_argument("--engine", choices=ENGINES, default=None)
+    run_p.add_argument("--feedback", choices=FEEDBACK_MODES, default=None)
     run_p.add_argument("--max-iter", type=int, default=None)
     run_p.add_argument("--eps", type=float, default=None)
     run_p.add_argument("--eta", type=float, default=None)

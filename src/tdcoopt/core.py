@@ -22,8 +22,10 @@ measurement.  One driver loop, :func:`run_rounds`, serves both engines:
 it takes the starting measurement and slack record, fires events,
 measures step norms, guards against divergence, keeps the records, and
 applies the stopping rule.  An engine supplies only its round — here
-:func:`primal_dual_step`; the market engine routes the same arithmetic
-(:func:`der_signals`, :func:`dual_update`) as messages between agents.
+:func:`primal_dual_step`, the projected primal step followed by the
+round's network half, :func:`settle` (measure, dual update, reprice).
+The market engine routes the primal half as messages between agents,
+and its operator ends the round in the same :func:`settle`.
 
 :func:`build_problem` compiles each feeder once, and the round runs on
 flat global vectors.  The primal is one vector ``z = [p, q, P_M]``: the
@@ -63,6 +65,7 @@ from .network import CaseError, CoupledSystem, VoltageLimits
 from .trace import TraceRecord
 
 __all__ = [
+    "FEEDBACK_MODES",
     "EngineError",
     "DivergenceError",
     "StaleFeedbackError",
@@ -78,6 +81,7 @@ __all__ = [
     "measure_feeders",
     "der_signals",
     "dual_update",
+    "settle",
     "eval_lagrangian",
     "grad_primal",
     "grad_dual",
@@ -97,6 +101,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# the network response the duals read: the affine model or the exact sweep
+FEEDBACK_MODES = ("linear", "ac")
 
 
 class EngineError(RuntimeError):
@@ -177,7 +184,7 @@ class SolverConfig:
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
     tol_balance: float = 1e-6
-    feedback: str = "linear"  # "linear" | "ac"
+    feedback: str = "linear"  # one of FEEDBACK_MODES
     zero_lambda_to_ders: bool = False  # baseline: hide the price from DERs
     divergence_limit: float = 1e6
     record_state: bool = False  # keep the full (x, y) trajectory
@@ -189,7 +196,7 @@ class SolverConfig:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.feedback not in ("linear", "ac"):
+        if self.feedback not in FEEDBACK_MODES:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
 
 
@@ -236,7 +243,8 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     Every cost coefficient must be positive: the costs must be strongly
     convex for the stepsize certificate, and ``coef`` is zero exactly
     where no DER sits.  Each bus holds at most one generator, since events
-    name generators by bus.
+    name generators by bus.  Every feeder needs a node, or its voltage
+    range cannot be recorded.
     """
     models = tuple(
         build_lindistflow(f, offset)
@@ -266,6 +274,12 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
             lo[i], hi[i] = g.p_min, g.p_max
 
     for k, feeder in enumerate(system.feeders):
+        if not feeder.nodes:
+            raise CaseError(
+                f"feeder {feeder.feeder_id}: a feeder without nodes has no "
+                "voltage range to record",
+                element=feeder.feeder_id,
+            )
         index = feeder.node_index()
         seen: set[int] = set()
         for der in feeder.ders:
@@ -378,7 +392,7 @@ def measure_feeders(
     compiled feeder models, so the market operator can call it.  A failed
     sweep raises :class:`EngineError` carrying ``tag`` as its iteration.
     """
-    if feedback not in ("linear", "ac"):
+    if feedback not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {feedback!r}")
     v = np.empty(len(p))
     P_L = np.zeros(len(models))
@@ -801,43 +815,55 @@ class StepOutcome:
     balance_residual: float
 
 
+def settle(
+    models: tuple[LinearFeederModel, ...],
+    fixed: float,
+    limits: VoltageLimits,
+    x: PrimalState,
+    y: DualState,
+    account: SlackAccount,
+    cfg: SolverConfig,
+    iteration: int | None,
+    warm: np.ndarray | None,
+) -> tuple[StepOutcome, np.ndarray]:
+    """The round's network half: measure at ``x``, step the duals, reprice.
+
+    Takes only what the market operator may know (no DER data).  Returns
+    the round's outcome and the DER prices of the new duals.
+    """
+    meas = measure_feeders(
+        models, x.p, x.q, feedback=cfg.feedback, warm=warm, tag=iteration
+    )
+    y_new, residual = dual_update(
+        fixed, limits, y, meas, x.P_M, account, cfg.eps, cfg.eta
+    )
+    prices = der_signals(models, y_new, cfg.zero_lambda_to_ders)
+    outcome = StepOutcome(x=x, y=y_new, measurement=meas, balance_residual=residual)
+    return outcome, prices
+
+
 def primal_dual_step(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
     account: SlackAccount,
     cfg: SolverConfig,
-    iteration: int | None = None,
-    warm: np.ndarray | None = None,
-    signals: np.ndarray | None = None,
-) -> StepOutcome:
+    iteration: int | None,
+    warm: np.ndarray | None,
+    signals: np.ndarray,
+) -> tuple[StepOutcome, np.ndarray]:
     """One synchronous round: primal moves, network response, dual moves.
 
-    The primal vector steps along :func:`grad_primal` and the duals along
-    the gradient :func:`grad_dual` returns, each projected.  ``signals``
-    may carry the already-computed DER prices for the current duals
-    (they are recomputed otherwise).
+    The primal vector steps along :func:`grad_primal` from the round's
+    DER prices ``signals``, projected; :func:`settle` then moves the
+    duals along the gradient :func:`grad_dual` returns and prices them.
     """
-    if signals is None:
-        signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
-    eps = cfg.eps
-
-    step = x.z - eps * grad_primal(problem, x, y, signals)
+    step = x.z - cfg.eps * grad_primal(problem, x, y, signals)
     x_new = PrimalState(np.clip(step, problem.lo, problem.hi), x.n_nodes)
-
-    meas = measure(problem, x_new, feedback=cfg.feedback, warm=warm, tag=iteration)
-    y_new, residual = dual_update(
-        problem.fixed_injection,
-        problem.limits,
-        y,
-        meas,
-        x_new.P_M,
-        account,
-        eps,
-        cfg.eta,
+    return settle(
+        problem.models, problem.fixed_injection, problem.limits, x_new, y,
+        account, cfg, iteration, warm,
     )
-
-    return StepOutcome(x=x_new, y=y_new, measurement=meas, balance_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -923,9 +949,9 @@ class SolveResult:
         return self.status == "converged"
 
 
-# One round of an engine: ``step(problem, x, y, account, t, warm, signals)``
-# runs round ``t`` from the DER prices ``signals`` of the current duals and
-# returns its outcome plus the DER prices of the new duals.
+# One round of an engine, called as :func:`primal_dual_step`: it runs round
+# ``t`` from the DER prices ``signals`` of the current duals and returns its
+# outcome plus the DER prices of the new duals.
 Step = Callable[..., tuple[StepOutcome, np.ndarray]]
 
 
@@ -936,7 +962,7 @@ def run_rounds(
     y: DualState,
     account: SlackAccount | None,
     events: tuple,
-    probes: tuple[int, ...],
+    probes: tuple[int, ...] | None,
     step: Step,
 ) -> SolveResult:
     """The driver loop of both engines: iterate ``step`` until done.
@@ -948,9 +974,10 @@ def run_rounds(
     measured from the state after the event.  Without an explicit slack
     account, the implied slack output at the start is recorded and held
     as the balance target.  ``probes`` holds one node position per
-    feeder, counted within it.  Raises :class:`DivergenceError` when the
-    state passes the blow-up bound; any :class:`EngineError` raised here
-    leaves with the records kept so far.
+    feeder, counted within it (:func:`default_probes` when ``None``).
+    Raises :class:`DivergenceError` when the state passes the blow-up
+    bound; any :class:`EngineError` raised here leaves with the records
+    kept so far.
     """
     report = check_stepsize(problem, cfg.eta)
     if report is not None and cfg.eps > report.eps_bound:
@@ -965,8 +992,8 @@ def run_rounds(
             "" if cfg.eta > 0 else " — advisory only at eta=0",
         )
 
-    if any(model.n_nodes == 0 for model in problem.models):
-        raise ValueError("a feeder without nodes has no voltage range to record")
+    if probes is None:
+        probes = default_probes(problem)
     at_probe = np.array(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,
@@ -994,7 +1021,7 @@ def run_rounds(
             for event in events:
                 if event.iteration == t:
                     problem, x = apply_event(problem, x, event)
-            outcome, signals = step(problem, x, y, account, t, warm, signals)
+            outcome, signals = step(problem, x, y, account, cfg, t, warm, signals)
 
             step_primal = _inf_diff(outcome.x.z, x.z) / cfg.eps
             step_dual = max(
@@ -1073,16 +1100,7 @@ def solve(
     x_init, y_init = initial_state(problem)
     x = x_init if x0 is None else x0
     y = y_init if y0 is None else y0
-    if probes is None:
-        probes = default_probes(problem)
-
-    def step(problem, x, y, account, t, warm, signals):
-        outcome = primal_dual_step(
-            problem, x, y, account, cfg, iteration=t, warm=warm, signals=signals
-        )
-        return outcome, der_signals(problem.models, outcome.y, cfg.zero_lambda_to_ders)
-
-    return run_rounds(problem, cfg, x, y, account, events, probes, step)
+    return run_rounds(problem, cfg, x, y, account, events, probes, primal_dual_step)
 
 
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:

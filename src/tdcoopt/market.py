@@ -4,11 +4,12 @@ Three agent roles exchange messages over an in-process bus.  Each round:
 DER users and generators take one projected step on their own private
 objectives using the last broadcast prices (the user objective is the
 private cost plus ``alpha p + beta q``); the operator collects the
-reported setpoints, measures the network response, performs the dual
-update, and broadcasts fresh incentive signals.  No private cost or
-capacity data ever reaches the operator — it works from setpoint reports,
-the compiled feeder models of the problem (which hold no DER data), the
-summed fixed injection and the generator count alone.
+reported setpoints and ends the round in the core engine's own network
+half, :func:`tdcoopt.core.settle` (measure the network response, update
+the duals, price anew), then broadcasts the fresh incentive signals.  No
+private cost or capacity data ever reaches the operator — it works from
+setpoint reports, the compiled feeder models of the problem (which hold
+no DER data), the summed fixed injection and the generator count alone.
 
 This module only routes messages: the rounds run inside the centralized
 engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
@@ -17,12 +18,15 @@ cost coefficient and box from its own coordinates of the problem's
 ``coef``, ``lo`` and ``hi`` over the primal vector ``z = [p, q, P_M]``,
 as the loop hands the round that problem, so an event exists once, in
 that problem, and reaches an agent with no message of its own.  The
-operator assembles one ``z`` from the reports.  In gradient mode the
-produced trajectory and records coincide with the centralized engine's, bit for
-bit: both engines call the same shared update arithmetic in the same
-order.  Best-response mode instead lets users jump straight to their
-box-clamped optimum against the current prices (a dual-ascent variant,
-quadratic costs only).
+agents themselves are read off the problem too: one user per DER
+coordinate (``coef > 0``) of each feeder, in node order, and one agent
+per generator.  The operator assembles one ``z`` from the reports.  In
+gradient mode the produced trajectory and records coincide with the
+centralized engine's, bit for bit: the agents' steps are the primal
+step's arithmetic, and both engines end each round in the same
+:func:`~tdcoopt.core.settle`.  Best-response mode instead lets users
+jump straight to their box-clamped optimum against the current prices
+(a dual-ascent variant, quadratic costs only).
 
 Rounds are strictly synchronous: the agents step on the one price
 broadcast of the previous round they collect from the bus, and the
@@ -50,14 +54,14 @@ from .core import (
     SolveResult,
     SolverConfig,
     StepOutcome,
-    default_probes,
-    der_signals,
-    dual_update,
+    der_signals,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
+    dual_update,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     initial_state,
     iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
-    measure_feeders,
+    measure_feeders,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     project_box,
     run_rounds,
+    settle,
 )
 from .lindistflow import LinearFeederModel
 from .network import VoltageLimits
@@ -348,7 +352,7 @@ def operator_step(
     tag: int,
     warm: np.ndarray | None = None,
 ) -> tuple[StepOutcome, IncentiveSignals]:
-    """Validate the round, measure the network, update duals, price anew.
+    """Validate the round, then settle it (:func:`~tdcoopt.core.settle`).
 
     Returns the round's outcome (reported setpoints, new duals, and the
     measurement they rest on) and the fresh signals.  Any missing,
@@ -383,22 +387,12 @@ def operator_step(
         else:
             z[pay["node"]] = pay["p"]
             z[n + pay["node"]] = pay["q"]
-    x = PrimalState(z, n)
-
-    solver = cfg.solver
-    meas = measure_feeders(
-        models, x.p, x.q, feedback=solver.feedback, warm=warm, tag=tag
+    outcome, prices = settle(
+        models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y, account,
+        cfg.solver, tag, warm,
     )
-
-    y_new, residual = dual_update(
-        cfg.fixed_injection, cfg.limits, y, meas, x.P_M, account,
-        solver.eps, solver.eta,
-    )
-    prices = der_signals(models, y_new, solver.zero_lambda_to_ders)
-    return StepOutcome(
-        x=x, y=y_new, measurement=meas, balance_residual=residual
-    ), IncentiveSignals(
-        prices=prices, lambda_broadcast=y_new.lam, iteration_tag=tag
+    return outcome, IncentiveSignals(
+        prices=prices, lambda_broadcast=outcome.y.lam, iteration_tag=tag
     )
 
 
@@ -424,18 +418,16 @@ def run_market(
     round's messages between the agents and the operator.  Each round
     the agents read their private data from their own entries of the
     problem the loop hands it, events applied; the operator gets only
-    ``problem.models``, the fixed injection and the generator count.  In
-    ``gradient`` mode the trajectory equals the centralized engine's.
-    ``x0`` seeds the agents (its ``p``/``q`` entries at nodes without a
-    DER are ignored; agents exist only where DERs do).  The caller's
-    ``problem`` is not modified, events included.
+    ``problem.models``, the fixed injection and the generator count.  One
+    user ``user:<feeder>:<node>`` stands at each DER coordinate, in node
+    order.  In ``gradient`` mode the trajectory equals the centralized
+    engine's.  ``x0`` seeds the agents (its ``p``/``q`` entries at nodes
+    without a DER are ignored).  The caller's ``problem`` is not
+    modified, events included.
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
-    system = problem.system
     models = problem.models
-    if probes is None:
-        probes = default_probes(problem)
     if bus is None:
         bus = MessageBus()
     x_init, y_init = initial_state(problem)
@@ -443,26 +435,20 @@ def run_market(
     y0 = y_init if y0 is None else y0
 
     N = problem.n_nodes
+    # only DER and generator coordinates carry a cost (build_problem)
+    z = np.where(problem.coef > 0, x0.z, 0.0)
     users: list[UserAgent] = []
-    for k, feeder in enumerate(system.feeders):
-        index = feeder.node_index()
-        for der in feeder.ders:
-            g = system.global_index(k, index[der.node_id])
-            users.append(
-                UserAgent(
-                    name=f"user:{feeder.feeder_id}:{der.node_id}",
-                    index=g,
-                    q_index=N + g,
-                    p=float(x0.p[g]),
-                    q=float(x0.q[g]),
-                )
-            )
+    for model in models:
+        for j in np.flatnonzero(problem.coef[model.span] > 0).tolist():
+            g = model.span.start + j
+            name = f"user:{model.feeder_id}:{model.node_ids[j]}"
+            users.append(UserAgent(name, g, N + g, float(z[g]), float(z[N + g])))
     generators = [
         GeneratorAgent(
-            name=f"generator:{bus}", index=i, z_index=2 * N + i,
-            P=float(x0.P_M[i]),
+            name=f"generator:{gen_bus}", index=i, z_index=2 * N + i,
+            P=float(z[2 * N + i]),
         )
-        for i, bus in enumerate(problem.gen_bus)
+        for i, gen_bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
         fixed_injection=problem.fixed_injection,
@@ -476,7 +462,7 @@ def run_market(
     # converted again only when an event hands in a new one
     held = coef = lo = hi = None
 
-    def step(problem, x, y, account, t, warm, signals):
+    def step(problem, x, y, account, cfg, t, warm, signals):
         nonlocal held, coef, lo, hi
         if problem is not held:
             held = problem
@@ -508,33 +494,13 @@ def run_market(
         )
         meas = outcome.measurement
         for k, model in enumerate(models):
-            bus.publish(
-                AgentMessage(
-                    "pf-result",
-                    "operator",
-                    t,
-                    {
-                        "feeder": k,
-                        "v": meas.v[model.span],
-                        "P_L": float(meas.P_L[k]),
-                    },
-                )
-            )
-        bus.publish(
-            AgentMessage(
-                "dual-update",
-                "operator",
-                t,
-                {"lambda": outcome.y.lam, "residual": outcome.balance_residual},
-            )
-        )
+            pf = {"feeder": k, "v": meas.v[model.span], "P_L": float(meas.P_L[k])}
+            bus.publish(AgentMessage("pf-result", "operator", t, pf))
+        dual = {"lambda": outcome.y.lam, "residual": outcome.balance_residual}
+        bus.publish(AgentMessage("dual-update", "operator", t, dual))
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
         return outcome, broadcast.prices
 
-    z = np.zeros(len(problem.coef))
-    for u in users:
-        z[u.index], z[u.q_index] = u.p, u.q
-    for g in generators:
-        z[g.z_index] = g.P
-    x = PrimalState(z, N)
-    return run_rounds(problem, cfg, x, y0, account, events, probes, step)
+    return run_rounds(
+        problem, cfg, PrimalState(z, N), y0, account, events, probes, step
+    )

@@ -463,15 +463,21 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     )
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
 
-    out = primal_dual_step(problem, x, y, account, cfg, iteration=t)
+    signals = der_signals(problem.models, y, zero_lambda=zero_lambda)
+    out, prices = primal_dual_step(
+        problem, x, y, account, cfg, iteration=t, warm=None, signals=signals
+    )
 
     if zero_lambda:
-        signals = der_signals(problem.models, y, zero_lambda=True)
         dx = grad_primal(problem, x, y, signals)
     else:
         dx = grad_primal(problem, x, y)
     np.testing.assert_array_equal(
         out.x.z, np.clip(x.z - eps * dx, problem.lo, problem.hi)
+    )
+    # and reprices the new duals as the round's next prices
+    np.testing.assert_array_equal(
+        prices, der_signals(problem.models, out.y, zero_lambda=zero_lambda)
     )
 
     meas = out.measurement
@@ -834,6 +840,14 @@ def test_solve_refuses_a_feeder_without_nodes(limits):
     system = make_system(n_feeders=2, n_feeder_nodes=0, der_layout={})
     with pytest.raises(ValueError, match="feeder without nodes"):
         solve(build_problem(system, limits), SolverConfig(max_iter=3))
+
+
+def test_build_problem_refuses_a_feeder_without_nodes(limits):
+    # refused when compiled, before any run or stepsize certificate
+    system = make_system(n_feeders=2, n_feeder_nodes=0, der_layout={})
+    with pytest.raises(CaseError, match="feeder without nodes") as exc:
+        build_problem(system, limits)
+    assert exc.value.element == "f0"
 
 
 def test_solve_divergence_error():

@@ -11,6 +11,7 @@ instead of silently degrading.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,36 @@ def test_gradient_mode_matches_centralized_engine(feedback, events):
     # one driver loop writes both: every field of every record agrees,
     # the step norms of the event round included
     assert market_res.records == core_res.records
+
+
+@pytest.mark.parametrize("feedback", ["linear", "ac"])
+def test_market_roster_comes_from_the_compiled_problem(feedback):
+    # feeders that list their DERs against node order: the users still
+    # report in node order, named by feeder and node, and the run still
+    # writes the centralized engine's records
+    base = make_system(
+        n_feeders=2, der_layout={2: {}, 3: {"a_p": 2.0}, 4: {"a_p": 0.5}}
+    )
+    system = replace(
+        base, feeders=tuple(replace(f, ders=f.ders[::-1]) for f in base.feeders)
+    )
+    assert [der.node_id for der in system.feeders[0].ders] == [4, 3, 2]
+    problem = build_problem(system, LIMITS)
+    cfg = SolverConfig(eps=0.01, max_iter=20, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0, feedback=feedback)
+    bus = MessageBus(record=True)
+    market_res = run_market(problem, cfg, bus=bus)
+
+    senders = [
+        msg.sender for msg in bus.journal
+        if msg.kind == "setpoint-report" and msg.iteration_tag == 1
+    ]
+    assert senders == [
+        "user:f0:2", "user:f0:3", "user:f0:4",
+        "user:f1:2", "user:f1:3", "user:f1:4",
+        "generator:1", "generator:2",
+    ]
+    assert market_res.records == solve(problem, cfg).records
 
 
 def test_market_seeds_agents_from_x0():
