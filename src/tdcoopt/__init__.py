@@ -12,7 +12,7 @@ Layout
 ------
 ``network``      case dataclasses, JSON parsing, feeder-to-bus attachment
 ``lindistflow``  the compiled feeder: affine voltage/head-draw model
-                 plus the topology the sweep reads
+                 plus the tree arrays the sweep reads
 ``acpf``         backward/forward power-flow sweep and slack accounting
 ``core``         `build_problem` (compiles each feeder once; one cost
                  and one box vector over the primal ``z = [p, q, P_M]``),
@@ -20,8 +20,9 @@ Layout
                  events (applied once, to the compiled problem), the
                  round's shared network half `settle`, the shared driver
                  loop `run_rounds`, `solve`
-``market``       agents stepping on their own coordinates of the compiled
-                 problem, message bus, operator step (ends in `settle`);
+``market``       stateless agents stepping from their own coordinates of
+                 the round's primal vector and the compiled problem,
+                 message bus, operator step (ends in `settle`);
                  `run_market` routes the round's messages through the
                  shared loop
 ``trace``        per-iteration CSV records, write/read round trip

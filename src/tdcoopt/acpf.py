@@ -28,6 +28,7 @@ residual that is independent of any globally consistent load data.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import logging
@@ -52,7 +53,6 @@ __all__ = [
     "SweepDivergence",
     "SweepResult",
     "sweep_feeder",
-    "recompute_branch_mismatch",
     "SlackAccount",
     "fixed_injection",
     "record_slack",
@@ -164,11 +164,10 @@ def _sweep_python(
     floats is compensated from Python 3.12 on).
     """
     n = model.n_nodes
-    topo = model.topology
-    order = topo.order
-    parent = topo.parent
-    r = topo.r
-    x = topo.x
+    order = model.order.tolist()
+    parent = model.parent.tolist()
+    r = model.r.tolist()
+    x = model.x.tolist()
 
     p_inj = (model.p0 + p).tolist()
     q_inj = (model.q0 + q).tolist()
@@ -220,7 +219,7 @@ def _sweep_python(
             v[j] = v_new
         if residual < tol:
             P_L = Q_L = loss = 0.0
-            for j in topo.roots:
+            for j in model.roots.tolist():
                 P_L += P_send[j]
                 Q_L += Q_send[j]
             for j in range(n):
@@ -243,6 +242,9 @@ def _sweep_python(
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _BUILD = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _LIBS = ("-lm",)
+# libraries a cache miss leaves in the cache: the new one and the newest
+# others, so checkouts of a few sources in turn never rebuild each other's
+_KEEP = 4
 # status codes of ``tdcoopt_sweep``, in the order of its enum
 _CONVERGED, _COLLAPSE, _NOT_CONVERGED, _ZERO_VOLTAGE = range(4)
 
@@ -347,7 +349,10 @@ def _build_kernel(cc: str, directory: Path) -> Path:
     named after the key's CRC-32 and length, and a copy of the key sits
     beside it (``.key``); a library is used only when that copy equals
     the key byte for byte, and rebuilt otherwise.  Each file is written
-    under a temporary name and renamed into place, the library first.
+    under a temporary name and renamed into place, the library first.  A
+    build then removes all but the ``_KEEP`` newest libraries (by mtime,
+    the new one always kept) with their keys, skipping files it cannot
+    remove.
     """
     key = _SOURCE.read_bytes() + " ".join(_BUILD + _LIBS).encode()
     stem = f"sweep-{zlib.crc32(key):08x}-{len(key)}"
@@ -382,43 +387,23 @@ def _build_kernel(cc: str, directory: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(directory, library)
     return library
 
 
-def recompute_branch_mismatch(
-    model: LinearFeederModel, p: np.ndarray, q: np.ndarray, result: SweepResult
-) -> float:
-    """Max violation of the exact branch-flow equations at a sweep solution.
-
-    Used by tests to confirm the returned fixed point: rebuilding branch
-    flows and voltages from ``result.v`` must reproduce them.
-    """
-    topo = model.topology
-    n = model.n_nodes
-    v = result.v
-    P_recv = -(model.p0 + p)
-    Q_recv = -(model.q0 + q)
-    P_send = np.zeros(n)
-    Q_send = np.zeros(n)
-    ell = np.zeros(n)
-    for j in topo.order[::-1]:
-        ell[j] = (P_recv[j] ** 2 + Q_recv[j] ** 2) / (v[j] * v[j])
-        P_send[j] = P_recv[j] + topo.r[j] * ell[j]
-        Q_send[j] = Q_recv[j] + topo.x[j] * ell[j]
-        if topo.parent[j] >= 0:
-            P_recv[topo.parent[j]] += P_send[j]
-            Q_recv[topo.parent[j]] += Q_send[j]
-    mismatch = 0.0
-    for j in topo.order:
-        pj = topo.parent[j]
-        u_up = model.v0 ** 2 if pj < 0 else v[pj] ** 2
-        u_j = (
-            u_up
-            - 2.0 * (topo.r[j] * P_send[j] + topo.x[j] * Q_send[j])
-            + (topo.r[j] ** 2 + topo.x[j] ** 2) * ell[j]
-        )
-        mismatch = max(mismatch, abs(math.sqrt(max(u_j, 0.0)) - v[j]))
-    return mismatch
+def _prune(directory: Path, library: Path) -> None:
+    """Remove every library of ``directory`` but ``library`` and the
+    ``_KEEP - 1`` newest others, each with its key; skip what fails."""
+    aged = []
+    for old in directory.glob("sweep-*.so"):
+        if old != library:
+            with contextlib.suppress(OSError):  # removed meanwhile
+                aged.append((old.stat().st_mtime_ns, old))
+    aged.sort(reverse=True)
+    for _, old in aged[_KEEP - 1 :]:
+        for path in (old, old.with_suffix(".key")):
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 # ---------------------------------------------------------------------------

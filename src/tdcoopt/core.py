@@ -874,12 +874,12 @@ def default_probes(problem: DispatchProblem) -> tuple[int, ...]:
     """One probe node per feeder: the node of largest path impedance."""
     probes = []
     for model in problem.models:
-        topo = model.topology
+        parent, r, x = model.parent.tolist(), model.r.tolist(), model.x.tolist()
         depth = [0.0] * model.n_nodes
         best, best_depth = 0, -1.0
-        for j in topo.order:
-            parent_depth = depth[topo.parent[j]] if topo.parent[j] >= 0 else 0.0
-            depth[j] = parent_depth + math.hypot(topo.r[j], topo.x[j])
+        for j in model.order.tolist():
+            parent_depth = depth[parent[j]] if parent[j] >= 0 else 0.0
+            depth[j] = parent_depth + math.hypot(r[j], x[j])
             if depth[j] > best_depth:
                 best, best_depth = j, depth[j]
         probes.append(best)

@@ -14,8 +14,9 @@ symmetric positive semidefinite by construction.  Losslessness makes every
 unit of local injection displace exactly one unit of head draw, and
 reactive injections do not move the head draw at all.
 
-The same model also carries what the exact sweep needs (topology, also
-as C arrays for the compiled sweep, base injections, substation voltage)
+The same model also carries what the exact sweep needs (the tree as C
+arrays, read by the compiled sweep and its Python reference, base
+injections, substation voltage)
 and where the feeder's nodes sit in the global node vectors, but no DER
 data: it is all the market operator may know about a feeder.
 :func:`tdcoopt.core.build_problem` compiles each feeder once.
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import DistributionFeeder, FeederTopology, feeder_topology
+from .network import DistributionFeeder, feeder_topology
 
 __all__ = [
     "LinearFeederModel",
@@ -47,12 +48,12 @@ class LinearFeederModel:
     c: np.ndarray  # voltages at zero DER output
     d: float  # head draw at zero DER output
     node_ids: tuple[int, ...]  # case-file node id per position
-    topology: FeederTopology
     p0: np.ndarray  # fixed base injections per node
     q0: np.ndarray
     v0: float  # substation voltage magnitude
     span: slice  # the feeder's positions in the global node vectors
-    # ``topology`` as contiguous intc/float64 arrays, for the compiled sweep
+    # the tree (:func:`~tdcoopt.network.feeder_topology`) as contiguous
+    # intc/float64 arrays, for the compiled sweep
     order: np.ndarray
     parent: np.ndarray
     roots: np.ndarray
@@ -121,7 +122,6 @@ def build_lindistflow(
         c=c,
         d=d,
         node_ids=tuple(node.id for node in feeder.nodes),
-        topology=topo,
         p0=p0,
         q0=q0,
         v0=feeder.v0,

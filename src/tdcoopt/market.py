@@ -13,14 +13,17 @@ no DER data), the summed fixed injection and the generator count alone.
 
 This module only routes messages: the rounds run inside the centralized
 engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
-events, step norms, records and the stopping rule.  Each agent reads its
-cost coefficient and box from its own coordinates of the problem's
-``coef``, ``lo`` and ``hi`` over the primal vector ``z = [p, q, P_M]``,
-as the loop hands the round that problem, so an event exists once, in
-that problem, and reaches an agent with no message of its own.  The
-agents themselves are read off the problem too: one user per DER
-coordinate (``coef > 0``) of each feeder, in node order, and one agent
-per generator.  The operator assembles one ``z`` from the reports.  In
+the state, events, step norms, records and the stopping rule.  Agents
+keep no state: each round every agent steps from its own coordinates of
+the loop's primal vector ``z = [p, q, P_M]`` and reads its cost
+coefficient and box from the same coordinates of the problem's
+``coef``, ``lo`` and ``hi``, as the loop hands the round both.  So an
+event exists once, in that problem and that ``z``
+(:func:`~tdcoopt.core.apply_event`), and reaches an agent with no
+message of its own.  The agents themselves are read off the problem
+too: one user per DER coordinate (``coef > 0``) of each feeder, in node
+order, and one agent per generator.  The operator assembles the next
+``z`` from the reports.  In
 gradient mode the produced trajectory and records coincide with the
 centralized engine's, bit for bit: the agents' steps are the primal
 step's arithmetic, and both engines end each round in the same
@@ -202,14 +205,11 @@ def user_step(
     """One projected gradient step on the user's own objective.
 
     Uses only the user's private cost coefficients ``(a_p, a_q)``, its
-    box and the received prices.  The step starts from the setpoint held
-    inside the box, which a capacity cut may have moved it out of.
+    box and the received prices.  ``state`` is stepped as given, as the
+    centralized engine steps its primal vector.
     """
     p, q = state
     p_lo, p_hi, q_lo, q_hi = box
-    if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):  # rare: after a cut
-        p = project_box(p, p_lo, p_hi)
-        q = project_box(q, q_lo, q_hi)
     alpha, beta = signals
     a_p, a_q = cost
     p_new = project_box(p - eps * (2.0 * a_p * p + alpha), p_lo, p_hi)
@@ -243,85 +243,73 @@ def generator_step(
 # agents
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class UserAgent:
-    """A DER owner and its current setpoint.
+    """A DER owner, known by its coordinates; it keeps no state.
 
-    Its private cost and limits are its own coordinates of the compiled
-    problem: ``index`` for ``p``, ``q_index`` for ``q``.  Its prices sit
-    at the same coordinates of the broadcast.
+    Its setpoint, private cost and limits are its own coordinates of the
+    round's primal vector and of the compiled problem: ``index`` for
+    ``p``, ``q_index`` for ``q``.  Its prices sit at the same coordinates
+    of the broadcast.
     """
 
     name: str
     index: int  # the DER node's position in the global node vectors
     q_index: int  # index + the number of feeder nodes
-    p: float = 0.0
-    q: float = 0.0
 
     def step(
         self,
+        z: list[float],
         coef: list[float],
         lo: list[float],
         hi: list[float],
         signals: IncentiveSignals,
         eps: float,
         mode: str,
-    ) -> None:
-        """Move on ``coef``, ``lo`` and ``hi``, the problem's as lists."""
+        tag: int,
+    ) -> AgentMessage:
+        """Step from ``z`` on ``coef``, ``lo`` and ``hi`` (the round's
+        primal vector and the problem's, as lists); report the result."""
         i, j = self.index, self.q_index
         prices = (signals.prices.item(i), signals.prices.item(j))
         cost = (coef[i], coef[j])
         box = (lo[i], hi[i], lo[j], hi[j])
         if mode == "gradient":
-            self.p, self.q = user_step((self.p, self.q), prices, cost, box, eps)
-        elif mode == "best-response":
-            self.p, self.q = user_best_response(prices, cost, box)
+            p, q = user_step((z[i], z[j]), prices, cost, box, eps)
         else:
-            raise ValueError(f"unknown market mode {mode!r}")
-
-    def report(self, tag: int) -> AgentMessage:
-        return AgentMessage(
-            kind="setpoint-report",
-            sender=self.name,
-            iteration_tag=tag,
-            payload={"node": self.index, "p": self.p, "q": self.q},
-        )
+            p, q = user_best_response(prices, cost, box)
+        payload = {"node": i, "p": p, "q": q}
+        return AgentMessage("setpoint-report", self.name, tag, payload)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorAgent:
-    """A dispatchable generator and its current output.
+    """A dispatchable generator, known by its coordinate; it keeps no state.
 
-    Its cost coefficient and box are its own coordinate ``z_index`` of
-    the compiled problem.
+    Its output, cost coefficient and box are its own coordinate
+    ``z_index`` of the round's primal vector and of the compiled problem.
     """
 
     name: str
     index: int  # the generator's position among the generators
     z_index: int  # index + twice the number of feeder nodes
-    P: float = 0.0
 
     def step(
         self,
+        z: list[float],
         coef: list[float],
         lo: list[float],
         hi: list[float],
         signals: IncentiveSignals,
         eps: float,
-    ) -> None:
-        """Move on ``coef``, ``lo`` and ``hi``, the problem's as lists."""
+        tag: int,
+    ) -> AgentMessage:
+        """Step from ``z`` on ``coef``, ``lo`` and ``hi`` (the round's
+        primal vector and the problem's, as lists); report the result."""
         i = self.z_index
-        self.P = generator_step(
-            self.P, signals.lambda_broadcast, coef[i], lo[i], hi[i], eps
-        )
-
-    def report(self, tag: int) -> AgentMessage:
-        return AgentMessage(
-            kind="setpoint-report",
-            sender=self.name,
-            iteration_tag=tag,
-            payload={"generator": self.index, "P": self.P},
-        )
+        P = generator_step(z[i], signals.lambda_broadcast, coef[i], lo[i], hi[i], eps)
+        payload = {"generator": self.index, "P": P}
+        return AgentMessage("setpoint-report", self.name, tag, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +404,13 @@ def run_market(
     The rounds go through the centralized engine's driver loop
     (:func:`~tdcoopt.core.run_rounds`); this engine only routes each
     round's messages between the agents and the operator.  Each round
-    the agents read their private data from their own entries of the
-    problem the loop hands it, events applied; the operator gets only
+    the agents step from their own entries of the loop's primal vector
+    and read their private data from the same entries of the problem the
+    loop hands it, events applied to both; the operator gets only
     ``problem.models``, the fixed injection and the generator count.  One
     user ``user:<feeder>:<node>`` stands at each DER coordinate, in node
     order.  In ``gradient`` mode the trajectory equals the centralized
-    engine's.  ``x0`` seeds the agents (its ``p``/``q`` entries at nodes
+    engine's.  ``x0`` seeds the loop (its ``p``/``q`` entries at nodes
     without a DER are ignored).  The caller's ``problem`` is not
     modified, events included.
     """
@@ -435,19 +424,14 @@ def run_market(
     y0 = y_init if y0 is None else y0
 
     N = problem.n_nodes
-    # only DER and generator coordinates carry a cost (build_problem)
-    z = np.where(problem.coef > 0, x0.z, 0.0)
     users: list[UserAgent] = []
     for model in models:
         for j in np.flatnonzero(problem.coef[model.span] > 0).tolist():
             g = model.span.start + j
             name = f"user:{model.feeder_id}:{model.node_ids[j]}"
-            users.append(UserAgent(name, g, N + g, float(z[g]), float(z[N + g])))
+            users.append(UserAgent(name, g, N + g))
     generators = [
-        GeneratorAgent(
-            name=f"generator:{gen_bus}", index=i, z_index=2 * N + i,
-            P=float(z[2 * N + i]),
-        )
+        GeneratorAgent(f"generator:{gen_bus}", i, 2 * N + i)
         for i, gen_bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
@@ -481,12 +465,11 @@ def run_market(
                 iteration=t,
             )
         prices = received[0].payload
+        z = x.z.tolist()
         for u in users:
-            u.step(coef, lo, hi, prices, cfg.eps, mode)
-            bus.publish(u.report(t))
+            bus.publish(u.step(z, coef, lo, hi, prices, cfg.eps, mode, t))
         for g in generators:
-            g.step(coef, lo, hi, prices, cfg.eps)
-            bus.publish(g.report(t))
+            bus.publish(g.step(z, coef, lo, hi, prices, cfg.eps, t))
 
         outcome, broadcast = operator_step(
             bus.collect("setpoint-report", t), y, models, op_cfg, account,
@@ -501,6 +484,6 @@ def run_market(
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
         return outcome, broadcast.prices
 
-    return run_rounds(
-        problem, cfg, PrimalState(z, N), y0, account, events, probes, step
-    )
+    # only DER and generator coordinates carry a cost (build_problem)
+    x0 = PrimalState(np.where(problem.coef > 0, x0.z, 0.0), N)
+    return run_rounds(problem, cfg, x0, y0, account, events, probes, step)

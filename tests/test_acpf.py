@@ -19,6 +19,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from tdcoopt.acpf import (
     SweepDivergence,
     fixed_injection,
     record_slack,
-    recompute_branch_mismatch,
     slack_residual,
     sweep_feeder,
 )
@@ -43,6 +43,42 @@ from conftest import CASES_DIR, make_chain_feeder, make_ts
 
 def load_feeder(name: str):
     return parse_case((CASES_DIR / f"{name}.json").read_text())
+
+
+def recompute_branch_mismatch(model, p, q, result) -> float:
+    """Max violation of the exact branch-flow equations at a sweep solution.
+
+    Rebuilding branch flows and voltages from ``result.v`` must reproduce
+    them at a fixed point of the sweep.
+    """
+    order = model.order.tolist()
+    parent = model.parent.tolist()
+    r, x = model.r.tolist(), model.x.tolist()
+    n = model.n_nodes
+    v = result.v
+    P_recv = -(model.p0 + p)
+    Q_recv = -(model.q0 + q)
+    P_send = np.zeros(n)
+    Q_send = np.zeros(n)
+    ell = np.zeros(n)
+    for j in order[::-1]:
+        ell[j] = (P_recv[j] ** 2 + Q_recv[j] ** 2) / (v[j] * v[j])
+        P_send[j] = P_recv[j] + r[j] * ell[j]
+        Q_send[j] = Q_recv[j] + x[j] * ell[j]
+        if parent[j] >= 0:
+            P_recv[parent[j]] += P_send[j]
+            Q_recv[parent[j]] += Q_send[j]
+    mismatch = 0.0
+    for j in order:
+        pj = parent[j]
+        u_up = model.v0 ** 2 if pj < 0 else v[pj] ** 2
+        u_j = (
+            u_up
+            - 2.0 * (r[j] * P_send[j] + x[j] * Q_send[j])
+            + (r[j] ** 2 + x[j] ** 2) * ell[j]
+        )
+        mismatch = max(mismatch, abs(math.sqrt(max(u_j, 0.0)) - v[j]))
+    return mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +469,41 @@ def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
     assert library.read_bytes()[:4] == b"\x7fELF"
     assert key.read_bytes() == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == [key.name, library.name]
+
+
+def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
+    # libraries of older sources would otherwise stay in the cache for good
+    cc = shutil.which("cc")
+    hour_ago = time.time_ns() - 3600 * 10**9
+
+    def leave(name, age, key=True):
+        # a library (and its key) of another source, ``age`` seconds older
+        mtime = hour_ago - age * 10**9
+        for suffix in (".so", ".key") if key else (".so",):
+            path = tmp_path / f"{name}{suffix}"
+            path.write_bytes(b"old")
+            os.utime(path, ns=(mtime, mtime))
+
+    leave("sweep-00000000-1", 0)
+    leave("sweep-00000001-1", 1)
+    leave("sweep-" + "ab" * 32, 2, key=False)  # an older naming, key-less
+    leave("sweep-00000002-1", 3)
+    leave("sweep-00000003-1", 4)
+    locked = tmp_path / "sweep-locked.so"
+    locked.mkdir()  # the oldest, and it cannot be unlinked: skipped
+    os.utime(locked, ns=(hour_ago - 9 * 10**9, hour_ago - 9 * 10**9))
+    library = acpf._build_kernel(cc, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        library.name, library.with_suffix(".key").name,
+        "sweep-00000000-1.so", "sweep-00000000-1.key",
+        "sweep-00000001-1.so", "sweep-00000001-1.key",
+        "sweep-" + "ab" * 32 + ".so", "sweep-locked.so",
+    ])
+    # a cache hit removes nothing
+    leave("sweep-00000004-1", 5)
+    assert acpf._build_kernel(cc, tmp_path) == library
+    assert (tmp_path / "sweep-00000004-1.so").exists()
+    assert (tmp_path / "sweep-00000004-1.key").exists()
 
 
 def test_ac_sweep_with_a_cached_kernel_imports_neither_hashlib_nor_subprocess(kernel):

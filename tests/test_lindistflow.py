@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tdcoopt.acpf import sweep_feeder
 from tdcoopt.lindistflow import build_lindistflow, predict
-from tdcoopt.network import parse_case
+from tdcoopt.network import feeder_topology, parse_case
 
 from conftest import CASES_DIR, make_chain_feeder
 
@@ -114,7 +114,7 @@ def test_model_holds_the_tree_as_c_arrays():
     # the compiled sweep reads these through their addresses, taken once
     feeder = parse_case((CASES_DIR / "feeder18.json").read_text())
     model = build_lindistflow(feeder)
-    topo = model.topology
+    topo = feeder_topology(feeder)
     for name, dtype in [("order", np.intc), ("parent", np.intc),
                         ("roots", np.intc), ("r", np.float64),
                         ("x", np.float64), ("ones", np.float64)]:

@@ -77,14 +77,6 @@ def test_user_step_projects_into_box():
     assert (p, q) == (0.05, 0.02)
 
 
-def test_user_step_starts_from_the_setpoint_held_in_the_box():
-    # a setpoint a capacity cut left outside the box steps from the box
-    # edge, as the centralized engine's re-projected state does
-    outside = user_step((0.09, -0.05), (0.0, 0.0), COST, BOX, eps=0.01)
-    at_edge = user_step((0.05, -0.02), (0.0, 0.0), COST, BOX, eps=0.01)
-    assert outside == at_edge
-
-
 def test_user_best_response():
     # [DERIVED] unconstrained argmin of a_p p^2 + alpha p is -alpha / 2 a_p
     p, q = user_best_response((-0.06, -0.002), COST, BOX)
@@ -128,6 +120,26 @@ def test_agents_follow_the_events_of_the_problem(events):
         assert market_x.P_M[1] == 0.0
     else:
         assert np.all(market_x.p <= 0.5 * problem.hi[:N])
+
+
+def test_market_steps_from_a_start_outside_the_boxes():
+    # the agents step from the loop's primal vector as given, as the
+    # centralized engine does: no engine pulls the start into the boxes
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    x0, _ = initial_state(problem)
+    N = problem.n_nodes
+    der = problem.coef[:N] > 0
+    p = np.where(der, 2.0 * problem.hi[:N], 0.0)
+    q = np.where(der, problem.lo[N : 2 * N] - 0.01, 0.0)
+    x0 = primal(p, q, x0.P_M)
+    assert np.all(p[der] > problem.hi[:N][der])
+    assert np.all(q[der] < problem.lo[N : 2 * N][der])
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0)
+    core_res = solve(problem, cfg, x0=x0)
+    market_res = run_market(problem, cfg, x0=x0)
+    assert market_res.records == core_res.records
+    np.testing.assert_array_equal(market_res.x.z, core_res.x.z)
 
 
 # ---------------------------------------------------------------------------
