@@ -61,7 +61,7 @@ from .acpf import (
     sweep_feeder,
 )
 from .lindistflow import LinearFeederModel, build_lindistflow, predict
-from .network import CaseError, CoupledSystem, VoltageLimits
+from .network import CoupledSystem, VoltageLimits
 from .trace import TraceRecord
 
 __all__ = [
@@ -190,9 +190,9 @@ class SolverConfig:
     record_state: bool = False  # keep the full (x, y) trajectory
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
@@ -240,11 +240,10 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     """Compile a coupled system into the flat-array problem form.
 
     This is the one place a feeder is compiled (:func:`build_lindistflow`).
-    Every cost coefficient must be positive: the costs must be strongly
-    convex for the stepsize certificate, and ``coef`` is zero exactly
-    where no DER sits.  Each bus holds at most one generator, since events
-    name generators by bus.  Every feeder needs a node, or its voltage
-    range cannot be recorded.
+    It only compiles: the case objects refused invalid data when they were
+    built (:mod:`tdcoopt.network`), so every cost coefficient is positive,
+    ``coef`` is zero exactly where no DER sits, each bus holds at most one
+    generator (events name generators by bus), and every feeder has a node.
     """
     models = tuple(
         build_lindistflow(f, offset)
@@ -258,44 +257,13 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     gen_bus = [g.bus_id for g in gens]
 
     for i, g in enumerate(gens, start=2 * N):
-        if gen_bus.count(g.bus_id) > 1:
-            raise CaseError(
-                f"generator@{g.bus_id}: two generators on one bus",
-                element=f"generator@{g.bus_id}",
-            )
-        if g.cost_coefficient <= 0:
-            raise CaseError(
-                f"generator@{g.bus_id}: cost coefficient must be positive, "
-                f"got {g.cost_coefficient}",
-                element=f"generator@{g.bus_id}",
-            )
         coef[i] = g.cost_coefficient
         if g.online:
             lo[i], hi[i] = g.p_min, g.p_max
 
     for k, feeder in enumerate(system.feeders):
-        if not feeder.nodes:
-            raise CaseError(
-                f"feeder {feeder.feeder_id}: a feeder without nodes has no "
-                "voltage range to record",
-                element=feeder.feeder_id,
-            )
         index = feeder.node_index()
-        seen: set[int] = set()
         for der in feeder.ders:
-            if der.node_id in seen:
-                raise CaseError(
-                    f"feeder {feeder.feeder_id}: two DERs on node {der.node_id}",
-                    element=f"der@{der.node_id}",
-                )
-            if der.a_p <= 0 or der.a_q <= 0:
-                tag = f"der@{feeder.feeder_id}:{der.node_id}"
-                raise CaseError(
-                    f"{tag}: cost coefficients must be positive, got "
-                    f"a_p={der.a_p}, a_q={der.a_q}",
-                    element=tag,
-                )
-            seen.add(der.node_id)
             g = system.global_index(k, index[der.node_id])
             coef[g], coef[N + g] = der.a_p, der.a_q
             lo[g], hi[g], lo[N + g], hi[N + g] = der.box()
@@ -765,7 +733,7 @@ class DerCapacityScale:
     factor: float
 
     def __post_init__(self):
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError(f"scale factor must be positive, got {self.factor}")
 
 

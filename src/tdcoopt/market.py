@@ -410,9 +410,8 @@ def run_market(
     ``problem.models``, the fixed injection and the generator count.  One
     user ``user:<feeder>:<node>`` stands at each DER coordinate, in node
     order.  In ``gradient`` mode the trajectory equals the centralized
-    engine's.  ``x0`` seeds the loop (its ``p``/``q`` entries at nodes
-    without a DER are ignored).  The caller's ``problem`` is not
-    modified, events included.
+    engine's.  ``x0`` seeds the loop as given, as in the centralized
+    engine.  The caller's ``problem`` is not modified, events included.
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
@@ -484,6 +483,4 @@ def run_market(
         bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
         return outcome, broadcast.prices
 
-    # only DER and generator coordinates carry a cost (build_problem)
-    x0 = PrimalState(np.where(problem.coef > 0, x0.z, 0.0), N)
     return run_rounds(problem, cfg, x0, y0, account, events, probes, step)

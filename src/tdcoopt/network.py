@@ -5,6 +5,13 @@ network is positive, consumption is negative.  A feeder's substation draw
 ``P_L`` is positive when the feeder is a net load.  All quantities are in
 per-unit; feeder case files may carry their own MVA base and are rebased
 onto the transmission base when attached (see :func:`attach_feeders`).
+
+A case is checked once, when it is built: ``TransmissionSystem``,
+``DistributionFeeder`` and ``CoupledSystem`` refuse invalid data with a
+:class:`CaseError` on every construction, ``dataclasses.replace``
+included, so an object that exists is valid and nothing downstream
+re-checks it.  The rules live in :func:`validate_transmission`,
+:func:`validate_feeder` and ``CoupledSystem.__post_init__``.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ class TransmissionSystem:
     generators: tuple[Generator, ...]
     slack_bus_id: int
 
+    def __post_init__(self):
+        validate_transmission(self)
+
     def bus_ids(self) -> list[int]:
         return [b.id for b in self.buses]
 
@@ -117,6 +127,9 @@ class DistributionFeeder:
     lines: tuple[FeederLine, ...]
     ders: tuple[Der, ...] = ()
 
+    def __post_init__(self):
+        validate_feeder(self)
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -143,6 +156,7 @@ class VoltageLimits:
 # ---------------------------------------------------------------------------
 
 def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
+    """Return ``ts`` or raise :class:`CaseError`; every construction runs it."""
     ids = ts.bus_ids()
     seen = set()
     for b in ids:
@@ -163,14 +177,14 @@ def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
         if g.bus_id in hosts:
             raise CaseError(f"two generators on bus {g.bus_id}", element=g.bus_id)
         hosts.add(g.bus_id)
-        if g.p_min > g.p_max:
+        if not g.p_min <= g.p_max:
             raise CaseError(f"generator at bus {g.bus_id}: p_min > p_max", element=g.bus_id)
-        if g.cost_coefficient <= 0:
+        if not g.cost_coefficient > 0:
             raise CaseError(
                 f"generator at bus {g.bus_id}: cost coefficient must be > 0",
                 element=g.bus_id,
             )
-    if ts.base_mva <= 0:
+    if not ts.base_mva > 0:
         raise CaseError("base_mva must be positive")
     # connectivity of the line graph
     if len(ids) > 1:
@@ -194,6 +208,13 @@ def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
 
 
 def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
+    """Return ``feeder`` or raise :class:`CaseError`; every construction runs it."""
+    if not feeder.nodes:
+        raise CaseError(
+            f"feeder {feeder.feeder_id}: a feeder without nodes has no voltage "
+            "range to record",
+            element=feeder.feeder_id,
+        )
     node_ids = [n.id for n in feeder.nodes]
     seen = set()
     for n in node_ids:
@@ -205,9 +226,9 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
             f"feeder {feeder.feeder_id}: substation id {feeder.substation_id} reused as node",
             element=feeder.substation_id,
         )
-    if feeder.v0 <= 0:
+    if not feeder.v0 > 0:
         raise CaseError(f"feeder {feeder.feeder_id}: substation voltage must be positive")
-    if feeder.base_mva <= 0:
+    if not feeder.base_mva > 0:
         raise CaseError(f"feeder {feeder.feeder_id}: base_mva must be positive")
 
     # radial topology: one parent per node, |lines| == |nodes|, all reachable
@@ -234,7 +255,7 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
                 f"feeder {feeder.feeder_id}: non-radial, node {ln.child} has two parents",
                 element=ln.child,
             )
-        if ln.r <= 0:
+        if not ln.r > 0:
             raise CaseError(
                 f"feeder {feeder.feeder_id}: non-positive resistance on line "
                 f"({ln.parent},{ln.child})",
@@ -261,30 +282,37 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
         )
     # the substation edge must carry nonzero reactance magnitude
     for ln in feeder.lines:
-        if ln.parent == feeder.substation_id and ln.x == 0.0:
+        if ln.parent == feeder.substation_id and not abs(ln.x) > 0:
             raise CaseError(
                 f"feeder {feeder.feeder_id}: substation line ({ln.parent},{ln.child}) "
                 f"has zero reactance",
                 element=(ln.parent, ln.child),
             )
+    hosts: set[int] = set()
     for der in feeder.ders:
         if der.node_id not in seen:
             raise CaseError(
                 f"feeder {feeder.feeder_id}: DER at unknown node {der.node_id}",
                 element=der.node_id,
             )
-        if der.a_p <= 0 or der.a_q <= 0:
+        if der.node_id in hosts:
+            raise CaseError(
+                f"feeder {feeder.feeder_id}: two DERs on node {der.node_id}",
+                element=der.node_id,
+            )
+        hosts.add(der.node_id)
+        if not (der.a_p > 0 and der.a_q > 0):
             raise CaseError(
                 f"feeder {feeder.feeder_id}: DER at node {der.node_id} needs positive "
                 f"cost coefficients",
                 element=der.node_id,
             )
-        if der.p_min > der.p_max or der.q_min > der.q_max:
+        if not (der.p_min <= der.p_max and der.q_min <= der.q_max):
             raise CaseError(
                 f"feeder {feeder.feeder_id}: DER at node {der.node_id} has an empty box",
                 element=der.node_id,
             )
-        if der.capacity_scale <= 0:
+        if not der.capacity_scale > 0:
             raise CaseError(
                 f"feeder {feeder.feeder_id}: DER at node {der.node_id} has non-positive "
                 f"capacity scale",
@@ -298,7 +326,7 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
 # ---------------------------------------------------------------------------
 
 def parse_case(text: str) -> TransmissionSystem | DistributionFeeder:
-    """Parse a JSON case file into a validated model.
+    """Parse a JSON case file into a model, which validates itself.
 
     The top-level ``kind`` field selects between ``transmission`` and
     ``feeder``; the field-by-field schema is documented in
@@ -315,9 +343,9 @@ def parse_case(text: str) -> TransmissionSystem | DistributionFeeder:
     kind = raw["kind"]
     try:
         if kind == "transmission":
-            return validate_transmission(_transmission_from_dict(raw))
+            return _transmission_from_dict(raw)
         if kind == "feeder":
-            return validate_feeder(_feeder_from_dict(raw))
+            return _feeder_from_dict(raw)
     except (KeyError, TypeError) as exc:
         raise CaseError(f"missing or malformed field: {exc}") from exc
     raise CaseError(f"unknown case kind {kind!r}", element=kind)
@@ -478,6 +506,8 @@ class CoupledSystem:
 
     Per-feeder node vectors are concatenated in feeder order into global
     vectors of length ``n_total``; ``offsets`` gives each feeder's slice start.
+    Construction refuses a repeated feeder id, and a host bus that is
+    unset, unknown, the slack bus, or already taken.
     """
 
     transmission: TransmissionSystem
@@ -486,9 +516,34 @@ class CoupledSystem:
     n_total: int = field(init=False)
 
     def __post_init__(self):
+        ts = self.transmission
+        bus_ids = set(ts.bus_ids())
+        taken: set[int] = set()
+        ids_seen: set[str] = set()
         offs = []
         total = 0
         for f in self.feeders:
+            if f.feeder_id in ids_seen:
+                raise CaseError(
+                    f"feeder id {f.feeder_id!r} used twice", element=f.feeder_id
+                )
+            ids_seen.add(f.feeder_id)
+            host = f.host_bus_id
+            if host is None:
+                raise CaseError(f"feeder {f.feeder_id} has no host bus assigned",
+                                element=f.feeder_id)
+            if host not in bus_ids:
+                raise CaseError(f"feeder {f.feeder_id}: host bus {host} unknown",
+                                element=host)
+            if host == ts.slack_bus_id:
+                raise CaseError(f"feeder {f.feeder_id}: host bus {host} is the slack bus",
+                                element=host)
+            if host in taken:
+                raise CaseError(
+                    f"feeder {f.feeder_id}: host bus {host} already hosts a feeder",
+                    element=host,
+                )
+            taken.add(host)
             offs.append(total)
             total += f.n_nodes
         object.__setattr__(self, "offsets", tuple(offs))
@@ -518,9 +573,10 @@ class FeederTopology:
 
 
 def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
+    """The edge arrays of a feeder, which is radial since it was constructed."""
     n = feeder.n_nodes
     idx = feeder.node_index()
-    parent = [-2] * n
+    parent = [-1] * n
     r = [0.0] * n
     x = [0.0] * n
     for ln in feeder.lines:
@@ -528,12 +584,6 @@ def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
         parent[j] = -1 if ln.parent == feeder.substation_id else idx[ln.parent]
         r[j] = ln.r
         x[j] = ln.x
-    if -2 in parent:
-        pos = parent.index(-2)
-        raise CaseError(
-            f"feeder {feeder.feeder_id}: node {feeder.nodes[pos].id} has no feeding line",
-            element=feeder.nodes[pos].id,
-        )
     children: dict[int, list[int]] = {}
     roots = []
     for j, p in enumerate(parent):
@@ -547,8 +597,6 @@ def feeder_topology(feeder: DistributionFeeder) -> FeederTopology:
         j = queue.popleft()
         order.append(j)
         queue.extend(children.get(j, []))
-    if len(order) != n:
-        raise CaseError(f"feeder {feeder.feeder_id}: topology is not a rooted tree")
     return FeederTopology(
         order=tuple(order),
         parent=tuple(parent),
@@ -562,31 +610,6 @@ def attach_feeders(
     ts: TransmissionSystem, feeders: list[DistributionFeeder] | tuple[DistributionFeeder, ...]
 ) -> CoupledSystem:
     """Couple feeders to transmission buses, rebasing onto the transmission base."""
-    bus_ids = set(ts.bus_ids())
-    taken: set[int] = set()
-    ids_seen: set[str] = set()
-    rebased = []
-    for f in feeders:
-        if f.feeder_id in ids_seen:
-            raise CaseError(
-                f"feeder id {f.feeder_id!r} used twice", element=f.feeder_id
-            )
-        ids_seen.add(f.feeder_id)
-        host = f.host_bus_id
-        if host is None:
-            raise CaseError(f"feeder {f.feeder_id} has no host bus assigned",
-                            element=f.feeder_id)
-        if host not in bus_ids:
-            raise CaseError(f"feeder {f.feeder_id}: host bus {host} unknown", element=host)
-        if host == ts.slack_bus_id:
-            raise CaseError(
-                f"feeder {f.feeder_id}: host bus {host} is the slack bus", element=host
-            )
-        if host in taken:
-            raise CaseError(
-                f"feeder {f.feeder_id}: host bus {host} already hosts a feeder",
-                element=host,
-            )
-        taken.add(host)
-        rebased.append(rebase_feeder(f, ts.base_mva))
-    return CoupledSystem(transmission=ts, feeders=tuple(rebased))
+    return CoupledSystem(
+        transmission=ts, feeders=tuple(rebase_feeder(f, ts.base_mva) for f in feeders)
+    )

@@ -203,7 +203,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
                 raise ScenarioError(
                     f"{where}: der-capacity-scale target must be 'all-DERs'"
                 )
-            if factor is None or float(factor) <= 0:
+            if factor is None or not float(factor) > 0:
                 raise ScenarioError(f"{where}: needs a positive factor")
             factor = float(factor)
         events.append(

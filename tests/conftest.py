@@ -20,8 +20,6 @@ from tdcoopt.network import (
     TransmissionSystem,
     VoltageLimits,
     attach_feeders,
-    validate_feeder,
-    validate_transmission,
 )
 
 PACKAGE_DIR = Path(tdcoopt.__file__).parent
@@ -61,17 +59,15 @@ def make_chain_feeder(
         )
         for nid, spec in sorted(der_nodes.items())
     )
-    return validate_feeder(
-        DistributionFeeder(
-            feeder_id=feeder_id,
-            host_bus_id=host_bus,
-            base_mva=100.0,
-            substation_id=1,
-            v0=v0,
-            nodes=nodes,
-            lines=lines,
-            ders=ders,
-        )
+    return DistributionFeeder(
+        feeder_id=feeder_id,
+        host_bus_id=host_bus,
+        base_mva=100.0,
+        substation_id=1,
+        v0=v0,
+        nodes=nodes,
+        lines=lines,
+        ders=ders,
     )
 
 
@@ -95,15 +91,13 @@ def make_ts(
         for b, c in gen_specs
     )
     lines = tuple((bus_ids[i], bus_ids[i + 1]) for i in range(len(bus_ids) - 1))
-    return validate_transmission(
-        TransmissionSystem(
-            name="test-ts",
-            base_mva=100.0,
-            buses=buses,
-            lines=lines,
-            generators=gens,
-            slack_bus_id=slack_bus,
-        )
+    return TransmissionSystem(
+        name="test-ts",
+        base_mva=100.0,
+        buses=buses,
+        lines=lines,
+        generators=gens,
+        slack_bus_id=slack_bus,
     )
 
 

@@ -41,7 +41,6 @@ from tdcoopt.network import (
     VoltageLimits,
     attach_feeders,
     parse_case,
-    validate_feeder,
 )
 from tdcoopt.scenario import (
     Scenario,
@@ -263,17 +262,15 @@ def _fork_feeder(rng: np.random.Generator, der_nodes: dict, load: float,
     ders = tuple(
         Der(node_id=nid, **spec) for nid, spec in sorted(der_nodes.items())
     )
-    return validate_feeder(
-        DistributionFeeder(
-            feeder_id="rf",
-            host_bus_id=host_bus,
-            base_mva=100.0,
-            substation_id=1,
-            v0=1.0,
-            nodes=nodes,
-            lines=lines,
-            ders=ders,
-        )
+    return DistributionFeeder(
+        feeder_id="rf",
+        host_bus_id=host_bus,
+        base_mva=100.0,
+        substation_id=1,
+        v0=1.0,
+        nodes=nodes,
+        lines=lines,
+        ders=ders,
     )
 
 

@@ -142,6 +142,24 @@ def test_market_steps_from_a_start_outside_the_boxes():
     np.testing.assert_array_equal(market_res.x.z, core_res.x.z)
 
 
+def test_market_starts_from_x0_as_given():
+    # a nonzero start at a node without a DER is the loop's first record
+    # in both engines; the first primal step pins it to its [0, 0] box
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    x0, _ = initial_state(problem)
+    assert problem.coef[0] == 0.0  # node 0 holds no DER
+    p = x0.p.copy()
+    p[0] = 0.05
+    x0 = primal(p, x0.q, x0.P_M)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0)
+    core_res = solve(problem, cfg, x0=x0)
+    market_res = run_market(problem, cfg, x0=x0)
+    assert market_res.records == core_res.records
+    np.testing.assert_array_equal(market_res.x.z, core_res.x.z)
+    assert market_res.x.p[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # trajectory equivalence with the centralized engine
 # ---------------------------------------------------------------------------

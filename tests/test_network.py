@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from conftest import CASES_DIR, make_chain_feeder, make_ts
+from conftest import CASES_DIR, make_chain_feeder, make_system, make_ts
 from tdcoopt.network import (
     Bus,
     CaseError,
+    CoupledSystem,
     Der,
     DistributionFeeder,
     FeederLine,
@@ -22,8 +24,6 @@ from tdcoopt.network import (
     parse_case,
     rebase_feeder,
     serialize_case,
-    validate_feeder,
-    validate_transmission,
 )
 
 
@@ -54,21 +54,21 @@ def test_parse_rejects_missing_fields():
 
 
 def test_transmission_validation_duplicate_bus():
-    ts = TransmissionSystem(
-        name="t",
-        base_mva=100.0,
-        buses=(Bus(id=1), Bus(id=1)),
-        lines=(),
-        generators=(Generator(bus_id=1, cost_coefficient=1.0, p_min=0, p_max=1),),
-        slack_bus_id=1,
-    )
     with pytest.raises(CaseError, match="duplicate bus"):
-        validate_transmission(ts)
+        TransmissionSystem(
+            name="t",
+            base_mva=100.0,
+            buses=(Bus(id=1), Bus(id=1)),
+            lines=(),
+            generators=(Generator(bus_id=1, cost_coefficient=1.0, p_min=0, p_max=1),),
+            slack_bus_id=1,
+        )
 
 
 def test_transmission_validation_two_generators_on_one_bus():
     # generators are named by their bus (trace columns, summary, market
-    # agents, outage events), so a second one on a bus is refused
+    # agents, outage events), so a second one on a bus is refused, and an
+    # outage of bus 1 cannot trip only the first
     raw = json.loads((CASES_DIR / "gen9.json").read_text())
     first = next(g for g in raw["generators"] if g["bus"] == 1)
     raw["generators"].append(dict(first))
@@ -76,89 +76,236 @@ def test_transmission_validation_two_generators_on_one_bus():
         parse_case(json.dumps(raw))
     assert exc.value.element == 1
 
+    ts = make_system(n_feeders=1).transmission
+    with pytest.raises(CaseError, match="two generators on bus 1") as exc:
+        dataclasses.replace(ts, generators=(ts.generators[0],) * 2)
+    assert exc.value.element == 1
+
 
 def test_transmission_validation_unknown_slack():
-    ts = TransmissionSystem(
-        name="t",
-        base_mva=100.0,
-        buses=(Bus(id=1),),
-        lines=(),
-        generators=(Generator(bus_id=1, cost_coefficient=1.0, p_min=0, p_max=1),),
-        slack_bus_id=99,
-    )
     with pytest.raises(CaseError, match="slack"):
-        validate_transmission(ts)
+        TransmissionSystem(
+            name="t",
+            base_mva=100.0,
+            buses=(Bus(id=1),),
+            lines=(),
+            generators=(Generator(bus_id=1, cost_coefficient=1.0, p_min=0, p_max=1),),
+            slack_bus_id=99,
+        )
 
 
 def test_transmission_validation_generator_box():
     ts = make_ts([(1, 1.0)])
-    bad = dataclasses.replace(
-        ts,
-        generators=(
-            Generator(bus_id=1, cost_coefficient=1.0, p_min=2.0, p_max=1.0),
-        ),
-    )
+    # an unbounded box is allowed: the starting point handles it
+    open_box = Generator(bus_id=1, cost_coefficient=1.0, p_min=-math.inf,
+                         p_max=math.inf)
+    assert dataclasses.replace(ts, generators=(open_box,)).generators == (open_box,)
     with pytest.raises(CaseError, match="p_min"):
-        validate_transmission(bad)
+        dataclasses.replace(
+            ts,
+            generators=(
+                Generator(bus_id=1, cost_coefficient=1.0, p_min=2.0, p_max=1.0),
+            ),
+        )
+
+
+def test_validation_rejects_nonpositive_costs():
+    # the stepsize certificate needs every cost strongly convex, and
+    # ``coef`` is zero exactly where no DER sits
+    system = make_system(n_feeders=1)
+    ts = system.transmission
+    free = dataclasses.replace(ts.generators[1], cost_coefficient=0.0)
+    with pytest.raises(CaseError, match="bus 2: cost coefficient") as exc:
+        dataclasses.replace(ts, generators=(ts.generators[0], free))
+    assert exc.value.element == 2
+
+    feeder = system.feeders[0]
+    bad = dataclasses.replace(feeder.ders[0], a_q=-1.0)
+    with pytest.raises(CaseError, match="positive cost coefficients") as exc:
+        dataclasses.replace(feeder, ders=(bad, *feeder.ders[1:]))
+    assert exc.value.element == bad.node_id
 
 
 def test_feeder_validation_cycle():
-    feeder = DistributionFeeder(
-        feeder_id="cyc",
-        host_bus_id=None,
-        base_mva=100.0,
-        substation_id=1,
-        v0=1.0,
-        nodes=(FeederNode(id=2), FeederNode(id=3)),
-        lines=(
-            FeederLine(parent=1, child=2, r=0.01, x=0.01),
-            FeederLine(parent=2, child=3, r=0.01, x=0.01),
-            FeederLine(parent=3, child=2, r=0.01, x=0.01),
-        ),
-    )
     with pytest.raises(CaseError):
-        validate_feeder(feeder)
+        DistributionFeeder(
+            feeder_id="cyc",
+            host_bus_id=None,
+            base_mva=100.0,
+            substation_id=1,
+            v0=1.0,
+            nodes=(FeederNode(id=2), FeederNode(id=3)),
+            lines=(
+                FeederLine(parent=1, child=2, r=0.01, x=0.01),
+                FeederLine(parent=2, child=3, r=0.01, x=0.01),
+                FeederLine(parent=3, child=2, r=0.01, x=0.01),
+            ),
+        )
 
 
 def test_feeder_validation_disconnected_node():
-    feeder = DistributionFeeder(
-        feeder_id="disc",
-        host_bus_id=None,
-        base_mva=100.0,
-        substation_id=1,
-        v0=1.0,
-        nodes=(FeederNode(id=2), FeederNode(id=3)),
-        lines=(FeederLine(parent=1, child=2, r=0.01, x=0.01),),
-    )
     with pytest.raises(CaseError, match="non-radial"):
-        validate_feeder(feeder)
+        DistributionFeeder(
+            feeder_id="disc",
+            host_bus_id=None,
+            base_mva=100.0,
+            substation_id=1,
+            v0=1.0,
+            nodes=(FeederNode(id=2), FeederNode(id=3)),
+            lines=(FeederLine(parent=1, child=2, r=0.01, x=0.01),),
+        )
 
 
 def test_feeder_validation_nonpositive_resistance():
-    feeder = DistributionFeeder(
-        feeder_id="bad-r",
-        host_bus_id=None,
-        base_mva=100.0,
-        substation_id=1,
-        v0=1.0,
-        nodes=(FeederNode(id=2),),
-        lines=(FeederLine(parent=1, child=2, r=0.0, x=0.01),),
-    )
     with pytest.raises(CaseError, match="resistance"):
-        validate_feeder(feeder)
+        DistributionFeeder(
+            feeder_id="bad-r",
+            host_bus_id=None,
+            base_mva=100.0,
+            substation_id=1,
+            v0=1.0,
+            nodes=(FeederNode(id=2),),
+            lines=(FeederLine(parent=1, child=2, r=0.0, x=0.01),),
+        )
 
 
 def test_feeder_validation_der_at_unknown_node():
     feeder = make_chain_feeder(n_nodes=2)
-    bad = dataclasses.replace(
-        feeder,
-        ders=(
-            Der(node_id=77, a_p=1.0, a_q=0.1, p_min=0, p_max=1,
-                q_min=-1, q_max=1),
-        ),
-    )
     with pytest.raises(CaseError, match="77"):
-        validate_feeder(bad)
+        dataclasses.replace(
+            feeder,
+            ders=(
+                Der(node_id=77, a_p=1.0, a_q=0.1, p_min=0, p_max=1,
+                    q_min=-1, q_max=1),
+            ),
+        )
+
+
+def test_feeder_validation_two_ders_on_one_node():
+    # one DER per node: the compiled problem has one p and one q entry
+    # per node
+    feeder = make_chain_feeder(der_nodes={3: {}}, host_bus=5)
+    with pytest.raises(CaseError, match="two DERs on node 3") as exc:
+        dataclasses.replace(feeder, ders=feeder.ders + feeder.ders)
+    assert exc.value.element == 3
+
+    raw = json.loads(serialize_case(feeder))
+    raw["ders"].append(dict(raw["ders"][0]))
+    with pytest.raises(CaseError, match="two DERs on node 3"):
+        parse_case(json.dumps(raw))
+
+
+def test_feeder_validation_feeder_without_nodes():
+    # its voltage range is undefined, so no run could record it: refused
+    # before any compile, stepsize certificate or run
+    with pytest.raises(CaseError, match="feeder without nodes") as exc:
+        make_system(n_feeders=2, n_feeder_nodes=0, der_layout={})
+    assert exc.value.element == "f0"
+
+
+def _ts_with(**changes):
+    return dataclasses.replace(make_ts([(1, 1.0)]), **changes)
+
+
+def _feeder_with(**changes):
+    return dataclasses.replace(make_chain_feeder(der_nodes={3: {}}), **changes)
+
+
+def _lines_with(pos, **changes):
+    lines = list(make_chain_feeder().lines)
+    lines[pos] = dataclasses.replace(lines[pos], **changes)
+    return tuple(lines)
+
+
+def _der_with(**changes):
+    der = make_chain_feeder(der_nodes={3: {}}).ders[0]
+    return (dataclasses.replace(der, **changes),)
+
+
+# buses 1, 5 and 9 in a path, slack 9; a chain feeder is substation 1
+# feeding nodes 2, 3 and 4 in a path
+REFUSALS = {
+    "bus-line": (lambda: _ts_with(lines=((1, 5), (5, 9), (1, 42))),
+                 r"line \(1,42\): unknown bus 42"),
+    "generator-bus": (lambda: _ts_with(generators=(
+        Generator(bus_id=42, cost_coefficient=1.0, p_min=0, p_max=1),)),
+        "generator at unknown bus 42"),
+    "ts-base": (lambda: _ts_with(base_mva=0.0), "base_mva must be positive"),
+    "ts-disconnected": (lambda: _ts_with(lines=((1, 5),)),
+                        r"disconnected \(e.g. bus 9\)"),
+    "node-twice": (lambda: _feeder_with(nodes=(FeederNode(2), FeederNode(2),
+                                               FeederNode(4))),
+                   "duplicate node id 2"),
+    "substation-as-node": (lambda: _feeder_with(substation_id=2),
+                           "substation id 2 reused as node"),
+    "v0": (lambda: _feeder_with(v0=0.0), "substation voltage must be positive"),
+    "feeder-base": (lambda: _feeder_with(base_mva=-1.0),
+                    "base_mva must be positive"),
+    "line-count": (lambda: _feeder_with(lines=make_chain_feeder().lines[:2]),
+                   "non-radial, 2 lines for 3 nodes"),
+    "line-child": (lambda: _feeder_with(lines=_lines_with(2, child=44)),
+                   "line ends at unknown node 44"),
+    "line-parent": (lambda: _feeder_with(lines=_lines_with(2, parent=33)),
+                    "line from unknown node 33"),
+    "two-parents": (lambda: _feeder_with(lines=_lines_with(2, child=3)),
+                    "node 3 has two parents"),
+    "substation-reactance": (lambda: _feeder_with(lines=_lines_with(0, x=0.0)),
+                             r"substation line \(1,2\) has zero reactance"),
+    "der-p-box": (lambda: _feeder_with(ders=_der_with(p_min=0.04, p_max=0.01)),
+                  "node 3 has an empty box"),
+    "der-q-box": (lambda: _feeder_with(ders=_der_with(q_min=0.1)),
+                  "node 3 has an empty box"),
+    "der-scale": (lambda: _feeder_with(ders=_der_with(capacity_scale=0.0)),
+                  "node 3 has non-positive capacity scale"),
+    "host-taken": (lambda: CoupledSystem(make_ts(extra_buses=(5,)), (
+        make_chain_feeder("a", host_bus=5), make_chain_feeder("b", host_bus=5))),
+        "feeder b: host bus 5 already hosts a feeder"),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_construction_refuses(refusal):
+    # every check runs when a case object is built, ``dataclasses.replace``
+    # included, so building the invalid object raises at once
+    build, match = REFUSALS[refusal]
+    with pytest.raises(CaseError, match=match):
+        build()
+
+
+def _case_with(name, path, value):
+    """The shipped case ``name`` as JSON text, one field set to ``value``."""
+    raw = json.loads((CASES_DIR / name).read_text())
+    *keys, last = path
+    target = raw
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [("gen9.json", ("base_mva",)),
+     ("gen9.json", ("generators", 0, "cost")),
+     ("gen9.json", ("generators", 0, "p_min")),
+     ("gen9.json", ("generators", 0, "p_max")),
+     ("case33bw.json", ("base_mva",)),
+     ("case33bw.json", ("v0",)),
+     ("case33bw.json", ("lines", 0, "r")),
+     ("case33bw.json", ("lines", 0, "x")),
+     ("case33bw.json", ("ders", 0, "a_p")),
+     ("case33bw.json", ("ders", 0, "a_q")),
+     ("case33bw.json", ("ders", 0, "p_max")),
+     ("case33bw.json", ("ders", 0, "q_min")),
+     ("case33bw.json", ("ders", 0, "capacity_scale"))],
+    ids=lambda v: v.removesuffix(".json") if isinstance(v, str)
+    else "-".join(map(str, v)),
+)
+def test_nan_fails_every_check(name, path):
+    # json reads NaN and NaN compares false both ways, so each check is
+    # written to fail on it (``not x > 0``, ``not lo <= hi``)
+    with pytest.raises(CaseError):
+        parse_case(_case_with(name, path, float("nan")))
 
 
 def test_der_box_scales_with_capacity():

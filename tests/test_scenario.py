@@ -170,6 +170,8 @@ def test_scenario_validation_errors(tmp_path, patch, drop, message):
         ({"kind": "der-capacity-scale", "iteration": 5, "target": "all-DERs",
           "factor": -2.0}, "positive factor"),
         ({"kind": "generator-outage", "target": 1}, "missing field"),
+        ({"kind": "der-capacity-scale", "iteration": 5, "target": "all-DERs",
+          "factor": float("nan")}, "positive factor"),
     ],
 )
 def test_event_validation_errors(tmp_path, event, message):

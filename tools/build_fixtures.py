@@ -32,8 +32,6 @@ from tdcoopt.network import (  # noqa: E402
     Generator,
     TransmissionSystem,
     serialize_case,
-    validate_feeder,
-    validate_transmission,
 )
 
 CASES = ROOT / "src" / "tdcoopt" / "cases"
@@ -89,15 +87,13 @@ def build_gen9() -> TransmissionSystem:
                   p_max=2.0, setpoint_initial=0.0)
         for i in range(1, 10)
     )
-    return validate_transmission(
-        TransmissionSystem(
-            name="gen9",
-            base_mva=100.0,
-            buses=buses,
-            lines=lines,
-            generators=gens,
-            slack_bus_id=11,
-        )
+    return TransmissionSystem(
+        name="gen9",
+        base_mva=100.0,
+        buses=buses,
+        lines=lines,
+        generators=gens,
+        slack_bus_id=11,
     )
 
 
@@ -111,15 +107,13 @@ def build_gen2() -> TransmissionSystem:
         Generator(bus_id=1, cost_coefficient=1.0, p_min=0.0, p_max=2.0),
         Generator(bus_id=2, cost_coefficient=1.5, p_min=0.0, p_max=2.0),
     )
-    return validate_transmission(
-        TransmissionSystem(
-            name="gen2",
-            base_mva=100.0,
-            buses=buses,
-            lines=((1, 3), (2, 3), (3, 4)),
-            generators=gens,
-            slack_bus_id=4,
-        )
+    return TransmissionSystem(
+        name="gen2",
+        base_mva=100.0,
+        buses=buses,
+        lines=((1, 3), (2, 3), (3, 4)),
+        generators=gens,
+        slack_bus_id=4,
     )
 
 
@@ -140,17 +134,15 @@ def build_feeder4() -> DistributionFeeder:
         Der(node_id=4, a_p=1.0, a_q=0.1, p_min=0.0, p_max=0.02,
             q_min=-0.01, q_max=0.01),
     )
-    return validate_feeder(
-        DistributionFeeder(
-            feeder_id="feeder4",
-            host_bus_id=None,
-            base_mva=BASE_MVA,
-            substation_id=1,
-            v0=1.0,
-            nodes=nodes,
-            lines=lines,
-            ders=ders,
-        )
+    return DistributionFeeder(
+        feeder_id="feeder4",
+        host_bus_id=None,
+        base_mva=BASE_MVA,
+        substation_id=1,
+        v0=1.0,
+        nodes=nodes,
+        lines=lines,
+        ders=ders,
     )
 
 
@@ -169,15 +161,13 @@ def build_ieee39() -> TransmissionSystem:
         )
         for bus, (c, setpoint, p_max) in sorted(IEEE39_GENERATORS.items())
     )
-    return validate_transmission(
-        TransmissionSystem(
-            name="ieee39",
-            base_mva=100.0,
-            buses=buses,
-            lines=tuple(IEEE39_LINES),
-            generators=gens,
-            slack_bus_id=39,
-        )
+    return TransmissionSystem(
+        name="ieee39",
+        base_mva=100.0,
+        buses=buses,
+        lines=tuple(IEEE39_LINES),
+        generators=gens,
+        slack_bus_id=39,
     )
 
 
@@ -249,17 +239,15 @@ def build_case33bw() -> DistributionFeeder:
             q_min=-q_max, q_max=q_max)
         for nid, (a_p, a_q, p_max, q_max) in sorted(CASE33_DERS.items())
     )
-    return validate_feeder(
-        DistributionFeeder(
-            feeder_id="case33bw",
-            host_bus_id=None,
-            base_mva=BASE_MVA,
-            substation_id=1,
-            v0=1.0,
-            nodes=tuple(nodes),
-            lines=lines,
-            ders=ders,
-        )
+    return DistributionFeeder(
+        feeder_id="case33bw",
+        host_bus_id=None,
+        base_mva=BASE_MVA,
+        substation_id=1,
+        v0=1.0,
+        nodes=tuple(nodes),
+        lines=lines,
+        ders=ders,
     )
 
 
@@ -335,17 +323,15 @@ def synthetic_feeder(
             q_min=-q_max, q_max=q_max)
         for nid, (a_p, a_q, p_max, q_max) in sorted(der_nodes.items())
     )
-    return validate_feeder(
-        DistributionFeeder(
-            feeder_id=name,
-            host_bus_id=None,
-            base_mva=BASE_MVA,
-            substation_id=1,
-            v0=1.0,
-            nodes=tuple(nodes),
-            lines=lines,
-            ders=ders,
-        )
+    return DistributionFeeder(
+        feeder_id=name,
+        host_bus_id=None,
+        base_mva=BASE_MVA,
+        substation_id=1,
+        v0=1.0,
+        nodes=tuple(nodes),
+        lines=lines,
+        ders=ders,
     )
 
 
