@@ -46,7 +46,7 @@ from tdcoopt.core import (
     total_cost,
 )
 from tdcoopt.market import run_market
-from tdcoopt.network import VoltageLimits, attach_feeders
+from tdcoopt.network import CaseError, VoltageLimits, attach_feeders
 from tdcoopt.scenario import load_scenario
 
 from conftest import SCENARIOS_DIR, make_system, make_ts, primal
@@ -61,6 +61,16 @@ def dispatch_only(gen_specs, load=2.0):
 # ---------------------------------------------------------------------------
 # costs and configuration
 # ---------------------------------------------------------------------------
+
+def test_build_problem_rejects_two_generators_on_one_bus():
+    # an outage names its generator by bus; with two on bus 1 it would
+    # trip only the first and leave the second dispatching.  The edited
+    # case is refused when built, so build_problem never receives it
+    ts = make_system(n_feeders=1).transmission
+    with pytest.raises(CaseError, match="two generators on bus 1") as exc:
+        dataclasses.replace(ts, generators=(ts.generators[0],) * 2)
+    assert exc.value.element == 1
+
 
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="eps"):
@@ -801,6 +811,21 @@ def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
     for name in ("P_M", "P_L", "v_min", "v_max", "alpha_probe", "beta_probe"):
         assert all(type(value) is float for value in getattr(got, name)), name
     assert type(got.total_cost) is float
+
+
+def test_solve_refuses_a_feeder_without_nodes():
+    # its voltage range is undefined, so its record cells cannot be filled;
+    # emptying a built feeder is refused before solve can be reached
+    feeder = make_system(n_feeders=1).feeders[0]
+    with pytest.raises(ValueError, match="feeder without nodes"):
+        dataclasses.replace(feeder, nodes=(), lines=(), ders=())
+
+
+def test_build_problem_refuses_a_feeder_without_nodes():
+    # refused when built, before any compile, run or stepsize certificate
+    with pytest.raises(CaseError, match="feeder without nodes") as exc:
+        make_system(n_feeders=2, n_feeder_nodes=0, der_layout={})
+    assert exc.value.element == "f0"
 
 
 def test_solve_divergence_error():
