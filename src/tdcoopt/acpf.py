@@ -7,18 +7,17 @@ propagates squared voltage magnitudes down from the substation.  The fixed
 point satisfies the exact single-phase branch-flow equations.
 
 :func:`sweep_feeder` runs the sweep in C (``_sweep.c``, through
-``ctypes``): compiled with the system ``cc`` at the first AC sweep and
-cached under ``$XDG_CACHE_HOME/tdcoopt``, named by the CRC-32 and length
-of source and flags and checked byte for byte against a stored copy of
-them before it is loaded.  Each feeder model is bound to the kernel once:
-its :class:`SweepWorkspace` holds the injection, voltage and result
-buffers, the kernel's scratch and one C struct pointing at all of them
-and at the model's tree arrays, so a call writes the injections and the
-starting voltages and passes a single pointer.  A workspace is reused by
-every sweep of its model, so one model must not be swept from two
-threads at once.  The kernel repeats :func:`_sweep_python` operation for
-operation, so both give the same bits; the Python sweep is the reference
-and runs where no kernel can be built.
+``ctypes``), from the package's compiled library, which is built at the
+first AC sweep or trace write and cached (:mod:`tdcoopt._native`).  Each
+feeder model is bound to the kernel once: its :class:`SweepWorkspace`
+holds the injection, voltage and result buffers, the kernel's scratch and
+one C struct pointing at all of them and at the model's tree arrays, so a
+call writes the injections and the starting voltages and passes a single
+pointer.  A workspace is reused by every sweep of its model, so one model
+must not be swept from two threads at once.  The kernel repeats
+:func:`_sweep_python` operation for operation, so both give the same
+bits; the Python sweep is the reference and runs where no kernel can be
+built.
 
 The transmission level stays lossless: the slack bus supplies whatever the
 generators, feeders, and fixed injections do not, and its recorded initial
@@ -28,21 +27,14 @@ residual that is independent of any globally consistent load data.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
-import logging
 import math
-import os
-import shutil
-import stat
-import tempfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .lindistflow import LinearFeederModel
 from .network import (
     TransmissionSystem,
@@ -58,9 +50,6 @@ __all__ = [
     "record_slack",
     "slack_residual",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class SweepDivergence(RuntimeError):
     """Sweep failed: operating point outside the contraction region."""
@@ -239,12 +228,6 @@ def _sweep_python(
 # the compiled kernel
 # ---------------------------------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("_sweep.c")
-_BUILD = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_LIBS = ("-lm",)
-# libraries a cache miss leaves in the cache: the new one and the newest
-# others, so checkouts of a few sources in turn never rebuild each other's
-_KEEP = 4
 # status codes of ``tdcoopt_sweep``, in the order of its enum
 _CONVERGED, _COLLAPSE, _NOT_CONVERGED, _ZERO_VOLTAGE = range(4)
 
@@ -301,109 +284,15 @@ class SweepWorkspace:
 
 @functools.cache
 def _sweep_kernel():
-    """``tdcoopt_sweep`` from the cached build of ``_sweep.c``, or ``None``.
-
-    Built on the first call with the system C compiler; ``None`` (after
-    one logged line) where no compiler, no private cache directory or no
-    successful build is available.
-    """
-    cc = shutil.which("cc")
-    try:
-        if cc is None:
-            raise FileNotFoundError("no C compiler (cc) on PATH")
-        library = _build_kernel(cc, _cache_dir())
-        kernel = ctypes.CDLL(str(library)).tdcoopt_sweep
-    except OSError as exc:
-        logger.warning("compiled sweep unavailable, using the Python sweep: %s", exc)
+    """``tdcoopt_sweep`` from the package's compiled library, or ``None``
+    where none can be built (see :mod:`tdcoopt._native`)."""
+    library = _native.library()
+    if library is None:
         return None
+    kernel = library.tdcoopt_sweep
     kernel.argtypes = (ctypes.c_void_p,)  # a SweepWorkspace's address
     kernel.restype = ctypes.c_int
     return kernel
-
-
-def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/tdcoopt`` (default ``~/.cache/tdcoopt``).
-
-    Created with mode 0700; refused unless it is a real directory owned
-    by this user that nobody else can write to.
-    """
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    directory = Path(base, "tdcoopt")
-    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = directory.lstat()
-    if (
-        not stat.S_ISDIR(st.st_mode)
-        or st.st_uid != os.getuid()
-        or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-    ):
-        raise PermissionError(f"{directory} is not a private directory")
-    return directory
-
-
-def _build_kernel(cc: str, directory: Path) -> Path:
-    """Path of the kernel library in ``directory``, compiled by ``cc`` if missing.
-
-    The key is the source followed by the build flags.  The library is
-    named after the key's CRC-32 and length, and a copy of the key sits
-    beside it (``.key``); a library is used only when that copy equals
-    the key byte for byte, and rebuilt otherwise.  Each file is written
-    under a temporary name and renamed into place, the library first.  A
-    build then removes all but the ``_KEEP`` newest libraries (by mtime,
-    the new one always kept) with their keys, skipping files it cannot
-    remove.
-    """
-    key = _SOURCE.read_bytes() + " ".join(_BUILD + _LIBS).encode()
-    stem = f"sweep-{zlib.crc32(key):08x}-{len(key)}"
-    library = directory / f"{stem}.so"
-    stored = directory / f"{stem}.key"
-    try:
-        if library.exists() and stored.read_bytes() == key:
-            return library
-    except FileNotFoundError:
-        pass
-    # imported on a cache miss only: subprocess adds ~0.4 MB resident
-    import subprocess
-
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".so")
-    os.close(fd)
-    try:
-        done = subprocess.run(
-            [cc, *_BUILD, "-o", tmp, str(_SOURCE), *_LIBS],
-            capture_output=True, timeout=300,
-        )
-        if done.returncode != 0:
-            stderr = done.stderr.decode(errors="replace").strip()
-            first = (stderr.splitlines() or ["no output"])[0]
-            raise OSError(f"cc exited with status {done.returncode}: {first}")
-        os.replace(tmp, library)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".key")
-        with os.fdopen(fd, "wb") as f:
-            f.write(key)
-        os.replace(tmp, stored)
-    except subprocess.TimeoutExpired as exc:
-        raise OSError(f"cc did not finish within {exc.timeout} s") from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    _prune(directory, library)
-    return library
-
-
-def _prune(directory: Path, library: Path) -> None:
-    """Remove every library of ``directory`` but ``library`` and the
-    ``_KEEP - 1`` newest others, each with its key; skip what fails."""
-    aged = []
-    for old in directory.glob("sweep-*.so"):
-        if old != library:
-            with contextlib.suppress(OSError):  # removed meanwhile
-                aged.append((old.stat().st_mtime_ns, old))
-    aged.sort(reverse=True)
-    for _, old in aged[_KEEP - 1 :]:
-        for path in (old, old.with_suffix(".key")):
-            with contextlib.suppress(OSError):
-                path.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ re-checks it.  The rules live in :func:`validate_transmission`,
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -159,10 +160,13 @@ def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
     """Return ``ts`` or raise :class:`CaseError`; every construction runs it."""
     ids = ts.bus_ids()
     seen = set()
-    for b in ids:
+    for bus in ts.buses:
+        b = bus.id
         if b in seen:
             raise CaseError(f"duplicate bus id {b}", element=b)
         seen.add(b)
+        if not math.isfinite(bus.p0):
+            raise CaseError(f"bus {b}: non-finite injection p0", element=b)
     if ts.slack_bus_id not in seen:
         raise CaseError(f"slack bus {ts.slack_bus_id} not in bus list", element=ts.slack_bus_id)
     for (u, v) in ts.lines:
@@ -179,13 +183,17 @@ def validate_transmission(ts: TransmissionSystem) -> TransmissionSystem:
         hosts.add(g.bus_id)
         if not g.p_min <= g.p_max:
             raise CaseError(f"generator at bus {g.bus_id}: p_min > p_max", element=g.bus_id)
-        if not g.cost_coefficient > 0:
+        if not math.isfinite(g.setpoint_initial):
             raise CaseError(
-                f"generator at bus {g.bus_id}: cost coefficient must be > 0",
+                f"generator at bus {g.bus_id}: non-finite setpoint", element=g.bus_id
+            )
+        if not 0 < g.cost_coefficient < math.inf:
+            raise CaseError(
+                f"generator at bus {g.bus_id}: cost coefficient must be > 0 and finite",
                 element=g.bus_id,
             )
-    if not ts.base_mva > 0:
-        raise CaseError("base_mva must be positive")
+    if not 0 < ts.base_mva < math.inf:
+        raise CaseError("base_mva must be positive and finite")
     # connectivity of the line graph
     if len(ids) > 1:
         adj: dict[int, list[int]] = {b: [] for b in ids}
@@ -215,21 +223,28 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
             "range to record",
             element=feeder.feeder_id,
         )
-    node_ids = [n.id for n in feeder.nodes]
     seen = set()
-    for n in node_ids:
+    for node in feeder.nodes:
+        n = node.id
         if n in seen:
             raise CaseError(f"feeder {feeder.feeder_id}: duplicate node id {n}", element=n)
         seen.add(n)
+        if not (math.isfinite(node.p_load) and math.isfinite(node.q_load)):
+            raise CaseError(
+                f"feeder {feeder.feeder_id}: node {n} has a non-finite injection",
+                element=n,
+            )
     if feeder.substation_id in seen:
         raise CaseError(
             f"feeder {feeder.feeder_id}: substation id {feeder.substation_id} reused as node",
             element=feeder.substation_id,
         )
-    if not feeder.v0 > 0:
-        raise CaseError(f"feeder {feeder.feeder_id}: substation voltage must be positive")
-    if not feeder.base_mva > 0:
-        raise CaseError(f"feeder {feeder.feeder_id}: base_mva must be positive")
+    if not 0 < feeder.v0 < math.inf:
+        raise CaseError(
+            f"feeder {feeder.feeder_id}: substation voltage must be positive and finite"
+        )
+    if not 0 < feeder.base_mva < math.inf:
+        raise CaseError(f"feeder {feeder.feeder_id}: base_mva must be positive and finite")
 
     # radial topology: one parent per node, |lines| == |nodes|, all reachable
     # from the substation.
@@ -258,6 +273,12 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
         if not ln.r > 0:
             raise CaseError(
                 f"feeder {feeder.feeder_id}: non-positive resistance on line "
+                f"({ln.parent},{ln.child})",
+                element=(ln.parent, ln.child),
+            )
+        if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
+            raise CaseError(
+                f"feeder {feeder.feeder_id}: non-finite impedance on line "
                 f"({ln.parent},{ln.child})",
                 element=(ln.parent, ln.child),
             )
@@ -301,10 +322,10 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
                 element=der.node_id,
             )
         hosts.add(der.node_id)
-        if not (der.a_p > 0 and der.a_q > 0):
+        if not (0 < der.a_p < math.inf and 0 < der.a_q < math.inf):
             raise CaseError(
-                f"feeder {feeder.feeder_id}: DER at node {der.node_id} needs positive "
-                f"cost coefficients",
+                f"feeder {feeder.feeder_id}: DER at node {der.node_id} needs finite "
+                f"positive cost coefficients",
                 element=der.node_id,
             )
         if not (der.p_min <= der.p_max and der.q_min <= der.q_max):
@@ -312,9 +333,10 @@ def validate_feeder(feeder: DistributionFeeder) -> DistributionFeeder:
                 f"feeder {feeder.feeder_id}: DER at node {der.node_id} has an empty box",
                 element=der.node_id,
             )
-        if not der.capacity_scale > 0:
+        if not 0 < der.capacity_scale < math.inf:
+            kind = "infinite" if der.capacity_scale == math.inf else "non-positive"
             raise CaseError(
-                f"feeder {feeder.feeder_id}: DER at node {der.node_id} has non-positive "
+                f"feeder {feeder.feeder_id}: DER at node {der.node_id} has {kind} "
                 f"capacity scale",
                 element=der.node_id,
             )
@@ -506,7 +528,8 @@ class CoupledSystem:
 
     Per-feeder node vectors are concatenated in feeder order into global
     vectors of length ``n_total``; ``offsets`` gives each feeder's slice start.
-    Construction refuses a repeated feeder id, and a host bus that is
+    Construction refuses a repeated feeder id, a feeder on another MVA
+    base (:func:`attach_feeders` rebases first), and a host bus that is
     unset, unknown, the slack bus, or already taken.
     """
 
@@ -528,6 +551,12 @@ class CoupledSystem:
                     f"feeder id {f.feeder_id!r} used twice", element=f.feeder_id
                 )
             ids_seen.add(f.feeder_id)
+            if f.base_mva != ts.base_mva:
+                raise CaseError(
+                    f"feeder {f.feeder_id}: base_mva {f.base_mva} differs from the "
+                    f"transmission base {ts.base_mva}",
+                    element=f.feeder_id,
+                )
             host = f.host_bus_id
             if host is None:
                 raise CaseError(f"feeder {f.feeder_id} has no host bus assigned",

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcoopt import acpf
+from tdcoopt import _native, acpf
 from tdcoopt.acpf import (
     SlackAccount,
     SweepDivergence,
@@ -38,7 +38,7 @@ from tdcoopt.acpf import (
 from tdcoopt.lindistflow import build_lindistflow
 from tdcoopt.network import DistributionFeeder, FeederLine, FeederNode, parse_case
 
-from conftest import CASES_DIR, make_chain_feeder, make_ts
+from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder, make_ts
 
 
 def load_feeder(name: str):
@@ -428,25 +428,31 @@ def test_kernel_is_exact_after_each_failure(kernel):
 
 
 # ---------------------------------------------------------------------------
-# building and caching the kernel
+# building and caching the compiled library (``_native``, shared with the
+# trace formatter)
 # ---------------------------------------------------------------------------
 
 def test_kernel_is_cached_under_xdg_cache_home(kernel, tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    directory = acpf._cache_dir()
+    directory = _native._cache_dir()
     assert directory == tmp_path / "tdcoopt"
     assert stat.S_IMODE(directory.stat().st_mode) == 0o700
     cc = shutil.which("cc")
-    library = acpf._build_kernel(cc, directory)
+    library = _native._build_kernel(cc, directory)
     key = library.with_suffix(".key")
-    assert library.parent == directory and library.name.startswith("sweep-")
+    assert library.parent == directory and library.name.startswith("kernels-")
     # no temporaries: the library and the copy of its key
     assert sorted(p.name for p in directory.iterdir()) == [key.name, library.name]
-    assert key.read_bytes() == (
-        acpf._SOURCE.read_bytes() + " ".join(acpf._BUILD + acpf._LIBS).encode()
-    )
+    # one key over both sources, each named and sized, then the flags
+    expected = b""
+    for source in _native._SOURCES:
+        text = source.read_bytes()
+        expected += f"{source.name} {len(text)}\n".encode() + text
+    expected += " ".join(_native._BUILD + _native._LIBS).encode()
+    assert [s.name for s in _native._SOURCES] == ["_sweep.c", "_format.c"]
+    assert key.read_bytes() == expected
     built = library.stat().st_mtime_ns
-    assert acpf._build_kernel(cc, directory) == library
+    assert _native._build_kernel(cc, directory) == library
     assert library.stat().st_mtime_ns == built
 
 
@@ -455,7 +461,7 @@ def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
     # a name shared with another source (CRC-32 collides) or a half-written
     # cache must never be loaded
     cc = shutil.which("cc")
-    library = acpf._build_kernel(cc, tmp_path)
+    library = _native._build_kernel(cc, tmp_path)
     key = library.with_suffix(".key")
     expected = key.read_bytes()
     library.write_bytes(b"not the kernel")
@@ -465,14 +471,15 @@ def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
         key.write_bytes(expected[:-1])
     else:
         key.unlink()
-    assert acpf._build_kernel(cc, tmp_path) == library
+    assert _native._build_kernel(cc, tmp_path) == library
     assert library.read_bytes()[:4] == b"\x7fELF"
     assert key.read_bytes() == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == [key.name, library.name]
 
 
 def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
-    # libraries of older sources would otherwise stay in the cache for good
+    # libraries of older sources would otherwise stay in the cache for good,
+    # those of older versions (``sweep-*``, the sweep alone) included
     cc = shutil.which("cc")
     hour_ago = time.time_ns() - 3600 * 10**9
 
@@ -484,32 +491,34 @@ def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
             path.write_bytes(b"old")
             os.utime(path, ns=(mtime, mtime))
 
-    leave("sweep-00000000-1", 0)
+    leave("kernels-00000000-1", 0)
     leave("sweep-00000001-1", 1)
     leave("sweep-" + "ab" * 32, 2, key=False)  # an older naming, key-less
-    leave("sweep-00000002-1", 3)
+    leave("kernels-00000002-1", 3)
     leave("sweep-00000003-1", 4)
     locked = tmp_path / "sweep-locked.so"
     locked.mkdir()  # the oldest, and it cannot be unlinked: skipped
     os.utime(locked, ns=(hour_ago - 9 * 10**9, hour_ago - 9 * 10**9))
-    library = acpf._build_kernel(cc, tmp_path)
+    (tmp_path / ".kernels-inflight.so").write_bytes(b"")  # another build's temporary
+    (tmp_path / "other.so").write_bytes(b"")  # not a library of this package
+    library = _native._build_kernel(cc, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         library.name, library.with_suffix(".key").name,
-        "sweep-00000000-1.so", "sweep-00000000-1.key",
+        "kernels-00000000-1.so", "kernels-00000000-1.key",
         "sweep-00000001-1.so", "sweep-00000001-1.key",
         "sweep-" + "ab" * 32 + ".so", "sweep-locked.so",
+        ".kernels-inflight.so", "other.so",
     ])
     # a cache hit removes nothing
-    leave("sweep-00000004-1", 5)
-    assert acpf._build_kernel(cc, tmp_path) == library
-    assert (tmp_path / "sweep-00000004-1.so").exists()
-    assert (tmp_path / "sweep-00000004-1.key").exists()
+    leave("kernels-00000004-1", 5)
+    assert _native._build_kernel(cc, tmp_path) == library
+    assert (tmp_path / "kernels-00000004-1.so").exists()
+    assert (tmp_path / "kernels-00000004-1.key").exists()
 
 
-def test_ac_sweep_with_a_cached_kernel_imports_neither_hashlib_nor_subprocess(kernel):
-    # hashlib loads OpenSSL, ~3.5 MB resident in every AC run
-    code = (
-        "import sys, numpy as np\n"
+FRESH_RUNS = {
+    "an AC sweep": (
+        "import numpy as np\n"
         "from tdcoopt.acpf import sweep_feeder\n"
         "from tdcoopt.lindistflow import build_lindistflow\n"
         "from tdcoopt.network import parse_case\n"
@@ -517,21 +526,63 @@ def test_ac_sweep_with_a_cached_kernel_imports_neither_hashlib_nor_subprocess(ke
         "model = build_lindistflow(feeder)\n"
         "zero = np.zeros(model.n_nodes)\n"
         "assert sweep_feeder(model, zero, zero).iterations > 0\n"
-        "print(sorted({'hashlib', '_hashlib', 'subprocess'} & set(sys.modules)))\n"
-    )
+    ),
+    # a linear run never sweeps: its trace write loads the library
+    "a linear run writing its trace": (
+        "import tempfile\n"
+        "from tdcoopt import trace\n"
+        "from tdcoopt.scenario import load_scenario, run_scenario\n"
+        f"sc = load_scenario({str(SCENARIOS_DIR / 'dispatch9.json')!r},\n"
+        "                   {'feedback': 'linear', 'max_iter': 200})\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    run_scenario(sc, out)\n"
+        "assert trace._format_kernel() is not None\n"
+    ),
+}
+
+
+def test_ac_sweep_with_a_cached_kernel_imports_neither_hashlib_nor_subprocess(kernel):
+    # hashlib loads OpenSSL, ~3.5 MB resident in every run; each fresh
+    # process below finds the library cached by the ``kernel`` fixture
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for what, code in FRESH_RUNS.items():
+        code = "import sys\n" + code + (
+            "print(sorted({'hashlib', '_hashlib', 'subprocess'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, (what, done.stderr)
+        assert done.stdout.strip() == "[]", what
+
+
+def test_set_up_neither_builds_nor_loads_the_library(tmp_path):
+    # the library is built at the first sweep or trace write, so set-up
+    # time never includes a compile
+    code = (
+        "from tdcoopt import _native, core\n"
+        "from tdcoopt.scenario import load_scenario\n"
+        f"sc = load_scenario({str(SCENARIOS_DIR / 'full39.json')!r})\n"
+        "problem = core.build_problem(sc.system, sc.limits)\n"
+        "core.check_stepsize(problem, sc.config.eta)\n"
+        "print(_native.library.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               XDG_CACHE_HOME=str(tmp_path))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "0"
+    assert not (tmp_path / "tdcoopt").exists()
 
 
 def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert acpf._cache_dir() == tmp_path / ".cache" / "tdcoopt"
+    assert _native._cache_dir() == tmp_path / ".cache" / "tdcoopt"
 
 
 @pytest.mark.parametrize("kind", ["shared", "symlink"])
@@ -544,14 +595,14 @@ def test_cache_dir_must_be_private(tmp_path, monkeypatch, kind):
         (tmp_path / "elsewhere").mkdir(mode=0o700)
         (tmp_path / "tdcoopt").symlink_to(tmp_path / "elsewhere")
     with pytest.raises(PermissionError, match="not a private directory"):
-        acpf._cache_dir()
+        _native._cache_dir()
 
 
 @pytest.mark.parametrize("failure", ["no-compiler", "shared-cache", "bad-build"])
 def test_kernel_falls_back_with_one_logged_line(tmp_path, monkeypatch, caplog, failure):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     if failure == "no-compiler":
-        monkeypatch.setattr(acpf.shutil, "which", lambda name: None)
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     elif failure == "shared-cache":
         (tmp_path / "tdcoopt").mkdir()
         os.chmod(tmp_path / "tdcoopt", 0o777)
@@ -560,11 +611,12 @@ def test_kernel_falls_back_with_one_logged_line(tmp_path, monkeypatch, caplog, f
             pytest.skip("no C compiler")
         broken = tmp_path / "broken.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(acpf, "_SOURCE", broken)
-    with caplog.at_level(logging.WARNING, logger="tdcoopt.acpf"):
-        assert acpf._sweep_kernel.__wrapped__() is None
+        monkeypatch.setattr(_native, "_SOURCES", (_native._SOURCES[0], broken))
+    with caplog.at_level(logging.WARNING, logger="tdcoopt._native"):
+        assert _native.library.__wrapped__() is None
     assert len(caplog.records) == 1
-    assert "using the Python sweep" in caplog.records[0].getMessage()
+    message = caplog.records[0].getMessage()
+    assert "using the Python sweep and trace formatter" in message
     if failure == "no-compiler":
         assert not (tmp_path / "tdcoopt").exists()
     assert not list(tmp_path.glob("tdcoopt/*.so"))

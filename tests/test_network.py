@@ -246,6 +246,24 @@ REFUSALS = {
     "host-taken": (lambda: CoupledSystem(make_ts(extra_buses=(5,)), (
         make_chain_feeder("a", host_bus=5), make_chain_feeder("b", host_bus=5))),
         "feeder b: host bus 5 already hosts a feeder"),
+    # attach_feeders rebases; a system built directly must already agree
+    "feeder-mva-base": (lambda: CoupledSystem(make_ts(), (dataclasses.replace(
+        make_chain_feeder("a", host_bus=5), base_mva=10.0),)),
+        "feeder a: base_mva 10.0 differs from the transmission base 100.0"),
+    "bus-p0-inf": (lambda: _ts_with(buses=(Bus(1), Bus(5, p0=-math.inf), Bus(9))),
+                   "bus 5: non-finite injection p0"),
+    "line-x-inf": (lambda: _feeder_with(lines=_lines_with(1, x=math.inf)),
+                   r"non-finite impedance on line \(2,3\)"),
+    "v0-inf": (lambda: _feeder_with(v0=math.inf),
+               "substation voltage must be positive and finite"),
+    "der-cost-inf": (lambda: _feeder_with(ders=_der_with(a_p=math.inf)),
+                     "node 3 needs finite positive cost coefficients"),
+    # an infinite scale times a zero box edge is a NaN edge
+    "der-scale-inf": (lambda: _feeder_with(ders=_der_with(capacity_scale=math.inf)),
+                      "node 3 has infinite capacity scale"),
+    "generator-cost-inf": (lambda: _ts_with(generators=(
+        Generator(bus_id=1, cost_coefficient=math.inf, p_min=0, p_max=1),)),
+        "cost coefficient must be > 0 and finite"),
 }
 
 
@@ -256,6 +274,14 @@ def test_construction_refuses(refusal):
     build, match = REFUSALS[refusal]
     with pytest.raises(CaseError, match=match):
         build()
+
+
+def test_feeder_on_another_base_is_refused_by_its_id():
+    feeder = dataclasses.replace(make_chain_feeder("a", host_bus=5), base_mva=10.0)
+    with pytest.raises(CaseError) as exc:
+        CoupledSystem(make_ts(), (feeder,))
+    assert exc.value.element == "a"
+    assert attach_feeders(make_ts(), [feeder]).feeders[0].base_mva == 100.0
 
 
 def _case_with(name, path, value):
@@ -283,7 +309,13 @@ def _case_with(name, path, value):
      ("case33bw.json", ("ders", 0, "a_q")),
      ("case33bw.json", ("ders", 0, "p_max")),
      ("case33bw.json", ("ders", 0, "q_min")),
-     ("case33bw.json", ("ders", 0, "capacity_scale"))],
+     ("case33bw.json", ("ders", 0, "capacity_scale")),
+     # loads, injections and setpoints: a NaN here used to reach solve
+     ("gen2.json", ("buses", 2, "p0")),
+     ("gen9.json", ("generators", 0, "setpoint")),
+     ("case33bw.json", ("nodes", 0, "p")),
+     ("case33bw.json", ("nodes", 0, "q")),
+     ("case33bw.json", ("lines", 1, "x"))],
     ids=lambda v: v.removesuffix(".json") if isinstance(v, str)
     else "-".join(map(str, v)),
 )

@@ -1,10 +1,22 @@
-"""Trace CSV round-trip, format guards, and byte determinism."""
+"""Trace CSV round-trip, format guards, byte determinism, and the compiled
+formatter's equality with ``repr``."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import shutil
+import struct
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SCENARIOS_DIR
+from tdcoopt import core, trace
+from tdcoopt.scenario import load_scenario, run_scenario
 from tdcoopt.trace import (
     NA,
     TRACE_FORMAT,
@@ -124,3 +136,183 @@ def test_column_lookup_unknown_name(tmp_path):
     write_trace(path, make_records(1), GEN_LABELS, FEEDER_LABELS)
     with pytest.raises(ValueError):
         read_trace(path).column("no_such_column")
+
+
+# ---------------------------------------------------------------------------
+# the compiled formatter against repr
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kernel():
+    # with a compiler on PATH, falling back to the Python formatter is a failure
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: write_trace runs the Python formatter")
+    kernel = trace._format_kernel()
+    assert kernel is not None, "cc is on PATH but the compiled formatter did not load"
+    return kernel
+
+
+def kernel_cells(kernel, values) -> list[str]:
+    """Each value as the kernel writes it, one single-cell row per value."""
+    cells = np.array(values, dtype=np.float64).reshape(-1, 1)
+    rows = len(cells)
+    out = np.empty(rows * trace._row_bytes(1), dtype=np.uint8)
+    n = trace._format_rows(kernel, np.zeros(rows, dtype=np.int64), cells, out)
+    lines = out[:n].tobytes().decode("ascii").split("\r\n")
+    assert lines.pop() == ""
+    assert all(line.startswith("0,") for line in lines)
+    return [line[2:] for line in lines]
+
+
+def assert_cells_are_repr(kernel, values):
+    values = [float(v) for v in values]
+    got = kernel_cells(kernel, values)
+    wrong = [(v.hex(), text, repr(v)) for v, text in zip(values, got) if text != repr(v)]
+    assert not wrong, wrong[:10]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def neighbours(values):
+    """Each value with the doubles either side of it."""
+    for v in values:
+        yield from (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_writes_repr_of_random_bit_patterns(kernel, patterns):
+    assert_cells_are_repr(kernel, map(from_bits, patterns))
+
+
+SPECIAL = {
+    "zeros-infinities-nan": [0.0, -0.0, math.inf, -math.inf, math.nan,
+                             -math.nan, from_bits(0x7FF0000000000001)],
+    # the smallest subnormals print one or two digits; the largest
+    # subnormal and the smallest normal sit on either side of 2^-1022
+    "subnormals": [5e-324, -5e-324, 1e-323, 1.5e-323, 2e-323, 5e-323, 1e-322,
+                   *(t * 5e-324 for t in range(1, 120)),
+                   from_bits(0x000FFFFFFFFFFFFF), from_bits(0x0008000000000000),
+                   2.2250738585072014e-308, 2.225073858507201e-308],
+    # the fixed/exponent switch at 1e-4 and 1e16, with neighbours
+    "powers-of-ten": list(neighbours(float(f"1e{k}") for k in range(-5, 18))),
+    "integral": [*map(float, range(-1100, 1100)), 2.0**52, 2.0**53 - 1,
+                 2.0**53, 2.0**53 + 2, 2.0**54, 2.0**63, 2.0**64,
+                 1e15 + 1, 1e16 - 2, 123456789012345680.0, 1.7976931348623157e308,
+                 *neighbours(float(10**k) for k in range(15, 23))],
+    # a power-of-two significand: the double below is half as far as the
+    # one above, so the interval is lopsided
+    "powers-of-two": list(neighbours(math.ldexp(1.0, e) for e in range(-1074, 1024))),
+}
+
+
+@pytest.mark.parametrize("kind", SPECIAL)
+def test_kernel_writes_repr_of_special_values(kernel, kind):
+    assert_cells_are_repr(kernel, SPECIAL[kind])
+
+
+def test_kernel_writes_repr_at_halfway_points(kernel):
+    # short decimals lying exactly halfway between two doubles (1e23 is one):
+    # each end of a rounding interval belongs to the double with the even
+    # significand, so one neighbour prints the short decimal and the other
+    # does not
+    cases = []
+    for exponent in range(-30, 40):
+        for digits in range(1, 200):
+            exact = Fraction(digits) * Fraction(10) ** exponent
+            x = float(exact)
+            other = math.nextafter(x, math.inf if Fraction(x) < exact else -math.inf)
+            if 2 * exact == Fraction(x) + Fraction(other):
+                cases += [x, other]
+    assert 1e23 in cases and len(cases) > 20
+    assert_cells_are_repr(kernel, cases)
+
+
+def test_kernel_writes_repr_of_trace_like_values(kernel):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=20_000) * 10.0 ** rng.integers(-9, 20, size=20_000)
+    values[::3] = np.round(values[::3], 3)
+    assert_cells_are_repr(kernel, values)
+
+
+# ---------------------------------------------------------------------------
+# the compiled and the Python path write the same bytes
+# ---------------------------------------------------------------------------
+
+def both_paths(tmp_path, monkeypatch, write):
+    """``write(directory)`` with the kernel, then with the Python path; the
+    bytes of each file the first call wrote, from both."""
+    fast, slow = tmp_path / "kernel", tmp_path / "python"
+    write(fast)
+    with monkeypatch.context() as patch:
+        patch.setattr(trace, "_format_kernel", lambda: None)
+        write(slow)
+    names = sorted(p.name for p in fast.iterdir() if p.name.endswith(".csv"))
+    assert names
+    return [((fast / n).read_bytes(), (slow / n).read_bytes()) for n in names]
+
+
+def test_write_trace_runs_the_kernel(kernel, tmp_path, monkeypatch):
+    # only the initial record, with its NA step norms, is written by _row
+    python_rows = []
+    reference = trace._row
+
+    def counted(rec, n_feeder):
+        python_rows.append(rec.iteration)
+        return reference(rec, n_feeder)
+
+    monkeypatch.setattr(trace, "_row", counted)
+    write_trace(tmp_path / "run.csv", make_records(3000), GEN_LABELS, FEEDER_LABELS)
+    assert python_rows == [0]
+
+
+def test_paths_agree_on_a_shipped_run(kernel, tmp_path, monkeypatch):
+    # default's first 2 500 rounds, AC feedback: two feeders, many blocks
+    sc = load_scenario(SCENARIOS_DIR / "default.json", {"feedback": "ac"})
+    sc = dataclasses.replace(sc, config=dataclasses.replace(
+        sc.config, max_iter=2500, tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+    ))
+
+    def write(out):
+        run_scenario(sc, out)
+
+    for fast, slow in both_paths(tmp_path, monkeypatch, write):
+        assert fast == slow
+        assert fast.count(b"\r\n") == 2 + 2500
+
+
+def test_paths_agree_on_a_partial_error_trace(kernel, tmp_path, monkeypatch):
+    sc = load_scenario(SCENARIOS_DIR / "dispatch9.json", {"eps": 1e5})
+
+    def write(out):
+        with pytest.raises(core.DivergenceError):
+            run_scenario(sc, out)
+
+    for fast, slow in both_paths(tmp_path, monkeypatch, write):
+        assert fast == slow
+
+
+def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
+    # nan, infinities and -0.0 in every kind of cell; a record with NA step
+    # norms in mid-trace and at a block boundary; integral and numpy values
+    records = make_records(2 * trace._BLOCK + 5)
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 2.0**53]
+    for i in range(1, len(records), 7):
+        v = odd[i % len(odd)]
+        records[i] = dataclasses.replace(
+            records[i], lam=v, P_M=(v, np.float64(-v)), v_max=(1, v),
+            beta_probe=(v, 0.0), total_cost=v, step_dual=v,
+        )
+    for i in (trace._BLOCK, trace._BLOCK + 1, 2 * trace._BLOCK - 3):
+        records[i] = dataclasses.replace(records[i], step_primal=None)
+
+    def write(out):
+        out.mkdir()
+        write_trace(out / "special.csv", records, GEN_LABELS, FEEDER_LABELS)
+
+    [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
+    assert fast == slow
+    assert b",nan," in fast and b",-inf," in fast and b",-0.0," in fast
+    assert fast.count(b"NA") == 5  # the initial record's two, and three more
