@@ -16,15 +16,17 @@ Layout
 ``acpf``         backward/forward power-flow sweep and slack accounting
 ``core``         `build_problem` (compiles each feeder once; one cost
                  and one box vector over the primal ``z = [p, q, P_M]``),
-                 states, the gradients the round steps along, step-size audit,
+                 states, one price array over ``z`` (`der_signals`),
+                 the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
                  round's shared network half `settle`, the shared driver
                  loop `run_rounds`, `solve`
-``market``       stateless agents stepping from their own coordinates of
-                 the round's primal vector and the compiled problem,
-                 message bus, operator step (ends in `settle`);
-                 `run_market` routes the round's messages through the
-                 shared loop
+``market``       stateless agents, each a name plus coordinates of
+                 ``z``, taking the one scalar `coordinate_step` against
+                 the broadcast price array over ``z``; message bus;
+                 operator step (places reports by its roster, ends in
+                 `settle`); `run_market` routes the round's messages
+                 through the shared loop
 ``trace``        per-iteration CSV records, write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle
 ``cli``          ``tdcoopt run | compare | oracle | lindump``
@@ -72,16 +74,14 @@ from .lindistflow import LinearFeederModel, build_lindistflow, predict
 from .market import (
     AgentMessage,
     GeneratorAgent,
-    IncentiveSignals,
     MessageBus,
     OperatorConfig,
     RoundAbort,
     UserAgent,
-    generator_step,
+    best_response,
+    coordinate_step,
     operator_step,
     run_market,
-    user_best_response,
-    user_step,
 )
 from .network import (
     Bus,
@@ -108,7 +108,6 @@ from .scenario import (
     RunArtifacts,
     Scenario,
     ScenarioError,
-    ScenarioEvent,
     compare_runs,
     load_scenario,
     probe_oracle,
@@ -136,7 +135,6 @@ __all__ = [
     "Generator",
     "GeneratorAgent",
     "GeneratorOutage",
-    "IncentiveSignals",
     "LinearFeederModel",
     "Measurement",
     "MessageBus",
@@ -148,7 +146,6 @@ __all__ = [
     "RunArtifacts",
     "Scenario",
     "ScenarioError",
-    "ScenarioEvent",
     "SlackAccount",
     "SolveResult",
     "SolverConfig",
@@ -163,14 +160,15 @@ __all__ = [
     "VoltageLimits",
     "apply_event",
     "attach_feeders",
+    "best_response",
     "build_lindistflow",
     "build_problem",
     "check_stepsize",
     "compare_runs",
+    "coordinate_step",
     "der_signals",
     "dual_update",
     "eval_lagrangian",
-    "generator_step",
     "grad_dual",
     "grad_primal",
     "initial_state",
@@ -195,8 +193,6 @@ __all__ = [
     "sweep_feeder",
     "total_cost",
     "trace_columns",
-    "user_best_response",
-    "user_step",
     "validate_feeder",
     "validate_transmission",
     "write_trace",

@@ -34,7 +34,7 @@ system's order, then the generator outputs.  One cost-coefficient vector
 and one box share that layout (nodes without a DER are pinned by
 ``[0, 0]`` boxes), so the primal step, its projection, its norm and the
 events are each one expression over ``z``.  Voltages span every feeder
-node, the DER prices span ``z[:2N]``, and ``mu`` holds the upper-band
+node, the prices span ``z``, and ``mu`` holds the upper-band
 multipliers of all nodes, then the lower-band ones.  Only the per-feeder
 matvec or sweep, writing into the feeder's slice, and the per-feeder
 trace cells loop over feeders.  The sign convention makes the converged price
@@ -194,8 +194,19 @@ class SolverConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if type(self.max_iter) is not int or self.max_iter < 0:  # no bool, no float
+            raise ValueError(
+                f"max_iter must be a nonnegative integer, got {self.max_iter!r}"
+            )
+        for name in ("tol_primal", "tol_dual", "tol_balance"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}"
+                )
+        if not self.divergence_limit > 0:
+            raise ValueError(
+                f"divergence_limit must be positive, got {self.divergence_limit}"
+            )
         if self.feedback not in FEEDBACK_MODES:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
 
@@ -413,32 +424,35 @@ def measure(
 def der_signals(
     models: tuple[LinearFeederModel, ...],
     y: DualState,
+    n_generators: int,
     zero_lambda: bool = False,
 ) -> np.ndarray:
-    """The DER prices: one array over the DER coordinates ``z[:2N]``.
+    """The round's prices: one array over the primal vector ``z``.
 
     Its first N entries are ``alpha``, priced against ``p``; on feeder k,
     ``alpha = lambda + A_k' (mu_upper - mu_lower)`` (a unit of local
-    injection displaces a unit of head draw).  The last N are ``beta``,
+    injection displaces a unit of head draw).  The next N are ``beta``,
     priced against ``q``: ``beta = B_k' (mu_upper - mu_lower)`` (reactive
-    injections leave the head draw alone).  With ``zero_lambda`` the
-    balance price is hidden from the DERs (voltage terms remain) — the
-    no-participation baseline.
+    injections leave the head draw alone).  The last ``n_generators``
+    hold ``lambda`` itself, priced against ``P_M``.  With ``zero_lambda``
+    the balance price is hidden from the DERs (voltage terms remain; the
+    generators still see it) — the no-participation baseline.
 
     When no band is active (``w`` all zero) the products are skipped:
     they would all be ``+0.0``, since ``A`` and ``B`` are finite and
     ``mu`` holds no ``-0.0`` (it starts at ``+0.0``, and
     :func:`dual_update` clamps with ``np.maximum(., 0.0)``), so ``w`` is
-    ``+0.0`` too.  The prices are then ``lambda + 0.0`` and ``0.0``, the
-    same bits.
+    ``+0.0`` too.  The DER prices are then ``lambda + 0.0`` and ``0.0``,
+    the same bits.
     """
     lam = 0.0 if zero_lambda else y.lam
     n = len(y.mu) // 2
     w = y.mu[:n] - y.mu[n:]
-    prices = np.empty(2 * n)
+    prices = np.empty(2 * n + n_generators)
+    prices[2 * n :] = y.lam  # as it is: a -0.0 price keeps its sign
     if not w.any():
         prices[:n] = lam + 0.0
-        prices[n:] = 0.0
+        prices[n : 2 * n] = 0.0
         return prices
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
@@ -544,16 +558,15 @@ def grad_primal(
 ) -> np.ndarray:
     """Partial gradient of L in the primal vector ``z = [p, q, P_M]``.
 
-    Composed exactly as the decentralized agents compute it: private
-    cost gradient plus the received price, the DER prices for ``p`` and
-    ``q`` and the balance price for ``P_M``.  ``signals`` are the round's
-    DER prices (:func:`der_signals`) when already computed; by default
-    they are those of ``y`` with the balance price shown to the DERs.
+    Composed exactly as the decentralized agents compute it, coordinate
+    by coordinate: private cost gradient plus the received price.
+    ``signals`` are the round's prices over ``z`` (:func:`der_signals`)
+    when already computed; by default they are those of ``y`` with the
+    balance price shown to the DERs.
     """
-    prices = der_signals(problem.models, y) if signals is None else signals
-    return 2.0 * problem.coef * x.z + np.concatenate(
-        [prices, np.full(problem.n_generators, y.lam)]
-    )
+    if signals is None:
+        signals = der_signals(problem.models, y, problem.n_generators)
+    return 2.0 * problem.coef * x.z + signals
 
 
 def grad_dual(
@@ -719,22 +732,35 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
 
 @dataclass(frozen=True)
 class GeneratorOutage:
-    """Generator at ``bus_id`` trips at ``iteration``: output pinned to 0."""
+    """Generator at ``bus_id`` trips at ``iteration``: output pinned to 0.
+
+    ``kind`` and ``target`` name it as a scenario file does.
+    """
 
     iteration: int
     bus_id: int
+    kind = "generator-outage"
+
+    @property
+    def target(self) -> int:
+        return self.bus_id
 
 
 @dataclass(frozen=True)
 class DerCapacityScale:
-    """All DER boxes rescaled by ``factor`` at ``iteration``."""
+    """All DER boxes rescaled by ``factor`` at ``iteration``.
+
+    ``kind`` and ``target`` name it as a scenario file does.
+    """
 
     iteration: int
     factor: float
+    kind = "der-capacity-scale"
+    target = "all-DERs"
 
     def __post_init__(self):
         if not self.factor > 0:
-            raise ValueError(f"scale factor must be positive, got {self.factor}")
+            raise ValueError(f"needs a positive factor, got {self.factor}")
 
 
 def apply_event(
@@ -797,7 +823,7 @@ def settle(
     """The round's network half: measure at ``x``, step the duals, reprice.
 
     Takes only what the market operator may know (no DER data).  Returns
-    the round's outcome and the DER prices of the new duals.
+    the round's outcome and the prices over ``z`` of the new duals.
     """
     meas = measure_feeders(
         models, x.p, x.q, feedback=cfg.feedback, warm=warm, tag=iteration
@@ -805,7 +831,7 @@ def settle(
     y_new, residual = dual_update(
         fixed, limits, y, meas, x.P_M, account, cfg.eps, cfg.eta
     )
-    prices = der_signals(models, y_new, cfg.zero_lambda_to_ders)
+    prices = der_signals(models, y_new, len(x.P_M), cfg.zero_lambda_to_ders)
     outcome = StepOutcome(x=x, y=y_new, measurement=meas, balance_residual=residual)
     return outcome, prices
 
@@ -823,7 +849,7 @@ def primal_dual_step(
     """One synchronous round: primal moves, network response, dual moves.
 
     The primal vector steps along :func:`grad_primal` from the round's
-    DER prices ``signals``, projected; :func:`settle` then moves the
+    prices ``signals``, projected; :func:`settle` then moves the
     duals along the gradient :func:`grad_dual` returns and prices them.
     """
     step = x.z - cfg.eps * grad_primal(problem, x, y, signals)
@@ -869,7 +895,7 @@ def iteration_record(
     """Assemble the per-iteration diagnostics row.
 
     ``probes`` holds one global node position per feeder (an integer
-    array); ``signals`` are the DER prices, alpha then beta.  Every
+    array); ``signals`` are the round's prices over ``z``.  Every
     feeder must have a node.
     """
     N = problem.n_nodes
@@ -918,8 +944,8 @@ class SolveResult:
 
 
 # One round of an engine, called as :func:`primal_dual_step`: it runs round
-# ``t`` from the DER prices ``signals`` of the current duals and returns its
-# outcome plus the DER prices of the new duals.
+# ``t`` from the prices ``signals`` of the current duals and returns its
+# outcome plus the prices of the new duals.
 Step = Callable[..., tuple[StepOutcome, np.ndarray]]
 
 
@@ -973,7 +999,9 @@ def run_rounds(
         if account is None:
             account = record_slack(fixed, x.P_M, meas.P_L)
         residual = slack_residual(account, fixed, x.P_M, meas.P_L)
-        signals = der_signals(problem.models, y, cfg.zero_lambda_to_ders)
+        signals = der_signals(
+            problem.models, y, problem.n_generators, cfg.zero_lambda_to_ders
+        )
 
         records.append(
             iteration_record(

@@ -1,44 +1,44 @@
 """Decentralized market engine: the same dispatch via price signals.
 
-Three agent roles exchange messages over an in-process bus.  Each round:
-DER users and generators take one projected step on their own private
-objectives using the last broadcast prices (the user objective is the
-private cost plus ``alpha p + beta q``); the operator collects the
-reported setpoints and ends the round in the core engine's own network
-half, :func:`tdcoopt.core.settle` (measure the network response, update
-the duals, price anew), then broadcasts the fresh incentive signals.  No
-private cost or capacity data ever reaches the operator — it works from
-setpoint reports, the compiled feeder models of the problem (which hold
-no DER data), the summed fixed injection and the generator count alone.
+The market routes the centralized round's own messages over an
+in-process bus.  Each round the operator's broadcast is the round's one
+price array over the primal vector ``z = [p, q, P_M]``
+(:func:`tdcoopt.core.der_signals`).  Every agent — a DER user at
+``(g, N + g)``, a generator at ``(2N + k,)`` — takes the one scalar
+:func:`coordinate_step` of the centralized primal step on each of its
+coordinates and reports only the values, in coordinate order.  The
+operator places them at the coordinates its roster holds for each
+sender and ends the round in the core engine's own network half,
+:func:`tdcoopt.core.settle` (measure the network response, update the
+duals, price anew).  No private cost or capacity data ever reaches the
+operator: it works from the reports, the roster (node and generator
+positions), the compiled feeder models (which hold no DER data), the
+summed fixed injection and the generator count alone.
 
-This module only routes messages: the rounds run inside the centralized
-engine's driver loop (:func:`tdcoopt.core.run_rounds`), which also owns
-the state, events, step norms, records and the stopping rule.  Agents
-keep no state: each round every agent steps from its own coordinates of
-the loop's primal vector ``z = [p, q, P_M]`` and reads its cost
-coefficient and box from the same coordinates of the problem's
-``coef``, ``lo`` and ``hi``, as the loop hands the round both.  So an
-event exists once, in that problem and that ``z``
+The rounds run inside the centralized engine's driver loop
+(:func:`tdcoopt.core.run_rounds`), which owns the state, events, step
+norms, records and the stopping rule.  Agents keep no state: each round
+every agent steps from its own coordinates of the loop's primal vector
+and reads its cost coefficient and box from the same coordinates of the
+problem's ``coef``, ``lo`` and ``hi``, as the loop hands the round both.
+So an event exists once, in that problem and that ``z``
 (:func:`~tdcoopt.core.apply_event`), and reaches an agent with no
-message of its own.  The agents themselves are read off the problem
-too: one user per DER coordinate (``coef > 0``) of each feeder, in node
-order, and one agent per generator.  The operator assembles the next
-``z`` from the reports.  In
-gradient mode the produced trajectory and records coincide with the
-centralized engine's, bit for bit: the agents' steps are the primal
-step's arithmetic, and both engines end each round in the same
-:func:`~tdcoopt.core.settle`.  Best-response mode instead lets users
-jump straight to their box-clamped optimum against the current prices
-(a dual-ascent variant, quadratic costs only).
+message of its own.  The agents are read off the problem too: one user
+per DER of each feeder, in node order, and one agent per generator.  In
+gradient mode the trajectory and records coincide with the centralized
+engine's, bit for bit.  Best-response mode instead lets users jump
+straight to their box-clamped optimum against the current prices
+(:func:`best_response`, a dual-ascent variant, quadratic costs only).
 
 Rounds are strictly synchronous: the agents step on the one price
 broadcast of the previous round they collect from the bus, and the
-operator on exactly one report per agent of the current round.  A
-missing, duplicated, or stale broadcast or report — including one an
-injected bus fault drops — aborts the run with a :class:`RoundAbort`
-naming the round.  The power-flow results and dual updates the operator
-also publishes are for observers and the bus journal; no agent reads
-them.
+operator on exactly one report per roster entry of the current round.
+A missing, duplicated or stale broadcast or report (one an injected bus
+fault drops included), a report from a sender off the roster, or one
+with the wrong number of values aborts the run with a
+:class:`RoundAbort` naming the round.  The power-flow results and dual
+updates the operator also publishes are for observers and the bus
+journal; no agent reads them.
 """
 
 from __future__ import annotations
@@ -71,12 +71,10 @@ from .network import VoltageLimits
 
 __all__ = [
     "RoundAbort",
-    "IncentiveSignals",
     "AgentMessage",
     "MessageBus",
-    "user_step",
-    "user_best_response",
-    "generator_step",
+    "coordinate_step",
+    "best_response",
     "UserAgent",
     "GeneratorAgent",
     "OperatorConfig",
@@ -97,19 +95,12 @@ class RoundAbort(EngineError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IncentiveSignals:
-    """Broadcast prices: the DER prices over ``z[:2N]`` (alpha, then beta)
-    plus the balance price for generators, all tagged with the round they
-    were computed in."""
-
-    prices: np.ndarray
-    lambda_broadcast: float
-    iteration_tag: int
-
-
-@dataclass(frozen=True)
 class AgentMessage:
-    """One bus message: kind, sender, round tag, and a payload dict."""
+    """One bus message: kind, sender, round tag, and a payload.
+
+    A broadcast carries the price array over ``z``, a report its sender's
+    values; the observer messages carry dicts.
+    """
 
     kind: str  # signal-broadcast | setpoint-report | pf-result | dual-update
     sender: str
@@ -134,12 +125,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, IncentiveSignals):
-        return {
-            "prices": _jsonable(value.prices),
-            "lambda": value.lambda_broadcast,
-            "iteration_tag": value.iteration_tag,
-        }
     return value
 
 
@@ -189,54 +174,25 @@ class MessageBus:
 
 
 # ---------------------------------------------------------------------------
-# agent update rules (pure)
+# agent update rules (pure, one coordinate of z each)
 # ---------------------------------------------------------------------------
 
-Box = tuple[float, float, float, float]  # p_lo, p_hi, q_lo, q_hi
-
-
-def user_step(
-    state: tuple[float, float],
-    signals: tuple[float, float],
-    cost: tuple[float, float],
-    box: Box,
-    eps: float,
-) -> tuple[float, float]:
-    """One projected gradient step on the user's own objective.
-
-    Uses only the user's private cost coefficients ``(a_p, a_q)``, its
-    box and the received prices.  ``state`` is stepped as given, as the
-    centralized engine steps its primal vector.
-    """
-    p, q = state
-    p_lo, p_hi, q_lo, q_hi = box
-    alpha, beta = signals
-    a_p, a_q = cost
-    p_new = project_box(p - eps * (2.0 * a_p * p + alpha), p_lo, p_hi)
-    q_new = project_box(q - eps * (2.0 * a_q * q + beta), q_lo, q_hi)
-    return p_new, q_new
-
-
-def user_best_response(
-    signals: tuple[float, float], cost: tuple[float, float], box: Box
-) -> tuple[float, float]:
-    """Box-clamped exact minimizer of the user objective (quadratic cost)."""
-    alpha, beta = signals
-    a_p, a_q = cost
-    p_lo, p_hi, q_lo, q_hi = box
-    p_star = project_box(-alpha / (2.0 * a_p), p_lo, p_hi)
-    q_star = project_box(-beta / (2.0 * a_q), q_lo, q_hi)
-    return p_star, q_star
-
-
-def generator_step(
-    P_M: float, lam: float, c: float, lo: float, hi: float, eps: float
+def coordinate_step(
+    value: float, price: float, coef: float, lo: float, hi: float, eps: float
 ) -> float:
-    """One projected gradient step on the cost ``c P**2`` over ``[lo, hi]``.
+    """One projected gradient step on the cost ``coef value**2 + price value``.
 
-    An offline generator has the box ``[0, 0]`` and so holds zero output.
+    The primal step of the centralized engine, for one coordinate of
+    ``z``: private cost gradient plus the received price, clamped into
+    ``[lo, hi]``.  An offline generator has the box ``[0, 0]`` and so
+    holds zero output.
     """
-    return project_box(P_M - eps * (2.0 * c * P_M + lam), lo, hi)
+    return project_box(value - eps * (2.0 * coef * value + price), lo, hi)
+
+
+def best_response(price: float, coef: float, lo: float, hi: float) -> float:
+    """Box-clamped exact minimizer of ``coef value**2 + price value``."""
+    return project_box(-price / (2.0 * coef), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +201,15 @@ def generator_step(
 
 @dataclass(frozen=True)
 class UserAgent:
-    """A DER owner, known by its coordinates; it keeps no state.
+    """A DER owner, known by its name and coordinates; it keeps no state.
 
-    Its setpoint, private cost and limits are its own coordinates of the
-    round's primal vector and of the compiled problem: ``index`` for
-    ``p``, ``q_index`` for ``q``.  Its prices sit at the same coordinates
-    of the broadcast.
+    ``coords`` are ``(g, N + g)``, its ``p`` and ``q`` entries: of the
+    round's primal vector, of the compiled problem's ``coef``, ``lo`` and
+    ``hi`` (its private cost and limits), and of the broadcast prices.
     """
 
     name: str
-    index: int  # the DER node's position in the global node vectors
-    q_index: int  # index + the number of feeder nodes
+    coords: tuple[int, ...]
 
     def step(
         self,
@@ -263,36 +217,36 @@ class UserAgent:
         coef: list[float],
         lo: list[float],
         hi: list[float],
-        signals: IncentiveSignals,
+        prices: list[float],
         eps: float,
         mode: str,
         tag: int,
     ) -> AgentMessage:
-        """Step from ``z`` on ``coef``, ``lo`` and ``hi`` (the round's
-        primal vector and the problem's, as lists); report the result."""
-        i, j = self.index, self.q_index
-        prices = (signals.prices.item(i), signals.prices.item(j))
-        cost = (coef[i], coef[j])
-        box = (lo[i], hi[i], lo[j], hi[j])
+        """Step each coordinate from ``z`` (``gradient``) or jump to its
+        best response; report the values in coordinate order."""
+        # written out: a comprehension costs ~3 us a round on ``default``
+        i, j = self.coords
         if mode == "gradient":
-            p, q = user_step((z[i], z[j]), prices, cost, box, eps)
+            values = [
+                coordinate_step(z[i], prices[i], coef[i], lo[i], hi[i], eps),
+                coordinate_step(z[j], prices[j], coef[j], lo[j], hi[j], eps),
+            ]
         else:
-            p, q = user_best_response(prices, cost, box)
-        payload = {"node": i, "p": p, "q": q}
-        return AgentMessage("setpoint-report", self.name, tag, payload)
+            values = [
+                best_response(prices[i], coef[i], lo[i], hi[i]),
+                best_response(prices[j], coef[j], lo[j], hi[j]),
+            ]
+        return AgentMessage("setpoint-report", self.name, tag, values)
 
 
 @dataclass(frozen=True)
 class GeneratorAgent:
-    """A dispatchable generator, known by its coordinate; it keeps no state.
-
-    Its output, cost coefficient and box are its own coordinate
-    ``z_index`` of the round's primal vector and of the compiled problem.
-    """
+    """A dispatchable generator, known by its name and coordinate
+    ``(2N + k,)``; it keeps no state.  It takes a gradient step in every
+    mode."""
 
     name: str
-    index: int  # the generator's position among the generators
-    z_index: int  # index + twice the number of feeder nodes
+    coords: tuple[int, ...]
 
     def step(
         self,
@@ -300,16 +254,15 @@ class GeneratorAgent:
         coef: list[float],
         lo: list[float],
         hi: list[float],
-        signals: IncentiveSignals,
+        prices: list[float],
         eps: float,
+        mode: str,
         tag: int,
     ) -> AgentMessage:
-        """Step from ``z`` on ``coef``, ``lo`` and ``hi`` (the round's
-        primal vector and the problem's, as lists); report the result."""
-        i = self.z_index
-        P = generator_step(z[i], signals.lambda_broadcast, coef[i], lo[i], hi[i], eps)
-        payload = {"generator": self.index, "P": P}
-        return AgentMessage("setpoint-report", self.name, tag, payload)
+        """Step from ``z``; report the value."""
+        (c,) = self.coords
+        value = coordinate_step(z[c], prices[c], coef[c], lo[c], hi[c], eps)
+        return AgentMessage("setpoint-report", self.name, tag, [value])
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +274,14 @@ class OperatorConfig:
     """What the operator knows besides the compiled feeder models.
 
     Those models carry topology, impedances and base loads, never user
-    costs or limits.
+    costs or limits.  ``roster`` maps each sender to the coordinates of
+    ``z`` its report fills: node and generator positions, no private data.
     """
 
     fixed_injection: float  # summed fixed bus injections, slack bus excluded
     n_generators: int
     limits: VoltageLimits
-    expected_reports: tuple[str, ...]
+    roster: dict[str, tuple[int, ...]]
     solver: SolverConfig  # stepsize, regularization, feedback source
 
 
@@ -339,14 +293,18 @@ def operator_step(
     account: SlackAccount,
     tag: int,
     warm: np.ndarray | None = None,
-) -> tuple[StepOutcome, IncentiveSignals]:
+) -> tuple[StepOutcome, np.ndarray]:
     """Validate the round, then settle it (:func:`~tdcoopt.core.settle`).
 
-    Returns the round's outcome (reported setpoints, new duals, and the
-    measurement they rest on) and the fresh signals.  Any missing,
-    duplicated, or stale report aborts the round.
+    Each report's values are placed at the coordinates the roster holds
+    for its sender.  Returns the round's outcome (reported setpoints, new
+    duals, and the measurement they rest on) and the fresh prices over
+    ``z``.  A stale, duplicated or missing report, one from a sender off
+    the roster, or one with the wrong number of values aborts the round.
     """
-    seen: dict[str, AgentMessage] = {}
+    seen: set[str] = set()
+    index: list[int] = []  # the roster's coordinates of each report's values
+    values: list[float] = []
     for msg in reports:
         if msg.iteration_tag != tag:
             raise RoundAbort(
@@ -354,12 +312,27 @@ def operator_step(
                 f"round {tag}",
                 iteration=tag,
             )
+        coords = cfg.roster.get(msg.sender)
+        if coords is None:
+            raise RoundAbort(
+                f"report from {msg.sender}, who is not on the roster, in "
+                f"round {tag}",
+                iteration=tag,
+            )
         if msg.sender in seen:
             raise RoundAbort(
                 f"duplicate report from {msg.sender} in round {tag}", iteration=tag
             )
-        seen[msg.sender] = msg
-    missing = [s for s in cfg.expected_reports if s not in seen]
+        if len(msg.payload) != len(coords):
+            raise RoundAbort(
+                f"report from {msg.sender} in round {tag} holds "
+                f"{len(msg.payload)} values for {len(coords)} coordinates",
+                iteration=tag,
+            )
+        seen.add(msg.sender)
+        index += coords
+        values += msg.payload
+    missing = [s for s in cfg.roster if s not in seen]
     if missing:
         raise RoundAbort(
             f"round {tag} missing reports from: {', '.join(missing)}",
@@ -368,19 +341,10 @@ def operator_step(
 
     n = sum(m.n_nodes for m in models)
     z = np.zeros(2 * n + cfg.n_generators)
-    for msg in seen.values():
-        pay = msg.payload
-        if "generator" in pay:
-            z[2 * n + pay["generator"]] = pay["P"]
-        else:
-            z[pay["node"]] = pay["p"]
-            z[n + pay["node"]] = pay["q"]
-    outcome, prices = settle(
+    z[index] = values
+    return settle(
         models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y, account,
         cfg.solver, tag, warm,
-    )
-    return outcome, IncentiveSignals(
-        prices=prices, lambda_broadcast=outcome.y.lam, iteration_tag=tag
     )
 
 
@@ -407,11 +371,13 @@ def run_market(
     the agents step from their own entries of the loop's primal vector
     and read their private data from the same entries of the problem the
     loop hands it, events applied to both; the operator gets only
-    ``problem.models``, the fixed injection and the generator count.  One
-    user ``user:<feeder>:<node>`` stands at each DER coordinate, in node
-    order.  In ``gradient`` mode the trajectory equals the centralized
-    engine's.  ``x0`` seeds the loop as given, as in the centralized
-    engine.  The caller's ``problem`` is not modified, events included.
+    ``problem.models``, the fixed injection, the generator count and the
+    roster of each agent's coordinates.  One user ``user:<feeder>:<node>``
+    stands at each DER's ``(p, q)`` coordinates, in node order, and one
+    ``generator:<bus>`` at each generator's.  In ``gradient`` mode the
+    trajectory equals the centralized engine's.  ``x0`` seeds the loop as
+    given, as in the centralized engine.  The caller's ``problem`` is not
+    modified, events included.
     """
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
@@ -423,21 +389,21 @@ def run_market(
     y0 = y_init if y0 is None else y0
 
     N = problem.n_nodes
-    users: list[UserAgent] = []
+    agents: list[UserAgent | GeneratorAgent] = []
     for model in models:
         for j in np.flatnonzero(problem.coef[model.span] > 0).tolist():
             g = model.span.start + j
             name = f"user:{model.feeder_id}:{model.node_ids[j]}"
-            users.append(UserAgent(name, g, N + g))
-    generators = [
-        GeneratorAgent(f"generator:{gen_bus}", i, 2 * N + i)
-        for i, gen_bus in enumerate(problem.gen_bus)
+            agents.append(UserAgent(name, (g, N + g)))
+    agents += [
+        GeneratorAgent(f"generator:{gen_bus}", (2 * N + k,))
+        for k, gen_bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
         fixed_injection=problem.fixed_injection,
         n_generators=problem.n_generators,
         limits=problem.limits,
-        expected_reports=tuple(a.name for a in users + generators),
+        roster={a.name: a.coords for a in agents},
         solver=cfg,
     )
 
@@ -451,10 +417,7 @@ def run_market(
             held = problem
             coef, lo, hi = (a.tolist() for a in (problem.coef, problem.lo, problem.hi))
         if t == 1:  # the opening broadcast, at the starting duals
-            opening = IncentiveSignals(
-                prices=signals, lambda_broadcast=y.lam, iteration_tag=0
-            )
-            bus.publish(AgentMessage("signal-broadcast", "operator", 0, opening))
+            bus.publish(AgentMessage("signal-broadcast", "operator", 0, signals))
 
         received = bus.collect("signal-broadcast", t - 1)
         if len(received) != 1:
@@ -463,14 +426,12 @@ def run_market(
                 f"from round {t - 1}, expected one",
                 iteration=t,
             )
-        prices = received[0].payload
+        prices = received[0].payload.tolist()
         z = x.z.tolist()
-        for u in users:
-            bus.publish(u.step(z, coef, lo, hi, prices, cfg.eps, mode, t))
-        for g in generators:
-            bus.publish(g.step(z, coef, lo, hi, prices, cfg.eps, t))
+        for agent in agents:
+            bus.publish(agent.step(z, coef, lo, hi, prices, cfg.eps, mode, t))
 
-        outcome, broadcast = operator_step(
+        outcome, signals = operator_step(
             bus.collect("setpoint-report", t), y, models, op_cfg, account,
             tag=t, warm=warm,
         )
@@ -480,7 +441,7 @@ def run_market(
             bus.publish(AgentMessage("pf-result", "operator", t, pf))
         dual = {"lambda": outcome.y.lam, "residual": outcome.balance_residual}
         bus.publish(AgentMessage("dual-update", "operator", t, dual))
-        bus.publish(AgentMessage("signal-broadcast", "operator", t, broadcast))
-        return outcome, broadcast.prices
+        bus.publish(AgentMessage("signal-broadcast", "operator", t, signals))
+        return outcome, signals
 
     return run_rounds(problem, cfg, x0, y0, account, events, probes, step)

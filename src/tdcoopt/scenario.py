@@ -57,7 +57,6 @@ from .trace import TraceRecord, read_trace, write_trace
 
 __all__ = [
     "ScenarioError",
-    "ScenarioEvent",
     "Scenario",
     "load_scenario",
     "RunArtifacts",
@@ -70,26 +69,11 @@ __all__ = [
 ]
 
 ENGINES = ("core", "market", "market-br")
-EVENT_KINDS = ("generator-outage", "der-capacity-scale")
+EVENT_KINDS = (GeneratorOutage.kind, DerCapacityScale.kind)
 
 
 class ScenarioError(ValueError):
     """Scenario file invalid or inconsistent."""
-
-
-@dataclass(frozen=True)
-class ScenarioEvent:
-    """A timed perturbation: a generator trip or a DER capacity rescale."""
-
-    iteration: int
-    kind: str
-    target: int | str
-    factor: float | None = None
-
-    def to_engine_event(self):
-        if self.kind == "generator-outage":
-            return GeneratorOutage(iteration=self.iteration, bus_id=int(self.target))
-        return DerCapacityScale(iteration=self.iteration, factor=float(self.factor))
 
 
 @dataclass(frozen=True)
@@ -101,7 +85,7 @@ class Scenario:
     limits: VoltageLimits
     config: SolverConfig
     engine: str
-    events: tuple[ScenarioEvent, ...]
+    events: tuple[GeneratorOutage | DerCapacityScale, ...]
     init_mode: str = "midbox"
     init_P_M: tuple[float, ...] | None = None
     slack_mode: str = "record"  # "record" | "explicit"
@@ -181,7 +165,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     if engine not in ENGINES:
         raise ScenarioError(f"{name}: unknown engine {engine!r}")
 
-    events: list[ScenarioEvent] = []
+    events: list[GeneratorOutage | DerCapacityScale] = []
     for i, entry in enumerate(raw.get("events", [])):
         where = f"{name}: events[{i}]"
         kind = _require(entry, "kind", where)
@@ -193,22 +177,22 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
                 f"{where}: iteration {iteration} outside [1, max_iter)"
             )
         target = _require(entry, "target", where)
-        factor = entry.get("factor")
-        if kind == "generator-outage":
+        if kind == GeneratorOutage.kind:
             target = int(target)
             if not any(g.bus_id == target for g in ts.generators):
                 raise ScenarioError(f"{where}: no generator at bus {target}")
-        else:
-            if target != "all-DERs":
-                raise ScenarioError(
-                    f"{where}: der-capacity-scale target must be 'all-DERs'"
-                )
-            if factor is None or not float(factor) > 0:
-                raise ScenarioError(f"{where}: needs a positive factor")
-            factor = float(factor)
-        events.append(
-            ScenarioEvent(iteration=iteration, kind=kind, target=target, factor=factor)
-        )
+            events.append(GeneratorOutage(iteration=iteration, bus_id=target))
+            continue
+        if target != DerCapacityScale.target:
+            raise ScenarioError(
+                f"{where}: der-capacity-scale target must be 'all-DERs'"
+            )
+        try:
+            events.append(
+                DerCapacityScale(iteration=iteration, factor=float(entry["factor"]))
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: needs a positive factor") from exc
 
     init = raw.get("init", {})
     init_mode = init.get("mode", "midbox")
@@ -453,7 +437,7 @@ def _summarize(
                 "iteration": e.iteration,
                 "kind": e.kind,
                 "target": e.target,
-                "factor": e.factor,
+                "factor": getattr(e, "factor", None),
             }
             for e in scenario.events
         ],
@@ -712,7 +696,6 @@ def run_scenario_in_memory(
         if scenario.slack_mode == "explicit"
         else None
     )
-    events = tuple(e.to_engine_event() for e in scenario.events)
     if scenario.engine == "core":
         return solve(
             problem,
@@ -720,14 +703,14 @@ def run_scenario_in_memory(
             x0=x0,
             y0=y0,
             account=account,
-            events=events,
+            events=scenario.events,
             probes=probes,
         )
     mode = "gradient" if scenario.engine == "market" else "best-response"
     return run_market(
         problem,
         scenario.config,
-        events=events,
+        events=scenario.events,
         mode=mode,
         x0=x0,
         y0=y0,

@@ -83,6 +83,17 @@ def test_solver_config_validation():
         SolverConfig(eta=math.nan)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=-1)
+    # a count of rounds is an integer: no fraction, no bool
+    for bad in (2.5, 3.0, True, "7"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=bad)
+    for name in ("tol_primal", "tol_dual", "tol_balance"):
+        for bad in (-1e-9, math.nan):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="divergence_limit"):
+            SolverConfig(divergence_limit=bad)
     with pytest.raises(ValueError, match="feedback"):
         SolverConfig(feedback="dc")
 
@@ -171,13 +182,23 @@ def test_initial_state_errors():
 # price signals and the dual update
 # ---------------------------------------------------------------------------
 
+def prices_of(problem, y, zero_lambda=False):
+    """der_signals split into alpha, beta and the generators' prices."""
+    N = problem.n_nodes
+    prices = der_signals(problem.models, y, problem.n_generators, zero_lambda)
+    assert len(prices) == len(problem.coef)
+    return np.split(prices, [N, 2 * N])
+
+
 def test_der_signals_balance_term():
-    # with zero multipliers alpha is the balance price itself (M = -1)
+    # with zero multipliers alpha is the balance price itself (M = -1),
+    # and every generator is priced at it
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     y = DualState(lam=-2.0, mu=np.zeros(6))
-    alpha, beta = np.split(der_signals(problem.models, y), 2)
+    alpha, beta, gen = prices_of(problem, y)
     np.testing.assert_allclose(alpha, -2.0)
     np.testing.assert_allclose(beta, 0.0)
+    np.testing.assert_array_equal(gen, [-2.0, -2.0])
 
 
 def test_der_signals_voltage_term():
@@ -185,7 +206,7 @@ def test_der_signals_voltage_term():
     model = problem.models[0]
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])  # upper rows then lower
     y = DualState(lam=0.0, mu=mu)
-    alpha, beta = np.split(der_signals(problem.models, y), 2)
+    alpha, beta, _ = prices_of(problem, y)
     w = mu[:3] - mu[3:]
     np.testing.assert_allclose(alpha, model.A.T @ w, atol=1e-15)
     np.testing.assert_allclose(beta, model.B.T @ w, atol=1e-15)
@@ -196,7 +217,7 @@ def test_der_signals_two_feeders_use_global_layout(limits):
     problem = build_problem(make_system(n_feeders=2), limits)
     rng = np.random.default_rng(4)
     mu = rng.uniform(0.0, 1.0, 12)
-    alpha, _ = np.split(der_signals(problem.models, DualState(lam=0.0, mu=mu)), 2)
+    alpha, _, _ = prices_of(problem, DualState(lam=0.0, mu=mu))
     w = mu[:6] - mu[6:]
     for model in problem.models:
         sl = model.span
@@ -208,12 +229,14 @@ def test_der_signals_zero_lambda_baseline():
     problem = build_problem(make_system(n_feeders=1), VoltageLimits(0.95, 1.05))
     mu = np.array([0.3, 0.0, 0.1, 0.0, 0.2, 0.0])
     y = DualState(lam=-2.0, mu=mu)
-    with_lam = der_signals(problem.models, y)
-    hidden = der_signals(problem.models, y, zero_lambda=True)
-    y_mu_only = DualState(lam=0.0, mu=mu)
-    mu_only = der_signals(problem.models, y_mu_only)
-    np.testing.assert_allclose(hidden, mu_only, atol=1e-15)
-    assert not np.allclose(hidden, with_lam)
+    alpha, beta, gen = prices_of(problem, y, zero_lambda=True)
+    mu_alpha, mu_beta, _ = prices_of(problem, DualState(lam=0.0, mu=mu))
+    lam_alpha, _, _ = prices_of(problem, y)
+    np.testing.assert_allclose(alpha, mu_alpha, atol=1e-15)
+    np.testing.assert_allclose(beta, mu_beta, atol=1e-15)
+    assert not np.allclose(alpha, lam_alpha)
+    # the generators still see the balance price
+    np.testing.assert_array_equal(gen, [-2.0, -2.0])
 
 
 def test_dual_update_arithmetic(limits):
@@ -259,7 +282,7 @@ def test_dual_update_clamps_at_zero(limits):
     np.testing.assert_allclose(y_new.mu, 0.0)  # violations are negative
 
 
-def per_feeder_prices(models, y, zero_lambda=False):
+def per_feeder_prices(models, y, n_generators, zero_lambda=False):
     """der_signals as one product per feeder, with no shortcut."""
     lam = 0.0 if zero_lambda else y.lam
     n = len(y.mu) // 2
@@ -269,7 +292,7 @@ def per_feeder_prices(models, y, zero_lambda=False):
         sl = model.span
         prices[sl] = lam + model.A.T @ w[sl]
         prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
-    return prices
+    return np.concatenate([prices, np.full(n_generators, y.lam)])
 
 
 @settings(deadline=None, max_examples=150)
@@ -283,7 +306,8 @@ def per_feeder_prices(models, y, zero_lambda=False):
     data=st.data(),
 )
 def test_der_signals_match_the_per_feeder_products(duals, lam, zero_lambda, data):
-    # the all-zero shortcut must give the products' bits, -0.0 price included
+    # the all-zero shortcut must give the products' bits, -0.0 price
+    # included; the generators' entries hold the balance price as it is
     problem = build_problem(
         make_system(n_feeders=3, n_feeder_nodes=4), VoltageLimits(0.95, 1.05)
     )
@@ -301,8 +325,9 @@ def test_der_signals_match_the_per_feeder_products(duals, lam, zero_lambda, data
     elif duals == "random":
         mu[:] = data.draw(st.lists(values, min_size=2 * N, max_size=2 * N))
     y = DualState(lam=lam, mu=mu)
-    expected = per_feeder_prices(problem.models, y, zero_lambda)
-    got = der_signals(problem.models, y, zero_lambda)
+    G = problem.n_generators
+    expected = per_feeder_prices(problem.models, y, G, zero_lambda)
+    got = der_signals(problem.models, y, G, zero_lambda)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -439,7 +464,8 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     )
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
 
-    signals = der_signals(problem.models, y, zero_lambda=zero_lambda)
+    G = problem.n_generators
+    signals = der_signals(problem.models, y, G, zero_lambda=zero_lambda)
     out, prices = primal_dual_step(
         problem, x, y, account, cfg, iteration=t, warm=None, signals=signals
     )
@@ -453,7 +479,7 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     )
     # and reprices the new duals as the round's next prices
     np.testing.assert_array_equal(
-        prices, der_signals(problem.models, out.y, zero_lambda=zero_lambda)
+        prices, der_signals(problem.models, out.y, G, zero_lambda=zero_lambda)
     )
 
     meas = out.measurement

@@ -25,20 +25,19 @@ from tdcoopt.core import (
     GeneratorOutage,
     SolverConfig,
     build_problem,
+    der_signals,
     initial_state,
     solve,
 )
 from tdcoopt.market import (
     AgentMessage,
-    IncentiveSignals,
     MessageBus,
     OperatorConfig,
     RoundAbort,
-    generator_step,
+    best_response,
+    coordinate_step,
     operator_step,
     run_market,
-    user_best_response,
-    user_step,
 )
 from tdcoopt.network import VoltageLimits
 
@@ -56,9 +55,9 @@ TWO_RESCALES = (
     DerCapacityScale(iteration=100, factor=0.7),
 )
 
-# a DER's cost (a_p, a_q) and box (p_lo, p_hi, q_lo, q_hi)
-COST = (1.0, 0.1)
-BOX = (0.0, 0.05, -0.02, 0.02)
+# a DER's p and q coordinates: cost coefficient, lower and upper limit
+P_COORD = (1.0, 0.0, 0.05)
+Q_COORD = (0.1, -0.02, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -66,30 +65,31 @@ BOX = (0.0, 0.05, -0.02, 0.02)
 # ---------------------------------------------------------------------------
 
 def test_user_step_arithmetic():
-    # [TRIVIAL] one projected gradient step from (0.01, 0.0)
-    p, q = user_step((0.01, 0.0), (-1.0, 0.5), COST, BOX, eps=0.01)
+    # [TRIVIAL] one projected gradient step from (0.01, 0.0), one
+    # coordinate at a time
+    p = coordinate_step(0.01, -1.0, *P_COORD, eps=0.01)
+    q = coordinate_step(0.0, 0.5, *Q_COORD, eps=0.01)
     assert p == pytest.approx(0.01 - 0.01 * (2 * 0.01 - 1.0))
     assert q == pytest.approx(max(-0.02, 0.0 - 0.01 * 0.5))
 
 
 def test_user_step_projects_into_box():
-    p, q = user_step((0.05, 0.02), (-100.0, -100.0), COST, BOX, eps=1.0)
+    p = coordinate_step(0.05, -100.0, *P_COORD, eps=1.0)
+    q = coordinate_step(0.02, -100.0, *Q_COORD, eps=1.0)
     assert (p, q) == (0.05, 0.02)
 
 
 def test_user_best_response():
     # [DERIVED] unconstrained argmin of a_p p^2 + alpha p is -alpha / 2 a_p
-    p, q = user_best_response((-0.06, -0.002), COST, BOX)
-    assert p == pytest.approx(0.03)
-    assert q == pytest.approx(0.01)
-    p_clamped, _ = user_best_response((-1.0, 0.0), COST, BOX)
-    assert p_clamped == 0.05
+    assert best_response(-0.06, *P_COORD) == pytest.approx(0.03)
+    assert best_response(-0.002, *Q_COORD) == pytest.approx(0.01)
+    assert best_response(-1.0, *P_COORD) == 0.05
 
 
 def test_generator_step():
-    assert generator_step(1.0, -4.0, 1.0, 0.0, 10.0, eps=0.1) == pytest.approx(1.2)
+    assert coordinate_step(1.0, -4.0, 1.0, 0.0, 10.0, eps=0.1) == pytest.approx(1.2)
     # an offline generator is the box [0, 0]: zero output at any price
-    assert generator_step(1.0, -4.0, 1.0, 0.0, 0.0, eps=0.1) == 0.0
+    assert coordinate_step(1.0, -4.0, 1.0, 0.0, 0.0, eps=0.1) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -257,20 +257,14 @@ def test_best_response_fixpoint_is_box_clamped_optimum():
                        tol_dual=1e-9, tol_balance=1e-9)
     res = run_market(problem, cfg, mode="best-response")
     assert res.converged
-    from tdcoopt.core import der_signals
 
-    prices = der_signals(problem.models, res.y)
+    prices = der_signals(problem.models, res.y, problem.n_generators)
     N = problem.n_nodes
     lo, hi = problem.lo, problem.hi
     for g in np.flatnonzero(problem.coef[:N]):
-        h = N + g  # the DER's q coordinate, in z and in the prices
-        p_star, q_star = user_best_response(
-            (float(prices[g]), float(prices[h])),
-            (problem.coef[g], problem.coef[h]),
-            (lo[g], hi[g], lo[h], hi[h]),
-        )
-        assert res.x.p[g] == pytest.approx(p_star, abs=1e-7)
-        assert res.x.q[g] == pytest.approx(q_star, abs=1e-7)
+        for c in (g, N + g):  # the DER's p and q coordinates
+            star = best_response(float(prices[c]), problem.coef[c], lo[c], hi[c])
+            assert res.x.z[c] == pytest.approx(star, abs=1e-7)
 
 
 def test_unknown_market_mode():
@@ -337,13 +331,12 @@ def test_journal_is_json_dumpable_and_private():
 
 
 def test_incentive_signals_jsonable():
-    signals = IncentiveSignals(
-        prices=np.array([0.1, 0.2]), lambda_broadcast=-1.0, iteration_tag=4,
-    )
-    msg = AgentMessage("signal-broadcast", "operator", 4, signals)
+    # the incentive signals are the price array over z, the balance price
+    # of the one generator last; the message carries the round tag
+    msg = AgentMessage("signal-broadcast", "operator", 4, np.array([0.1, 0.2, -1.0]))
     encoded = json.loads(json.dumps(msg.to_jsonable()))
-    assert encoded["payload"]["lambda"] == -1.0
-    assert encoded["payload"]["prices"] == [0.1, 0.2]
+    assert encoded["payload"] == [0.1, 0.2, -1.0]
+    assert encoded["iteration_tag"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -354,40 +347,109 @@ def operator_fixture():
     system = make_system(n_feeders=1, gen_specs=[(1, 1.0)])
     problem = build_problem(system, LIMITS)
     _, y = initial_state(problem)
+    # the DER at node 3 sits at position 1: p at z[1], q at z[3 + 1]
     cfg = OperatorConfig(
         fixed_injection=problem.fixed_injection,
         n_generators=problem.n_generators,
         limits=LIMITS,
-        expected_reports=("user:f0:3", "generator:1"),
+        roster={"user:f0:3": (1, 4), "generator:1": (6,)},
         solver=SolverConfig(eps=0.01),
     )
     return problem, y, cfg
 
 
-def report(sender: str, tag: int, **payload) -> AgentMessage:
-    return AgentMessage("setpoint-report", sender, tag, payload)
+def report(sender: str, tag: int, *values: float) -> AgentMessage:
+    return AgentMessage("setpoint-report", sender, tag, list(values))
 
 
 def test_operator_step_accepts_complete_round():
     problem, y, cfg = operator_fixture()
     account = SlackAccount(P0_slack=0.0)
     reports = [
-        report("user:f0:3", 1, node=1, p=0.01, q=0.0),
-        report("generator:1", 1, generator=0, P=1.5),
+        report("user:f0:3", 1, 0.01, -0.005),
+        report("generator:1", 1, 1.5),
     ]
-    outcome, signals = operator_step(
+    outcome, prices = operator_step(
         reports, y, problem.models, cfg, account, tag=1
     )
     assert outcome.x.P_M[0] == 1.5
     np.testing.assert_array_equal(outcome.x.p, [0.0, 0.01, 0.0])
-    assert signals.iteration_tag == 1
+    np.testing.assert_array_equal(outcome.x.q, [0.0, -0.005, 0.0])
+    # the fresh prices are the core engine's, over all of z
+    np.testing.assert_array_equal(
+        prices, der_signals(problem.models, outcome.y, problem.n_generators)
+    )
     # the operator's dual update consumed its own measurement
     assert outcome.measurement.tag == 1
 
 
+@pytest.mark.parametrize("sender", ["intruder", "user:f0:4"])
+def test_operator_step_refuses_a_sender_off_the_roster(sender):
+    # a report naming any sender the roster does not hold is refused, not
+    # placed, even when the round is otherwise complete
+    problem, y, cfg = operator_fixture()
+    reports = [
+        report("user:f0:3", 1, 0.01, 0.0),
+        report("generator:1", 1, 1.5),
+        report(sender, 1, 0.02, 0.0),
+    ]
+    with pytest.raises(RoundAbort, match=f"{sender}, who is not on the roster"
+                       ) as exc:
+        operator_step(reports, y, problem.models, cfg,
+                      SlackAccount(P0_slack=0.0), tag=1)
+    assert exc.value.iteration == 1
+
+
+@pytest.mark.parametrize(
+    "values", [(0.01,), (0.01, 0.0, 0.02), ()], ids=["short", "long", "empty"]
+)
+def test_operator_step_refuses_the_wrong_number_of_values(values):
+    problem, y, cfg = operator_fixture()
+    reports = [report("user:f0:3", 1, *values), report("generator:1", 1, 1.5)]
+    with pytest.raises(
+        RoundAbort, match=f"user:f0:3 in round 1 holds {len(values)} values for 2"
+    ) as exc:
+        operator_step(reports, y, problem.models, cfg,
+                      SlackAccount(P0_slack=0.0), tag=1)
+    assert exc.value.iteration == 1
+
+
+@pytest.mark.parametrize("feedback", ["linear", "ac"])
+def test_market_round_assembles_z_at_the_roster_coordinates(feedback):
+    # a full round: each agent's reported values land at its coordinates,
+    # and the round's state is exactly the assembled vector
+    problem = build_problem(
+        make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
+    )
+    cfg = SolverConfig(eps=0.01, max_iter=2, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0, feedback=feedback, record_state=True)
+    bus = MessageBus(record=True)
+    res = run_market(problem, cfg, bus=bus)
+    N = problem.n_nodes
+
+    def coords_of(sender):
+        # read off the sender's name: its node's p and q, or its generator
+        role, *where = sender.split(":")
+        if role == "generator":
+            return [2 * N + problem.gen_bus.tolist().index(int(where[0]))]
+        model = next(m for m in problem.models if m.feeder_id == where[0])
+        g = model.span.start + model.node_ids.index(int(where[1]))
+        return [g, N + g]
+
+    for t in (1, 2):
+        reports = [m for m in bus.journal
+                   if m.kind == "setpoint-report" and m.iteration_tag == t]
+        z = np.zeros(2 * N + problem.n_generators)
+        for m in reports:
+            z[coords_of(m.sender)] = m.payload
+        placed = sorted(c for m in reports for c in coords_of(m.sender))
+        assert placed == np.flatnonzero(problem.coef).tolist()
+        np.testing.assert_array_equal(res.history[t][0].z, z)
+
+
 def test_operator_step_rejects_missing_report():
     problem, y, cfg = operator_fixture()
-    reports = [report("generator:1", 1, generator=0, P=1.5)]
+    reports = [report("generator:1", 1, 1.5)]
     with pytest.raises(RoundAbort, match="missing reports from: user:f0:3"):
         operator_step(reports, y, problem.models, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
@@ -396,8 +458,8 @@ def test_operator_step_rejects_missing_report():
 def test_operator_step_rejects_stale_report():
     problem, y, cfg = operator_fixture()
     reports = [
-        report("user:f0:3", 0, node=1, p=0.0, q=0.0),
-        report("generator:1", 1, generator=0, P=1.5),
+        report("user:f0:3", 0, 0.0, 0.0),
+        report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="stale report"):
         operator_step(reports, y, problem.models, cfg,
@@ -407,9 +469,9 @@ def test_operator_step_rejects_stale_report():
 def test_operator_step_rejects_duplicate_report():
     problem, y, cfg = operator_fixture()
     reports = [
-        report("user:f0:3", 1, node=1, p=0.0, q=0.0),
-        report("user:f0:3", 1, node=1, p=0.01, q=0.0),
-        report("generator:1", 1, generator=0, P=1.5),
+        report("user:f0:3", 1, 0.0, 0.0),
+        report("user:f0:3", 1, 0.01, 0.0),
+        report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="duplicate report"):
         operator_step(reports, y, problem.models, cfg,

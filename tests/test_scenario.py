@@ -18,7 +18,6 @@ from tdcoopt.network import serialize_case
 from tdcoopt.scenario import (
     OracleInfeasible,
     ScenarioError,
-    ScenarioEvent,
     compare_runs,
     load_scenario,
     probe_oracle,
@@ -84,12 +83,20 @@ def test_load_shipped_default_scenario():
     assert sc.slack_mode == "record"
 
 
-def test_event_mapping_to_engine_events():
-    outage = ScenarioEvent(iteration=7, kind="generator-outage", target=36)
-    scale = ScenarioEvent(iteration=9, kind="der-capacity-scale",
-                          target="all-DERs", factor=2.0)
-    assert outage.to_engine_event() == GeneratorOutage(iteration=7, bus_id=36)
-    assert scale.to_engine_event() == DerCapacityScale(iteration=9, factor=2.0)
+def test_event_mapping_to_engine_events(tmp_path):
+    # a file's events load as the engine's own events, which name
+    # themselves as the file does; a factor on an outage is dropped
+    path = write_scenario(tmp_path, {"events": [
+        {"kind": "generator-outage", "iteration": 7, "target": 2,
+         "factor": 5.0},
+        {"kind": "der-capacity-scale", "iteration": 9, "target": "all-DERs",
+         "factor": 2.0},
+    ]})
+    outage, scale = load_scenario(path).events
+    assert outage == GeneratorOutage(iteration=7, bus_id=2)
+    assert scale == DerCapacityScale(iteration=9, factor=2.0)
+    assert (outage.kind, outage.target) == ("generator-outage", 2)
+    assert (scale.kind, scale.target) == ("der-capacity-scale", "all-DERs")
 
 
 def test_overrides_are_applied_before_validation(tmp_path):
@@ -140,6 +147,9 @@ def test_relative_case_paths_resolve_against_scenario_file():
         # every SolverConfig field is a known config field
         ({"config": {"divergence_limit": 50.0, "record_state": True}}, (),
          None),
+        ({"config": {"max_iter": 2.5}}, (), "bad config: max_iter"),
+        ({"config": {"divergence_limit": -1.0}}, (),
+         "bad config: divergence_limit"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, patch, drop, message):
@@ -369,8 +379,10 @@ def test_summary_phases_split_at_events(tmp_path):
         {
             "config": {"eps": 0.02, "max_iter": 40, "tol_primal": 0.0,
                        "tol_dual": 0.0, "tol_balance": 0.0},
+            # an outage has no factor: a stray one is not echoed
             "events": [
-                {"kind": "generator-outage", "iteration": 20, "target": 2}
+                {"kind": "generator-outage", "iteration": 20, "target": 2,
+                 "factor": "junk"}
             ],
         },
     )
@@ -384,7 +396,6 @@ def test_summary_phases_split_at_events(tmp_path):
          "factor": None}
     ]
     assert artifacts.summary["final"]["P_M"]["2"] == 0.0
-
 
 def test_market_engine_scenario_runs(tmp_path):
     path = write_scenario(
