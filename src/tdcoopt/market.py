@@ -35,14 +35,16 @@ broadcast of the previous round they collect from the bus, and the
 operator on exactly one report per roster entry of the current round.
 A missing, duplicated or stale broadcast or report (one an injected bus
 fault drops included), a report from a sender off the roster, or one
-with the wrong number of values aborts the run with a
-:class:`RoundAbort` naming the round.  The power-flow results and dual
+that is not a list of as many finite floats as the sender has
+coordinates aborts the run with a :class:`RoundAbort` naming the round
+and the sender.  The power-flow results and dual
 updates the operator also publishes are for observers and the bus
 journal; no agent reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -94,7 +96,7 @@ class RoundAbort(EngineError):
 # messages
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentMessage:
     """One bus message: kind, sender, round tag, and a payload.
 
@@ -300,7 +302,8 @@ def operator_step(
     for its sender.  Returns the round's outcome (reported setpoints, new
     duals, and the measurement they rest on) and the fresh prices over
     ``z``.  A stale, duplicated or missing report, one from a sender off
-    the roster, or one with the wrong number of values aborts the round.
+    the roster, or one that is not a list of as many finite floats as the
+    sender has coordinates aborts the round.
     """
     seen: set[str] = set()
     index: list[int] = []  # the roster's coordinates of each report's values
@@ -323,6 +326,12 @@ def operator_step(
             raise RoundAbort(
                 f"duplicate report from {msg.sender} in round {tag}", iteration=tag
             )
+        if type(msg.payload) is not list:
+            raise RoundAbort(
+                f"report from {msg.sender} in round {tag} is not a list of "
+                f"values: {msg.payload!r}",
+                iteration=tag,
+            )
         if len(msg.payload) != len(coords):
             raise RoundAbort(
                 f"report from {msg.sender} in round {tag} holds "
@@ -341,10 +350,21 @@ def operator_step(
 
     n = sum(m.n_nodes for m in models)
     z = np.zeros(2 * n + cfg.n_generators)
-    z[index] = values
-    return settle(
-        models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y, account,
-        cfg.solver, tag, warm,
+    # the values are checked for the whole round at once, since honest
+    # agents report Python floats
+    if set(map(type, values)) <= {float}:
+        z[index] = values
+        if np.isfinite(z).all():
+            return settle(
+                models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y,
+                account, cfg.solver, tag, warm,
+            )
+    bad = next(m for m in reports if not all(
+        type(v) is float and math.isfinite(v) for v in m.payload))
+    raise RoundAbort(
+        f"report from {bad.sender} in round {tag} holds a value that is not a "
+        f"finite float: {bad.payload!r}",
+        iteration=tag,
     )
 
 

@@ -7,7 +7,11 @@ options.  Running one produces a per-iteration CSV trace and a JSON
 summary (final dispatch, final voltages, active constraint sets, the
 stepsize certificate, and the converged price of each phase between
 events).  A failed run leaves the trace up to the failure and a summary
-that names the failing iteration.
+that names the failing iteration.  Every field of the file is read by
+the typed readers of :mod:`tdcoopt.network`, each ``config`` field by the
+one for the type :class:`~tdcoopt.core.SolverConfig` declares for it, so
+a value of the wrong type or shape is a :class:`ScenarioError` naming the
+field.
 
 ``compare_runs`` diffs two traces over a shared horizon — used to price
 DER participation against the baseline run that hides the balance price
@@ -48,10 +52,18 @@ from .network import (
     CaseError,
     CoupledSystem,
     DistributionFeeder,
+    FieldError,
     TransmissionSystem,
     VoltageLimits,
+    array,
     attach_feeders,
+    choice,
+    flag,
+    integer,
     parse_case,
+    real,
+    section,
+    text,
 )
 from .trace import TraceRecord, read_trace, write_trace
 
@@ -70,6 +82,10 @@ __all__ = [
 
 ENGINES = ("core", "market", "market-br")
 EVENT_KINDS = (GeneratorOutage.kind, DerCapacityScale.kind)
+INIT_MODES = ("midbox", "setpoint", "random")
+SLACK_MODES = ("record", "explicit")
+# the reader of each type a SolverConfig field declares
+_CONFIG_READERS = {"int": integer, "float": real, "bool": flag, "str": text}
 
 
 class ScenarioError(ValueError):
@@ -95,18 +111,13 @@ class Scenario:
     path: Path | None = None
 
 
-def _require(raw: dict, key: str, where: str):
-    if key not in raw:
-        raise ScenarioError(f"{where}: missing field {key!r}")
-    return raw[key]
-
-
 def load_scenario(path, overrides: dict | None = None) -> Scenario:
     """Read and validate a scenario file; case paths resolve relative to it.
 
     ``overrides`` (engine, feedback, max_iter, eps, eta, seed) are applied
     before validation, so command-line flags are checked like file fields;
-    an override that is ``None`` keeps the file's value.
+    an override that is ``None`` keeps the file's value.  Every error is a
+    :class:`ScenarioError`.
     """
     path = Path(path)
     try:
@@ -118,104 +129,100 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
             f"{path}: syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: nests too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
-    overrides = dict(overrides or {})
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    try:
+        return _read_scenario(raw, path, given)
+    except FieldError as exc:
+        raise ScenarioError(str(exc)) from exc
 
-    name = raw.get("name", path.stem)
-    base = path.parent
 
-    ts_path = base / _require(raw, "transmission", name)
-    ts = _load_case(ts_path, TransmissionSystem)
+def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
+    """The scenario the file ``path`` holds as ``raw``; a field of the
+    wrong type or shape raises :class:`FieldError`."""
+    name = text(raw, "name", str(path), path.stem)
+    raw = {**raw, **{k: overrides[k] for k in ("engine", "seed") if k in overrides}}
 
+    ts = _load_case(path.parent / text(raw, "transmission", name), TransmissionSystem)
     feeders: list[DistributionFeeder] = []
-    hosts: list[int] = []
-    for i, entry in enumerate(raw.get("feeders", [])):
-        case_path = base / _require(entry, "case", f"{name}: feeders[{i}]")
-        feeder = _load_case(case_path, DistributionFeeder)
-        host = int(_require(entry, "host_bus", f"{name}: feeders[{i}]"))
-        feeders.append(replace(feeder, host_bus_id=host))
-        hosts.append(host)
+    entries = array(raw, "feeders", name, ())
+    for i in range(len(entries)):
+        entry = section(entries, i, f"{name}: feeders")
+        where = f"{name}: feeders[{i}]"
+        feeder = _load_case(path.parent / text(entry, "case", where), DistributionFeeder)
+        feeders.append(replace(feeder, host_bus_id=integer(entry, "host_bus", where)))
+    lim = section(raw, "limits", name, {})
+    v_min = real(lim, "v_min", f"{name}: limits", 0.95)
+    v_max = real(lim, "v_max", f"{name}: limits", 1.05)
     try:
         system = attach_feeders(ts, feeders)
+        limits = VoltageLimits(v_min, v_max)
     except CaseError as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
-    lim = raw.get("limits", {})
-    limits = VoltageLimits(
-        v_min=float(lim.get("v_min", 0.95)), v_max=float(lim.get("v_max", 1.05))
-    )
-
-    cfg_raw = dict(raw.get("config", {}))
-    cfg_raw.setdefault("feedback", raw.get("feedback", "linear"))
-    for key in ("max_iter", "eps", "eta"):
-        if overrides.get(key) is not None:
-            cfg_raw[key] = overrides[key]
-    if overrides.get("feedback") is not None:
-        cfg_raw["feedback"] = overrides["feedback"]
-    unknown = set(cfg_raw) - {f.name for f in fields(SolverConfig)}
+    cfg_raw = {
+        "feedback": raw.get("feedback", "linear"),
+        **section(raw, "config", name, {}),
+        **{k: overrides[k] for k in ("max_iter", "eps", "eta", "feedback") if k in overrides},
+    }
+    types = {f.name: f.type for f in fields(SolverConfig)}
+    unknown = set(cfg_raw) - set(types)
     if unknown:
         raise ScenarioError(f"{name}: unknown config fields {sorted(unknown)}")
+    where = f"{name}: bad config"
+    cfg_raw = {k: _CONFIG_READERS[types[k]](cfg_raw, k, where) for k in cfg_raw}
     try:
         config = SolverConfig(**cfg_raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name}: bad config: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
-    engine = overrides.get("engine") or raw.get("engine", "core")
-    if engine not in ENGINES:
-        raise ScenarioError(f"{name}: unknown engine {engine!r}")
+    engine = choice(raw, "engine", name, ENGINES, "core")
 
     events: list[GeneratorOutage | DerCapacityScale] = []
-    for i, entry in enumerate(raw.get("events", [])):
+    entries = array(raw, "events", name, ())
+    for i in range(len(entries)):
+        entry = section(entries, i, f"{name}: events")
         where = f"{name}: events[{i}]"
-        kind = _require(entry, "kind", where)
-        if kind not in EVENT_KINDS:
-            raise ScenarioError(f"{where}: unknown kind {kind!r}")
-        iteration = int(_require(entry, "iteration", where))
+        kind = choice(entry, "kind", where, EVENT_KINDS)
+        iteration = integer(entry, "iteration", where)
         if not 1 <= iteration < config.max_iter:
             raise ScenarioError(
                 f"{where}: iteration {iteration} outside [1, max_iter)"
             )
-        target = _require(entry, "target", where)
         if kind == GeneratorOutage.kind:
-            target = int(target)
+            target = integer(entry, "target", where)
             if not any(g.bus_id == target for g in ts.generators):
                 raise ScenarioError(f"{where}: no generator at bus {target}")
             events.append(GeneratorOutage(iteration=iteration, bus_id=target))
             continue
-        if target != DerCapacityScale.target:
-            raise ScenarioError(
-                f"{where}: der-capacity-scale target must be 'all-DERs'"
-            )
+        choice(entry, "target", where, (DerCapacityScale.target,))
         try:
-            events.append(
-                DerCapacityScale(iteration=iteration, factor=float(entry["factor"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            events.append(DerCapacityScale(iteration, real(entry, "factor", where)))
+        except ValueError as exc:
             raise ScenarioError(f"{where}: needs a positive factor") from exc
 
-    init = raw.get("init", {})
-    init_mode = init.get("mode", "midbox")
-    if init_mode not in ("midbox", "setpoint", "random"):
-        raise ScenarioError(f"{name}: unknown init mode {init_mode!r}")
-    init_P_M = init.get("P_M")
+    init = section(raw, "init", name, {})
+    init_mode = choice(init, "mode", name, INIT_MODES, "midbox", "init mode")
+    init_P_M = array(init, "P_M", f"{name}: init", None)
     if init_P_M is not None:
-        init_P_M = tuple(float(v) for v in init_P_M)
+        where = f"{name}: init: P_M"
+        init_P_M = tuple(real(init_P_M, k, where) for k in range(len(init_P_M)))
         if len(init_P_M) != len(ts.generators):
             raise ScenarioError(
                 f"{name}: init.P_M has {len(init_P_M)} entries, "
                 f"system has {len(ts.generators)} generators"
             )
 
-    slack = raw.get("slack", {})
-    slack_mode = slack.get("mode", "record")
-    if slack_mode not in ("record", "explicit"):
-        raise ScenarioError(f"{name}: unknown slack mode {slack_mode!r}")
-    slack_value = float(slack.get("value", 0.0))
+    slack = section(raw, "slack", name, {})
+    slack_mode = choice(slack, "mode", name, SLACK_MODES, "record", "slack mode")
+    slack_value = real(slack, "value", f"{name}: slack", 0.0)
 
-    probes = raw.get("probes")
+    probes = section(raw, "probes", name, None)
     if probes is not None:
-        probes = {str(k): int(v) for k, v in probes.items()}
+        probes = {fid: integer(probes, fid, f"{name}: probes") for fid in probes}
         ids = {f.feeder_id: f for f in system.feeders}
         for fid, node in probes.items():
             if fid not in ids:
@@ -225,14 +232,12 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
                     f"{name}: probe node {node} not in feeder {fid}"
                 )
 
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = raw.get("seed")
+    seed = integer(raw, "seed", name, None)
     if init_mode == "random" and seed is None:
         raise ScenarioError(f"{name}: init mode 'random' requires a seed")
 
     return Scenario(
-        name=str(name),
+        name=name,
         system=system,
         limits=limits,
         config=config,
@@ -243,18 +248,18 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         slack_mode=slack_mode,
         slack_value=slack_value,
         probes=probes,
-        seed=None if seed is None else int(seed),
+        seed=seed,
         path=path,
     )
 
 
 def _load_case(path: Path, expect_type):
     try:
-        text = path.read_text()
+        content = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read case {path}: {exc}") from exc
     try:
-        model = parse_case(text)
+        model = parse_case(content)
     except CaseError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(model, expect_type):

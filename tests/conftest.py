@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import math
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,32 @@ def make_system(
         for k in range(n_feeders)
     ]
     return attach_feeders(ts, feeders)
+
+
+# one JSON value of each kind a reader can meet, NaN, ±Infinity and an
+# integer too large for a float included
+ANY_JSON = (None, True, "1", [], [1], {}, 1.5, -1, 10**400, math.nan, math.inf, -math.inf)
+
+
+def key_paths(raw, prefix=()):
+    """Every key path into the JSON data ``raw``, into the first two items
+    of each array."""
+    items = raw.items() if isinstance(raw, dict) else enumerate(raw[:2])
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+def set_path(raw, path, value):
+    """``raw`` with the field at ``path`` set to ``value`` (a deep copy)."""
+    raw = copy.deepcopy(raw)
+    *keys, last = path
+    target = raw
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return raw
 
 
 def primal(p, q, P_M) -> PrimalState:

@@ -414,6 +414,24 @@ def test_operator_step_refuses_the_wrong_number_of_values(values):
     assert exc.value.iteration == 1
 
 
+@pytest.mark.parametrize(
+    "payload", [0.5, ["x"], [float("nan")], [True], ["0.5"]],
+    ids=["bare-float", "text", "nan", "bool", "numeric-text"],
+)
+def test_operator_step_refuses_a_malformed_report(payload):
+    # a report is a list of finite Python floats; anything else aborts the
+    # round naming the round and the sender, and is never placed into z
+    problem, y, cfg = operator_fixture()
+    reports = [
+        report("user:f0:3", 1, 0.01, 0.0),
+        AgentMessage("setpoint-report", "generator:1", 1, payload),
+    ]
+    with pytest.raises(RoundAbort, match="from generator:1 in round 1") as exc:
+        operator_step(reports, y, problem.models, cfg,
+                      SlackAccount(P0_slack=0.0), tag=1)
+    assert exc.value.iteration == 1
+
+
 @pytest.mark.parametrize("feedback", ["linear", "ac"])
 def test_market_round_assembles_z_at_the_roster_coordinates(feedback):
     # a full round: each agent's reported values land at its coordinates,

@@ -5,10 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
-from conftest import CASES_DIR, make_chain_feeder, make_system, make_ts
+from conftest import (
+    ANY_JSON, CASES_DIR, key_paths, make_chain_feeder, make_system, make_ts, set_path,
+)
+from tdcoopt import network
 from tdcoopt.network import (
     Bus,
     CaseError,
@@ -33,9 +37,19 @@ def all_case_files():
 
 @pytest.mark.parametrize("path", all_case_files(), ids=lambda p: p.stem)
 def test_shipped_cases_parse_and_round_trip(path):
-    model = parse_case(path.read_text())
+    text = path.read_text()
+    model = parse_case(text)
     again = parse_case(serialize_case(model))
     assert again == model
+    # the field tables write the shipped files byte for byte
+    assert serialize_case(model) + "\n" == text
+
+
+def test_field_tables_follow_the_dataclass_fields():
+    # a record is built by a positional call, so each table's rows must
+    # name its dataclass's fields in order
+    for cls, rows in network._FIELDS.items():
+        assert [row[1] for row in rows] == [f.name for f in dataclasses.fields(cls)]
 
 
 def test_parse_rejects_syntax_errors_with_location():
@@ -324,6 +338,72 @@ def test_nan_fails_every_check(name, path):
     # written to fail on it (``not x > 0``, ``not lo <= hi``)
     with pytest.raises(CaseError):
         parse_case(_case_with(name, path, float("nan")))
+
+
+WRONG_TYPES = {
+    "bus-p0-numeric-text": ("gen9.json", ("buses", 2, "p0"), "-1.2",
+                            r"buses\[2\]: p0 must be a finite number, got '-1.2'"),
+    "bus-p0-text": ("gen9.json", ("buses", 2, "p0"), "abc",
+                    "p0 must be a finite number"),
+    "generator-bus-fraction": ("gen9.json", ("generators", 0, "bus"), 1.7,
+                               r"generators\[0\]: bus must be an integer, got 1.7"),
+    "generator-cost-bool": ("gen9.json", ("generators", 0, "cost"), True,
+                            "cost must be a finite number"),
+    "generator-p_max-text": ("gen9.json", ("generators", 0, "p_max"), "2",
+                             "p_max must be a number or"),
+    "generator-online-text": ("gen9.json", ("generators", 0, "online"), "false",
+                              "online must be true or false"),
+    "line-triple": ("gen9.json", ("lines", 0), [1, 2, 3],
+                    r"lines\[0\] must be a pair of bus ids"),
+    "line-fraction": ("gen9.json", ("lines", 0), [1, 2.5],
+                      r"lines\[0\]\[1\] must be an integer"),
+    "buses-object": ("gen9.json", ("buses",), {"id": 1}, "buses must be an array"),
+    "node-number": ("case33bw.json", ("nodes", 0), 2,
+                    r"nodes\[0\] must be an object"),
+    "host-bus-float": ("case33bw.json", ("host_bus",), 3.0,
+                       "host_bus must be an integer"),
+    "name-number": ("case33bw.json", ("name",), 33, "name must be a string"),
+}
+
+
+@pytest.mark.parametrize("field", WRONG_TYPES)
+def test_parse_refuses_a_field_of_the_wrong_type(field):
+    # each field is read by the reader of its type: no string, bool or
+    # fraction passes where a number or an integer is meant
+    name, path, value, message = WRONG_TYPES[field]
+    with pytest.raises(CaseError, match="missing or malformed field") as exc:
+        parse_case(_case_with(name, path, value))
+    assert re.search(message, str(exc.value))
+
+
+@pytest.mark.parametrize("name", ["gen2.json", "feeder4.json"])
+def test_parse_raises_only_case_errors(name):
+    # any JSON value in any field is read, or refused with a CaseError;
+    # no other exception leaves parse_case
+    raw = json.loads((CASES_DIR / name).read_text())
+    for path in key_paths(raw):
+        for value in ANY_JSON:
+            try:
+                parse_case(json.dumps(set_path(raw, path, value)))
+            except CaseError:
+                pass
+
+
+def test_parse_refuses_json_nested_too_deeply():
+    # json raises RecursionError here, which parse_case reports as a CaseError
+    with pytest.raises(CaseError, match="nests too deeply"):
+        parse_case("[" * 100_000)
+
+
+def test_parse_reads_an_integer_as_a_number_and_infinite_box_edges():
+    raw = json.loads(_case_with("gen9.json", ("generators", 0, "cost"), 2))
+    raw["generators"][0]["p_max"] = math.inf
+    del raw["generators"][0]["setpoint"]
+    gen = parse_case(json.dumps(raw)).generators[0]
+    assert type(gen.cost_coefficient) is float and gen.cost_coefficient == 2.0
+    assert gen.p_max == math.inf and gen.setpoint_initial == 0.0
+    # a standalone feeder may leave its host bus unset
+    assert parse_case(_case_with("case33bw.json", ("host_bus",), None)).host_bus_id is None
 
 
 def test_der_box_scales_with_capacity():

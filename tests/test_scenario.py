@@ -26,7 +26,9 @@ from tdcoopt.scenario import (
 )
 from tdcoopt.trace import read_trace
 
-from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder
+from conftest import (
+    ANY_JSON, CASES_DIR, SCENARIOS_DIR, key_paths, make_chain_feeder, set_path,
+)
 
 
 def write_scenario(tmp_path, patch: dict | None = None, drop: tuple = ()):
@@ -150,6 +152,15 @@ def test_relative_case_paths_resolve_against_scenario_file():
         ({"config": {"max_iter": 2.5}}, (), "bad config: max_iter"),
         ({"config": {"divergence_limit": -1.0}}, (),
          "bad config: divergence_limit"),
+        # each field is read by the reader of its type
+        ({"seed": 2.7}, (), "seed must be an integer, got 2.7"),
+        ({"limits": {"v_min": "0.9"}}, (), "limits: v_min must be a finite number"),
+        ({"slack": {"value": "0.5"}}, (), "slack: value must be a finite number"),
+        ({"probes": {"feeder4": 3.9}}, (), "probes: feeder4 must be an integer"),
+        ({"init": {"P_M": ["1", "1"]}}, (), r"init: P_M\[0\] must be a finite number"),
+        ({"config": {"eps": True}}, (), "bad config: eps must be a finite number"),
+        ({"config": {"zero_lambda_to_ders": "no"}}, (),
+         "bad config: zero_lambda_to_ders must be true or false"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, patch, drop, message):
@@ -182,6 +193,10 @@ def test_scenario_validation_errors(tmp_path, patch, drop, message):
         ({"kind": "generator-outage", "target": 1}, "missing field"),
         ({"kind": "der-capacity-scale", "iteration": 5, "target": "all-DERs",
           "factor": float("nan")}, "positive factor"),
+        ({"kind": "generator-outage", "iteration": 2.5, "target": 1},
+         r"events\[0\]: iteration must be an integer, got 2.5"),
+        ({"kind": "generator-outage", "iteration": 5, "target": 1.9},
+         r"events\[0\]: target must be an integer, got 1.9"),
     ],
 )
 def test_event_validation_errors(tmp_path, event, message):
@@ -203,6 +218,36 @@ def test_load_rejects_broken_files(tmp_path):
     listfile.write_text("[1, 2]")
     with pytest.raises(ScenarioError, match="must be a JSON object"):
         load_scenario(listfile)
+
+
+def test_load_raises_only_scenario_errors(tmp_path):
+    # any JSON value in any field but the case paths is read, or refused
+    # with a ScenarioError; no other exception leaves load_scenario
+    path = write_scenario(tmp_path, {
+        "init": {"P_M": [0.5, 0.5]}, "probes": {"feeder4": 3}, "seed": 1,
+        "events": [
+            {"iteration": 5, "kind": "generator-outage", "target": 1},
+            {"iteration": 5, "kind": "der-capacity-scale", "target": "all-DERs",
+             "factor": 2.0},
+        ],
+    })
+    raw = json.loads(path.read_text())
+    for field in key_paths(raw):
+        if field[0] == "transmission" or field[-1] == "case":
+            continue
+        for value in ANY_JSON:
+            path.write_text(json.dumps(set_path(raw, field, value)))
+            try:
+                load_scenario(path)
+            except ScenarioError:
+                pass
+
+
+def test_load_refuses_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ScenarioError, match="nests too deeply"):
+        load_scenario(path)
 
 
 def test_load_rejects_wrong_case_kind(tmp_path):
@@ -559,6 +604,22 @@ def test_cli_run_error_exit_1(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"limits": [0.9, 1.1]}, {"init": "setpoint"}, {"config": [1]},
+     {"probes": [1]}],
+    ids=["limits", "init", "config", "probes"],
+)
+def test_cli_run_reports_a_section_of_the_wrong_shape(tmp_path, capsys, patch):
+    # a section that must be an object is refused with one error line,
+    # never a traceback
+    path = write_scenario(tmp_path, patch)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{next(iter(patch))} must be an object" in err
 
 
 def test_sweep_failure_is_an_engine_error(tmp_path, capsys):
