@@ -27,7 +27,8 @@ Layout
                  operator step (places reports by its roster, ends in
                  `settle`); `run_market` routes the round's messages
                  through the shared loop
-``trace``        per-iteration CSV records, write/read round trip
+``trace``        per-iteration records (one float64 row each, kept in
+                 `Records`), CSV write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle
 ``cli``          ``tdcoopt run | compare | oracle | lindump``
 """
@@ -113,7 +114,7 @@ from .scenario import (
     probe_oracle,
     run_scenario,
 )
-from .trace import Trace, TraceRecord, read_trace, trace_columns, write_trace
+from .trace import Records, Trace, TraceRecord, read_trace, trace_columns, write_trace
 
 __version__ = "0.1.0"
 
@@ -142,6 +143,7 @@ __all__ = [
     "OracleInfeasible",
     "OracleReport",
     "PrimalState",
+    "Records",
     "RoundAbort",
     "RunArtifacts",
     "Scenario",

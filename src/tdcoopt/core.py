@@ -62,7 +62,7 @@ from .acpf import (
 )
 from .lindistflow import LinearFeederModel, build_lindistflow, predict
 from .network import CoupledSystem, VoltageLimits
-from .trace import TraceRecord
+from .trace import Records
 
 __all__ = [
     "FEEDBACK_MODES",
@@ -116,7 +116,7 @@ class EngineError(RuntimeError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
-        self.records: list[TraceRecord] | None = None
+        self.records: Records | None = None
 
 
 class DivergenceError(EngineError):
@@ -527,8 +527,10 @@ def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
     Summed per block, generators first, then ``p`` and ``q``.
     """
     N = x.n_nodes
-    cost = problem.coef * x.z * x.z
-    return float(cost[2 * N :].sum() + cost[:N].sum() + cost[N : 2 * N].sum())
+    cost = problem.coef * x.z
+    cost *= x.z
+    add = np.add.reduce  # what ndarray.sum runs, without its Python wrapper
+    return float(add(cost[2 * N :]) + add(cost[:N]) + add(cost[N : 2 * N]))
 
 
 def eval_lagrangian(
@@ -881,8 +883,8 @@ def default_probes(problem: DispatchProblem) -> tuple[int, ...]:
 
 
 def iteration_record(
+    records: Records,
     problem: DispatchProblem,
-    iteration: int,
     x: PrimalState,
     y: DualState,
     measurement: Measurement,
@@ -891,30 +893,26 @@ def iteration_record(
     probes: np.ndarray,
     step_primal: float | None,
     step_dual: float | None,
-) -> TraceRecord:
-    """Assemble the per-iteration diagnostics row.
+) -> None:
+    """Write the round's diagnostics into the next row of ``records``.
 
     ``probes`` holds one global node position per feeder (an integer
-    array); ``signals`` are the round's prices over ``z``.  Every
-    feeder must have a node.
+    array); ``signals`` are the round's prices over ``z``; a step norm
+    of ``None`` is ``NA``.  Every feeder must have a node.
     """
     N = problem.n_nodes
     v = measurement.v
     starts = problem.system.offsets
-    return TraceRecord(
-        iteration=iteration,
-        lam=y.lam,
-        P_M=tuple(x.P_M.tolist()),
-        P_L=tuple(measurement.P_L.tolist()),
-        v_min=tuple(np.minimum.reduceat(v, starts).tolist()),
-        v_max=tuple(np.maximum.reduceat(v, starts).tolist()),
-        slack_residual=balance_residual,
-        total_cost=total_cost(problem, x),
-        alpha_probe=tuple(signals[probes].tolist()),
-        beta_probe=tuple(signals[N:][probes].tolist()),
-        step_primal=step_primal,
-        step_dual=step_dual,
-    )
+    row = records.new_row(step_primal, step_dual)
+    row[0] = y.lam
+    row[records.P_M] = x.P_M
+    row[records.P_L] = measurement.P_L
+    np.minimum.reduceat(v, starts, out=row[records.v_min])
+    np.maximum.reduceat(v, starts, out=row[records.v_max])
+    row[records.alpha_probe] = signals[probes]
+    row[records.beta_probe] = signals[N:][probes]
+    row[records.slack_residual] = balance_residual
+    row[records.total_cost] = total_cost(problem, x)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +931,7 @@ class SolveResult:
     iterations: int  # steps actually executed
     x: PrimalState
     y: DualState
-    records: list[TraceRecord]
+    records: Records
     account: SlackAccount
     history: list[tuple[PrimalState, DualState]] | None = None
     stepsize: StepsizeReport | None = None
@@ -992,7 +990,7 @@ def run_rounds(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,
     )
-    records: list[TraceRecord] = []
+    records = Records(problem.n_generators, len(problem.models))
     try:
         meas = measure(problem, x, feedback=cfg.feedback, tag=0)
         fixed = problem.fixed_injection
@@ -1003,10 +1001,8 @@ def run_rounds(
             problem.models, y, problem.n_generators, cfg.zero_lambda_to_ders
         )
 
-        records.append(
-            iteration_record(
-                problem, 0, x, y, meas, residual, signals, at_probe, None, None
-            )
+        iteration_record(
+            records, problem, x, y, meas, residual, signals, at_probe, None, None
         )
         history = [(x, y)] if cfg.record_state else None
         warm = meas.v
@@ -1037,19 +1033,17 @@ def run_rounds(
                     iteration=t,
                 )
 
-            records.append(
-                iteration_record(
-                    problem,
-                    t,
-                    x,
-                    y,
-                    outcome.measurement,
-                    outcome.balance_residual,
-                    signals,
-                    at_probe,
-                    step_primal,
-                    step_dual,
-                )
+            iteration_record(
+                records,
+                problem,
+                x,
+                y,
+                outcome.measurement,
+                outcome.balance_residual,
+                signals,
+                at_probe,
+                step_primal,
+                step_dual,
             )
             if history is not None:
                 history.append((x, y))

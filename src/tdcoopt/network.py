@@ -23,7 +23,9 @@ a bool, a string or a fraction where a number or an integer is meant,
 NaN, ±Infinity anywhere but a box edge, and a section of the wrong
 shape, with a :class:`FieldError` naming the record and the field;
 :func:`parse_case` reports it as a :class:`CaseError`.  An integer where
-a number is meant is read as a ``float``.
+a number is meant is read as a ``float``.  A key that no table row names
+is refused too (:func:`refuse_unknown`), so a misspelt optional field
+cannot silently take its default.
 """
 
 from __future__ import annotations
@@ -443,6 +445,13 @@ def choice(raw, key, where, options, default=_REQUIRED, label=None) -> str:
     )
 
 
+def refuse_unknown(raw: dict, keys, where) -> None:
+    """Refuse a key of the object ``raw`` that is not in ``keys``."""
+    if not raw.keys() <= keys:
+        unknown = ", ".join(repr(key) for key in raw if key not in keys)
+        raise FieldError(f"{_place(where)}: unknown field {unknown}")
+
+
 def _records(cls):
     """The reader of an array of ``cls`` records, each read by its table."""
 
@@ -523,21 +532,28 @@ _FIELDS = {
         ("ders", "ders", _records(Der), ()),
     ),
 }
+_KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in _FIELDS.items()}
 _KINDS = {"transmission": TransmissionSystem, "feeder": DistributionFeeder}
 
 
 def _record(cls, raw: dict, where):
+    refuse_unknown(raw, _KEYS[cls], where)
     # positional, as the rows follow the dataclass's fields: a keyword call
     # costs ~0.6 us more per record
     return cls(*[read(raw, key, where, default) for key, _, read, default in _FIELDS[cls]])
 
 
-def parse_case(text: str) -> TransmissionSystem | DistributionFeeder:
+def parse_case(
+    text: str, host_bus: int | None = None
+) -> TransmissionSystem | DistributionFeeder:
     """Parse a JSON case file into a model, which validates itself.
 
     The top-level ``kind`` field selects between ``transmission`` and
     ``feeder``; the field-by-field schema is documented in
-    ``docs/case_format.md``.
+    ``docs/case_format.md``.  A key that no table names is refused.  A
+    feeder is built with ``host_bus``, when given, in place of its
+    file's, so a scenario that assigns the host builds and checks the
+    feeder once.
     """
     try:
         raw = json.loads(text)
@@ -551,6 +567,9 @@ def parse_case(text: str) -> TransmissionSystem | DistributionFeeder:
         raise CaseError("case file must be a JSON object with a 'kind' field")
     try:
         kind = choice(raw, "kind", "case file", tuple(_KINDS), label="case kind")
+        del raw["kind"]
+        if host_bus is not None and kind == "feeder":
+            raw["host_bus"] = host_bus
         return _record(_KINDS[kind], raw, f"{kind} case")
     except FieldError as exc:
         raise CaseError(f"missing or malformed field: {exc}") from exc

@@ -11,7 +11,7 @@ that names the failing iteration.  Every field of the file is read by
 the typed readers of :mod:`tdcoopt.network`, each ``config`` field by the
 one for the type :class:`~tdcoopt.core.SolverConfig` declares for it, so
 a value of the wrong type or shape is a :class:`ScenarioError` naming the
-field.
+field, and so is a key the format does not name.
 
 ``compare_runs`` diffs two traces over a shared horizon — used to price
 DER participation against the baseline run that hides the balance price
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,11 @@ from .network import (
     integer,
     parse_case,
     real,
+    refuse_unknown,
     section,
     text,
 )
-from .trace import TraceRecord, read_trace, write_trace
+from .trace import Records, read_trace, write_trace
 
 __all__ = [
     "ScenarioError",
@@ -86,6 +87,19 @@ INIT_MODES = ("midbox", "setpoint", "random")
 SLACK_MODES = ("record", "explicit")
 # the reader of each type a SolverConfig field declares
 _CONFIG_READERS = {"int": integer, "float": real, "bool": flag, "str": text}
+# the keys of the file's top level and of each section with fixed keys
+# (config's are SolverConfig's fields, and probes' are feeder ids)
+_KEYS = {
+    "top": frozenset({
+        "name", "transmission", "feeders", "limits", "engine", "feedback",
+        "config", "init", "slack", "events", "probes", "seed",
+    }),
+    "feeders": frozenset({"case", "host_bus"}),
+    "limits": frozenset({"v_min", "v_max"}),
+    "init": frozenset({"mode", "P_M"}),
+    "slack": frozenset({"mode", "value"}),
+    "events": frozenset({"iteration", "kind", "target", "factor"}),
+}
 
 
 class ScenarioError(ValueError):
@@ -144,6 +158,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     """The scenario the file ``path`` holds as ``raw``; a field of the
     wrong type or shape raises :class:`FieldError`."""
     name = text(raw, "name", str(path), path.stem)
+    refuse_unknown(raw, _KEYS["top"], name)
     raw = {**raw, **{k: overrides[k] for k in ("engine", "seed") if k in overrides}}
 
     ts = _load_case(path.parent / text(raw, "transmission", name), TransmissionSystem)
@@ -152,9 +167,12 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     for i in range(len(entries)):
         entry = section(entries, i, f"{name}: feeders")
         where = f"{name}: feeders[{i}]"
-        feeder = _load_case(path.parent / text(entry, "case", where), DistributionFeeder)
-        feeders.append(replace(feeder, host_bus_id=integer(entry, "host_bus", where)))
+        refuse_unknown(entry, _KEYS["feeders"], where)
+        host = integer(entry, "host_bus", where)
+        case = path.parent / text(entry, "case", where)
+        feeders.append(_load_case(case, DistributionFeeder, host))
     lim = section(raw, "limits", name, {})
+    refuse_unknown(lim, _KEYS["limits"], f"{name}: limits")
     v_min = real(lim, "v_min", f"{name}: limits", 0.95)
     v_max = real(lim, "v_max", f"{name}: limits", 1.05)
     try:
@@ -186,6 +204,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     for i in range(len(entries)):
         entry = section(entries, i, f"{name}: events")
         where = f"{name}: events[{i}]"
+        refuse_unknown(entry, _KEYS["events"], where)
         kind = choice(entry, "kind", where, EVENT_KINDS)
         iteration = integer(entry, "iteration", where)
         if not 1 <= iteration < config.max_iter:
@@ -205,6 +224,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
             raise ScenarioError(f"{where}: needs a positive factor") from exc
 
     init = section(raw, "init", name, {})
+    refuse_unknown(init, _KEYS["init"], f"{name}: init")
     init_mode = choice(init, "mode", name, INIT_MODES, "midbox", "init mode")
     init_P_M = array(init, "P_M", f"{name}: init", None)
     if init_P_M is not None:
@@ -217,6 +237,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
             )
 
     slack = section(raw, "slack", name, {})
+    refuse_unknown(slack, _KEYS["slack"], f"{name}: slack")
     slack_mode = choice(slack, "mode", name, SLACK_MODES, "record", "slack mode")
     slack_value = real(slack, "value", f"{name}: slack", 0.0)
 
@@ -253,13 +274,13 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     )
 
 
-def _load_case(path: Path, expect_type):
+def _load_case(path: Path, expect_type, host_bus: int | None = None):
     try:
         content = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read case {path}: {exc}") from exc
     try:
-        model = parse_case(content)
+        model = parse_case(content, host_bus)
     except CaseError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(model, expect_type):
@@ -320,7 +341,7 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
     trace_path = out / f"{_label(scenario.name)}_trace.csv"
     summary_path = out / f"{_label(scenario.name)}_summary.json"
 
-    def write(records: list[TraceRecord], summary: dict) -> None:
+    def write(records: Records | list, summary: dict) -> None:
         write_trace(trace_path, records, gen_labels, feeder_labels)
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

@@ -8,10 +8,14 @@ omitted.  Every float cell is the text of ``repr(float(value))``, byte for
 byte (the shortest round-trip form), so identical runs produce
 byte-identical files and every cell reads back as the same double.
 
-Rows are written a block of ``_BLOCK`` records at a time by the compiled
-formatter ``_format.c`` (Schubfach digits, laid out as ``repr`` lays them
-out), from the package's compiled library (:mod:`tdcoopt._native`), into
-one reused buffer.  :func:`_row`, which calls ``repr`` itself, is the
+A run keeps its records in a :class:`Records` store: one float64 row per
+iteration, in the trace's column order, in chunks that grow with the run
+and are never copied; a :class:`TraceRecord` is built from a row only
+when one is read.  Rows are written a block of ``_BLOCK`` rows at a time
+by the compiled formatter ``_format.c`` (Schubfach digits, laid out as
+``repr`` lays them out), from the package's compiled library
+(:mod:`tdcoopt._native`), straight from the store's chunks into one
+reused buffer.  :func:`_row`, which calls ``repr`` itself, is the
 reference: it writes the rows that hold an ``NA`` cell, and every row
 where no library can be built, with the same bytes, only more slowly.
 """
@@ -21,10 +25,10 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "TRACE_FORMAT",
     "NA",
     "TraceRecord",
+    "Records",
     "Trace",
     "trace_columns",
     "write_trace",
@@ -85,20 +90,177 @@ def trace_columns(
 # written from one reused buffer, so writing a large trace holds neither
 # its text nor more than a block of its cells
 _BLOCK = 256
+# rows per chunk of a Records store, ~1.6 MB on full39; a multiple of
+# _BLOCK, so a chunk's end cuts no block of the formatter short
+_CHUNK = 16 * _BLOCK
 # the fields of each feeder's columns and of the last columns, in order
 _FEEDER_FIELDS = ("P_L", "v_min", "v_max", "alpha_probe", "beta_probe")
 _LAST_FIELDS = ("slack_residual", "total_cost", "step_primal", "step_dual")
 
 
+class Records(Sequence):
+    """A run's trace records, one float64 row each.
+
+    A row holds every cell of its trace line but the iteration, in
+    :func:`trace_columns` order; the iteration is the row's index.  Rows
+    live in chunks of ``_CHUNK`` rows, allocated as the run reaches them
+    and never copied.  The step norms of a row may be ``NA`` (the
+    initial record's are).  Indexing, slicing and iteration build a
+    :class:`TraceRecord` from each row on access, and two stores are
+    equal when their records are.
+    """
+
+    def __init__(self, n_gen: int, n_feeder: int):
+        self.n_gen, self.n_feeder = n_gen, n_feeder
+        per = len(_FEEDER_FIELDS)
+        first, last = 1 + n_gen, 1 + n_gen + per * n_feeder
+        self.width = last + len(_LAST_FIELDS)
+        # where each field of a record sits in a row
+        self.P_M = slice(1, first)
+        self.P_L, self.v_min, self.v_max, self.alpha_probe, self.beta_probe = (
+            slice(first + j, last, per) for j in range(per)
+        )
+        self.slack_residual, self.total_cost = last, last + 1
+        self._chunks: list[np.ndarray] = []
+        self._len = 0
+        self._na: dict[int, tuple[bool, bool]] = {}  # row -> NA step norms
+
+    def new_row(self, step_primal: float | None, step_dual: float | None) -> np.ndarray:
+        """The next row, holding the step norms (``None`` for ``NA``);
+        the caller fills its other cells."""
+        k = self._len
+        if k == len(self._chunks) * _CHUNK:
+            self._chunks.append(np.empty((_CHUNK, self.width)))
+        row = self._chunks[-1][k % _CHUNK]
+        row[-2] = 0.0 if step_primal is None else step_primal  # NA holds 0.0
+        row[-1] = 0.0 if step_dual is None else step_dual
+        if step_primal is None or step_dual is None:
+            self._na[k] = (step_primal is None, step_dual is None)
+        self._len = k + 1
+        return row
+
+    def append(self, record: TraceRecord) -> None:
+        """Store ``record`` as the next row, whose index must be its iteration.
+
+        Raises ``ValueError`` for another iteration or number of cells
+        and ``TypeError`` for an ``NA`` cell other than a step norm,
+        leaving the store as it was.
+        """
+        if type(record.iteration) is not int or record.iteration != self._len:
+            raise ValueError(
+                f"record of iteration {record.iteration!r} cannot be row {self._len}"
+            )
+        steps = (record.step_primal, record.step_dual)
+        # the cells in the order _row writes them
+        values = [record.lam, *record.P_M]
+        per_feeder = [getattr(record, name) for name in _FEEDER_FIELDS]
+        for k in range(self.n_feeder):
+            values += (field[k] for field in per_feeder)
+        values += (record.slack_residual, record.total_cost)
+        values += (0.0 if step is None else step for step in steps)
+        cells = array("d", values)  # refuses None and text, as float() does
+        if len(cells) != self.width:
+            raise ValueError(f"record has {len(cells)} cells, rows have {self.width}")
+        self.new_row(*steps)[:] = cells
+
+    @classmethod
+    def of(cls, records, n_gen: int, n_feeder: int) -> Records:
+        """``records`` (:class:`TraceRecord` of iterations 0, 1, ...) as a store."""
+        store = cls(n_gen, n_feeder)
+        for record in records:
+            store.append(record)
+        return store
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self._len))]
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("record index out of range")
+        cells = self._chunks[k // _CHUNK][k % _CHUNK].tolist()
+        na_primal, na_dual = self._na.get(k, (False, False))
+        return TraceRecord(
+            iteration=k,
+            lam=cells[0],
+            P_M=tuple(cells[self.P_M]),
+            P_L=tuple(cells[self.P_L]),
+            v_min=tuple(cells[self.v_min]),
+            v_max=tuple(cells[self.v_max]),
+            slack_residual=cells[self.slack_residual],
+            total_cost=cells[self.total_cost],
+            alpha_probe=tuple(cells[self.alpha_probe]),
+            beta_probe=tuple(cells[self.beta_probe]),
+            step_primal=None if na_primal else cells[-2],
+            step_dual=None if na_dual else cells[-1],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._len))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Records):
+            # cells equal as floats are records equal as TraceRecords: an
+            # NA cell holds 0.0 on both sides, and NaN equals nothing
+            return (
+                self._len == other._len
+                and (self.n_gen, self.n_feeder) == (other.n_gen, other.n_feeder)
+                and self._na == other._na
+                and all(map(np.array_equal, self._filled(), other._filled()))
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<Records: {self._len} rows of {self.width} cells>"
+
+    def _filled(self):
+        """Each chunk's rows written so far."""
+        for c, chunk in enumerate(self._chunks):
+            yield chunk[: self._len - c * _CHUNK]
+
+    def _blocks(self):
+        """``(first, cells)`` for each run of at most ``_BLOCK`` rows of one
+        chunk, in order: ``cells`` holds the rows from row ``first`` on, or
+        is ``None`` for a row with an ``NA`` cell, which is a run of its own."""
+        start = 0
+        for stop in (*sorted(self._na), self._len):
+            while start < stop:
+                chunk, first = divmod(start, _CHUNK)
+                n = min(_BLOCK, stop - start, _CHUNK - first)
+                yield start, self._chunks[chunk][first : first + n]
+                start += n
+            if stop < self._len:
+                yield stop, None
+            start = stop + 1
+
+
 def write_trace(
     path,
-    records: list[TraceRecord],
+    records: Records | list[TraceRecord],
     gen_labels: tuple[str, ...],
     feeder_labels: tuple[str, ...],
 ) -> None:
+    """Write ``records`` as a trace file.
+
+    A list of :class:`TraceRecord` is stored as :class:`Records` first
+    and writes the same bytes; one that does not fit a store (iterations
+    other than 0, 1, ..., or an ``NA`` cell other than a step norm) is
+    written by :func:`_row` alone.
+    """
     columns = trace_columns(gen_labels, feeder_labels)
     n_gen, n_feeder = len(gen_labels), len(feeder_labels)
     kernel = _format_kernel()
+    if kernel is not None and not isinstance(records, Records):
+        try:
+            records = Records.of(records, n_gen, n_feeder)
+        except (TypeError, ValueError):
+            kernel = None
     with open(path, "w", newline="") as fh:
         fh.write(f"# {TRACE_FORMAT}; columns: {','.join(columns)}\n")
         csv.writer(fh).writerow(columns)
@@ -106,15 +268,14 @@ def write_trace(
             fh.writelines(_row(rec, n_feeder) for rec in records)
             return
         out = np.empty(_BLOCK * _row_bytes(len(columns) - 1), dtype=np.uint8)
-        for block in _blocks(records):
-            try:
-                iterations, cells = _block_arrays(block, n_gen, n_feeder)
-            except TypeError:  # an NA cell, or an iteration that is no int
-                fh.writelines(_row(rec, n_feeder) for rec in block)
-            else:
-                n = _format_rows(kernel, iterations, cells, out)
-                fh.flush()  # the text written so far, then the block's bytes
-                fh.buffer.write(out[:n])
+        for first, cells in records._blocks():
+            if cells is None:  # a row with an NA cell
+                fh.write(_row(records[first], n_feeder))
+                continue
+            iterations = np.arange(first, first + len(cells), dtype=np.int64)
+            n = _format_rows(kernel, iterations, cells, out)
+            fh.flush()  # the text written so far, then the block's bytes
+            fh.buffer.write(out[:n])
 
 
 def _cell(value: float | None) -> str:
@@ -130,51 +291,6 @@ def _row(rec: TraceRecord, n_feeder: int) -> str:
         cells += (_cell(values[k]) for values in per_feeder)
     cells += (_cell(getattr(rec, name)) for name in _LAST_FIELDS)
     return ",".join(cells) + "\r\n"
-
-
-def _blocks(records: list[TraceRecord]):
-    """``records`` in order, in slices of at most ``_BLOCK``; each record
-    with an ``NA`` step norm (the initial one) is a slice of its own."""
-    steps = map(attrgetter("step_primal", "step_dual"), records)
-    na = [i for i, pair in enumerate(steps) if None in pair]
-    start = 0
-    for stop in (*na, len(records)):
-        for first in range(start, stop, _BLOCK):
-            yield records[first : min(first + _BLOCK, stop)]
-        if stop < len(records):
-            yield records[stop : stop + 1]
-        start = stop + 1
-
-
-def _block_arrays(
-    block: list[TraceRecord], n_gen: int, n_feeder: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The block's iterations and its float cells in column order.
-
-    ``array`` converts like ``int()`` and ``float()`` do, and raises
-    ``TypeError`` on ``None`` (an ``NA`` cell) and on a float iteration,
-    which only :func:`_row` writes as the text the reference gives.
-    """
-    rows = len(block)
-
-    def column(name: str) -> np.ndarray:
-        return np.frombuffer(array("d", list(map(attrgetter(name), block))))
-
-    def columns(name: str, width: int) -> np.ndarray:
-        data = array("d", list(chain.from_iterable(map(attrgetter(name), block))))
-        return np.frombuffer(data).reshape(rows, width)
-
-    iterations = array("q", list(map(attrgetter("iteration"), block)))
-    iterations = np.frombuffer(iterations, dtype=np.int64)
-    cells = np.empty((rows, 1 + n_gen + 5 * n_feeder + 4))
-    cells[:, 0] = column("lam")
-    cells[:, 1 : 1 + n_gen] = columns("P_M", n_gen)
-    first = 1 + n_gen
-    for j, name in enumerate(_FEEDER_FIELDS):
-        cells[:, first + j : first + 5 * n_feeder : 5] = columns(name, n_feeder)
-    for j, name in enumerate(_LAST_FIELDS):
-        cells[:, first + 5 * n_feeder + j] = column(name)
-    return iterations, cells
 
 
 def _row_bytes(n_cells: int) -> int:

@@ -815,6 +815,7 @@ def record_by_slices(problem, t, x, y, meas, residual, signals, probes, sp, sd):
 @given(seed=st.integers(0, 2**32 - 1), n_feeders=st.integers(1, 3))
 def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
     from tdcoopt.core import Measurement, iteration_record
+    from tdcoopt.trace import Records
 
     problem = build_problem(
         make_system(n_feeders=n_feeders, n_feeder_nodes=5), VoltageLimits(0.95, 1.05)
@@ -831,7 +832,10 @@ def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
     probes = tuple(int(j) for j in rng.integers(0, 5, n_feeders))
     at_probe = np.array([m.span.start + j for m, j in zip(problem.models, probes)])
     args = (0.25, signals)
-    got = iteration_record(problem, 7, x, y, meas, *args, at_probe, 1.5, None)
+    records = Records(G, n_feeders)
+    for _ in range(8):  # the row's index is its iteration
+        iteration_record(records, problem, x, y, meas, *args, at_probe, 1.5, None)
+    got = records[7]
     expected = record_by_slices(problem, 7, x, y, meas, *args, probes, 1.5, None)
     assert got == expected
     for name in ("P_M", "P_L", "v_min", "v_max", "alpha_probe", "beta_probe"):

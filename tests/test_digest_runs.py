@@ -47,3 +47,35 @@ def test_unknown_revision_is_refused(tool, tmp_path, capsys):
     # before any run starts
     assert tool.compare(str(ROOT), "no-such-revision") == 2
     assert "cannot archive no-such-revision" in capsys.readouterr().err
+
+
+def test_blas_core_is_set_in_one_child_only(tool, monkeypatch, capsys):
+    # --blas-core runs the checkout twice, natively and with the kernel
+    # named; the variable reaches that child's environment and nothing else
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")  # must not reach a child
+    before = dict(tool.os.environ)
+    children = []
+
+    class Child:
+        returncode = 0
+
+        def __init__(self, args, stdout=None, text=None, env=None):
+            children.append((args, env))
+            digest = "b" if env and env.get("OPENBLAS_CORETYPE") else "a"
+            self.out = f"{digest * 64}  full39-core-ac/full39_trace.csv\n"
+            self.out += f"{'c' * 64}  full39-core-ac/full39_summary.json\n"
+
+        def communicate(self):
+            return self.out, None
+
+    monkeypatch.setattr(tool.subprocess, "Popen", Child)
+    assert tool.main(["--blas-core", "Haswell"]) == 1
+    assert dict(tool.os.environ) == before
+    (native_args, native_env), (core_args, core_env) = children
+    assert native_args[-2:] == core_args[-2:] == ["--src", str(ROOT)]
+    expected = {k: v for k, v in before.items() if k != "OPENBLAS_CORETYPE"}
+    assert native_env == expected
+    assert core_env == {**expected, "OPENBLAS_CORETYPE": "Haswell"}
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{'a' * 64} {'b' * 64}  full39-core-ac/full39_trace.csv"]
+    assert "1 of 2 files differ" in err

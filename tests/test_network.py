@@ -376,6 +376,25 @@ def test_parse_refuses_a_field_of_the_wrong_type(field):
     assert re.search(message, str(exc.value))
 
 
+@pytest.mark.parametrize(
+    "name, record, where",
+    [("gen9.json", (), "transmission case"),
+     ("gen9.json", ("buses", 0), r"buses\[0\]"),
+     ("gen9.json", ("generators", 0), r"generators\[0\]"),
+     ("case33bw.json", (), "feeder case"),
+     ("case33bw.json", ("nodes", 1), r"nodes\[1\]"),
+     ("case33bw.json", ("lines", 2), r"lines\[2\]"),
+     ("case33bw.json", ("ders", 0), r"ders\[0\]")],
+    ids=lambda v: v.removesuffix(".json") if isinstance(v, str)
+    else "-".join(map(str, v)) or "top",
+)
+def test_parse_refuses_an_unknown_key(name, record, where):
+    # a misspelt optional field would otherwise load its default unseen
+    raw = json.loads((CASES_DIR / name).read_text())
+    with pytest.raises(CaseError, match=f"{where}: unknown field 'setpont'"):
+        parse_case(json.dumps(set_path(raw, (*record, "setpont"), 0.5)))
+
+
 @pytest.mark.parametrize("name", ["gen2.json", "feeder4.json"])
 def test_parse_raises_only_case_errors(name):
     # any JSON value in any field is read, or refused with a CaseError;

@@ -250,6 +250,43 @@ def test_load_refuses_json_nested_too_deeply(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "record, where",
+    [((), "t"),
+     (("feeders", 0), r"t: feeders\[0\]"),
+     (("limits",), "t: limits"),
+     (("init",), "t: init"),
+     (("slack",), "t: slack"),
+     (("events", 0), r"t: events\[0\]")],
+    ids=lambda v: "-".join(map(str, v)) or "top" if isinstance(v, tuple) else v,
+)
+def test_load_refuses_an_unknown_key(tmp_path, record, where):
+    path = write_scenario(tmp_path, {
+        "events": [{"iteration": 5, "kind": "generator-outage", "target": 1}],
+    })
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps(set_path(raw, (*record, "setpont"), 0.5)))
+    with pytest.raises(ScenarioError, match=f"^{where}: unknown field 'setpont'$"):
+        load_scenario(path)
+
+
+def test_load_builds_each_feeder_once(monkeypatch):
+    # the host bus goes in while the feeder is built, not through a
+    # second construction that checks the feeder again
+    checked = []
+    check = network.validate_feeder
+    monkeypatch.setattr(
+        network, "validate_feeder", lambda f: checked.append(f.feeder_id) or check(f)
+    )
+    sc = load_scenario(SCENARIOS_DIR / "full39.json")
+    assert len(sc.system.feeders) == 7
+    assert sorted(checked) == sorted(f.feeder_id for f in sc.system.feeders)
+    assert [f.host_bus_id for f in sc.system.feeders] == [
+        entry["host_bus"]
+        for entry in json.loads((SCENARIOS_DIR / "full39.json").read_text())["feeders"]
+    ]
+
+
 def test_load_rejects_wrong_case_kind(tmp_path):
     path = write_scenario(
         tmp_path, {"transmission": str(CASES_DIR / "feeder4.json")}

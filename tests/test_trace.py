@@ -7,6 +7,7 @@ import dataclasses
 import math
 import shutil
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIOS_DIR
 from tdcoopt import core, trace
-from tdcoopt.scenario import load_scenario, run_scenario
+from tdcoopt.scenario import load_scenario, run_scenario, run_scenario_in_memory
 from tdcoopt.trace import (
     NA,
     TRACE_FORMAT,
+    Records,
     Trace,
     TraceRecord,
     read_trace,
@@ -294,9 +296,9 @@ def test_paths_agree_on_a_partial_error_trace(kernel, tmp_path, monkeypatch):
         assert fast == slow
 
 
-def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
-    # nan, infinities and -0.0 in every kind of cell; a record with NA step
-    # norms in mid-trace and at a block boundary; integral and numpy values
+def special_records() -> list[TraceRecord]:
+    """nan, infinities and -0.0 in every kind of cell; a record with NA step
+    norms in mid-trace and at a block boundary; integral and numpy values."""
     records = make_records(2 * trace._BLOCK + 5)
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 2.0**53]
     for i in range(1, len(records), 7):
@@ -307,6 +309,11 @@ def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
         )
     for i in (trace._BLOCK, trace._BLOCK + 1, 2 * trace._BLOCK - 3):
         records[i] = dataclasses.replace(records[i], step_primal=None)
+    return records
+
+
+def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
+    records = special_records()
 
     def write(out):
         out.mkdir()
@@ -316,3 +323,151 @@ def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
     assert fast == slow
     assert b",nan," in fast and b",-inf," in fast and b",-0.0," in fast
     assert fast.count(b"NA") == 5  # the initial record's two, and three more
+
+
+def test_a_store_writes_the_bytes_of_its_records(kernel, tmp_path, monkeypatch):
+    # the special cells from a store, with and without the kernel, give
+    # the bytes of the same records written as a list
+    records = special_records()
+    store = Records.of(records, len(GEN_LABELS), len(FEEDER_LABELS))
+    expected = tmp_path / "list.csv"
+    write_trace(expected, records, GEN_LABELS, FEEDER_LABELS)
+
+    def write(out):
+        out.mkdir()
+        write_trace(out / "store.csv", store, GEN_LABELS, FEEDER_LABELS)
+
+    [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
+    assert fast == slow == expected.read_bytes()
+
+
+def test_a_store_writes_across_its_chunks(kernel, tmp_path, monkeypatch):
+    # NA rows on either side of a chunk boundary and past it
+    records = make_records(trace._CHUNK + 300)
+    for i in (trace._CHUNK - 1, trace._CHUNK, trace._CHUNK + trace._BLOCK):
+        records[i] = dataclasses.replace(records[i], step_dual=None)
+    store = Records.of(records, len(GEN_LABELS), len(FEEDER_LABELS))
+
+    def write(out):
+        out.mkdir()
+        write_trace(out / "store.csv", store, GEN_LABELS, FEEDER_LABELS)
+
+    [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
+    assert fast == slow
+    assert fast.count(b"\r\n") == 1 + len(records)  # the column row, then each record
+
+
+def test_a_list_that_fits_no_store_is_written_by_the_reference(kernel, tmp_path):
+    # iterations other than 0, 1, ... and an NA cell other than a step norm
+    for records in (
+        make_records(5)[2:],
+        [dataclasses.replace(make_records(1)[0], lam=None)],
+        [dataclasses.replace(make_records(1)[0], iteration=0.5)],
+    ):
+        path = tmp_path / "odd.csv"
+        write_trace(path, records, GEN_LABELS, FEEDER_LABELS)
+        lines = path.read_bytes().split(b"\r\n")[1:-1]
+        assert lines == [trace._row(r, 2).encode()[:-2] for r in records]
+
+
+# ---------------------------------------------------------------------------
+# the records store
+# ---------------------------------------------------------------------------
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def trace_records(draw, n_gen: int, n_feeder: int, iteration: int) -> TraceRecord:
+    def cells(n):
+        return tuple(draw(st.lists(finite_or_not, min_size=n, max_size=n)))
+
+    return TraceRecord(
+        iteration=iteration,
+        lam=draw(finite_or_not),
+        P_M=cells(n_gen),
+        P_L=cells(n_feeder),
+        v_min=cells(n_feeder),
+        v_max=cells(n_feeder),
+        slack_residual=draw(finite_or_not),
+        total_cost=draw(finite_or_not),
+        alpha_probe=cells(n_feeder),
+        beta_probe=cells(n_feeder),
+        step_primal=draw(st.none() | finite_or_not),
+        step_dual=draw(st.none() | finite_or_not),
+    )
+
+
+def bits(record: TraceRecord) -> tuple:
+    """Every value of ``record``, a float as its bit pattern."""
+    def of(value):
+        if type(value) is tuple:
+            return tuple(map(of, value))
+        if type(value) is float:
+            return struct.pack("<d", value)
+        return value
+
+    return tuple(of(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_gen=st.integers(0, 3), n_feeder=st.integers(0, 3),
+       k=st.integers(0, trace._CHUNK + 1))
+def test_a_row_gives_back_its_record_bit_for_bit(data, n_gen, n_feeder, k):
+    store = Records(n_gen, n_feeder)
+    for _ in range(k):  # the rows before it, in this chunk or the one before
+        store.new_row(0.0, 0.0)[:] = 0.0
+    record = data.draw(trace_records(n_gen, n_feeder, k))
+    store.append(record)
+    assert bits(store[k]) == bits(record)
+    assert bits(store[-1]) == bits(record)
+
+
+def test_records_read_like_a_list():
+    records = make_records(trace._CHUNK + 3)
+    store = Records.of(records, 2, 2)
+    assert len(store) == len(records)
+    assert store[0] == records[0] and store[0].step_primal is None
+    assert store[-1] == records[-1] and store[-1].iteration == trace._CHUNK + 2
+    assert store[trace._CHUNK - 2 : trace._CHUNK + 2] == records[
+        trace._CHUNK - 2 : trace._CHUNK + 2
+    ]
+    assert store[::-1000] == records[::-1000]
+    assert list(store) == records and store == records
+    assert store == Records.of(records, 2, 2)
+    assert store != Records.of(records[:-1], 2, 2)
+    changed = Records.of(records[:-1] + [dataclasses.replace(records[-1], lam=0.5)], 2, 2)
+    assert store != changed
+    for k in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            store[k]
+    with pytest.raises(ValueError, match="cannot be row"):
+        store.append(records[3])
+    with pytest.raises(TypeError):
+        store.append(dataclasses.replace(records[0], iteration=len(store), lam=None))
+    assert len(store) == len(records)  # a refused record leaves no row
+
+
+def test_a_run_keeps_its_records_as_float64_rows():
+    # 5 000 rounds of default, linear feedback: the records take at most
+    # one float64 per cell, plus one chunk not yet filled
+    sc = load_scenario(SCENARIOS_DIR / "default.json", {"feedback": "linear"})
+    sc = dataclasses.replace(sc, config=dataclasses.replace(
+        sc.config, max_iter=5000, tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+    ))
+    problem = core.build_problem(sc.system, sc.limits)
+    tracemalloc.start()
+    try:
+        result = run_scenario_in_memory(sc, problem)
+        with_records = tracemalloc.get_traced_memory()[0]
+        result.records = None
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = 5001
+    cells = len(trace_columns(
+        tuple(str(g.bus_id) for g in sc.system.transmission.generators),
+        tuple(f.feeder_id for f in sc.system.feeders),
+    )) - 1  # the iteration is the row's index
+    assert result.iterations == rows - 1
+    assert with_records - without <= (rows + trace._CHUNK) * cells * 8

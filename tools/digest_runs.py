@@ -20,6 +20,14 @@ archived or either checkout's runs fail.
 ``--src`` names the checkout whose ``src/tdcoopt`` (package and shipped
 scenarios) is run; the default is the checkout holding this script.
 The full set takes a few minutes.
+
+``--blas-core NAME`` runs the ``--src`` checkout with
+``OPENBLAS_CORETYPE=NAME`` set in its child process only, so OpenBLAS
+uses that CPU kernel and no machine setting is touched, and prints the
+digests that differ from the same checkout run natively (or from the
+``--against`` checkout, when given):
+
+    python3 tools/digest_runs.py --blas-core Haswell
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import argparse
 import hashlib
 import io
 import itertools
+import os
 import subprocess
 import sys
 import tarfile
@@ -57,9 +66,15 @@ def main(argv=None) -> int:
         help="also run CHECKOUT (a directory or a git revision); "
         "print only the digests that differ",
     )
+    parser.add_argument(
+        "--blas-core",
+        metavar="NAME",
+        help="run the checkout with OPENBLAS_CORETYPE=NAME in its child process; "
+        "print the digests that differ from a native run",
+    )
     args = parser.parse_args(argv)
-    if args.against is not None:
-        return compare(args.src, args.against)
+    if args.against is not None or args.blas_core is not None:
+        return compare(args.src, args.against or args.src, args.blas_core)
     package = Path(args.src).resolve() / "src"
     sys.path.insert(0, str(package))
     from tdcoopt.core import EngineError
@@ -102,8 +117,17 @@ def unpack_revision(rev: str, into: Path) -> Path:
     return into
 
 
-def compare(src: str, against: str) -> int:
-    """Run both checkouts; print the files whose digests differ."""
+def compare(src: str, against: str, blas_core: str | None = None) -> int:
+    """Run both checkouts; print the files whose digests differ.
+
+    With ``blas_core``, ``src`` runs with ``OPENBLAS_CORETYPE`` set to it
+    and ``against`` without the variable; this process's own environment
+    is left as it is.
+    """
+    envs = [None, None]  # inherit
+    if blas_core is not None:
+        native = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        envs = [native, {**native, "OPENBLAS_CORETYPE": blas_core}]
     with tempfile.TemporaryDirectory() as tmp:
         against_dir = against
         if not Path(against).is_dir():
@@ -118,8 +142,9 @@ def compare(src: str, against: str) -> int:
                 [sys.executable, __file__, "--src", path],
                 stdout=subprocess.PIPE,
                 text=True,
+                env=env,
             )
-            for path in (against_dir, src)
+            for path, env in zip((against_dir, src), envs)
         ]
         outputs = [run.communicate()[0] for run in runs]
     for run, checkout in zip(runs, (against, src)):
