@@ -891,19 +891,22 @@ def iteration_record(
     balance_residual: float,
     signals: np.ndarray,
     probes: np.ndarray,
-    step_primal: float | None,
-    step_dual: float | None,
+    step_primal: float,
+    step_dual: float,
 ) -> None:
     """Write the round's diagnostics into the next row of ``records``.
 
     ``probes`` holds one global node position per feeder (an integer
-    array); ``signals`` are the round's prices over ``z``; a step norm
-    of ``None`` is ``NA``.  Every feeder must have a node.
+    array); ``signals`` are the round's prices over ``z``.  The step
+    norms of row 0, the initial record, are ``NA`` and are passed as
+    0.0.  Every feeder must have a node.
     """
     N = problem.n_nodes
     v = measurement.v
     starts = problem.system.offsets
-    row = records.new_row(step_primal, step_dual)
+    row = records.new_row()
+    row[-2] = step_primal
+    row[-1] = step_dual
     row[0] = y.lam
     row[records.P_M] = x.P_M
     row[records.P_L] = measurement.P_L
@@ -1002,7 +1005,7 @@ def run_rounds(
         )
 
         iteration_record(
-            records, problem, x, y, meas, residual, signals, at_probe, None, None
+            records, problem, x, y, meas, residual, signals, at_probe, 0.0, 0.0
         )
         history = [(x, y)] if cfg.record_state else None
         warm = meas.v

@@ -341,7 +341,7 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
     trace_path = out / f"{_label(scenario.name)}_trace.csv"
     summary_path = out / f"{_label(scenario.name)}_summary.json"
 
-    def write(records: Records | list, summary: dict) -> None:
+    def write(records: Records, summary: dict) -> None:
         write_trace(trace_path, records, gen_labels, feeder_labels)
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -349,7 +349,7 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
         result = run_scenario_in_memory(scenario, problem)
     except EngineError as exc:
         write(
-            exc.records or [],
+            exc.records or Records(problem.n_generators, len(problem.models)),
             {
                 **_run_header(scenario),
                 "status": "error",
@@ -507,6 +507,8 @@ def compare_runs(trace_a, trace_b, metric: str = "total-cost") -> ComparisonRepo
             f"(0..{int(it_a[-1]) if len(it_a) else '-'}) vs {len(it_b)} "
             f"(0..{int(it_b[-1]) if len(it_b) else '-'})"
         )
+    if not len(it_a):
+        raise ValueError("no records to compare")
     col = _METRIC_COLUMNS[metric]
     va = a.column(col)
     vb = b.column(col)

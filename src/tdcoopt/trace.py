@@ -2,22 +2,23 @@
 
 One record per iteration (plus the initial state).  The CSV layout is
 fixed and versioned in a leading comment line so downstream plot scripts
-and diffs stay stable; fields that do not apply (for example step norms on
-the initial record) are written as an explicit ``NA`` marker, never
-omitted.  Every float cell is the text of ``repr(float(value))``, byte for
-byte (the shortest round-trip form), so identical runs produce
-byte-identical files and every cell reads back as the same double.
+and diffs stay stable; the initial record's step norms, which do not
+apply, are written as an explicit ``NA`` marker, never omitted.  Every
+float cell is the text of ``repr(float(value))``, byte for byte (the
+shortest round-trip form), so identical runs produce byte-identical
+files and every cell reads back as the same double.
 
 A run keeps its records in a :class:`Records` store: one float64 row per
 iteration, in the trace's column order, in chunks that grow with the run
 and are never copied; a :class:`TraceRecord` is built from a row only
-when one is read.  Rows are written a block of ``_BLOCK`` rows at a time
-by the compiled formatter ``_format.c`` (Schubfach digits, laid out as
-``repr`` lays them out), from the package's compiled library
-(:mod:`tdcoopt._native`), straight from the store's chunks into one
-reused buffer.  :func:`_row`, which calls ``repr`` itself, is the
-reference: it writes the rows that hold an ``NA`` cell, and every row
-where no library can be built, with the same bytes, only more slowly.
+when one is read.  A trace is written from a store alone.  Rows are
+written a block of ``_BLOCK`` rows at a time by the compiled formatter
+``_format.c`` (Schubfach digits, laid out as ``repr`` lays them out),
+from the package's compiled library (:mod:`tdcoopt._native`), straight
+from the store's chunks into one reused buffer.  :func:`_row`, which
+calls ``repr`` itself on the same float rows the formatter formats, is
+the reference: it writes the initial record, and every row where no
+library can be built, with the same bytes, only more slowly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import itertools
 import operator
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -104,10 +105,10 @@ class Records(Sequence):
     A row holds every cell of its trace line but the iteration, in
     :func:`trace_columns` order; the iteration is the row's index.  Rows
     live in chunks of ``_CHUNK`` rows, allocated as the run reaches them
-    and never copied.  The step norms of a row may be ``NA`` (the
-    initial record's are).  Indexing, slicing and iteration build a
-    :class:`TraceRecord` from each row on access, and two stores are
-    equal when their records are.
+    and never copied.  Row 0 is the initial record: its step norms are
+    ``NA``, their cells hold 0.0 and read as ``None``.  Indexing, slicing
+    and iteration build a :class:`TraceRecord` from each row on access,
+    and two stores are equal when their records are.
     """
 
     def __init__(self, n_gen: int, n_feeder: int):
@@ -123,53 +124,14 @@ class Records(Sequence):
         self.slack_residual, self.total_cost = last, last + 1
         self._chunks: list[np.ndarray] = []
         self._len = 0
-        self._na: dict[int, tuple[bool, bool]] = {}  # row -> NA step norms
 
-    def new_row(self, step_primal: float | None, step_dual: float | None) -> np.ndarray:
-        """The next row, holding the step norms (``None`` for ``NA``);
-        the caller fills its other cells."""
+    def new_row(self) -> np.ndarray:
+        """The next row, for the caller to fill."""
         k = self._len
         if k == len(self._chunks) * _CHUNK:
             self._chunks.append(np.empty((_CHUNK, self.width)))
-        row = self._chunks[-1][k % _CHUNK]
-        row[-2] = 0.0 if step_primal is None else step_primal  # NA holds 0.0
-        row[-1] = 0.0 if step_dual is None else step_dual
-        if step_primal is None or step_dual is None:
-            self._na[k] = (step_primal is None, step_dual is None)
         self._len = k + 1
-        return row
-
-    def append(self, record: TraceRecord) -> None:
-        """Store ``record`` as the next row, whose index must be its iteration.
-
-        Raises ``ValueError`` for another iteration or number of cells
-        and ``TypeError`` for an ``NA`` cell other than a step norm,
-        leaving the store as it was.
-        """
-        if type(record.iteration) is not int or record.iteration != self._len:
-            raise ValueError(
-                f"record of iteration {record.iteration!r} cannot be row {self._len}"
-            )
-        steps = (record.step_primal, record.step_dual)
-        # the cells in the order _row writes them
-        values = [record.lam, *record.P_M]
-        per_feeder = [getattr(record, name) for name in _FEEDER_FIELDS]
-        for k in range(self.n_feeder):
-            values += (field[k] for field in per_feeder)
-        values += (record.slack_residual, record.total_cost)
-        values += (0.0 if step is None else step for step in steps)
-        cells = array("d", values)  # refuses None and text, as float() does
-        if len(cells) != self.width:
-            raise ValueError(f"record has {len(cells)} cells, rows have {self.width}")
-        self.new_row(*steps)[:] = cells
-
-    @classmethod
-    def of(cls, records, n_gen: int, n_feeder: int) -> Records:
-        """``records`` (:class:`TraceRecord` of iterations 0, 1, ...) as a store."""
-        store = cls(n_gen, n_feeder)
-        for record in records:
-            store.append(record)
-        return store
+        return self._chunks[-1][k % _CHUNK]
 
     def __len__(self) -> int:
         return self._len
@@ -183,7 +145,6 @@ class Records(Sequence):
         if not 0 <= k < self._len:
             raise IndexError("record index out of range")
         cells = self._chunks[k // _CHUNK][k % _CHUNK].tolist()
-        na_primal, na_dual = self._na.get(k, (False, False))
         return TraceRecord(
             iteration=k,
             lam=cells[0],
@@ -195,26 +156,23 @@ class Records(Sequence):
             total_cost=cells[self.total_cost],
             alpha_probe=tuple(cells[self.alpha_probe]),
             beta_probe=tuple(cells[self.beta_probe]),
-            step_primal=None if na_primal else cells[-2],
-            step_dual=None if na_dual else cells[-1],
+            step_primal=None if k == 0 else cells[-2],
+            step_dual=None if k == 0 else cells[-1],
         )
 
     def __iter__(self):
         return map(self.__getitem__, range(self._len))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Records):
-            # cells equal as floats are records equal as TraceRecords: an
-            # NA cell holds 0.0 on both sides, and NaN equals nothing
-            return (
-                self._len == other._len
-                and (self.n_gen, self.n_feeder) == (other.n_gen, other.n_feeder)
-                and self._na == other._na
-                and all(map(np.array_equal, self._filled(), other._filled()))
-            )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
+        if not isinstance(other, Records):
+            return NotImplemented
+        # cells equal as floats are records equal as TraceRecords: NaN
+        # equals nothing, and row 0's NA cells hold 0.0 on both sides
+        return (
+            self._len == other._len
+            and (self.n_gen, self.n_feeder) == (other.n_gen, other.n_feeder)
+            and all(map(np.array_equal, self._filled(), other._filled()))
+        )
 
     def __repr__(self) -> str:
         return f"<Records: {self._len} rows of {self.width} cells>"
@@ -225,52 +183,45 @@ class Records(Sequence):
             yield chunk[: self._len - c * _CHUNK]
 
     def _blocks(self):
-        """``(first, cells)`` for each run of at most ``_BLOCK`` rows of one
-        chunk, in order: ``cells`` holds the rows from row ``first`` on, or
-        is ``None`` for a row with an ``NA`` cell, which is a run of its own."""
+        """``(first, cells)``: row 0 alone, then each run of at most
+        ``_BLOCK`` rows of one chunk, in order; ``cells`` holds the rows
+        from row ``first`` on."""
         start = 0
-        for stop in (*sorted(self._na), self._len):
-            while start < stop:
-                chunk, first = divmod(start, _CHUNK)
-                n = min(_BLOCK, stop - start, _CHUNK - first)
-                yield start, self._chunks[chunk][first : first + n]
-                start += n
-            if stop < self._len:
-                yield stop, None
-            start = stop + 1
+        while start < self._len:
+            chunk, first = divmod(start, _CHUNK)
+            n = 1 if start == 0 else min(_BLOCK, self._len - start, _CHUNK - first)
+            yield start, self._chunks[chunk][first : first + n]
+            start += n
 
 
 def write_trace(
     path,
-    records: Records | list[TraceRecord],
+    records: Records,
     gen_labels: tuple[str, ...],
     feeder_labels: tuple[str, ...],
 ) -> None:
-    """Write ``records`` as a trace file.
+    """Write ``records`` as a trace file whose columns carry the labels.
 
-    A list of :class:`TraceRecord` is stored as :class:`Records` first
-    and writes the same bytes; one that does not fit a store (iterations
-    other than 0, 1, ..., or an ``NA`` cell other than a step norm) is
-    written by :func:`_row` alone.
+    Row 0 is written by :func:`_row`, the others a block at a time by the
+    compiled formatter, or by :func:`_row` where no library loads.
+    Raises ``ValueError``, before the file is opened, when the labels do
+    not fit the store's generators and feeders.
     """
+    shape = (len(gen_labels), len(feeder_labels))
+    if shape != (records.n_gen, records.n_feeder):
+        raise ValueError(
+            f"labels for {shape[0]} generators and {shape[1]} feeders do not fit "
+            f"records of {records.n_gen} generators and {records.n_feeder} feeders"
+        )
     columns = trace_columns(gen_labels, feeder_labels)
-    n_gen, n_feeder = len(gen_labels), len(feeder_labels)
     kernel = _format_kernel()
-    if kernel is not None and not isinstance(records, Records):
-        try:
-            records = Records.of(records, n_gen, n_feeder)
-        except (TypeError, ValueError):
-            kernel = None
     with open(path, "w", newline="") as fh:
         fh.write(f"# {TRACE_FORMAT}; columns: {','.join(columns)}\n")
         csv.writer(fh).writerow(columns)
-        if kernel is None:
-            fh.writelines(_row(rec, n_feeder) for rec in records)
-            return
-        out = np.empty(_BLOCK * _row_bytes(len(columns) - 1), dtype=np.uint8)
+        out = np.empty(_BLOCK * _row_bytes(records.width), dtype=np.uint8)
         for first, cells in records._blocks():
-            if cells is None:  # a row with an NA cell
-                fh.write(_row(records[first], n_feeder))
+            if kernel is None or first == 0:  # row 0's step norms are NA
+                fh.writelines(map(_row, itertools.count(first), cells.tolist()))
                 continue
             iterations = np.arange(first, first + len(cells), dtype=np.int64)
             n = _format_rows(kernel, iterations, cells, out)
@@ -278,19 +229,14 @@ def write_trace(
             fh.buffer.write(out[:n])
 
 
-def _cell(value: float | None) -> str:
-    return NA if value is None else repr(float(value))
-
-
-def _row(rec: TraceRecord, n_feeder: int) -> str:
-    """One record as its CSV line: the reference the compiled formatter mirrors."""
-    cells = [str(rec.iteration), _cell(rec.lam)]
-    cells += map(_cell, rec.P_M)
-    per_feeder = [getattr(rec, name) for name in _FEEDER_FIELDS]
-    for k in range(n_feeder):
-        cells += (_cell(values[k]) for values in per_feeder)
-    cells += (_cell(getattr(rec, name)) for name in _LAST_FIELDS)
-    return ",".join(cells) + "\r\n"
+def _row(iteration: int, cells: list[float]) -> str:
+    """One row as its CSV line, the ``repr`` of each cell after the
+    iteration; row 0's step norms are ``NA``.  The reference the compiled
+    formatter mirrors."""
+    text = [str(iteration), *map(repr, cells)]
+    if iteration == 0:
+        text[-2:] = NA, NA
+    return ",".join(text) + "\r\n"
 
 
 def _row_bytes(n_cells: int) -> int:

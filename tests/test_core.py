@@ -834,9 +834,9 @@ def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
     args = (0.25, signals)
     records = Records(G, n_feeders)
     for _ in range(8):  # the row's index is its iteration
-        iteration_record(records, problem, x, y, meas, *args, at_probe, 1.5, None)
+        iteration_record(records, problem, x, y, meas, *args, at_probe, 1.5, 0.5)
     got = records[7]
-    expected = record_by_slices(problem, 7, x, y, meas, *args, probes, 1.5, None)
+    expected = record_by_slices(problem, 7, x, y, meas, *args, probes, 1.5, 0.5)
     assert got == expected
     for name in ("P_M", "P_L", "v_min", "v_max", "alpha_probe", "beta_probe"):
         assert all(type(value) is float for value in getattr(got, name)), name

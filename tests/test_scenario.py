@@ -24,7 +24,7 @@ from tdcoopt.scenario import (
     run_scenario,
     run_scenario_in_memory,
 )
-from tdcoopt.trace import read_trace
+from tdcoopt.trace import Records, read_trace, write_trace
 
 from conftest import (
     ANY_JSON, CASES_DIR, SCENARIOS_DIR, key_paths, make_chain_feeder, set_path,
@@ -679,6 +679,15 @@ def test_sweep_failure_is_an_engine_error(tmp_path, capsys):
     assert len(read_trace(tmp_path / "out" / "t_trace.csv")) == 0
     summary = json.loads((tmp_path / "out" / "t_summary.json").read_text())
     assert (summary["status"], summary["iteration"]) == ("error", 0)
+
+
+def test_cli_compare_refuses_traces_without_records(tmp_path, capsys):
+    # a run that fails at its initial measurement leaves such a trace
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        write_trace(path, Records(2, 1), ("1", "2"), ("f0",))
+    assert main(["compare", *map(str, paths)]) == 1
+    assert "error: no records to compare" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -33,26 +33,39 @@ GEN_LABELS = ("1", "2")
 FEEDER_LABELS = ("f0", "f1")
 
 
-def make_records(n: int = 3) -> list[TraceRecord]:
-    records = []
-    for t in range(n):
-        records.append(
-            TraceRecord(
-                iteration=t,
-                lam=-0.1 * t + 1e-15,
-                P_M=(0.5 + t, 0.25 * t),
-                P_L=(0.01 * t, 0.02),
-                v_min=(0.97, 0.96 + 1e-9 * t),
-                v_max=(1.01, 1.04),
-                slack_residual=1e-7 * t,
-                total_cost=3.0 / (t + 1),
-                alpha_probe=(0.1, -0.2),
-                beta_probe=(0.0, 1e-12),
-                step_primal=None if t == 0 else 0.5 / t,
-                step_dual=None if t == 0 else 0.25 / t,
-            )
-        )
-    return records
+# where each field sits in a row of the two-generator, two-feeder store
+LAYOUT = Records(len(GEN_LABELS), len(FEEDER_LABELS))
+
+
+def store_of(cells, n_gen: int = 2, n_feeder: int = 2) -> Records:
+    """A store holding ``cells`` (rows × cells), one row each."""
+    store = Records(n_gen, n_feeder)
+    for row in np.asarray(cells, dtype=np.float64):
+        store.new_row()[:] = row
+    return store
+
+
+def make_cells(n: int = 3) -> np.ndarray:
+    """``n`` rows of the two-generator, two-feeder store."""
+    t = np.arange(n, dtype=np.float64)
+    cells = np.empty((n, LAYOUT.width))
+    cells[:, 0] = -0.1 * t + 1e-15
+    cells[:, LAYOUT.P_M] = np.stack([0.5 + t, 0.25 * t], axis=1)
+    cells[:, LAYOUT.P_L] = np.stack([0.01 * t, np.full(n, 0.02)], axis=1)
+    cells[:, LAYOUT.v_min] = np.stack([np.full(n, 0.97), 0.96 + 1e-9 * t], axis=1)
+    cells[:, LAYOUT.v_max] = (1.01, 1.04)
+    cells[:, LAYOUT.slack_residual] = 1e-7 * t
+    cells[:, LAYOUT.total_cost] = 3.0 / (t + 1)
+    cells[:, LAYOUT.alpha_probe] = (0.1, -0.2)
+    cells[:, LAYOUT.beta_probe] = (0.0, 1e-12)
+    cells[0, -2:] = 0.0  # the initial record's NA step norms
+    cells[1:, -2] = 0.5 / t[1:]
+    cells[1:, -1] = 0.25 / t[1:]
+    return cells
+
+
+def make_store(n: int = 3) -> Records:
+    return store_of(make_cells(n))
 
 
 def test_column_order():
@@ -69,7 +82,7 @@ def test_column_order():
 def test_round_trip_is_exact(tmp_path):
     # repr cells must survive the trip bit-for-bit
     path = tmp_path / "run.csv"
-    records = make_records()
+    records = make_store()
     write_trace(path, records, GEN_LABELS, FEEDER_LABELS)
     trace = read_trace(path)
     assert trace.format == TRACE_FORMAT
@@ -84,6 +97,7 @@ def test_round_trip_is_exact(tmp_path):
         assert got["beta_f1"] == rec.beta_probe[1]
         assert got["step_primal"] == rec.step_primal
         assert got["step_dual"] == rec.step_dual
+    assert trace.rows[0][-2:] == (None, None)
 
 
 def test_na_cells_become_nan():
@@ -99,7 +113,7 @@ def test_na_cells_become_nan():
 
 def test_header_line_format(tmp_path):
     path = tmp_path / "run.csv"
-    write_trace(path, make_records(1), GEN_LABELS, FEEDER_LABELS)
+    write_trace(path, make_store(1), GEN_LABELS, FEEDER_LABELS)
     first = path.read_text().splitlines()[0]
     assert first.startswith(f"# {TRACE_FORMAT}; columns: iteration,lambda,")
     assert NA in path.read_text()  # initial record has no step norms
@@ -107,8 +121,8 @@ def test_header_line_format(tmp_path):
 
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace(a, make_records(), GEN_LABELS, FEEDER_LABELS)
-    write_trace(b, make_records(), GEN_LABELS, FEEDER_LABELS)
+    write_trace(a, make_store(), GEN_LABELS, FEEDER_LABELS)
+    write_trace(b, make_store(), GEN_LABELS, FEEDER_LABELS)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -135,7 +149,7 @@ def test_read_rejects_ragged_rows(tmp_path):
 
 def test_column_lookup_unknown_name(tmp_path):
     path = tmp_path / "run.csv"
-    write_trace(path, make_records(1), GEN_LABELS, FEEDER_LABELS)
+    write_trace(path, make_store(1), GEN_LABELS, FEEDER_LABELS)
     with pytest.raises(ValueError):
         read_trace(path).column("no_such_column")
 
@@ -261,12 +275,12 @@ def test_write_trace_runs_the_kernel(kernel, tmp_path, monkeypatch):
     python_rows = []
     reference = trace._row
 
-    def counted(rec, n_feeder):
-        python_rows.append(rec.iteration)
-        return reference(rec, n_feeder)
+    def counted(iteration, cells):
+        python_rows.append(iteration)
+        return reference(iteration, cells)
 
     monkeypatch.setattr(trace, "_row", counted)
-    write_trace(tmp_path / "run.csv", make_records(3000), GEN_LABELS, FEEDER_LABELS)
+    write_trace(tmp_path / "run.csv", make_store(3000), GEN_LABELS, FEEDER_LABELS)
     assert python_rows == [0]
 
 
@@ -296,57 +310,39 @@ def test_paths_agree_on_a_partial_error_trace(kernel, tmp_path, monkeypatch):
         assert fast == slow
 
 
-def special_records() -> list[TraceRecord]:
-    """nan, infinities and -0.0 in every kind of cell; a record with NA step
-    norms in mid-trace and at a block boundary; integral and numpy values."""
-    records = make_records(2 * trace._BLOCK + 5)
+def special_store() -> Records:
+    """nan, infinities, -0.0 and other edge cells in every kind of cell,
+    on rows in several blocks."""
+    cells = make_cells(2 * trace._BLOCK + 5)
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 2.0**53]
-    for i in range(1, len(records), 7):
+    for i in range(1, len(cells), 7):
         v = odd[i % len(odd)]
-        records[i] = dataclasses.replace(
-            records[i], lam=v, P_M=(v, np.float64(-v)), v_max=(1, v),
-            beta_probe=(v, 0.0), total_cost=v, step_dual=v,
-        )
-    for i in (trace._BLOCK, trace._BLOCK + 1, 2 * trace._BLOCK - 3):
-        records[i] = dataclasses.replace(records[i], step_primal=None)
-    return records
+        cells[i, 0] = cells[i, LAYOUT.total_cost] = cells[i, -1] = v
+        cells[i, LAYOUT.P_M] = (v, -v)
+        cells[i, LAYOUT.v_max] = (1, v)
+        cells[i, LAYOUT.beta_probe] = (v, 0.0)
+    return store_of(cells)
 
 
 def test_paths_agree_on_special_cells(kernel, tmp_path, monkeypatch):
-    records = special_records()
+    store = special_store()
 
     def write(out):
         out.mkdir()
-        write_trace(out / "special.csv", records, GEN_LABELS, FEEDER_LABELS)
+        write_trace(out / "special.csv", store, GEN_LABELS, FEEDER_LABELS)
 
     [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
     assert fast == slow
     assert b",nan," in fast and b",-inf," in fast and b",-0.0," in fast
-    assert fast.count(b"NA") == 5  # the initial record's two, and three more
-
-
-def test_a_store_writes_the_bytes_of_its_records(kernel, tmp_path, monkeypatch):
-    # the special cells from a store, with and without the kernel, give
-    # the bytes of the same records written as a list
-    records = special_records()
-    store = Records.of(records, len(GEN_LABELS), len(FEEDER_LABELS))
-    expected = tmp_path / "list.csv"
-    write_trace(expected, records, GEN_LABELS, FEEDER_LABELS)
-
-    def write(out):
-        out.mkdir()
-        write_trace(out / "store.csv", store, GEN_LABELS, FEEDER_LABELS)
-
-    [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
-    assert fast == slow == expected.read_bytes()
+    assert fast.count(b"NA") == 2  # the initial record's step norms
 
 
 def test_a_store_writes_across_its_chunks(kernel, tmp_path, monkeypatch):
-    # NA rows on either side of a chunk boundary and past it
-    records = make_records(trace._CHUNK + 300)
+    # edge cells on either side of a chunk boundary and past it
+    cells = make_cells(trace._CHUNK + 300)
     for i in (trace._CHUNK - 1, trace._CHUNK, trace._CHUNK + trace._BLOCK):
-        records[i] = dataclasses.replace(records[i], step_dual=None)
-    store = Records.of(records, len(GEN_LABELS), len(FEEDER_LABELS))
+        cells[i, -1] = cells[i, 0] = math.nan if i % 2 else -0.0
+    store = store_of(cells)
 
     def write(out):
         out.mkdir()
@@ -354,20 +350,21 @@ def test_a_store_writes_across_its_chunks(kernel, tmp_path, monkeypatch):
 
     [(fast, slow)] = both_paths(tmp_path, monkeypatch, write)
     assert fast == slow
-    assert fast.count(b"\r\n") == 1 + len(records)  # the column row, then each record
+    assert fast.count(b"\r\n") == 1 + len(cells)  # the column row, then each record
 
 
-def test_a_list_that_fits_no_store_is_written_by_the_reference(kernel, tmp_path):
-    # iterations other than 0, 1, ... and an NA cell other than a step norm
-    for records in (
-        make_records(5)[2:],
-        [dataclasses.replace(make_records(1)[0], lam=None)],
-        [dataclasses.replace(make_records(1)[0], iteration=0.5)],
-    ):
-        path = tmp_path / "odd.csv"
-        write_trace(path, records, GEN_LABELS, FEEDER_LABELS)
-        lines = path.read_bytes().split(b"\r\n")[1:-1]
-        assert lines == [trace._row(r, 2).encode()[:-2] for r in records]
+@pytest.mark.parametrize("gen_labels", [("1", "2", "3"), ("1",)])
+def test_labels_that_do_not_fit_the_store_are_refused(tmp_path, gen_labels):
+    # refused before the file is opened: an existing trace is kept
+    path = tmp_path / "run.csv"
+    path.write_text("kept")
+    store = store_of(np.zeros((3, 12)), 2, 1)
+    with pytest.raises(ValueError, match=(
+        f"labels for {len(gen_labels)} generators and 1 feeders do not fit "
+        "records of 2 generators and 1 feeders"
+    )):
+        write_trace(path, store, gen_labels, ("f0",))
+    assert path.read_text() == "kept"
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +372,6 @@ def test_a_list_that_fits_no_store_is_written_by_the_reference(kernel, tmp_path)
 # ---------------------------------------------------------------------------
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
-
-
-@st.composite
-def trace_records(draw, n_gen: int, n_feeder: int, iteration: int) -> TraceRecord:
-    def cells(n):
-        return tuple(draw(st.lists(finite_or_not, min_size=n, max_size=n)))
-
-    return TraceRecord(
-        iteration=iteration,
-        lam=draw(finite_or_not),
-        P_M=cells(n_gen),
-        P_L=cells(n_feeder),
-        v_min=cells(n_feeder),
-        v_max=cells(n_feeder),
-        slack_residual=draw(finite_or_not),
-        total_cost=draw(finite_or_not),
-        alpha_probe=cells(n_feeder),
-        beta_probe=cells(n_feeder),
-        step_primal=draw(st.none() | finite_or_not),
-        step_dual=draw(st.none() | finite_or_not),
-    )
 
 
 def bits(record: TraceRecord) -> tuple:
@@ -416,36 +392,52 @@ def bits(record: TraceRecord) -> tuple:
 def test_a_row_gives_back_its_record_bit_for_bit(data, n_gen, n_feeder, k):
     store = Records(n_gen, n_feeder)
     for _ in range(k):  # the rows before it, in this chunk or the one before
-        store.new_row(0.0, 0.0)[:] = 0.0
-    record = data.draw(trace_records(n_gen, n_feeder, k))
-    store.append(record)
-    assert bits(store[k]) == bits(record)
-    assert bits(store[-1]) == bits(record)
+        store.new_row()[:] = 0.0
+    cells = data.draw(st.lists(finite_or_not, min_size=store.width,
+                               max_size=store.width))
+    store.new_row()[:] = cells
+    # the cells in trace_columns order: lambda, P_M, five per feeder, four
+    feeders = [cells[1 + n_gen + 5 * j : 6 + n_gen + 5 * j] for j in range(n_feeder)]
+    expected = TraceRecord(
+        iteration=k,
+        lam=cells[0],
+        P_M=tuple(cells[1 : 1 + n_gen]),
+        P_L=tuple(f[0] for f in feeders),
+        v_min=tuple(f[1] for f in feeders),
+        v_max=tuple(f[2] for f in feeders),
+        alpha_probe=tuple(f[3] for f in feeders),
+        beta_probe=tuple(f[4] for f in feeders),
+        slack_residual=cells[-4],
+        total_cost=cells[-3],
+        step_primal=None if k == 0 else cells[-2],
+        step_dual=None if k == 0 else cells[-1],
+    )
+    assert bits(store[k]) == bits(expected)
+    assert bits(store[-1]) == bits(expected)
+    assert (store[0].step_primal, store[0].step_dual) == (None, None)
 
 
 def test_records_read_like_a_list():
-    records = make_records(trace._CHUNK + 3)
-    store = Records.of(records, 2, 2)
-    assert len(store) == len(records)
-    assert store[0] == records[0] and store[0].step_primal is None
+    cells = make_cells(trace._CHUNK + 3)
+    store = store_of(cells)
+    records = list(store)
+    assert len(store) == len(records) == len(cells)
+    assert [r.iteration for r in records] == list(range(len(cells)))
+    assert store[0].step_primal is None and store[0].step_dual is None
+    assert store[1].step_primal == cells[1, -2]
     assert store[-1] == records[-1] and store[-1].iteration == trace._CHUNK + 2
     assert store[trace._CHUNK - 2 : trace._CHUNK + 2] == records[
         trace._CHUNK - 2 : trace._CHUNK + 2
     ]
     assert store[::-1000] == records[::-1000]
-    assert list(store) == records and store == records
-    assert store == Records.of(records, 2, 2)
-    assert store != Records.of(records[:-1], 2, 2)
-    changed = Records.of(records[:-1] + [dataclasses.replace(records[-1], lam=0.5)], 2, 2)
-    assert store != changed
+    assert store == store_of(cells)
+    assert store != store_of(cells[:-1])
+    changed = cells.copy()
+    changed[-1, 0] = 0.5
+    assert store != store_of(changed)
     for k in (len(records), -len(records) - 1):
         with pytest.raises(IndexError):
             store[k]
-    with pytest.raises(ValueError, match="cannot be row"):
-        store.append(records[3])
-    with pytest.raises(TypeError):
-        store.append(dataclasses.replace(records[0], iteration=len(store), lam=None))
-    assert len(store) == len(records)  # a refused record leaves no row
 
 
 def test_a_run_keeps_its_records_as_float64_rows():
