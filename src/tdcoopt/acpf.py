@@ -315,7 +315,7 @@ def fixed_injection(ts: TransmissionSystem) -> float:
 
 
 def _implied_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> float:
-    return float(np.sum(P_L)) - float(np.sum(P_M)) - fixed
+    return float(np.add.reduce(P_L)) - float(np.add.reduce(P_M)) - fixed
 
 
 def record_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> SlackAccount:

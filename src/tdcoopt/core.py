@@ -328,10 +328,10 @@ def initial_state(
 
 
 def project_box(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into ``[lo, hi]``; idempotent and nonexpansive."""
+    """Clamp ``value`` into ``[lo, hi]``: ``min(max(value, lo), hi)``, bit for bit."""
     if lo > hi:
         raise ValueError(f"empty box: lo {lo} > hi {hi}")
-    return min(max(value, lo), hi)
+    return lo if value < lo else hi if value > hi else value
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +953,8 @@ Step = Callable[..., tuple[StepOutcome, np.ndarray]]
 def run_rounds(
     problem: DispatchProblem,
     cfg: SolverConfig,
-    x: PrimalState,
-    y: DualState,
+    x: PrimalState | None,
+    y: DualState | None,
     account: SlackAccount | None,
     events: tuple,
     probes: tuple[int, ...] | None,
@@ -969,7 +969,8 @@ def run_rounds(
     measured from the state after the event.  Without an explicit slack
     account, the implied slack output at the start is recorded and held
     as the balance target.  ``probes`` holds one node position per
-    feeder, counted within it (:func:`default_probes` when ``None``).
+    feeder, counted within it (:func:`default_probes` when ``None``);
+    ``x`` and ``y`` are :func:`initial_state`'s when ``None``.
     Raises :class:`DivergenceError` when the state passes the blow-up
     bound; any :class:`EngineError` raised here leaves with the records
     kept so far.
@@ -989,6 +990,9 @@ def run_rounds(
 
     if probes is None:
         probes = default_probes(problem)
+    x_init, y_init = initial_state(problem)
+    x = x_init if x is None else x
+    y = y_init if y is None else y
     at_probe = np.array(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,
@@ -1090,15 +1094,14 @@ def solve(
 
     The caller's ``problem`` is not modified, events included.
     """
-    x_init, y_init = initial_state(problem)
-    x = x_init if x0 is None else x0
-    y = y_init if y0 is None else y0
-    return run_rounds(problem, cfg, x, y, account, events, probes, primal_dual_step)
+    return run_rounds(problem, cfg, x0, y0, account, events, probes, primal_dual_step)
 
 
+# ``np.maximum.reduce`` and ``np.add.reduce`` (``acpf._implied_slack``) are the
+# reductions ``.max()`` and ``np.sum`` run, without their wrappers
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max()) if len(a) else 0.0
+    return float(np.maximum.reduce(np.abs(a - b))) if len(a) else 0.0
 
 
 def _inf_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).max()) if len(a) else 0.0
+    return float(np.maximum.reduce(np.abs(a))) if len(a) else 0.0

@@ -37,14 +37,15 @@ A missing, duplicated or stale broadcast or report (one an injected bus
 fault drops included), a report from a sender off the roster, or one
 that is not a list of as many finite floats as the sender has
 coordinates aborts the run with a :class:`RoundAbort` naming the round
-and the sender.  The power-flow results and dual
-updates the operator also publishes are for observers and the bus
-journal; no agent reads them.
+and the sender.  The operator publishes its power-flow results and
+dual updates only to a recording bus, for its journal; no agent reads
+them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -61,7 +62,6 @@ from .core import (
     StepOutcome,
     der_signals,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     dual_update,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
-    initial_state,
     iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     measure_feeders,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     project_box,
@@ -145,7 +145,7 @@ class MessageBus:
     drop: Callable[[AgentMessage], bool] | None = None
     record: bool = False
     journal: list[AgentMessage] = field(default_factory=list)
-    _queues: dict = field(default_factory=dict)
+    _queues: defaultdict = field(default_factory=lambda: defaultdict(list))
     _round: int | None = None
 
     def publish(self, message: AgentMessage) -> bool:
@@ -154,7 +154,7 @@ class MessageBus:
         if message.iteration_tag != self._round:
             self._queues.clear()
             self._round = message.iteration_tag
-        self._queues.setdefault(message.kind, []).append(message)
+        self._queues[message.kind].append(message)
         if self.record:
             self.journal.append(message)
         return True
@@ -285,6 +285,15 @@ class OperatorConfig:
     limits: VoltageLimits
     roster: dict[str, tuple[int, ...]]
     solver: SolverConfig  # stepsize, regularization, feedback source
+    # from the roster, in its order: (sender, coordinate count), every coordinate
+    layout: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        layout = tuple((s, len(coords)) for s, coords in self.roster.items())
+        index = [c for coords in self.roster.values() for c in coords]
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "index", np.array(index, dtype=np.intp))
 
 
 def operator_step(
@@ -305,9 +314,46 @@ def operator_step(
     the roster, or one that is not a list of as many finite floats as the
     sender has coordinates aborts the round.
     """
+    # one pass over a round in roster order; any other, report by report
+    values, index = _in_roster_order(reports, cfg, tag) or _placed(reports, cfg, tag)
+
+    n = models[-1].span.stop if models else 0  # the spans tile the nodes
+    z = np.zeros(2 * n + cfg.n_generators)
+    # the values are checked for the whole round at once, since honest
+    # agents report Python floats
+    if set(map(type, values)) <= {float}:
+        z[index] = values
+        if np.isfinite(z).all():
+            return settle(
+                models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y,
+                account, cfg.solver, tag, warm,
+            )
+    bad = next(m for m in reports if not all(
+        type(v) is float and math.isfinite(v) for v in m.payload))
+    raise RoundAbort(
+        f"report from {bad.sender} in round {tag} holds a value that is not a "
+        f"finite float: {bad.payload!r}",
+        iteration=tag,
+    )
+
+
+def _in_roster_order(reports: list, cfg: OperatorConfig, tag: int) -> tuple | None:
+    """Values and coordinates of a round in roster order, else ``None``."""
+    values: list = []
+    for msg, (sender, size) in zip(reports, cfg.layout):
+        payload = msg.payload
+        if (msg.sender != sender or msg.iteration_tag != tag
+                or type(payload) is not list or len(payload) != size):
+            return None
+        values += payload
+    return (values, cfg.index) if len(reports) == len(cfg.layout) else None
+
+
+def _placed(reports: list, cfg: OperatorConfig, tag: int) -> tuple[list, list]:
+    """The round's values and their coordinates, checked report by report."""
     seen: set[str] = set()
     index: list[int] = []  # the roster's coordinates of each report's values
-    values: list[float] = []
+    values: list = []
     for msg in reports:
         if msg.iteration_tag != tag:
             raise RoundAbort(
@@ -347,25 +393,7 @@ def operator_step(
             f"round {tag} missing reports from: {', '.join(missing)}",
             iteration=tag,
         )
-
-    n = sum(m.n_nodes for m in models)
-    z = np.zeros(2 * n + cfg.n_generators)
-    # the values are checked for the whole round at once, since honest
-    # agents report Python floats
-    if set(map(type, values)) <= {float}:
-        z[index] = values
-        if np.isfinite(z).all():
-            return settle(
-                models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y,
-                account, cfg.solver, tag, warm,
-            )
-    bad = next(m for m in reports if not all(
-        type(v) is float and math.isfinite(v) for v in m.payload))
-    raise RoundAbort(
-        f"report from {bad.sender} in round {tag} holds a value that is not a "
-        f"finite float: {bad.payload!r}",
-        iteration=tag,
-    )
+    return values, index
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +430,7 @@ def run_market(
     if mode not in ("gradient", "best-response"):
         raise ValueError(f"unknown market mode {mode!r}")
     models = problem.models
-    if bus is None:
-        bus = MessageBus()
-    x_init, y_init = initial_state(problem)
-    x0 = x_init if x0 is None else x0
-    y0 = y_init if y0 is None else y0
+    bus = MessageBus() if bus is None else bus
 
     N = problem.n_nodes
     agents: list[UserAgent | GeneratorAgent] = []
@@ -448,20 +472,22 @@ def run_market(
             )
         prices = received[0].payload.tolist()
         z = x.z.tolist()
+        publish, eps = bus.publish, cfg.eps
         for agent in agents:
-            bus.publish(agent.step(z, coef, lo, hi, prices, cfg.eps, mode, t))
+            publish(agent.step(z, coef, lo, hi, prices, eps, mode, t))
 
         outcome, signals = operator_step(
             bus.collect("setpoint-report", t), y, models, op_cfg, account,
             tag=t, warm=warm,
         )
-        meas = outcome.measurement
-        for k, model in enumerate(models):
-            pf = {"feeder": k, "v": meas.v[model.span], "P_L": float(meas.P_L[k])}
-            bus.publish(AgentMessage("pf-result", "operator", t, pf))
-        dual = {"lambda": outcome.y.lam, "residual": outcome.balance_residual}
-        bus.publish(AgentMessage("dual-update", "operator", t, dual))
-        bus.publish(AgentMessage("signal-broadcast", "operator", t, signals))
+        if bus.record:  # observer messages, for the journal only
+            meas = outcome.measurement
+            for k, model in enumerate(models):
+                pf = {"feeder": k, "v": meas.v[model.span], "P_L": float(meas.P_L[k])}
+                publish(AgentMessage("pf-result", "operator", t, pf))
+            dual = {"lambda": outcome.y.lam, "residual": outcome.balance_residual}
+            publish(AgentMessage("dual-update", "operator", t, dual))
+        publish(AgentMessage("signal-broadcast", "operator", t, signals))
         return outcome, signals
 
     return run_rounds(problem, cfg, x0, y0, account, events, probes, step)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,41 @@ def test_project_box_nonexpansive(a, b, lo, width):
     pa, pb = project_box(a, lo, hi), project_box(b, lo, hi)
     assert abs(pa - pb) <= abs(a - b) + 1e-12
     assert project_box(pa, lo, hi) == pa
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+EDGES = (0.0, -0.0, math.inf, -math.inf)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    value=st.one_of(st.sampled_from(EDGES + (math.nan,)), st.floats()),
+    bounds=st.lists(
+        st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False)),
+        min_size=2, max_size=2,
+    ),
+    equal=st.booleans(),
+)
+@example(value=-0.0, bounds=[0.0, 1.0], equal=False)
+@example(value=0.0, bounds=[-1.0, -0.0], equal=False)
+@example(value=-0.0, bounds=[0.0, -0.0], equal=False)
+@example(value=math.nan, bounds=[-math.inf, math.inf], equal=False)
+def test_project_box_is_min_max_to_the_bit(value, bounds, equal):
+    # signed zeros and NaN included; the agents' clamp must give the floats
+    # the core engine's does, since the two engines' records are compared
+    # bit for bit
+    lo, hi = sorted(bounds)
+    if equal:
+        hi = lo
+    out = project_box(value, lo, hi)
+    assert bits(out) == bits(min(max(value, lo), hi))
+    assert bits(out) == bits(float(np.clip(value, lo, hi)))
+    if lo < hi:
+        with pytest.raises(ValueError, match="empty box"):
+            project_box(value, hi, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ instead of silently degrading.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -302,6 +303,19 @@ def test_round_message_counts():
     assert len(bus.journal) == 1 + 3 * 10
 
 
+def test_a_bus_that_does_not_record_carries_no_observer_messages():
+    # the power-flow results and dual updates are built for the journal
+    # only: the bus sees one broadcast and one report per agent a round
+    problem = build_problem(make_system(n_feeders=2), LIMITS)
+    kinds = []
+    bus = MessageBus(drop=lambda m: kinds.append(m.kind))  # drops nothing
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
+                       tol_balance=0.0)
+    run_market(problem, cfg, bus=bus)
+    assert set(kinds) == {"signal-broadcast", "setpoint-report"}
+    assert len(kinds) == 1 + 3 * (6 + 1)  # 4 users + 2 generators
+
+
 def test_bus_keeps_only_the_current_round():
     problem = build_problem(make_system(n_feeders=2), LIMITS)
     bus = MessageBus()
@@ -463,6 +477,110 @@ def test_market_round_assembles_z_at_the_roster_coordinates(feedback):
         placed = sorted(c for m in reports for c in coords_of(m.sender))
         assert placed == np.flatnonzero(problem.coef).tolist()
         np.testing.assert_array_equal(res.history[t][0].z, z)
+
+
+def roster_round():
+    """An operator config whose roster holds every DER and generator of a
+    two-feeder problem, in coordinate order, and one complete round."""
+    problem = build_problem(
+        make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
+    )
+    N = problem.n_nodes
+    roster = {
+        f"user:{g}": (g, N + g)
+        for g in np.flatnonzero(problem.coef[:N] > 0).tolist()
+    }
+    roster |= {f"generator:{k}": (2 * N + k,) for k in range(problem.n_generators)}
+    cfg = OperatorConfig(
+        fixed_injection=problem.fixed_injection,
+        n_generators=problem.n_generators,
+        limits=LIMITS,
+        roster=roster,
+        solver=SolverConfig(eps=0.01),
+    )
+    reports = [
+        report(sender, 1, *(0.001 * (c + 1) for c in coords))
+        for sender, coords in roster.items()
+    ]
+    return problem, cfg, reports
+
+
+def test_operator_step_gives_the_same_bits_in_any_report_order():
+    problem, cfg, reports = roster_round()
+    _, y = initial_state(problem)
+    # reversed, two users swapped, two generators swapped (each report
+    # still of its place's length), then shuffled
+    shuffled = [reports[::-1], [reports[1], reports[0], *reports[2:]],
+                [*reports[:4], reports[5], reports[4]]]
+    for seed in range(3):
+        order = list(reports)
+        random.Random(seed).shuffle(order)
+        shuffled.append(order)
+
+    def bits(round_reports):
+        outcome, prices = operator_step(
+            round_reports, y, problem.models, cfg, SlackAccount(P0_slack=0.0),
+            tag=1,
+        )
+        meas = outcome.measurement
+        return [
+            a.tobytes() for a in (outcome.x.z, outcome.y.mu, meas.v, meas.P_L, prices)
+        ] + [float(outcome.y.lam).hex(), float(outcome.balance_residual).hex()]
+
+    expected = bits(reports)
+    assert len(reports) == 6  # 4 users + 2 generators
+    for order in shuffled:
+        assert order != reports
+        assert bits(order) == expected
+
+
+def faulty_round(fault, where):
+    """The complete round with one fault in its first or last report."""
+    problem, cfg, reports = roster_round()
+    at = 0 if where == "first" else len(reports) - 1
+    good = reports[at]
+    sender = good.sender
+    if fault == "stale":
+        bad, match = replace(good, iteration_tag=0), f"stale report from {sender}"
+    elif fault == "off-roster":  # in place of a roster sender's report
+        sender = "intruder"
+        bad = replace(good, sender=sender)
+        match = f"{sender}, who is not on the roster"
+    elif fault == "duplicate":
+        bad, match = good, f"duplicate report from {sender}"
+    elif fault == "not-a-list":
+        bad = replace(good, payload=tuple(good.payload))
+        match = f"from {sender} in round 1 is not a list"
+    elif fault == "wrong-length":
+        bad = replace(good, payload=good.payload + [0.0])
+        match = f"from {sender} in round 1 holds {len(good.payload) + 1} values"
+    elif fault == "non-finite":
+        bad = replace(good, payload=[float("inf")] * len(good.payload))
+        match = f"from {sender} in round 1 holds a value that is not a finite"
+    else:  # missing
+        bad, match = None, f"missing reports from: {sender}$"
+    if fault == "duplicate":  # one report more
+        reports.insert(at if where == "first" else len(reports), bad)
+    elif bad is None:
+        del reports[at]
+    else:
+        reports[at] = bad
+    return problem, cfg, reports, match
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize(
+    "fault",
+    ["stale", "off-roster", "duplicate", "not-a-list", "wrong-length",
+     "non-finite", "missing"],
+)
+def test_operator_step_refuses_a_faulty_first_or_last_report(fault, where):
+    problem, cfg, reports, match = faulty_round(fault, where)
+    _, y = initial_state(problem)
+    with pytest.raises(RoundAbort, match=match) as exc:
+        operator_step(reports, y, problem.models, cfg,
+                      SlackAccount(P0_slack=0.0), tag=1)
+    assert exc.value.iteration == 1
 
 
 def test_operator_step_rejects_missing_report():

@@ -5,8 +5,11 @@ The runs are ``default``, ``default_baseline``, ``dispatch9`` and
 ``oracle_demo``, each through the ``core``, ``market`` and ``market-br``
 engines with linear and AC feedback, plus ``full39`` on the core engine
 with AC feedback: 25 runs, written into a temporary directory that is
-deleted afterwards.  A change that must not move any trajectory prints
-the same lines before and after it, which one command checks:
+deleted afterwards.  ``dispatch9`` then runs once more through each
+market engine and feedback on a recording bus, and the tool also prints
+the digest of each journal as ``json.dumps`` writes it from
+``to_jsonable``.  A change that must not move any trajectory or message
+prints the same lines before and after it, which one command checks:
 
     python3 tools/digest_runs.py --against HEAD
 
@@ -33,15 +36,18 @@ digests that differ from the same checkout run natively (or from the
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +57,7 @@ FEEDBACKS = ("linear", "ac")
 RUNS = tuple(itertools.product(SCENARIOS, ENGINES, FEEDBACKS)) + (
     ("full39", "core", "ac"),
 )
+JOURNALS = tuple(itertools.product(("dispatch9",), ("market", "market-br"), FEEDBACKS))
 
 
 def main(argv=None) -> int:
@@ -77,8 +84,10 @@ def main(argv=None) -> int:
         return compare(args.src, args.against or args.src, args.blas_core)
     package = Path(args.src).resolve() / "src"
     sys.path.insert(0, str(package))
+    from tdcoopt import scenario as scenario_module
     from tdcoopt.core import EngineError
-    from tdcoopt.scenario import load_scenario, run_scenario
+    from tdcoopt.market import MessageBus, run_market
+    from tdcoopt.scenario import load_scenario, run_scenario, run_scenario_in_memory
 
     scenarios = package / "tdcoopt" / "scenarios"
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,6 +104,22 @@ def main(argv=None) -> int:
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {out.name}/{path.name}", flush=True)
+    for name, engine, feedback in JOURNALS:
+        scenario = load_scenario(
+            scenarios / f"{name}.json",
+            overrides={"engine": engine, "feedback": feedback},
+        )
+        bus = MessageBus(record=True)
+        # the scenario module calls the market engine by its own name for it
+        recording = functools.partial(run_market, bus=bus)
+        with mock.patch.object(scenario_module, "run_market", recording):
+            try:
+                run_scenario_in_memory(scenario)
+            except EngineError:
+                pass  # the journal holds the messages up to the failure
+        journal = json.dumps([m.to_jsonable() for m in bus.journal])
+        digest = hashlib.sha256(journal.encode()).hexdigest()
+        print(f"{digest}  {name}-{engine}-{feedback}/journal.json", flush=True)
     return 0
 
 
