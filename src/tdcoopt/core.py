@@ -328,10 +328,13 @@ def initial_state(
 
 
 def project_box(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into ``[lo, hi]``: ``min(max(value, lo), hi)``, bit for bit."""
+    """Clamp ``value`` into ``[lo, hi]`` as the core's array ``np.clip``
+    does, bit for bit: a tie gives the bound, so a signed zero takes the
+    bound's sign, and NaN passes through."""
     if lo > hi:
         raise ValueError(f"empty box: lo {lo} > hi {hi}")
-    return lo if value < lo else hi if value > hi else value
+    t = lo if value <= lo else value
+    return hi if t >= hi else t
 
 
 # ---------------------------------------------------------------------------
@@ -990,9 +993,10 @@ def run_rounds(
 
     if probes is None:
         probes = default_probes(problem)
-    x_init, y_init = initial_state(problem)
-    x = x_init if x is None else x
-    y = y_init if y is None else y
+    if x is None or y is None:
+        x_init, y_init = initial_state(problem)
+        x = x_init if x is None else x
+        y = y_init if y is None else y
     at_probe = np.array(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,

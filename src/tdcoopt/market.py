@@ -285,14 +285,14 @@ class OperatorConfig:
     limits: VoltageLimits
     roster: dict[str, tuple[int, ...]]
     solver: SolverConfig  # stepsize, regularization, feedback source
-    # from the roster, in its order: (sender, coordinate count), every coordinate
-    layout: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    # from the roster: sender -> (position, coordinate count); all coordinates
+    slots: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        layout = tuple((s, len(coords)) for s, coords in self.roster.items())
+        slots = {s: (k, len(c)) for k, (s, c) in enumerate(self.roster.items())}
         index = [c for coords in self.roster.values() for c in coords]
-        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "index", np.array(index, dtype=np.intp))
 
 
@@ -314,15 +314,59 @@ def operator_step(
     the roster, or one that is not a list of as many finite floats as the
     sender has coordinates aborts the round.
     """
-    # one pass over a round in roster order; any other, report by report
-    values, index = _in_roster_order(reports, cfg, tag) or _placed(reports, cfg, tag)
+    # each report's values are filed at its sender's roster position, so
+    # the round fills z in roster order whatever order it arrived in
+    slots = cfg.slots
+    placed: list = [None] * len(slots)
+    for msg in reports:
+        if msg.iteration_tag != tag:
+            raise RoundAbort(
+                f"stale report from {msg.sender}: tag {msg.iteration_tag}, "
+                f"round {tag}",
+                iteration=tag,
+            )
+        slot = slots.get(msg.sender)
+        if slot is None:
+            raise RoundAbort(
+                f"report from {msg.sender}, who is not on the roster, in "
+                f"round {tag}",
+                iteration=tag,
+            )
+        k, size = slot
+        if placed[k] is not None:
+            raise RoundAbort(
+                f"duplicate report from {msg.sender} in round {tag}", iteration=tag
+            )
+        payload = msg.payload
+        if type(payload) is not list:
+            raise RoundAbort(
+                f"report from {msg.sender} in round {tag} is not a list of "
+                f"values: {payload!r}",
+                iteration=tag,
+            )
+        if len(payload) != size:
+            raise RoundAbort(
+                f"report from {msg.sender} in round {tag} holds "
+                f"{len(payload)} values for {size} coordinates",
+                iteration=tag,
+            )
+        placed[k] = payload
+    if len(reports) != len(placed):  # each report filed a position of its own
+        missing = [s for s, (k, _) in slots.items() if placed[k] is None]
+        raise RoundAbort(
+            f"round {tag} missing reports from: {', '.join(missing)}",
+            iteration=tag,
+        )
 
+    values: list = []
+    for payload in placed:
+        values += payload
     n = models[-1].span.stop if models else 0  # the spans tile the nodes
     z = np.zeros(2 * n + cfg.n_generators)
     # the values are checked for the whole round at once, since honest
     # agents report Python floats
     if set(map(type, values)) <= {float}:
-        z[index] = values
+        z[cfg.index] = values
         if np.isfinite(z).all():
             return settle(
                 models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y,
@@ -335,65 +379,6 @@ def operator_step(
         f"finite float: {bad.payload!r}",
         iteration=tag,
     )
-
-
-def _in_roster_order(reports: list, cfg: OperatorConfig, tag: int) -> tuple | None:
-    """Values and coordinates of a round in roster order, else ``None``."""
-    values: list = []
-    for msg, (sender, size) in zip(reports, cfg.layout):
-        payload = msg.payload
-        if (msg.sender != sender or msg.iteration_tag != tag
-                or type(payload) is not list or len(payload) != size):
-            return None
-        values += payload
-    return (values, cfg.index) if len(reports) == len(cfg.layout) else None
-
-
-def _placed(reports: list, cfg: OperatorConfig, tag: int) -> tuple[list, list]:
-    """The round's values and their coordinates, checked report by report."""
-    seen: set[str] = set()
-    index: list[int] = []  # the roster's coordinates of each report's values
-    values: list = []
-    for msg in reports:
-        if msg.iteration_tag != tag:
-            raise RoundAbort(
-                f"stale report from {msg.sender}: tag {msg.iteration_tag}, "
-                f"round {tag}",
-                iteration=tag,
-            )
-        coords = cfg.roster.get(msg.sender)
-        if coords is None:
-            raise RoundAbort(
-                f"report from {msg.sender}, who is not on the roster, in "
-                f"round {tag}",
-                iteration=tag,
-            )
-        if msg.sender in seen:
-            raise RoundAbort(
-                f"duplicate report from {msg.sender} in round {tag}", iteration=tag
-            )
-        if type(msg.payload) is not list:
-            raise RoundAbort(
-                f"report from {msg.sender} in round {tag} is not a list of "
-                f"values: {msg.payload!r}",
-                iteration=tag,
-            )
-        if len(msg.payload) != len(coords):
-            raise RoundAbort(
-                f"report from {msg.sender} in round {tag} holds "
-                f"{len(msg.payload)} values for {len(coords)} coordinates",
-                iteration=tag,
-            )
-        seen.add(msg.sender)
-        index += coords
-        values += msg.payload
-    missing = [s for s in cfg.roster if s not in seen]
-    if missing:
-        raise RoundAbort(
-            f"round {tag} missing reports from: {', '.join(missing)}",
-            iteration=tag,
-        )
-    return values, index
 
 
 # ---------------------------------------------------------------------------

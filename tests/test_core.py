@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdcoopt import core
 from tdcoopt.acpf import SlackAccount, fixed_injection, sweep_feeder
 from tdcoopt.core import (
     DerCapacityScale,
@@ -145,16 +146,20 @@ EDGES = (0.0, -0.0, math.inf, -math.inf)
 @example(value=0.0, bounds=[-1.0, -0.0], equal=False)
 @example(value=-0.0, bounds=[0.0, -0.0], equal=False)
 @example(value=math.nan, bounds=[-math.inf, math.inf], equal=False)
-def test_project_box_is_min_max_to_the_bit(value, bounds, equal):
+def test_project_box_is_the_core_clip_to_the_bit(value, bounds, equal):
     # signed zeros and NaN included; the agents' clamp must give the floats
     # the core engine's does, since the two engines' records are compared
-    # bit for bit
+    # bit for bit.  The core clips whole vectors against array bounds
+    # (``np.clip(step, problem.lo, problem.hi)``), so compare with that
+    # form, for one entry and for a vector long enough for numpy's
+    # vectorized loop
     lo, hi = sorted(bounds)
     if equal:
         hi = lo
     out = project_box(value, lo, hi)
-    assert bits(out) == bits(min(max(value, lo), hi))
-    assert bits(out) == bits(float(np.clip(value, lo, hi)))
+    for n in (1, 67):
+        clipped = np.clip(np.full(n, value), np.full(n, lo), np.full(n, hi))
+        assert {bits(c) for c in clipped.tolist()} == {bits(out)}
     if lo < hi:
         with pytest.raises(ValueError, match="empty box"):
             project_box(value, hi, lo)
@@ -801,6 +806,20 @@ def test_solve_zero_iterations_reports_not_converged():
     assert res.iterations == 0
     assert len(res.records) == 1 and res.records[0].iteration == 0
     assert res.records[0].step_primal is None
+
+
+def test_solve_builds_no_start_when_both_are_given(monkeypatch):
+    # a run handed both starting states (as every scenario run is) has no
+    # use for a default start
+    problem = dispatch_only([(1, 1.0), (2, 1.5)])
+    x0, y0 = initial_state(problem)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("initial_state called with both starts given")
+
+    monkeypatch.setattr(core, "initial_state", refuse)
+    res = solve(problem, SolverConfig(eps=0.05, max_iter=3), x0=x0, y0=y0)
+    assert res.iterations == 3
 
 
 def test_records_cover_every_iteration():

@@ -534,10 +534,13 @@ def test_operator_step_gives_the_same_bits_in_any_report_order():
         assert bits(order) == expected
 
 
-def faulty_round(fault, where):
-    """The complete round with one fault in its first or last report."""
+def faulty_round(fault, where, seed=None):
+    """The complete round, shuffled by ``seed`` when given, with one fault
+    in its report at ``where``: ``"first"``, ``"last"`` or a position."""
     problem, cfg, reports = roster_round()
-    at = 0 if where == "first" else len(reports) - 1
+    if seed is not None:
+        random.Random(seed).shuffle(reports)
+    at = {"first": 0, "last": len(reports) - 1}.get(where, where)
     good = reports[at]
     sender = good.sender
     if fault == "stale":
@@ -559,8 +562,8 @@ def faulty_round(fault, where):
         match = f"from {sender} in round 1 holds a value that is not a finite"
     else:  # missing
         bad, match = None, f"missing reports from: {sender}$"
-    if fault == "duplicate":  # one report more
-        reports.insert(at if where == "first" else len(reports), bad)
+    if fault == "duplicate":  # before its original, or after it when last
+        reports.insert(at + (at == len(reports) - 1), bad)
     elif bad is None:
         del reports[at]
     else:
@@ -568,12 +571,12 @@ def faulty_round(fault, where):
     return problem, cfg, reports, match
 
 
+FAULTS = ["stale", "off-roster", "duplicate", "not-a-list", "wrong-length",
+          "non-finite", "missing"]
+
+
 @pytest.mark.parametrize("where", ["first", "last"])
-@pytest.mark.parametrize(
-    "fault",
-    ["stale", "off-roster", "duplicate", "not-a-list", "wrong-length",
-     "non-finite", "missing"],
-)
+@pytest.mark.parametrize("fault", FAULTS)
 def test_operator_step_refuses_a_faulty_first_or_last_report(fault, where):
     problem, cfg, reports, match = faulty_round(fault, where)
     _, y = initial_state(problem)
@@ -581,6 +584,21 @@ def test_operator_step_refuses_a_faulty_first_or_last_report(fault, where):
         operator_step(reports, y, problem.models, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
+
+
+@pytest.mark.parametrize("at", range(6))
+@pytest.mark.parametrize("fault", FAULTS)
+def test_operator_step_refuses_a_fault_anywhere_in_a_shuffled_round(fault, at):
+    # one pass checks every report wherever it arrives: each position of a
+    # round shuffled differently, the faulty report's sender and the round
+    # named
+    problem, cfg, reports, match = faulty_round(fault, at, seed=at)
+    _, y = initial_state(problem)
+    with pytest.raises(RoundAbort, match=match) as exc:
+        operator_step(reports, y, problem.models, cfg,
+                      SlackAccount(P0_slack=0.0), tag=1)
+    assert exc.value.iteration == 1
+    assert "round 1" in str(exc.value)
 
 
 def test_operator_step_rejects_missing_report():
