@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcoopt.acpf import SlackAccount
 from tdcoopt.core import (
@@ -26,6 +28,7 @@ from tdcoopt.core import (
     GeneratorOutage,
     SolverConfig,
     build_problem,
+    check_stepsize,
     der_signals,
     initial_state,
     solve,
@@ -195,6 +198,96 @@ def test_gradient_mode_matches_centralized_engine(feedback, events):
     # one driver loop writes both: every field of every record agrees,
     # the step norms of the event round included
     assert market_res.records == core_res.records
+
+
+# signed zeros first, so that shrinking lands on them
+SIGNED = st.sampled_from([0.0, -0.0])
+
+
+def signed(lo: float, hi: float):
+    return st.one_of(SIGNED, st.floats(lo, hi))
+
+
+@st.composite
+def drawn_runs(draw):
+    """A small system, a start and duals, settings and events for one run."""
+    n_nodes = draw(st.integers(1, 5))
+    layout = {}
+    for nid in draw(st.sets(st.integers(2, n_nodes + 1))):
+        # ordered pairs of edges, each one maybe a signed zero: a box may
+        # have zero width, or run from 0.0 to -0.0
+        p_min, p_max = sorted(draw(st.lists(signed(-0.05, 0.05), min_size=2, max_size=2)))
+        q_min, q_max = sorted(draw(st.lists(signed(-0.05, 0.05), min_size=2, max_size=2)))
+        layout[nid] = {
+            "a_p": draw(st.floats(0.1, 3.0)), "a_q": draw(st.floats(0.1, 3.0)),
+            "p_min": p_min, "p_max": p_max, "q_min": q_min, "q_max": q_max,
+        }
+    costs = draw(st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3))
+    system = make_system(
+        n_feeders=draw(st.integers(1, 3)),
+        gen_specs=list(zip((1, 2, 3), costs)),
+        der_layout=layout,
+        n_feeder_nodes=n_nodes,
+    )
+    problem = build_problem(system, LIMITS)
+    N, G = problem.n_nodes, problem.n_generators
+    # starts outside the boxes, with signed zeros
+    z = draw(st.lists(signed(-0.2, 0.2), min_size=2 * N, max_size=2 * N))
+    P_M = draw(st.lists(signed(-2.0, 12.0), min_size=G, max_size=G))
+    x0 = primal(z[:N], z[N:], P_M)
+    mu = draw(st.lists(st.one_of(SIGNED, st.floats(0.0, 2.0)),
+                       min_size=2 * N, max_size=2 * N))
+    y0 = DualState(lam=draw(signed(-3.0, 3.0)), mu=np.array(mu))
+
+    eta = draw(st.sampled_from([0.0, 0.1]))
+    eps = draw(st.floats(0.01, 40.0)) * check_stepsize(problem, eta).eps_bound
+    cfg = SolverConfig(
+        eps=eps, eta=eta, max_iter=draw(st.integers(20, 150)),
+        tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+        feedback=draw(st.sampled_from(["linear", "ac"])),
+        zero_lambda_to_ders=draw(st.booleans()),
+    )
+    rounds = st.integers(1, cfg.max_iter)
+    events = draw(st.lists(st.one_of(
+        st.builds(DerCapacityScale, rounds, st.floats(0.1, 3.0)),
+        st.builds(GeneratorOutage, rounds, st.sampled_from([1, 2, 3])),
+    ), max_size=2))
+    return problem, cfg, x0, y0, tuple(events)
+
+
+def outcome_of(engine, *args, **kwargs):
+    try:
+        return engine(*args, **kwargs), None
+    except EngineError as exc:
+        return None, exc
+
+
+def as_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(run=drawn_runs())
+def test_engines_agree_to_the_bit_on_drawn_systems(run):
+    # the market routes the core's round: on any system, start and
+    # schedule the two give the same records and the same final bits,
+    # signed zeros included, or fail alike
+    problem, cfg, x0, y0, events = run
+    core_res, core_exc = outcome_of(solve, problem, cfg, x0, y0, events=events)
+    market_res, market_exc = outcome_of(
+        run_market, problem, cfg, events=events, x0=x0, y0=y0
+    )
+    if core_exc is not None or market_exc is not None:
+        assert type(market_exc) is type(core_exc)
+        assert str(market_exc) == str(core_exc)
+        assert market_exc.iteration == core_exc.iteration
+        assert market_exc.records == core_exc.records
+        return
+    assert market_res.iterations == core_res.iterations
+    assert market_res.records == core_res.records
+    np.testing.assert_array_equal(as_bits(market_res.x.z), as_bits(core_res.x.z))
+    assert as_bits(market_res.y.lam) == as_bits(core_res.y.lam)
+    np.testing.assert_array_equal(as_bits(market_res.y.mu), as_bits(core_res.y.mu))
 
 
 @pytest.mark.parametrize("feedback", ["linear", "ac"])
