@@ -6,7 +6,7 @@ nodes).  The run starts cold, converges towards a price equilibrium,
 then absorbs two mid-run events — a generator outage and a doubling of
 DER capacity — and settles again.  A second run withholds the price
 signal from the DERs; comparing the traces shows what participation is
-worth.  Expect roughly half a minute of compute.
+worth.  Expect about five seconds of compute on a 2-vCPU machine.
 
 Artifacts (CSV trace + JSON summary per run) land in ./runs/.
 """

@@ -19,13 +19,15 @@ Layout
                  states, one price array over ``z`` (`der_signals`),
                  the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
-                 round's shared network half `settle`, the shared driver
-                 loop `run_rounds`, `solve`
+                 round's shared network half `settle` (reads only the
+                 `CompiledNetwork`, which holds no DER data), the
+                 shared driver loop `run_rounds`, `solve`
 ``market``       stateless agents, each a name plus coordinates of
                  ``z``, taking the one scalar `coordinate_step` against
                  the broadcast price array over ``z``; message bus;
-                 operator step (places reports by its roster, ends in
-                 `settle`); `run_market` routes the round's messages
+                 operator step (knows only its roster and the compiled
+                 network; places reports, ends in `settle`);
+                 `run_market` routes the round's messages
                  through the shared loop
 ``trace``        per-iteration records (one float64 row each, kept in
                  `Records`), CSV write/read round trip
@@ -42,6 +44,7 @@ from .acpf import (
     sweep_feeder,
 )
 from .core import (
+    CompiledNetwork,
     DerCapacityScale,
     DispatchProblem,
     DivergenceError,
@@ -52,7 +55,6 @@ from .core import (
     PrimalState,
     SolveResult,
     SolverConfig,
-    StaleFeedbackError,
     StepsizeReport,
     apply_event,
     build_problem,
@@ -123,6 +125,7 @@ __all__ = [
     "Bus",
     "CaseError",
     "ComparisonReport",
+    "CompiledNetwork",
     "CoupledSystem",
     "Der",
     "DerCapacityScale",
@@ -151,7 +154,6 @@ __all__ = [
     "SlackAccount",
     "SolveResult",
     "SolverConfig",
-    "StaleFeedbackError",
     "StepsizeReport",
     "SweepDivergence",
     "SweepResult",

@@ -68,10 +68,10 @@ __all__ = [
     "FEEDBACK_MODES",
     "EngineError",
     "DivergenceError",
-    "StaleFeedbackError",
     "PrimalState",
     "DualState",
     "SolverConfig",
+    "CompiledNetwork",
     "DispatchProblem",
     "build_problem",
     "initial_state",
@@ -121,10 +121,6 @@ class EngineError(RuntimeError):
 
 class DivergenceError(EngineError):
     """State exceeded the blow-up bound: the stepsize is too large."""
-
-
-class StaleFeedbackError(EngineError):
-    """An AC measurement tagged with a different iteration was supplied."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +211,27 @@ class SolverConfig:
 # the assembled problem
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class CompiledNetwork:
+    """The round's network half: what the market operator may know.
+
+    The feeder models (topology, impedances and base loads), the summed
+    fixed bus injection (slack bus excluded), the voltage band, the
+    generator and node counts, and ``starts``, each feeder's first
+    position in the global node order.  It holds no DER data, no cost and
+    no box, and an event leaves it as it is.  All vectors over feeder
+    nodes use the global node order; ``models[k].span`` is feeder k's
+    slice of them.
+    """
+
+    models: tuple[LinearFeederModel, ...]  # each feeder, compiled once
+    fixed_injection: float
+    limits: VoltageLimits
+    n_generators: int
+    n_nodes: int
+    starts: np.ndarray  # np.intp, one entry per feeder
+
+
 @dataclass
 class DispatchProblem:
     """A coupled system compiled into flat arrays for the iteration.
@@ -224,27 +241,28 @@ class DispatchProblem:
     with ``a_p``, ``a_q`` at each DER's node (zero where none sits) and
     each generator's coefficient, and ``[lo, hi]`` is its box.  The boxes
     are the limits at the start of a run; an event yields a modified copy
-    (:func:`apply_event`) and never edits them in place.  All vectors
-    over feeder nodes use the coupled system's global node ordering;
-    ``models[k].span`` is feeder k's slice of them.
+    (:func:`apply_event`) that carries the same ``network`` and never
+    edits them in place.
     """
 
     system: CoupledSystem
-    limits: VoltageLimits
-    models: tuple[LinearFeederModel, ...]  # each feeder, compiled once
-    fixed_injection: float  # summed fixed bus injections, slack bus excluded
+    network: CompiledNetwork
     gen_bus: np.ndarray  # bus id per generator
     coef: np.ndarray  # quadratic cost coefficient per entry of z
     lo: np.ndarray
     hi: np.ndarray
 
     @property
+    def models(self) -> tuple[LinearFeederModel, ...]:
+        return self.network.models
+
+    @property
     def n_nodes(self) -> int:
-        return self.system.n_total
+        return self.network.n_nodes
 
     @property
     def n_generators(self) -> int:
-        return len(self.gen_bus)
+        return self.network.n_generators
 
 
 def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProblem:
@@ -279,11 +297,17 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
             coef[g], coef[N + g] = der.a_p, der.a_q
             lo[g], hi[g], lo[N + g], hi[N + g] = der.box()
 
-    return DispatchProblem(
-        system=system,
-        limits=limits,
+    network = CompiledNetwork(
         models=models,
         fixed_injection=fixed_injection(system.transmission),
+        limits=limits,
+        n_generators=len(gens),
+        n_nodes=N,
+        starts=np.array(system.offsets, dtype=np.intp),
+    )
+    return DispatchProblem(
+        system=system,
+        network=network,
         gen_bus=np.array(gen_bus, dtype=int),
         coef=coef,
         lo=lo,
@@ -346,37 +370,34 @@ class Measurement:
     """Network response at one primal state: node voltages and head draws.
 
     ``v`` spans all feeder nodes in global order; ``P_L`` has one entry
-    per feeder.  ``tag`` identifies the iteration the snapshot belongs
-    to; :func:`grad_dual` refuses AC snapshots tagged with a different
-    iteration.
+    per feeder.
     """
 
     v: np.ndarray
     P_L: np.ndarray
-    tag: int | None
-    source: str  # "linear" | "ac"
     ac_iterations: int = 0
     ac_residual: float = 0.0
 
 
 def measure_feeders(
-    models: tuple[LinearFeederModel, ...],
+    network: CompiledNetwork,
     p: np.ndarray,
     q: np.ndarray,
     feedback: str = "linear",
     warm: np.ndarray | None = None,
-    tag: int | None = None,
+    iteration: int | None = None,
 ) -> Measurement:
     """Voltages and head draws for global injection vectors ``p``, ``q``.
 
     ``linear`` evaluates the affine models; ``ac`` runs the exact sweep
     (optionally warm-started from the ``warm`` voltages).  Needs only the
-    compiled feeder models, so the market operator can call it.  A failed
-    sweep raises :class:`EngineError` carrying ``tag`` as its iteration.
+    network, so the market operator can call it.  A failed sweep raises
+    :class:`EngineError` carrying ``iteration``.
     """
     if feedback not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {feedback!r}")
-    v = np.empty(len(p))
+    models = network.models
+    v = np.empty(network.n_nodes)
     P_L = np.zeros(len(models))
     ac_iterations = 0
     ac_residual = 0.0
@@ -391,20 +412,14 @@ def measure_feeders(
             )
         except SweepDivergence as exc:
             raise EngineError(
-                f"power flow failed at iteration {tag}: {exc}", iteration=tag
+                f"power flow failed at iteration {iteration}: {exc}",
+                iteration=iteration,
             ) from exc
         v[sl] = res.v
         P_L[k] = res.P_L
         ac_iterations = max(ac_iterations, res.iterations)
         ac_residual = max(ac_residual, res.residual)
-    return Measurement(
-        v=v,
-        P_L=P_L,
-        tag=tag,
-        source=feedback,
-        ac_iterations=ac_iterations,
-        ac_residual=ac_residual,
-    )
+    return Measurement(v, P_L, ac_iterations, ac_residual)
 
 
 def measure(
@@ -412,12 +427,10 @@ def measure(
     x: PrimalState,
     feedback: str = "linear",
     warm: np.ndarray | None = None,
-    tag: int | None = None,
+    iteration: int | None = None,
 ) -> Measurement:
     """Feeder voltages and head draws at the setpoints of ``x``."""
-    return measure_feeders(
-        problem.models, x.p, x.q, feedback=feedback, warm=warm, tag=tag
-    )
+    return measure_feeders(problem.network, x.p, x.q, feedback, warm, iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +438,7 @@ def measure(
 # ---------------------------------------------------------------------------
 
 def der_signals(
-    models: tuple[LinearFeederModel, ...],
-    y: DualState,
-    n_generators: int,
-    zero_lambda: bool = False,
+    network: CompiledNetwork, y: DualState, zero_lambda: bool = False
 ) -> np.ndarray:
     """The round's prices: one array over the primal vector ``z``.
 
@@ -437,7 +447,7 @@ def der_signals(
     injection displaces a unit of head draw).  The next N are ``beta``,
     priced against ``q``: ``beta = B_k' (mu_upper - mu_lower)`` (reactive
     injections leave the head draw alone).  The last ``n_generators``
-    hold ``lambda`` itself, priced against ``P_M``.  With ``zero_lambda``
+    entries hold ``lambda`` itself, priced against ``P_M``.  With ``zero_lambda``
     the balance price is hidden from the DERs (voltage terms remain; the
     generators still see it) — the no-participation baseline.
 
@@ -449,9 +459,9 @@ def der_signals(
     the same bits.
     """
     lam = 0.0 if zero_lambda else y.lam
-    n = len(y.mu) // 2
+    n = network.n_nodes
     w = y.mu[:n] - y.mu[n:]
-    prices = np.empty(2 * n + n_generators)
+    prices = np.empty(2 * n + network.n_generators)
     prices[2 * n :] = y.lam  # as it is: a -0.0 price keeps its sign
     if not w.any():
         prices[:n] = lam + 0.0
@@ -459,7 +469,7 @@ def der_signals(
         return prices
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
-    for model in models:
+    for model in network.models:
         sl = model.span
         prices[sl] = lam + model.A.T @ w[sl]
         prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
@@ -472,8 +482,7 @@ def _band_violation(limits: VoltageLimits, v: np.ndarray) -> np.ndarray:
 
 
 def _dual_gradient(
-    fixed: float,
-    limits: VoltageLimits,
+    network: CompiledNetwork,
     y: DualState,
     measurement: Measurement,
     P_M: np.ndarray,
@@ -483,19 +492,17 @@ def _dual_gradient(
     """Partial gradients of L in (lambda, mu) at a measurement.
 
     Returns ``(dlam, dmu, residual)``, where ``residual`` is the balance
-    residual in ``dlam`` (``fixed`` is the summed fixed bus injection, see
-    :func:`~tdcoopt.acpf.slack_residual`).  The one copy of the dual
-    gradient: :func:`dual_update` steps along it, :func:`grad_dual`
-    returns it.
+    residual in ``dlam`` (:func:`~tdcoopt.acpf.slack_residual`).  The one
+    copy of the dual gradient: :func:`dual_update` steps along it,
+    :func:`grad_dual` returns it.
     """
-    dmu = _band_violation(limits, measurement.v) - eta * y.mu
-    residual = slack_residual(account, fixed, P_M, measurement.P_L)
+    dmu = _band_violation(network.limits, measurement.v) - eta * y.mu
+    residual = slack_residual(account, network.fixed_injection, P_M, measurement.P_L)
     return residual - eta * y.lam, dmu, residual
 
 
 def dual_update(
-    fixed: float,
-    limits: VoltageLimits,
+    network: CompiledNetwork,
     y: DualState,
     measurement: Measurement,
     P_M: np.ndarray,
@@ -509,9 +516,7 @@ def dual_update(
     integrates the balance residual.  Returns the new duals and the
     residual that drove the price.
     """
-    dlam, dmu, residual = _dual_gradient(
-        fixed, limits, y, measurement, P_M, account, eta
-    )
+    dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
     mu_new = np.maximum(y.mu + eps * dmu, 0.0)
     return DualState(lam=y.lam + eps * dlam, mu=mu_new), residual
 
@@ -544,12 +549,11 @@ def eval_lagrangian(
     eta: float = 0.0,
 ) -> float:
     """The regularized Lagrangian, with the affine feeder model throughout."""
+    network = problem.network
     meas = measure(problem, x, feedback="linear")
     value = total_cost(problem, x)
-    value += float(y.mu @ _band_violation(problem.limits, meas.v))
-    value += y.lam * slack_residual(
-        account, problem.fixed_injection, x.P_M, meas.P_L
-    )
+    value += float(y.mu @ _band_violation(network.limits, meas.v))
+    value += y.lam * slack_residual(account, network.fixed_injection, x.P_M, meas.P_L)
     if eta:
         value -= 0.5 * eta * (y.lam * y.lam + float(y.mu @ y.mu))
     return value
@@ -570,7 +574,7 @@ def grad_primal(
     balance price shown to the DERs.
     """
     if signals is None:
-        signals = der_signals(problem.models, y, problem.n_generators)
+        signals = der_signals(problem.network, y)
     return 2.0 * problem.coef * x.z + signals
 
 
@@ -580,29 +584,14 @@ def grad_dual(
     y: DualState,
     account: SlackAccount = _ZERO_SLACK,
     eta: float = 0.0,
-    feedback: str = "linear",
     measurement: Measurement | None = None,
-    iteration: int | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Partial gradients of L in (lambda, mu), from the chosen feedback.
-
-    With ``feedback='ac'`` a fresh measurement must be supplied; one
-    tagged with a different iteration raises :class:`StaleFeedbackError`.
-    """
-    if feedback == "ac":
-        if measurement is None:
-            raise StaleFeedbackError("ac feedback requires a measurement")
-        if iteration is not None and measurement.tag != iteration:
-            raise StaleFeedbackError(
-                f"measurement tagged {measurement.tag}, expected {iteration}",
-                iteration=iteration,
-            )
-    elif measurement is None:
-        measurement = measure(problem, x, feedback="linear", tag=iteration)
-
+    """Partial gradients of L in (lambda, mu) at ``measurement``, by
+    default the affine model's at ``x``."""
+    if measurement is None:
+        measurement = measure(problem, x)
     dlam, dmu, _ = _dual_gradient(
-        problem.fixed_injection, problem.limits, y, measurement, x.P_M,
-        account, eta,
+        problem.network, y, measurement, x.P_M, account, eta
     )
     return dlam, dmu
 
@@ -815,9 +804,7 @@ class StepOutcome:
 
 
 def settle(
-    models: tuple[LinearFeederModel, ...],
-    fixed: float,
-    limits: VoltageLimits,
+    network: CompiledNetwork,
     x: PrimalState,
     y: DualState,
     account: SlackAccount,
@@ -827,16 +814,13 @@ def settle(
 ) -> tuple[StepOutcome, np.ndarray]:
     """The round's network half: measure at ``x``, step the duals, reprice.
 
-    Takes only what the market operator may know (no DER data).  Returns
-    the round's outcome and the prices over ``z`` of the new duals.
+    Takes only what the market operator may know, the network (no DER
+    data).  Returns the round's outcome and the prices over ``z`` of the
+    new duals.
     """
-    meas = measure_feeders(
-        models, x.p, x.q, feedback=cfg.feedback, warm=warm, tag=iteration
-    )
-    y_new, residual = dual_update(
-        fixed, limits, y, meas, x.P_M, account, cfg.eps, cfg.eta
-    )
-    prices = der_signals(models, y_new, len(x.P_M), cfg.zero_lambda_to_ders)
+    meas = measure_feeders(network, x.p, x.q, cfg.feedback, warm, iteration)
+    y_new, residual = dual_update(network, y, meas, x.P_M, account, cfg.eps, cfg.eta)
+    prices = der_signals(network, y_new, cfg.zero_lambda_to_ders)
     outcome = StepOutcome(x=x, y=y_new, measurement=meas, balance_residual=residual)
     return outcome, prices
 
@@ -859,10 +843,7 @@ def primal_dual_step(
     """
     step = x.z - cfg.eps * grad_primal(problem, x, y, signals)
     x_new = PrimalState(np.clip(step, problem.lo, problem.hi), x.n_nodes)
-    return settle(
-        problem.models, problem.fixed_injection, problem.limits, x_new, y,
-        account, cfg, iteration, warm,
-    )
+    return settle(problem.network, x_new, y, account, cfg, iteration, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +887,7 @@ def iteration_record(
     """
     N = problem.n_nodes
     v = measurement.v
-    starts = problem.system.offsets
+    starts = problem.network.starts
     row = records.new_row()
     row[-2] = step_primal
     row[-1] = step_dual
@@ -1003,14 +984,12 @@ def run_rounds(
     )
     records = Records(problem.n_generators, len(problem.models))
     try:
-        meas = measure(problem, x, feedback=cfg.feedback, tag=0)
-        fixed = problem.fixed_injection
+        meas = measure(problem, x, feedback=cfg.feedback, iteration=0)
+        fixed = problem.network.fixed_injection
         if account is None:
             account = record_slack(fixed, x.P_M, meas.P_L)
         residual = slack_residual(account, fixed, x.P_M, meas.P_L)
-        signals = der_signals(
-            problem.models, y, problem.n_generators, cfg.zero_lambda_to_ders
-        )
+        signals = der_signals(problem.network, y, cfg.zero_lambda_to_ders)
 
         iteration_record(
             records, problem, x, y, meas, residual, signals, at_probe, 0.0, 0.0

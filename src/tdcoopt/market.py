@@ -12,8 +12,9 @@ sender and ends the round in the core engine's own network half,
 :func:`tdcoopt.core.settle` (measure the network response, update the
 duals, price anew).  No private cost or capacity data ever reaches the
 operator: it works from the reports, the roster (node and generator
-positions), the compiled feeder models (which hold no DER data), the
-summed fixed injection and the generator count alone.
+positions) and the problem's compiled network
+(:class:`~tdcoopt.core.CompiledNetwork`: the feeder models, the summed
+fixed injection, the voltage band and the counts, no DER data) alone.
 
 The rounds run inside the centralized engine's driver loop
 (:func:`tdcoopt.core.run_rounds`), which owns the state, events, step
@@ -53,6 +54,7 @@ import numpy as np
 
 from .acpf import SlackAccount
 from .core import (
+    CompiledNetwork,
     DispatchProblem,
     DualState,
     EngineError,
@@ -68,8 +70,6 @@ from .core import (
     run_rounds,
     settle,
 )
-from .lindistflow import LinearFeederModel
-from .network import VoltageLimits
 
 __all__ = [
     "RoundAbort",
@@ -273,16 +273,16 @@ class GeneratorAgent:
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """What the operator knows besides the compiled feeder models.
+    """All the operator knows: the compiled network, roster and solver.
 
-    Those models carry topology, impedances and base loads, never user
-    costs or limits.  ``roster`` maps each sender to the coordinates of
-    ``z`` its report fills: node and generator positions, no private data.
+    The network (:class:`~tdcoopt.core.CompiledNetwork`) carries the
+    feeder models, the summed fixed injection, the voltage band and the
+    counts, never user costs or limits.  ``roster`` maps each sender to
+    the coordinates of ``z`` its report fills: node and generator
+    positions, no private data.
     """
 
-    fixed_injection: float  # summed fixed bus injections, slack bus excluded
-    n_generators: int
-    limits: VoltageLimits
+    network: CompiledNetwork
     roster: dict[str, tuple[int, ...]]
     solver: SolverConfig  # stepsize, regularization, feedback source
     # from the roster: sender -> (position, coordinate count); all coordinates
@@ -299,7 +299,6 @@ class OperatorConfig:
 def operator_step(
     reports: list[AgentMessage],
     y: DualState,
-    models: tuple[LinearFeederModel, ...],
     cfg: OperatorConfig,
     account: SlackAccount,
     tag: int,
@@ -361,16 +360,16 @@ def operator_step(
     values: list = []
     for payload in placed:
         values += payload
-    n = models[-1].span.stop if models else 0  # the spans tile the nodes
-    z = np.zeros(2 * n + cfg.n_generators)
+    network = cfg.network
+    n = network.n_nodes
+    z = np.zeros(2 * n + network.n_generators)
     # the values are checked for the whole round at once, since honest
     # agents report Python floats
     if set(map(type, values)) <= {float}:
         z[cfg.index] = values
         if np.isfinite(z).all():
             return settle(
-                models, cfg.fixed_injection, cfg.limits, PrimalState(z, n), y,
-                account, cfg.solver, tag, warm,
+                network, PrimalState(z, n), y, account, cfg.solver, tag, warm
             )
     bad = next(m for m in reports if not all(
         type(v) is float and math.isfinite(v) for v in m.payload))
@@ -404,8 +403,8 @@ def run_market(
     the agents step from their own entries of the loop's primal vector
     and read their private data from the same entries of the problem the
     loop hands it, events applied to both; the operator gets only
-    ``problem.models``, the fixed injection, the generator count and the
-    roster of each agent's coordinates.  One user ``user:<feeder>:<node>``
+    ``problem.network`` (no DER data) and the roster of each agent's
+    coordinates.  One user ``user:<feeder>:<node>``
     stands at each DER's ``(p, q)`` coordinates, in node order, and one
     ``generator:<bus>`` at each generator's.  In ``gradient`` mode the
     trajectory equals the centralized engine's.  ``x0`` seeds the loop as
@@ -429,11 +428,7 @@ def run_market(
         for k, gen_bus in enumerate(problem.gen_bus)
     ]
     op_cfg = OperatorConfig(
-        fixed_injection=problem.fixed_injection,
-        n_generators=problem.n_generators,
-        limits=problem.limits,
-        roster={a.name: a.coords for a in agents},
-        solver=cfg,
+        problem.network, {a.name: a.coords for a in agents}, cfg
     )
 
     # the agents read the problem last handed in as lists of Python floats,
@@ -462,8 +457,7 @@ def run_market(
             publish(agent.step(z, coef, lo, hi, prices, eps, mode, t))
 
         outcome, signals = operator_step(
-            bus.collect("setpoint-report", t), y, models, op_cfg, account,
-            tag=t, warm=warm,
+            bus.collect("setpoint-report", t), y, op_cfg, account, tag=t, warm=warm
         )
         if bus.record:  # observer messages, for the journal only
             meas = outcome.measurement

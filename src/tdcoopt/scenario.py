@@ -34,7 +34,6 @@ from .acpf import SlackAccount
 from .core import (
     DerCapacityScale,
     DispatchProblem,
-    DualState,
     EngineError,
     GeneratorOutage,
     PrimalState,
@@ -574,7 +573,8 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
 
     # affine pieces: total head draw and per-node voltages as functions of
     # the gridded variables
-    fixed_inj = problem.fixed_injection
+    fixed_inj = problem.network.fixed_injection
+    limits = problem.network.limits
     P0 = scenario.slack_value if scenario.slack_mode == "explicit" else None
     if P0 is None:
         raise ValueError(
@@ -595,8 +595,8 @@ def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
         for model in problem.models:
             sl = model.span
             v = model.c + p[:, sl] @ model.A.T + q[:, sl] @ model.B.T
-            violation = np.maximum(violation, np.max(v - problem.limits.v_max, axis=1))
-            violation = np.maximum(violation, np.max(problem.limits.v_min - v, axis=1))
+            violation = np.maximum(violation, np.max(v - limits.v_max, axis=1))
+            violation = np.maximum(violation, np.max(limits.v_min - v, axis=1))
             # lossless head draw, as in ``predict``: a BLAS product with
             # ones, not np.sum
             P_L += model.d - p[:, sl] @ model.ones
@@ -691,7 +691,7 @@ def _full_point(problem, dims, point, elim, P0) -> PrimalState:
     z[dims] = point
     x = PrimalState(z, problem.n_nodes)
     P_L = sum(predict(m, x.p[m.span], x.q[m.span])[1] for m in problem.models)
-    z[elim] = P_L - problem.fixed_injection - P0 - (float(np.sum(x.P_M)) - z[elim])
+    z[elim] = P_L - problem.network.fixed_injection - P0 - (float(np.sum(x.P_M)) - z[elim])
     return x
 
 

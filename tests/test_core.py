@@ -30,7 +30,6 @@ from tdcoopt.core import (
     EngineError,
     GeneratorOutage,
     SolverConfig,
-    StaleFeedbackError,
     apply_event,
     build_problem,
     check_stepsize,
@@ -188,7 +187,7 @@ def test_build_problem_layout():
     )
     # each feeder's slice of the global node vectors
     assert [m.span for m in problem.models] == [slice(0, 3), slice(3, 6)]
-    assert problem.fixed_injection == -2.0  # the load bus
+    assert problem.network.fixed_injection == -2.0  # the load bus
 
 
 def test_initial_state_modes():
@@ -226,7 +225,7 @@ def test_initial_state_errors():
 def prices_of(problem, y, zero_lambda=False):
     """der_signals split into alpha, beta and the generators' prices."""
     N = problem.n_nodes
-    prices = der_signals(problem.models, y, problem.n_generators, zero_lambda)
+    prices = der_signals(problem.network, y, zero_lambda)
     assert len(prices) == len(problem.coef)
     return np.split(prices, [N, 2 * N])
 
@@ -280,20 +279,29 @@ def test_der_signals_zero_lambda_baseline():
     np.testing.assert_array_equal(gen, [-2.0, -2.0])
 
 
+def one_node_network(limits):
+    """The network of one one-node feeder, one generator, and ``make_ts``'s
+    load of 2.0 at bus 5."""
+    system = make_system(
+        n_feeders=1, gen_specs=[(1, 1.0)], der_layout={2: {}}, n_feeder_nodes=1
+    )
+    network = build_problem(system, limits).network
+    assert network.fixed_injection == fixed_injection(make_ts([(1, 1.0)]))
+    return network
+
+
 def test_dual_update_arithmetic(limits):
     # [TRIVIAL] one node 0.01 above the band: mu_up climbs by eps * 0.01
     # minus the eta leak, mu_lo decays toward zero, lambda integrates the
     # balance residual
-    ts = make_ts([(1, 1.0)], load_bus=5, load=2.0)
     from tdcoopt.core import Measurement
 
-    meas = Measurement(v=np.array([1.06]), P_L=np.array([0.3]), tag=1,
-                       source="linear")
+    meas = Measurement(v=np.array([1.06]), P_L=np.array([0.3]))
     y = DualState(lam=0.0, mu=np.array([0.02, 0.03]))
     account = SlackAccount(P0_slack=1.1)  # matches P_M=1.2, P_L=0.3
-    fixed = fixed_injection(ts)
+    network = one_node_network(limits)
     y_new, residual = dual_update(
-        fixed, limits, y, meas, np.array([1.2]), account, eps=0.1, eta=0.5
+        network, y, meas, np.array([1.2]), account, eps=0.1, eta=0.5
     )
     assert residual == pytest.approx(0.0)
     # g = [1.06 - 1.05, 0.95 - 1.06] = [0.01, -0.11]
@@ -302,22 +310,20 @@ def test_dual_update_arithmetic(limits):
     assert y_new.lam == pytest.approx(0.0)
 
     y_up, residual_up = dual_update(
-        fixed, limits, y, meas, np.array([1.7]), account, eps=0.1, eta=0.0
+        network, y, meas, np.array([1.7]), account, eps=0.1, eta=0.0
     )
     assert residual_up == pytest.approx(0.5)  # over-supply by 0.5
     assert y_up.lam == pytest.approx(0.05)
 
 
 def test_dual_update_clamps_at_zero(limits):
-    ts = make_ts([(1, 1.0)])
     from tdcoopt.core import Measurement
 
-    meas = Measurement(v=np.array([1.0]), P_L=np.array([0.0]), tag=1,
-                       source="linear")
+    meas = Measurement(v=np.array([1.0]), P_L=np.array([0.0]))
     y = DualState(lam=0.0, mu=np.zeros(2))
     account = SlackAccount(P0_slack=0.0)
     y_new, _ = dual_update(
-        fixed_injection(ts), limits, y, meas, np.zeros(1), account, 0.1, 0.0
+        one_node_network(limits), y, meas, np.zeros(1), account, 0.1, 0.0
     )
     assert np.all(y_new.mu >= 0.0)
     np.testing.assert_allclose(y_new.mu, 0.0)  # violations are negative
@@ -368,7 +374,7 @@ def test_der_signals_match_the_per_feeder_products(duals, lam, zero_lambda, data
     y = DualState(lam=lam, mu=mu)
     G = problem.n_generators
     expected = per_feeder_prices(problem.models, y, G, zero_lambda)
-    got = der_signals(problem.models, y, G, zero_lambda)
+    got = der_signals(problem.network, y, zero_lambda)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -391,13 +397,12 @@ def test_dual_update_never_makes_a_negative_zero(steps, eps, eta):
     # the band edges make zero violations, large steps make clamping
     from tdcoopt.core import Measurement
 
-    limits = VoltageLimits(0.95, 1.05)
-    fixed = fixed_injection(make_ts([(1, 1.0)]))
+    network = one_node_network(VoltageLimits(0.95, 1.05))
     account = SlackAccount(P0_slack=0.0)
     y = DualState(lam=0.0, mu=np.zeros(6))
-    for t, v in enumerate(steps, start=1):
-        meas = Measurement(v=np.array(v), P_L=np.zeros(1), tag=t, source="linear")
-        y, _ = dual_update(fixed, limits, y, meas, np.zeros(1), account, eps, eta)
+    for v in steps:
+        meas = Measurement(v=np.array(v), P_L=np.zeros(1))
+        y, _ = dual_update(network, y, meas, np.zeros(1), account, eps, eta)
         assert not np.signbit(y.mu).any(), y.mu
 
 
@@ -415,8 +420,7 @@ def test_measure_linear_matches_model(limits):
         rng.uniform(problem.lo[N : 2 * N], problem.hi[N : 2 * N]),
         x.P_M,
     )
-    meas = measure(problem, x, feedback="linear", tag=7)
-    assert meas.source == "linear" and meas.tag == 7
+    meas = measure(problem, x, feedback="linear")
     for k, model in enumerate(problem.models):
         sl = model.span
         np.testing.assert_allclose(
@@ -428,8 +432,7 @@ def test_measure_linear_matches_model(limits):
 def test_measure_ac_matches_sweep(limits):
     problem = build_problem(make_system(n_feeders=1), limits)
     x, _ = initial_state(problem)
-    meas = measure(problem, x, feedback="ac", tag=3)
-    assert meas.source == "ac"
+    meas = measure(problem, x, feedback="ac")
     ref = sweep_feeder(problem.models[0], x.p, x.q)
     np.testing.assert_allclose(meas.v, ref.v, atol=1e-12)
     assert meas.ac_iterations >= 1
@@ -505,8 +508,7 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     )
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
 
-    G = problem.n_generators
-    signals = der_signals(problem.models, y, G, zero_lambda=zero_lambda)
+    signals = der_signals(problem.network, y, zero_lambda=zero_lambda)
     out, prices = primal_dual_step(
         problem, x, y, account, cfg, iteration=t, warm=None, signals=signals
     )
@@ -520,34 +522,18 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     )
     # and reprices the new duals as the round's next prices
     np.testing.assert_array_equal(
-        prices, der_signals(problem.models, out.y, G, zero_lambda=zero_lambda)
+        prices, der_signals(problem.network, out.y, zero_lambda=zero_lambda)
     )
 
     meas = out.measurement
-    assert meas.source == feedback and meas.tag == t
     dlam, dmu = grad_dual(
-        problem, out.x, y, account=account, eta=eta, feedback=feedback,
-        measurement=meas, iteration=t,
+        problem, out.x, y, account=account, eta=eta, measurement=meas
     )
     np.testing.assert_array_equal(out.y.mu, np.maximum(y.mu + eps * dmu, 0.0))
     assert out.y.lam == y.lam + eps * dlam
     # without the regularization the price gradient is the residual itself
-    residual, _ = grad_dual(
-        problem, out.x, y, account=account, feedback=feedback,
-        measurement=meas, iteration=t,
-    )
+    residual, _ = grad_dual(problem, out.x, y, account=account, measurement=meas)
     assert out.balance_residual == residual
-
-
-def test_grad_dual_requires_fresh_ac_measurement(limits):
-    problem = build_problem(make_system(n_feeders=1), limits)
-    x, y = initial_state(problem)
-    with pytest.raises(StaleFeedbackError, match="requires a measurement"):
-        grad_dual(problem, x, y, feedback="ac")
-    stale = measure(problem, x, feedback="ac", tag=3)
-    with pytest.raises(StaleFeedbackError, match="tagged 3, expected 5") as exc:
-        grad_dual(problem, x, y, feedback="ac", measurement=stale, iteration=5)
-    assert exc.value.iteration == 5
 
 
 def test_eval_lagrangian_regularization(limits, rng):
@@ -879,10 +865,7 @@ def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
     N, G = problem.n_nodes, problem.n_generators
     x = primal(rng.normal(size=N), rng.normal(size=N), rng.normal(size=G))
     y = DualState(lam=float(rng.normal()), mu=rng.uniform(0, 1, 2 * N))
-    meas = Measurement(
-        v=rng.uniform(0.9, 1.1, N), P_L=rng.normal(size=n_feeders), tag=1,
-        source="ac",
-    )
+    meas = Measurement(v=rng.uniform(0.9, 1.1, N), P_L=rng.normal(size=n_feeders))
     signals = rng.normal(size=2 * N)
     probes = tuple(int(j) for j in rng.integers(0, 5, n_feeders))
     at_probe = np.array([m.span.start + j for m, j in zip(problem.models, probes)])
@@ -971,6 +954,10 @@ def test_problem_can_be_reused_after_an_event_run(limits):
     solve(problem, cfg, events=events)
     for name, before in arrays.items():
         np.testing.assert_array_equal(getattr(problem, name), before, err_msg=name)
+    # an event copies the boxes, never the network
+    x, _ = initial_state(problem)
+    for event in events:
+        assert apply_event(problem, x, event)[0].network is problem.network
 
     again = solve(problem, cfg)
     fresh = solve(build_problem(system, limits), cfg)

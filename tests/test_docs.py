@@ -1,9 +1,9 @@
 """The documented commands work: the README's CLI block and the demos.
 
 Every ``tdcoopt`` line of the README's command-line block runs through
-``cli.main`` in a scratch directory, except the full ``default.json`` run,
-which takes ~10 s and is already made by the acceptance gate's fixture.
-Demo 05 is left out for the same reason (~21 s).
+``cli.main`` in a scratch directory, except the full ``default.json`` run
+(~2 s), which the acceptance gate's fixture already makes.  Every demo
+runs in a scratch directory too; demo 05 makes two full runs (~5 s).
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def test_readme_cli_commands(tmp_path, monkeypatch, capsys):
         "02_radial_sweep.py",
         "03_economic_dispatch.py",
         "04_market_equivalence.py",
+        "05_full_protocol.py",
     ],
 )
-def test_demo_runs(demo, capsys):
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demo 05 writes its runs into ./runs/
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert capsys.readouterr().out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from tdcoopt.acpf import SlackAccount
 from tdcoopt.core import (
+    CompiledNetwork,
     DerCapacityScale,
     DivergenceError,
     DualState,
@@ -352,7 +353,7 @@ def test_best_response_fixpoint_is_box_clamped_optimum():
     res = run_market(problem, cfg, mode="best-response")
     assert res.converged
 
-    prices = der_signals(problem.models, res.y, problem.n_generators)
+    prices = der_signals(problem.network, res.y)
     N = problem.n_nodes
     lo, hi = problem.lo, problem.hi
     for g in np.flatnonzero(problem.coef[:N]):
@@ -437,6 +438,33 @@ def test_journal_is_json_dumpable_and_private():
         assert secret not in dump
 
 
+def test_the_operator_network_holds_no_der_data():
+    # two systems that differ only in their DERs' costs and boxes compile
+    # to the same network, the operator's whole view of the grid
+    other = {3: {"a_p": 2.5, "a_q": 0.7, "p_max": 0.3, "q_min": -0.1},
+             4: {"a_p": 0.2, "p_min": -0.04, "p_max": -0.04, "q_max": 0.0}}
+    a, b = (
+        build_problem(make_system(n_feeders=2, der_layout=layout), LIMITS)
+        for layout in (None, other)
+    )
+    assert not np.array_equal(a.coef, b.coef) and not np.array_equal(a.hi, b.hi)
+
+    def same(u, v):
+        if isinstance(u, np.ndarray):
+            return u.dtype == v.dtype and np.array_equal(u, v)
+        return u == v
+
+    for f in fields(CompiledNetwork):
+        u, v = getattr(a.network, f.name), getattr(b.network, f.name)
+        if f.name != "models":
+            assert same(u, v), f.name
+            continue
+        assert len(u) == len(v) == 2
+        for mu, mv in zip(u, v):
+            for g in fields(mu):
+                assert same(getattr(mu, g.name), getattr(mv, g.name)), g.name
+
+
 def test_incentive_signals_jsonable():
     # the incentive signals are the price array over z, the balance price
     # of the one generator last; the message carries the round tag
@@ -456,9 +484,7 @@ def operator_fixture():
     _, y = initial_state(problem)
     # the DER at node 3 sits at position 1: p at z[1], q at z[3 + 1]
     cfg = OperatorConfig(
-        fixed_injection=problem.fixed_injection,
-        n_generators=problem.n_generators,
-        limits=LIMITS,
+        network=problem.network,
         roster={"user:f0:3": (1, 4), "generator:1": (6,)},
         solver=SolverConfig(eps=0.01),
     )
@@ -476,18 +502,12 @@ def test_operator_step_accepts_complete_round():
         report("user:f0:3", 1, 0.01, -0.005),
         report("generator:1", 1, 1.5),
     ]
-    outcome, prices = operator_step(
-        reports, y, problem.models, cfg, account, tag=1
-    )
+    outcome, prices = operator_step(reports, y, cfg, account, tag=1)
     assert outcome.x.P_M[0] == 1.5
     np.testing.assert_array_equal(outcome.x.p, [0.0, 0.01, 0.0])
     np.testing.assert_array_equal(outcome.x.q, [0.0, -0.005, 0.0])
     # the fresh prices are the core engine's, over all of z
-    np.testing.assert_array_equal(
-        prices, der_signals(problem.models, outcome.y, problem.n_generators)
-    )
-    # the operator's dual update consumed its own measurement
-    assert outcome.measurement.tag == 1
+    np.testing.assert_array_equal(prices, der_signals(problem.network, outcome.y))
 
 
 @pytest.mark.parametrize("sender", ["intruder", "user:f0:4"])
@@ -502,7 +522,7 @@ def test_operator_step_refuses_a_sender_off_the_roster(sender):
     ]
     with pytest.raises(RoundAbort, match=f"{sender}, who is not on the roster"
                        ) as exc:
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
 
@@ -516,7 +536,7 @@ def test_operator_step_refuses_the_wrong_number_of_values(values):
     with pytest.raises(
         RoundAbort, match=f"user:f0:3 in round 1 holds {len(values)} values for 2"
     ) as exc:
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
 
@@ -534,7 +554,7 @@ def test_operator_step_refuses_a_malformed_report(payload):
         AgentMessage("setpoint-report", "generator:1", 1, payload),
     ]
     with pytest.raises(RoundAbort, match="from generator:1 in round 1") as exc:
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
 
@@ -585,9 +605,7 @@ def roster_round():
     }
     roster |= {f"generator:{k}": (2 * N + k,) for k in range(problem.n_generators)}
     cfg = OperatorConfig(
-        fixed_injection=problem.fixed_injection,
-        n_generators=problem.n_generators,
-        limits=LIMITS,
+        network=problem.network,
         roster=roster,
         solver=SolverConfig(eps=0.01),
     )
@@ -612,7 +630,7 @@ def test_operator_step_gives_the_same_bits_in_any_report_order():
 
     def bits(round_reports):
         outcome, prices = operator_step(
-            round_reports, y, problem.models, cfg, SlackAccount(P0_slack=0.0),
+            round_reports, y, cfg, SlackAccount(P0_slack=0.0),
             tag=1,
         )
         meas = outcome.measurement
@@ -674,7 +692,7 @@ def test_operator_step_refuses_a_faulty_first_or_last_report(fault, where):
     problem, cfg, reports, match = faulty_round(fault, where)
     _, y = initial_state(problem)
     with pytest.raises(RoundAbort, match=match) as exc:
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
 
@@ -688,7 +706,7 @@ def test_operator_step_refuses_a_fault_anywhere_in_a_shuffled_round(fault, at):
     problem, cfg, reports, match = faulty_round(fault, at, seed=at)
     _, y = initial_state(problem)
     with pytest.raises(RoundAbort, match=match) as exc:
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
     assert exc.value.iteration == 1
     assert "round 1" in str(exc.value)
@@ -698,7 +716,7 @@ def test_operator_step_rejects_missing_report():
     problem, y, cfg = operator_fixture()
     reports = [report("generator:1", 1, 1.5)]
     with pytest.raises(RoundAbort, match="missing reports from: user:f0:3"):
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
 
 
@@ -709,7 +727,7 @@ def test_operator_step_rejects_stale_report():
         report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="stale report"):
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
 
 
@@ -721,7 +739,7 @@ def test_operator_step_rejects_duplicate_report():
         report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="duplicate report"):
-        operator_step(reports, y, problem.models, cfg,
+        operator_step(reports, y, cfg,
                       SlackAccount(P0_slack=0.0), tag=1)
 
 
