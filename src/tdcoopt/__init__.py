@@ -27,8 +27,8 @@ Layout
                  the broadcast price array over ``z``; message bus;
                  operator step (knows only its roster and the compiled
                  network; places reports, ends in `settle`);
-                 `run_market` routes the round's messages
-                 through the shared loop
+                 `run_market` routes the round's messages through the
+                 shared loop
 ``trace``        per-iteration records (one float64 row each, kept in
                  `Records`), CSV write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle

@@ -447,9 +447,10 @@ def der_signals(
     injection displaces a unit of head draw).  The next N are ``beta``,
     priced against ``q``: ``beta = B_k' (mu_upper - mu_lower)`` (reactive
     injections leave the head draw alone).  The last ``n_generators``
-    entries hold ``lambda`` itself, priced against ``P_M``.  With ``zero_lambda``
-    the balance price is hidden from the DERs (voltage terms remain; the
-    generators still see it) — the no-participation baseline.
+    entries hold ``lambda`` itself, priced against ``P_M``.  With
+    ``zero_lambda`` the balance price is hidden from the DERs (voltage
+    terms remain; the generators still see it) — the no-participation
+    baseline.
 
     When no band is active (``w`` all zero) the products are skipped:
     they would all be ``+0.0``, since ``A`` and ``B`` are finite and

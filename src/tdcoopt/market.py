@@ -404,9 +404,9 @@ def run_market(
     and read their private data from the same entries of the problem the
     loop hands it, events applied to both; the operator gets only
     ``problem.network`` (no DER data) and the roster of each agent's
-    coordinates.  One user ``user:<feeder>:<node>``
-    stands at each DER's ``(p, q)`` coordinates, in node order, and one
-    ``generator:<bus>`` at each generator's.  In ``gradient`` mode the
+    coordinates.  One user ``user:<feeder>:<node>`` stands at each DER's
+    ``(p, q)`` coordinates, in node order, and one ``generator:<bus>`` at
+    each generator's.  In ``gradient`` mode the
     trajectory equals the centralized engine's.  ``x0`` seeds the loop as
     given, as in the centralized engine.  The caller's ``problem`` is not
     modified, events included.

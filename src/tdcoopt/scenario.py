@@ -691,7 +691,8 @@ def _full_point(problem, dims, point, elim, P0) -> PrimalState:
     z[dims] = point
     x = PrimalState(z, problem.n_nodes)
     P_L = sum(predict(m, x.p[m.span], x.q[m.span])[1] for m in problem.models)
-    z[elim] = P_L - problem.network.fixed_injection - P0 - (float(np.sum(x.P_M)) - z[elim])
+    fixed = problem.network.fixed_injection
+    z[elim] = P_L - fixed - P0 - (float(np.sum(x.P_M)) - z[elim])
     return x
 
 

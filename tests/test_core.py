@@ -280,8 +280,8 @@ def test_der_signals_zero_lambda_baseline():
 
 
 def one_node_network(limits):
-    """The network of one one-node feeder, one generator, and ``make_ts``'s
-    load of 2.0 at bus 5."""
+    """A one-node network with ``make_ts``'s fixed injection (a load of 2.0
+    at bus 5); the dual update reads only that and the band."""
     system = make_system(
         n_feeders=1, gen_specs=[(1, 1.0)], der_layout={2: {}}, n_feeder_nodes=1
     )
