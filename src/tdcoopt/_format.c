@@ -17,8 +17,10 @@
 #include <stdint.h>
 #include <string.h>
 
-#define K_MIN (-324)
-#define K_MAX 292
+#include "_kernels.h"
+
+#define K_MIN TDCOOPT_K_MIN
+#define K_MAX TDCOOPT_K_MAX
 #define Q_MIN (-1074)
 #define C_MIN (UINT64_C(1) << 52)
 #define MASK63 ((UINT64_C(1) << 63) - 1)

@@ -1,20 +1,29 @@
-"""The package's compiled library: the feeder sweep and the trace formatter.
+"""The package's compiled kernels: one CPython extension module.
 
-``_sweep.c`` (used by :mod:`tdcoopt.acpf`) and ``_format.c`` (used by
-:mod:`tdcoopt.trace`) are compiled together by the system ``cc``, in one
-invocation, the first time either kernel is needed: at the first AC sweep
-or the first trace write, never at import.  The library is cached under
-``$XDG_CACHE_HOME/tdcoopt``, named by the CRC-32 and length of a key made
-of both sources and the build flags, and checked byte for byte against a
-stored copy of that key before it is loaded.  Where no library can be
-built, :func:`library` returns ``None`` and both modules run their Python
-reference, which gives the same results.
+``_kernels.c`` (the module and its argument checks), ``_sweep.c`` (the
+feeder sweep, used by :mod:`tdcoopt.acpf`), ``_format.c`` (the trace
+formatter, used by :mod:`tdcoopt.trace`) and ``_round.c`` (the round's
+array steps, used by :mod:`tdcoopt.core`) are compiled together by the
+system ``cc``, in one invocation, against the CPython and numpy headers,
+the first time a kernel is needed: at the first round, AC sweep or trace
+write, never at import or set-up.  The module is loaded with
+:class:`importlib.machinery.ExtensionFileLoader`, and its functions take
+numpy arrays and check every argument (dtype, layout, length, index
+range) before they read it.
+
+The library is cached under ``$XDG_CACHE_HOME/tdcoopt``, named by the
+CRC-32 and length of a key made of the sources, the build flags, the
+interpreter's extension ABI tag and numpy's version, and checked byte for
+byte against a stored copy of that key before it is loaded.  Where no
+library can be built or loaded (no ``cc``, no CPython or numpy headers,
+no private cache directory), :func:`library` returns ``None`` after one
+logged warning, and each caller runs its Python or numpy reference,
+which gives the same results.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import logging
 import os
@@ -22,13 +31,24 @@ import shutil
 import stat
 import tempfile
 import zlib
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+from types import ModuleType
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_sweep.c", "_format.c"))
+_HERE = Path(__file__).parent
+_SOURCES = tuple(
+    _HERE / name for name in ("_kernels.c", "_sweep.c", "_format.c", "_round.c")
+)
+_HEADERS = (_HERE / "_kernels.h",)
 _BUILD = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _LIBS = ("-lm",)
+# the module's name: the library defines PyInit__kernels
+_MODULE = "tdcoopt._kernels"
 _PREFIX = "kernels-"
 # libraries a cache miss leaves in the cache: the new one and the newest
 # others, so checkouts of a few sources in turn never rebuild each other's
@@ -39,21 +59,24 @@ _CACHED = (f"{_PREFIX}*.so", "sweep-*.so")
 
 
 @functools.cache
-def library() -> ctypes.CDLL | None:
-    """The loaded library, built on the first call; ``None`` where none can be.
+def library() -> ModuleType | None:
+    """The loaded extension module, built on the first call; ``None``
+    where none can be.
 
     ``None`` (after one logged line) where no compiler, no private cache
-    directory or no successful build is available.
+    directory, no successful build or no loadable library is available.
     """
     cc = shutil.which("cc")
     try:
         if cc is None:
             raise FileNotFoundError("no C compiler (cc) on PATH")
-        return ctypes.CDLL(str(_build_kernel(cc, _cache_dir())))
-    except OSError as exc:
+        path = str(_build_kernel(cc, _cache_dir()))
+        loader = ExtensionFileLoader(_MODULE, path)
+        return module_from_spec(spec_from_file_location(_MODULE, path, loader=loader))
+    except (OSError, ImportError) as exc:
         logger.warning(
             "compiled kernels unavailable, using the Python sweep and trace "
-            "formatter: %s", exc,
+            "formatter and the numpy round: %s", exc,
         )
         return None
 
@@ -80,12 +103,15 @@ def _cache_dir() -> Path:
 
 
 def _key() -> bytes:
-    """Each source's name, length and bytes, then the build flags."""
+    """Each source's and header's name, length and bytes, then the build
+    flags, the extension ABI tag (as ``.cpython-311-x86_64-linux-gnu.so``)
+    and numpy's version: the library links against both."""
     key = b""
-    for source in _SOURCES:
+    for source in _SOURCES + _HEADERS:
         text = source.read_bytes()
         key += f"{source.name} {len(text)}\n".encode() + text
-    return key + " ".join(_BUILD + _LIBS).encode()
+    key += " ".join(_BUILD + _LIBS).encode()
+    return key + f"\n{EXTENSION_SUFFIXES[0]} numpy {np.__version__}".encode()
 
 
 def _build_kernel(cc: str, directory: Path) -> Path:
@@ -110,12 +136,16 @@ def _build_kernel(cc: str, directory: Path) -> Path:
         pass
     # imported on a cache miss only: subprocess adds ~0.4 MB resident
     import subprocess
+    import sysconfig
+
+    includes = (sysconfig.get_paths()["include"], np.get_include())
 
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{_PREFIX}", suffix=".so")
     os.close(fd)
     try:
         done = subprocess.run(
-            [cc, *_BUILD, "-o", tmp, *map(str, _SOURCES), *_LIBS],
+            [cc, *_BUILD, *(f"-I{d}" for d in includes), "-o", tmp,
+             *map(str, _SOURCES), *_LIBS],
             capture_output=True, timeout=300,
         )
         if done.returncode != 0:

@@ -5,29 +5,19 @@
  * and plain left-to-right sums.  Built without -ffast-math and with
  * -ffp-contract=off, so every result matches the Python sweep bit for bit.
  *
- * Every buffer lives in the feeder's workspace (acpf.SweepWorkspace), bound
- * once per feeder model, so a call allocates nothing.  order/parent/roots,
- * r/x: the feeder tree (parent -1 at the substation).  p_inj/q_inj: net
- * nodal injections.  v: the starting voltages on entry, the solution on
- * success.  out: P_L, Q_L, loss, residual.  info: the iteration count,
- * then the collapsing node's position.  scratch: 5n doubles, each written
- * before it is read in every pass.
+ * order/parent/roots, r/x: the feeder tree (parent -1 at the substation).
+ * p_inj/q_inj: net nodal injections.  v: the starting voltages on entry,
+ * the solution on success.  out: P_L, Q_L, loss, residual.  info: the
+ * iteration count, then the collapsing node's position.  scratch: 5n
+ * doubles, each written before it is read in every pass.  Every index in
+ * order, parent and roots must lie in [0, n) (parent: -1 too); the
+ * extension module (_kernels.c) checks them before the call.
  */
 #include <math.h>
 
-enum { CONVERGED, COLLAPSE, NOT_CONVERGED, ZERO_VOLTAGE };
+#include "_kernels.h"
 
-/* mirrored field for field by acpf._Sweep */
-struct sweep {
-    const int *order, *parent, *roots;
-    const double *r, *x, *p_inj, *q_inj;
-    double *v, *out, *scratch;
-    int *info;
-    double v0, tol;
-    int n, n_roots, max_iter;
-};
-
-int tdcoopt_sweep(const struct sweep *s)
+int tdcoopt_sweep(const struct tdcoopt_sweep *s)
 {
     const int n = s->n, n_roots = s->n_roots, max_iter = s->max_iter;
     const int *order = s->order, *parent = s->parent, *roots = s->roots;
@@ -38,7 +28,7 @@ int tdcoopt_sweep(const struct sweep *s)
     double *P_recv = ell + n, *Q_recv = P_recv + n;
     double tol = s->tol, v0_sq = s->v0 * s->v0;
     double residual = INFINITY;
-    int status = NOT_CONVERGED;
+    int status = TDCOOPT_NOT_CONVERGED;
 
     for (int it = 1; it <= max_iter; it++) {
         info[0] = it;
@@ -51,7 +41,7 @@ int tdcoopt_sweep(const struct sweep *s)
             int j = order[k];
             double u_j = v[j] * v[j];
             if (u_j == 0.0) {
-                status = ZERO_VOLTAGE;
+                status = TDCOOPT_ZERO_VOLTAGE;
                 goto done;
             }
             double l_j = (P_recv[j] * P_recv[j] + Q_recv[j] * Q_recv[j]) / u_j;
@@ -76,7 +66,7 @@ int tdcoopt_sweep(const struct sweep *s)
                          + (r[j] * r[j] + x[j] * x[j]) * ell[j];
             if (u_j <= 0.0) {
                 info[1] = j;
-                status = COLLAPSE;
+                status = TDCOOPT_COLLAPSE;
                 goto done;
             }
             double v_new = sqrt(u_j);
@@ -96,11 +86,11 @@ int tdcoopt_sweep(const struct sweep *s)
             out[0] = P_L;
             out[1] = Q_L;
             out[2] = loss;
-            status = CONVERGED;
+            status = TDCOOPT_CONVERGED;
             break;
         }
     }
-    if (status == NOT_CONVERGED)
+    if (status == TDCOOPT_NOT_CONVERGED)
         info[0] = max_iter;
 done:
     out[3] = residual;

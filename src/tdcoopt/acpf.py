@@ -6,18 +6,14 @@ I^2 z losses with voltages from the previous pass, the forward pass
 propagates squared voltage magnitudes down from the substation.  The fixed
 point satisfies the exact single-phase branch-flow equations.
 
-:func:`sweep_feeder` runs the sweep in C (``_sweep.c``, through
-``ctypes``), from the package's compiled library, which is built at the
-first AC sweep or trace write and cached (:mod:`tdcoopt._native`).  Each
-feeder model is bound to the kernel once: its :class:`SweepWorkspace`
-holds the injection, voltage and result buffers, the kernel's scratch and
-one C struct pointing at all of them and at the model's tree arrays, so a
-call writes the injections and the starting voltages and passes a single
-pointer.  A workspace is reused by every sweep of its model, so one model
-must not be swept from two threads at once.  The kernel repeats
-:func:`_sweep_python` operation for operation, so both give the same
-bits; the Python sweep is the reference and runs where no kernel can be
-built.
+:func:`sweep_feeder` runs the sweep in C (``_sweep.c``), one call of the
+package's extension module (:mod:`tdcoopt._native`, built at the first
+kernel use and cached): it adds the call's injections to the model's base
+ones, takes the warm start (or a flat one), sweeps, and returns the
+result with its own voltage array, allocating its scratch per call.  The
+kernel repeats :func:`_sweep_python` operation for operation, so both
+give the same bits; the Python sweep is the reference and runs where no
+kernel can be built.
 
 The transmission level stays lossless: the slack bus supplies whatever the
 generators, feeders, and fixed injections do not, and its recorded initial
@@ -27,7 +23,6 @@ residual that is independent of any globally consistent load data.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -99,26 +94,16 @@ def sweep_feeder(
     kernel = _sweep_kernel()
     if kernel is None:
         return _sweep_python(model, p, q, tol, max_iter, v_init)
-
-    ws = model.sweep_workspace
-    np.add(model.p0, p, out=ws.p_inj)
-    np.add(model.q0, q, out=ws.q_inj)
-    ws.v[:] = model.v0 if v_init is None else v_init
-    ws.sweep.tol = tol
-    ws.sweep.max_iter = max_iter
-    status = kernel(ws.address)
-    if status == _CONVERGED:
-        P_L, Q_L, loss, residual = ws.out.tolist()
-        return SweepResult(
-            v=ws.v.copy(), P_L=P_L, Q_L=Q_L, loss=loss,
-            iterations=int(ws.info[0]), residual=residual,
-        )
+    out = kernel(
+        model.order, model.parent, model.roots, model.r, model.x,
+        model.p0, model.q0, model.v0, p, q, v_init, tol, max_iter,
+    )
+    if len(out) == 6:  # converged: SweepResult's fields
+        return SweepResult(*out)
+    status, iterations, node, residual = out
     if status == _COLLAPSE:
-        iterations, j = ws.info.tolist()
-        raise _collapse(model, j, iterations)
-    if status == _NOT_CONVERGED:
-        raise _not_converged(max_iter, float(ws.out[3]))
-    raise ZeroDivisionError("float division by zero")
+        raise _collapse(model, node, iterations)
+    raise _not_converged(max_iter, residual)
 
 
 def _collapse(model: LinearFeederModel, j: int, it: int) -> SweepDivergence:
@@ -228,71 +213,16 @@ def _sweep_python(
 # the compiled kernel
 # ---------------------------------------------------------------------------
 
-# status codes of ``tdcoopt_sweep``, in the order of its enum
-_CONVERGED, _COLLAPSE, _NOT_CONVERGED, _ZERO_VOLTAGE = range(4)
-
-
-class _Sweep(ctypes.Structure):
-    """``struct sweep`` of ``_sweep.c``, field for field."""
-
-    _fields_ = [
-        *((name, ctypes.c_void_p) for name in (
-            "order", "parent", "roots", "r", "x", "p_inj", "q_inj",
-            "v", "out", "scratch", "info",
-        )),
-        ("v0", ctypes.c_double),
-        ("tol", ctypes.c_double),
-        ("n", ctypes.c_int),
-        ("n_roots", ctypes.c_int),
-        ("max_iter", ctypes.c_int),
-    ]
-
-
-class SweepWorkspace:
-    """One feeder model bound to the compiled sweep: its buffers and struct.
-
-    Built once per model (``LinearFeederModel.sweep_workspace``) and reused
-    by every :func:`sweep_feeder` call on it, so a call allocates nothing
-    but the copy of ``v`` it returns.  ``sweep`` points at the buffers here
-    and at the model's read-only tree arrays, all kept alive in ``arrays``;
-    ``address`` is the struct's address, the kernel's one argument.  Not
-    to be shared across threads.
-    """
-
-    __slots__ = (
-        "p_inj", "q_inj", "v", "out", "info", "scratch", "arrays", "sweep", "address",
-    )
-
-    def __init__(self, model: LinearFeederModel):
-        n = model.n_nodes
-        self.p_inj = np.empty(n)
-        self.q_inj = np.empty(n)
-        self.v = np.empty(n)
-        self.out = np.zeros(4)  # P_L, Q_L, loss, residual
-        self.info = np.zeros(2, dtype=np.intc)  # iterations, collapsing node
-        self.scratch = np.empty(5 * n)
-        self.arrays = (
-            model.order, model.parent, model.roots, model.r, model.x,
-            self.p_inj, self.q_inj, self.v, self.out, self.scratch, self.info,
-        )
-        self.sweep = _Sweep(
-            *(a.ctypes.data for a in self.arrays),
-            v0=model.v0, n=n, n_roots=len(model.roots),
-        )
-        self.address = ctypes.addressof(self.sweep)
+# the collapse status of ``_sweep.c``, as its enum numbers it
+_COLLAPSE = 1
 
 
 @functools.cache
 def _sweep_kernel():
-    """``tdcoopt_sweep`` from the package's compiled library, or ``None``
+    """The compiled sweep of the package's extension module, or ``None``
     where none can be built (see :mod:`tdcoopt._native`)."""
     library = _native.library()
-    if library is None:
-        return None
-    kernel = library.tdcoopt_sweep
-    kernel.argtypes = (ctypes.c_void_p,)  # a SweepWorkspace's address
-    kernel.restype = ctypes.c_int
-    return kernel
+    return None if library is None else library.sweep
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ matvec or sweep, writing into the feeder's slice, and the per-feeder
 trace cells loop over feeders.  The sign convention makes the converged price
 ``lambda`` negative when extra generation is needed: the stationarity
 condition for each generator is ``2 c P + lambda = 0``.
+
+Each of the round's array steps is one call of the package's extension
+module (``_round.c``, see :mod:`tdcoopt._native`): the projected primal
+step, the multiplier step, the step and state norms, the total cost and
+the record row.  Each ports the numpy code written beside its call,
+which is the reference and runs where no library can be built, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .acpf import (
     SlackAccount,
     SweepDivergence,
@@ -517,8 +525,19 @@ def dual_update(
     integrates the balance residual.  Returns the new duals and the
     residual that drove the price.
     """
-    dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
-    mu_new = np.maximum(y.mu + eps * dmu, 0.0)
+    kernels = _native.library()
+    if kernels is None:
+        dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
+        mu_new = np.maximum(y.mu + eps * dmu, 0.0)
+    else:
+        limits = network.limits
+        mu_new = kernels.mu_step(
+            y.mu, measurement.v, limits.v_min, limits.v_max, eps, eta
+        )
+        residual = slack_residual(
+            account, network.fixed_injection, P_M, measurement.P_L
+        )
+        dlam = residual - eta * y.lam
     return DualState(lam=y.lam + eps * dlam, mu=mu_new), residual
 
 
@@ -536,6 +555,9 @@ def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
     Summed per block, generators first, then ``p`` and ``q``.
     """
     N = x.n_nodes
+    kernels = _native.library()
+    if kernels is not None:
+        return kernels.total_cost(problem.coef, x.z, N)
     cost = problem.coef * x.z
     cost *= x.z
     add = np.add.reduce  # what ndarray.sum runs, without its Python wrapper
@@ -754,8 +776,9 @@ class DerCapacityScale:
     target = "all-DERs"
 
     def __post_init__(self):
-        if not self.factor > 0:
-            raise ValueError(f"needs a positive factor, got {self.factor}")
+        # an infinite factor would make each pinned [0, 0] box NaN (0 * inf)
+        if not (self.factor > 0 and math.isfinite(self.factor)):
+            raise ValueError(f"needs a finite positive factor, got {self.factor}")
 
 
 def apply_event(
@@ -842,8 +865,15 @@ def primal_dual_step(
     prices ``signals``, projected; :func:`settle` then moves the
     duals along the gradient :func:`grad_dual` returns and prices them.
     """
-    step = x.z - cfg.eps * grad_primal(problem, x, y, signals)
-    x_new = PrimalState(np.clip(step, problem.lo, problem.hi), x.n_nodes)
+    kernels = _native.library()
+    if kernels is None:
+        step = x.z - cfg.eps * grad_primal(problem, x, y, signals)
+        z = np.clip(step, problem.lo, problem.hi)
+    else:
+        z = kernels.primal_step(
+            x.z, cfg.eps, problem.coef, signals, problem.lo, problem.hi
+        )
+    x_new = PrimalState(z, x.n_nodes)
     return settle(problem.network, x_new, y, account, cfg, iteration, warm)
 
 
@@ -890,6 +920,13 @@ def iteration_record(
     v = measurement.v
     starts = problem.network.starts
     row = records.new_row()
+    kernels = _native.library()
+    if kernels is not None:
+        kernels.record_row(
+            row, records.layout, y.lam, x.z, N, problem.coef, measurement.P_L, v,
+            starts, signals, probes, balance_residual, step_primal, step_dual,
+        )
+        return
     row[-2] = step_primal
     row[-1] = step_dual
     row[0] = y.lam
@@ -979,6 +1016,13 @@ def run_rounds(
         x_init, y_init = initial_state(problem)
         x = x_init if x is None else x
         y = y_init if y is None else y
+    # the round's kernels read float64 arrays in C order
+    x = PrimalState(np.ascontiguousarray(x.z, dtype=np.float64), x.n_nodes)
+    y = DualState(y.lam, np.ascontiguousarray(y.mu, dtype=np.float64))
+    if len(probes) != len(problem.models) or not all(
+        0 <= j < model.n_nodes for model, j in zip(problem.models, probes)
+    ):
+        raise ValueError(f"probes {probes} do not name one node of each feeder")
     at_probe = np.array(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,
@@ -1084,8 +1128,14 @@ def solve(
 # ``np.maximum.reduce`` and ``np.add.reduce`` (``acpf._implied_slack``) are the
 # reductions ``.max()`` and ``np.sum`` run, without their wrappers
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
+    kernels = _native.library()
+    if kernels is not None:
+        return kernels.inf_diff(a, b)
     return float(np.maximum.reduce(np.abs(a - b))) if len(a) else 0.0
 
 
 def _inf_norm(a: np.ndarray) -> float:
+    kernels = _native.library()
+    if kernels is not None:
+        return kernels.inf_norm(a)
     return float(np.maximum.reduce(np.abs(a))) if len(a) else 0.0

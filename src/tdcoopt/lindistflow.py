@@ -25,7 +25,6 @@ data: it is all the market operator may know about a feeder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,23 +63,6 @@ class LinearFeederModel:
     @property
     def n_nodes(self) -> int:
         return len(self.c)
-
-    @cached_property
-    def sweep_workspace(self):
-        """This model bound to the compiled sweep (:class:`~tdcoopt.acpf.SweepWorkspace`).
-
-        Built on first use and reused by every sweep of the model, so the
-        model must not be swept from two threads at once.
-        """
-        from .acpf import SweepWorkspace  # acpf imports this module
-
-        return SweepWorkspace(self)
-
-    def __getstate__(self):
-        # a copy holds its own arrays, so it binds its own workspace
-        state = dict(self.__dict__)
-        state.pop("sweep_workspace", None)
-        return state
 
 
 def build_lindistflow(

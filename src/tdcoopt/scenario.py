@@ -220,7 +220,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
         try:
             events.append(DerCapacityScale(iteration, real(entry, "factor", where)))
         except ValueError as exc:
-            raise ScenarioError(f"{where}: needs a positive factor") from exc
+            raise ScenarioError(f"{where}: needs a finite positive factor") from exc
 
     init = section(raw, "init", name, {})
     refuse_unknown(init, _KEYS["init"], f"{name}: init")

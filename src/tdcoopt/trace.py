@@ -14,7 +14,7 @@ and are never copied; a :class:`TraceRecord` is built from a row only
 when one is read.  A trace is written from a store alone.  Rows are
 written a block of ``_BLOCK`` rows at a time by the compiled formatter
 ``_format.c`` (Schubfach digits, laid out as ``repr`` lays them out),
-from the package's compiled library (:mod:`tdcoopt._native`), straight
+from the package's extension module (:mod:`tdcoopt._native`), straight
 from the store's chunks into one reused buffer.  :func:`_row`, which
 calls ``repr`` itself on the same float rows the formatter formats, is
 the reference: it writes the initial record, and every row where no
@@ -24,7 +24,6 @@ library can be built, with the same bytes, only more slowly.
 from __future__ import annotations
 
 import csv
-import ctypes
 import functools
 import itertools
 import operator
@@ -122,6 +121,14 @@ class Records(Sequence):
             slice(first + j, last, per) for j in range(per)
         )
         self.slack_residual, self.total_cost = last, last + 1
+        # the same positions for the compiled row writer (``_round.c``'s
+        # record_row): lam, P_M's first cell, each feeder field's first
+        # cell, the stride between feeders, then the last four cells
+        self.layout = np.array(
+            [0, 1, *(first + j for j in range(per)), per,
+             last, last + 1, self.width - 2, self.width - 1],
+            dtype=np.intp,
+        )
         self._chunks: list[np.ndarray] = []
         self._len = 0
 
@@ -247,39 +254,23 @@ def _row_bytes(n_cells: int) -> int:
 
 
 def _format_rows(kernel, iterations: np.ndarray, cells: np.ndarray, out: np.ndarray) -> int:
-    """Write the lines of ``iterations`` and ``cells`` (rows × cells, C
-    order) into ``out`` with ``kernel``; return their length in bytes.
+    """Write the lines of ``iterations`` (int64) and ``cells`` (float64,
+    rows × cells, C order) into ``out`` (uint8) with ``kernel``; return
+    their length in bytes.
 
-    ``out`` (bytes) must hold the longest such lines.
+    ``out`` must hold the longest such lines (:func:`_row_bytes` per row);
+    the kernel raises ``TypeError`` or ``ValueError`` for arrays that do
+    not fit it.
     """
-    rows, n_cells = cells.shape
-    if not (
-        cells.dtype == np.float64 and cells.flags.c_contiguous
-        and iterations.dtype == np.int64 and iterations.flags.c_contiguous
-        and iterations.shape == (rows,)
-        and out.flags.c_contiguous and out.nbytes >= rows * _row_bytes(n_cells)
-    ):
-        raise ValueError("iterations, cells and output buffer do not fit the kernel")
-    return kernel(
-        iterations.ctypes.data, cells.ctypes.data, rows, n_cells,
-        _schubfach_table().ctypes.data, out.ctypes.data,
-    )
+    return kernel(iterations, cells, _schubfach_table(), out)
 
 
 @functools.cache
 def _format_kernel():
-    """``tdcoopt_format_rows`` from the package's compiled library, or
+    """The compiled formatter of the package's extension module, or
     ``None`` where none can be built (see :mod:`tdcoopt._native`)."""
     library = _native.library()
-    if library is None:
-        return None
-    kernel = library.tdcoopt_format_rows
-    kernel.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-        ctypes.c_void_p, ctypes.c_void_p,
-    )
-    kernel.restype = ctypes.c_long
-    return kernel
+    return None if library is None else library.format_rows
 
 
 @functools.cache

@@ -450,18 +450,21 @@ def test_criterion_5_stepsize_certificate():
 
 
 # ---------------------------------------------------------------------------
-# criteria 6-8 share one pair of converged runs of the default scenario
+# criteria 6-8 share one pair of converged runs of each two-level study:
+# the default scenario (two feeders) and full39, the paper's 39-bus grid
+# with seven feeders
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def default_runs(tmp_path_factory):
+def _paired_runs(tmp_path_factory, name: str) -> dict:
+    """``name`` run to convergence, and ``<name>_baseline`` (prices
+    withheld from the DERs) over the same horizon."""
     t0 = time.perf_counter()
-    sc_full = load_scenario(SCENARIOS_DIR / "default.json")
-    art_full = run_scenario(sc_full, tmp_path_factory.mktemp("accept-full"))
+    sc_full = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    art_full = run_scenario(sc_full, tmp_path_factory.mktemp(f"accept-{name}-full"))
 
     # same horizon for the no-price baseline so the traces line up
     n = art_full.result.iterations
-    sc_base = load_scenario(SCENARIOS_DIR / "default_baseline.json")
+    sc_base = load_scenario(SCENARIOS_DIR / f"{name}_baseline.json")
     sc_base = dataclasses.replace(
         sc_base,
         config=dataclasses.replace(
@@ -472,7 +475,7 @@ def default_runs(tmp_path_factory):
             tol_balance=0.0,
         ),
     )
-    art_base = run_scenario(sc_base, tmp_path_factory.mktemp("accept-base"))
+    art_base = run_scenario(sc_base, tmp_path_factory.mktemp(f"accept-{name}-base"))
     return {
         "full": art_full,
         "base": art_base,
@@ -480,9 +483,19 @@ def default_runs(tmp_path_factory):
     }
 
 
-def test_criterion_6_voltage_regulation(default_runs):
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    return _paired_runs(tmp_path_factory, "default")
+
+
+@pytest.fixture(scope="module")
+def full39_runs(tmp_path_factory):
+    return _paired_runs(tmp_path_factory, "full39")
+
+
+def _criterion_6(runs: dict, study: str = "") -> None:
     t0 = time.perf_counter()
-    art = default_runs["full"]
+    art = runs["full"]
     res = art.result
     problem = build_problem(art.scenario.system, art.scenario.limits)
     v = measure(problem, res.x, feedback="ac").v
@@ -494,7 +507,7 @@ def test_criterion_6_voltage_regulation(default_runs):
 
     slack_dev = abs(res.records[-1].slack_residual)
     dt = time.perf_counter() - t0
-    wall = default_runs["wall"] + dt
+    wall = runs["wall"] + dt
     ok = (
         res.status == "converged"
         and v_max <= 1.05 + 1e-3
@@ -507,7 +520,7 @@ def test_criterion_6_voltage_regulation(default_runs):
         6,
         "voltage-band-regulation",
         ok,
-        f"status {res.status} after {res.iterations} iterations; exact "
+        f"{study}status {res.status} after {res.iterations} iterations; exact "
         f"voltages in [{v_min:.4f}, {v_max:.4f}] (band 0.95/1.05 "
         f"+-1e-3); {pinned} node(s) riding the upper limit with a "
         f"positive multiplier; slack deviation {slack_dev:.2e} "
@@ -521,8 +534,16 @@ def test_criterion_6_voltage_regulation(default_runs):
     assert wall < 300.0
 
 
-def test_criterion_7_outage_response(default_runs):
-    art = default_runs["full"]
+def test_criterion_6_voltage_regulation(default_runs):
+    _criterion_6(default_runs)
+
+
+def test_criterion_6_voltage_regulation_on_full39(full39_runs):
+    _criterion_6(full39_runs, "full39: ")
+
+
+def _criterion_7(runs: dict, study: str = "") -> None:
+    art = runs["full"]
     res = art.result
     problem = build_problem(art.scenario.system, art.scenario.limits)
     outage_iter = min(e.iteration for e in art.scenario.events)
@@ -549,7 +570,7 @@ def test_criterion_7_outage_response(default_runs):
         7,
         "outage-response",
         ok,
-        f"|lambda| {abs(pre.lam):.4f} -> {abs(post.lam):.4f} "
+        f"{study}|lambda| {abs(pre.lam):.4f} -> {abs(post.lam):.4f} "
         f"(+{lam_growth:.4f}); surviving outputs all rise (worst change "
         f"{worst_drop:+.2e}); tripped unit at exactly 0",
     )
@@ -558,10 +579,18 @@ def test_criterion_7_outage_response(default_runs):
     assert tripped_output == 0.0
 
 
-def test_criterion_8_participation_lowers_cost(default_runs):
+def test_criterion_7_outage_response(default_runs):
+    _criterion_7(default_runs)
+
+
+def test_criterion_7_outage_response_on_full39(full39_runs):
+    _criterion_7(full39_runs, "full39: ")
+
+
+def _criterion_8(runs: dict, study: str = "") -> None:
     rep = compare_runs(
-        default_runs["full"].trace_path,
-        default_runs["base"].trace_path,
+        runs["full"].trace_path,
+        runs["base"].trace_path,
         metric="total-cost",
     )
     ok = rep.final_delta < 0.0
@@ -569,11 +598,19 @@ def test_criterion_8_participation_lowers_cost(default_runs):
         8,
         "participation-cost-benefit",
         ok,
-        f"final total cost {rep.final_a:.6f} with price signals vs "
+        f"{study}final total cost {rep.final_a:.6f} with price signals vs "
         f"{rep.final_b:.6f} with prices withheld from DERs "
         f"(delta {rep.final_delta:+.6f}, must be strictly negative)",
     )
     assert rep.final_delta < 0.0
+
+
+def test_criterion_8_participation_lowers_cost(default_runs):
+    _criterion_8(default_runs)
+
+
+def test_criterion_8_participation_lowers_cost_on_full39(full39_runs):
+    _criterion_8(full39_runs, "full39: ")
 
 
 # ---------------------------------------------------------------------------

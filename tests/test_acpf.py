@@ -20,6 +20,7 @@ import stat
 import subprocess
 import sys
 import time
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -376,9 +377,11 @@ def test_kernel_result_owns_its_voltages(kernel):
     model = build_lindistflow(load_feeder("case33bw"))
     n = model.n_nodes
     zero = np.zeros(n)
-    first = sweep_feeder(model, zero, zero)
+    v_init = np.ones(n)
+    first = sweep_feeder(model, zero, zero, v_init=v_init)
     kept = first.v.tobytes()
-    assert not np.shares_memory(first.v, model.sweep_workspace.v)
+    assert not np.shares_memory(first.v, v_init)
+    assert v_init.tolist() == [1.0] * n  # the warm start is copied, not swept
     later = sweep_feeder(model, np.full(n, 1e-3), zero)
     assert later.v.tobytes() != kept
     assert first.v.tobytes() == kept
@@ -396,10 +399,9 @@ def test_kernel_copied_model_binds_its_own_buffers(kernel, how):
         "copy": copy.copy,
         "pickle": lambda m: pickle.loads(pickle.dumps(m)),
     }[how](model)
-    ours, theirs = model.sweep_workspace, twin.sweep_workspace
-    assert ours is not theirs
-    for name in ("p_inj", "q_inj", "v", "out", "info", "scratch"):
-        assert not np.shares_memory(getattr(ours, name), getattr(theirs, name)), name
+    if how != "copy":  # a shallow copy shares the read-only arrays
+        for name in ("order", "parent", "roots", "r", "x", "p0", "q0"):
+            assert not np.shares_memory(getattr(model, name), getattr(twin, name)), name
     p = np.full(n, 5e-4)
     assert outcome(sweep_feeder, twin, p, zero) == outcome(
         acpf._sweep_python, model, p, zero
@@ -443,13 +445,17 @@ def test_kernel_is_cached_under_xdg_cache_home(kernel, tmp_path, monkeypatch):
     assert library.parent == directory and library.name.startswith("kernels-")
     # no temporaries: the library and the copy of its key
     assert sorted(p.name for p in directory.iterdir()) == [key.name, library.name]
-    # one key over both sources, each named and sized, then the flags
+    # one key over the sources and the header, each named and sized, then
+    # the flags, the interpreter's extension ABI and numpy's version
     expected = b""
-    for source in _native._SOURCES:
+    for source in _native._SOURCES + _native._HEADERS:
         text = source.read_bytes()
         expected += f"{source.name} {len(text)}\n".encode() + text
     expected += " ".join(_native._BUILD + _native._LIBS).encode()
-    assert [s.name for s in _native._SOURCES] == ["_sweep.c", "_format.c"]
+    expected += f"\n{EXTENSION_SUFFIXES[0]} numpy {np.__version__}".encode()
+    assert [s.name for s in _native._SOURCES + _native._HEADERS] == [
+        "_kernels.c", "_sweep.c", "_format.c", "_round.c", "_kernels.h",
+    ]
     assert key.read_bytes() == expected
     built = library.stat().st_mtime_ns
     assert _native._build_kernel(cc, directory) == library
@@ -475,6 +481,33 @@ def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
     assert library.read_bytes()[:4] == b"\x7fELF"
     assert key.read_bytes() == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == [key.name, library.name]
+
+
+def test_kernel_cached_for_another_abi_is_rebuilt(kernel, tmp_path, monkeypatch):
+    # the library links against the interpreter and numpy's C API: one
+    # whose stored key names another ABI or numpy must never be loaded
+    cc = shutil.which("cc")
+    library = _native._build_kernel(cc, tmp_path)
+    key = library.with_suffix(".key")
+    expected = key.read_bytes()
+    assert EXTENSION_SUFFIXES[0].encode() in expected
+    assert f"numpy {np.__version__}".encode() in expected
+    foreign = []
+    for owner, name, value in [
+        (_native, "EXTENSION_SUFFIXES", [".cpython-39-x86_64-linux-gnu.so"]),
+        (_native.np, "__version__", "1.26.4"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            foreign.append(_native._key())
+    assert expected not in foreign
+    # another interpreter's build, found under this key's name (as after a
+    # CRC-32 collision): compared with its stored key, then rebuilt
+    library.write_bytes(b"built for another interpreter")
+    key.write_bytes(foreign[0])
+    assert _native._build_kernel(cc, tmp_path) == library
+    assert library.read_bytes()[:4] == b"\x7fELF"
+    assert key.read_bytes() == expected
 
 
 def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):

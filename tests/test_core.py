@@ -760,6 +760,14 @@ def test_der_capacity_scale_event(limits):
         DerCapacityScale(iteration=5, factor=math.nan)
 
 
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+def test_der_capacity_scale_needs_a_finite_positive_factor(factor):
+    # an infinite factor would turn each pinned [0, 0] box into NaN
+    # (0 * inf), and the run would then die blaming the stepsize
+    with pytest.raises(ValueError, match="needs a finite positive factor"):
+        DerCapacityScale(iteration=5, factor=factor)
+
+
 def test_apply_unknown_event(limits):
     problem = build_problem(make_system(), limits)
     x, _ = initial_state(problem)
@@ -887,6 +895,30 @@ def test_solve_refuses_a_feeder_without_nodes():
     feeder = make_system(n_feeders=1).feeders[0]
     with pytest.raises(ValueError, match="feeder without nodes"):
         dataclasses.replace(feeder, nodes=(), lines=(), ders=())
+
+
+@pytest.mark.parametrize("probes", [(0, 3), (0, -1), (1,)])
+def test_solve_refuses_probes_outside_their_feeder(limits, probes):
+    # each probe is a node position within its own feeder (3 nodes each)
+    problem = build_problem(make_system(n_feeders=2), limits)
+    with pytest.raises(ValueError, match="one node of each feeder"):
+        solve(problem, SolverConfig(max_iter=3), probes=probes)
+
+
+def test_solve_takes_any_real_start(limits):
+    # the round's kernels read float64 arrays; a float32 or strided start
+    # is converted once, and gives the float64 start's records
+    problem = build_problem(make_system(n_feeders=2), limits)
+    x, y = initial_state(problem)
+    cfg = SolverConfig(max_iter=20)
+    strided = np.repeat(x.z, 2)[::2]
+    starts = [
+        (core.PrimalState(x.z.astype(np.float32), x.n_nodes), y),
+        (core.PrimalState(strided, x.n_nodes), DualState(y.lam, np.repeat(y.mu, 2)[::2])),
+    ]
+    expected = solve(problem, cfg, x0=x, y0=y).records
+    for x0, y0 in starts:
+        assert solve(problem, cfg, x0=x0, y0=y0).records == expected
 
 
 def test_build_problem_refuses_a_feeder_without_nodes():

@@ -1,9 +1,9 @@
 """The documented commands work: the README's CLI block and the demos.
 
 Every ``tdcoopt`` line of the README's command-line block runs through
-``cli.main`` in a scratch directory, except the full ``default.json`` run
-(~2 s), which the acceptance gate's fixture already makes.  Every demo
-runs in a scratch directory too; demo 05 makes two full runs (~5 s).
+``cli.main`` in a scratch directory, the full ``default.json`` run
+(~1.5 s) included.  Every demo runs in a scratch directory too; demo 05
+makes two full runs (~4 s).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from tdcoopt.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-FULL_RUN = "run src/tdcoopt/scenarios/default.json --out runs"
 
 
 def readme_commands() -> list[list[str]]:
@@ -37,8 +36,6 @@ def test_readme_cli_commands(tmp_path, monkeypatch, capsys):
     assert {argv[0] for argv in commands} == {"run", "compare", "oracle", "lindump"}
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        if " ".join(argv) == FULL_RUN:
-            continue
         # inputs shipped with the repo resolve against its root; outputs
         # land in the scratch directory
         argv = [str(ROOT / a) if a.startswith("src/") else a for a in argv]
@@ -46,6 +43,9 @@ def test_readme_cli_commands(tmp_path, monkeypatch, capsys):
     assert "final a - b   : 0.000000" in capsys.readouterr().out
     written = {f.name for f in (tmp_path / "model_csvs").iterdir()}
     assert written == {f"feeder4_{piece}.csv" for piece in "ABcd"}
+    assert {f.name for f in (tmp_path / "runs").iterdir()} >= {
+        "default_trace.csv", "default_summary.json",
+    }
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,6 @@ acceptance suite; here a small chain confirms the same behavior cheaply.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,7 +109,7 @@ def test_model_is_frozen():
 
 
 def test_model_holds_the_tree_as_c_arrays():
-    # the compiled sweep reads these through their addresses, taken once
+    # the compiled sweep refuses any other dtype or layout
     feeder = parse_case((CASES_DIR / "feeder18.json").read_text())
     model = build_lindistflow(feeder)
     topo = feeder_topology(feeder)
@@ -126,15 +124,6 @@ def test_model_holds_the_tree_as_c_arrays():
     assert model.roots.tolist() == list(topo.roots)
     assert model.r.tolist() == list(topo.r) and model.x.tolist() == list(topo.x)
     assert model.ones.tolist() == [1.0] * model.n_nodes
-    workspace = model.sweep_workspace
-    assert model.sweep_workspace is workspace
-    assert workspace.sweep.order == model.order.ctypes.data
-    assert workspace.sweep.x == model.x.ctypes.data
-    # a copy owns copies of the arrays, so it must bind its own workspace
-    twin = copy.deepcopy(model)
-    assert twin.sweep_workspace is not workspace
-    assert twin.sweep_workspace.sweep.order == twin.order.ctypes.data
-    assert twin.sweep_workspace.sweep.order != workspace.sweep.order
 
 
 @settings(deadline=None, max_examples=40)

@@ -205,6 +205,15 @@ def test_event_validation_errors(tmp_path, event, message):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("factor", [float("inf"), float("-inf"), 0.0])
+def test_event_refuses_a_factor_that_is_not_finite_and_positive(tmp_path, factor):
+    event = {"kind": "der-capacity-scale", "iteration": 5, "target": "all-DERs",
+             "factor": factor}
+    path = write_scenario(tmp_path, {"events": [event]})
+    with pytest.raises(ScenarioError, match=r"events\[0\]: needs a finite positive factor"):
+        load_scenario(path)
+
+
 def test_load_rejects_broken_files(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "missing.json")
