@@ -10,8 +10,8 @@ compare
     Diff two trace files on a shared horizon (currently the total-cost
     metric) and print per-run finals and the delta.
 oracle
-    Solve a small scenario by grid refinement and print the gap between
-    the oracle optimum and the engine's converged point.
+    Solve a scenario's post-event affine-model dispatch exactly and print
+    its gap to the engine's converged point (a linear-feedback run).
 lindump
     Debug aid: write the affine feeder-model pieces (A, B, c, d)
     of one feeder case as CSV files.
@@ -75,10 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--metric", default="total-cost")
 
     orc_p = sub.add_parser(
-        "oracle", help="grid-refined optimum vs the engine, small instances"
+        "oracle", help="exact affine-model optimum vs the engine's point"
     )
     orc_p.add_argument("scenario")
-    orc_p.add_argument("--resolution", type=float, default=1e-4)
 
     dump_p = sub.add_parser(
         "lindump", help="write one feeder's affine model pieces as CSVs"
@@ -124,13 +123,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = probe_oracle(scenario, resolution=args.resolution)
+    report = probe_oracle(scenario)
     print(f"oracle objective : {report.objective_oracle:.8f}")
     print(f"engine objective : {report.objective_engine:.8f}")
     print(f"relative gap     : {report.objective_gap_rel:.3e}")
     print(f"coordinate gap   : {report.coordinate_gap_inf:.3e}")
     print(f"engine violation : {report.engine_feasibility:.3e}")
-    print(f"grid evaluations : {report.evaluations}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Scenario loading, execution, comparison, and the brute-force oracle.
+"""Scenario loading, execution, comparison, and the exact oracle.
 
 A scenario JSON bundles everything one experiment needs: the transmission
 case, feeder cases with their host buses, voltage limits, solver
@@ -15,38 +15,41 @@ field, and so is a key the format does not name.
 
 ``compare_runs`` diffs two traces over a shared horizon — used to price
 DER participation against the baseline run that hides the balance price
-from users.  ``probe_oracle`` solves small instances (at most four free
-decision variables) by nested grid refinement over the affine feeder
-model and reports the gap to the engine's converged point.
+from users.  ``probe_oracle`` runs the engine on the affine feeder model,
+applies the run's events, solves that dispatch exactly
+(``exact_saddle``) and reports the gap to the engine's converged point.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .acpf import SlackAccount
+from .acpf import SlackAccount, slack_residual
 from .core import (
     DerCapacityScale,
     DispatchProblem,
+    DualState,
     EngineError,
     GeneratorOutage,
     PrimalState,
     SolveResult,
     SolverConfig,
+    _band_violation,
+    apply_event,
     build_problem,
     default_probes,
+    der_signals,
     initial_state,
+    measure,
     solve,
     total_cost,
 )
 from .market import run_market
-from .lindistflow import predict
 from .network import (
     CaseError,
     CoupledSystem,
@@ -77,6 +80,7 @@ __all__ = [
     "compare_runs",
     "OracleInfeasible",
     "OracleReport",
+    "exact_saddle",
     "probe_oracle",
 ]
 
@@ -524,176 +528,172 @@ def compare_runs(trace_a, trace_b, metric: str = "total-cost") -> ComparisonRepo
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# the exact oracle
 # ---------------------------------------------------------------------------
 
 class OracleInfeasible(RuntimeError):
-    """No grid point satisfied the constraints."""
+    """The affine-model dispatch has no certified optimum."""
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Grid-refined optimum and its gap to the engine's converged point."""
+    """The exact optimum and its gap to the engine's converged point."""
 
     objective_oracle: float
     objective_engine: float
     objective_gap_rel: float
     coordinate_gap_inf: float
-    engine_feasibility: float  # max constraint violation at the engine point
+    engine_feasibility: float  # the largest band violation at the engine point
     point_oracle: dict
     point_engine: dict
-    resolution: float
-    evaluations: int
 
 
-def probe_oracle(scenario: Scenario, resolution: float = 1e-4) -> OracleReport:
-    """Solve a small instance by nested grid refinement; gap to the engine.
+def exact_saddle(
+    problem: DispatchProblem, account: SlackAccount
+) -> tuple[PrimalState, DualState]:
+    """The optimum ``z*`` of the affine-model dispatch and its multipliers.
 
-    Works on the affine feeder model (the same one the engine prices
-    from).  The balance constraint eliminates the last free generator;
-    every remaining free variable is gridded, so the instance may have at
-    most four free decision variables in total.
+    Minimises ``sum(coef * z * z)`` over the boxes, subject to a zero
+    balance residual against ``account`` and the affine model's voltage
+    band: a strictly convex QP on the free coordinates (``hi > lo``, each
+    of which carries a cost).  A Mehrotra predictor-corrector interior
+    point (Nocedal & Wright, *Numerical Optimization*, ch. 16) identifies
+    the active rows, those whose multiplier exceeds their slack; one KKT
+    solve with them held as equalities gives the point exact to rounding,
+    and the engine's ``lambda`` and ``mu``.
+
+    The result is certified with the engine's pricing and measurement: the
+    projected-gradient residual, band violation, balance residual, negative
+    multipliers and complementarity ``mu * g(v)`` must each be at most
+    1e-10, or :class:`OracleInfeasible` is raised, as it is when the
+    iteration does not converge or meets a non-finite value.
     """
-    problem = build_problem(scenario.system, scenario.limits)
     N = problem.n_nodes
-
-    # the free coordinates of z = [p, q, P_M]; the last one, a generator,
-    # is eliminated by the balance constraint and the others are gridded
+    network = problem.network
+    limits, fixed = network.limits, network.fixed_injection
     free = np.flatnonzero(problem.hi > problem.lo)
-    if len(free) > 4:
-        raise ValueError(
-            f"instance has {len(free)} free decision variables; "
-            "the oracle handles at most 4"
-        )
-    if not len(free) or free[-1] < 2 * N:
-        raise ValueError("oracle needs at least one free generator to absorb "
-                         "the balance constraint")
-    elim = int(free[-1])
-    dims = free[:-1]
+    n = len(free)
+    # on the free coordinates x: the band v = v(pinned) + V x, V read as
+    # ``check_stepsize`` reads it, and the balance residual a x - b
+    V = np.zeros((N, len(problem.coef)))
+    for model in problem.models:
+        sl = model.span
+        V[sl, sl] = model.A
+        V[sl, N + sl.start : N + sl.stop] = model.B
+    V = V[:, free]
+    z = np.where(problem.hi > problem.lo, 0.0, problem.lo)
+    pinned = measure(problem, PrimalState(z, N), "linear")
+    a = ((free < N) | (free >= 2 * N)).astype(float)  # p and P_M
+    b = -slack_residual(account, fixed, z[2 * N :], pinned.P_L)
+    # G x <= h: upper-band rows, lower-band rows, then the finite box edges
+    lo, hi = problem.lo[free], problem.hi[free]
+    up, down = np.isfinite(hi), np.isfinite(lo)
+    G = np.vstack([V, -V, np.eye(n)[up], -np.eye(n)[down]])
+    h = np.concatenate([-_band_violation(limits, pinned.v), hi[up], -lo[down]])
+    H = 2.0 * problem.coef[free]
+    m = max(len(h), 1)
 
-    # affine pieces: total head draw and per-node voltages as functions of
-    # the gridded variables
-    fixed_inj = problem.network.fixed_injection
-    limits = problem.network.limits
-    P0 = scenario.slack_value if scenario.slack_mode == "explicit" else None
-    if P0 is None:
-        raise ValueError(
-            "oracle requires an explicit slack target "
-            "(scenario slack mode 'explicit')"
-        )
+    x, y, s, lam = np.zeros(n), 0.0, np.ones(len(h)), np.ones(len(h))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(100):
+                r_dual = H * x + a * y + G.T @ lam
+                r_bal = a @ x - b
+                r_band = G @ x + s - h
+                gap = float(s @ lam) / m
+                worst = max(_inf(r_dual), abs(r_bal), _inf(r_band))
+                if gap < 1e-14 and worst < 1e-12:
+                    break
+                D = lam / s
+                W = G.T @ (D[:, None] * G) + np.diag(H)
+                K = np.block([[W, a[:, None]], [a, 0.0]])
 
-    lo, hi = problem.lo[dims], problem.hi[dims]
+                def newton(r_comp):  # the step toward complementarity r_comp
+                    rhs = -r_dual - G.T @ (D * r_band - r_comp / s)
+                    sol = np.linalg.solve(K, np.append(rhs, -r_bal))
+                    ds = -r_band - G @ sol[:n]
+                    return sol[:n], sol[n], ds, -(r_comp + lam * ds) / s
 
-    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective and feasibility for an (m, ndim) batch of grid points."""
-        m = len(points)
-        z = np.zeros((m, len(problem.coef)))
-        z[:, dims] = points
-        p, q, P = z[:, :N], z[:, N : 2 * N], z[:, 2 * N :]
-        violation = np.zeros(m)
-        P_L = np.zeros(m)
-        for model in problem.models:
-            sl = model.span
-            v = model.c + p[:, sl] @ model.A.T + q[:, sl] @ model.B.T
-            violation = np.maximum(violation, np.max(v - limits.v_max, axis=1))
-            violation = np.maximum(violation, np.max(limits.v_min - v, axis=1))
-            # lossless head draw, as in ``predict``: a BLAS product with
-            # ones, not np.sum
-            P_L += model.d - p[:, sl] @ model.ones
-        z[:, elim] = P_L - fixed_inj - P0 - (np.sum(P, axis=1) - z[:, elim])
-        violation = np.maximum(violation, z[:, elim] - problem.hi[elim])
-        violation = np.maximum(violation, problem.lo[elim] - z[:, elim])
-        # summed per block, generators first, as ``total_cost`` sums
-        cost = problem.coef * z * z
-        objective = (
-            np.sum(cost[:, 2 * N :], axis=1)
-            + np.sum(cost[:, :N], axis=1)
-            + np.sum(cost[:, N : 2 * N], axis=1)
-        )
-        return objective, violation
+                dx, dy, ds, dlam = newton(s * lam)
+                alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+                shrunk = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
+                sigma = (shrunk / gap) ** 3
+                dx, dy, ds, dlam = newton(s * lam + ds * dlam - sigma * gap)
+                alpha = min(1.0, 0.99 * min(_max_step(s, ds), _max_step(lam, dlam)))
+                x, y = x + alpha * dx, y + alpha * dy
+                s, lam = s + alpha * ds, lam + alpha * dlam
+            else:
+                raise OracleInfeasible(f"no convergence in 100 steps: gap {gap:.3g}")
+            rows = np.flatnonzero(lam > s)
+            C = np.vstack([a, G[rows]])
+            K = np.block([[np.diag(H), C.T], [C, np.zeros((len(C), len(C)))]])
+            rhs = np.concatenate([np.zeros(n), [b], h[rows]])
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise OracleInfeasible(f"the interior point failed: {exc}") from exc
 
-    points_per_dim = 15
-    ndim = len(dims)
-    cur_lo, cur_hi = lo.copy(), hi.copy()
-    best_point = None
-    best_obj = math.inf
-    evaluations = 0
-    slack = 1e-9
-    while True:
-        axes = [np.linspace(cur_lo[d], cur_hi[d], points_per_dim) for d in range(ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij") if ndim else []
-        pts = (
-            np.stack([m.ravel() for m in mesh], axis=1)
-            if ndim
-            else np.zeros((1, 0))
-        )
-        obj, vio = evaluate(pts)
-        evaluations += len(pts)
-        feasible = vio <= slack
-        if not np.any(feasible):
-            if best_point is None:
-                raise OracleInfeasible(
-                    "no grid point satisfies the voltage and balance "
-                    "constraints"
-                )
-        else:
-            idx = int(np.argmin(np.where(feasible, obj, math.inf)))
-            if obj[idx] < best_obj:
-                best_obj = float(obj[idx])
-                best_point = pts[idx].copy()
-        spacing = (cur_hi - cur_lo) / (points_per_dim - 1) if ndim else np.zeros(0)
-        if ndim == 0 or np.all(spacing <= resolution):
-            break
-        center = best_point if best_point is not None else 0.5 * (cur_lo + cur_hi)
-        half = np.maximum(spacing * 2.0, resolution * 0.5)
-        cur_lo = np.clip(center - half, lo, hi)
-        cur_hi = np.clip(center + half, lo, hi)
+    z[free] = np.clip(sol[:n], lo, hi)
+    mu = np.zeros(2 * N)
+    band = rows < 2 * N
+    mu[rows[band]] = sol[n + 1 :][band]
+    xs, ys = PrimalState(z, N), DualState(lam=float(sol[n]), mu=mu)
 
-    if best_point is None:
-        raise OracleInfeasible("no feasible point found")
-
-    oracle = _full_point(problem, dims, best_point, elim, P0)
-
-    # engine's converged point on the same instance
-    run = run_scenario_in_memory(scenario, problem)
-    xe = run.x
-    engine_point = {
-        "p": [float(v) for v in xe.p],
-        "q": [float(v) for v in xe.q],
-        "P_M": [float(v) for v in xe.P_M],
+    meas = measure(problem, xs, "linear")
+    g = _band_violation(limits, meas.v)
+    grad = 2.0 * problem.coef * z + der_signals(network, ys)
+    certificate = {
+        "projected gradient": _inf(z - np.clip(z - grad, problem.lo, problem.hi)),
+        "band violation": float(np.max(g, initial=0.0)),
+        "balance residual": abs(slack_residual(account, fixed, xs.P_M, meas.P_L)),
+        "negative multiplier": -float(np.min(mu, initial=0.0)),
+        "complementarity": _inf(mu * g),
     }
-    eng_obj = total_cost(problem, xe)
-    coord_gap = float(np.max(np.abs(xe.z - oracle.z)))
+    for name, value in certificate.items():
+        if not value <= 1e-10:  # NaN fails too
+            raise OracleInfeasible(f"no certified optimum: {name} {value:.3g}")
+    return xs, ys
 
-    # feasibility of the engine point under the same model
-    _, eng_vio = evaluate(xe.z[dims].reshape(1, -1))
-    gap_rel = abs(eng_obj - best_obj) / max(1.0, abs(best_obj))
+
+def _inf(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """The longest step along ``dv`` that keeps ``v`` nonnegative."""
+    shrinking = dv < 0
+    return float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf))
+
+
+def probe_oracle(scenario: Scenario) -> OracleReport:
+    """The exact optimum of the scenario's dispatch; its gap to the engine.
+
+    Runs the scenario's engine on the affine feeder model (linear
+    feedback, the model the oracle solves), applies every event the run
+    fired to the compiled problem, in the driver loop's order, and solves
+    that problem against the run's own slack account (:func:`exact_saddle`).
+    """
+    linear = replace(scenario, config=replace(scenario.config, feedback="linear"))
+    problem = build_problem(scenario.system, scenario.limits)
+    run = run_scenario_in_memory(linear, problem)
+    for event in sorted(scenario.events, key=lambda event: event.iteration):
+        if event.iteration <= run.iterations:
+            problem, _ = apply_event(problem, run.x, event)
+    oracle, _ = exact_saddle(problem, run.account)
+    best, engine = total_cost(problem, oracle), total_cost(problem, run.x)
+    g = _band_violation(problem.network.limits, measure(problem, run.x, "linear").v)
     return OracleReport(
-        objective_oracle=best_obj,
-        objective_engine=eng_obj,
-        objective_gap_rel=gap_rel,
-        coordinate_gap_inf=coord_gap,
-        engine_feasibility=float(eng_vio[0]),
-        point_oracle={
-            "p": [float(v) for v in oracle.p],
-            "q": [float(v) for v in oracle.q],
-            "P_M": [float(v) for v in oracle.P_M],
-        },
-        point_engine=engine_point,
-        resolution=resolution,
-        evaluations=evaluations,
+        objective_oracle=best,
+        objective_engine=engine,
+        objective_gap_rel=abs(engine - best) / max(1.0, abs(best)),
+        coordinate_gap_inf=_inf(run.x.z - oracle.z),
+        engine_feasibility=float(np.max(g, initial=0.0)),
+        point_oracle=_point(oracle),
+        point_engine=_point(run.x),
     )
 
 
-def _full_point(problem, dims, point, elim, P0) -> PrimalState:
-    """The primal state at a grid point, the balance closed by ``elim``."""
-    z = np.zeros(len(problem.coef))
-    z[dims] = point
-    x = PrimalState(z, problem.n_nodes)
-    P_L = sum(predict(m, x.p[m.span], x.q[m.span])[1] for m in problem.models)
-    fixed = problem.network.fixed_injection
-    z[elim] = P_L - fixed - P0 - (float(np.sum(x.P_M)) - z[elim])
-    return x
+def _point(x: PrimalState) -> dict:
+    return {name: [float(v) for v in getattr(x, name)] for name in ("p", "q", "P_M")}
 
 
 def run_scenario_in_memory(

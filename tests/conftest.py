@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import tdcoopt
-from tdcoopt.core import PrimalState
+from tdcoopt.core import PrimalState, SolverConfig, build_problem, check_stepsize
+from tdcoopt.lindistflow import build_lindistflow, predict
 from tdcoopt.network import (
     Bus,
     CoupledSystem,
@@ -23,6 +25,7 @@ from tdcoopt.network import (
     VoltageLimits,
     attach_feeders,
 )
+from tdcoopt.scenario import Scenario
 
 PACKAGE_DIR = Path(tdcoopt.__file__).parent
 CASES_DIR = PACKAGE_DIR / "cases"
@@ -135,6 +138,113 @@ def make_system(
         for k in range(n_feeders)
     ]
     return attach_feeders(ts, feeders)
+
+
+def _fork_feeder(rng: np.random.Generator, der_nodes: dict, load: float,
+                 host_bus: int) -> DistributionFeeder:
+    """Trunk node 2 with sibling leaves 3 and 4, per-line impedance jitter.
+
+    The forked shape keeps the voltage rows of different nodes linearly
+    independent on the free variables, so a binding limit pins a unique
+    multiplier instead of a drifting ray.
+    """
+    nodes = tuple(
+        FeederNode(id=i, p_load=-load, q_load=-load * 0.5) for i in (2, 3, 4)
+    )
+    parents = {2: 1, 3: 2, 4: 2}
+    lines = tuple(
+        FeederLine(parent=parents[i], child=i, r=r_i,
+                   x=r_i * rng.uniform(0.4, 0.9))
+        for i, r_i in zip((2, 3, 4), rng.uniform(0.3, 0.7, size=3))
+    )
+    ders = tuple(
+        Der(node_id=nid, **spec) for nid, spec in sorted(der_nodes.items())
+    )
+    return DistributionFeeder(
+        feeder_id="rf",
+        host_bus_id=host_bus,
+        base_mva=100.0,
+        substation_id=1,
+        v0=1.0,
+        nodes=nodes,
+        lines=lines,
+        ders=ders,
+    )
+
+
+def random_small_instance(seed: int) -> Scenario:
+    """Acceptance criterion 4's instance ``seed`` (of 0-19): at most four
+    free variables; roughly half get a binding voltage cap.
+
+    The cap sits a fixed fraction below the corner voltage (full active
+    injection, full reactive absorption), which guarantees a few mp.u. of
+    violable overshoot: the binding multiplier then charges at a usable
+    rate instead of creeping for millions of iterations.
+    """
+    rng = np.random.default_rng(seed)
+    load = rng.uniform(0.15, 0.45)
+    der_kwargs = dict(
+        a_p=rng.uniform(0.5, 2.0),
+        a_q=rng.uniform(0.05, 0.3),
+        p_min=0.0,
+        p_max=rng.uniform(0.006, 0.02),
+    )
+    qcap = rng.uniform(0.001, 0.004)
+    if seed % 2 == 0:
+        gens = [(1, rng.uniform(0.4, 1.2)), (2, rng.uniform(0.4, 1.2))]
+        ders = {4: dict(der_kwargs, q_min=-qcap, q_max=qcap)}
+    else:
+        gens = [(1, rng.uniform(0.4, 1.2))]
+        ders = {
+            4: dict(der_kwargs, q_min=-qcap, q_max=qcap),
+            3: dict(a_p=rng.uniform(0.5, 2.0), a_q=1.0, p_min=0.0,
+                    p_max=rng.uniform(0.006, 0.02), q_min=0.0, q_max=0.0),
+        }
+    feeder = _fork_feeder(rng, ders, rng.uniform(5e-4, 2e-3), host_bus=7)
+    ts = make_ts(gens, load_bus=5, load=load, slack_bus=9, extra_buses=(7,))
+    ts = dataclasses.replace(
+        ts,
+        generators=tuple(
+            dataclasses.replace(g, p_max=load + 1.0) for g in ts.generators
+        ),
+    )
+    system = attach_feeders(ts, [feeder])
+    model = build_lindistflow(system.feeders[0])
+
+    u = rng.uniform()
+    theta = rng.uniform(0.4, 0.75)
+    wide = build_problem(system, VoltageLimits(0.9, 2.0))
+    v_zero, _ = predict(model, np.zeros(3), np.zeros(3))
+    n = wide.n_nodes
+    v_corner, _ = predict(model, wide.hi[:n], wide.lo[n : 2 * n])
+    span = float(v_corner.max() - v_zero.max())
+    if u < 0.5 and span > 8e-3:
+        v_max = float(v_corner.max() - theta * span)
+    else:
+        v_max = 1.05
+    limits = VoltageLimits(0.9, v_max)
+
+    problem = build_problem(system, limits)
+    eps = 0.9 * check_stepsize(problem, 0.0).eps_bound
+    cfg = SolverConfig(
+        eps=eps,
+        eta=0.0,
+        max_iter=150_000,
+        tol_primal=1e-8,
+        tol_dual=1e-8,
+        tol_balance=1e-8,
+    )
+    return Scenario(
+        name=f"oracle-rand-{seed}",
+        system=system,
+        limits=limits,
+        config=cfg,
+        engine="core",
+        events=(),
+        init_mode="setpoint",
+        slack_mode="explicit",
+        slack_value=0.0,
+    )
 
 
 # one JSON value of each kind a reader can meet, NaN, ±Infinity and an
