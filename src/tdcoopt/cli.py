@@ -10,8 +10,9 @@ compare
     Diff two trace files on a shared horizon (currently the total-cost
     metric) and print per-run finals and the delta.
 oracle
-    Solve a scenario's post-event affine-model dispatch exactly and print
-    its gap to the engine's converged point (a linear-feedback run).
+    Solve a scenario's post-event affine-model dispatch exactly; print its
+    gap to the engine's point and that linear-feedback run's status.  Exit
+    code 0 when the run converged, 2 when it hit the limit, 1 on any error.
 lindump
     Debug aid: write the affine feeder-model pieces (A, B, c, d)
     of one feeder case as CSV files.
@@ -124,12 +125,14 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
     report = probe_oracle(scenario)
+    status = "converged" if report.converged else "not-converged"
+    print(f"engine status    : {status} after {report.iterations} iterations")
     print(f"oracle objective : {report.objective_oracle:.8f}")
     print(f"engine objective : {report.objective_engine:.8f}")
     print(f"relative gap     : {report.objective_gap_rel:.3e}")
     print(f"coordinate gap   : {report.coordinate_gap_inf:.3e}")
     print(f"engine violation : {report.engine_feasibility:.3e}")
-    return 0
+    return 0 if report.converged else 2
 
 
 def _cmd_lindump(args) -> int:

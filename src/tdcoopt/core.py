@@ -93,6 +93,7 @@ __all__ = [
     "eval_lagrangian",
     "grad_primal",
     "grad_dual",
+    "kkt_residual",
     "total_cost",
     "check_stepsize",
     "StepsizeReport",
@@ -485,11 +486,6 @@ def der_signals(
     return prices
 
 
-def _band_violation(limits: VoltageLimits, v: np.ndarray) -> np.ndarray:
-    """Constraint values ``g(v)``: upper-band rows, then lower-band rows."""
-    return np.concatenate([v - limits.v_max, limits.v_min - v])
-
-
 def _dual_gradient(
     network: CompiledNetwork,
     y: DualState,
@@ -500,12 +496,14 @@ def _dual_gradient(
 ) -> tuple[float, np.ndarray, float]:
     """Partial gradients of L in (lambda, mu) at a measurement.
 
-    Returns ``(dlam, dmu, residual)``, where ``residual`` is the balance
-    residual in ``dlam`` (:func:`~tdcoopt.acpf.slack_residual`).  The one
-    copy of the dual gradient: :func:`dual_update` steps along it,
+    Returns ``(dlam, dmu, residual)``: ``dmu`` is the band ``g(v)`` less
+    ``eta * mu``, ``residual`` the balance residual in ``dlam``
+    (:func:`~tdcoopt.acpf.slack_residual`).  The one copy of ``g(v)`` and
+    the dual gradient: :func:`dual_update` steps along it,
     :func:`grad_dual` returns it.
     """
-    dmu = _band_violation(network.limits, measurement.v) - eta * y.mu
+    limits, v = network.limits, measurement.v
+    dmu = np.concatenate([v - limits.v_max, limits.v_min - v]) - eta * y.mu
     residual = slack_residual(account, network.fixed_injection, P_M, measurement.P_L)
     return residual - eta * y.lam, dmu, residual
 
@@ -571,12 +569,10 @@ def eval_lagrangian(
     account: SlackAccount = _ZERO_SLACK,
     eta: float = 0.0,
 ) -> float:
-    """The regularized Lagrangian, with the affine feeder model throughout."""
-    network = problem.network
-    meas = measure(problem, x, feedback="linear")
-    value = total_cost(problem, x)
-    value += float(y.mu @ _band_violation(network.limits, meas.v))
-    value += y.lam * slack_residual(account, network.fixed_injection, x.P_M, meas.P_L)
+    """The regularized Lagrangian, with the affine feeder model throughout;
+    each dual multiplies its constraint, :func:`grad_dual` at ``eta = 0``."""
+    balance, g = grad_dual(problem, x, y, account)
+    value = total_cost(problem, x) + float(y.mu @ g) + y.lam * balance
     if eta:
         value -= 0.5 * eta * (y.lam * y.lam + float(y.mu @ y.mu))
     return value
@@ -613,10 +609,25 @@ def grad_dual(
     default the affine model's at ``x``."""
     if measurement is None:
         measurement = measure(problem, x)
-    dlam, dmu, _ = _dual_gradient(
-        problem.network, y, measurement, x.P_M, account, eta
-    )
-    return dlam, dmu
+    return _dual_gradient(problem.network, y, measurement, x.P_M, account, eta)[:2]
+
+
+def kkt_residual(
+    problem: DispatchProblem, x: PrimalState, y: DualState, account: SlackAccount
+) -> dict[str, float]:
+    """The KKT residuals at ``(x, y)``, read from :func:`grad_primal` and
+    :func:`grad_dual` (the affine model, ``eta = 0``): each of the five is
+    zero exactly at a saddle of the ``eta = 0`` problem."""
+    grad = grad_primal(problem, x, y)
+    balance, g = grad_dual(problem, x, y, account)
+    projected = x.z - np.clip(x.z - grad, problem.lo, problem.hi)
+    return {
+        "projected gradient": _inf_norm(projected),
+        "band violation": float(np.max(g, initial=0.0)),
+        "balance residual": abs(balance),
+        "negative multiplier": -float(np.min(y.mu, initial=0.0)),
+        "complementarity": _inf_norm(y.mu * g),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +959,7 @@ def iteration_record(
 class SolveResult:
     """Final states, per-iteration records, and the stopping status.
 
+    ``problem`` is the one the last round stepped on, events applied.
     ``stepsize`` is the run's certificate (:func:`check_stepsize`), or
     ``None`` when the problem has neither generators nor DERs.
     """
@@ -958,6 +970,7 @@ class SolveResult:
     y: DualState
     records: Records
     account: SlackAccount
+    problem: DispatchProblem
     history: list[tuple[PrimalState, DualState]] | None = None
     stepsize: StepsizeReport | None = None
 
@@ -1104,6 +1117,7 @@ def run_rounds(
         y=y,
         records=records,
         account=account,
+        problem=problem,
         history=history,
         stepsize=report,
     )

@@ -16,8 +16,9 @@ field, and so is a key the format does not name.
 ``compare_runs`` diffs two traces over a shared horizon — used to price
 DER participation against the baseline run that hides the balance price
 from users.  ``probe_oracle`` runs the engine on the affine feeder model,
-applies the run's events, solves that dispatch exactly
-(``exact_saddle``) and reports the gap to the engine's converged point.
+solves the dispatch its last round stepped on exactly (``exact_saddle``,
+certified through :func:`~tdcoopt.core.kkt_residual`) and reports the
+gap to the engine's point, and whether the engine run converged.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acpf import SlackAccount, slack_residual
+from .acpf import SlackAccount
 from .core import (
     DerCapacityScale,
     DispatchProblem,
@@ -39,13 +40,11 @@ from .core import (
     PrimalState,
     SolveResult,
     SolverConfig,
-    _band_violation,
-    apply_event,
     build_problem,
     default_probes,
-    der_signals,
+    grad_dual,
     initial_state,
-    measure,
+    kkt_residual,
     solve,
     total_cost,
 )
@@ -537,15 +536,17 @@ class OracleInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """The exact optimum and its gap to the engine's converged point."""
+    """The exact optimum, its gap to the engine's point, its run's status."""
 
     objective_oracle: float
     objective_engine: float
-    objective_gap_rel: float
+    objective_gap_rel: float  # |engine - oracle| / oracle
     coordinate_gap_inf: float
     engine_feasibility: float  # the largest band violation at the engine point
     point_oracle: dict
     point_engine: dict
+    converged: bool
+    iterations: int
 
 
 def exact_saddle(
@@ -562,15 +563,12 @@ def exact_saddle(
     solve with them held as equalities gives the point exact to rounding,
     and the engine's ``lambda`` and ``mu``.
 
-    The result is certified with the engine's pricing and measurement: the
-    projected-gradient residual, band violation, balance residual, negative
-    multipliers and complementarity ``mu * g(v)`` must each be at most
+    The result is certified with the engine's own gradients: each of the
+    five residuals of :func:`~tdcoopt.core.kkt_residual` must be at most
     1e-10, or :class:`OracleInfeasible` is raised, as it is when the
     iteration does not converge or meets a non-finite value.
     """
     N = problem.n_nodes
-    network = problem.network
-    limits, fixed = network.limits, network.fixed_injection
     free = np.flatnonzero(problem.hi > problem.lo)
     n = len(free)
     # on the free coordinates x: the band v = v(pinned) + V x, V read as
@@ -581,15 +579,17 @@ def exact_saddle(
         V[sl, sl] = model.A
         V[sl, N + sl.start : N + sl.stop] = model.B
     V = V[:, free]
+    # the pinned point's balance residual and band values, read at zero duals
     z = np.where(problem.hi > problem.lo, 0.0, problem.lo)
-    pinned = measure(problem, PrimalState(z, N), "linear")
+    pinned, zero = PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
+    balance, g = grad_dual(problem, pinned, zero, account)
     a = ((free < N) | (free >= 2 * N)).astype(float)  # p and P_M
-    b = -slack_residual(account, fixed, z[2 * N :], pinned.P_L)
+    b = -balance
     # G x <= h: upper-band rows, lower-band rows, then the finite box edges
     lo, hi = problem.lo[free], problem.hi[free]
     up, down = np.isfinite(hi), np.isfinite(lo)
     G = np.vstack([V, -V, np.eye(n)[up], -np.eye(n)[down]])
-    h = np.concatenate([-_band_violation(limits, pinned.v), hi[up], -lo[down]])
+    h = np.concatenate([-g, hi[up], -lo[down]])
     H = 2.0 * problem.coef[free]
     m = max(len(h), 1)
 
@@ -637,18 +637,7 @@ def exact_saddle(
     band = rows < 2 * N
     mu[rows[band]] = sol[n + 1 :][band]
     xs, ys = PrimalState(z, N), DualState(lam=float(sol[n]), mu=mu)
-
-    meas = measure(problem, xs, "linear")
-    g = _band_violation(limits, meas.v)
-    grad = 2.0 * problem.coef * z + der_signals(network, ys)
-    certificate = {
-        "projected gradient": _inf(z - np.clip(z - grad, problem.lo, problem.hi)),
-        "band violation": float(np.max(g, initial=0.0)),
-        "balance residual": abs(slack_residual(account, fixed, xs.P_M, meas.P_L)),
-        "negative multiplier": -float(np.min(mu, initial=0.0)),
-        "complementarity": _inf(mu * g),
-    }
-    for name, value in certificate.items():
+    for name, value in kkt_residual(problem, xs, ys, account).items():
         if not value <= 1e-10:  # NaN fails too
             raise OracleInfeasible(f"no certified optimum: {name} {value:.3g}")
     return xs, ys
@@ -668,27 +657,28 @@ def probe_oracle(scenario: Scenario) -> OracleReport:
     """The exact optimum of the scenario's dispatch; its gap to the engine.
 
     Runs the scenario's engine on the affine feeder model (linear
-    feedback, the model the oracle solves), applies every event the run
-    fired to the compiled problem, in the driver loop's order, and solves
-    that problem against the run's own slack account (:func:`exact_saddle`).
+    feedback, the model the oracle solves) and solves the problem its last
+    round stepped on against its own slack account (:func:`exact_saddle`).
+    The report says whether that run converged; the relative gap is
+    infinite where only the engine's point has a cost.
     """
     linear = replace(scenario, config=replace(scenario.config, feedback="linear"))
-    problem = build_problem(scenario.system, scenario.limits)
-    run = run_scenario_in_memory(linear, problem)
-    for event in sorted(scenario.events, key=lambda event: event.iteration):
-        if event.iteration <= run.iterations:
-            problem, _ = apply_event(problem, run.x, event)
+    run = run_scenario_in_memory(linear)
+    problem = run.problem
     oracle, _ = exact_saddle(problem, run.account)
     best, engine = total_cost(problem, oracle), total_cost(problem, run.x)
-    g = _band_violation(problem.network.limits, measure(problem, run.x, "linear").v)
+    gap = abs(engine - best)
+    residual = kkt_residual(problem, run.x, run.y, run.account)
     return OracleReport(
         objective_oracle=best,
         objective_engine=engine,
-        objective_gap_rel=abs(engine - best) / max(1.0, abs(best)),
+        objective_gap_rel=gap / best if best else (np.inf if gap else 0.0),
         coordinate_gap_inf=_inf(run.x.z - oracle.z),
-        engine_feasibility=float(np.max(g, initial=0.0)),
+        engine_feasibility=residual["band violation"],
         point_oracle=_point(oracle),
         point_engine=_point(run.x),
+        converged=run.converged,
+        iterations=run.iterations,
     )
 
 

@@ -998,6 +998,21 @@ def test_problem_can_be_reused_after_an_event_run(limits):
     assert again.y.lam == fresh.y.lam
 
 
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_the_result_holds_the_problem_its_last_round_stepped_on(limits, engine):
+    system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(system, limits)
+    cfg = SolverConfig(eps=0.01, max_iter=30)
+    run = solve if engine == "core" else run_market
+    assert run(problem, cfg).problem is problem
+
+    res = run(problem, cfg, events=(GeneratorOutage(iteration=20, bus_id=2),))
+    tripped = 2 * problem.n_nodes + 1  # the generator at bus 2
+    assert res.problem.lo[tripped] == res.problem.hi[tripped] == 0.0
+    assert problem.hi[tripped] > 0.0  # the caller's copy keeps its box
+    assert res.problem.network is problem.network
+
+
 def test_default_probes_pick_deepest_node(limits):
     problem = build_problem(make_system(n_feeders=2), limits)
     assert default_probes(problem) == (2, 2)  # last node of each chain

@@ -7,6 +7,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -631,6 +632,47 @@ def test_probe_oracle_infeasible(tmp_path):
         probe_oracle(load_scenario(path))
 
 
+def test_probe_oracle_reports_an_unconverged_run(tmp_path):
+    # 100 rounds at eps 0.02 leave the engine far from the optimum: its
+    # gaps measure an unfinished iteration, and the report says so
+    report = probe_oracle(load_scenario(write_scenario(tmp_path)))
+    assert not report.converged
+    assert report.iterations == 100
+    assert report.objective_gap_rel > 0.1
+
+
+def test_probe_oracle_gap_is_relative_to_the_optimum():
+    # oracle_demo's optimum costs 0.840093, under 1: the gap is still
+    # divided by it
+    report = probe_oracle(load_scenario(SCENARIOS_DIR / "oracle_demo.json"))
+    assert report.converged and report.iterations < 50000
+    assert report.objective_oracle == pytest.approx(0.840093, abs=1e-6)
+    gap = abs(report.objective_engine - report.objective_oracle)
+    assert report.objective_gap_rel == gap / report.objective_oracle
+
+
+def test_probe_oracle_gap_at_a_zero_cost_optimum(tmp_path):
+    # with no load anywhere the optimum generates nothing and costs
+    # nothing: the gap is infinite unless the engine's point is free too
+    ts = network.parse_case((CASES_DIR / "gen2.json").read_text())
+    idle = dataclasses.replace(
+        ts, buses=tuple(dataclasses.replace(b, p0=0.0) for b in ts.buses)
+    )
+    case_path = tmp_path / "idle.json"
+    case_path.write_text(serialize_case(idle))
+    patch = {"transmission": str(case_path), "feeders": []}
+    stopped = probe_oracle(
+        load_scenario(write_scenario(tmp_path, {**patch, "config": {"max_iter": 5}}))
+    )
+    assert stopped.objective_oracle == 0.0 < stopped.objective_engine
+    assert stopped.objective_gap_rel == math.inf
+    at_rest = probe_oracle(
+        load_scenario(write_scenario(tmp_path, {**patch, "init": {"P_M": [0.0, 0.0]}}))
+    )
+    assert at_rest.objective_oracle == at_rest.objective_engine == 0.0
+    assert at_rest.objective_gap_rel == 0.0
+
+
 def _dispatch(name):
     """A compiled problem and its balance target: criterion 4's instance
     ``name``, ``oracle_demo``, or ``default`` after its events, against the
@@ -668,6 +710,54 @@ def test_exact_saddle_meets_the_kkt_conditions(name):
     assert abs(balance) <= 1e-10
     assert np.min(y.mu) >= -1e-10
     assert np.max(np.abs(y.mu * g)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "broken",
+    ["projected gradient", "band violation", "balance residual",
+     "negative multiplier", "complementarity"],
+)
+def test_kkt_residual_breaking_one_condition_moves_only_its_entry(broken):
+    # at oracle_demo's saddle no band binds, the one DER's p sits at its
+    # cap and its q and both generators are interior
+    problem, account = _dispatch("oracle_demo")
+    x, y = exact_saddle(problem, account)
+    assert max(core.kkt_residual(problem, x, y, account).values()) <= 1e-10
+    N = problem.n_nodes
+    v = core.measure(problem, x).v
+    top = int(np.argmax(v))
+    z, lam, mu = x.z.copy(), y.lam, y.mu.copy()
+    gens = slice(2 * N, None)
+
+    def capped(problem, v_max):
+        limits = network.VoltageLimits(problem.network.limits.v_min, v_max)
+        return dataclasses.replace(
+            problem, network=dataclasses.replace(problem.network, limits=limits)
+        )
+
+    if broken == "projected gradient":  # the price moves, the dispatch stays
+        lam += 1e-3
+    elif broken == "balance residual":  # the generators follow the price
+        lam += 1e-3
+        z[gens] = -lam / (2.0 * problem.coef[gens])
+    elif broken == "band violation":  # a cap under the top voltage
+        problem = capped(problem, v[top] - 1e-3)
+    elif broken == "complementarity":
+        # both rows of one node priced alike: the prices read only their
+        # difference, so they do not move
+        mu[[top, N + top]] = 1e-3
+    else:
+        # a negative multiplier on a row that sits on its edge, with the
+        # DER's q, the only free coordinate its price would move, pinned
+        lo, hi = problem.lo.copy(), problem.hi.copy()
+        q = N + np.flatnonzero(hi[N : 2 * N] > lo[N : 2 * N])
+        lo[q] = hi[q] = z[q]
+        problem = dataclasses.replace(capped(problem, v[top]), lo=lo, hi=hi)
+        mu[top] = -1e-3
+    after = core.kkt_residual(
+        problem, core.PrimalState(z, N), core.DualState(lam, mu), account
+    )
+    assert {name for name, value in after.items() if value > 1e-10} == {broken}
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +882,14 @@ def test_cli_oracle(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "relative gap" in out
+
+
+def test_cli_oracle_unconverged_run_exit_2(tmp_path, capsys):
+    code = main(["oracle", str(write_scenario(tmp_path))])
+    assert code == 2
+    assert "engine status    : not-converged after 100 iterations" in (
+        capsys.readouterr().out
+    )
 
 
 def test_cli_lindump(tmp_path, capsys):
