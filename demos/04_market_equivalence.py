@@ -25,8 +25,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "tdcoopt" / "scenarios
 def main() -> None:
     sc = load_scenario(SCENARIOS / "default.json")
     cfg = dataclasses.replace(
-        sc.config, max_iter=300, tol_primal=0.0, tol_dual=0.0,
-        tol_balance=0.0, record_state=True,
+        sc.config, max_iter=300, tol=0.0, record_state=True,
     )
     core = run_scenario_in_memory(
         dataclasses.replace(sc, config=cfg, engine="core")

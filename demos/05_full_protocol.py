@@ -50,10 +50,7 @@ def main() -> None:
     base = load_scenario(SCENARIOS / "default_baseline.json")
     base = dataclasses.replace(
         base,
-        config=dataclasses.replace(
-            base.config, max_iter=res.iterations,
-            tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
-        ),
+        config=dataclasses.replace(base.config, max_iter=res.iterations, tol=0.0),
     )
     print(f"\nrunning {base.name!r} at the matched horizon ...")
     art_base = run_scenario(base, out)

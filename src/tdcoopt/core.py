@@ -176,19 +176,17 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepsize, regularization, stopping rules, and feedback source.
+    """Stepsize, regularization, stopping rule, and feedback source.
 
-    The run stops once all three normalized residuals are below their
-    tolerances: primal and dual step infinity-norms divided by the
-    stepsize, and the absolute balance residual.
+    The run stops once all three residuals are below ``tol``: the primal
+    and dual step infinity-norms divided by the stepsize, and the
+    absolute balance residual.
     """
 
     eps: float = 5e-4
     eta: float = 0.0
     max_iter: int = 20000
-    tol_primal: float = 1e-6
-    tol_dual: float = 1e-6
-    tol_balance: float = 1e-6
+    tol: float = 1e-6
     feedback: str = "linear"  # one of FEEDBACK_MODES
     zero_lambda_to_ders: bool = False  # baseline: hide the price from DERs
     divergence_limit: float = 1e6
@@ -203,11 +201,8 @@ class SolverConfig:
             raise ValueError(
                 f"max_iter must be a nonnegative integer, got {self.max_iter!r}"
             )
-        for name in ("tol_primal", "tol_dual", "tol_balance"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}"
-                )
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
         if not self.divergence_limit > 0:
             raise ValueError(
                 f"divergence_limit must be positive, got {self.divergence_limit}"
@@ -497,15 +492,31 @@ def _dual_gradient(
     """Partial gradients of L in (lambda, mu) at a measurement.
 
     Returns ``(dlam, dmu, residual)``: ``dmu`` is the band ``g(v)`` less
-    ``eta * mu``, ``residual`` the balance residual in ``dlam``
-    (:func:`~tdcoopt.acpf.slack_residual`).  The one copy of ``g(v)`` and
-    the dual gradient: :func:`dual_update` steps along it,
-    :func:`grad_dual` returns it.
+    ``eta * mu``, ``dlam`` and ``residual`` are :func:`_balance`'s.  The
+    one copy of ``g(v)`` and the dual gradient: :func:`dual_update` steps
+    along it, :func:`grad_dual` returns it.
     """
     limits, v = network.limits, measurement.v
     dmu = np.concatenate([v - limits.v_max, limits.v_min - v]) - eta * y.mu
+    dlam, residual = _balance(network, y.lam, measurement, P_M, account, eta)
+    return dlam, dmu, residual
+
+
+def _balance(
+    network: CompiledNetwork,
+    lam: float,
+    measurement: Measurement,
+    P_M: np.ndarray,
+    account: SlackAccount,
+    eta: float,
+) -> tuple[float, float]:
+    """``(residual - eta * lam, residual)``: the partial gradient of L in
+    ``lambda`` and the balance residual it holds
+    (:func:`~tdcoopt.acpf.slack_residual`) at a measurement.  The one copy
+    of the balance residual: every round, round 0 included, reads it here.
+    """
     residual = slack_residual(account, network.fixed_injection, P_M, measurement.P_L)
-    return residual - eta * y.lam, dmu, residual
+    return residual - eta * lam, residual
 
 
 def dual_update(
@@ -532,10 +543,7 @@ def dual_update(
         mu_new = kernels.mu_step(
             y.mu, measurement.v, limits.v_min, limits.v_max, eps, eta
         )
-        residual = slack_residual(
-            account, network.fixed_injection, P_M, measurement.P_L
-        )
-        dlam = residual - eta * y.lam
+        dlam, residual = _balance(network, y.lam, measurement, P_M, account, eta)
     return DualState(lam=y.lam + eps * dlam, mu=mu_new), residual
 
 
@@ -672,7 +680,7 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
     N = problem.n_nodes
     xdim = len(problem.coef)
     dim = xdim + 2 * N + 1
-    models = problem.models
+    network, models = problem.network, problem.models
     curvature = 2.0 * problem.coef
     # build_problem leaves coef zero exactly where no DER sits
     moduli = curvature[problem.coef > 0]
@@ -681,18 +689,6 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
     s = float(np.min(moduli))
     if eta > 0:
         s = min(s, eta)
-
-    def couple(y: np.ndarray) -> np.ndarray:
-        """``C y``: y holds upper-band mu, lower-band mu, then lambda."""
-        w = y[:N] - y[N : 2 * N]
-        lam = y[-1]
-        out = np.empty(xdim)
-        for model in models:
-            sl = model.span
-            out[sl] = model.A @ w[sl] + lam
-            out[N + sl.start : N + sl.stop] = model.B @ w[sl]
-        out[2 * N :] = lam
-        return out
 
     def couple_t(x: np.ndarray) -> np.ndarray:
         """``C' x``: x holds p, q, then P_M."""
@@ -710,11 +706,13 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
         return out
 
     def gram(z: np.ndarray) -> np.ndarray:
-        """``F' F z``."""
+        """``F' F z``.  ``C y`` is the round's prices (:func:`der_signals`)
+        of the duals ``y`` holds: upper-band mu, lower-band mu, then lambda."""
         x, y = z[:xdim], z[xdim:]
-        fx = curvature * x + couple(y)
+        fx = curvature * x + der_signals(network, DualState(y[-1], y[: 2 * N]))
         fy = eta * y - couple_t(x)
-        return np.concatenate([curvature * fx - couple(fy), couple_t(fx) + eta * fy])
+        c_fy = der_signals(network, DualState(fy[-1], fy[: 2 * N]))
+        return np.concatenate([curvature * fx - c_fy, couple_t(fx) + eta * fy])
 
     # a seeded random start: the all-ones vector can be orthogonal to the
     # top singular vector when feeders are laid out symmetrically.  The
@@ -1043,10 +1041,9 @@ def run_rounds(
     records = Records(problem.n_generators, len(problem.models))
     try:
         meas = measure(problem, x, feedback=cfg.feedback, iteration=0)
-        fixed = problem.network.fixed_injection
         if account is None:
-            account = record_slack(fixed, x.P_M, meas.P_L)
-        residual = slack_residual(account, fixed, x.P_M, meas.P_L)
+            account = record_slack(problem.network.fixed_injection, x.P_M, meas.P_L)
+        residual = _balance(problem.network, y.lam, meas, x.P_M, account, cfg.eta)[1]
         signals = der_signals(problem.network, y, cfg.zero_lambda_to_ders)
 
         iteration_record(
@@ -1099,9 +1096,9 @@ def run_rounds(
             # never stop while scheduled events are still ahead: the run must
             # reach and absorb every perturbation before it can count as done
             if (
-                step_primal < cfg.tol_primal
-                and step_dual < cfg.tol_dual
-                and abs(outcome.balance_residual) < cfg.tol_balance
+                step_primal < cfg.tol
+                and step_dual < cfg.tol
+                and abs(outcome.balance_residual) < cfg.tol
                 and all(event.iteration <= t for event in events)
             ):
                 status = "converged"

@@ -42,6 +42,7 @@ from .core import (
     SolverConfig,
     build_problem,
     default_probes,
+    der_signals,
     grad_dual,
     initial_state,
     kkt_residual,
@@ -93,8 +94,8 @@ _CONFIG_READERS = {"int": integer, "float": real, "bool": flag, "str": text}
 # (config's are SolverConfig's fields, and probes' are feeder ids)
 _KEYS = {
     "top": frozenset({
-        "name", "transmission", "feeders", "limits", "engine", "feedback",
-        "config", "init", "slack", "events", "probes", "seed",
+        "name", "transmission", "feeders", "limits", "engine", "config",
+        "init", "slack", "events", "probes", "seed",
     }),
     "feeders": frozenset({"case", "host_bus"}),
     "limits": frozenset({"v_min", "v_max"}),
@@ -184,7 +185,6 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
         raise ScenarioError(f"{name}: {exc}") from exc
 
     cfg_raw = {
-        "feedback": raw.get("feedback", "linear"),
         **section(raw, "config", name, {}),
         **{k: overrides[k] for k in ("max_iter", "eps", "eta", "feedback") if k in overrides},
     }
@@ -382,9 +382,7 @@ def _run_header(scenario: Scenario) -> dict:
             "eps": scenario.config.eps,
             "eta": scenario.config.eta,
             "max_iter": scenario.config.max_iter,
-            "tol_primal": scenario.config.tol_primal,
-            "tol_dual": scenario.config.tol_dual,
-            "tol_balance": scenario.config.tol_balance,
+            "tol": scenario.config.tol,
             "zero_lambda_to_ders": scenario.config.zero_lambda_to_ders,
         },
     }
@@ -571,19 +569,19 @@ def exact_saddle(
     N = problem.n_nodes
     free = np.flatnonzero(problem.hi > problem.lo)
     n = len(free)
-    # on the free coordinates x: the band v = v(pinned) + V x, V read as
-    # ``check_stepsize`` reads it, and the balance residual a x - b
-    V = np.zeros((N, len(problem.coef)))
-    for model in problem.models:
-        sl = model.span
-        V[sl, sl] = model.A
-        V[sl, N + sl.start : N + sl.stop] = model.B
-    V = V[:, free]
     # the pinned point's balance residual and band values, read at zero duals
     z = np.where(problem.hi > problem.lo, 0.0, problem.lo)
     pinned, zero = PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
     balance, g = grad_dual(problem, pinned, zero, account)
-    a = ((free < N) | (free >= 2 * N)).astype(float)  # p and P_M
+    # on the free coordinates x: the band v = v(pinned) + V x and the
+    # balance residual a x - b.  A row of V is the round's prices
+    # (``der_signals``) of a unit upper-band multiplier, ``a`` those of a
+    # unit lambda
+    unit = np.eye(2 * N)
+    V = np.array(
+        [der_signals(problem.network, replace(zero, mu=unit[i]))[free] for i in range(N)]
+    ).reshape(N, n)
+    a = der_signals(problem.network, replace(zero, lam=1.0))[free]
     b = -balance
     # G x <= h: upper-band rows, lower-band rows, then the finite box edges
     lo, hi = problem.lo[free], problem.hi[free]

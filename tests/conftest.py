@@ -230,9 +230,7 @@ def random_small_instance(seed: int) -> Scenario:
         eps=eps,
         eta=0.0,
         max_iter=150_000,
-        tol_primal=1e-8,
-        tol_dual=1e-8,
-        tol_balance=1e-8,
+        tol=1e-8,
     )
     return Scenario(
         name=f"oracle-rand-{seed}",

@@ -88,10 +88,9 @@ def test_solver_config_validation():
     for bad in (2.5, 3.0, True, "7"):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=bad)
-    for name in ("tol_primal", "tol_dual", "tol_balance"):
-        for bad in (-1e-9, math.nan):
-            with pytest.raises(ValueError, match=name):
-                SolverConfig(**{name: bad})
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=bad)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="divergence_limit"):
             SolverConfig(divergence_limit=bad)
@@ -101,8 +100,8 @@ def test_solver_config_validation():
 
 def test_solver_config_allows_zero_tolerances():
     # zero tolerances force a fixed-horizon run (used by run comparisons)
-    cfg = SolverConfig(tol_primal=0.0, tol_dual=0.0, tol_balance=0.0)
-    assert cfg.tol_primal == 0.0
+    cfg = SolverConfig(tol=0.0)
+    assert cfg.tol == 0.0
 
 
 def test_project_box():
@@ -782,8 +781,7 @@ def test_apply_unknown_event(limits):
 def test_solve_two_generator_dispatch():
     # [DERIVED] closed form for demand 2: P = (1.2, 0.8), price -2.4
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
-    cfg = SolverConfig(eps=0.05, max_iter=20000, tol_primal=1e-10,
-                       tol_dual=1e-10, tol_balance=1e-10)
+    cfg = SolverConfig(eps=0.05, max_iter=20000, tol=1e-10)
     res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
     assert res.converged
     np.testing.assert_allclose(res.x.P_M, [1.2, 0.8], atol=1e-6)
@@ -818,8 +816,7 @@ def test_solve_builds_no_start_when_both_are_given(monkeypatch):
 
 def test_records_cover_every_iteration():
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
-    cfg = SolverConfig(eps=0.05, max_iter=50, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.05, max_iter=50, tol=0.0)
     res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
     assert res.status == "not-converged" and res.iterations == 50
     assert [r.iteration for r in res.records] == list(range(51))
@@ -940,8 +937,7 @@ def test_solve_waits_for_scheduled_events():
     # tolerances alone would stop the run near iteration 450; a scheduled
     # outage at 3000 must keep it going, fire, and re-converge
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
-    cfg = SolverConfig(eps=0.05, max_iter=20000, tol_primal=1e-10,
-                       tol_dual=1e-10, tol_balance=1e-10)
+    cfg = SolverConfig(eps=0.05, max_iter=20000, tol=1e-10)
     res = solve(
         problem, cfg,
         account=SlackAccount(P0_slack=0.0),
@@ -960,8 +956,7 @@ def test_solve_waits_for_scheduled_events():
 def test_solve_logs_stepsize_advisory(caplog, engine):
     # both engines share the driver loop that checks the stepsize
     problem = dispatch_only([(1, 1.0)])
-    cfg = SolverConfig(eps=0.9, max_iter=1, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.9, max_iter=1, tol=0.0)
     account = SlackAccount(P0_slack=0.0)
     with caplog.at_level(logging.INFO, logger="tdcoopt.core"):
         if engine == "core":
@@ -977,8 +972,7 @@ def test_problem_can_be_reused_after_an_event_run(limits):
     system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
     problem = build_problem(system, limits)
     arrays = {name: getattr(problem, name).copy() for name in ("coef", "lo", "hi")}
-    cfg = SolverConfig(eps=0.01, max_iter=80, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=80, tol=0.0)
     events = (
         GeneratorOutage(iteration=20, bus_id=2),
         DerCapacityScale(iteration=20, factor=2.0),
@@ -1032,8 +1026,7 @@ def test_solve_with_voltage_constraint(limits):
     problem = build_problem(system, tight)
     # at eta = 0 an active constraint leaves a small projection-induced
     # limit cycle, so the band and the stopping rule get 1e-3 headroom
-    cfg = SolverConfig(eps=0.02, eta=0.0, max_iter=60000, tol_primal=1e-3,
-                       tol_dual=1e-3, tol_balance=1e-3)
+    cfg = SolverConfig(eps=0.02, eta=0.0, max_iter=60000, tol=1e-3)
     res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
     assert res.converged
     v = measure(problem, res.x, feedback="linear").v

@@ -1,13 +1,17 @@
-"""The documented commands work: the README's CLI block and the demos.
+"""The documented commands work: the README's CLI block, the demos and
+the scenario format's example.
 
 Every ``tdcoopt`` line of the README's command-line block runs through
 ``cli.main`` in a scratch directory, the full ``default.json`` run
 (~1.5 s) included.  Every demo runs in a scratch directory too; demo 05
-makes two full runs (~4 s).
+makes two full runs (~4 s).  The example file of
+``docs/scenario_format.md`` loads, its case paths read as the shipped
+scenarios' are.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import runpy
 import shlex
@@ -16,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from tdcoopt.cli import main
+from tdcoopt.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "tdcoopt" / "scenarios"
 
 
 def readme_commands() -> list[list[str]]:
@@ -62,3 +68,20 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # demo 05 writes its runs into ./runs/
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_scenario_format_example_loads(tmp_path):
+    text = (ROOT / "docs" / "scenario_format.md").read_text()
+    block = re.search(r"```json\n(.*?)```", text, re.S)
+    assert block, "the scenario format lost its example"
+    raw = json.loads(block.group(1))
+    # the example's case paths are relative to the shipped scenarios
+    raw["transmission"] = str(SCENARIOS / raw["transmission"])
+    for entry in raw["feeders"]:
+        entry["case"] = str(SCENARIOS / entry["case"])
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(raw))
+    sc = load_scenario(path)
+    assert (sc.name, sc.engine, sc.config.feedback) == ("default", "core", "ac")
+    assert sc.config.tol == 0.001
+    assert len(sc.events) == 2 and sc.probes == {"case33bw": 18}

@@ -114,8 +114,7 @@ def test_agents_follow_the_events_of_the_problem(events):
     N = problem.n_nodes
     x0 = primal(problem.hi[:N], problem.hi[N : 2 * N], x0.P_M)
     for max_iter in (3, 6):
-        cfg = SolverConfig(eps=0.01, max_iter=max_iter, tol_primal=0.0,
-                           tol_dual=0.0, tol_balance=0.0)
+        cfg = SolverConfig(eps=0.01, max_iter=max_iter, tol=0.0)
         core_x = solve(problem, cfg, x0=x0, events=events).x
         market_x = run_market(problem, cfg, x0=x0, events=events).x
         np.testing.assert_array_equal(market_x.p, core_x.p)
@@ -139,8 +138,7 @@ def test_market_steps_from_a_start_outside_the_boxes():
     x0 = primal(p, q, x0.P_M)
     assert np.all(p[der] > problem.hi[:N][der])
     assert np.all(q[der] < problem.lo[N : 2 * N][der])
-    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol=0.0)
     core_res = solve(problem, cfg, x0=x0)
     market_res = run_market(problem, cfg, x0=x0)
     assert market_res.records == core_res.records
@@ -156,8 +154,7 @@ def test_market_starts_from_x0_as_given():
     p = x0.p.copy()
     p[0] = 0.05
     x0 = primal(p, x0.q, x0.P_M)
-    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol=0.0)
     core_res = solve(problem, cfg, x0=x0)
     market_res = run_market(problem, cfg, x0=x0)
     assert market_res.records == core_res.records
@@ -181,8 +178,7 @@ def test_market_starts_from_x0_as_given():
 def test_gradient_mode_matches_centralized_engine(feedback, events):
     # identical rounds, identical arithmetic: every iterate must agree to
     # the last bit (1e-12 leaves room only for float noise, none expected)
-    cfg = SolverConfig(eps=0.01, eta=0.0, max_iter=120, tol_primal=0.0,
-                       tol_dual=0.0, tol_balance=0.0, feedback=feedback,
+    cfg = SolverConfig(eps=0.01, eta=0.0, max_iter=120, tol=0.0, feedback=feedback,
                        record_state=True)
     system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
     problem = build_problem(system, LIMITS)
@@ -244,7 +240,7 @@ def drawn_runs(draw):
     eps = draw(st.floats(0.01, 40.0)) * check_stepsize(problem, eta).eps_bound
     cfg = SolverConfig(
         eps=eps, eta=eta, max_iter=draw(st.integers(20, 150)),
-        tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+        tol=0.0,
         feedback=draw(st.sampled_from(["linear", "ac"])),
         zero_lambda_to_ders=draw(st.booleans()),
     )
@@ -304,8 +300,7 @@ def test_market_roster_comes_from_the_compiled_problem(feedback):
     )
     assert [der.node_id for der in system.feeders[0].ders] == [4, 3, 2]
     problem = build_problem(system, LIMITS)
-    cfg = SolverConfig(eps=0.01, max_iter=20, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0, feedback=feedback)
+    cfg = SolverConfig(eps=0.01, max_iter=20, tol=0.0, feedback=feedback)
     bus = MessageBus(record=True)
     market_res = run_market(problem, cfg, bus=bus)
 
@@ -335,8 +330,7 @@ def test_best_response_reaches_the_same_saddle():
     problem = build_problem(
         make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
     )
-    cfg = SolverConfig(eps=0.02, max_iter=30000, tol_primal=1e-8,
-                       tol_dual=1e-8, tol_balance=1e-8)
+    cfg = SolverConfig(eps=0.02, max_iter=30000, tol=1e-8)
     grad = run_market(problem, cfg, mode="gradient")
     br = run_market(problem, cfg, mode="best-response")
     assert grad.converged and br.converged
@@ -348,8 +342,7 @@ def test_best_response_reaches_the_same_saddle():
 def test_best_response_fixpoint_is_box_clamped_optimum():
     system = make_system(n_feeders=1)
     problem = build_problem(system, LIMITS)
-    cfg = SolverConfig(eps=0.02, max_iter=30000, tol_primal=1e-9,
-                       tol_dual=1e-9, tol_balance=1e-9)
+    cfg = SolverConfig(eps=0.02, max_iter=30000, tol=1e-9)
     res = run_market(problem, cfg, mode="best-response")
     assert res.converged
 
@@ -383,8 +376,7 @@ def test_round_message_counts():
     # 2 DERs per feeder, 2 generators
     problem = build_problem(make_system(n_feeders=2), LIMITS)
     bus = MessageBus(record=True)
-    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol=0.0)
     run_market(problem, cfg, bus=bus)
     assert bus.counts(0) == {"signal-broadcast": 1}
     for t in (1, 2, 3):
@@ -403,8 +395,7 @@ def test_a_bus_that_does_not_record_carries_no_observer_messages():
     problem = build_problem(make_system(n_feeders=2), LIMITS)
     kinds = []
     bus = MessageBus(drop=lambda m: kinds.append(m.kind))  # drops nothing
-    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol=0.0)
     run_market(problem, cfg, bus=bus)
     assert set(kinds) == {"signal-broadcast", "setpoint-report"}
     assert len(kinds) == 1 + 3 * (6 + 1)  # 4 users + 2 generators
@@ -413,8 +404,7 @@ def test_a_bus_that_does_not_record_carries_no_observer_messages():
 def test_bus_keeps_only_the_current_round():
     problem = build_problem(make_system(n_feeders=2), LIMITS)
     bus = MessageBus()
-    cfg = SolverConfig(eps=0.01, max_iter=3, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=3, tol=0.0)
     run_market(problem, cfg, bus=bus)
     for kind in ("setpoint-report", "pf-result", "dual-update",
                  "signal-broadcast"):
@@ -428,8 +418,7 @@ def test_bus_keeps_only_the_current_round():
 def test_journal_is_json_dumpable_and_private():
     problem = build_problem(make_system(n_feeders=1), LIMITS)
     bus = MessageBus(record=True)
-    cfg = SolverConfig(eps=0.01, max_iter=2, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0)
+    cfg = SolverConfig(eps=0.01, max_iter=2, tol=0.0)
     run_market(problem, cfg, bus=bus)
     dump = json.dumps([m.to_jsonable() for m in bus.journal])
     # no private cost or capacity field ever crosses the bus
@@ -566,8 +555,8 @@ def test_market_round_assembles_z_at_the_roster_coordinates(feedback):
     problem = build_problem(
         make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
     )
-    cfg = SolverConfig(eps=0.01, max_iter=2, tol_primal=0.0, tol_dual=0.0,
-                       tol_balance=0.0, feedback=feedback, record_state=True)
+    cfg = SolverConfig(eps=0.01, max_iter=2, tol=0.0, feedback=feedback,
+                       record_state=True)
     bus = MessageBus(record=True)
     res = run_market(problem, cfg, bus=bus)
     N = problem.n_nodes

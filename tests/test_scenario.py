@@ -42,8 +42,7 @@ def write_scenario(tmp_path, patch: dict | None = None, drop: tuple = ()):
         "feeders": [{"case": str(CASES_DIR / "feeder4.json"), "host_bus": 3}],
         "limits": {"v_min": 0.95, "v_max": 1.05},
         "engine": "core",
-        "feedback": "linear",
-        "config": {"eps": 0.02, "max_iter": 100},
+        "config": {"eps": 0.02, "max_iter": 100, "feedback": "linear"},
         "init": {"mode": "midbox"},
         "slack": {"mode": "explicit", "value": 0.0},
     }
@@ -61,8 +60,7 @@ def write_scenario(tmp_path, patch: dict | None = None, drop: tuple = ()):
 
 def fixed_horizon(scenario, n: int):
     cfg = dataclasses.replace(
-        scenario.config, max_iter=n, tol_primal=0.0, tol_dual=0.0,
-        tol_balance=0.0,
+        scenario.config, max_iter=n, tol=0.0,
     )
     return dataclasses.replace(scenario, config=cfg)
 
@@ -164,6 +162,10 @@ def test_relative_case_paths_resolve_against_scenario_file():
         ({"config": {"eps": True}}, (), "bad config: eps must be a finite number"),
         ({"config": {"zero_lambda_to_ders": "no"}}, (),
          "bad config: zero_lambda_to_ders must be true or false"),
+        # feedback is a config field only, and one tol replaces the three
+        ({"feedback": "ac"}, (), "^t: unknown field 'feedback'$"),
+        ({"config": {"tol_primal": 1e-6}}, (),
+         r"unknown config fields \['tol_primal'\]"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, patch, drop, message):
@@ -471,8 +473,7 @@ def test_summary_phases_split_at_events(tmp_path):
     path = write_scenario(
         tmp_path,
         {
-            "config": {"eps": 0.02, "max_iter": 40, "tol_primal": 0.0,
-                       "tol_dual": 0.0, "tol_balance": 0.0},
+            "config": {"eps": 0.02, "max_iter": 40, "tol": 0.0},
             # an outage has no factor: a stray one is not echoed
             "events": [
                 {"kind": "generator-outage", "iteration": 20, "target": 2,
@@ -495,8 +496,7 @@ def test_market_engine_scenario_runs(tmp_path):
     path = write_scenario(
         tmp_path,
         {"engine": "market",
-         "config": {"eps": 0.02, "max_iter": 30, "tol_primal": 0.0,
-                    "tol_dual": 0.0, "tol_balance": 0.0}},
+         "config": {"eps": 0.02, "max_iter": 30, "tol": 0.0}},
     )
     result = run_scenario_in_memory(load_scenario(path))
     assert result.iterations == 30
@@ -509,8 +509,7 @@ def test_scenario_probes_override_trace_column(tmp_path):
     path = write_scenario(
         tmp_path,
         {"limits": {"v_min": 0.999, "v_max": 1.05},
-         "config": {"eps": 0.02, "max_iter": 20, "tol_primal": 0.0,
-                    "tol_dual": 0.0, "tol_balance": 0.0}},
+         "config": {"eps": 0.02, "max_iter": 20, "tol": 0.0}},
     )
     base = load_scenario(path)
     probed = dataclasses.replace(base, probes={"feeder4": 2})
@@ -599,8 +598,7 @@ def test_probe_oracle_reproduces_the_default_baseline():
 def test_probe_oracle_solves_against_the_runs_slack_account(tmp_path):
     # the midbox start records a slack output of -0.797, so the fleet
     # must supply 2.0 where an explicit zero target would ask 1.203
-    tight = {"max_iter": 50000, "tol_primal": 1e-8, "tol_dual": 1e-8,
-             "tol_balance": 1e-8}
+    tight = {"max_iter": 50000, "tol": 1e-8}
     path = write_scenario(tmp_path, {"slack": {"mode": "record"}, "config": tight})
     report = probe_oracle(load_scenario(path))
     assert report.objective_gap_rel < 1e-6
@@ -830,7 +828,8 @@ def test_sweep_failure_is_an_engine_error(tmp_path, capsys):
     case.write_text(serialize_case(make_chain_feeder("heavy", load=10.0)))
     path = write_scenario(
         tmp_path,
-        {"feeders": [{"case": str(case), "host_bus": 3}], "feedback": "ac"},
+        {"feeders": [{"case": str(case), "host_bus": 3}],
+         "config": {"feedback": "ac"}},
     )
     for engine in ("core", "market"):
         sc = load_scenario(path, {"engine": engine})

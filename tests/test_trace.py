@@ -288,7 +288,7 @@ def test_paths_agree_on_a_shipped_run(kernel, tmp_path, monkeypatch):
     # default's first 2 500 rounds, AC feedback: two feeders, many blocks
     sc = load_scenario(SCENARIOS_DIR / "default.json", {"feedback": "ac"})
     sc = dataclasses.replace(sc, config=dataclasses.replace(
-        sc.config, max_iter=2500, tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+        sc.config, max_iter=2500, tol=0.0,
     ))
 
     def write(out):
@@ -445,7 +445,7 @@ def test_a_run_keeps_its_records_as_float64_rows():
     # one float64 per cell, plus one chunk not yet filled
     sc = load_scenario(SCENARIOS_DIR / "default.json", {"feedback": "linear"})
     sc = dataclasses.replace(sc, config=dataclasses.replace(
-        sc.config, max_iter=5000, tol_primal=0.0, tol_dual=0.0, tol_balance=0.0,
+        sc.config, max_iter=5000, tol=0.0,
     ))
     problem = core.build_problem(sc.system, sc.limits)
     tracemalloc.start()
