@@ -125,6 +125,24 @@ static int count(PyObject *obj, const char *name, intptr_t lo, intptr_t hi,
     return 0;
 }
 
+/* whether obj is an array whose bytes, as np.may_share_memory bounds
+ * them, meet [lo, hi) */
+static int overlaps(PyObject *obj, const char *lo, const char *hi)
+{
+    if (lo == hi || !PyArray_Check(obj) || PyArray_SIZE((PyArrayObject *)obj) == 0)
+        return 0;
+    PyArrayObject *a = (PyArrayObject *)obj;
+    const char *start = PyArray_BYTES(a), *end = start + PyArray_ITEMSIZE(a);
+    for (int d = 0; d < PyArray_NDIM(a); d++) {
+        npy_intp extent = (PyArray_DIM(a, d) - 1) * PyArray_STRIDE(a, d);
+        if (extent < 0)
+            start += extent;
+        else
+            end += extent;
+    }
+    return start < hi && lo < end;
+}
+
 /* a new float64 array of n entries */
 static PyArrayObject *new_vector(intptr_t n, double **data)
 {
@@ -139,20 +157,24 @@ static PyArrayObject *new_vector(intptr_t n, double **data)
  * _sweep.c
  * --------------------------------------------------------------------- */
 
-/* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter)
+/* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)
  *
  * The model's tree and base injections, then the call's: p and q (any
  * sequences of n reals) are added to p0 and q0, and the sweep starts from
- * v_init, or flat at v0 where it is None.  Returns (v, P_L, Q_L, loss,
- * iterations, residual), v a new array, on convergence; (status,
- * iterations, node, residual) on a collapse or when the iterations run
- * out; raises ZeroDivisionError on a zero voltage, as the Python sweep
- * does.  The scratch is allocated per call and zeroed, so no entry is
- * read unwritten whatever the tree. */
+ * v_init, or flat at v0 where it is None.  The voltages go into out: a
+ * new array where it is None, else a writeable float64 array of n
+ * entries, as vector() checks it, that shares no memory with p, q or
+ * v_init unless it is v_init.  The start is copied into out and swept in
+ * place.  Returns (v, P_L, Q_L, loss, iterations, residual), v being out,
+ * on convergence; (status, iterations, node, residual) on a collapse or
+ * when the iterations run out, out then holding the last pass; raises
+ * ZeroDivisionError on a zero voltage, as the Python sweep does.  The
+ * scratch is allocated per call and zeroed, so no entry is read unwritten
+ * whatever the tree. */
 static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs_are("sweep", nargs, 13) < 0)
+    if (nargs_are("sweep", nargs, 14) < 0)
         return NULL;
     intptr_t n = -1, n_roots = -1;
     if (vector(args[0], NPY_INT, "order", &n, 0) == NULL)
@@ -200,8 +222,22 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     double *vs;
-    if ((v = new_vector(n, &vs)) == NULL)
-        goto exit;
+    if (args[13] == Py_None) {
+        if ((v = new_vector(n, &vs)) == NULL)
+            goto exit;
+    } else {
+        if ((vs = vector(args[13], NPY_DOUBLE, "out", &n, 1)) == NULL)
+            goto exit;
+        const char *lo = (const char *)vs, *hi = (const char *)(vs + n);
+        for (int i = 0; i < 3; i++) {
+            if ((i < 2 || args[13] != args[10]) && overlaps(args[8 + i], lo, hi)) {
+                PyErr_Format(PyExc_ValueError, "out overlaps %s", names[i]);
+                goto exit;
+            }
+        }
+        v = (PyArrayObject *)args[13];
+        Py_INCREF(v);
+    }
     /* the injections, then the scratch */
     if ((work = calloc(7 * (size_t)n + 1, sizeof(double))) == NULL) {
         PyErr_NoMemory();
@@ -216,7 +252,7 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (given[2] == NULL) {
         for (intptr_t j = 0; j < n; j++)
             vs[j] = v0;
-    } else {
+    } else if (PyArray_DATA(given[2]) != vs) {
         memcpy(vs, PyArray_DATA(given[2]), (size_t)n * sizeof(double));
     }
 
@@ -446,7 +482,7 @@ static PyObject *record_row(PyObject *self, PyObject *const *args, Py_ssize_t na
 
 static PyMethodDef methods[] = {
     {"sweep", FASTCALL(sweep),
-     "sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter)"},
+     "sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)"},
     {"format_rows", FASTCALL(format_rows),
      "format_rows(iterations, cells, table, out) -> bytes written"},
     {"primal_step", FASTCALL(primal_step),

@@ -9,8 +9,10 @@ point satisfies the exact single-phase branch-flow equations.
 :func:`sweep_feeder` runs the sweep in C (``_sweep.c``), one call of the
 package's extension module (:mod:`tdcoopt._native`, built at the first
 kernel use and cached): it adds the call's injections to the model's base
-ones, takes the warm start (or a flat one), sweeps, and returns the
-result with its own voltage array, allocating its scratch per call.  The
+ones, copies the warm start (or a flat one) into the voltage array, and
+sweeps it in place, allocating its scratch per call.  The voltage array
+is the caller's ``out`` where one is given (the engine passes each
+feeder's slice of the round's voltage vector), else a new one.  The
 kernel repeats :func:`_sweep_python` operation for operation, so both
 give the same bits; the Python sweep is the reference and runs where no
 kernel can be built.
@@ -57,7 +59,8 @@ class SweepDivergence(RuntimeError):
 
 @dataclass(slots=True)
 class SweepResult:
-    """Single-feeder slice of an AC solution; ``v`` is its own array."""
+    """Single-feeder slice of an AC solution; ``v`` is the sweep's ``out``,
+    or an array of its own where none was given."""
 
     v: np.ndarray  # node voltage magnitudes, p.u.
     P_L: float  # real power entering at the substation (positive = draw)
@@ -74,36 +77,63 @@ def sweep_feeder(
     tol: float = 1e-8,
     max_iter: int = 100,
     v_init: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> SweepResult:
     """Solve the compiled feeder's exact power flow for DER injections.
 
     ``p`` and ``q`` are added to the fixed base injections of each node
     (positive = generation).  ``v_init`` warm-starts the voltage profile;
-    the default is a flat start at the substation voltage.
+    the default is a flat start at the substation voltage.  ``out``, when
+    given, receives the voltages and is the result's ``v``: a writeable,
+    aligned, C-contiguous float64 array of ``n_nodes`` entries that
+    shares no memory with ``p``, ``q`` or ``v_init``, unless it is
+    ``v_init`` itself.  After a failure its contents are unspecified.
 
-    Runs the compiled kernel, or :func:`_sweep_python` where none can be
-    built; both give the same bits.
+    Runs the compiled kernel, which checks every argument, or
+    :func:`_sweep_python` where none can be built; both give the same
+    bits and refuse the same arguments.
 
     Raises :class:`SweepDivergence` on non-convergence or voltage collapse.
     """
-    n = model.n_nodes
-    if len(p) != n or len(q) != n:
-        raise ValueError(f"injection vectors must have length {n}")
-    if v_init is not None and len(v_init) != n:
-        raise ValueError(f"v_init must have length {n}")
     kernel = _sweep_kernel()
     if kernel is None:
-        return _sweep_python(model, p, q, tol, max_iter, v_init)
-    out = kernel(
+        return _sweep_python(model, p, q, tol, max_iter, v_init, out)
+    res = kernel(
         model.order, model.parent, model.roots, model.r, model.x,
-        model.p0, model.q0, model.v0, p, q, v_init, tol, max_iter,
+        model.p0, model.q0, model.v0, p, q, v_init, tol, max_iter, out,
     )
-    if len(out) == 6:  # converged: SweepResult's fields
-        return SweepResult(*out)
-    status, iterations, node, residual = out
+    if len(res) == 6:  # converged: SweepResult's fields
+        return SweepResult(*res)
+    status, iterations, node, residual = res
     if status == _COLLAPSE:
         raise _collapse(model, node, iterations)
     raise _not_converged(max_iter, residual)
+
+
+def _check_arguments(n, p, q, v_init, out) -> None:
+    """The kernel's refusals of the call's vectors, in its order."""
+    for name, a in (("p", p), ("q", q), ("v_init", v_init)):
+        if a is not None and len(a) != n:
+            raise ValueError(f"{name} must have length {n}")
+    if out is None:
+        return
+    if not isinstance(out, np.ndarray):
+        raise TypeError("out must be a numpy array")
+    if out.dtype != np.float64:  # a byte-swapped float64 too
+        raise TypeError("out must have dtype float64")
+    if out.ndim != 1:
+        raise ValueError("out must have 1 dimension(s)")
+    if not (out.flags.c_contiguous and out.flags.aligned):
+        raise ValueError("out must be C-contiguous and aligned")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    if len(out) != n:
+        raise ValueError(f"out has length {len(out)}, not {n}")
+    for name, a in (("p", p), ("q", q), ("v_init", v_init)):
+        if name == "v_init" and a is out:
+            continue
+        if isinstance(a, np.ndarray) and np.may_share_memory(out, a):
+            raise ValueError(f"out overlaps {name}")
 
 
 def _collapse(model: LinearFeederModel, j: int, it: int) -> SweepDivergence:
@@ -130,14 +160,16 @@ def _sweep_python(
     tol: float,
     max_iter: int,
     v_init: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> SweepResult:
     """The sweep in plain Python: the reference the C kernel mirrors.
 
-    Arguments as :func:`sweep_feeder`, lengths already checked.  Sums are
-    accumulated left to right from 0.0, as in the kernel (``sum()`` of
-    floats is compensated from Python 3.12 on).
+    Arguments as :func:`sweep_feeder`, checked as the kernel checks them.
+    Sums are accumulated left to right from 0.0, as in the kernel
+    (``sum()`` of floats is compensated from Python 3.12 on).
     """
     n = model.n_nodes
+    _check_arguments(n, p, q, v_init, out)
     order = model.order.tolist()
     parent = model.parent.tolist()
     r = model.r.tolist()
@@ -198,8 +230,12 @@ def _sweep_python(
                 Q_L += Q_send[j]
             for j in range(n):
                 loss += r[j] * ell[j]
+            if out is None:
+                out = np.array(v)
+            else:
+                out[:] = v
             return SweepResult(
-                v=np.array(v),
+                v=out,
                 P_L=P_L,
                 Q_L=Q_L,
                 loss=loss,

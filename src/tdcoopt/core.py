@@ -394,35 +394,41 @@ def measure_feeders(
     """Voltages and head draws for global injection vectors ``p``, ``q``.
 
     ``linear`` evaluates the affine models; ``ac`` runs the exact sweep
-    (optionally warm-started from the ``warm`` voltages).  Needs only the
-    network, so the market operator can call it.  A failed sweep raises
-    :class:`EngineError` carrying ``iteration``.
+    (optionally warm-started from the ``warm`` voltages), each feeder's
+    written in place into its slice of the returned ``v``.  ``v`` is new
+    on every call: earlier measurements, and the market journal's
+    messages, hold views of theirs.  Needs only the network, so the
+    market operator can call it.  A failed sweep raises
+    :class:`EngineError` carrying ``iteration`` and naming the feeder.
     """
     if feedback not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {feedback!r}")
     models = network.models
     v = np.empty(network.n_nodes)
-    P_L = np.zeros(len(models))
+    P_L = np.empty(len(models))
+    if feedback == "linear":
+        for k, model in enumerate(models):
+            sl = model.span
+            v[sl], P_L[k] = predict(model, p[sl], q[sl])
+        return Measurement(v, P_L)
     ac_iterations = 0
     ac_residual = 0.0
-    for k, model in enumerate(models):
-        sl = model.span
-        if feedback == "linear":
-            v[sl], P_L[k] = predict(model, p[sl], q[sl])
-            continue
-        try:
+    try:
+        for k, model in enumerate(models):
+            sl = model.span
             res = sweep_feeder(
-                model, p[sl], q[sl], v_init=None if warm is None else warm[sl]
+                model, p[sl], q[sl], v_init=None if warm is None else warm[sl],
+                out=v[sl],
             )
-        except SweepDivergence as exc:
-            raise EngineError(
-                f"power flow failed at iteration {iteration}: {exc}",
-                iteration=iteration,
-            ) from exc
-        v[sl] = res.v
-        P_L[k] = res.P_L
-        ac_iterations = max(ac_iterations, res.iterations)
-        ac_residual = max(ac_residual, res.residual)
+            P_L[k] = res.P_L
+            ac_iterations = max(ac_iterations, res.iterations)
+            ac_residual = max(ac_residual, res.residual)
+    except SweepDivergence as exc:
+        raise EngineError(
+            f"power flow failed at iteration {iteration} on feeder "
+            f"{model.feeder_id}: {exc}",
+            iteration=iteration,
+        ) from exc
     return Measurement(v, P_L, ac_iterations, ac_residual)
 
 
@@ -456,22 +462,22 @@ def der_signals(
     terms remain; the generators still see it) — the no-participation
     baseline.
 
-    When no band is active (``w`` all zero) the products are skipped:
-    they would all be ``+0.0``, since ``A`` and ``B`` are finite and
-    ``mu`` holds no ``-0.0`` (it starts at ``+0.0``, and
-    :func:`dual_update` clamps with ``np.maximum(., 0.0)``), so ``w`` is
-    ``+0.0`` too.  The DER prices are then ``lambda + 0.0`` and ``0.0``,
-    the same bits.
+    When no multiplier is nonzero (``mu`` all zero; NaN counts as
+    nonzero) the products are skipped: they would all be ``+0.0``, since
+    ``A`` and ``B`` are finite and ``mu`` holds no ``-0.0`` (it starts at
+    ``+0.0``, and :func:`dual_update` clamps with ``np.maximum(., 0.0)``),
+    so ``w`` is ``+0.0`` too.  The DER prices are then ``lambda + 0.0``
+    and ``0.0``, the same bits.
     """
     lam = 0.0 if zero_lambda else y.lam
     n = network.n_nodes
-    w = y.mu[:n] - y.mu[n:]
     prices = np.empty(2 * n + network.n_generators)
     prices[2 * n :] = y.lam  # as it is: a -0.0 price keeps its sign
-    if not w.any():
+    if not np.count_nonzero(y.mu):
         prices[:n] = lam + 0.0
         prices[n : 2 * n] = 0.0
         return prices
+    w = y.mu[:n] - y.mu[n:]
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
     for model in network.models:

@@ -24,7 +24,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tdcoopt import _native, acpf
@@ -386,6 +386,113 @@ def test_kernel_result_owns_its_voltages(kernel):
     assert later.v.tobytes() != kept
     assert first.v.tobytes() == kept
     assert not np.shares_memory(first.v, later.v)
+
+
+# ---------------------------------------------------------------------------
+# the sweep into the caller's array (out=), compiled and in Python
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["compiled", "fallback"])
+def sweep_path(request, monkeypatch):
+    """sweep_feeder running the kernel, or the Python sweep in its place."""
+    if request.param == "compiled":
+        request.getfixturevalue("kernel")
+    else:
+        monkeypatch.setattr(acpf, "_sweep_kernel", lambda: None)
+    return request.param
+
+
+def into_a_new_array(model, p, q, tol, max_iter, v_init):
+    out = np.full(model.n_nodes, math.nan)
+    res = sweep_feeder(model, p, q, tol, max_iter, v_init, out=out)
+    assert res.v is out
+    return res
+
+
+def over_the_warm_start(model, p, q, tol, max_iter, v_init):
+    # a flat start given as an array sweeps as v_init=None does
+    start = np.full(model.n_nodes, model.v0) if v_init is None else v_init.copy()
+    res = sweep_feeder(model, p, q, tol, max_iter, start, out=start)
+    assert res.v is start
+    return res
+
+
+def assert_out_matches_reference(model, p, q, **kwargs):
+    """Into a new array or over the warm start, sweep_feeder gives the
+    bits (or the error) of the call without ``out`` and of the Python
+    sweep, and leaves ``v_init`` as it was."""
+    v_init = kwargs.get("v_init")
+    kept = None if v_init is None else v_init.tobytes()
+    reference = outcome(acpf._sweep_python, model, p, q, **kwargs)
+    for sweep in (sweep_feeder, into_a_new_array, over_the_warm_start):
+        assert outcome(sweep, model, p, q, **kwargs) == reference, sweep.__name__
+    assert kept is None or v_init.tobytes() == kept
+
+
+@pytest.mark.parametrize("name", SHIPPED_FEEDERS)
+def test_out_matches_reference_on_shipped_feeders(sweep_path, name):
+    model = build_lindistflow(load_feeder(name))
+    n = model.n_nodes
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    zero = np.zeros(n)
+    assert_out_matches_reference(model, zero, zero)
+    for _ in range(2):
+        p = rng.uniform(-2e-3, 2e-3, n)
+        q = rng.uniform(-1e-3, 1e-3, n)
+        assert_out_matches_reference(model, p, q)
+        warm = sweep_feeder(model, p, q).v * rng.uniform(0.99, 1.01, n)
+        assert_out_matches_reference(model, p, q, v_init=warm)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    feeder=radial_feeders(),
+    data=st.data(),
+    max_iter=st.sampled_from([1, 3, 100]),
+    warm=st.booleans(),
+)
+def test_out_matches_reference_on_drawn_feeders(sweep_path, feeder, data, max_iter, warm):
+    # converged, collapsed and exhausted sweeps alike
+    model = build_lindistflow(feeder)
+    n = model.n_nodes
+    vectors = st.lists(st.floats(min_value=-2e-2, max_value=2e-2), min_size=n, max_size=n)
+    p = np.array(data.draw(vectors))
+    q = np.array(data.draw(vectors))
+    v_init = None
+    if warm:
+        v_init = np.array(data.draw(st.lists(
+            st.floats(min_value=0.5, max_value=1.2), min_size=n, max_size=n)))
+    assert_out_matches_reference(model, p, q, max_iter=max_iter, v_init=v_init)
+
+
+def test_out_refusals_are_the_same_on_both_paths(sweep_path):
+    model = build_lindistflow(load_feeder("feeder4"))
+    n = model.n_nodes
+    p, q = np.zeros(n), np.zeros(n)
+    shared = np.ones(n + 1)
+    v_init = shared[:n]
+    read_only = np.empty(n)
+    read_only.flags.writeable = False
+    spread = np.empty(2 * n)
+    refused = [
+        (np.empty(n + 1), ValueError, f"out has length {n + 1}, not {n}"),
+        (read_only, ValueError, "out must be writeable"),
+        (np.empty(n, dtype=np.float32), TypeError, "out must have dtype"),
+        (spread[::2], ValueError, "out must be C-contiguous and aligned"),
+        (np.empty((1, n)), ValueError, "out must have 1 dimension"),
+        (list(range(n)), TypeError, "out must be a numpy array"),
+        (p, ValueError, "out overlaps p"),
+        (q, ValueError, "out overlaps q"),
+        (shared[1:], ValueError, "out overlaps v_init"),
+    ]
+    for out, error, message in refused:
+        with pytest.raises(error, match=message):
+            sweep_feeder(model, p, q, v_init=v_init, out=out)
+    assert (p.tolist(), q.tolist(), shared.tolist()) == ([0.0] * n, [0.0] * n,
+                                                          [1.0] * (n + 1))
+    # the warm start itself may take the voltages
+    assert sweep_feeder(model, p, q, v_init=v_init, out=v_init).v is v_init
 
 
 @pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])

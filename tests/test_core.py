@@ -377,6 +377,38 @@ def test_der_signals_match_the_per_feeder_products(duals, lam, zero_lambda, data
     assert got.tobytes() == expected.tobytes()
 
 
+def test_der_signals_take_the_shortcut_only_without_multipliers(limits):
+    # equal bands at a node make w zero but not mu: the products then run,
+    # and give the shortcut's bits
+    problem = build_problem(make_system(n_feeders=2), limits)
+    N = problem.n_nodes
+    equal = np.zeros(2 * N)
+    equal[[1, N + 1]] = 0.25
+    for lam in (-1.5, 0.0, -0.0):
+        fast = der_signals(problem.network, DualState(lam=lam, mu=np.zeros(2 * N)))
+        slow = der_signals(problem.network, DualState(lam=lam, mu=equal))
+        assert slow.tobytes() == fast.tobytes()
+
+
+def test_der_signals_pass_a_nan_multiplier_on(limits):
+    problem = build_problem(make_system(n_feeders=2), limits)
+    N = problem.n_nodes
+    mu = np.zeros(2 * N)
+    mu[N + 4] = math.nan  # a lower-band row of the second feeder
+    alpha, beta, gen = prices_of(problem, DualState(lam=-1.0, mu=mu))
+    sl = problem.models[1].span
+    assert np.isnan(alpha[sl]).any() and np.isnan(beta[sl]).any()
+    np.testing.assert_array_equal(gen, [-1.0, -1.0])
+
+
+def test_der_signals_keep_a_negative_zero_price_for_the_generators(limits):
+    problem = build_problem(make_system(n_feeders=2), limits)
+    N = problem.n_nodes
+    alpha, beta, gen = prices_of(problem, DualState(lam=-0.0, mu=np.zeros(2 * N)))
+    assert np.signbit(gen).all()
+    assert not np.signbit(alpha).any() and not np.signbit(beta).any()
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     steps=st.lists(
@@ -435,6 +467,38 @@ def test_measure_ac_matches_sweep(limits):
     ref = sweep_feeder(problem.models[0], x.p, x.q)
     np.testing.assert_allclose(meas.v, ref.v, atol=1e-12)
     assert meas.ac_iterations >= 1
+
+
+def test_measure_ac_writes_a_new_array_each_call(limits):
+    # each feeder's sweep fills its slice of one new v: never the warm
+    # start's memory, never an earlier measurement's
+    problem = build_problem(make_system(n_feeders=2), limits)
+    x, _ = initial_state(problem)
+    first = measure(problem, x, feedback="ac")
+    kept = first.v.tobytes()
+    second = measure(problem, x, feedback="ac", warm=first.v)
+    assert not np.shares_memory(second.v, first.v)
+    assert first.v.tobytes() == kept
+    for k, model in enumerate(problem.models):
+        sl = model.span
+        ref = sweep_feeder(model, x.p[sl], x.q[sl], v_init=first.v[sl])
+        assert second.v[sl].tobytes() == ref.v.tobytes()
+        assert second.P_L[k] == ref.P_L
+
+
+def test_a_power_flow_failure_names_its_feeder(limits):
+    # both feeders number their nodes 2, 3, 4: only the feeder id tells
+    # which one collapsed
+    problem = build_problem(make_system(n_feeders=2), limits)
+    x, _ = initial_state(problem)
+    p = x.p.copy()
+    p[problem.models[1].span] = -50.0
+    with pytest.raises(
+        EngineError,
+        match=r"power flow failed at iteration 7 on feeder f1: voltage collapse at node",
+    ) as exc:
+        core.measure_feeders(problem.network, p, x.q, "ac", iteration=7)
+    assert exc.value.iteration == 7
 
 
 def test_measure_unknown_feedback(limits):

@@ -279,7 +279,7 @@ def valid_calls():
         "sweep": [order, np.array([-1, 0, 1], dtype=np.intc),
                   np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
                   np.full(3, -1e-3), np.zeros(3), 1.0, np.zeros(3), np.zeros(3),
-                  None, 1e-8, 100],
+                  None, 1e-8, 100, None],
     }
 
 
@@ -287,6 +287,11 @@ def noncontiguous(a):
     spread = np.empty(2 * len(a), dtype=a.dtype)
     spread[::2] = a
     return spread[::2]
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 # (kernel, argument position, how it is spoilt, the error)
@@ -327,6 +332,12 @@ SPOILT = [
     ("sweep", 8, lambda p: np.zeros(4), ValueError),
     ("sweep", 10, lambda v_init: np.ones(2), ValueError),
     ("sweep", 12, lambda max_iter: 2**40, ValueError),
+    ("sweep", 13, lambda out: np.empty(2), ValueError),
+    ("sweep", 13, lambda out: read_only(np.empty(3)), ValueError),
+    ("sweep", 13, lambda out: np.empty(3, dtype=np.float32), TypeError),
+    ("sweep", 13, lambda out: noncontiguous(np.empty(3)), ValueError),
+    ("sweep", 13, lambda out: np.empty((1, 3)), ValueError),
+    ("sweep", 13, lambda out: [0.0, 0.0, 0.0], TypeError),
 ]
 
 
@@ -346,6 +357,20 @@ def test_kernels_refuse_a_wrong_argument_count(kernels, name):
     args = valid_calls()[name]
     with pytest.raises(TypeError, match="arguments"):
         getattr(kernels, name)(*args[:-1])
+
+
+@pytest.mark.parametrize("shared", ["p", "q", "v_init", "v_init-shifted"])
+def test_sweep_refuses_an_out_that_overlaps_its_inputs(kernels, shared):
+    # the voltages may be written over the warm start itself, never over
+    # the injections or over part of another array
+    args = valid_calls()["sweep"]
+    buffer = np.ones(4)
+    at = {"p": 8, "q": 9}.get(shared, 10)
+    args[at] = buffer[:3]
+    args[13] = buffer[1:] if shared == "v_init-shifted" else buffer[:3]
+    with pytest.raises(ValueError, match="out overlaps"):
+        kernels.sweep(*args)
+    assert buffer.tolist() == [1.0] * 4
 
 
 def test_record_row_refuses_a_read_only_row(kernels):
@@ -398,8 +423,10 @@ def short_scenario(tmp_path, name, rounds, event_at):
 
 
 def test_runs_without_a_compiler_write_the_same_bytes(kernels, tmp_path):
+    default = short_scenario(tmp_path, "default", 400, 150)
     runs = [
-        (short_scenario(tmp_path, "default", 400, 150), {"engine": "core", "feedback": "ac"}),
+        (default, {"engine": "core", "feedback": "ac"}),
+        (default, {"engine": "market", "feedback": "ac"}),
         (short_scenario(tmp_path, "dispatch9", 300, 100),
          {"engine": "market", "feedback": "linear"}),
     ]
@@ -426,5 +453,5 @@ def test_runs_without_a_compiler_write_the_same_bytes(kernels, tmp_path):
             path.relative_to(tmp_path / label): path.read_bytes()
             for path in sorted((tmp_path / label).rglob("*")) if path.is_file()
         }
-    assert len(outputs["compiled"]) == 4  # a trace and a summary per run
+    assert len(outputs["compiled"]) == 6  # a trace and a summary per run
     assert outputs["fallback"] == outputs["compiled"]

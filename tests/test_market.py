@@ -415,6 +415,22 @@ def test_bus_keeps_only_the_current_round():
         bus.counts(3)
 
 
+def test_journaled_voltages_stay_those_of_their_round():
+    # each pf-result holds a view of its round's measured voltages, so a
+    # measurement that reused its array would rewrite earlier rounds
+    problem = build_problem(make_system(n_feeders=2), LIMITS)
+    bus = MessageBus(record=True)
+    cfg = SolverConfig(eps=0.01, max_iter=12, tol=0.0, feedback="ac")
+    records = run_market(problem, cfg, bus=bus).records
+    results = [m for m in bus.journal if m.kind == "pf-result"]
+    assert len(results) == 12 * 2
+    for msg in results:
+        row, k = records[msg.iteration_tag], msg.payload["feeder"]
+        v = msg.payload["v"]
+        assert (v.min(), v.max()) == (row.v_min[k], row.v_max[k])
+    assert len({records[t].v_max[0] for t in range(1, 13)}) > 1
+
+
 def test_journal_is_json_dumpable_and_private():
     problem = build_problem(make_system(n_feeders=1), LIMITS)
     bus = MessageBus(record=True)
