@@ -13,10 +13,11 @@ Layout
 ``network``      case dataclasses, JSON parsing, feeder-to-bus attachment
 ``lindistflow``  the compiled feeder: affine voltage/head-draw model
                  plus the tree arrays the sweep reads
-``acpf``         backward/forward power-flow sweep and slack accounting
+``acpf``         backward/forward power-flow sweep
 ``core``         `build_problem` (compiles each feeder once; one cost
                  and one box vector over the primal ``z = [p, q, P_M]``),
-                 states, one price array over ``z`` (`der_signals`),
+                 states, the slack account and the balance it prices,
+                 one price array over ``z`` (`der_signals`),
                  the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
                  round's shared network half `settle` (reads only the
@@ -35,14 +36,7 @@ Layout
 ``cli``          ``tdcoopt run | compare | oracle | lindump``
 """
 
-from .acpf import (
-    SlackAccount,
-    SweepDivergence,
-    SweepResult,
-    record_slack,
-    slack_residual,
-    sweep_feeder,
-)
+from .acpf import SweepDivergence, SweepResult, sweep_feeder
 from .core import (
     CompiledNetwork,
     DerCapacityScale,
@@ -53,6 +47,7 @@ from .core import (
     GeneratorOutage,
     Measurement,
     PrimalState,
+    SlackAccount,
     SolveResult,
     SolverConfig,
     StepsizeReport,
@@ -187,12 +182,10 @@ __all__ = [
     "project_box",
     "read_trace",
     "rebase_feeder",
-    "record_slack",
     "run_market",
     "run_scenario",
     "serialize_case",
     "settle",
-    "slack_residual",
     "solve",
     "sweep_feeder",
     "total_cost",

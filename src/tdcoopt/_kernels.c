@@ -160,9 +160,9 @@ static PyArrayObject *new_vector(intptr_t n, double **data)
 /* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)
  *
  * The model's tree and base injections, then the call's: p and q (any
- * sequences of n reals) are added to p0 and q0, and the sweep starts from
- * v_init, or flat at v0 where it is None.  The voltages go into out: a
- * new array where it is None, else a writeable float64 array of n
+ * 1-D sequences of n reals) are added to p0 and q0, and the sweep starts
+ * from v_init (one too), or flat at v0 where it is None.  The voltages go
+ * into out: a new array where it is None, else a writeable float64 array of n
  * entries, as vector() checks it, that shares no memory with p, q or
  * v_init unless it is v_init.  The start is copied into out and swept in
  * place.  Returns (v, P_L, Q_L, loss, iterations, residual), v being out,
@@ -211,10 +211,14 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     for (int i = 0; i < 3; i++) {
         if (i == 2 && args[10] == Py_None)
             break;
-        given[i] = (PyArrayObject *)PyArray_FROMANY(args[8 + i], NPY_DOUBLE, 1, 1,
+        given[i] = (PyArrayObject *)PyArray_FROMANY(args[8 + i], NPY_DOUBLE, 0, 0,
                                                     NPY_ARRAY_CARRAY_RO);
         if (given[i] == NULL)
             goto exit;
+        if (PyArray_NDIM(given[i]) != 1) {
+            PyErr_Format(PyExc_ValueError, "%s must have 1 dimension(s)", names[i]);
+            goto exit;
+        }
         if (PyArray_DIM(given[i], 0) != n) {
             PyErr_Format(PyExc_ValueError, "%s must have length %zd", names[i],
                          (Py_ssize_t)n);

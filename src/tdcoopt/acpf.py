@@ -1,4 +1,4 @@
-"""Exact nonlinear power flow for radial feeders, plus slack-bus bookkeeping.
+"""Exact nonlinear power flow for radial feeders.
 
 The feeder solver is a backward/forward sweep on the DistFlow branch
 equations: the backward pass accumulates receiving-end branch flows and
@@ -16,11 +16,6 @@ feeder's slice of the round's voltage vector), else a new one.  The
 kernel repeats :func:`_sweep_python` operation for operation, so both
 give the same bits; the Python sweep is the reference and runs where no
 kernel can be built.
-
-The transmission level stays lossless: the slack bus supplies whatever the
-generators, feeders, and fixed injections do not, and its recorded initial
-output turns the power-balance constraint into a deviation-from-start
-residual that is independent of any globally consistent load data.
 """
 
 from __future__ import annotations
@@ -33,20 +28,9 @@ import numpy as np
 
 from . import _native
 from .lindistflow import LinearFeederModel
-from .network import (
-    TransmissionSystem,
-    feeder_topology,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
-)
+from .network import feeder_topology  # noqa: F401  (kept patchable here, see perfbench/spans.py)
 
-__all__ = [
-    "SweepDivergence",
-    "SweepResult",
-    "sweep_feeder",
-    "SlackAccount",
-    "fixed_injection",
-    "record_slack",
-    "slack_residual",
-]
+__all__ = ["SweepDivergence", "SweepResult", "sweep_feeder"]
 
 class SweepDivergence(RuntimeError):
     """Sweep failed: operating point outside the contraction region."""
@@ -113,7 +97,11 @@ def sweep_feeder(
 def _check_arguments(n, p, q, v_init, out) -> None:
     """The kernel's refusals of the call's vectors, in its order."""
     for name, a in (("p", p), ("q", q), ("v_init", v_init)):
-        if a is not None and len(a) != n:
+        if a is None:
+            continue
+        if np.ndim(a) != 1:
+            raise ValueError(f"{name} must have 1 dimension(s)")
+        if len(a) != n:
             raise ValueError(f"{name} must have length {n}")
     if out is None:
         return
@@ -260,46 +248,3 @@ def _sweep_kernel():
     library = _native.library()
     return None if library is None else library.sweep
 
-
-# ---------------------------------------------------------------------------
-# slack-bus bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlackAccount:
-    """Recorded slack-bus output; the balance target for the whole run.
-
-    ``P0_slack`` is set exactly once at scenario start.
-    """
-
-    P0_slack: float
-
-
-def fixed_injection(ts: TransmissionSystem) -> float:
-    """Summed fixed injections ``p0`` of every bus except the slack bus."""
-    return sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id)
-
-
-def _implied_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> float:
-    return float(np.add.reduce(P_L)) - float(np.add.reduce(P_M)) - fixed
-
-
-def record_slack(fixed: float, P_M: np.ndarray, P_L: np.ndarray) -> SlackAccount:
-    """Record the slack output implied by the initial operating point.
-
-    ``fixed`` is the transmission system's :func:`fixed_injection`.
-    """
-    return SlackAccount(P0_slack=_implied_slack(fixed, P_M, P_L))
-
-
-def slack_residual(
-    account: SlackAccount, fixed: float, P_M: np.ndarray, P_L: np.ndarray
-) -> float:
-    """Deviation of the implied slack output from its recorded value.
-
-    ``fixed`` is the transmission system's :func:`fixed_injection`.
-    Positive when the controllable fleet now over-supplies relative to the
-    start; this quantity replaces the raw power-balance expression in the
-    price update, which freezes the slack bus out of the balancing task.
-    """
-    return account.P0_slack - _implied_slack(fixed, P_M, P_L)

@@ -14,6 +14,13 @@ where voltages and head draws come from the affine feeder model, and the
 balance term is the deviation of the implied slack-bus output from its
 recorded value.
 
+The transmission level stays lossless: the slack bus supplies whatever the
+generators, feeders, and fixed injections do not.  Its output at the start
+of a run is recorded once (:class:`SlackAccount`), which turns the
+power-balance constraint into a deviation-from-start residual that is
+independent of any globally consistent load data; :func:`_balance` is the
+one place that residual is read.
+
 Each iteration is one synchronous round: DERs and generators move first
 (using the prices of the previous round), the network response at the new
 setpoints is then measured — either through the affine model or through an
@@ -60,14 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import _native
-from .acpf import (
-    SlackAccount,
-    SweepDivergence,
-    fixed_injection,
-    record_slack,
-    slack_residual,
-    sweep_feeder,
-)
+from .acpf import SweepDivergence, sweep_feeder
 from .lindistflow import LinearFeederModel, build_lindistflow, predict
 from .network import CoupledSystem, VoltageLimits
 from .trace import Records
@@ -78,6 +78,7 @@ __all__ = [
     "DivergenceError",
     "PrimalState",
     "DualState",
+    "SlackAccount",
     "SolverConfig",
     "CompiledNetwork",
     "DispatchProblem",
@@ -172,6 +173,16 @@ class DualState:
 
     lam: float
     mu: np.ndarray
+
+
+@dataclass(frozen=True)
+class SlackAccount:
+    """Recorded slack-bus output; the balance target for the whole run.
+
+    ``P0_slack`` is set exactly once at scenario start.
+    """
+
+    P0_slack: float
 
 
 @dataclass(frozen=True)
@@ -283,7 +294,8 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
         for f, offset in zip(system.feeders, system.offsets)
     )
     N = system.n_total
-    gens = system.transmission.generators
+    ts = system.transmission
+    gens = ts.generators
     coef = np.zeros(2 * N + len(gens))
     lo = np.zeros(2 * N + len(gens))
     hi = np.zeros(2 * N + len(gens))
@@ -303,7 +315,7 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
 
     network = CompiledNetwork(
         models=models,
-        fixed_injection=fixed_injection(system.transmission),
+        fixed_injection=sum(b.p0 for b in ts.buses if b.id != ts.slack_bus_id),
         limits=limits,
         n_generators=len(gens),
         n_nodes=N,
@@ -336,6 +348,11 @@ def initial_state(
     lo, hi = problem.lo[2 * N :], problem.hi[2 * N :]
     if P_M is not None:
         P = np.asarray(P_M, dtype=float)
+        if P.shape != lo.shape:
+            raise ValueError(
+                f"P_M has shape {P.shape}, not one entry for each of the "
+                f"{len(lo)} generators"
+            )
     elif mode == "midbox":
         mid = 0.5 * (lo + hi)
         P = np.where(np.isfinite(mid), mid, 0.0)
@@ -517,12 +534,24 @@ def _balance(
     eta: float,
 ) -> tuple[float, float]:
     """``(residual - eta * lam, residual)``: the partial gradient of L in
-    ``lambda`` and the balance residual it holds
-    (:func:`~tdcoopt.acpf.slack_residual`) at a measurement.  The one copy
-    of the balance residual: every round, round 0 included, reads it here.
+    ``lambda`` and the balance residual it holds at a measurement.
+
+    The residual is the recorded slack output less the implied one:
+    positive when the controllable fleet now over-supplies relative to the
+    start.  The one copy of the balance residual: every round, round 0
+    included, reads it here.
     """
-    residual = slack_residual(account, network.fixed_injection, P_M, measurement.P_L)
+    residual = account.P0_slack - _implied_slack(network, P_M, measurement.P_L)
     return residual - eta * lam, residual
+
+
+def _implied_slack(
+    network: CompiledNetwork, P_M: np.ndarray, P_L: np.ndarray
+) -> float:
+    """The slack-bus output that balances the head draws ``P_L``, the
+    generators ``P_M`` and the fixed injections."""
+    fixed = network.fixed_injection
+    return float(np.add.reduce(P_L)) - float(np.add.reduce(P_M)) - fixed
 
 
 def dual_update(
@@ -1048,7 +1077,7 @@ def run_rounds(
     try:
         meas = measure(problem, x, feedback=cfg.feedback, iteration=0)
         if account is None:
-            account = record_slack(problem.network.fixed_injection, x.P_M, meas.P_L)
+            account = SlackAccount(_implied_slack(problem.network, x.P_M, meas.P_L))
         residual = _balance(problem.network, y.lam, meas, x.P_M, account, cfg.eta)[1]
         signals = der_signals(problem.network, y, cfg.zero_lambda_to_ders)
 
@@ -1142,7 +1171,7 @@ def solve(
     return run_rounds(problem, cfg, x0, y0, account, events, probes, primal_dual_step)
 
 
-# ``np.maximum.reduce`` and ``np.add.reduce`` (``acpf._implied_slack``) are the
+# ``np.maximum.reduce`` and ``np.add.reduce`` (:func:`_implied_slack`) are the
 # reductions ``.max()`` and ``np.sum`` run, without their wrappers
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
     kernels = _native.library()

@@ -52,13 +52,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .acpf import SlackAccount
 from .core import (
     CompiledNetwork,
     DispatchProblem,
     DualState,
     EngineError,
     PrimalState,
+    SlackAccount,
     SolveResult,
     SolverConfig,
     StepOutcome,

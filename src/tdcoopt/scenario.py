@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .acpf import SlackAccount
 from .core import (
     DerCapacityScale,
     DispatchProblem,
@@ -38,6 +37,7 @@ from .core import (
     EngineError,
     GeneratorOutage,
     PrimalState,
+    SlackAccount,
     SolveResult,
     SolverConfig,
     build_problem,
@@ -121,8 +121,7 @@ class Scenario:
     events: tuple[GeneratorOutage | DerCapacityScale, ...]
     init_mode: str = "midbox"
     init_P_M: tuple[float, ...] | None = None
-    slack_mode: str = "record"  # "record" | "explicit"
-    slack_value: float = 0.0
+    account: SlackAccount | None = None  # None: record it at the start
     probes: dict[str, int] | None = None  # feeder id -> probe node id
     seed: int | None = None
     path: Path | None = None
@@ -242,6 +241,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     refuse_unknown(slack, _KEYS["slack"], f"{name}: slack")
     slack_mode = choice(slack, "mode", name, SLACK_MODES, "record", "slack mode")
     slack_value = real(slack, "value", f"{name}: slack", 0.0)
+    account = SlackAccount(slack_value) if slack_mode == "explicit" else None
 
     probes = section(raw, "probes", name, None)
     if probes is not None:
@@ -268,8 +268,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
         events=tuple(events),
         init_mode=init_mode,
         init_P_M=init_P_M,
-        slack_mode=slack_mode,
-        slack_value=slack_value,
+        account=account,
         probes=probes,
         seed=seed,
         path=path,
@@ -564,7 +563,8 @@ def exact_saddle(
     The result is certified with the engine's own gradients: each of the
     five residuals of :func:`~tdcoopt.core.kkt_residual` must be at most
     1e-10, or :class:`OracleInfeasible` is raised, as it is when the
-    iteration does not converge or meets a non-finite value.
+    iteration does not converge or meets a non-finite value.  Where no
+    coordinate is free, the pinned point is certified at zero prices.
     """
     N = problem.n_nodes
     free = np.flatnonzero(problem.hi > problem.lo)
@@ -572,6 +572,8 @@ def exact_saddle(
     # the pinned point's balance residual and band values, read at zero duals
     z = np.where(problem.hi > problem.lo, 0.0, problem.lo)
     pinned, zero = PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
+    if n == 0:
+        return _certified(problem, pinned, zero, account)
     balance, g = grad_dual(problem, pinned, zero, account)
     # on the free coordinates x: the band v = v(pinned) + V x and the
     # balance residual a x - b.  A row of V is the round's prices
@@ -634,11 +636,18 @@ def exact_saddle(
     mu = np.zeros(2 * N)
     band = rows < 2 * N
     mu[rows[band]] = sol[n + 1 :][band]
-    xs, ys = PrimalState(z, N), DualState(lam=float(sol[n]), mu=mu)
-    for name, value in kkt_residual(problem, xs, ys, account).items():
+    ys = DualState(lam=float(sol[n]), mu=mu)
+    return _certified(problem, PrimalState(z, N), ys, account)
+
+
+def _certified(
+    problem: DispatchProblem, x: PrimalState, y: DualState, account: SlackAccount
+) -> tuple[PrimalState, DualState]:
+    """``(x, y)``, once each KKT residual there is at most 1e-10."""
+    for name, value in kkt_residual(problem, x, y, account).items():
         if not value <= 1e-10:  # NaN fails too
             raise OracleInfeasible(f"no certified optimum: {name} {value:.3g}")
-    return xs, ys
+    return x, y
 
 
 def _inf(a: np.ndarray) -> float:
@@ -708,18 +717,13 @@ def run_scenario_in_memory(
         P_M=None if scenario.init_P_M is None else np.array(scenario.init_P_M),
         rng=rng,
     )
-    account = (
-        SlackAccount(P0_slack=scenario.slack_value)
-        if scenario.slack_mode == "explicit"
-        else None
-    )
     if scenario.engine == "core":
         return solve(
             problem,
             scenario.config,
             x0=x0,
             y0=y0,
-            account=account,
+            account=scenario.account,
             events=scenario.events,
             probes=probes,
         )
@@ -731,6 +735,6 @@ def run_scenario_in_memory(
         mode=mode,
         x0=x0,
         y0=y0,
-        account=account,
+        account=scenario.account,
         probes=probes,
     )

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import tdcoopt
-from tdcoopt.core import PrimalState, SolverConfig, build_problem, check_stepsize
+from tdcoopt.core import (
+    PrimalState,
+    SlackAccount,
+    SolverConfig,
+    build_problem,
+    check_stepsize,
+)
 from tdcoopt.lindistflow import build_lindistflow, predict
 from tdcoopt.network import (
     Bus,
@@ -240,8 +246,7 @@ def random_small_instance(seed: int) -> Scenario:
         engine="core",
         events=(),
         init_mode="setpoint",
-        slack_mode="explicit",
-        slack_value=0.0,
+        account=SlackAccount(0.0),
     )
 
 

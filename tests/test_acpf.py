@@ -1,4 +1,4 @@
-"""Exact feeder power flow and slack-bus bookkeeping.
+"""Exact feeder power flow.
 
 The case33bw regression pins the solver against the published solution of
 that feeder (minimum voltage 0.9131 p.u., total loss 202.68 kW at the
@@ -28,18 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tdcoopt import _native, acpf
-from tdcoopt.acpf import (
-    SlackAccount,
-    SweepDivergence,
-    fixed_injection,
-    record_slack,
-    slack_residual,
-    sweep_feeder,
-)
+from tdcoopt.acpf import SweepDivergence, sweep_feeder
 from tdcoopt.lindistflow import build_lindistflow
 from tdcoopt.network import DistributionFeeder, FeederLine, FeederNode, parse_case
 
-from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder, make_ts
+from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder
 
 
 def load_feeder(name: str):
@@ -495,6 +488,26 @@ def test_out_refusals_are_the_same_on_both_paths(sweep_path):
     assert sweep_feeder(model, p, q, v_init=v_init, out=v_init).v is v_init
 
 
+@pytest.mark.parametrize("name", ["p", "q", "v_init"])
+def test_input_refusals_are_the_same_on_both_paths(sweep_path, name):
+    # a vector of the wrong shape is refused before the sweep, its
+    # dimension checked before its length
+    model = build_lindistflow(load_feeder("feeder4"))
+    n = model.n_nodes
+    refused = [
+        (np.zeros((n, 1)), "must have 1 dimension"),
+        (np.zeros((1, n)), "must have 1 dimension"),
+        (np.zeros((n + 1, 1)), "must have 1 dimension"),
+        (np.float64(0.0), "must have 1 dimension"),
+        ([[1.0]] * n, "must have 1 dimension"),
+        (np.ones(n + 1), f"must have length {n}"),
+    ]
+    for bad, message in refused:
+        args = {"p": np.zeros(n), "q": np.zeros(n), "v_init": np.ones(n), name: bad}
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            sweep_feeder(model, args["p"], args["q"], v_init=args["v_init"])
+
+
 @pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
 def test_kernel_copied_model_binds_its_own_buffers(kernel, how):
     model = build_lindistflow(load_feeder("feeder22"))
@@ -761,54 +774,3 @@ def test_kernel_falls_back_with_one_logged_line(tmp_path, monkeypatch, caplog, f
         assert not (tmp_path / "tdcoopt").exists()
     assert not list(tmp_path.glob("tdcoopt/*.so"))
 
-
-# ---------------------------------------------------------------------------
-# slack-bus bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_record_slack_arithmetic():
-    # [TRIVIAL] fixed injections sum to -2.0 (the load bus), so with
-    # P_M = 1.2 and P_L = 0.3 the implied slack output is 0.3 - 1.2 + 2.0
-    ts = make_ts([(1, 1.0)], load_bus=5, load=2.0, slack_bus=9)
-    P_M = np.array([1.2])
-    P_L = np.array([0.3])
-    fixed = fixed_injection(ts)
-    account = record_slack(fixed, P_M, P_L)
-    assert account.P0_slack == pytest.approx(1.1)
-    assert slack_residual(account, fixed, P_M, P_L) == pytest.approx(0.0)
-
-
-def test_slack_residual_sign_convention():
-    # raising fleet output by delta over-supplies by exactly delta
-    ts = make_ts([(1, 1.0)], load_bus=5, load=2.0, slack_bus=9)
-    P_M = np.array([1.2])
-    P_L = np.array([0.3])
-    fixed = fixed_injection(ts)
-    account = record_slack(fixed, P_M, P_L)
-    assert slack_residual(account, fixed, P_M + 0.25, P_L) == pytest.approx(0.25)
-    # extra feeder draw under-supplies
-    assert slack_residual(account, fixed, P_M, P_L + 0.1) == pytest.approx(-0.1)
-
-
-def test_slack_bus_p0_excluded_from_fixed_injection():
-    ts = make_ts([(1, 1.0)], load_bus=5, load=2.0, slack_bus=9)
-    buses = tuple(
-        dataclasses.replace(b, p0=4.0) if b.id == ts.slack_bus_id else b
-        for b in ts.buses
-    )
-    ts_slack_load = dataclasses.replace(ts, buses=buses)
-    # the slack bus's own p0 must not enter the balance
-    assert fixed_injection(ts_slack_load) == -2.0
-    account = record_slack(
-        fixed_injection(ts_slack_load), np.array([1.2]), np.array([0.3])
-    )
-    assert account.P0_slack == pytest.approx(1.1)
-
-
-def test_slack_residual_is_pure():
-    account = SlackAccount(P0_slack=0.5)
-    fixed = fixed_injection(make_ts([(1, 1.0)]))
-    first = slack_residual(account, fixed, np.array([0.7]), np.array([0.0]))
-    assert first == pytest.approx(0.5 - (2.0 - 0.7))
-    assert account == SlackAccount(P0_slack=0.5)
-    assert slack_residual(account, fixed, np.array([0.7]), np.array([0.0])) == first

@@ -22,13 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcoopt import core
-from tdcoopt.acpf import SlackAccount, fixed_injection, sweep_feeder
+from tdcoopt.acpf import sweep_feeder
 from tdcoopt.core import (
     DerCapacityScale,
     DivergenceError,
     DualState,
     EngineError,
     GeneratorOutage,
+    Measurement,
+    PrimalState,
+    SlackAccount,
     SolverConfig,
     apply_event,
     build_problem,
@@ -215,6 +218,9 @@ def test_initial_state_errors():
         initial_state(problem, mode="random")
     with pytest.raises(ValueError, match="unknown init mode"):
         initial_state(problem, mode="cold")
+    for P_M in (np.ones(3), np.ones(1), np.ones((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="each of the 2 generators"):
+            initial_state(problem, P_M=P_M)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ def one_node_network(limits):
         n_feeders=1, gen_specs=[(1, 1.0)], der_layout={2: {}}, n_feeder_nodes=1
     )
     network = build_problem(system, limits).network
-    assert network.fixed_injection == fixed_injection(make_ts([(1, 1.0)]))
+    assert network.fixed_injection == -2.0
     return network
 
 
@@ -293,8 +299,6 @@ def test_dual_update_arithmetic(limits):
     # [TRIVIAL] one node 0.01 above the band: mu_up climbs by eps * 0.01
     # minus the eta leak, mu_lo decays toward zero, lambda integrates the
     # balance residual
-    from tdcoopt.core import Measurement
-
     meas = Measurement(v=np.array([1.06]), P_L=np.array([0.3]))
     y = DualState(lam=0.0, mu=np.array([0.02, 0.03]))
     account = SlackAccount(P0_slack=1.1)  # matches P_M=1.2, P_L=0.3
@@ -316,8 +320,6 @@ def test_dual_update_arithmetic(limits):
 
 
 def test_dual_update_clamps_at_zero(limits):
-    from tdcoopt.core import Measurement
-
     meas = Measurement(v=np.array([1.0]), P_L=np.array([0.0]))
     y = DualState(lam=0.0, mu=np.zeros(2))
     account = SlackAccount(P0_slack=0.0)
@@ -426,8 +428,6 @@ def test_der_signals_keep_a_negative_zero_price_for_the_generators(limits):
 def test_dual_update_never_makes_a_negative_zero(steps, eps, eta):
     # der_signals' shortcut relies on mu holding no -0.0; voltages drawn on
     # the band edges make zero violations, large steps make clamping
-    from tdcoopt.core import Measurement
-
     network = one_node_network(VoltageLimits(0.95, 1.05))
     account = SlackAccount(P0_slack=0.0)
     y = DualState(lam=0.0, mu=np.zeros(6))
@@ -839,6 +839,78 @@ def test_apply_unknown_event(limits):
 
 
 # ---------------------------------------------------------------------------
+# slack-bus bookkeeping
+# ---------------------------------------------------------------------------
+
+def test_round_zero_records_the_implied_slack():
+    # [TRIVIAL] fixed injections sum to -2.0 (the load bus), so with
+    # P_M = 1.2 and no feeder the implied slack output is 0 - 1.2 + 2.0
+    problem = dispatch_only([(1, 1.0)])
+    res = solve(problem, SolverConfig(max_iter=0), x0=PrimalState(np.array([1.2]), 0))
+    assert res.account.P0_slack == pytest.approx(0.8)
+    assert res.records[0].slack_residual == 0.0
+    # a feeder's head draw adds to it
+    problem = build_problem(
+        make_system(n_feeders=1, gen_specs=[(1, 1.0)]), VoltageLimits(0.95, 1.05)
+    )
+    x, _ = initial_state(problem)
+    res = solve(problem, SolverConfig(max_iter=0), x0=x)
+    P_L = measure(problem, x).P_L
+    assert res.account.P0_slack == pytest.approx(P_L[0] - x.P_M[0] + 2.0)
+    assert res.records[0].slack_residual == 0.0
+
+
+def test_balance_residual_sign_convention():
+    # raising fleet output by delta over-supplies by exactly delta
+    problem = build_problem(
+        make_system(n_feeders=1, gen_specs=[(1, 1.0)]), VoltageLimits(0.95, 1.05)
+    )
+    x, y = initial_state(problem)
+    account = solve(problem, SolverConfig(max_iter=0), x0=x, y0=y).account
+    assert grad_dual(problem, x, y, account)[0] == 0.0
+    z = x.z.copy()
+    z[-1] += 0.25  # the one generator
+    raised = PrimalState(z, x.n_nodes)
+    assert grad_dual(problem, raised, y, account)[0] == pytest.approx(0.25)
+    # extra feeder draw under-supplies
+    meas = measure(problem, x)
+    drawn = Measurement(v=meas.v, P_L=meas.P_L + 0.1)
+    balance = grad_dual(problem, x, y, account, measurement=drawn)[0]
+    assert balance == pytest.approx(-0.1)
+
+
+def test_slack_bus_p0_excluded_from_fixed_injection():
+    ts = make_ts([(1, 1.0)], load_bus=5, load=2.0, slack_bus=9)
+    buses = tuple(
+        dataclasses.replace(b, p0=4.0) if b.id == ts.slack_bus_id else b
+        for b in ts.buses
+    )
+    ts_slack_load = dataclasses.replace(ts, buses=buses)
+    problem = build_problem(attach_feeders(ts_slack_load, []), VoltageLimits(0.95, 1.05))
+    # the slack bus's own p0 must not enter the balance
+    assert problem.network.fixed_injection == -2.0
+    res = solve(problem, SolverConfig(max_iter=0), x0=PrimalState(np.array([1.2]), 0))
+    assert res.account.P0_slack == pytest.approx(0.8)
+
+
+def test_the_run_leaves_its_slack_account_unchanged():
+    account = SlackAccount(P0_slack=0.5)
+    problem = dispatch_only([(1, 1.0)])
+    x, y = PrimalState(np.array([0.7]), 0), DualState(lam=0.0, mu=np.zeros(0))
+    first = grad_dual(problem, x, y, account)[0]
+    assert first == pytest.approx(0.5 - (2.0 - 0.7))
+    cfg = SolverConfig(eps=0.05, max_iter=20, tol=0.0)
+    res = solve(problem, cfg, x0=x, y0=y, account=account)
+    assert res.account is account
+    assert account == SlackAccount(P0_slack=0.5)
+    assert grad_dual(problem, x, y, account)[0] == first
+    # every round reads its residual against the same target
+    assert res.records[0].slack_residual == first
+    last = res.records[-1]
+    assert last.slack_residual == pytest.approx(0.5 - (2.0 - last.P_M[0]))
+
+
+# ---------------------------------------------------------------------------
 # the solve loop
 # ---------------------------------------------------------------------------
 
@@ -924,7 +996,7 @@ def record_by_slices(problem, t, x, y, meas, residual, signals, probes, sp, sd):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n_feeders=st.integers(1, 3))
 def test_iteration_record_matches_the_per_feeder_formula(seed, n_feeders):
-    from tdcoopt.core import Measurement, iteration_record
+    from tdcoopt.core import iteration_record
     from tdcoopt.trace import Records
 
     problem = build_problem(

@@ -338,6 +338,9 @@ SPOILT = [
     ("sweep", 13, lambda out: noncontiguous(np.empty(3)), ValueError),
     ("sweep", 13, lambda out: np.empty((1, 3)), ValueError),
     ("sweep", 13, lambda out: [0.0, 0.0, 0.0], TypeError),
+    ("sweep", 8, lambda p: p.reshape(3, 1), ValueError),
+    ("sweep", 9, lambda q: np.float64(0.0), ValueError),
+    ("sweep", 10, lambda v_init: np.ones((1, 3)), ValueError),
 ]
 
 

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcoopt.acpf import SlackAccount
 from tdcoopt.core import (
     CompiledNetwork,
     DerCapacityScale,
@@ -27,6 +26,7 @@ from tdcoopt.core import (
     DualState,
     EngineError,
     GeneratorOutage,
+    SlackAccount,
     SolverConfig,
     build_problem,
     check_stepsize,

@@ -83,7 +83,7 @@ def test_load_shipped_default_scenario():
         "generator-outage", "der-capacity-scale"
     }
     assert sc.init_mode == "setpoint"
-    assert sc.slack_mode == "record"
+    assert sc.account is None  # recorded at the start
 
 
 def test_event_mapping_to_engine_events(tmp_path):
@@ -623,6 +623,16 @@ def test_probe_oracle_pinned_generators_leave_no_optimum(tmp_path):
         probe_oracle(load_scenario(path))
 
 
+def test_probe_oracle_after_the_last_generator_trips(tmp_path):
+    # with no DER and both units tripped nothing is free; the slack
+    # recorded at the start is no longer met
+    trips = [{"kind": "generator-outage", "iteration": 5, "target": bus}
+             for bus in (1, 2)]
+    patch = {"feeders": [], "slack": {"mode": "record"}, "events": trips}
+    with pytest.raises(OracleInfeasible, match="balance residual"):
+        probe_oracle(load_scenario(write_scenario(tmp_path, patch)))
+
+
 @pytest.mark.filterwarnings("error")
 def test_probe_oracle_infeasible(tmp_path):
     path = write_scenario(tmp_path, {"limits": {"v_min": 1.2, "v_max": 1.3}})
@@ -680,12 +690,13 @@ def _dispatch(name):
             load_scenario(SCENARIOS_DIR / "oracle_demo.json")
             if name == "oracle_demo" else random_small_instance(name)
         )
-        return core.build_problem(sc.system, sc.limits), acpf.SlackAccount(0.0)
+        return core.build_problem(sc.system, sc.limits), core.SlackAccount(0.0)
     sc = load_scenario(SCENARIOS_DIR / "default.json")
     problem = core.build_problem(sc.system, sc.limits)
     x, _ = core.initial_state(problem, "setpoint")
+    P_L = core.measure(problem, x).P_L
     fixed = problem.network.fixed_injection
-    account = acpf.record_slack(fixed, x.P_M, core.measure(problem, x).P_L)
+    account = core.SlackAccount(float(np.sum(P_L)) - float(np.sum(x.P_M)) - fixed)
     for event in sc.events:
         problem, x = core.apply_event(problem, x, event)
     return problem, account
@@ -702,12 +713,51 @@ def test_exact_saddle_meets_the_kkt_conditions(name):
     )
     grad = 2.0 * problem.coef * x.z + core.der_signals(network, y)
     projected = x.z - np.clip(x.z - grad, problem.lo, problem.hi)
-    balance = acpf.slack_residual(account, network.fixed_injection, x.P_M, meas.P_L)
+    implied = float(np.sum(meas.P_L)) - float(np.sum(x.P_M)) - network.fixed_injection
+    balance = account.P0_slack - implied
     assert np.max(np.abs(projected)) <= 1e-10
     assert np.max(g) <= 1e-10
     assert abs(balance) <= 1e-10
     assert np.min(y.mu) >= -1e-10
     assert np.max(np.abs(y.mu * g)) <= 1e-10
+
+
+def _tripped():
+    """gen2 with feeder4's DERs removed, after both generators trip: no
+    coordinate is free, and the slack recorded there balances it."""
+    sc = load_scenario(SCENARIOS_DIR / "oracle_demo.json")
+    feeders = [dataclasses.replace(f, ders=()) for f in sc.system.feeders]
+    system = network.attach_feeders(sc.system.transmission, feeders)
+    problem = core.build_problem(system, sc.limits)
+    x, _ = core.initial_state(problem)
+    for g in problem.gen_bus:
+        problem, x = core.apply_event(problem, x, GeneratorOutage(1, int(g)))
+    assert not np.any(problem.hi > problem.lo)
+    P_L = core.measure(problem, x).P_L
+    fixed = problem.network.fixed_injection
+    return problem, x, float(np.sum(P_L)) - float(np.sum(x.P_M)) - fixed
+
+
+def test_exact_saddle_certifies_a_point_where_nothing_is_free():
+    problem, x, implied = _tripped()
+    xs, ys = exact_saddle(problem, core.SlackAccount(implied))
+    np.testing.assert_array_equal(xs.z, x.z)
+    assert ys.lam == 0.0 and not np.any(ys.mu)
+
+
+@pytest.mark.parametrize("broken", ["balance residual", "band violation"])
+def test_exact_saddle_names_what_a_pinned_point_breaks(broken):
+    problem, x, implied = _tripped()
+    if broken == "balance residual":
+        implied += 0.5
+    else:
+        v_top = float(np.max(core.measure(problem, x).v))
+        limits = network.VoltageLimits(problem.network.limits.v_min, v_top - 1e-3)
+        problem = dataclasses.replace(
+            problem, network=dataclasses.replace(problem.network, limits=limits)
+        )
+    with pytest.raises(OracleInfeasible, match=f"no certified optimum: {broken}"):
+        exact_saddle(problem, core.SlackAccount(implied))
 
 
 @pytest.mark.parametrize(
