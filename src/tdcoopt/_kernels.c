@@ -5,8 +5,10 @@
  * Each function checks every argument before a kernel reads a byte: an
  * array of the wrong type or dtype is a TypeError, one of the wrong shape,
  * length, layout or writeability a ValueError, an index outside its range
- * an IndexError.  Only this file includes the CPython and numpy headers,
- * so a build parses them once.
+ * an IndexError.  A feeder's tree is checked once, when bind_feeder copies
+ * it into a Feeder, whose sweeps then check only the call's own vectors.
+ * Only this file includes the CPython and numpy headers, so a build
+ * parses them once.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -154,28 +156,63 @@ static PyArrayObject *new_vector(intptr_t n, double **data)
 }
 
 /* ---------------------------------------------------------------------
- * _sweep.c
+ * _sweep.c: a feeder bound once, then swept
  * --------------------------------------------------------------------- */
 
-/* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)
- *
- * The model's tree and base injections, then the call's: p and q (any
- * 1-D sequences of n reals) are added to p0 and q0, and the sweep starts
- * from v_init (one too), or flat at v0 where it is None.  The voltages go
- * into out: a new array where it is None, else a writeable float64 array of n
- * entries, as vector() checks it, that shares no memory with p, q or
- * v_init unless it is v_init.  The start is copied into out and swept in
- * place.  Returns (v, P_L, Q_L, loss, iterations, residual), v being out,
- * on convergence; (status, iterations, node, residual) on a collapse or
- * when the iterations run out, out then holding the last pass; raises
- * ZeroDivisionError on a zero voltage, as the Python sweep does.  The
- * scratch is allocated per call and zeroed, so no entry is read unwritten
- * whatever the tree. */
-static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* A feeder's tree and base injections, copied and checked once by
+ * bind_feeder, with the scratch of its sweeps: the summed injections
+ * (2n), then tdcoopt_sweep's (5n).  result is the type a converged sweep
+ * returns, a tuple subclass of six entries (acpf.SweepResult), or NULL
+ * for a plain tuple. */
+typedef struct {
+    PyObject_HEAD
+    PyTypeObject *result;
+    int n, n_roots;
+    double v0;
+    int *order, *parent, *roots; /* one block: n, n, n_roots */
+    double *r, *x, *p0, *q0, *work; /* one block: n each, then 7n */
+} Feeder;
+
+static void feeder_dealloc(Feeder *f)
 {
-    (void)self;
-    if (nargs_are("sweep", nargs, 14) < 0)
-        return NULL;
+    Py_XDECREF(f->result);
+    free(f->order);
+    free(f->r);
+    PyObject_Free(f);
+}
+
+/* 0 when order lists every node once, each after its parent; else -1
+ * with a ValueError.  order and parent hold n indices in range. */
+static int parents_first(const int *order, const int *parent, intptr_t n)
+{
+    char *placed = calloc((size_t)n + 1, 1);
+    if (placed == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int status = 0;
+    for (intptr_t k = 0; k < n && status == 0; k++) {
+        int j = order[k], pj = parent[j];
+        if (placed[j]) {
+            PyErr_Format(PyExc_ValueError, "order[%zd] = %d repeats a node",
+                         (Py_ssize_t)k, j);
+            status = -1;
+        } else if (pj >= 0 && !placed[pj]) {
+            PyErr_Format(PyExc_ValueError, "order[%zd] = %d comes before its parent %d",
+                         (Py_ssize_t)k, j, pj);
+            status = -1;
+        }
+        placed[j] = 1;
+    }
+    free(placed);
+    return status;
+}
+
+static PyTypeObject FeederType;
+
+/* a Feeder of the tree in args: order, parent, roots, r, x, p0, q0, v0 */
+static Feeder *bind_tree(PyTypeObject *result, PyObject *const *args)
+{
     intptr_t n = -1, n_roots = -1;
     if (vector(args[0], NPY_INT, "order", &n, 0) == NULL)
         return NULL;
@@ -185,8 +222,7 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     const int *order, *parent, *roots;
     const double *r, *x, *p0, *q0;
-    double v0, tol;
-    intptr_t max_iter;
+    double v0;
     if ((order = indices(args[0], NPY_INT, "order", &n, 0, n)) == NULL
         || (parent = indices(args[1], NPY_INT, "parent", &n, -1, n)) == NULL
         || (roots = indices(args[2], NPY_INT, "roots", &n_roots, 0, n)) == NULL
@@ -194,25 +230,110 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || (x = vector(args[4], NPY_DOUBLE, "x", &n, 0)) == NULL
         || (p0 = vector(args[5], NPY_DOUBLE, "p0", &n, 0)) == NULL
         || (q0 = vector(args[6], NPY_DOUBLE, "q0", &n, 0)) == NULL
-        || real(args[7], "v0", &v0) < 0
-        || real(args[11], "tol", &tol) < 0
-        || count(args[12], "max_iter", INT_MIN, INT_MAX, &max_iter) < 0)
+        || real(args[7], "v0", &v0) < 0)
         return NULL;
-    if (n_roots > INT_MAX) {
+    if (n_roots > INT_MAX / 2) {
         PyErr_SetString(PyExc_ValueError, "roots: too many entries");
         return NULL;
     }
+    if (parents_first(order, parent, n) < 0)
+        return NULL;
+    Feeder *f = PyObject_New(Feeder, &FeederType);
+    if (f == NULL)
+        return NULL;
+    f->result = result;
+    Py_XINCREF(result);
+    f->n = (int)n;
+    f->n_roots = (int)n_roots;
+    f->v0 = v0;
+    f->order = malloc((2 * (size_t)n + (size_t)n_roots + 1) * sizeof(int));
+    f->r = calloc(11 * (size_t)n + 1, sizeof(double));
+    if (f->order == NULL || f->r == NULL) {
+        Py_DECREF(f);
+        return (Feeder *)PyErr_NoMemory();
+    }
+    f->parent = f->order + n;
+    f->roots = f->parent + n;
+    f->x = f->r + n;
+    f->p0 = f->x + n;
+    f->q0 = f->p0 + n;
+    f->work = f->q0 + n;
+    memcpy(f->order, order, (size_t)n * sizeof(int));
+    memcpy(f->parent, parent, (size_t)n * sizeof(int));
+    memcpy(f->roots, roots, (size_t)n_roots * sizeof(int));
+    memcpy(f->r, r, (size_t)n * sizeof(double));
+    memcpy(f->x, x, (size_t)n * sizeof(double));
+    memcpy(f->p0, p0, (size_t)n * sizeof(double));
+    memcpy(f->q0, q0, (size_t)n * sizeof(double));
+    return f;
+}
+
+/* bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder
+ *
+ * The model's tree (parent -1 at the substation) and base injections,
+ * copied: every index in range, and order each node once, after its
+ * parent.  result: None, or a tuple subclass with no fields of its own,
+ * which converged sweeps then return. */
+static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("bind_feeder", nargs, 9) < 0)
+        return NULL;
+    PyTypeObject *result = NULL;
+    if (args[0] != Py_None) {
+        result = (PyTypeObject *)args[0];
+        if (!PyType_Check(args[0])
+            || !PyType_FastSubclass(result, Py_TPFLAGS_TUPLE_SUBCLASS)
+            || result->tp_basicsize != PyTuple_Type.tp_basicsize
+            || result->tp_itemsize != PyTuple_Type.tp_itemsize) {
+            PyErr_SetString(PyExc_TypeError,
+                            "result must be None or a tuple subclass without fields");
+            return NULL;
+        }
+    }
+    return (PyObject *)bind_tree(result, args + 1);
+}
+
+/* Feeder.sweep(p, q, v_init, tol, max_iter, out)
+ *
+ * p and q (any 1-D sequences of n reals) are added to p0 and q0, and the
+ * sweep starts from v_init (one too), or flat at v0 where it is None.
+ * The voltages go into out: a new array where it is None, else a
+ * writeable float64 array of n entries, as vector() checks it, that
+ * shares no memory with p, q or v_init unless it is v_init.  The start
+ * is copied into out and swept in place.  Returns (v, P_L, Q_L, loss,
+ * iterations, residual), v being out, as the bound result type on
+ * convergence; (status, iterations, node, residual) on a collapse or
+ * when the iterations run out, out then holding the last pass; raises
+ * ZeroDivisionError on a zero voltage, as the Python sweep does.  The
+ * scratch is the Feeder's: with order checked, every entry is written
+ * before it is read in each pass. */
+static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs_are("sweep", nargs, 6) < 0)
+        return NULL;
+    intptr_t n = f->n, max_iter;
+    double tol;
+    if (real(args[3], "tol", &tol) < 0
+        || count(args[4], "max_iter", INT_MIN, INT_MAX, &max_iter) < 0)
+        return NULL;
 
     /* the call's vectors, as float64 arrays of n entries */
     const char *names[3] = {"p", "q", "v_init"};
     PyArrayObject *given[3] = {NULL, NULL, NULL}, *v = NULL;
-    double *work = NULL;
     PyObject *result = NULL;
     for (int i = 0; i < 3; i++) {
-        if (i == 2 && args[10] == Py_None)
+        if (i == 2 && args[2] == Py_None)
             break;
-        given[i] = (PyArrayObject *)PyArray_FROMANY(args[8 + i], NPY_DOUBLE, 0, 0,
-                                                    NPY_ARRAY_CARRAY_RO);
+        PyArrayObject *a = (PyArrayObject *)args[i];
+        if (PyArray_CheckExact(args[i]) && PyArray_TYPE(a) == NPY_DOUBLE
+            && PyArray_ISCARRAY_RO(a)) {
+            given[i] = a; /* what PyArray_FROMANY returns for it, sooner */
+            Py_INCREF(a);
+        } else {
+            given[i] = (PyArrayObject *)PyArray_FROMANY(args[i], NPY_DOUBLE, 0, 0,
+                                                        NPY_ARRAY_CARRAY_RO);
+        }
         if (given[i] == NULL)
             goto exit;
         if (PyArray_NDIM(given[i]) != 1) {
@@ -226,36 +347,31 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     double *vs;
-    if (args[13] == Py_None) {
+    if (args[5] == Py_None) {
         if ((v = new_vector(n, &vs)) == NULL)
             goto exit;
     } else {
-        if ((vs = vector(args[13], NPY_DOUBLE, "out", &n, 1)) == NULL)
+        if ((vs = vector(args[5], NPY_DOUBLE, "out", &n, 1)) == NULL)
             goto exit;
         const char *lo = (const char *)vs, *hi = (const char *)(vs + n);
         for (int i = 0; i < 3; i++) {
-            if ((i < 2 || args[13] != args[10]) && overlaps(args[8 + i], lo, hi)) {
+            if ((i < 2 || args[5] != args[2]) && overlaps(args[i], lo, hi)) {
                 PyErr_Format(PyExc_ValueError, "out overlaps %s", names[i]);
                 goto exit;
             }
         }
-        v = (PyArrayObject *)args[13];
+        v = (PyArrayObject *)args[5];
         Py_INCREF(v);
     }
-    /* the injections, then the scratch */
-    if ((work = calloc(7 * (size_t)n + 1, sizeof(double))) == NULL) {
-        PyErr_NoMemory();
-        goto exit;
-    }
     const double *p = PyArray_DATA(given[0]), *q = PyArray_DATA(given[1]);
-    double *p_inj = work, *q_inj = work + n;
+    double *p_inj = f->work, *q_inj = f->work + n;
     for (intptr_t j = 0; j < n; j++) {
-        p_inj[j] = p0[j] + p[j];
-        q_inj[j] = q0[j] + q[j];
+        p_inj[j] = f->p0[j] + p[j];
+        q_inj[j] = f->q0[j] + q[j];
     }
     if (given[2] == NULL) {
         for (intptr_t j = 0; j < n; j++)
-            vs[j] = v0;
+            vs[j] = f->v0;
     } else if (PyArray_DATA(given[2]) != vs) {
         memcpy(vs, PyArray_DATA(given[2]), (size_t)n * sizeof(double));
     }
@@ -263,24 +379,72 @@ static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     double out[4] = {0.0, 0.0, 0.0, 0.0};
     int info[2] = {0, -1};
     struct tdcoopt_sweep s = {
-        order, parent, roots, r, x, p_inj, q_inj, vs, out, work + 2 * n, info,
-        v0, tol, (int)n, (int)n_roots, (int)max_iter,
+        f->order, f->parent, f->roots, f->r, f->x, p_inj, q_inj, vs, out,
+        f->work + 2 * n, info, f->v0, tol, (int)n, f->n_roots, (int)max_iter,
     };
     int status = tdcoopt_sweep(&s);
-    if (status == TDCOOPT_CONVERGED)
-        result = Py_BuildValue("(Odddid)", (PyObject *)v, out[0], out[1], out[2],
-                               info[0], out[3]);
-    else if (status == TDCOOPT_ZERO_VOLTAGE)
+    if (status == TDCOOPT_CONVERGED) {
+        /* (v, P_L, Q_L, loss, iterations, residual), built as
+         * tuple.__new__(result, ...) builds it */
+        result = f->result == NULL ? PyTuple_New(6) : f->result->tp_alloc(f->result, 6);
+        if (result != NULL) {
+            Py_INCREF(v);
+            PyTuple_SET_ITEM(result, 0, (PyObject *)v);
+            PyTuple_SET_ITEM(result, 1, PyFloat_FromDouble(out[0]));
+            PyTuple_SET_ITEM(result, 2, PyFloat_FromDouble(out[1]));
+            PyTuple_SET_ITEM(result, 3, PyFloat_FromDouble(out[2]));
+            PyTuple_SET_ITEM(result, 4, PyLong_FromLong(info[0]));
+            PyTuple_SET_ITEM(result, 5, PyFloat_FromDouble(out[3]));
+            for (int i = 1; i < 6 && result != NULL; i++) {
+                if (PyTuple_GET_ITEM(result, i) == NULL)
+                    Py_CLEAR(result); /* a tuple drops its NULL items */
+            }
+        }
+    } else if (status == TDCOOPT_ZERO_VOLTAGE) {
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-    else
+    } else {
         result = Py_BuildValue("(iiid)", status, info[0], info[1], out[3]);
+    }
 exit:
-    free(work);
     Py_XDECREF(v);
     for (int i = 0; i < 3; i++)
         Py_XDECREF(given[i]);
     return result;
 }
+
+/* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)
+ *
+ * bind_feeder(None, ...) of the first eight, then its sweep of the rest:
+ * one sweep of a tree bound for this call alone. */
+static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("sweep", nargs, 14) < 0)
+        return NULL;
+    Feeder *f = bind_tree(NULL, args);
+    if (f == NULL)
+        return NULL;
+    PyObject *result = feeder_sweep(f, args + 8, 6);
+    Py_DECREF(f);
+    return result;
+}
+
+static PyMethodDef feeder_methods[] = {
+    {"sweep", (PyCFunction)(void (*)(void))feeder_sweep, METH_FASTCALL,
+     "sweep(p, q, v_init, tol, max_iter, out)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject FeederType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "tdcoopt._kernels.Feeder",
+    .tp_basicsize = sizeof(Feeder),
+    .tp_dealloc = (destructor)feeder_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A feeder's tree, checked and copied once (bind_feeder), and the "
+              "scratch of its sweeps.",
+    .tp_methods = feeder_methods,
+};
 
 /* ---------------------------------------------------------------------
  * _format.c
@@ -399,6 +563,96 @@ static PyObject *inf_norm(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return PyFloat_FromDouble(tdcoopt_inf_norm(n, a, NULL));
 }
 
+/* dual_step(mu, v, v_min, v_max, eps, eta, lam, P_L, P_M, P0_slack, fixed)
+ *     -> (the new mu, a new array; the new lam; the balance residual)
+ *
+ * core.dual_update (tdcoopt_dual_step): mu_step's arguments, then the
+ * price and what its residual reads, P_L and P_M of any length. */
+static PyObject *dual_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("dual_step", nargs, 11) < 0)
+        return NULL;
+    struct tdcoopt_dual d;
+    intptr_t m = -1;
+    double *out, lam;
+    d.n = d.n_feeders = d.n_generators = -1;
+    if ((d.mu = vector(args[0], NPY_DOUBLE, "mu", &m, 0)) == NULL
+        || (d.v = vector(args[1], NPY_DOUBLE, "v", &d.n, 0)) == NULL
+        || real(args[2], "v_min", &d.v_min) < 0
+        || real(args[3], "v_max", &d.v_max) < 0
+        || real(args[4], "eps", &d.eps) < 0
+        || real(args[5], "eta", &d.eta) < 0
+        || real(args[6], "lam", &d.lam) < 0
+        || (d.P_L = vector(args[7], NPY_DOUBLE, "P_L", &d.n_feeders, 0)) == NULL
+        || (d.P_M = vector(args[8], NPY_DOUBLE, "P_M", &d.n_generators, 0)) == NULL
+        || real(args[9], "P0_slack", &d.P0_slack) < 0
+        || real(args[10], "fixed", &d.fixed) < 0)
+        return NULL;
+    if (m != 2 * d.n) {
+        PyErr_Format(PyExc_ValueError, "mu has length %zd, not twice v's %zd",
+                     (Py_ssize_t)m, (Py_ssize_t)d.n);
+        return NULL;
+    }
+    PyArrayObject *mu = new_vector(m, &out);
+    if (mu == NULL)
+        return NULL;
+    double residual = tdcoopt_dual_step(&d, out, &lam);
+    return Py_BuildValue("(Ndd)", (PyObject *)mu, lam, residual);
+}
+
+/* flat_signals(mu, n_nodes, n_generators, lam_ders, lam)
+ *     -> core.der_signals' prices, a new array, when no multiplier is
+ *        nonzero; None when one is, or when mu is not a float64 array of
+ *        2 n_nodes entries, as array() checks it (der_signals' numpy code
+ *        then runs) */
+static PyObject *flat_signals(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("flat_signals", nargs, 5) < 0)
+        return NULL;
+    intptr_t n, n_generators;
+    double lam_ders, lam, *out;
+    if (count(args[1], "n_nodes", 0, INTPTR_MAX / 4, &n) < 0
+        || count(args[2], "n_generators", 0, INTPTR_MAX / 4, &n_generators) < 0
+        || real(args[3], "lam_ders", &lam_ders) < 0 || real(args[4], "lam", &lam) < 0)
+        return NULL;
+    PyArrayObject *mu = (PyArrayObject *)args[0];
+    if (!PyArray_Check(args[0]) || PyArray_TYPE(mu) != NPY_DOUBLE
+        || !PyArray_ISCARRAY_RO(mu) || PyArray_NDIM(mu) != 1
+        || PyArray_DIM(mu, 0) != 2 * n)
+        Py_RETURN_NONE;
+    PyArrayObject *prices = new_vector(2 * n + n_generators, &out);
+    if (prices != NULL
+        && tdcoopt_flat_signals(n, PyArray_DATA(mu), n_generators, lam_ders, lam, out)) {
+        Py_DECREF(prices);
+        Py_RETURN_NONE;
+    }
+    return (PyObject *)prices;
+}
+
+/* step_norms(z_new, z, mu_new, mu, lam_new, lam, eps)
+ *     -> (step_primal, step_dual, state): core._step_norms */
+static PyObject *step_norms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("step_norms", nargs, 7) < 0)
+        return NULL;
+    intptr_t n = -1, m = -1;
+    const double *z_new, *z, *mu_new, *mu;
+    double lam_new, lam, eps, out[3];
+    if ((z_new = vector(args[0], NPY_DOUBLE, "z_new", &n, 0)) == NULL
+        || (z = vector(args[1], NPY_DOUBLE, "z", &n, 0)) == NULL
+        || (mu_new = vector(args[2], NPY_DOUBLE, "mu_new", &m, 0)) == NULL
+        || (mu = vector(args[3], NPY_DOUBLE, "mu", &m, 0)) == NULL
+        || real(args[4], "lam_new", &lam_new) < 0
+        || real(args[5], "lam", &lam) < 0
+        || real(args[6], "eps", &eps) < 0)
+        return NULL;
+    tdcoopt_step_norms(n, z_new, z, m, mu_new, mu, lam_new, lam, eps, out);
+    return Py_BuildValue("(ddd)", out[0], out[1], out[2]);
+}
+
 /* total_cost(coef, z, n_nodes) -> core.total_cost's value */
 static PyObject *total_cost(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -485,6 +739,8 @@ static PyObject *record_row(PyObject *self, PyObject *const *args, Py_ssize_t na
 #define FASTCALL(name) (PyCFunction)(void (*)(void))name, METH_FASTCALL
 
 static PyMethodDef methods[] = {
+    {"bind_feeder", FASTCALL(bind_feeder),
+     "bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder"},
     {"sweep", FASTCALL(sweep),
      "sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)"},
     {"format_rows", FASTCALL(format_rows),
@@ -492,6 +748,14 @@ static PyMethodDef methods[] = {
     {"primal_step", FASTCALL(primal_step),
      "primal_step(z, eps, coef, signals, lo, hi) -> the new z"},
     {"mu_step", FASTCALL(mu_step), "mu_step(mu, v, v_min, v_max, eps, eta) -> the new mu"},
+    {"dual_step", FASTCALL(dual_step),
+     "dual_step(mu, v, v_min, v_max, eps, eta, lam, P_L, P_M, P0_slack, fixed) "
+     "-> (mu, lam, residual)"},
+    {"flat_signals", FASTCALL(flat_signals),
+     "flat_signals(mu, n_nodes, n_generators, lam_ders, lam) -> the prices, or None"},
+    {"step_norms", FASTCALL(step_norms),
+     "step_norms(z_new, z, mu_new, mu, lam_new, lam, eps) -> (step_primal, "
+     "step_dual, state)"},
     {"inf_diff", FASTCALL(inf_diff), "inf_diff(a, b) -> max |a - b|, 0.0 when empty"},
     {"inf_norm", FASTCALL(inf_norm), "inf_norm(a) -> max |a|, 0.0 when empty"},
     {"total_cost", FASTCALL(total_cost), "total_cost(coef, z, n_nodes) -> sum of coef z z"},
@@ -510,5 +774,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__kernels(void)
 {
     import_array();
+    if (PyType_Ready(&FeederType) < 0)
+        return NULL;
     return PyModule_Create(&module);
 }

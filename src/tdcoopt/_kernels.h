@@ -3,7 +3,8 @@
  * steps).  Each reads and writes only the buffers it is given, of the
  * sizes stated here.  _kernels.c, the extension module tdcoopt._kernels,
  * is the only caller: it checks every argument against these sizes and
- * ranges before it calls a kernel.
+ * ranges before it calls a kernel (a feeder's tree once, when it is
+ * bound).
  */
 #ifndef TDCOOPT_KERNELS_H
 #define TDCOOPT_KERNELS_H
@@ -35,13 +36,28 @@ int tdcoopt_sweep(const struct tdcoopt_sweep *s);
 long tdcoopt_format_rows(const int64_t *iterations, const double *cells,
                          long rows, long cols, const uint64_t *g, char *out);
 
-/* _round.c: n entries in each array, but mu and its out (2n) */
+/* _round.c: n entries in each array, but mu and its out (2n) and where
+ * stated */
 void tdcoopt_primal_step(intptr_t n, const double *z, double eps, const double *coef,
                          const double *signals, const double *lo, const double *hi,
                          double *out);
 void tdcoopt_mu_step(intptr_t n, const double *mu, const double *v, double v_min,
                      double v_max, double eps, double eta, double *out);
 double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b);
+int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
+                         double lam_ders, double lam, double *out); /* out 2n + n_generators */
+void tdcoopt_step_norms(intptr_t n, const double *z_new, const double *z, intptr_t m,
+                        const double *mu_new, const double *mu, double lam_new,
+                        double lam, double eps, double *out); /* z n, mu m, out 3 */
+
+/* one dual step: the multipliers of n nodes, then the balance price */
+struct tdcoopt_dual {
+    intptr_t n, n_feeders, n_generators;
+    const double *mu, *v, *P_L, *P_M; /* 2n, n, n_feeders, n_generators */
+    double v_min, v_max, eps, eta, lam, P0_slack, fixed;
+};
+
+double tdcoopt_dual_step(const struct tdcoopt_dual *d, double *mu_out, double *lam_new);
 double tdcoopt_total_cost(intptr_t n, intptr_t n_nodes, const double *coef,
                           const double *z);
 

@@ -9,7 +9,8 @@
  *   np.maximum(t, 0.0): NaN passes, and a tie gives +0.0;
  *   np.maximum.reduce and np.minimum.reduce: a NaN is the result;
  *   np.add.reduce of a contiguous float64 array: 0.0 + numpy's pairwise
- *     sum (pairwise below).
+ *     sum (pairwise below);
+ *   Python's max(a, b) on floats: b > a ? b : a.
  * Built with -ffp-contract=off, so no multiply and add are fused.
  */
 #include <math.h>
@@ -17,10 +18,15 @@
 
 #include "_kernels.h"
 
+/* a > b ? a : b and a < b ? a : b, the selects the compiler makes without
+ * a branch (one on the sign of a step is mispredicted as often as taken),
+ * then the NaN rules, whose branches a run never takes */
 static double clip(double s, double lo, double hi)
 {
-    double t = s > lo || isnan(s) ? s : lo;
-    return t < hi || isnan(t) ? t : hi;
+    double t = s > lo ? s : lo;
+    t = isnan(s) ? s : t;
+    double u = t < hi ? t : hi;
+    return isnan(t) ? t : u;
 }
 
 /* np.clip(z - eps * (2.0 * coef * z + signals), lo, hi) */
@@ -40,56 +46,172 @@ void tdcoopt_primal_step(intptr_t n, const double *z, double eps, const double *
 void tdcoopt_mu_step(intptr_t n, const double *mu, const double *v, double v_min,
                      double v_max, double eps, double eta, double *out)
 {
-    for (intptr_t i = 0; i < 2 * n; i++) {
-        double g = i < n ? v[i] - v_max : v_min - v[i - n];
-        double t = mu[i] + eps * (g - eta * mu[i]);
-        out[i] = t > 0.0 || isnan(t) ? t : 0.0;
+    for (intptr_t i = 0; i < n; i++) {
+        double t = mu[i] + eps * ((v[i] - v_max) - eta * mu[i]);
+        double u = t > 0.0 ? t : 0.0;
+        out[i] = isnan(t) ? t : u;
     }
+    for (intptr_t i = 0; i < n; i++) {
+        double t = mu[n + i] + eps * ((v_min - v[i]) - eta * mu[n + i]);
+        double u = t > 0.0 ? t : 0.0;
+        out[n + i] = isnan(t) ? t : u;
+    }
+}
+
+/* m, then d, reduced as np.maximum.reduce does: the first NaN sticks */
+static double larger(double m, double d)
+{
+    return !isnan(m) && (d > m || isnan(d)) ? d : m;
 }
 
 /* np.maximum.reduce(np.abs(a - b)) (b NULL: of np.abs(a)); 0.0 when n is 0 */
 double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b)
 {
     double m = 0.0;
-    for (intptr_t i = 0; i < n; i++) {
-        double d = fabs(b == NULL ? a[i] : a[i] - b[i]);
-        if (isnan(d))
-            return d;
-        if (d > m)
-            m = d;
-    }
+    for (intptr_t i = 0; i < n; i++)
+        m = larger(m, fabs(b == NULL ? a[i] : a[i] - b[i]));
     return m;
 }
 
-/* numpy's pairwise sum of c_i z_i z_i, i < n, in its order: a plain loop
- * from 0.0 under 8 terms; up to 128, eight running sums combined as
- * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one
- * by one; above 128, the two halves, split at n/2 rounded down to a
- * multiple of 8. */
+/* core.der_signals' prices when no multiplier is nonzero: 0, with out
+ * (2n + n_generators) holding lam_ders + 0.0 against p, 0.0 against q and
+ * lam against P_M; 1, out untouched, when an entry of mu (2n) is nonzero
+ * or NaN, as np.count_nonzero counts them */
+int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
+                         double lam_ders, double lam, double *out)
+{
+    for (intptr_t i = 0; i < 2 * n; i++) {
+        if (mu[i] != 0.0)
+            return 1;
+    }
+    double alpha = lam_ders + 0.0;
+    for (intptr_t i = 0; i < n; i++) {
+        out[i] = alpha;
+        out[n + i] = 0.0;
+    }
+    for (intptr_t i = 0; i < n_generators; i++)
+        out[2 * n + i] = lam;
+    return 0;
+}
+
+/* core.run_rounds' norms of a round, as its numpy reference
+ * (core._step_norms) takes them: out[0] the primal step over eps, out[1]
+ * the dual step over eps, out[2] the new state's norm; Python's max(a, b)
+ * is b > a ? b : a.  One pass over z (n entries) and one over mu (m).
+ * No term is -0.0 (fabs), so without a NaN each largest term is the same
+ * in any order: each pass keeps four running maxima per norm, merged at
+ * the end, and sums its terms, which are NaN, +inf or at least +0.0, so
+ * the sum is NaN exactly when a term is.  A NaN term sends each norm to
+ * tdcoopt_inf_norm, which gives the first NaN. */
+static double largest(double a, double b, double c, double d)
+{
+    a = b > a ? b : a;
+    c = d > c ? d : c;
+    return c > a ? c : a;
+}
+
+void tdcoopt_step_norms(intptr_t n, const double *z_new, const double *z, intptr_t m,
+                        const double *mu_new, const double *mu, double lam_new,
+                        double lam, double eps, double *out)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0; /* the step of z */
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0; /* the size of z_new */
+    double sum0 = 0.0, sum1 = 0.0;
+    intptr_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        double d0 = fabs(z_new[i] - z[i]), d1 = fabs(z_new[i + 1] - z[i + 1]);
+        double d2 = fabs(z_new[i + 2] - z[i + 2]), d3 = fabs(z_new[i + 3] - z[i + 3]);
+        double b0 = fabs(z_new[i]), b1 = fabs(z_new[i + 1]);
+        double b2 = fabs(z_new[i + 2]), b3 = fabs(z_new[i + 3]);
+        sum0 += d0 + d1;
+        sum1 += d2 + d3;
+        s0 = d0 > s0 ? d0 : s0, s1 = d1 > s1 ? d1 : s1;
+        s2 = d2 > s2 ? d2 : s2, s3 = d3 > s3 ? d3 : s3;
+        a0 = b0 > a0 ? b0 : a0, a1 = b1 > a1 ? b1 : a1;
+        a2 = b2 > a2 ? b2 : a2, a3 = b3 > a3 ? b3 : a3;
+    }
+    for (; i < n; i++) {
+        double d = fabs(z_new[i] - z[i]), b = fabs(z_new[i]);
+        sum0 += d;
+        s0 = d > s0 ? d : s0;
+        a0 = b > a0 ? b : a0;
+    }
+    double step_z = largest(s0, s1, s2, s3), size_z = largest(a0, a1, a2, a3);
+    s0 = s1 = s2 = s3 = 0.0;
+    for (i = 0; i + 4 <= m; i += 4) {
+        double d0 = fabs(mu_new[i] - mu[i]), d1 = fabs(mu_new[i + 1] - mu[i + 1]);
+        double d2 = fabs(mu_new[i + 2] - mu[i + 2]), d3 = fabs(mu_new[i + 3] - mu[i + 3]);
+        sum0 += d0 + d1;
+        sum1 += d2 + d3;
+        s0 = d0 > s0 ? d0 : s0, s1 = d1 > s1 ? d1 : s1;
+        s2 = d2 > s2 ? d2 : s2, s3 = d3 > s3 ? d3 : s3;
+    }
+    for (; i < m; i++) {
+        double d = fabs(mu_new[i] - mu[i]);
+        sum0 += d;
+        s0 = d > s0 ? d : s0;
+    }
+    double step_mu = largest(s0, s1, s2, s3);
+    if (isnan(sum0 + sum1)) {
+        step_z = tdcoopt_inf_norm(n, z_new, z);
+        size_z = tdcoopt_inf_norm(n, z_new, NULL);
+        step_mu = tdcoopt_inf_norm(m, mu_new, mu);
+    }
+    double step_lam = fabs(lam_new - lam), size_lam = fabs(lam_new);
+    out[0] = step_z / eps;
+    out[1] = (step_mu > step_lam ? step_mu : step_lam) / eps;
+    out[2] = size_lam > size_z ? size_lam : size_z;
+}
+
+/* numpy's pairwise sum of c_i z_i z_i (c NULL: of z_i), i < n, in its
+ * order: a plain loop from 0.0 under 8 terms; up to 128, eight running
+ * sums combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+ * then the rest one by one; above 128, the two halves, split at n/2
+ * rounded down to a multiple of 8. */
+static double term(const double *c, const double *z, intptr_t i)
+{
+    return c == NULL ? z[i] : c[i] * z[i] * z[i];
+}
+
 static double pairwise(const double *c, const double *z, intptr_t n)
 {
     if (n < 8) {
         double res = 0.0;
         for (intptr_t i = 0; i < n; i++)
-            res += c[i] * z[i] * z[i];
+            res += term(c, z, i);
         return res;
     }
     if (n <= 128) {
         double r[8];
         intptr_t i;
         for (int j = 0; j < 8; j++)
-            r[j] = c[j] * z[j] * z[j];
+            r[j] = term(c, z, j);
         for (i = 8; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += c[i + j] * z[i + j] * z[i + j];
+                r[j] += term(c, z, i + j);
         double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            res += c[i] * z[i] * z[i];
+            res += term(c, z, i);
         return res;
     }
     intptr_t half = n / 2;
     half -= half % 8;
-    return pairwise(c, z, half) + pairwise(c + half, z + half, n - half);
+    return pairwise(c, z, half)
+           + pairwise(c == NULL ? NULL : c + half, z + half, n - half);
+}
+
+/* core.dual_update: mu's step (tdcoopt_mu_step) into mu_out, then lam's
+ * along the balance residual, which it returns: P0_slack less the
+ * implied slack output sum(P_L) - sum(P_M) - fixed (core._balance), each
+ * sum as np.add.reduce takes it */
+double tdcoopt_dual_step(const struct tdcoopt_dual *d, double *mu_out, double *lam_new)
+{
+    tdcoopt_mu_step(d->n, d->mu, d->v, d->v_min, d->v_max, d->eps, d->eta, mu_out);
+    double implied = (0.0 + pairwise(NULL, d->P_L, d->n_feeders))
+                     - (0.0 + pairwise(NULL, d->P_M, d->n_generators)) - d->fixed;
+    double residual = d->P0_slack - implied;
+    *lam_new = d->lam + d->eps * (residual - d->eta * d->lam);
+    return residual;
 }
 
 /* core.total_cost over z = [p, q, P_M], 2 n_nodes <= n: the generators'

@@ -9,9 +9,11 @@
  * p_inj/q_inj: net nodal injections.  v: the starting voltages on entry,
  * the solution on success.  out: P_L, Q_L, loss, residual.  info: the
  * iteration count, then the collapsing node's position.  scratch: 5n
- * doubles, each written before it is read in every pass.  Every index in
- * order, parent and roots must lie in [0, n) (parent: -1 too); the
- * extension module (_kernels.c) checks them before the call.
+ * doubles, each written before it is read in every pass, since order
+ * lists every node once, each after its parent.  Every index in order,
+ * parent and roots must lie in [0, n) (parent: -1 too).  The extension
+ * module (_kernels.c) checks the tree once, when it binds a feeder, and
+ * the binding keeps the tree and the scratch for all its sweeps.
  */
 #include <math.h>
 

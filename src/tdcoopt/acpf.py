@@ -6,23 +6,27 @@ I^2 z losses with voltages from the previous pass, the forward pass
 propagates squared voltage magnitudes down from the substation.  The fixed
 point satisfies the exact single-phase branch-flow equations.
 
-:func:`sweep_feeder` runs the sweep in C (``_sweep.c``), one call of the
+:func:`sweep_feeder` runs the sweep in C (``_sweep.c``), through the
 package's extension module (:mod:`tdcoopt._native`, built at the first
-kernel use and cached): it adds the call's injections to the model's base
-ones, copies the warm start (or a flat one) into the voltage array, and
-sweeps it in place, allocating its scratch per call.  The voltage array
-is the caller's ``out`` where one is given (the engine passes each
-feeder's slice of the round's voltage vector), else a new one.  The
-kernel repeats :func:`_sweep_python` operation for operation, so both
-give the same bits; the Python sweep is the reference and runs where no
-kernel can be built.
+kernel use and cached).  A model's first sweep binds its tree to the
+kernel: the binding checks the tree once (indices in range, ``order`` a
+parents-first permutation), keeps its own copy of it and of the base
+injections, and owns the scratch of every later sweep of that model, so
+nothing is allocated or re-checked per call but the call's own vectors.
+Each sweep adds the call's injections to the base ones, copies the warm
+start (or a flat one) into the voltage array, and sweeps it in place.
+The voltage array is the caller's ``out`` where one is given (the engine
+passes each feeder's slice of the round's voltage vector), else a new
+one.  The kernel repeats :func:`_sweep_python` operation for operation,
+so both give the same bits; the Python sweep is the reference and runs
+where no kernel can be built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +45,7 @@ class SweepDivergence(RuntimeError):
         self.residual = residual
 
 
-@dataclass(slots=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Single-feeder slice of an AC solution; ``v`` is the sweep's ``out``,
     or an array of its own where none was given."""
 
@@ -73,21 +76,18 @@ def sweep_feeder(
     shares no memory with ``p``, ``q`` or ``v_init``, unless it is
     ``v_init`` itself.  After a failure its contents are unspecified.
 
-    Runs the compiled kernel, which checks every argument, or
-    :func:`_sweep_python` where none can be built; both give the same
-    bits and refuse the same arguments.
+    Runs the model's binding of the compiled kernel, which checks every
+    argument, or :func:`_sweep_python` where none can be built; both give
+    the same bits and refuse the same arguments.
 
     Raises :class:`SweepDivergence` on non-convergence or voltage collapse.
     """
-    kernel = _sweep_kernel()
-    if kernel is None:
+    bound = model.__dict__.get(_BOUND) or _bind(model)
+    if bound is None:
         return _sweep_python(model, p, q, tol, max_iter, v_init, out)
-    res = kernel(
-        model.order, model.parent, model.roots, model.r, model.x,
-        model.p0, model.q0, model.v0, p, q, v_init, tol, max_iter, out,
-    )
-    if len(res) == 6:  # converged: SweepResult's fields
-        return SweepResult(*res)
+    res = bound.sweep(p, q, v_init, tol, max_iter, out)
+    if len(res) == 6:  # converged: a SweepResult
+        return res
     status, iterations, node, residual = res
     if status == _COLLAPSE:
         raise _collapse(model, node, iterations)
@@ -124,6 +124,18 @@ def _check_arguments(n, p, q, v_init, out) -> None:
             raise ValueError(f"out overlaps {name}")
 
 
+def _check_tree(order: list[int], parent: list[int]) -> None:
+    """The binding's refusal of a tree: ``order`` must list every node
+    once, each after its parent."""
+    placed = [False] * len(order)
+    for k, j in enumerate(order):
+        if placed[j]:
+            raise ValueError(f"order[{k}] = {j} repeats a node")
+        if parent[j] >= 0 and not placed[parent[j]]:
+            raise ValueError(f"order[{k}] = {j} comes before its parent {parent[j]}")
+        placed[j] = True
+
+
 def _collapse(model: LinearFeederModel, j: int, it: int) -> SweepDivergence:
     return SweepDivergence(
         f"voltage collapse at node {model.node_ids[j]} (iteration {it})",
@@ -157,9 +169,10 @@ def _sweep_python(
     (``sum()`` of floats is compensated from Python 3.12 on).
     """
     n = model.n_nodes
-    _check_arguments(n, p, q, v_init, out)
     order = model.order.tolist()
     parent = model.parent.tolist()
+    _check_tree(order, parent)
+    _check_arguments(n, p, q, v_init, out)
     r = model.r.tolist()
     x = model.x.tolist()
 
@@ -239,12 +252,29 @@ def _sweep_python(
 
 # the collapse status of ``_sweep.c``, as its enum numbers it
 _COLLAPSE = 1
+# where a model keeps its binding (an attribute outside the dataclass
+# fields, dropped from copies: see LinearFeederModel.__getstate__)
+_BOUND = "_bound"
+
+
+def _bind(model: LinearFeederModel):
+    """Bind ``model``'s tree to the compiled sweep, once: the kernel checks
+    and copies it and keeps the scratch of its sweeps.  ``None`` (and no
+    binding kept) where no kernel can be built."""
+    bind = _sweep_kernel()
+    if bind is None:
+        return None
+    bound = bind(
+        SweepResult, model.order, model.parent, model.roots, model.r, model.x,
+        model.p0, model.q0, model.v0,
+    )
+    model.__dict__[_BOUND] = bound
+    return bound
 
 
 @functools.cache
 def _sweep_kernel():
-    """The compiled sweep of the package's extension module, or ``None``
-    where none can be built (see :mod:`tdcoopt._native`)."""
+    """The extension module's ``bind_feeder``, or ``None`` where no
+    library can be built (see :mod:`tdcoopt._native`)."""
     library = _native.library()
-    return None if library is None else library.sweep
-
+    return None if library is None else library.bind_feeder

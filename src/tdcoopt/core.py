@@ -50,10 +50,11 @@ condition for each generator is ``2 c P + lambda = 0``.
 
 Each of the round's array steps is one call of the package's extension
 module (``_round.c``, see :mod:`tdcoopt._native`): the projected primal
-step, the multiplier step, the step and state norms, the total cost and
-the record row.  Each ports the numpy code written beside its call,
-which is the reference and runs where no library can be built, with the
-same bits.
+step, the dual step (the multipliers, then the price along the balance
+residual), the prices when no multiplier is nonzero, the three norms
+:func:`run_rounds` reads, the total cost and the record row.  Each ports the
+numpy code written beside its call, which is the reference and runs
+where no library can be built, with the same bits.
 """
 
 from __future__ import annotations
@@ -438,8 +439,11 @@ def measure_feeders(
                 out=v[sl],
             )
             P_L[k] = res.P_L
-            ac_iterations = max(ac_iterations, res.iterations)
-            ac_residual = max(ac_residual, res.residual)
+            # max() as two comparisons: a builtin call costs more
+            if res.iterations > ac_iterations:
+                ac_iterations = res.iterations
+            if res.residual > ac_residual:
+                ac_residual = res.residual
     except SweepDivergence as exc:
         raise EngineError(
             f"power flow failed at iteration {iteration} on feeder "
@@ -484,8 +488,31 @@ def der_signals(
     ``A`` and ``B`` are finite and ``mu`` holds no ``-0.0`` (it starts at
     ``+0.0``, and :func:`dual_update` clamps with ``np.maximum(., 0.0)``),
     so ``w`` is ``+0.0`` too.  The DER prices are then ``lambda + 0.0``
-    and ``0.0``, the same bits.
+    and ``0.0``, the same bits.  The same holds feeder by feeder: a feeder
+    whose ``w`` is all zero skips its products.  The whole shortcut is one
+    kernel call (``tdcoopt_flat_signals``); :func:`_der_prices` is its
+    reference and the products.
     """
+    kernels = _native.library()
+    if kernels is not None:
+        prices = kernels.flat_signals(
+            y.mu, network.n_nodes, network.n_generators,
+            0.0 if zero_lambda else y.lam, y.lam,
+        )
+        if prices is not None:  # None: some multiplier is nonzero
+            return prices
+    return _der_prices(network, y, zero_lambda, by_feeder=True)
+
+
+def _der_prices(
+    network: CompiledNetwork,
+    y: DualState,
+    zero_lambda: bool = False,
+    by_feeder: bool = False,
+) -> np.ndarray:
+    """:func:`der_signals` in numpy alone, which the certificate reads
+    (set-up never builds or loads the library); with ``by_feeder`` also
+    its per-feeder shortcut."""
     lam = 0.0 if zero_lambda else y.lam
     n = network.n_nodes
     prices = np.empty(2 * n + network.n_generators)
@@ -499,6 +526,10 @@ def der_signals(
     # rounding of the sums
     for model in network.models:
         sl = model.span
+        if by_feeder and not np.count_nonzero(w[sl]):
+            prices[sl] = lam + 0.0
+            prices[n + sl.start : n + sl.stop] = 0.0
+            continue
         prices[sl] = lam + model.A.T @ w[sl]
         prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
     return prices
@@ -567,19 +598,21 @@ def dual_update(
 
     Multipliers rise with the measured constraint violations; the price
     integrates the balance residual.  Returns the new duals and the
-    residual that drove the price.
+    residual that drove the price.  One kernel call
+    (``tdcoopt_dual_step``) does both, :func:`_balance`'s sums included;
+    :func:`_dual_gradient` is its reference.
     """
     kernels = _native.library()
-    if kernels is None:
-        dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
-        mu_new = np.maximum(y.mu + eps * dmu, 0.0)
-    else:
+    if kernels is not None:
         limits = network.limits
-        mu_new = kernels.mu_step(
-            y.mu, measurement.v, limits.v_min, limits.v_max, eps, eta
+        mu, lam, residual = kernels.dual_step(
+            y.mu, measurement.v, limits.v_min, limits.v_max, eps, eta, y.lam,
+            measurement.P_L, P_M, account.P0_slack, network.fixed_injection,
         )
-        dlam, residual = _balance(network, y.lam, measurement, P_M, account, eta)
-    return DualState(lam=y.lam + eps * dlam, mu=mu_new), residual
+        return DualState(lam, mu), residual
+    dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
+    mu = np.maximum(y.mu + eps * dmu, 0.0)
+    return DualState(lam=y.lam + eps * dlam, mu=mu), residual
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +774,12 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
         return out
 
     def gram(z: np.ndarray) -> np.ndarray:
-        """``F' F z``.  ``C y`` is the round's prices (:func:`der_signals`)
+        """``F' F z``.  ``C y`` is the round's prices (:func:`_der_prices`)
         of the duals ``y`` holds: upper-band mu, lower-band mu, then lambda."""
         x, y = z[:xdim], z[xdim:]
-        fx = curvature * x + der_signals(network, DualState(y[-1], y[: 2 * N]))
+        fx = curvature * x + _der_prices(network, DualState(y[-1], y[: 2 * N]))
         fy = eta * y - couple_t(x)
-        c_fy = der_signals(network, DualState(fy[-1], fy[: 2 * N]))
+        c_fy = _der_prices(network, DualState(fy[-1], fy[: 2 * N]))
         return np.concatenate([curvature * fx - c_fy, couple_t(fx) + eta * fy])
 
     # a seeded random start: the all-ones vector can be orthogonal to the
@@ -960,28 +993,40 @@ def iteration_record(
     norms of row 0, the initial record, are ``NA`` and are passed as
     0.0.  Every feeder must have a node.
     """
-    N = problem.n_nodes
-    v = measurement.v
-    starts = problem.network.starts
     row = records.new_row()
+    network = problem.network
     kernels = _native.library()
     if kernels is not None:
         kernels.record_row(
-            row, records.layout, y.lam, x.z, N, problem.coef, measurement.P_L, v,
-            starts, signals, probes, balance_residual, step_primal, step_dual,
+            row, records.layout, y.lam, x.z, network.n_nodes, problem.coef,
+            measurement.P_L, measurement.v, network.starts, signals, probes,
+            balance_residual, step_primal, step_dual,
         )
         return
+    N = network.n_nodes
     row[-2] = step_primal
     row[-1] = step_dual
     row[0] = y.lam
     row[records.P_M] = x.P_M
     row[records.P_L] = measurement.P_L
-    np.minimum.reduceat(v, starts, out=row[records.v_min])
-    np.maximum.reduceat(v, starts, out=row[records.v_max])
+    row[records.v_min] = _first_extreme(np.minimum, measurement.v, network.starts)
+    row[records.v_max] = _first_extreme(np.maximum, measurement.v, network.starts)
     row[records.alpha_probe] = signals[probes]
     row[records.beta_probe] = signals[N:][probes]
     row[records.slack_residual] = balance_residual
     row[records.total_cost] = total_cost(problem, x)
+
+
+def _first_extreme(ufunc: np.ufunc, v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat(v, starts)``, a zero extreme taking the sign of its
+    feeder's first zero, as ``_round.c`` keeps the first of tied values
+    (numpy's SIMD reductions order tied signed zeros by position)."""
+    extremes = ufunc.reduceat(v, starts)
+    for k in np.flatnonzero(extremes == 0.0):
+        stop = starts[k + 1] if k + 1 < len(starts) else len(v)
+        segment = v[starts[k] : max(stop, starts[k] + 1)]
+        extremes[k] = segment[np.argmax(segment == 0.0)]
+    return extremes
 
 
 # ---------------------------------------------------------------------------
@@ -1095,17 +1140,14 @@ def run_rounds(
                     problem, x = apply_event(problem, x, event)
             outcome, signals = step(problem, x, y, account, cfg, t, warm, signals)
 
-            step_primal = _inf_diff(outcome.x.z, x.z) / cfg.eps
-            step_dual = max(
-                abs(outcome.y.lam - y.lam), _inf_diff(outcome.y.mu, y.mu)
-            ) / cfg.eps
-
+            step_primal, step_dual, worst = _step_norms(
+                outcome.x, x, outcome.y, y, cfg.eps
+            )
             x, y = outcome.x, outcome.y
             warm = outcome.measurement.v
             executed = t
 
             bound = cfg.divergence_limit
-            worst = max(_inf_norm(x.z), abs(y.lam))
             if not math.isfinite(worst) or worst > bound:
                 raise DivergenceError(
                     f"state norm {worst:.3g} exceeded the blow-up bound {bound:.3g} "
@@ -1171,17 +1213,25 @@ def solve(
     return run_rounds(problem, cfg, x0, y0, account, events, probes, primal_dual_step)
 
 
+def _step_norms(
+    x_new: PrimalState, x: PrimalState, y_new: DualState, y: DualState, eps: float
+) -> tuple[float, float, float]:
+    """A round's primal and dual step norms, each over ``eps``, and the
+    new state's norm, which the divergence guard reads: one kernel call
+    (``tdcoopt_step_norms``) for the three, or this numpy reference."""
+    kernels = _native.library()
+    if kernels is not None:
+        return kernels.step_norms(x_new.z, x.z, y_new.mu, y.mu, y_new.lam, y.lam, eps)
+    step_primal = _inf_diff(x_new.z, x.z) / eps
+    step_dual = max(abs(y_new.lam - y.lam), _inf_diff(y_new.mu, y.mu)) / eps
+    return step_primal, step_dual, max(_inf_norm(x_new.z), abs(y_new.lam))
+
+
 # ``np.maximum.reduce`` and ``np.add.reduce`` (:func:`_implied_slack`) are the
 # reductions ``.max()`` and ``np.sum`` run, without their wrappers
 def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
-    kernels = _native.library()
-    if kernels is not None:
-        return kernels.inf_diff(a, b)
     return float(np.maximum.reduce(np.abs(a - b))) if len(a) else 0.0
 
 
 def _inf_norm(a: np.ndarray) -> float:
-    kernels = _native.library()
-    if kernels is not None:
-        return kernels.inf_norm(a)
     return float(np.maximum.reduce(np.abs(a))) if len(a) else 0.0

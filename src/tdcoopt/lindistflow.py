@@ -16,9 +16,10 @@ reactive injections do not move the head draw at all.
 
 The same model also carries what the exact sweep needs (the tree as C
 arrays, read by the compiled sweep and its Python reference, base
-injections, substation voltage)
-and where the feeder's nodes sit in the global node vectors, but no DER
-data: it is all the market operator may know about a feeder.
+injections, substation voltage; its first compiled sweep binds them, see
+:mod:`tdcoopt.acpf`) and where the feeder's nodes sit in the global node
+vectors, but no DER data: it is all the market operator may know about a
+feeder.
 :func:`tdcoopt.core.build_problem` compiles each feeder once.
 """
 
@@ -63,6 +64,12 @@ class LinearFeederModel:
     @property
     def n_nodes(self) -> int:
         return len(self.c)
+
+    def __getstate__(self) -> dict:
+        # the fields only: the compiled sweep's binding, which the first
+        # sweep keeps beside them (tdcoopt.acpf), is never copied or
+        # pickled, so a copy binds its own
+        return {f: v for f, v in self.__dict__.items() if f != "_bound"}
 
 
 def build_lindistflow(

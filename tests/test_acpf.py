@@ -550,6 +550,73 @@ def test_kernel_is_exact_after_each_failure(kernel):
 
 
 # ---------------------------------------------------------------------------
+# each model's binding: its tree checked and copied once, at its first sweep
+# ---------------------------------------------------------------------------
+
+def test_a_model_is_bound_at_its_first_sweep_and_copies_are_not(kernel):
+    model = build_lindistflow(load_feeder("feeder18"))
+    assert "_bound" not in vars(model)  # building compiles no binding
+    zero = np.zeros(model.n_nodes)
+    sweep_feeder(model, zero, zero)
+    bound = vars(model)["_bound"]
+    sweep_feeder(model, zero, zero, v_init=np.ones(model.n_nodes))
+    assert vars(model)["_bound"] is bound  # bound once
+    for twin in (copy.copy(model), copy.deepcopy(model),
+                 pickle.loads(pickle.dumps(model)),
+                 dataclasses.replace(model, feeder_id="twin")):
+        assert "_bound" not in vars(twin)
+
+
+@settings(deadline=None, max_examples=60)
+@given(feeder=radial_feeders(), data=st.data())
+def test_a_bound_model_sweeps_as_the_reference_call_after_call(kernel, feeder, data):
+    # one binding, swept again and again: warm and flat starts, into a new
+    # array, a given one or over the warm start, converged, collapsed
+    # (the node named) and out of iterations (the residual given)
+    model = build_lindistflow(feeder)
+    n = model.n_nodes
+    vectors = st.lists(st.floats(min_value=-2e-2, max_value=2e-2), min_size=n, max_size=n)
+    starts = st.lists(st.floats(min_value=0.5, max_value=1.2), min_size=n, max_size=n)
+    for _ in range(data.draw(st.integers(2, 5))):
+        p = np.array(data.draw(vectors))
+        q = np.array(data.draw(vectors))
+        v_init = np.array(data.draw(starts)) if data.draw(st.booleans()) else None
+        max_iter = data.draw(st.sampled_from([1, 3, 100]))
+        into = data.draw(st.sampled_from([None, "new", "v_init"]))
+        reference = outcome(acpf._sweep_python, model, p, q, 1e-8, max_iter, v_init)
+
+        def bound(model, p, q, tol, max_iter, v_init):
+            out = {None: None, "new": np.empty(n), "v_init": v_init}[into]
+            if into == "v_init" and v_init is None:
+                out = v_init = np.full(n, model.v0)
+            res = sweep_feeder(model, p, q, tol, max_iter, v_init, out=out)
+            assert out is None or res.v is out
+            return res
+
+        assert outcome(bound, model, p, q, 1e-8, max_iter, v_init) == reference
+        if reference[0] is SweepDivergence and "collapse" in reference[1]:
+            assert "at node" in reference[1]
+    assert "_bound" in vars(model)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda order: order[::-1], "comes before its parent"),
+    (lambda order: np.concatenate([order[:1], order[:-1]]), "repeats a node"),
+])
+def test_binding_refuses_an_order_that_is_not_parents_first(sweep_path, spoil, message):
+    # the kernel binds only a tree whose order it can sweep without
+    # reading scratch it has not written; the Python sweep refuses the same
+    model = build_lindistflow(load_feeder("feeder4"))
+    order = np.ascontiguousarray(spoil(model.order), dtype=np.intc)
+    order.flags.writeable = False
+    bad = dataclasses.replace(model, order=order)
+    zero = np.zeros(model.n_nodes)
+    with pytest.raises(ValueError, match=rf"^order\[\d+\] = \d+ {message}"):
+        sweep_feeder(bad, zero, zero)
+    assert "_bound" not in vars(bad)
+
+
+# ---------------------------------------------------------------------------
 # building and caching the compiled library (``_native``, shared with the
 # trace formatter)
 # ---------------------------------------------------------------------------

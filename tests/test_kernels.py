@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcoopt import _native, core
-from tdcoopt.core import DualState, Measurement, PrimalState, build_problem
+from tdcoopt.core import DualState, Measurement, PrimalState, SlackAccount, build_problem
 from tdcoopt.network import VoltageLimits
 from tdcoopt.trace import Records
 
@@ -161,6 +161,35 @@ def test_mu_step_clamps_minus_zero_to_plus_zero(kernels):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=32),
+    n_feeders=st.sampled_from([0, 1, 7, 8, 9, 20]),
+    n_generators=st.sampled_from([0, 1, 7, 8, 9, 130]),
+)
+def test_dual_step_is_dual_updates_numpy_code(kernels, data, n, n_feeders, n_generators):
+    # the multipliers' step and the price's, whose residual sums P_L and
+    # P_M as np.add.reduce does: on either side of its 8 and 128
+    limits = VoltageLimits(0.95, 1.05)
+    network = SimpleNamespace(limits=limits, fixed_injection=data.draw(values))
+    v = arrays(data, n, st.one_of(st.sampled_from([0.95, 1.05, math.nan]), st.floats(0.9, 1.1)))
+    meas = Measurement(v=v, P_L=arrays(data, n_feeders))
+    y = DualState(lam=data.draw(values), mu=arrays(data, 2 * n))
+    P_M = arrays(data, n_generators)
+    account = SlackAccount(P0_slack=data.draw(values))
+    eps = data.draw(st.sampled_from([5e-4, 1.0]))
+    eta = data.draw(st.sampled_from([0.0, 0.1]))
+    with numpy_reference(), np.errstate(all="ignore"):
+        expected, residual = core.dual_update(network, y, meas, P_M, account, eps, eta)
+    mu, lam, got = kernels.dual_step(
+        y.mu, v, limits.v_min, limits.v_max, eps, eta, y.lam, meas.P_L, P_M,
+        account.P0_slack, network.fixed_injection,
+    )
+    assert same_bits(mu, expected.mu)
+    assert same_bits(lam, expected.lam) and same_bits(got, residual)
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=0, max_value=32))
 def test_norms_match_numpys_maximum_reduce(kernels, data, n):
     a = arrays(data, n)
@@ -180,6 +209,48 @@ def test_norms_propagate_a_nan_at_any_position(kernels, n):
         assert math.isnan(kernels.inf_diff(np.zeros(n), a))
     assert kernels.inf_norm(np.zeros(0)) == 0.0
     assert kernels.inf_diff(np.zeros(0), np.zeros(0)) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40), m=st.integers(0, 40))
+def test_step_norms_are_run_rounds_numpy_norms(kernels, data, n, m):
+    # lanes of four and a tail, NaN at any place, ±inf, signed zeros
+    z_new, z = arrays(data, n), arrays(data, n)
+    mu_new, mu = arrays(data, m), arrays(data, m)
+    x_new, x = PrimalState(z_new, 0), PrimalState(z, 0)
+    y_new = DualState(lam=data.draw(values), mu=mu_new)
+    y = DualState(lam=data.draw(values), mu=mu)
+    eps = data.draw(st.sampled_from([5e-4, 1.0, 3.0]))
+    with numpy_reference(), np.errstate(all="ignore"):
+        expected = core._step_norms(x_new, x, y_new, y, eps)
+    got = kernels.step_norms(z_new, z, mu_new, mu, y_new.lam, y.lam, eps)
+    assert len(got) == 3
+    assert all(same_bits(a, b) for a, b in zip(got, expected)), (got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    zero_lambda=st.booleans(),
+    mu_kind=st.sampled_from(["zero", "minus-zero", "one", "nan"]),
+)
+def test_flat_signals_are_der_signals_shortcut(kernels, data, zero_lambda, mu_kind):
+    problem = build_problem(make_system(n_feeders=2), VoltageLimits(0.95, 1.05))
+    network, N = problem.network, problem.n_nodes
+    mu = np.zeros(2 * N)
+    at = data.draw(st.integers(0, 2 * N - 1))
+    mu[at] = {"zero": 0.0, "minus-zero": -0.0, "one": 1e-3, "nan": math.nan}[mu_kind]
+    y = DualState(lam=data.draw(values), mu=mu)
+    lam_ders = 0.0 if zero_lambda else y.lam
+    got = kernels.flat_signals(mu, N, network.n_generators, lam_ders, y.lam)
+    if mu_kind in ("one", "nan"):
+        assert got is None  # the products run
+    else:
+        assert same_bits(got, core._der_prices(network, y, zero_lambda))
+        assert same_bits(core.der_signals(network, y, zero_lambda), got)
+    # a multiplier vector the kernel cannot read as it is takes numpy's path
+    assert kernels.flat_signals(noncontiguous(mu), N, network.n_generators, 0.0, 0.0) is None
+    assert kernels.flat_signals(mu[:-1], N, network.n_generators, 0.0, 0.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +295,9 @@ def test_total_cost_sums_in_numpys_order(kernels, n_nodes, n_generators, seed, k
     n_feeder_nodes=st.integers(2, 12),
 )
 def test_record_row_matches_iteration_record(kernels, data, seed, n_feeders, n_feeder_nodes):
-    # voltages are never zero, so the ±0.0 order of numpy's SIMD min and
-    # max reductions is left out; NaN voltages are drawn
+    # voltages of one sign, with ±0.0 drawn in, so that zeros tie for a
+    # feeder's lowest or highest voltage (the first of them is kept, which
+    # numpy's SIMD reductions do not promise); NaN and ±inf are drawn too
     problem = build_problem(
         make_system(n_feeders=n_feeders, n_feeder_nodes=n_feeder_nodes),
         VoltageLimits(0.95, 1.05),
@@ -233,9 +305,11 @@ def test_record_row_matches_iteration_record(kernels, data, seed, n_feeders, n_f
     rng = np.random.default_rng(seed)
     N, G = problem.n_nodes, problem.n_generators
     z = rng.normal(size=2 * N + G)
-    v = rng.uniform(0.9, 1.1, N)
+    v = data.draw(st.sampled_from([1.0, -1.0])) * rng.uniform(0.9, 1.1, N)
     for at in data.draw(st.lists(st.integers(0, N - 1), max_size=3)):
         v[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for at in data.draw(st.lists(st.integers(0, N - 1), max_size=12)):
+        v[at] = data.draw(st.sampled_from([0.0, -0.0]))
     x = PrimalState(z, N)
     y = DualState(lam=float(rng.normal()), mu=rng.uniform(0, 1, 2 * N))
     meas = Measurement(v=v, P_L=rng.normal(size=n_feeders))
@@ -276,6 +350,14 @@ def valid_calls():
                        np.ones(2 * n + G), np.ones(F), np.ones(n),
                        np.array([0, 3], dtype=np.intp), np.ones(2 * n + G),
                        np.array([1, 4], dtype=np.intp), 0.0, 0.0, 0.0],
+        "dual_step": [np.zeros(2 * n), np.ones(n), 0.95, 1.05, 5e-4, 0.0, 0.5,
+                      np.ones(F), np.ones(G), 1.0, 0.25],
+        "step_norms": [z, z[::-1].copy(), np.zeros(2 * n), np.ones(2 * n), 0.5, 0.25,
+                       5e-4],
+        "flat_signals": [np.zeros(2 * n), n, G, 0.5, 0.5],
+        "bind_feeder": [None, order, np.array([-1, 0, 1], dtype=np.intc),
+                        np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
+                        np.full(3, -1e-3), np.zeros(3), 1.0],
         "sweep": [order, np.array([-1, 0, 1], dtype=np.intc),
                   np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
                   np.full(3, -1e-3), np.zeros(3), 1.0, np.zeros(3), np.zeros(3),
@@ -341,6 +423,22 @@ SPOILT = [
     ("sweep", 8, lambda p: p.reshape(3, 1), ValueError),
     ("sweep", 9, lambda q: np.float64(0.0), ValueError),
     ("sweep", 10, lambda v_init: np.ones((1, 3)), ValueError),
+    ("dual_step", 0, lambda mu: mu[:-1], ValueError),  # not twice v's length
+    ("dual_step", 7, lambda P_L: P_L.astype(np.float32), TypeError),
+    ("dual_step", 8, noncontiguous, ValueError),
+    ("dual_step", 9, lambda slack: "1.0", TypeError),
+    ("step_norms", 1, lambda z: z[:-1], ValueError),
+    ("step_norms", 3, lambda mu: mu[:-1], ValueError),
+    ("step_norms", 2, lambda mu: mu.astype(np.int64), TypeError),
+    ("flat_signals", 1, lambda n: -1, ValueError),
+    ("flat_signals", 3, lambda lam: None, TypeError),
+    ("bind_feeder", 0, lambda result: list, TypeError),  # a type with fields
+    ("bind_feeder", 0, lambda result: (), TypeError),
+    ("bind_feeder", 1, lambda order: np.array([1, 0, 2], dtype=np.intc), ValueError),
+    ("bind_feeder", 1, lambda order: np.array([0, 0, 2], dtype=np.intc), ValueError),
+    ("bind_feeder", 2, lambda parent: np.array([-1, 2, 1], dtype=np.intc), ValueError),
+    ("bind_feeder", 2, lambda parent: np.array([-1, 0, 3], dtype=np.intc), IndexError),
+    ("bind_feeder", 8, lambda v0: "1.0", TypeError),
 ]
 
 
