@@ -76,7 +76,6 @@ from .market import (
     OperatorConfig,
     RoundAbort,
     UserAgent,
-    best_response,
     coordinate_step,
     operator_step,
     run_market,
@@ -159,7 +158,6 @@ __all__ = [
     "VoltageLimits",
     "apply_event",
     "attach_feeders",
-    "best_response",
     "build_lindistflow",
     "build_problem",
     "check_stepsize",

@@ -210,64 +210,6 @@ static int parents_first(const int *order, const int *parent, intptr_t n)
 
 static PyTypeObject FeederType;
 
-/* a Feeder of the tree in args: order, parent, roots, r, x, p0, q0, v0 */
-static Feeder *bind_tree(PyTypeObject *result, PyObject *const *args)
-{
-    intptr_t n = -1, n_roots = -1;
-    if (vector(args[0], NPY_INT, "order", &n, 0) == NULL)
-        return NULL;
-    if (n > INT_MAX / 8) {
-        PyErr_SetString(PyExc_ValueError, "order: too many nodes");
-        return NULL;
-    }
-    const int *order, *parent, *roots;
-    const double *r, *x, *p0, *q0;
-    double v0;
-    if ((order = indices(args[0], NPY_INT, "order", &n, 0, n)) == NULL
-        || (parent = indices(args[1], NPY_INT, "parent", &n, -1, n)) == NULL
-        || (roots = indices(args[2], NPY_INT, "roots", &n_roots, 0, n)) == NULL
-        || (r = vector(args[3], NPY_DOUBLE, "r", &n, 0)) == NULL
-        || (x = vector(args[4], NPY_DOUBLE, "x", &n, 0)) == NULL
-        || (p0 = vector(args[5], NPY_DOUBLE, "p0", &n, 0)) == NULL
-        || (q0 = vector(args[6], NPY_DOUBLE, "q0", &n, 0)) == NULL
-        || real(args[7], "v0", &v0) < 0)
-        return NULL;
-    if (n_roots > INT_MAX / 2) {
-        PyErr_SetString(PyExc_ValueError, "roots: too many entries");
-        return NULL;
-    }
-    if (parents_first(order, parent, n) < 0)
-        return NULL;
-    Feeder *f = PyObject_New(Feeder, &FeederType);
-    if (f == NULL)
-        return NULL;
-    f->result = result;
-    Py_XINCREF(result);
-    f->n = (int)n;
-    f->n_roots = (int)n_roots;
-    f->v0 = v0;
-    f->order = malloc((2 * (size_t)n + (size_t)n_roots + 1) * sizeof(int));
-    f->r = calloc(11 * (size_t)n + 1, sizeof(double));
-    if (f->order == NULL || f->r == NULL) {
-        Py_DECREF(f);
-        return (Feeder *)PyErr_NoMemory();
-    }
-    f->parent = f->order + n;
-    f->roots = f->parent + n;
-    f->x = f->r + n;
-    f->p0 = f->x + n;
-    f->q0 = f->p0 + n;
-    f->work = f->q0 + n;
-    memcpy(f->order, order, (size_t)n * sizeof(int));
-    memcpy(f->parent, parent, (size_t)n * sizeof(int));
-    memcpy(f->roots, roots, (size_t)n_roots * sizeof(int));
-    memcpy(f->r, r, (size_t)n * sizeof(double));
-    memcpy(f->x, x, (size_t)n * sizeof(double));
-    memcpy(f->p0, p0, (size_t)n * sizeof(double));
-    memcpy(f->q0, q0, (size_t)n * sizeof(double));
-    return f;
-}
-
 /* bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder
  *
  * The model's tree (parent -1 at the substation) and base injections,
@@ -291,7 +233,59 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
             return NULL;
         }
     }
-    return (PyObject *)bind_tree(result, args + 1);
+    intptr_t n = -1, n_roots = -1;
+    if (vector(args[1], NPY_INT, "order", &n, 0) == NULL)
+        return NULL;
+    if (n > INT_MAX / 8) {
+        PyErr_SetString(PyExc_ValueError, "order: too many nodes");
+        return NULL;
+    }
+    const int *order, *parent, *roots;
+    const double *r, *x, *p0, *q0;
+    double v0;
+    if ((order = indices(args[1], NPY_INT, "order", &n, 0, n)) == NULL
+        || (parent = indices(args[2], NPY_INT, "parent", &n, -1, n)) == NULL
+        || (roots = indices(args[3], NPY_INT, "roots", &n_roots, 0, n)) == NULL
+        || (r = vector(args[4], NPY_DOUBLE, "r", &n, 0)) == NULL
+        || (x = vector(args[5], NPY_DOUBLE, "x", &n, 0)) == NULL
+        || (p0 = vector(args[6], NPY_DOUBLE, "p0", &n, 0)) == NULL
+        || (q0 = vector(args[7], NPY_DOUBLE, "q0", &n, 0)) == NULL
+        || real(args[8], "v0", &v0) < 0)
+        return NULL;
+    if (n_roots > INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "roots: too many entries");
+        return NULL;
+    }
+    if (parents_first(order, parent, n) < 0)
+        return NULL;
+    Feeder *f = PyObject_New(Feeder, &FeederType);
+    if (f == NULL)
+        return NULL;
+    f->result = result;
+    Py_XINCREF(result);
+    f->n = (int)n;
+    f->n_roots = (int)n_roots;
+    f->v0 = v0;
+    f->order = malloc((2 * (size_t)n + (size_t)n_roots + 1) * sizeof(int));
+    f->r = calloc(11 * (size_t)n + 1, sizeof(double));
+    if (f->order == NULL || f->r == NULL) {
+        Py_DECREF(f);
+        return PyErr_NoMemory();
+    }
+    f->parent = f->order + n;
+    f->roots = f->parent + n;
+    f->x = f->r + n;
+    f->p0 = f->x + n;
+    f->q0 = f->p0 + n;
+    f->work = f->q0 + n;
+    memcpy(f->order, order, (size_t)n * sizeof(int));
+    memcpy(f->parent, parent, (size_t)n * sizeof(int));
+    memcpy(f->roots, roots, (size_t)n_roots * sizeof(int));
+    memcpy(f->r, r, (size_t)n * sizeof(double));
+    memcpy(f->x, x, (size_t)n * sizeof(double));
+    memcpy(f->p0, p0, (size_t)n * sizeof(double));
+    memcpy(f->q0, q0, (size_t)n * sizeof(double));
+    return (PyObject *)f;
 }
 
 /* Feeder.sweep(p, q, v_init, tol, max_iter, out)
@@ -412,23 +406,6 @@ exit:
     return result;
 }
 
-/* sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)
- *
- * bind_feeder(None, ...) of the first eight, then its sweep of the rest:
- * one sweep of a tree bound for this call alone. */
-static PyObject *sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs_are("sweep", nargs, 14) < 0)
-        return NULL;
-    Feeder *f = bind_tree(NULL, args);
-    if (f == NULL)
-        return NULL;
-    PyObject *result = feeder_sweep(f, args + 8, 6);
-    Py_DECREF(f);
-    return result;
-}
-
 static PyMethodDef feeder_methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))feeder_sweep, METH_FASTCALL,
      "sweep(p, q, v_init, tol, max_iter, out)"},
@@ -509,65 +486,12 @@ static PyObject *primal_step(PyObject *self, PyObject *const *args, Py_ssize_t n
     return (PyObject *)result;
 }
 
-/* mu_step(mu, v, v_min, v_max, eps, eta) -> the new mu, a new array */
-static PyObject *mu_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs_are("mu_step", nargs, 6) < 0)
-        return NULL;
-    intptr_t n = -1, m = -1;
-    const double *mu, *v;
-    double v_min, v_max, eps, eta, *out;
-    if ((mu = vector(args[0], NPY_DOUBLE, "mu", &m, 0)) == NULL
-        || (v = vector(args[1], NPY_DOUBLE, "v", &n, 0)) == NULL
-        || real(args[2], "v_min", &v_min) < 0
-        || real(args[3], "v_max", &v_max) < 0
-        || real(args[4], "eps", &eps) < 0
-        || real(args[5], "eta", &eta) < 0)
-        return NULL;
-    if (m != 2 * n) {
-        PyErr_Format(PyExc_ValueError, "mu has length %zd, not twice v's %zd",
-                     (Py_ssize_t)m, (Py_ssize_t)n);
-        return NULL;
-    }
-    PyArrayObject *result = new_vector(m, &out);
-    if (result != NULL)
-        tdcoopt_mu_step(n, mu, v, v_min, v_max, eps, eta, out);
-    return (PyObject *)result;
-}
-
-/* inf_diff(a, b) -> float(np.maximum.reduce(np.abs(a - b))), 0.0 when empty */
-static PyObject *inf_diff(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs_are("inf_diff", nargs, 2) < 0)
-        return NULL;
-    intptr_t n = -1;
-    const double *a, *b;
-    if ((a = vector(args[0], NPY_DOUBLE, "a", &n, 0)) == NULL
-        || (b = vector(args[1], NPY_DOUBLE, "b", &n, 0)) == NULL)
-        return NULL;
-    return PyFloat_FromDouble(tdcoopt_inf_norm(n, a, b));
-}
-
-/* inf_norm(a) -> float(np.maximum.reduce(np.abs(a))), 0.0 when empty */
-static PyObject *inf_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs_are("inf_norm", nargs, 1) < 0)
-        return NULL;
-    intptr_t n = -1;
-    const double *a = vector(args[0], NPY_DOUBLE, "a", &n, 0);
-    if (a == NULL)
-        return NULL;
-    return PyFloat_FromDouble(tdcoopt_inf_norm(n, a, NULL));
-}
-
 /* dual_step(mu, v, v_min, v_max, eps, eta, lam, P_L, P_M, P0_slack, fixed)
  *     -> (the new mu, a new array; the new lam; the balance residual)
  *
- * core.dual_update (tdcoopt_dual_step): mu_step's arguments, then the
- * price and what its residual reads, P_L and P_M of any length. */
+ * core.dual_update (tdcoopt_dual_step): the multipliers, the voltages
+ * (mu has twice v's entries), the band, the step and the regularization,
+ * then the price and what its residual reads, P_L and P_M of any length. */
 static PyObject *dual_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -741,13 +665,10 @@ static PyObject *record_row(PyObject *self, PyObject *const *args, Py_ssize_t na
 static PyMethodDef methods[] = {
     {"bind_feeder", FASTCALL(bind_feeder),
      "bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder"},
-    {"sweep", FASTCALL(sweep),
-     "sweep(order, parent, roots, r, x, p0, q0, v0, p, q, v_init, tol, max_iter, out)"},
     {"format_rows", FASTCALL(format_rows),
      "format_rows(iterations, cells, table, out) -> bytes written"},
     {"primal_step", FASTCALL(primal_step),
      "primal_step(z, eps, coef, signals, lo, hi) -> the new z"},
-    {"mu_step", FASTCALL(mu_step), "mu_step(mu, v, v_min, v_max, eps, eta) -> the new mu"},
     {"dual_step", FASTCALL(dual_step),
      "dual_step(mu, v, v_min, v_max, eps, eta, lam, P_L, P_M, P0_slack, fixed) "
      "-> (mu, lam, residual)"},
@@ -756,8 +677,6 @@ static PyMethodDef methods[] = {
     {"step_norms", FASTCALL(step_norms),
      "step_norms(z_new, z, mu_new, mu, lam_new, lam, eps) -> (step_primal, "
      "step_dual, state)"},
-    {"inf_diff", FASTCALL(inf_diff), "inf_diff(a, b) -> max |a - b|, 0.0 when empty"},
-    {"inf_norm", FASTCALL(inf_norm), "inf_norm(a) -> max |a|, 0.0 when empty"},
     {"total_cost", FASTCALL(total_cost), "total_cost(coef, z, n_nodes) -> sum of coef z z"},
     {"record_row", FASTCALL(record_row),
      "record_row(row, layout, lam, z, n_nodes, coef, P_L, v, starts, signals, "

@@ -41,9 +41,6 @@ long tdcoopt_format_rows(const int64_t *iterations, const double *cells,
 void tdcoopt_primal_step(intptr_t n, const double *z, double eps, const double *coef,
                          const double *signals, const double *lo, const double *hi,
                          double *out);
-void tdcoopt_mu_step(intptr_t n, const double *mu, const double *v, double v_min,
-                     double v_max, double eps, double eta, double *out);
-double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b);
 int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
                          double lam_ders, double lam, double *out); /* out 2n + n_generators */
 void tdcoopt_step_norms(intptr_t n, const double *z_new, const double *z, intptr_t m,

@@ -43,8 +43,9 @@ void tdcoopt_primal_step(intptr_t n, const double *z, double eps, const double *
 /* mu holds the upper-band multipliers of the n nodes of v, then the
  * lower-band ones: np.maximum(mu + eps * (g - eta * mu), 0.0) with
  * g = [v - v_max, v_min - v] */
-void tdcoopt_mu_step(intptr_t n, const double *mu, const double *v, double v_min,
-                     double v_max, double eps, double eta, double *out)
+static void tdcoopt_mu_step(intptr_t n, const double *mu, const double *v,
+                            double v_min, double v_max, double eps, double eta,
+                            double *out)
 {
     for (intptr_t i = 0; i < n; i++) {
         double t = mu[i] + eps * ((v[i] - v_max) - eta * mu[i]);
@@ -65,7 +66,7 @@ static double larger(double m, double d)
 }
 
 /* np.maximum.reduce(np.abs(a - b)) (b NULL: of np.abs(a)); 0.0 when n is 0 */
-double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b)
+static double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b)
 {
     double m = 0.0;
     for (intptr_t i = 0; i < n; i++)

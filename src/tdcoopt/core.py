@@ -698,11 +698,11 @@ def kkt_residual(
     balance, g = grad_dual(problem, x, y, account)
     projected = x.z - np.clip(x.z - grad, problem.lo, problem.hi)
     return {
-        "projected gradient": _inf_norm(projected),
+        "projected gradient": _max_abs(projected),
         "band violation": float(np.max(g, initial=0.0)),
         "balance residual": abs(balance),
         "negative multiplier": -float(np.min(y.mu, initial=0.0)),
-        "complementarity": _inf_norm(y.mu * g),
+        "complementarity": _max_abs(y.mu * g),
     }
 
 
@@ -1222,16 +1222,16 @@ def _step_norms(
     kernels = _native.library()
     if kernels is not None:
         return kernels.step_norms(x_new.z, x.z, y_new.mu, y.mu, y_new.lam, y.lam, eps)
-    step_primal = _inf_diff(x_new.z, x.z) / eps
-    step_dual = max(abs(y_new.lam - y.lam), _inf_diff(y_new.mu, y.mu)) / eps
-    return step_primal, step_dual, max(_inf_norm(x_new.z), abs(y_new.lam))
+    step_primal = _max_abs_diff(x_new.z, x.z) / eps
+    step_dual = max(abs(y_new.lam - y.lam), _max_abs_diff(y_new.mu, y.mu)) / eps
+    return step_primal, step_dual, max(_max_abs(x_new.z), abs(y_new.lam))
 
 
 # ``np.maximum.reduce`` and ``np.add.reduce`` (:func:`_implied_slack`) are the
 # reductions ``.max()`` and ``np.sum`` run, without their wrappers
-def _inf_diff(a: np.ndarray, b: np.ndarray) -> float:
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(a - b))) if len(a) else 0.0
 
 
-def _inf_norm(a: np.ndarray) -> float:
+def _max_abs(a: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(a))) if len(a) else 0.0

@@ -25,11 +25,9 @@ problem's ``coef``, ``lo`` and ``hi``, as the loop hands the round both.
 So an event exists once, in that problem and that ``z``
 (:func:`~tdcoopt.core.apply_event`), and reaches an agent with no
 message of its own.  The agents are read off the problem too: one user
-per DER of each feeder, in node order, and one agent per generator.  In
-gradient mode the trajectory and records coincide with the centralized
-engine's, bit for bit.  Best-response mode instead lets users jump
-straight to their box-clamped optimum against the current prices
-(:func:`best_response`, a dual-ascent variant, quadratic costs only).
+per DER of each feeder, in node order, and one agent per generator.  The
+trajectory and records coincide with the centralized engine's, bit for
+bit.
 
 Rounds are strictly synchronous: the agents step on the one price
 broadcast of the previous round they collect from the bus, and the
@@ -76,7 +74,6 @@ __all__ = [
     "AgentMessage",
     "MessageBus",
     "coordinate_step",
-    "best_response",
     "UserAgent",
     "GeneratorAgent",
     "OperatorConfig",
@@ -192,11 +189,6 @@ def coordinate_step(
     return project_box(value - eps * (2.0 * coef * value + price), lo, hi)
 
 
-def best_response(price: float, coef: float, lo: float, hi: float) -> float:
-    """Box-clamped exact minimizer of ``coef value**2 + price value``."""
-    return project_box(-price / (2.0 * coef), lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # agents
 # ---------------------------------------------------------------------------
@@ -221,31 +213,23 @@ class UserAgent:
         hi: list[float],
         prices: list[float],
         eps: float,
-        mode: str,
         tag: int,
     ) -> AgentMessage:
-        """Step each coordinate from ``z`` (``gradient``) or jump to its
-        best response; report the values in coordinate order."""
+        """Step each coordinate from ``z``; report the values in
+        coordinate order."""
         # written out: a comprehension costs ~3 us a round on ``default``
         i, j = self.coords
-        if mode == "gradient":
-            values = [
-                coordinate_step(z[i], prices[i], coef[i], lo[i], hi[i], eps),
-                coordinate_step(z[j], prices[j], coef[j], lo[j], hi[j], eps),
-            ]
-        else:
-            values = [
-                best_response(prices[i], coef[i], lo[i], hi[i]),
-                best_response(prices[j], coef[j], lo[j], hi[j]),
-            ]
+        values = [
+            coordinate_step(z[i], prices[i], coef[i], lo[i], hi[i], eps),
+            coordinate_step(z[j], prices[j], coef[j], lo[j], hi[j], eps),
+        ]
         return AgentMessage("setpoint-report", self.name, tag, values)
 
 
 @dataclass(frozen=True)
 class GeneratorAgent:
     """A dispatchable generator, known by its name and coordinate
-    ``(2N + k,)``; it keeps no state.  It takes a gradient step in every
-    mode."""
+    ``(2N + k,)``; it keeps no state."""
 
     name: str
     coords: tuple[int, ...]
@@ -258,7 +242,6 @@ class GeneratorAgent:
         hi: list[float],
         prices: list[float],
         eps: float,
-        mode: str,
         tag: int,
     ) -> AgentMessage:
         """Step from ``z``; report the value."""
@@ -388,7 +371,6 @@ def run_market(
     problem: DispatchProblem,
     cfg: SolverConfig,
     events: tuple = (),
-    mode: str = "gradient",
     x0: PrimalState | None = None,
     y0: DualState | None = None,
     account: SlackAccount | None = None,
@@ -406,13 +388,10 @@ def run_market(
     ``problem.network`` (no DER data) and the roster of each agent's
     coordinates.  One user ``user:<feeder>:<node>`` stands at each DER's
     ``(p, q)`` coordinates, in node order, and one ``generator:<bus>`` at
-    each generator's.  In ``gradient`` mode the
-    trajectory equals the centralized engine's.  ``x0`` seeds the loop as
-    given, as in the centralized engine.  The caller's ``problem`` is not
-    modified, events included.
+    each generator's.  The trajectory equals the centralized engine's.
+    ``x0`` seeds the loop as given, as in the centralized engine.  The
+    caller's ``problem`` is not modified, events included.
     """
-    if mode not in ("gradient", "best-response"):
-        raise ValueError(f"unknown market mode {mode!r}")
     models = problem.models
     bus = MessageBus() if bus is None else bus
 
@@ -454,7 +433,7 @@ def run_market(
         z = x.z.tolist()
         publish, eps = bus.publish, cfg.eps
         for agent in agents:
-            publish(agent.step(z, coef, lo, hi, prices, eps, mode, t))
+            publish(agent.step(z, coef, lo, hi, prices, eps, t))
 
         outcome, signals = operator_step(
             bus.collect("setpoint-report", t), y, op_cfg, account, tag=t, warm=warm

@@ -84,7 +84,7 @@ __all__ = [
     "probe_oracle",
 ]
 
-ENGINES = ("core", "market", "market-br")
+ENGINES = ("core", "market")
 EVENT_KINDS = (GeneratorOutage.kind, DerCapacityScale.kind)
 INIT_MODES = ("midbox", "setpoint", "random")
 SLACK_MODES = ("record", "explicit")
@@ -727,12 +727,10 @@ def run_scenario_in_memory(
             events=scenario.events,
             probes=probes,
         )
-    mode = "gradient" if scenario.engine == "market" else "best-response"
     return run_market(
         problem,
         scenario.config,
         events=scenario.events,
-        mode=mode,
         x0=x0,
         y0=y0,
         account=scenario.account,

@@ -122,7 +122,7 @@ def test_primal_step_gives_the_bound_on_a_tie(kernels):
 
 
 # ---------------------------------------------------------------------------
-# the multiplier step
+# the dual step
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -132,33 +132,35 @@ def test_primal_step_gives_the_bound_on_a_tie(kernels):
     eps=st.one_of(st.sampled_from([5e-4, 1.0]), st.floats(1e-6, 10.0)),
     eta=st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 5.0)),
 )
-def test_mu_step_is_numpys_projected_ascent(kernels, data, n, eps, eta):
+def test_dual_step_is_numpys_projected_ascent_in_mu(kernels, data, n, eps, eta):
     limits = VoltageLimits(0.95, 1.05)
     # voltages on the band edges give zero violations of either sign
     v = arrays(data, n, st.one_of(
-        st.sampled_from([0.95, 1.05, 1.0, math.nan, math.inf]),
+        st.sampled_from([0.95, 1.05, 1.0, math.nan, math.inf, -math.inf]),
         st.floats(0.9, 1.1),
     ))
     mu = arrays(data, 2 * n, st.one_of(st.sampled_from([0.0, -0.0, 1e-3]), values))
     with np.errstate(all="ignore"):
         dmu = np.concatenate([v - limits.v_max, limits.v_min - v]) - eta * mu
         expected = np.maximum(mu + eps * dmu, 0.0)
-    got = kernels.mu_step(mu, v, limits.v_min, limits.v_max, eps, eta)
+    got, _, _ = kernels.dual_step(
+        mu, v, limits.v_min, limits.v_max, eps, eta, 0.0, np.zeros(0), np.zeros(0),
+        0.0, 0.0,
+    )
     assert same_bits(got, expected)
 
 
-def test_mu_step_clamps_minus_zero_to_plus_zero(kernels):
+def test_dual_step_clamps_minus_zero_to_plus_zero(kernels):
     # both violations are +0.0, so a step of eps = -1 takes -0.0 to
     # -0.0 + -0.0: the clamp gives +0.0, as np.maximum(., 0.0) does
     mu = np.array([-0.0, -0.0])
-    got = kernels.mu_step(mu, np.array([1.0]), 1.0, 1.0, -1.0, 0.0)
+    got, _, _ = kernels.dual_step(
+        mu, np.array([1.0]), 1.0, 1.0, -1.0, 0.0, 0.0, np.zeros(0), np.zeros(0),
+        0.0, 0.0,
+    )
     assert same_bits(got, [0.0, 0.0])
     assert same_bits(np.maximum(mu + -1.0 * (np.zeros(2) - 0.0 * mu), 0.0), got)
 
-
-# ---------------------------------------------------------------------------
-# the norms
-# ---------------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -189,26 +191,47 @@ def test_dual_step_is_dual_updates_numpy_code(kernels, data, n, n_feeders, n_gen
     assert same_bits(lam, expected.lam) and same_bits(got, residual)
 
 
+# ---------------------------------------------------------------------------
+# the norms
+# ---------------------------------------------------------------------------
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=0, max_value=32))
 def test_norms_match_numpys_maximum_reduce(kernels, data, n):
+    # step_norms with eps = 1 and lam = 0 reduces to the two maximum
+    # reductions: |a - b| over z as the primal step, |a| over z_new as the
+    # state's norm, and |a - b| over mu as the dual step beside |0 - 0|
     a = arrays(data, n)
     b = arrays(data, n)
+    empty = np.zeros(0)
     with numpy_reference(), np.errstate(all="ignore"):
-        diff, norm = core._inf_diff(a, b), core._inf_norm(a)
-    assert same_bits(kernels.inf_diff(a, b), diff)
-    assert same_bits(kernels.inf_norm(a), norm)
+        diff, norm = core._max_abs_diff(a, b), core._max_abs(a)
+    primal, _, state = kernels.step_norms(a, b, empty, empty, 0.0, 0.0, 1.0)
+    assert same_bits(primal, diff)
+    assert same_bits(state, norm)
+    _, dual, _ = kernels.step_norms(empty, empty, a, b, 0.0, 0.0, 1.0)
+    assert same_bits(dual, max(0.0, diff))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 64])
 def test_norms_propagate_a_nan_at_any_position(kernels, n):
-    for at in range(n):
-        a = np.arange(n, dtype=float)
-        a[at] = math.nan
-        assert math.isnan(kernels.inf_norm(a))
-        assert math.isnan(kernels.inf_diff(np.zeros(n), a))
-    assert kernels.inf_norm(np.zeros(0)) == 0.0
-    assert kernels.inf_diff(np.zeros(0), np.zeros(0)) == 0.0
+    # a NaN in z_new or z is the primal step, and one in z_new the state's
+    # norm; one in mu_new or mu leaves the dual step to lam's, as Python's
+    # max(|lam_new - lam|, nan) does in the numpy reference
+    for vector in range(4):
+        for at in range(n):
+            args = [np.arange(n, dtype=float) * k for k in (3.0, 1.0, 2.0, 0.5)]
+            args[vector][at] = math.nan
+            got = kernels.step_norms(*args, 0.5, 0.25, 1e-3)
+            x_new, x = PrimalState(args[0], 0), PrimalState(args[1], 0)
+            y_new, y = DualState(0.5, args[2]), DualState(0.25, args[3])
+            with numpy_reference():
+                expected = core._step_norms(x_new, x, y_new, y, 1e-3)
+            assert all(same_bits(a, b) for a, b in zip(got, expected)), (got, expected)
+            assert math.isnan(got[0]) == (vector < 2)
+            assert math.isnan(got[2]) == (vector == 0)
+    empty = np.zeros(0)
+    assert kernels.step_norms(empty, empty, empty, empty, 0.0, 0.0, 1.0) == (0.0, 0.0, 0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,9 +365,6 @@ def valid_calls():
     return {
         "primal_step": [z, 5e-4, np.ones(2 * n + G), np.zeros(2 * n + G),
                         np.full(2 * n + G, -1.0), np.ones(2 * n + G)],
-        "mu_step": [np.zeros(2 * n), np.ones(n), 0.95, 1.05, 5e-4, 0.0],
-        "inf_diff": [np.zeros(4), np.ones(4)],
-        "inf_norm": [np.ones(4)],
         "total_cost": [np.ones(2 * n + G), z, n],
         "record_row": [np.empty(records.width), records.layout, 0.5, z, n,
                        np.ones(2 * n + G), np.ones(F), np.ones(n),
@@ -363,6 +383,15 @@ def valid_calls():
                   np.full(3, -1e-3), np.zeros(3), 1.0, np.zeros(3), np.zeros(3),
                   None, 1e-8, 100, None],
     }
+
+
+def entry(kernels, name):
+    """The kernel ``name`` of :func:`valid_calls`.  ``sweep`` binds the tree
+    in its first eight arguments and sweeps with the rest, as
+    :mod:`tdcoopt.acpf` does: ``bind_feeder(None, *a[:8]).sweep(*a[8:])``."""
+    if name == "sweep":
+        return lambda *a: kernels.bind_feeder(None, *a[:8]).sweep(*a[8:])
+    return getattr(kernels, name)
 
 
 def noncontiguous(a):
@@ -384,12 +413,12 @@ SPOILT = [
     ("primal_step", 4, lambda a: a[:-1], ValueError),
     ("primal_step", 5, lambda a: a.reshape(1, -1), ValueError),
     ("primal_step", 1, lambda eps: "5e-4", TypeError),
-    ("mu_step", 0, lambda a: a[:-1], ValueError),
-    ("mu_step", 1, lambda a: a.astype(np.int64), TypeError),
-    ("mu_step", 1, lambda a: a.astype(">f8"), TypeError),
-    ("inf_diff", 1, lambda a: a[:-1], ValueError),
-    ("inf_diff", 0, noncontiguous, ValueError),
-    ("inf_norm", 0, lambda a: a.astype(np.float32), TypeError),
+    ("dual_step", 1, lambda v: v[:-1], ValueError),  # mu is then too long
+    ("dual_step", 1, lambda v: v.astype(np.int64), TypeError),
+    ("dual_step", 0, lambda mu: mu.astype(">f8"), TypeError),
+    ("step_norms", 0, lambda z_new: z_new[:-1], ValueError),
+    ("step_norms", 2, noncontiguous, ValueError),
+    ("step_norms", 0, lambda z_new: z_new.astype(np.float32), TypeError),
     ("total_cost", 2, lambda n: 8, ValueError),  # 2 n_nodes > len(z)
     ("total_cost", 2, lambda n: -1, ValueError),
     ("total_cost", 1, lambda a: a[:-1], ValueError),
@@ -447,17 +476,17 @@ SPOILT = [
 )
 def test_kernels_refuse_arguments_that_do_not_fit(kernels, name, at, spoil, error):
     args = valid_calls()[name]
-    getattr(kernels, name)(*args)  # the unspoilt call works
+    entry(kernels, name)(*args)  # the unspoilt call works
     args[at] = spoil(args[at])
     with pytest.raises(error):
-        getattr(kernels, name)(*args)
+        entry(kernels, name)(*args)
 
 
 @pytest.mark.parametrize("name", sorted(valid_calls()))
 def test_kernels_refuse_a_wrong_argument_count(kernels, name):
     args = valid_calls()[name]
     with pytest.raises(TypeError, match="arguments"):
-        getattr(kernels, name)(*args[:-1])
+        entry(kernels, name)(*args[:-1])
 
 
 @pytest.mark.parametrize("shared", ["p", "q", "v_init", "v_init-shifted"])
@@ -470,7 +499,7 @@ def test_sweep_refuses_an_out_that_overlaps_its_inputs(kernels, shared):
     args[at] = buffer[:3]
     args[13] = buffer[1:] if shared == "v_init-shifted" else buffer[:3]
     with pytest.raises(ValueError, match="out overlaps"):
-        kernels.sweep(*args)
+        entry(kernels, "sweep")(*args)
     assert buffer.tolist() == [1.0] * 4
 
 

@@ -1,11 +1,11 @@
 """Decentralized market engine: equivalence, privacy, and round discipline.
 
-The load-bearing fact is trajectory equivalence: in gradient mode the
-market rounds must reproduce the centralized engine's iterates coordinate
-for coordinate, because both call the same shared update arithmetic.  The
-privacy tests then confirm the message layer carries no cost or capacity
-data, and the fault-injection tests confirm any broken round aborts loudly
-instead of silently degrading.
+The load-bearing fact is trajectory equivalence: the market rounds must
+reproduce the centralized engine's iterates coordinate for coordinate,
+because both call the same shared update arithmetic.  The privacy tests
+then confirm the message layer carries no cost or capacity data, and the
+fault-injection tests confirm any broken round aborts loudly instead of
+silently degrading.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from tdcoopt.market import (
     MessageBus,
     OperatorConfig,
     RoundAbort,
-    best_response,
     coordinate_step,
     operator_step,
     run_market,
@@ -82,13 +81,6 @@ def test_user_step_projects_into_box():
     p = coordinate_step(0.05, -100.0, *P_COORD, eps=1.0)
     q = coordinate_step(0.02, -100.0, *Q_COORD, eps=1.0)
     assert (p, q) == (0.05, 0.02)
-
-
-def test_user_best_response():
-    # [DERIVED] unconstrained argmin of a_p p^2 + alpha p is -alpha / 2 a_p
-    assert best_response(-0.06, *P_COORD) == pytest.approx(0.03)
-    assert best_response(-0.002, *Q_COORD) == pytest.approx(0.01)
-    assert best_response(-1.0, *P_COORD) == 0.05
 
 
 def test_generator_step():
@@ -324,41 +316,6 @@ def test_market_seeds_agents_from_x0():
     cfg = SolverConfig(eps=0.01, max_iter=0)
     res = run_market(problem, cfg, x0=x0, y0=y0)
     np.testing.assert_allclose(res.x.p, [0.0, 0.01, 0.02])
-
-
-def test_best_response_reaches_the_same_saddle():
-    problem = build_problem(
-        make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)]), LIMITS
-    )
-    cfg = SolverConfig(eps=0.02, max_iter=30000, tol=1e-8)
-    grad = run_market(problem, cfg, mode="gradient")
-    br = run_market(problem, cfg, mode="best-response")
-    assert grad.converged and br.converged
-    assert br.y.lam == pytest.approx(grad.y.lam, abs=1e-5)
-    np.testing.assert_allclose(br.x.P_M, grad.x.P_M, atol=1e-5)
-    np.testing.assert_allclose(br.x.p, grad.x.p, atol=1e-5)
-
-
-def test_best_response_fixpoint_is_box_clamped_optimum():
-    system = make_system(n_feeders=1)
-    problem = build_problem(system, LIMITS)
-    cfg = SolverConfig(eps=0.02, max_iter=30000, tol=1e-9)
-    res = run_market(problem, cfg, mode="best-response")
-    assert res.converged
-
-    prices = der_signals(problem.network, res.y)
-    N = problem.n_nodes
-    lo, hi = problem.lo, problem.hi
-    for g in np.flatnonzero(problem.coef[:N]):
-        for c in (g, N + g):  # the DER's p and q coordinates
-            star = best_response(float(prices[c]), problem.coef[c], lo[c], hi[c])
-            assert res.x.z[c] == pytest.approx(star, abs=1e-7)
-
-
-def test_unknown_market_mode():
-    problem = build_problem(make_system(n_feeders=1), LIMITS)
-    with pytest.raises(ValueError, match="market mode"):
-        run_market(problem, SolverConfig(max_iter=1), mode="auction")
 
 
 def test_market_divergence_error():

@@ -166,6 +166,7 @@ def test_relative_case_paths_resolve_against_scenario_file():
         ({"feedback": "ac"}, (), "^t: unknown field 'feedback'$"),
         ({"config": {"tol_primal": 1e-6}}, (),
          r"unknown config fields \['tol_primal'\]"),
+        ({"engine": "market-br"}, (), "unknown engine"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, patch, drop, message):

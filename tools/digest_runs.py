@@ -2,12 +2,12 @@
 """Print one sha256 per trace and per summary of the shipped runs.
 
 The runs are ``default``, ``default_baseline``, ``dispatch9`` and
-``oracle_demo``, each through the ``core``, ``market`` and ``market-br``
-engines with linear and AC feedback, plus ``full39`` on the core engine
-with AC feedback: 25 runs, written into a temporary directory that is
-deleted afterwards.  ``dispatch9`` then runs once more through each
-market engine and feedback on a recording bus, and the tool also prints
-the digest of each journal as ``json.dumps`` writes it from
+``oracle_demo``, each through the ``core`` and ``market`` engines with
+linear and AC feedback, plus ``full39`` on the core engine with AC
+feedback: 17 runs, written into a temporary directory that is deleted
+afterwards.  ``dispatch9`` then runs once more through the market engine
+with each feedback on a recording bus, and the tool also prints the
+digest of each journal as ``json.dumps`` writes it from
 ``to_jsonable``.  A change that must not move any trajectory or message
 prints the same lines before and after it, which one command checks:
 
@@ -65,12 +65,12 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIOS = ("default", "default_baseline", "dispatch9", "oracle_demo")
-ENGINES = ("core", "market", "market-br")
+ENGINES = ("core", "market")
 FEEDBACKS = ("linear", "ac")
 RUNS = tuple(itertools.product(SCENARIOS, ENGINES, FEEDBACKS)) + (
     ("full39", "core", "ac"),
 )
-JOURNALS = tuple(itertools.product(("dispatch9",), ("market", "market-br"), FEEDBACKS))
+JOURNALS = tuple(itertools.product(("dispatch9",), ("market",), FEEDBACKS))
 # the runs whose traces (and the journals) came out the same under every
 # OpenBLAS kernel tried; ``--pin`` records their digests for the test suite
 PINNED_SCENARIOS = ("dispatch9", "oracle_demo")
