@@ -162,8 +162,7 @@ static PyArrayObject *new_vector(intptr_t n, double **data)
 /* A feeder's tree and base injections, copied and checked once by
  * bind_feeder, with the scratch of its sweeps: the summed injections
  * (2n), then tdcoopt_sweep's (5n).  result is the type a converged sweep
- * returns, a tuple subclass of six entries (acpf.SweepResult), or NULL
- * for a plain tuple. */
+ * returns, a tuple subclass of six entries (acpf.SweepResult). */
 typedef struct {
     PyObject_HEAD
     PyTypeObject *result;
@@ -175,7 +174,7 @@ typedef struct {
 
 static void feeder_dealloc(Feeder *f)
 {
-    Py_XDECREF(f->result);
+    Py_DECREF(f->result);
     free(f->order);
     free(f->r);
     PyObject_Free(f);
@@ -214,24 +213,19 @@ static PyTypeObject FeederType;
  *
  * The model's tree (parent -1 at the substation) and base injections,
  * copied: every index in range, and order each node once, after its
- * parent.  result: None, or a tuple subclass with no fields of its own,
- * which converged sweeps then return. */
+ * parent.  result: a tuple subclass with no fields of its own, which
+ * converged sweeps then return. */
 static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
     if (nargs_are("bind_feeder", nargs, 9) < 0)
         return NULL;
-    PyTypeObject *result = NULL;
-    if (args[0] != Py_None) {
-        result = (PyTypeObject *)args[0];
-        if (!PyType_Check(args[0])
-            || !PyType_FastSubclass(result, Py_TPFLAGS_TUPLE_SUBCLASS)
-            || result->tp_basicsize != PyTuple_Type.tp_basicsize
-            || result->tp_itemsize != PyTuple_Type.tp_itemsize) {
-            PyErr_SetString(PyExc_TypeError,
-                            "result must be None or a tuple subclass without fields");
-            return NULL;
-        }
+    PyTypeObject *result = (PyTypeObject *)args[0];
+    if (!PyType_Check(args[0]) || !PyType_FastSubclass(result, Py_TPFLAGS_TUPLE_SUBCLASS)
+        || result->tp_basicsize != PyTuple_Type.tp_basicsize
+        || result->tp_itemsize != PyTuple_Type.tp_itemsize) {
+        PyErr_SetString(PyExc_TypeError, "result must be a tuple subclass without fields");
+        return NULL;
     }
     intptr_t n = -1, n_roots = -1;
     if (vector(args[1], NPY_INT, "order", &n, 0) == NULL)
@@ -262,7 +256,7 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
     if (f == NULL)
         return NULL;
     f->result = result;
-    Py_XINCREF(result);
+    Py_INCREF(result);
     f->n = (int)n;
     f->n_roots = (int)n_roots;
     f->v0 = v0;
@@ -294,11 +288,11 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
  * sweep starts from v_init (one too), or flat at v0 where it is None.
  * The voltages go into out: a new array where it is None, else a
  * writeable float64 array of n entries, as vector() checks it, that
- * shares no memory with p, q or v_init unless it is v_init.  The start
- * is copied into out and swept in place.  Returns (v, P_L, Q_L, loss,
- * iterations, residual), v being out, as the bound result type on
- * convergence; (status, iterations, node, residual) on a collapse or
- * when the iterations run out, out then holding the last pass; raises
+ * shares no memory with p, q or v_init.  The start is copied into out
+ * and swept in place.  Returns (v, P_L, Q_L, loss, iterations,
+ * residual), v being out, as the bound result type on convergence;
+ * (status, iterations, node, residual) on a collapse or when the
+ * iterations run out, out then holding the last pass; raises
  * ZeroDivisionError on a zero voltage, as the Python sweep does.  The
  * scratch is the Feeder's: with order checked, every entry is written
  * before it is read in each pass. */
@@ -349,7 +343,7 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
             goto exit;
         const char *lo = (const char *)vs, *hi = (const char *)(vs + n);
         for (int i = 0; i < 3; i++) {
-            if ((i < 2 || args[5] != args[2]) && overlaps(args[i], lo, hi)) {
+            if (overlaps(args[i], lo, hi)) {
                 PyErr_Format(PyExc_ValueError, "out overlaps %s", names[i]);
                 goto exit;
             }
@@ -366,7 +360,7 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
     if (given[2] == NULL) {
         for (intptr_t j = 0; j < n; j++)
             vs[j] = f->v0;
-    } else if (PyArray_DATA(given[2]) != vs) {
+    } else {
         memcpy(vs, PyArray_DATA(given[2]), (size_t)n * sizeof(double));
     }
 
@@ -380,7 +374,7 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
     if (status == TDCOOPT_CONVERGED) {
         /* (v, P_L, Q_L, loss, iterations, residual), built as
          * tuple.__new__(result, ...) builds it */
-        result = f->result == NULL ? PyTuple_New(6) : f->result->tp_alloc(f->result, 6);
+        result = f->result->tp_alloc(f->result, 6);
         if (result != NULL) {
             Py_INCREF(v);
             PyTuple_SET_ITEM(result, 0, (PyObject *)v);

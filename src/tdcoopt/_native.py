@@ -22,6 +22,13 @@ library can be built or loaded (no ``cc``, no CPython or numpy headers,
 no private cache directory), :func:`library` returns ``None`` after one
 logged warning, and each caller runs its Python or numpy reference,
 which gives the same results.
+
+:func:`library` is the one place that decides between kernel and
+reference: :mod:`tdcoopt.core`, :mod:`tdcoopt.acpf` and
+:mod:`tdcoopt.trace` call it through this module each time they decide
+and keep no answer of their own, so patching ``_native.library`` to
+return ``None`` runs every reference in-process.  The one exception is a
+feeder model already bound to the kernel, which keeps its binding.
 """
 
 from __future__ import annotations
@@ -56,9 +63,6 @@ _PREFIX = "kernels-"
 # libraries a cache miss leaves in the cache: the new one and the newest
 # others, so checkouts of a few sources in turn never rebuild each other's
 _KEEP = 4
-# names of cached libraries, this one's and those of older versions of
-# the package, which held the sweep alone
-_CACHED = (f"{_PREFIX}*.so", "sweep-*.so")
 
 
 @functools.cache
@@ -173,11 +177,10 @@ def _prune(directory: Path, built: Path) -> None:
     """Remove every library of ``directory`` but ``built`` and the
     ``_KEEP - 1`` newest others, each with its key; skip what fails."""
     aged = []
-    for pattern in _CACHED:
-        for old in directory.glob(pattern):
-            if old != built:
-                with contextlib.suppress(OSError):  # removed meanwhile
-                    aged.append((old.stat().st_mtime_ns, old))
+    for old in directory.glob(f"{_PREFIX}*.so"):
+        if old != built:
+            with contextlib.suppress(OSError):  # removed meanwhile
+                aged.append((old.stat().st_mtime_ns, old))
     aged.sort(reverse=True)
     for _, old in aged[_KEEP - 1 :]:
         for path in (old, old.with_suffix(".key")):

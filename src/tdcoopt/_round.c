@@ -7,10 +7,10 @@
  *   np.clip(s, lo, hi) on float arrays: a NaN in any operand is the
  *     result, and a tie gives the bound (so a zero takes the bound's sign);
  *   np.maximum(t, 0.0): NaN passes, and a tie gives +0.0;
- *   np.maximum.reduce and np.minimum.reduce: a NaN is the result;
+ *   np.maximum.reduce and np.minimum.reduce, and np.maximum(a, b) on two
+ *     floats: a NaN is the result;
  *   np.add.reduce of a contiguous float64 array: 0.0 + numpy's pairwise
- *     sum (pairwise below);
- *   Python's max(a, b) on floats: b > a ? b : a.
+ *     sum (pairwise below).
  * Built with -ffp-contract=off, so no multiply and add are fused.
  */
 #include <math.h>
@@ -97,8 +97,9 @@ int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
 
 /* core.run_rounds' norms of a round, as its numpy reference
  * (core._step_norms) takes them: out[0] the primal step over eps, out[1]
- * the dual step over eps, out[2] the new state's norm; Python's max(a, b)
- * is b > a ? b : a.  One pass over z (n entries) and one over mu (m).
+ * the dual step over eps, out[2] the new state's norm; the two parts of
+ * each of the last two are combined by larger(), so a NaN in either part
+ * is the norm.  One pass over z (n entries) and one over mu (m).
  * No term is -0.0 (fabs), so without a NaN each largest term is the same
  * in any order: each pass keeps four running maxima per norm, merged at
  * the end, and sums its terms, which are NaN, +inf or at least +0.0, so
@@ -160,8 +161,8 @@ void tdcoopt_step_norms(intptr_t n, const double *z_new, const double *z, intptr
     }
     double step_lam = fabs(lam_new - lam), size_lam = fabs(lam_new);
     out[0] = step_z / eps;
-    out[1] = (step_mu > step_lam ? step_mu : step_lam) / eps;
-    out[2] = size_lam > size_z ? size_lam : size_z;
+    out[1] = larger(step_lam, step_mu) / eps;
+    out[2] = larger(size_z, size_lam);
 }
 
 /* numpy's pairwise sum of c_i z_i z_i (c NULL: of z_i), i < n, in its
@@ -228,11 +229,12 @@ double tdcoopt_total_cost(intptr_t n, intptr_t n_nodes, const double *coef,
 }
 
 /* core.iteration_record's row.  Feeder k's v_min and v_max reduce v from
- * starts[k] as np.minimum.reduceat and np.maximum.reduceat do; its alpha
- * and beta are the prices of p and q at its probe.  The layout holds lam,
- * P_M's first cell, the first cell of each per-feeder field (P_L, v_min,
- * v_max, alpha, beta), the stride between feeders, then slack_residual,
- * total_cost and the two step norms. */
+ * starts[k] as np.minimum.reduceat and np.maximum.reduceat do, then add
+ * +0.0, so a zero extreme is +0.0 whichever signed zero the reduction
+ * keeps; its alpha and beta are the prices of p and q at its probe.  The
+ * layout holds lam, P_M's first cell, the first cell of each per-feeder
+ * field (P_L, v_min, v_max, alpha, beta), the stride between feeders,
+ * then slack_residual, total_cost and the two step norms. */
 void tdcoopt_record_row(const struct tdcoopt_record *r, double *row)
 {
     const intptr_t *at = r->layout, n_nodes = r->n_nodes, per = at[TDCOOPT_STRIDE];
@@ -255,8 +257,8 @@ void tdcoopt_record_row(const struct tdcoopt_record *r, double *row)
         }
         intptr_t cell = k * per, probe = r->probes[k];
         row[at[TDCOOPT_AT_P_L] + cell] = r->P_L[k];
-        row[at[TDCOOPT_AT_V_MIN] + cell] = lowest;
-        row[at[TDCOOPT_AT_V_MAX] + cell] = highest;
+        row[at[TDCOOPT_AT_V_MIN] + cell] = lowest + 0.0;
+        row[at[TDCOOPT_AT_V_MAX] + cell] = highest + 0.0;
         row[at[TDCOOPT_AT_ALPHA] + cell] = r->signals[probe];
         row[at[TDCOOPT_AT_BETA] + cell] = r->signals[n_nodes + probe];
     }

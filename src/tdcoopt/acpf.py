@@ -17,14 +17,19 @@ Each sweep adds the call's injections to the base ones, copies the warm
 start (or a flat one) into the voltage array, and sweeps it in place.
 The voltage array is the caller's ``out`` where one is given (the engine
 passes each feeder's slice of the round's voltage vector), else a new
-one.  The kernel repeats :func:`_sweep_python` operation for operation,
-so both give the same bits; the Python sweep is the reference and runs
-where no kernel can be built.
+one; ``out`` never shares memory with the injections or the warm start.
+The kernel repeats :func:`_sweep_python` operation for operation, so both
+give the same bits; the Python sweep is the reference and runs where no
+kernel can be built.
+
+Whether a model is bound is decided by :func:`tdcoopt._native.library`,
+read when the model is first swept: patching it to return ``None`` runs
+the Python sweep for every model not yet bound, while a model bound
+before the patch keeps its binding.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -73,8 +78,8 @@ def sweep_feeder(
     the default is a flat start at the substation voltage.  ``out``, when
     given, receives the voltages and is the result's ``v``: a writeable,
     aligned, C-contiguous float64 array of ``n_nodes`` entries that
-    shares no memory with ``p``, ``q`` or ``v_init``, unless it is
-    ``v_init`` itself.  After a failure its contents are unspecified.
+    shares no memory with ``p``, ``q`` or ``v_init``.  After a failure
+    its contents are unspecified.
 
     Runs the model's binding of the compiled kernel, which checks every
     argument, or :func:`_sweep_python` where none can be built; both give
@@ -118,8 +123,6 @@ def _check_arguments(n, p, q, v_init, out) -> None:
     if len(out) != n:
         raise ValueError(f"out has length {len(out)}, not {n}")
     for name, a in (("p", p), ("q", q), ("v_init", v_init)):
-        if name == "v_init" and a is out:
-            continue
         if isinstance(a, np.ndarray) and np.may_share_memory(out, a):
             raise ValueError(f"out overlaps {name}")
 
@@ -261,20 +264,12 @@ def _bind(model: LinearFeederModel):
     """Bind ``model``'s tree to the compiled sweep, once: the kernel checks
     and copies it and keeps the scratch of its sweeps.  ``None`` (and no
     binding kept) where no kernel can be built."""
-    bind = _sweep_kernel()
-    if bind is None:
+    library = _native.library()
+    if library is None:
         return None
-    bound = bind(
+    bound = library.bind_feeder(
         SweepResult, model.order, model.parent, model.roots, model.r, model.x,
         model.p0, model.q0, model.v0,
     )
     model.__dict__[_BOUND] = bound
     return bound
-
-
-@functools.cache
-def _sweep_kernel():
-    """The extension module's ``bind_feeder``, or ``None`` where no
-    library can be built (see :mod:`tdcoopt._native`)."""
-    library = _native.library()
-    return None if library is None else library.bind_feeder

@@ -54,7 +54,11 @@ step, the dual step (the multipliers, then the price along the balance
 residual), the prices when no multiplier is nonzero, the three norms
 :func:`run_rounds` reads, the total cost and the record row.  Each ports the
 numpy code written beside its call, which is the reference and runs
-where no library can be built, with the same bits.
+where no library can be built, with the same bits.  Each call asks
+:func:`tdcoopt._native.library`, the one switch between kernel and
+reference, so patching it to return ``None`` runs the numpy code
+in-process.  The record row writes a zero voltage extreme as ``+0.0``
+on both paths, whichever signed zero its reduction keeps.
 """
 
 from __future__ import annotations
@@ -491,7 +495,7 @@ def der_signals(
     and ``0.0``, the same bits.  The same holds feeder by feeder: a feeder
     whose ``w`` is all zero skips its products.  The whole shortcut is one
     kernel call (``tdcoopt_flat_signals``); :func:`_der_prices` is its
-    reference and the products.
+    reference, with every feeder skipped, and the products.
     """
     kernels = _native.library()
     if kernels is not None:
@@ -501,32 +505,24 @@ def der_signals(
         )
         if prices is not None:  # None: some multiplier is nonzero
             return prices
-    return _der_prices(network, y, zero_lambda, by_feeder=True)
+    return _der_prices(network, y, zero_lambda)
 
 
 def _der_prices(
-    network: CompiledNetwork,
-    y: DualState,
-    zero_lambda: bool = False,
-    by_feeder: bool = False,
+    network: CompiledNetwork, y: DualState, zero_lambda: bool = False
 ) -> np.ndarray:
     """:func:`der_signals` in numpy alone, which the certificate reads
-    (set-up never builds or loads the library); with ``by_feeder`` also
-    its per-feeder shortcut."""
+    (set-up never builds or loads the library)."""
     lam = 0.0 if zero_lambda else y.lam
     n = network.n_nodes
     prices = np.empty(2 * n + network.n_generators)
     prices[2 * n :] = y.lam  # as it is: a -0.0 price keeps its sign
-    if not np.count_nonzero(y.mu):
-        prices[:n] = lam + 0.0
-        prices[n : 2 * n] = 0.0
-        return prices
     w = y.mu[:n] - y.mu[n:]
     # per feeder, not one block-diagonal product: that would change the
     # rounding of the sums
     for model in network.models:
         sl = model.span
-        if by_feeder and not np.count_nonzero(w[sl]):
+        if not np.count_nonzero(w[sl]):
             prices[sl] = lam + 0.0
             prices[n + sl.start : n + sl.stop] = 0.0
             continue
@@ -991,7 +987,8 @@ def iteration_record(
     ``probes`` holds one global node position per feeder (an integer
     array); ``signals`` are the round's prices over ``z``.  The step
     norms of row 0, the initial record, are ``NA`` and are passed as
-    0.0.  Every feeder must have a node.
+    0.0.  A feeder's zero voltage extreme is written as ``+0.0``.  Every
+    feeder must have a node.
     """
     row = records.new_row()
     network = problem.network
@@ -1009,24 +1006,14 @@ def iteration_record(
     row[0] = y.lam
     row[records.P_M] = x.P_M
     row[records.P_L] = measurement.P_L
-    row[records.v_min] = _first_extreme(np.minimum, measurement.v, network.starts)
-    row[records.v_max] = _first_extreme(np.maximum, measurement.v, network.starts)
+    # + 0.0: a zero extreme is +0.0, whichever of tied signed zeros the
+    # reduction keeps
+    row[records.v_min] = np.minimum.reduceat(measurement.v, network.starts) + 0.0
+    row[records.v_max] = np.maximum.reduceat(measurement.v, network.starts) + 0.0
     row[records.alpha_probe] = signals[probes]
     row[records.beta_probe] = signals[N:][probes]
     row[records.slack_residual] = balance_residual
     row[records.total_cost] = total_cost(problem, x)
-
-
-def _first_extreme(ufunc: np.ufunc, v: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``ufunc.reduceat(v, starts)``, a zero extreme taking the sign of its
-    feeder's first zero, as ``_round.c`` keeps the first of tied values
-    (numpy's SIMD reductions order tied signed zeros by position)."""
-    extremes = ufunc.reduceat(v, starts)
-    for k in np.flatnonzero(extremes == 0.0):
-        stop = starts[k + 1] if k + 1 < len(starts) else len(v)
-        segment = v[starts[k] : max(stop, starts[k] + 1)]
-        extremes[k] = segment[np.argmax(segment == 0.0)]
-    return extremes
 
 
 # ---------------------------------------------------------------------------
@@ -1222,9 +1209,11 @@ def _step_norms(
     kernels = _native.library()
     if kernels is not None:
         return kernels.step_norms(x_new.z, x.z, y_new.mu, y.mu, y_new.lam, y.lam, eps)
+    # np.maximum, not max(): a NaN on either side is the result
     step_primal = _max_abs_diff(x_new.z, x.z) / eps
-    step_dual = max(abs(y_new.lam - y.lam), _max_abs_diff(y_new.mu, y.mu)) / eps
-    return step_primal, step_dual, max(_max_abs(x_new.z), abs(y_new.lam))
+    step_dual = float(np.maximum(abs(y_new.lam - y.lam), _max_abs_diff(y_new.mu, y.mu)))
+    state = float(np.maximum(_max_abs(x_new.z), abs(y_new.lam)))
+    return step_primal, step_dual / eps, state
 
 
 # ``np.maximum.reduce`` and ``np.add.reduce`` (:func:`_implied_slack`) are the

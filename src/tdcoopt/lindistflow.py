@@ -25,7 +25,7 @@ feeder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,10 +66,10 @@ class LinearFeederModel:
         return len(self.c)
 
     def __getstate__(self) -> dict:
-        # the fields only: the compiled sweep's binding, which the first
-        # sweep keeps beside them (tdcoopt.acpf), is never copied or
-        # pickled, so a copy binds its own
-        return {f: v for f, v in self.__dict__.items() if f != "_bound"}
+        # the fields only: whatever else a model holds (the compiled
+        # sweep's binding, see tdcoopt.acpf) is never copied or pickled,
+        # so a copy binds its own
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_lindistflow(

@@ -90,8 +90,9 @@ INIT_MODES = ("midbox", "setpoint", "random")
 SLACK_MODES = ("record", "explicit")
 # the reader of each type a SolverConfig field declares
 _CONFIG_READERS = {"int": integer, "float": real, "bool": flag, "str": text}
-# the keys of the file's top level and of each section with fixed keys
-# (config's are SolverConfig's fields, and probes' are feeder ids)
+# the keys of the file's top level, of each section with fixed keys
+# (config's are SolverConfig's fields, and probes' are feeder ids) and of
+# load_scenario's overrides
 _KEYS = {
     "top": frozenset({
         "name", "transmission", "feeders", "limits", "engine", "config",
@@ -102,6 +103,7 @@ _KEYS = {
     "init": frozenset({"mode", "P_M"}),
     "slack": frozenset({"mode", "value"}),
     "events": frozenset({"iteration", "kind", "target", "factor"}),
+    "overrides": frozenset({"engine", "feedback", "max_iter", "eps", "eta", "seed"}),
 }
 
 
@@ -132,8 +134,8 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
 
     ``overrides`` (engine, feedback, max_iter, eps, eta, seed) are applied
     before validation, so command-line flags are checked like file fields;
-    an override that is ``None`` keeps the file's value.  Every error is a
-    :class:`ScenarioError`.
+    an override that is ``None`` keeps the file's value, and any other key
+    is refused.  Every error is a :class:`ScenarioError`.
     """
     path = Path(path)
     try:
@@ -149,8 +151,10 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         raise ScenarioError(f"{path}: nests too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
-    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    overrides = overrides or {}
     try:
+        refuse_unknown(overrides, _KEYS["overrides"], f"{path}: overrides")
+        given = {k: v for k, v in overrides.items() if v is not None}
         return _read_scenario(raw, path, given)
     except FieldError as exc:
         raise ScenarioError(str(exc)) from exc

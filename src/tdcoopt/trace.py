@@ -18,7 +18,10 @@ from the package's extension module (:mod:`tdcoopt._native`), straight
 from the store's chunks into one reused buffer.  :func:`_row`, which
 calls ``repr`` itself on the same float rows the formatter formats, is
 the reference: it writes the initial record, and every row where no
-library can be built, with the same bytes, only more slowly.
+library can be built, with the same bytes, only more slowly.  Each
+:func:`write_trace` asks :func:`tdcoopt._native.library` which path to
+take, so patching that to return ``None`` writes a whole file by
+:func:`_row`.
 """
 
 from __future__ import annotations
@@ -221,17 +224,17 @@ def write_trace(
             f"records of {records.n_gen} generators and {records.n_feeder} feeders"
         )
     columns = trace_columns(gen_labels, feeder_labels)
-    kernel = _format_kernel()
+    library = _native.library()
     with open(path, "w", newline="") as fh:
         fh.write(f"# {TRACE_FORMAT}; columns: {','.join(columns)}\n")
         csv.writer(fh).writerow(columns)
         out = np.empty(_BLOCK * _row_bytes(records.width), dtype=np.uint8)
         for first, cells in records._blocks():
-            if kernel is None or first == 0:  # row 0's step norms are NA
+            if library is None or first == 0:  # row 0's step norms are NA
                 fh.writelines(map(_row, itertools.count(first), cells.tolist()))
                 continue
             iterations = np.arange(first, first + len(cells), dtype=np.int64)
-            n = _format_rows(kernel, iterations, cells, out)
+            n = library.format_rows(iterations, cells, _schubfach_table(), out)
             fh.flush()  # the text written so far, then the block's bytes
             fh.buffer.write(out[:n])
 
@@ -251,26 +254,6 @@ def _row_bytes(n_cells: int) -> int:
     per cell (a comma and at most 24 characters, as in
     ``-2.2250738585072014e-308``) and the CRLF."""
     return 22 + 25 * n_cells
-
-
-def _format_rows(kernel, iterations: np.ndarray, cells: np.ndarray, out: np.ndarray) -> int:
-    """Write the lines of ``iterations`` (int64) and ``cells`` (float64,
-    rows × cells, C order) into ``out`` (uint8) with ``kernel``; return
-    their length in bytes.
-
-    ``out`` must hold the longest such lines (:func:`_row_bytes` per row);
-    the kernel raises ``TypeError`` or ``ValueError`` for arrays that do
-    not fit it.
-    """
-    return kernel(iterations, cells, _schubfach_table(), out)
-
-
-@functools.cache
-def _format_kernel():
-    """The compiled formatter of the package's extension module, or
-    ``None`` where none can be built (see :mod:`tdcoopt._native`)."""
-    library = _native.library()
-    return None if library is None else library.format_rows
 
 
 @functools.cache

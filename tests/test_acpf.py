@@ -213,9 +213,9 @@ def kernel():
     # with a compiler on PATH, falling back to the Python sweep is a failure
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: sweep_feeder runs the Python sweep")
-    kernel = acpf._sweep_kernel()
-    assert kernel is not None, "cc is on PATH but the compiled sweep did not load"
-    return kernel
+    library = _native.library()
+    assert library is not None, "cc is on PATH but the compiled sweep did not load"
+    return library
 
 
 def outcome(sweep, model, p, q, tol=1e-8, max_iter=100, v_init=None):
@@ -391,7 +391,7 @@ def sweep_path(request, monkeypatch):
     if request.param == "compiled":
         request.getfixturevalue("kernel")
     else:
-        monkeypatch.setattr(acpf, "_sweep_kernel", lambda: None)
+        monkeypatch.setattr(_native, "library", lambda: None)
     return request.param
 
 
@@ -402,22 +402,14 @@ def into_a_new_array(model, p, q, tol, max_iter, v_init):
     return res
 
 
-def over_the_warm_start(model, p, q, tol, max_iter, v_init):
-    # a flat start given as an array sweeps as v_init=None does
-    start = np.full(model.n_nodes, model.v0) if v_init is None else v_init.copy()
-    res = sweep_feeder(model, p, q, tol, max_iter, start, out=start)
-    assert res.v is start
-    return res
-
-
 def assert_out_matches_reference(model, p, q, **kwargs):
-    """Into a new array or over the warm start, sweep_feeder gives the
-    bits (or the error) of the call without ``out`` and of the Python
-    sweep, and leaves ``v_init`` as it was."""
+    """Into a new array, sweep_feeder gives the bits (or the error) of the
+    call without ``out`` and of the Python sweep, and leaves ``v_init`` as
+    it was."""
     v_init = kwargs.get("v_init")
     kept = None if v_init is None else v_init.tobytes()
     reference = outcome(acpf._sweep_python, model, p, q, **kwargs)
-    for sweep in (sweep_feeder, into_a_new_array, over_the_warm_start):
+    for sweep in (sweep_feeder, into_a_new_array):
         assert outcome(sweep, model, p, q, **kwargs) == reference, sweep.__name__
     assert kept is None or v_init.tobytes() == kept
 
@@ -478,14 +470,13 @@ def test_out_refusals_are_the_same_on_both_paths(sweep_path):
         (p, ValueError, "out overlaps p"),
         (q, ValueError, "out overlaps q"),
         (shared[1:], ValueError, "out overlaps v_init"),
+        (v_init, ValueError, "out overlaps v_init"),  # the warm start itself
     ]
     for out, error, message in refused:
         with pytest.raises(error, match=message):
             sweep_feeder(model, p, q, v_init=v_init, out=out)
     assert (p.tolist(), q.tolist(), shared.tolist()) == ([0.0] * n, [0.0] * n,
                                                           [1.0] * (n + 1))
-    # the warm start itself may take the voltages
-    assert sweep_feeder(model, p, q, v_init=v_init, out=v_init).v is v_init
 
 
 @pytest.mark.parametrize("name", ["p", "q", "v_init"])
@@ -571,7 +562,7 @@ def test_a_model_is_bound_at_its_first_sweep_and_copies_are_not(kernel):
 @given(feeder=radial_feeders(), data=st.data())
 def test_a_bound_model_sweeps_as_the_reference_call_after_call(kernel, feeder, data):
     # one binding, swept again and again: warm and flat starts, into a new
-    # array, a given one or over the warm start, converged, collapsed
+    # array or a given one, converged, collapsed
     # (the node named) and out of iterations (the residual given)
     model = build_lindistflow(feeder)
     n = model.n_nodes
@@ -582,13 +573,11 @@ def test_a_bound_model_sweeps_as_the_reference_call_after_call(kernel, feeder, d
         q = np.array(data.draw(vectors))
         v_init = np.array(data.draw(starts)) if data.draw(st.booleans()) else None
         max_iter = data.draw(st.sampled_from([1, 3, 100]))
-        into = data.draw(st.sampled_from([None, "new", "v_init"]))
+        into = data.draw(st.sampled_from([None, "new"]))
         reference = outcome(acpf._sweep_python, model, p, q, 1e-8, max_iter, v_init)
 
         def bound(model, p, q, tol, max_iter, v_init):
-            out = {None: None, "new": np.empty(n), "v_init": v_init}[into]
-            if into == "v_init" and v_init is None:
-                out = v_init = np.full(n, model.v0)
+            out = None if into is None else np.empty(n)
             res = sweep_feeder(model, p, q, tol, max_iter, v_init, out=out)
             assert out is None or res.v is out
             return res
@@ -649,12 +638,23 @@ def test_kernel_is_cached_under_xdg_cache_home(kernel, tmp_path, monkeypatch):
     assert library.stat().st_mtime_ns == built
 
 
+def seed_cache(directory):
+    """A copy, in ``directory``, of the library and key the ``kernel``
+    fixture left in the cache, under the same stem: the library a build
+    into ``directory`` would find there."""
+    cached = _native._build_kernel(shutil.which("cc"), _native._cache_dir())
+    library = directory / cached.name
+    shutil.copyfile(cached, library)
+    shutil.copyfile(cached.with_suffix(".key"), library.with_suffix(".key"))
+    return library
+
+
 @pytest.mark.parametrize("stale", ["other-key", "truncated-key", "no-key"])
 def test_kernel_with_a_stale_key_is_rebuilt(kernel, tmp_path, stale):
     # a name shared with another source (CRC-32 collides) or a half-written
     # cache must never be loaded
     cc = shutil.which("cc")
-    library = _native._build_kernel(cc, tmp_path)
+    library = seed_cache(tmp_path)
     key = library.with_suffix(".key")
     expected = key.read_bytes()
     library.write_bytes(b"not the kernel")
@@ -674,7 +674,7 @@ def test_kernel_cached_for_another_abi_is_rebuilt(kernel, tmp_path, monkeypatch)
     # the library links against the interpreter and numpy's C API: one
     # whose stored key names another ABI or numpy must never be loaded
     cc = shutil.which("cc")
-    library = _native._build_kernel(cc, tmp_path)
+    library = seed_cache(tmp_path)
     key = library.with_suffix(".key")
     expected = key.read_bytes()
     assert EXTENSION_SUFFIXES[0].encode() in expected
@@ -698,8 +698,9 @@ def test_kernel_cached_for_another_abi_is_rebuilt(kernel, tmp_path, monkeypatch)
 
 
 def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
-    # libraries of older sources would otherwise stay in the cache for good,
-    # those of older versions (``sweep-*``, the sweep alone) included
+    # libraries of older sources would otherwise stay in the cache for good;
+    # files of other names, such as the ``sweep-`` libraries of versions
+    # that held the sweep alone, are not this build's to remove
     cc = shutil.which("cc")
     hour_ago = time.time_ns() - 3600 * 10**9
 
@@ -712,11 +713,14 @@ def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
             os.utime(path, ns=(mtime, mtime))
 
     leave("kernels-00000000-1", 0)
+    leave("kernels-00000001-1", 1)
     leave("sweep-00000001-1", 1)
-    leave("sweep-" + "ab" * 32, 2, key=False)  # an older naming, key-less
+    leave("kernels-" + "ab" * 32, 2, key=False)  # key-less
     leave("kernels-00000002-1", 3)
+    leave("kernels-00000003-1", 4)
     leave("sweep-00000003-1", 4)
-    locked = tmp_path / "sweep-locked.so"
+    leave("sweep-" + "ab" * 32, 5, key=False)
+    locked = tmp_path / "kernels-locked.so"
     locked.mkdir()  # the oldest, and it cannot be unlinked: skipped
     os.utime(locked, ns=(hour_ago - 9 * 10**9, hour_ago - 9 * 10**9))
     (tmp_path / ".kernels-inflight.so").write_bytes(b"")  # another build's temporary
@@ -725,8 +729,10 @@ def test_kernel_build_keeps_only_the_newest_libraries(kernel, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         library.name, library.with_suffix(".key").name,
         "kernels-00000000-1.so", "kernels-00000000-1.key",
+        "kernels-00000001-1.so", "kernels-00000001-1.key",
+        "kernels-" + "ab" * 32 + ".so", "kernels-locked.so",
         "sweep-00000001-1.so", "sweep-00000001-1.key",
-        "sweep-" + "ab" * 32 + ".so", "sweep-locked.so",
+        "sweep-00000003-1.so", "sweep-00000003-1.key", "sweep-" + "ab" * 32 + ".so",
         ".kernels-inflight.so", "other.so",
     ])
     # a cache hit removes nothing
@@ -747,16 +753,17 @@ FRESH_RUNS = {
         "zero = np.zeros(model.n_nodes)\n"
         "assert sweep_feeder(model, zero, zero).iterations > 0\n"
     ),
-    # a linear run never sweeps: its trace write loads the library
+    # a linear run never sweeps: its round and its trace write load the library
     "a linear run writing its trace": (
         "import tempfile\n"
-        "from tdcoopt import trace\n"
+        "from tdcoopt import _native\n"
         "from tdcoopt.scenario import load_scenario, run_scenario\n"
         f"sc = load_scenario({str(SCENARIOS_DIR / 'dispatch9.json')!r},\n"
         "                   {'feedback': 'linear', 'max_iter': 200})\n"
         "with tempfile.TemporaryDirectory() as out:\n"
         "    run_scenario(sc, out)\n"
-        "assert trace._format_kernel() is not None\n"
+        "assert _native.library.cache_info().currsize == 1\n"
+        "assert _native.library() is not None\n"
     ),
 }
 

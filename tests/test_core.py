@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdcoopt import core
+from tdcoopt import _native, core
 from tdcoopt.acpf import sweep_feeder
 from tdcoopt.core import (
     DerCapacityScale,
@@ -1067,6 +1067,27 @@ def test_solve_divergence_error():
     with pytest.raises(DivergenceError, match="blow-up bound") as exc:
         solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
     assert exc.value.iteration >= 1
+
+
+@pytest.mark.parametrize("path", ["compiled", "reference"])
+def test_a_nan_multiplier_never_ends_a_run_as_converged(limits, monkeypatch, path):
+    # a NaN multiplier is the dual step, with z and lambda unmoved, so the
+    # stopping rule never reads the step as small
+    if path == "reference":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    problem = build_problem(make_system(n_feeders=1), limits)
+
+    def step(problem, x, y, account, cfg, t, warm, signals):
+        outcome, signals = primal_dual_step(problem, x, y, account, cfg, t, warm, signals)
+        mu = y.mu.copy()
+        mu[0] = math.nan
+        y_new = DualState(y.lam, mu)
+        return dataclasses.replace(outcome, x=x, y=y_new, balance_residual=0.0), signals
+
+    cfg = SolverConfig(eps=1e-3, max_iter=3, tol=1e-6)
+    res = core.run_rounds(problem, cfg, None, None, SlackAccount(0.0), (), None, step)
+    assert (res.status, res.iterations) == ("not-converged", 3)
+    assert all(math.isnan(record.step_dual) for record in res.records[1:])
 
 
 def test_solve_waits_for_scheduled_events():

@@ -27,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcoopt import _native, core
+from tdcoopt import _native, core, scenario, trace
+from tdcoopt.acpf import SweepResult
 from tdcoopt.core import DualState, Measurement, PrimalState, SlackAccount, build_problem
 from tdcoopt.network import VoltageLimits
+from tdcoopt.scenario import load_scenario, run_scenario
 from tdcoopt.trace import Records
 
 from conftest import SCENARIOS_DIR, make_system
@@ -210,26 +212,29 @@ def test_norms_match_numpys_maximum_reduce(kernels, data, n):
     assert same_bits(primal, diff)
     assert same_bits(state, norm)
     _, dual, _ = kernels.step_norms(empty, empty, a, b, 0.0, 0.0, 1.0)
-    assert same_bits(dual, max(0.0, diff))
+    assert same_bits(dual, np.maximum(0.0, diff))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 64])
 def test_norms_propagate_a_nan_at_any_position(kernels, n):
-    # a NaN in z_new or z is the primal step, and one in z_new the state's
-    # norm; one in mu_new or mu leaves the dual step to lam's, as Python's
-    # max(|lam_new - lam|, nan) does in the numpy reference
-    for vector in range(4):
-        for at in range(n):
-            args = [np.arange(n, dtype=float) * k for k in (3.0, 1.0, 2.0, 0.5)]
+    # a NaN in z_new or z is the primal step, one in mu_new or mu the dual
+    # step, and one in z_new the state's norm; a NaN lam_new is the dual
+    # step and the state's norm, a NaN lam the dual step
+    cases = [(vector, at, 0.5, 0.25) for vector in range(4) for at in range(n)]
+    cases += [(None, None, math.nan, 0.25), (None, None, 0.5, math.nan)]
+    for vector, at, lam_new, lam in cases:
+        args = [np.arange(n, dtype=float) * k for k in (3.0, 1.0, 2.0, 0.5)]
+        if vector is not None:
             args[vector][at] = math.nan
-            got = kernels.step_norms(*args, 0.5, 0.25, 1e-3)
-            x_new, x = PrimalState(args[0], 0), PrimalState(args[1], 0)
-            y_new, y = DualState(0.5, args[2]), DualState(0.25, args[3])
-            with numpy_reference():
-                expected = core._step_norms(x_new, x, y_new, y, 1e-3)
-            assert all(same_bits(a, b) for a, b in zip(got, expected)), (got, expected)
-            assert math.isnan(got[0]) == (vector < 2)
-            assert math.isnan(got[2]) == (vector == 0)
+        got = kernels.step_norms(*args, lam_new, lam, 1e-3)
+        x_new, x = PrimalState(args[0], 0), PrimalState(args[1], 0)
+        y_new, y = DualState(lam_new, args[2]), DualState(lam, args[3])
+        with numpy_reference():
+            expected = core._step_norms(x_new, x, y_new, y, 1e-3)
+        assert all(same_bits(a, b) for a, b in zip(got, expected)), (got, expected)
+        assert math.isnan(got[0]) == (vector in (0, 1))
+        assert math.isnan(got[1]) == (vector in (2, 3) or vector is None)
+        assert math.isnan(got[2]) == (vector == 0 or math.isnan(lam_new))
     empty = np.zeros(0)
     assert kernels.step_norms(empty, empty, empty, empty, 0.0, 0.0, 1.0) == (0.0, 0.0, 0.0)
 
@@ -319,8 +324,9 @@ def test_total_cost_sums_in_numpys_order(kernels, n_nodes, n_generators, seed, k
 )
 def test_record_row_matches_iteration_record(kernels, data, seed, n_feeders, n_feeder_nodes):
     # voltages of one sign, with ±0.0 drawn in, so that zeros tie for a
-    # feeder's lowest or highest voltage (the first of them is kept, which
-    # numpy's SIMD reductions do not promise); NaN and ±inf are drawn too
+    # feeder's lowest or highest voltage: a zero extreme is recorded as
+    # +0.0 on both paths, whichever of the tied zeros a reduction keeps;
+    # NaN and ±inf are drawn too
     problem = build_problem(
         make_system(n_feeders=n_feeders, n_feeder_nodes=n_feeder_nodes),
         VoltageLimits(0.95, 1.05),
@@ -341,15 +347,24 @@ def test_record_row_matches_iteration_record(kernels, data, seed, n_feeders, n_f
         [m.span.start + int(rng.integers(0, m.n_nodes)) for m in problem.models],
         dtype=np.intp,
     )
-    rows = []
-    for path in (contextlib.nullcontext(), numpy_reference()):
-        records = Records(G, n_feeders)
-        with path:
-            core.iteration_record(
-                records, problem, x, y, meas, 0.25, signals, probes, 1.5, 0.5
-            )
-        rows.append(records._chunks[0][0].tobytes())
-    assert rows[0] == rows[1]
+
+    def rows():
+        for path in (contextlib.nullcontext(), numpy_reference()):
+            records = Records(G, n_feeders)
+            with path:
+                core.iteration_record(
+                    records, problem, x, y, meas, 0.25, signals, probes, 1.5, 0.5
+                )
+            yield records._chunks[0][0].copy()
+
+    compiled, reference = rows()
+    assert compiled.tobytes() == reference.tobytes()
+    # a feeder whose voltages are all -0.0 records +0.0 at both extremes
+    v[problem.models[0].span] = -0.0
+    layout = Records(G, n_feeders)
+    extremes = [layout.v_min.start, layout.v_max.start]
+    for row in rows():
+        assert row[extremes].tobytes() == bytes(16)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +390,7 @@ def valid_calls():
         "step_norms": [z, z[::-1].copy(), np.zeros(2 * n), np.ones(2 * n), 0.5, 0.25,
                        5e-4],
         "flat_signals": [np.zeros(2 * n), n, G, 0.5, 0.5],
-        "bind_feeder": [None, order, np.array([-1, 0, 1], dtype=np.intc),
+        "bind_feeder": [SweepResult, order, np.array([-1, 0, 1], dtype=np.intc),
                         np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
                         np.full(3, -1e-3), np.zeros(3), 1.0],
         "sweep": [order, np.array([-1, 0, 1], dtype=np.intc),
@@ -388,9 +403,10 @@ def valid_calls():
 def entry(kernels, name):
     """The kernel ``name`` of :func:`valid_calls`.  ``sweep`` binds the tree
     in its first eight arguments and sweeps with the rest, as
-    :mod:`tdcoopt.acpf` does: ``bind_feeder(None, *a[:8]).sweep(*a[8:])``."""
+    :mod:`tdcoopt.acpf` does:
+    ``bind_feeder(SweepResult, *a[:8]).sweep(*a[8:])``."""
     if name == "sweep":
-        return lambda *a: kernels.bind_feeder(None, *a[:8]).sweep(*a[8:])
+        return lambda *a: kernels.bind_feeder(SweepResult, *a[:8]).sweep(*a[8:])
     return getattr(kernels, name)
 
 
@@ -468,6 +484,7 @@ SPOILT = [
     ("bind_feeder", 2, lambda parent: np.array([-1, 2, 1], dtype=np.intc), ValueError),
     ("bind_feeder", 2, lambda parent: np.array([-1, 0, 3], dtype=np.intc), IndexError),
     ("bind_feeder", 8, lambda v0: "1.0", TypeError),
+    ("bind_feeder", 0, lambda result: None, TypeError),  # a plain tuple is no result type
 ]
 
 
@@ -489,15 +506,17 @@ def test_kernels_refuse_a_wrong_argument_count(kernels, name):
         entry(kernels, name)(*args[:-1])
 
 
-@pytest.mark.parametrize("shared", ["p", "q", "v_init", "v_init-shifted"])
+@pytest.mark.parametrize("shared", ["p", "q", "v_init", "v_init-shifted", "v_init-itself"])
 def test_sweep_refuses_an_out_that_overlaps_its_inputs(kernels, shared):
-    # the voltages may be written over the warm start itself, never over
-    # the injections or over part of another array
+    # the voltages are never written over the injections or the warm
+    # start, the warm start itself included, nor over part of either
     args = valid_calls()["sweep"]
     buffer = np.ones(4)
     at = {"p": 8, "q": 9}.get(shared, 10)
     args[at] = buffer[:3]
     args[13] = buffer[1:] if shared == "v_init-shifted" else buffer[:3]
+    if shared == "v_init-itself":
+        args[13] = args[at]
     with pytest.raises(ValueError, match="out overlaps"):
         entry(kernels, "sweep")(*args)
     assert buffer.tolist() == [1.0] * 4
@@ -511,17 +530,16 @@ def test_record_row_refuses_a_read_only_row(kernels):
 
 
 def test_format_rows_refuses_a_buffer_too_small(kernels):
-    from tdcoopt import trace
-
     cells = np.ones((3, 2))
     iterations = np.arange(3, dtype=np.int64)
     out = np.empty(3 * trace._row_bytes(2) - 1, dtype=np.uint8)
+    table = trace._schubfach_table()
     with pytest.raises(ValueError, match="cannot hold"):
-        trace._format_rows(kernels.format_rows, iterations, cells, out)
+        kernels.format_rows(iterations, cells, table, out)
     with pytest.raises(ValueError):
-        trace._format_rows(kernels.format_rows, iterations[:2], cells, out)
+        kernels.format_rows(iterations[:2], cells, table, out)
     with pytest.raises(TypeError):
-        trace._format_rows(kernels.format_rows, iterations, cells.astype(np.float32), out)
+        kernels.format_rows(iterations, cells.astype(np.float32), table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +603,37 @@ def test_runs_without_a_compiler_write_the_same_bytes(kernels, tmp_path):
         }
     assert len(outputs["compiled"]) == 6  # a trace and a summary per run
     assert outputs["fallback"] == outputs["compiled"]
+
+
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_patching_the_library_runs_every_reference_in_process(kernels, tmp_path, engine):
+    # _native.library is the one switch: patched to return None after a
+    # native run has loaded every kernel, a run on a freshly built problem
+    # binds no model, writes every trace row by trace._row, and writes the
+    # native run's bytes
+    sc = load_scenario(short_scenario(tmp_path, "default", 60, 30),
+                       {"engine": engine, "feedback": "ac"})
+    native = run_scenario(sc, tmp_path / "native")
+    built, rows = [], []
+    row = trace._row
+
+    def building(system, limits):
+        built.append(core.build_problem(system, limits))
+        return built[-1]
+
+    def spied(iteration, cells):
+        rows.append(iteration)
+        return row(iteration, cells)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "library", lambda: None)
+        patch.setattr(scenario, "build_problem", building)
+        patch.setattr(trace, "_row", spied)
+        reference = run_scenario(sc, tmp_path / "reference")
+    assert len(built) == 1
+    assert not any("_bound" in vars(model) for model in built[0].models)
+    assert rows == list(range(len(reference.result.records)))
+    assert len(rows) > 1
+    for ran, kept in zip((reference.trace_path, reference.summary_path),
+                         (native.trace_path, native.summary_path)):
+        assert ran.read_bytes() == kept.read_bytes()

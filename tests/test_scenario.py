@@ -121,6 +121,8 @@ def test_overrides_are_applied_before_validation(tmp_path):
         bad(path, overrides={"eps": -1.0})
     with pytest.raises(ScenarioError, match="unknown engine"):
         bad(path, overrides={"engine": "quantum"})
+    with pytest.raises(ScenarioError, match="overrides: unknown field 'engnie'"):
+        bad(path, overrides={"eps": 0.01, "engnie": "market"})
 
 
 def test_relative_case_paths_resolve_against_scenario_file():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIOS_DIR
-from tdcoopt import core, trace
+from tdcoopt import _native, core, trace
 from tdcoopt.scenario import load_scenario, run_scenario, run_scenario_in_memory
 from tdcoopt.trace import (
     NA,
@@ -163,9 +163,9 @@ def kernel():
     # with a compiler on PATH, falling back to the Python formatter is a failure
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: write_trace runs the Python formatter")
-    kernel = trace._format_kernel()
-    assert kernel is not None, "cc is on PATH but the compiled formatter did not load"
-    return kernel
+    library = _native.library()
+    assert library is not None, "cc is on PATH but the compiled formatter did not load"
+    return library.format_rows
 
 
 def kernel_cells(kernel, values) -> list[str]:
@@ -173,7 +173,7 @@ def kernel_cells(kernel, values) -> list[str]:
     cells = np.array(values, dtype=np.float64).reshape(-1, 1)
     rows = len(cells)
     out = np.empty(rows * trace._row_bytes(1), dtype=np.uint8)
-    n = trace._format_rows(kernel, np.zeros(rows, dtype=np.int64), cells, out)
+    n = kernel(np.zeros(rows, dtype=np.int64), cells, trace._schubfach_table(), out)
     lines = out[:n].tobytes().decode("ascii").split("\r\n")
     assert lines.pop() == ""
     assert all(line.startswith("0,") for line in lines)
@@ -258,12 +258,13 @@ def test_kernel_writes_repr_of_trace_like_values(kernel):
 # ---------------------------------------------------------------------------
 
 def both_paths(tmp_path, monkeypatch, write):
-    """``write(directory)`` with the kernel, then with the Python path; the
-    bytes of each file the first call wrote, from both."""
+    """``write(directory)`` with the kernels, then with every reference
+    (``_native.library`` patched to return ``None``); the bytes of each
+    file the first call wrote, from both."""
     fast, slow = tmp_path / "kernel", tmp_path / "python"
     write(fast)
     with monkeypatch.context() as patch:
-        patch.setattr(trace, "_format_kernel", lambda: None)
+        patch.setattr(_native, "library", lambda: None)
         write(slow)
     names = sorted(p.name for p in fast.iterdir() if p.name.endswith(".csv"))
     assert names
