@@ -651,6 +651,209 @@ static PyObject *record_row(PyObject *self, PyObject *const *args, Py_ssize_t na
 }
 
 /* ---------------------------------------------------------------------
+ * the market's round: _round.c's primal step, one agent at a time, and
+ * the operator's filing of the reports
+ * --------------------------------------------------------------------- */
+
+/* the names file_reports reads off each report, interned at import */
+static PyObject *str_iteration_tag, *str_sender, *str_payload;
+
+/* whether obj is an exact int in [0, n), stored in *out; an int too large
+ * for an intptr_t is not, and leaves no exception set */
+static int exact_index(PyObject *obj, intptr_t n, intptr_t *out)
+{
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    Py_ssize_t i = PyLong_AsSsize_t(obj);
+    if (i == -1 && PyErr_Occurred()) {
+        PyErr_Clear(); /* an OverflowError */
+        return 0;
+    }
+    *out = i;
+    return i >= 0 && i < n;
+}
+
+/* agent_step(coords, z, eps, coef, signals, lo, hi) -> a list of floats
+ *
+ * market.UserAgent.step and GeneratorAgent.step: tdcoopt_primal_step at
+ * each coordinate of coords (a tuple of exact ints, each in [0, n)), in
+ * order, of z and the round's other arrays (n entries each).  An empty
+ * box (lo > hi) at a coordinate is a ValueError, as core.project_box
+ * raises it. */
+static PyObject *agent_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("agent_step", nargs, 7) < 0)
+        return NULL;
+    intptr_t n = -1;
+    const double *z, *coef, *signals, *lo, *hi;
+    double eps;
+    PyObject *coords = args[0];
+    if (!PyTuple_Check(coords)) {
+        PyErr_SetString(PyExc_TypeError, "coords must be a tuple");
+        return NULL;
+    }
+    if ((z = vector(args[1], NPY_DOUBLE, "z", &n, 0)) == NULL
+        || real(args[2], "eps", &eps) < 0
+        || (coef = vector(args[3], NPY_DOUBLE, "coef", &n, 0)) == NULL
+        || (signals = vector(args[4], NPY_DOUBLE, "signals", &n, 0)) == NULL
+        || (lo = vector(args[5], NPY_DOUBLE, "lo", &n, 0)) == NULL
+        || (hi = vector(args[6], NPY_DOUBLE, "hi", &n, 0)) == NULL)
+        return NULL;
+    Py_ssize_t m = PyTuple_GET_SIZE(coords);
+    for (Py_ssize_t k = 0; k < m; k++) {
+        PyObject *c = PyTuple_GET_ITEM(coords, k);
+        intptr_t i;
+        if (!PyLong_CheckExact(c)) {
+            PyErr_Format(PyExc_TypeError, "coords[%zd] must be an int", k);
+            return NULL;
+        }
+        if (!exact_index(c, n, &i)) {
+            PyErr_Format(PyExc_IndexError, "coords[%zd] = %R is out of range [0, %zd)", k,
+                         c, (Py_ssize_t)n);
+            return NULL;
+        }
+    }
+    PyObject *values = PyList_New(m);
+    for (Py_ssize_t k = 0; values != NULL && k < m; k++) {
+        intptr_t i = PyLong_AsSsize_t(PyTuple_GET_ITEM(coords, k));
+        if (lo[i] > hi[i]) {
+            PyObject *low = PyFloat_FromDouble(lo[i]), *high = PyFloat_FromDouble(hi[i]);
+            if (low != NULL && high != NULL)
+                PyErr_Format(PyExc_ValueError, "empty box: lo %R > hi %R", low, high);
+            Py_XDECREF(low);
+            Py_XDECREF(high);
+            Py_CLEAR(values);
+            break;
+        }
+        double value;
+        tdcoopt_primal_step(1, z + i, eps, coef + i, signals + i, lo + i, hi + i, &value);
+        PyObject *item = PyFloat_FromDouble(value);
+        if (item == NULL)
+            Py_CLEAR(values);
+        else
+            PyList_SET_ITEM(values, k, item);
+    }
+    return values;
+}
+
+/* one report of file_reports, filed into out: 1 when it is filed, 0 when
+ * it is not one file_reports accepts, -1 with an exception set when
+ * reading its attributes raised.  filled marks the positions (n_slots),
+ * then the coordinates (n), already filled. */
+static int file_one(PyObject *msg, intptr_t tag, PyObject *slots, intptr_t n_slots,
+                    intptr_t n, char *filled, double *out)
+{
+    PyObject *stamp = NULL, *sender = NULL, *payload = NULL, *slot = NULL;
+    int status = 0;
+    intptr_t got, k;
+    if ((stamp = PyObject_GetAttr(msg, str_iteration_tag)) == NULL
+        || (sender = PyObject_GetAttr(msg, str_sender)) == NULL
+        || (payload = PyObject_GetAttr(msg, str_payload)) == NULL) {
+        status = -1;
+        goto exit;
+    }
+    if (!exact_index(stamp, PY_SSIZE_T_MAX, &got) || got != tag
+        || !PyUnicode_CheckExact(sender) || !PyList_CheckExact(payload))
+        goto exit;
+    /* held: looking a sender up may run the code of another key's __eq__ */
+    slot = PyDict_GetItemWithError(slots, sender);
+    Py_XINCREF(slot);
+    if (slot == NULL) {
+        status = PyErr_Occurred() ? -1 : 0;
+        goto exit;
+    }
+    if (!PyTuple_CheckExact(slot) || PyTuple_GET_SIZE(slot) != 2
+        || !exact_index(PyTuple_GET_ITEM(slot, 0), n_slots, &k) || filled[k])
+        goto exit;
+    PyObject *coords = PyTuple_GET_ITEM(slot, 1);
+    if (!PyTuple_CheckExact(coords) || PyTuple_GET_SIZE(coords) != PyList_GET_SIZE(payload))
+        goto exit;
+    /* nothing below runs Python code, so the payload holds still */
+    filled[k] = 1;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(payload); i++) {
+        PyObject *v = PyList_GET_ITEM(payload, i);
+        intptr_t c;
+        if (!exact_index(PyTuple_GET_ITEM(coords, i), n, &c) || filled[n_slots + c]
+            || !PyFloat_CheckExact(v) || !isfinite(PyFloat_AS_DOUBLE(v)))
+            goto exit;
+        filled[n_slots + c] = 1;
+        out[c] = PyFloat_AS_DOUBLE(v);
+    }
+    status = 1;
+exit:
+    Py_XDECREF(stamp);
+    Py_XDECREF(sender);
+    Py_XDECREF(payload);
+    Py_XDECREF(slot);
+    return status;
+}
+
+/* file_reports(reports, tag, slots, n) -> z, a new array of n entries;
+ * or None
+ *
+ * market.operator_step's intake of a round it accepts: tag is an exact
+ * int, at least 0, and reports (a list) holds one message for each entry
+ * of slots (a dict: sender -> (position, coords)), each with tag as an
+ * exact int, an exact str sender on slots whose position no other report
+ * holds, and a payload that is an exact list of exact finite floats, one
+ * per coordinate.  z holds each payload at its sender's coordinates and
+ * 0.0 elsewhere.  None when the tag or a report is not so, or the slots
+ * do not fit (a position outside [0, len(slots)), or coords not an exact
+ * tuple of exact ints in [0, n), each held by one sender): the Python
+ * intake then decides. */
+static PyObject *file_reports(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs_are("file_reports", nargs, 4) < 0)
+        return NULL;
+    PyObject *reports = args[0], *slots = args[2];
+    intptr_t tag, n;
+    if (!PyList_Check(reports)) {
+        PyErr_SetString(PyExc_TypeError, "reports must be a list");
+        return NULL;
+    }
+    if (!PyDict_Check(slots)) {
+        PyErr_SetString(PyExc_TypeError, "slots must be a dict");
+        return NULL;
+    }
+    if (count(args[3], "n", 0, PY_SSIZE_T_MAX / 8, &n) < 0)
+        return NULL;
+    intptr_t n_slots = PyDict_GET_SIZE(slots);
+    if (!exact_index(args[1], PY_SSIZE_T_MAX, &tag) || PyList_GET_SIZE(reports) != n_slots)
+        Py_RETURN_NONE;
+
+    npy_intp dims[1] = {n};
+    PyObject *z = PyArray_ZEROS(1, dims, NPY_DOUBLE, 0);
+    char *filled = PyMem_Calloc((size_t)n_slots + (size_t)n + 1, 1);
+    if (z == NULL || filled == NULL) {
+        Py_XDECREF(z);
+        PyMem_Free(filled);
+        return filled == NULL ? PyErr_NoMemory() : NULL;
+    }
+    double *out = PyArray_DATA((PyArrayObject *)z);
+    int status = 1;
+    intptr_t filed = 0;
+    /* reading a report's attributes may run code that changes the list:
+     * each report is held while it is read, and the length read anew */
+    for (Py_ssize_t j = 0; status == 1 && j < PyList_GET_SIZE(reports); j++) {
+        PyObject *msg = PyList_GET_ITEM(reports, j);
+        Py_INCREF(msg);
+        status = file_one(msg, tag, slots, n_slots, n, filled, out);
+        Py_DECREF(msg);
+        filed++;
+    }
+    PyMem_Free(filled);
+    /* each filed report holds a position of its own */
+    if (status == 1 && filed == n_slots)
+        return z;
+    Py_DECREF(z);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* ---------------------------------------------------------------------
  * the module
  * --------------------------------------------------------------------- */
 
@@ -675,6 +878,10 @@ static PyMethodDef methods[] = {
     {"record_row", FASTCALL(record_row),
      "record_row(row, layout, lam, z, n_nodes, coef, P_L, v, starts, signals, "
      "probes, residual, step_primal, step_dual)"},
+    {"agent_step", FASTCALL(agent_step),
+     "agent_step(coords, z, eps, coef, signals, lo, hi) -> the agent's new values"},
+    {"file_reports", FASTCALL(file_reports),
+     "file_reports(reports, tag, slots, n) -> the round's z, or None"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -688,6 +895,10 @@ PyMODINIT_FUNC PyInit__kernels(void)
 {
     import_array();
     if (PyType_Ready(&FeederType) < 0)
+        return NULL;
+    if ((str_iteration_tag = PyUnicode_InternFromString("iteration_tag")) == NULL
+        || (str_sender = PyUnicode_InternFromString("sender")) == NULL
+        || (str_payload = PyUnicode_InternFromString("payload")) == NULL)
         return NULL;
     return PyModule_Create(&module);
 }

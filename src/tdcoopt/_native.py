@@ -3,7 +3,8 @@
 ``_kernels.c`` (the module and its argument checks), ``_sweep.c`` (the
 feeder sweep, used by :mod:`tdcoopt.acpf`), ``_format.c`` (the trace
 formatter, used by :mod:`tdcoopt.trace`) and ``_round.c`` (the round's
-array steps, used by :mod:`tdcoopt.core`) are compiled together by the
+array steps, used by :mod:`tdcoopt.core`, and by :mod:`tdcoopt.market`'s
+agents one agent at a time) are compiled together by the
 system ``cc``, in one invocation, against the CPython and numpy headers,
 the first time a kernel is needed: at the first round, AC sweep or trace
 write, never at import or set-up.  The module is loaded with
@@ -24,8 +25,8 @@ logged warning, and each caller runs its Python or numpy reference,
 which gives the same results.
 
 :func:`library` is the one place that decides between kernel and
-reference: :mod:`tdcoopt.core`, :mod:`tdcoopt.acpf` and
-:mod:`tdcoopt.trace` call it through this module each time they decide
+reference: :mod:`tdcoopt.core`, :mod:`tdcoopt.acpf`, :mod:`tdcoopt.trace`
+and :mod:`tdcoopt.market` call it through this module each time they decide
 and keep no answer of their own, so patching ``_native.library`` to
 return ``None`` runs every reference in-process.  The one exception is a
 feeder model already bound to the kernel, which keeps its binding.

@@ -380,11 +380,11 @@ def initial_state(
 def project_box(value: float, lo: float, hi: float) -> float:
     """Clamp ``value`` into ``[lo, hi]`` as the core's array ``np.clip``
     does, bit for bit: a tie gives the bound, so a signed zero takes the
-    bound's sign, and NaN passes through."""
+    bound's sign, and a NaN value or bound is the result."""
     if lo > hi:
         raise ValueError(f"empty box: lo {lo} > hi {hi}")
-    t = lo if value <= lo else value
-    return hi if t >= hi else t
+    t = lo if value <= lo or lo != lo else value
+    return hi if t >= hi or hi != hi else t
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +401,6 @@ class Measurement:
 
     v: np.ndarray
     P_L: np.ndarray
-    ac_iterations: int = 0
-    ac_residual: float = 0.0
 
 
 def measure_feeders(
@@ -433,8 +431,6 @@ def measure_feeders(
             sl = model.span
             v[sl], P_L[k] = predict(model, p[sl], q[sl])
         return Measurement(v, P_L)
-    ac_iterations = 0
-    ac_residual = 0.0
     try:
         for k, model in enumerate(models):
             sl = model.span
@@ -443,18 +439,13 @@ def measure_feeders(
                 out=v[sl],
             )
             P_L[k] = res.P_L
-            # max() as two comparisons: a builtin call costs more
-            if res.iterations > ac_iterations:
-                ac_iterations = res.iterations
-            if res.residual > ac_residual:
-                ac_residual = res.residual
     except SweepDivergence as exc:
         raise EngineError(
             f"power flow failed at iteration {iteration} on feeder "
             f"{model.feeder_id}: {exc}",
             iteration=iteration,
         ) from exc
-    return Measurement(v, P_L, ac_iterations, ac_residual)
+    return Measurement(v, P_L)
 
 
 def measure(
@@ -1071,10 +1062,19 @@ def run_rounds(
     as the balance target.  ``probes`` holds one node position per
     feeder, counted within it (:func:`default_probes` when ``None``);
     ``x`` and ``y`` are :func:`initial_state`'s when ``None``.
-    Raises :class:`DivergenceError` when the state passes the blow-up
-    bound; any :class:`EngineError` raised here leaves with the records
+    Raises :class:`ValueError`, before any round, when a box of the
+    problem is empty (``lo > hi``) or has a NaN bound, naming the first
+    such coordinate of ``z``; :class:`DivergenceError` when the state passes the blow-up
+    bound.  Any :class:`EngineError` raised here leaves with the records
     kept so far.
     """
+    unboxed = np.flatnonzero(~(problem.lo <= problem.hi))
+    if len(unboxed):
+        i = int(unboxed[0])
+        lo, hi = float(problem.lo[i]), float(problem.hi[i])
+        if lo > hi:
+            raise ValueError(f"empty box at coordinate {i} of z: lo {lo} > hi {hi}")
+        raise ValueError(f"NaN bound at coordinate {i} of z: lo {lo}, hi {hi}")
     report = check_stepsize(problem, cfg.eta)
     if report is not None and cfg.eps > report.eps_bound:
         level = logging.WARNING if cfg.eta > 0 else logging.INFO

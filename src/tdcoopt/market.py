@@ -4,11 +4,16 @@ The market routes the centralized round's own messages over an
 in-process bus.  Each round the operator's broadcast is the round's one
 price array over the primal vector ``z = [p, q, P_M]``
 (:func:`tdcoopt.core.der_signals`).  Every agent — a DER user at
-``(g, N + g)``, a generator at ``(2N + k,)`` — takes the one scalar
-:func:`coordinate_step` of the centralized primal step on each of its
-coordinates and reports only the values, in coordinate order.  The
-operator places them at the coordinates its roster holds for each
-sender and ends the round in the core engine's own network half,
+``(g, N + g)``, a generator at ``(2N + k,)`` — takes the centralized
+primal step on each of its coordinates and reports only the values, as
+Python floats in coordinate order.  The step is one call of the
+extension module's ``agent_step`` on the round's float64 arrays, the
+entry-wise arithmetic of the core's primal step kernel; where no library
+loads, it is the scalar :func:`coordinate_step` on each entry, read as a
+Python float.  The operator places the values at the coordinates its
+roster holds for each sender, in one call of ``file_reports`` for a
+round it accepts (:func:`operator_step`), and ends the round in the
+core engine's own network half,
 :func:`tdcoopt.core.settle` (measure the network response, update the
 duals, price anew).  No private cost or capacity data ever reaches the
 operator: it works from the reports, the roster (node and generator
@@ -50,6 +55,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import _native
 from .core import (
     CompiledNetwork,
     DispatchProblem,
@@ -193,6 +199,40 @@ def coordinate_step(
 # agents
 # ---------------------------------------------------------------------------
 
+def _report(
+    agent: UserAgent | GeneratorAgent,
+    z: np.ndarray,
+    coef: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    prices: np.ndarray,
+    eps: float,
+    tag: int,
+) -> AgentMessage:
+    """Step each of the agent's coordinates from ``z``; report the values,
+    Python floats, in coordinate order.
+
+    The arrays are the round's float64 arrays over ``z``.  One kernel call
+    (``agent_step``) steps every coordinate; where no library loads, each
+    takes :func:`coordinate_step` on the entries read as Python floats.
+    """
+    kernels = _native.library()
+    if kernels is not None:
+        values = kernels.agent_step(agent.coords, z, eps, coef, prices, lo, hi)
+    else:
+        # a loop, not a comprehension: one would make a cell of each
+        # argument on every call, the kernel's included (~3 us a round)
+        values = []
+        for c in agent.coords:
+            values.append(coordinate_step(
+                z.item(c), prices.item(c), coef.item(c), lo.item(c), hi.item(c), eps
+            ))
+    return AgentMessage("setpoint-report", agent.name, tag, values)
+
+
+# Each kind of agent holds the step in its own class namespace, where a
+# traced run patches it (see perfbench/spans.py).
+
 @dataclass(frozen=True)
 class UserAgent:
     """A DER owner, known by its name and coordinates; it keeps no state.
@@ -200,54 +240,26 @@ class UserAgent:
     ``coords`` are ``(g, N + g)``, its ``p`` and ``q`` entries: of the
     round's primal vector, of the compiled problem's ``coef``, ``lo`` and
     ``hi`` (its private cost and limits), and of the broadcast prices.
+    ``step(z, coef, lo, hi, prices, eps, tag)`` reads them from those
+    float64 arrays and reports its two new values.
     """
 
     name: str
     coords: tuple[int, ...]
 
-    def step(
-        self,
-        z: list[float],
-        coef: list[float],
-        lo: list[float],
-        hi: list[float],
-        prices: list[float],
-        eps: float,
-        tag: int,
-    ) -> AgentMessage:
-        """Step each coordinate from ``z``; report the values in
-        coordinate order."""
-        # written out: a comprehension costs ~3 us a round on ``default``
-        i, j = self.coords
-        values = [
-            coordinate_step(z[i], prices[i], coef[i], lo[i], hi[i], eps),
-            coordinate_step(z[j], prices[j], coef[j], lo[j], hi[j], eps),
-        ]
-        return AgentMessage("setpoint-report", self.name, tag, values)
+    step = _report
 
 
 @dataclass(frozen=True)
 class GeneratorAgent:
     """A dispatchable generator, known by its name and coordinate
-    ``(2N + k,)``; it keeps no state."""
+    ``(2N + k,)``; it keeps no state.  ``step`` is :class:`UserAgent`'s,
+    on its one coordinate."""
 
     name: str
     coords: tuple[int, ...]
 
-    def step(
-        self,
-        z: list[float],
-        coef: list[float],
-        lo: list[float],
-        hi: list[float],
-        prices: list[float],
-        eps: float,
-        tag: int,
-    ) -> AgentMessage:
-        """Step from ``z``; report the value."""
-        (c,) = self.coords
-        value = coordinate_step(z[c], prices[c], coef[c], lo[c], hi[c], eps)
-        return AgentMessage("setpoint-report", self.name, tag, [value])
+    step = _report
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +280,14 @@ class OperatorConfig:
     network: CompiledNetwork
     roster: dict[str, tuple[int, ...]]
     solver: SolverConfig  # stepsize, regularization, feedback source
-    # from the roster: sender -> (position, coordinate count); all coordinates
-    slots: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    # from the roster: sender -> (position, coordinates); all coordinates
+    slots: dict[str, tuple[int, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
     index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = {s: (k, len(c)) for k, (s, c) in enumerate(self.roster.items())}
+        slots = {s: (k, c) for k, (s, c) in enumerate(self.roster.items())}
         index = [c for coords in self.roster.values() for c in coords]
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "index", np.array(index, dtype=np.intp))
@@ -287,15 +301,34 @@ def operator_step(
     tag: int,
     warm: np.ndarray | None = None,
 ) -> tuple[StepOutcome, np.ndarray]:
-    """Validate the round, then settle it (:func:`~tdcoopt.core.settle`).
+    """File the round's reports, then settle it (:func:`~tdcoopt.core.settle`).
 
     Each report's values are placed at the coordinates the roster holds
     for its sender.  Returns the round's outcome (reported setpoints, new
     duals, and the measurement they rest on) and the fresh prices over
     ``z``.  A stale, duplicated or missing report, one from a sender off
     the roster, or one that is not a list of as many finite floats as the
-    sender has coordinates aborts the round.
+    sender has coordinates aborts the round.  One kernel call
+    (``file_reports``) files a round it accepts; any other round, or every
+    round where no library loads, goes through :func:`_file_reports`,
+    which accepts the same rounds and names what is wrong with the others.
     """
+    network = cfg.network
+    n = network.n_nodes
+    kernels = _native.library()
+    z = None if kernels is None else kernels.file_reports(
+        reports, tag, cfg.slots, 2 * n + network.n_generators
+    )
+    if z is None:
+        z = _file_reports(reports, cfg, tag)
+    return settle(network, PrimalState(z, n), y, account, cfg.solver, tag, warm)
+
+
+def _file_reports(
+    reports: list[AgentMessage], cfg: OperatorConfig, tag: int
+) -> np.ndarray:
+    """The round's ``z``: each report's values at its sender's coordinates,
+    0.0 elsewhere; or a :class:`RoundAbort` naming the first fault."""
     # each report's values are filed at its sender's roster position, so
     # the round fills z in roster order whatever order it arrived in
     slots = cfg.slots
@@ -314,7 +347,7 @@ def operator_step(
                 f"round {tag}",
                 iteration=tag,
             )
-        k, size = slot
+        k, coords = slot
         if placed[k] is not None:
             raise RoundAbort(
                 f"duplicate report from {msg.sender} in round {tag}", iteration=tag
@@ -326,10 +359,10 @@ def operator_step(
                 f"values: {payload!r}",
                 iteration=tag,
             )
-        if len(payload) != size:
+        if len(payload) != len(coords):
             raise RoundAbort(
                 f"report from {msg.sender} in round {tag} holds "
-                f"{len(payload)} values for {size} coordinates",
+                f"{len(payload)} values for {len(coords)} coordinates",
                 iteration=tag,
             )
         placed[k] = payload
@@ -344,16 +377,13 @@ def operator_step(
     for payload in placed:
         values += payload
     network = cfg.network
-    n = network.n_nodes
-    z = np.zeros(2 * n + network.n_generators)
+    z = np.zeros(2 * network.n_nodes + network.n_generators)
     # the values are checked for the whole round at once, since honest
     # agents report Python floats
     if set(map(type, values)) <= {float}:
         z[cfg.index] = values
         if np.isfinite(z).all():
-            return settle(
-                network, PrimalState(z, n), y, account, cfg.solver, tag, warm
-            )
+            return z
     bad = next(m for m in reports if not all(
         type(v) is float and math.isfinite(v) for v in m.payload))
     raise RoundAbort(
@@ -384,7 +414,8 @@ def run_market(
     round's messages between the agents and the operator.  Each round
     the agents step from their own entries of the loop's primal vector
     and read their private data from the same entries of the problem the
-    loop hands it, events applied to both; the operator gets only
+    loop hands it, events applied to both, each agent in one call on
+    those float64 arrays and the broadcast ones; the operator gets only
     ``problem.network`` (no DER data) and the roster of each agent's
     coordinates.  One user ``user:<feeder>:<node>`` stands at each DER's
     ``(p, q)`` coordinates, in node order, and one ``generator:<bus>`` at
@@ -410,15 +441,7 @@ def run_market(
         problem.network, {a.name: a.coords for a in agents}, cfg
     )
 
-    # the agents read the problem last handed in as lists of Python floats,
-    # converted again only when an event hands in a new one
-    held = coef = lo = hi = None
-
     def step(problem, x, y, account, cfg, t, warm, signals):
-        nonlocal held, coef, lo, hi
-        if problem is not held:
-            held = problem
-            coef, lo, hi = (a.tolist() for a in (problem.coef, problem.lo, problem.hi))
         if t == 1:  # the opening broadcast, at the starting duals
             bus.publish(AgentMessage("signal-broadcast", "operator", 0, signals))
 
@@ -429,9 +452,11 @@ def run_market(
                 f"from round {t - 1}, expected one",
                 iteration=t,
             )
-        prices = received[0].payload.tolist()
-        z = x.z.tolist()
-        publish, eps = bus.publish, cfg.eps
+        prices = received[0].payload
+        z, coef, lo, hi = x.z, problem.coef, problem.lo, problem.hi
+        # a Python float, so that the agents report Python floats on either
+        # path whatever real number the stepsize is
+        publish, eps = bus.publish, float(cfg.eps)
         for agent in agents:
             publish(agent.step(z, coef, lo, hi, prices, eps, t))
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tdcoopt
+from tdcoopt import _native
 from tdcoopt.core import (
     PrimalState,
     SlackAccount,
@@ -289,3 +291,14 @@ def limits() -> VoltageLimits:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def kernels():
+    """The extension module; skips the test where no ``cc`` is on PATH."""
+    # with a compiler on PATH, falling back to numpy is a failure
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the round runs its numpy reference")
+    kernels = _native.library()
+    assert kernels is not None, "cc is on PATH but the extension module did not load"
+    return kernels

@@ -147,6 +147,9 @@ EDGES = (0.0, -0.0, math.inf, -math.inf)
 @example(value=0.0, bounds=[-1.0, -0.0], equal=False)
 @example(value=-0.0, bounds=[0.0, -0.0], equal=False)
 @example(value=math.nan, bounds=[-math.inf, math.inf], equal=False)
+@example(value=0.5, bounds=[math.nan, 1.0], equal=False)
+@example(value=0.5, bounds=[0.0, math.nan], equal=False)
+@example(value=-2.0, bounds=[math.nan, math.nan], equal=False)
 def test_project_box_is_the_core_clip_to_the_bit(value, bounds, equal):
     # signed zeros and NaN included; the agents' clamp must give the floats
     # the core engine's does, since the two engines' records are compared
@@ -466,7 +469,6 @@ def test_measure_ac_matches_sweep(limits):
     meas = measure(problem, x, feedback="ac")
     ref = sweep_feeder(problem.models[0], x.p, x.q)
     np.testing.assert_allclose(meas.v, ref.v, atol=1e-12)
-    assert meas.ac_iterations >= 1
 
 
 def test_measure_ac_writes_a_new_array_each_call(limits):

@@ -2,7 +2,10 @@
 
 Each kernel of the package's extension module replaces a chain of numpy
 calls in :mod:`tdcoopt.core`, which stays as the reference and runs where
-no library can be built.  Here each kernel meets that numpy code on
+no library can be built; the market agents' ``agent_step`` replaces
+their scalar :func:`~tdcoopt.market.coordinate_step` calls (the
+operator's ``file_reports`` meets its Python intake in
+``test_market.py``).  Here each kernel meets that numpy code on
 drawn inputs, special values included (signed zeros, NaN, infinities),
 and must give the same bits (NaN only as NaN: see :func:`same_bits`).  Every kernel checks its arguments before
 it reads them, so arrays that do not fit raise instead of being read out
@@ -14,10 +17,10 @@ the same trace and summary bytes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -30,21 +33,19 @@ from hypothesis import strategies as st
 from tdcoopt import _native, core, scenario, trace
 from tdcoopt.acpf import SweepResult
 from tdcoopt.core import DualState, Measurement, PrimalState, SlackAccount, build_problem
+from tdcoopt.market import (
+    AgentMessage,
+    GeneratorAgent,
+    MessageBus,
+    UserAgent,
+    coordinate_step,
+    run_market,
+)
 from tdcoopt.network import VoltageLimits
 from tdcoopt.scenario import load_scenario, run_scenario
 from tdcoopt.trace import Records
 
 from conftest import SCENARIOS_DIR, make_system
-
-
-@pytest.fixture(scope="module")
-def kernels():
-    # with a compiler on PATH, falling back to numpy is a failure
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler: the round runs its numpy reference")
-    kernels = _native.library()
-    assert kernels is not None, "cc is on PATH but the extension module did not load"
-    return kernels
 
 
 @contextlib.contextmanager
@@ -121,6 +122,70 @@ def test_primal_step_gives_the_bound_on_a_tie(kernels):
     got = kernels.primal_step(z, 5e-4, zero, zero, lo, hi)
     assert [math.copysign(1.0, g) for g in got[:4]] == [1.0, -1.0, 1.0, -1.0]
     assert math.isnan(got[4]) and math.isnan(got[5])
+
+
+# ---------------------------------------------------------------------------
+# one market agent's step
+# ---------------------------------------------------------------------------
+
+EDGES_OF_A_BOX = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def agent_rounds(draw):
+    """An agent (a user's two coordinates or a generator's one) and the
+    round's arrays over z.  Its coordinates sit in boxes of signed zeros,
+    [0, 0] ones and ones with a NaN edge, start on a bound or off it, and
+    get NaN prices."""
+    n = draw(st.integers(2, 8))
+    coords = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    agent = (UserAgent if len(coords) == 2 else GeneratorAgent)("a", tuple(coords))
+    edges = st.one_of(st.sampled_from(EDGES_OF_A_BOX), st.floats(-1e3, 1e3))
+    drawn = {name: np.array(draw(st.lists(values, min_size=n, max_size=n)))
+             for name in ("z", "coef", "signals")}
+    lo, hi = np.zeros(n), np.zeros(n)
+    for c in coords:
+        lo[c], hi[c] = sorted(draw(st.lists(edges, min_size=2, max_size=2)))
+        # coef and price 0.0 keep z where it starts, on a bound: a tie
+        drawn["z"][c] = draw(st.one_of(st.sampled_from([lo[c], hi[c]]), values))
+    return agent, drawn["z"], drawn["coef"], drawn["signals"], lo, hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    run=agent_rounds(),
+    eps=st.one_of(st.sampled_from([5e-4, 1.0, 0.0]), st.floats(1e-6, 10.0)),
+)
+def test_agent_step_is_coordinate_step_to_the_bit(kernels, run, eps):
+    agent, z, coef, signals, lo, hi = run
+    values = kernels.agent_step(agent.coords, z, eps, coef, signals, lo, hi)
+    expected = [
+        coordinate_step(z.item(c), signals.item(c), coef.item(c), lo.item(c),
+                        hi.item(c), eps)
+        for c in agent.coords
+    ]
+    assert type(values) is list and {type(v) for v in values} == {float}
+    assert same_bits(values, expected)
+    # the agent's step, on the kernel and on its reference, reports them
+    reports = [agent.step(z, coef, lo, hi, signals, eps, 7)]
+    with numpy_reference():
+        reports.append(agent.step(z, coef, lo, hi, signals, eps, 7))
+    for report in reports:
+        assert (report.sender, report.iteration_tag) == ("a", 7)
+        assert {type(v) for v in report.payload} == {float}
+        assert same_bits(report.payload, values)
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_agent_step_refuses_an_empty_box_as_coordinate_step_does(kernels, at):
+    z, zero = np.zeros(3), np.zeros(3)
+    lo, hi = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.5, 1.0])
+    lo[at], hi[at] = 0.25, -0.0
+    with pytest.raises(ValueError) as reference:
+        coordinate_step(0.0, 0.0, 0.0, 0.25, -0.0, 5e-4)
+    with pytest.raises(ValueError) as kernel:
+        kernels.agent_step((at, 2), z, 5e-4, zero, zero, lo, hi)
+    assert str(kernel.value) == str(reference.value) == "empty box: lo 0.25 > hi -0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +455,10 @@ def valid_calls():
         "step_norms": [z, z[::-1].copy(), np.zeros(2 * n), np.ones(2 * n), 0.5, 0.25,
                        5e-4],
         "flat_signals": [np.zeros(2 * n), n, G, 0.5, 0.5],
+        "agent_step": [(1, n + 1), z, 5e-4, np.ones(2 * n + G), np.zeros(2 * n + G),
+                       np.full(2 * n + G, -1.0), np.ones(2 * n + G)],
+        "file_reports": [[AgentMessage("setpoint-report", "user", 1, [0.5, -0.5])], 1,
+                         {"user": (0, (1, n + 1))}, 2 * n + G],
         "bind_feeder": [SweepResult, order, np.array([-1, 0, 1], dtype=np.intc),
                         np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
                         np.full(3, -1e-3), np.zeros(3), 1.0],
@@ -485,6 +554,20 @@ SPOILT = [
     ("bind_feeder", 2, lambda parent: np.array([-1, 0, 3], dtype=np.intc), IndexError),
     ("bind_feeder", 8, lambda v0: "1.0", TypeError),
     ("bind_feeder", 0, lambda result: None, TypeError),  # a plain tuple is no result type
+    ("agent_step", 0, list, TypeError),
+    ("agent_step", 0, lambda coords: (1, 14), IndexError),  # 2 n + G coordinates
+    ("agent_step", 0, lambda coords: (-1,), IndexError),
+    ("agent_step", 0, lambda coords: (1.0,), TypeError),
+    ("agent_step", 0, lambda coords: (np.intp(1),), TypeError),
+    ("agent_step", 1, lambda z: z.astype(np.float32), TypeError),
+    ("agent_step", 2, lambda eps: "5e-4", TypeError),
+    ("agent_step", 4, noncontiguous, ValueError),
+    ("agent_step", 5, lambda lo: lo[:-1], ValueError),
+    ("agent_step", 5, lambda lo: lo + 3.0, ValueError),  # an empty box
+    ("agent_step", 6, lambda hi: hi.tolist(), TypeError),
+    ("file_reports", 0, tuple, TypeError),
+    ("file_reports", 2, lambda slots: list(slots.items()), TypeError),
+    ("file_reports", 3, lambda n: -1, ValueError),
 ]
 
 
@@ -575,6 +658,7 @@ def test_runs_without_a_compiler_write_the_same_bytes(kernels, tmp_path):
     runs = [
         (default, {"engine": "core", "feedback": "ac"}),
         (default, {"engine": "market", "feedback": "ac"}),
+        (default, {"engine": "market", "feedback": "linear"}),
         (short_scenario(tmp_path, "dispatch9", 300, 100),
          {"engine": "market", "feedback": "linear"}),
     ]
@@ -601,7 +685,7 @@ def test_runs_without_a_compiler_write_the_same_bytes(kernels, tmp_path):
             path.relative_to(tmp_path / label): path.read_bytes()
             for path in sorted((tmp_path / label).rglob("*")) if path.is_file()
         }
-    assert len(outputs["compiled"]) == 6  # a trace and a summary per run
+    assert len(outputs["compiled"]) == 8  # a trace and a summary per run
     assert outputs["fallback"] == outputs["compiled"]
 
 
@@ -610,10 +694,14 @@ def test_patching_the_library_runs_every_reference_in_process(kernels, tmp_path,
     # _native.library is the one switch: patched to return None after a
     # native run has loaded every kernel, a run on a freshly built problem
     # binds no model, writes every trace row by trace._row, and writes the
-    # native run's bytes
+    # native run's bytes; a market run's recording bus journals the native
+    # run's messages
     sc = load_scenario(short_scenario(tmp_path, "default", 60, 30),
                        {"engine": engine, "feedback": "ac"})
-    native = run_scenario(sc, tmp_path / "native")
+    buses = [MessageBus(record=True), MessageBus(record=True)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "run_market", functools.partial(run_market, bus=buses[0]))
+        native = run_scenario(sc, tmp_path / "native")
     built, rows = [], []
     row = trace._row
 
@@ -629,6 +717,7 @@ def test_patching_the_library_runs_every_reference_in_process(kernels, tmp_path,
         patch.setattr(_native, "library", lambda: None)
         patch.setattr(scenario, "build_problem", building)
         patch.setattr(trace, "_row", spied)
+        patch.setattr(scenario, "run_market", functools.partial(run_market, bus=buses[1]))
         reference = run_scenario(sc, tmp_path / "reference")
     assert len(built) == 1
     assert not any("_bound" in vars(model) for model in built[0].models)
@@ -637,3 +726,8 @@ def test_patching_the_library_runs_every_reference_in_process(kernels, tmp_path,
     for ran, kept in zip((reference.trace_path, reference.summary_path),
                          (native.trace_path, native.summary_path)):
         assert ran.read_bytes() == kept.read_bytes()
+    native_journal, reference_journal = (
+        json.dumps([m.to_jsonable() for m in bus.journal]) for bus in buses
+    )
+    assert reference_journal == native_journal
+    assert (len(buses[0].journal) > 0) == (engine == "market")

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdcoopt import _native, core, market
 from tdcoopt.core import (
     CompiledNetwork,
     DerCapacityScale,
@@ -674,6 +675,96 @@ def test_operator_step_refuses_a_fault_anywhere_in_a_shuffled_round(fault, at):
     assert "round 1" in str(exc.value)
 
 
+# ---------------------------------------------------------------------------
+# the compiled intake files exactly the rounds the Python intake accepts
+# ---------------------------------------------------------------------------
+
+def file_round(kernels, cfg, reports, tag=1):
+    """The compiled intake's ``z`` of the round, or ``None``."""
+    network = cfg.network
+    size = 2 * network.n_nodes + network.n_generators
+    return kernels.file_reports(reports, tag, cfg.slots, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_file_reports_is_the_python_intake_on_shuffled_rounds(kernels, data):
+    # any roster of one or two coordinates per sender over z, each
+    # coordinate held once, and any finite values in any order
+    problem, cfg, _ = roster_round()
+    size = len(problem.coef)
+    free = data.draw(st.permutations(range(size)))
+    roster, at = {}, 0
+    while at < size and data.draw(st.booleans()):
+        width = data.draw(st.integers(1, min(2, size - at)))
+        roster[f"agent:{len(roster)}"] = tuple(free[at : at + width])
+        at += width
+    cfg = OperatorConfig(cfg.network, roster, cfg.solver)
+    finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False,
+                                                                allow_infinity=False))
+    reports = [
+        report(sender, 1, *data.draw(st.lists(finite, min_size=len(c), max_size=len(c))))
+        for sender, c in roster.items()
+    ]
+    reports = data.draw(st.permutations(reports))
+    z = file_round(kernels, cfg, reports)
+    assert z is not None
+    assert z.tobytes() == market._file_reports(reports, cfg, 1).tobytes()
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_file_reports_defers_every_faulty_round(kernels, fault, where):
+    problem, cfg, reports, _ = faulty_round(fault, where)
+    assert file_round(kernels, cfg, reports) is None
+
+
+class Tag(int):
+    pass
+
+
+class Value(float):
+    pass
+
+
+class Values(list):
+    pass
+
+
+@pytest.mark.parametrize("tag", [-1, "1", 1.0, Tag(1), 2**70])
+def test_file_reports_defers_a_round_tag_that_is_not_an_exact_index(kernels, tag):
+    # the Python intake compares any tag: a round stamped with it is
+    # filed there, and the compiled intake leaves it to it
+    problem, cfg, reports = roster_round()
+    reports = [replace(r, iteration_tag=tag) for r in reports]
+    assert file_round(kernels, cfg, reports, tag) is None
+    assert market._file_reports(reports, cfg, tag).any()
+
+
+@pytest.mark.parametrize("odd", ["int-subclass-tag", "float-subclass-value",
+                                 "list-subclass-payload"])
+def test_file_reports_defers_what_is_not_exactly_a_report(kernels, odd):
+    # the Python intake then decides: it refuses the value and the
+    # payload, and files the round whose tag equals the round's
+    problem, cfg, reports = roster_round()
+    good = reports[2]
+    if odd == "int-subclass-tag":
+        reports[2] = replace(good, iteration_tag=Tag(1))
+    elif odd == "float-subclass-value":
+        reports[2] = replace(good, payload=[Value(v) for v in good.payload])
+    else:
+        reports[2] = replace(good, payload=Values(good.payload))
+    assert file_round(kernels, cfg, reports) is None
+    _, y = initial_state(problem)
+    if odd == "int-subclass-tag":
+        filed = market._file_reports(reports, cfg, 1)
+        reports[2] = good
+        assert filed.tobytes() == file_round(kernels, cfg, reports).tobytes()
+    else:
+        with pytest.raises(RoundAbort, match=f"from {good.sender} in round 1"):
+            operator_step(reports, y, cfg, SlackAccount(P0_slack=0.0), tag=1)
+
+
 def test_operator_step_rejects_missing_report():
     problem, y, cfg = operator_fixture()
     reports = [report("generator:1", 1, 1.5)]
@@ -769,6 +860,39 @@ def test_round_abort_carries_its_round_and_the_records_before_it():
     assert isinstance(exc.value, RoundAbort)
     assert exc.value.iteration == 3
     assert [r.iteration for r in exc.value.records] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bound, error", [(0.25, "empty box"), (np.nan, "NaN bound")])
+def test_engines_refuse_an_empty_box_before_any_round(monkeypatch, bound, error):
+    # a DER coordinate whose box is empty (lo > hi) or has a NaN edge: both
+    # engines refuse the problem with one error naming it, before the
+    # first measurement
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    g = int(np.flatnonzero(problem.coef)[0])
+    lo = problem.lo.copy()
+    lo[g] = problem.hi[g] + bound
+    empty = replace(problem, lo=lo)
+    measured, measure = [], core.measure_feeders
+    monkeypatch.setattr(core, "measure_feeders",
+                        lambda *args: measured.append(args) or measure(*args))
+    cfg = SolverConfig(eps=0.01, max_iter=5)
+    bus = MessageBus(record=True)
+    with pytest.raises(ValueError, match=f"{error} at coordinate {g} of z") as core_exc:
+        solve(empty, cfg)
+    with pytest.raises(ValueError) as market_exc:
+        run_market(empty, cfg, bus=bus)
+    assert str(market_exc.value) == str(core_exc.value)
+    assert measured == [] and bus.journal == []
+
+
+@pytest.mark.parametrize("path", ["compiled", "reference"])
+def test_market_takes_a_numpy_stepsize_as_the_core_does(monkeypatch, path):
+    # the agents report Python floats whatever real number eps is
+    if path == "reference":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    problem = build_problem(make_system(n_feeders=1), LIMITS)
+    cfg = SolverConfig(eps=np.float64(0.01), max_iter=5, tol=0.0)
+    assert run_market(problem, cfg).records == solve(problem, cfg).records
 
 
 def test_market_event_unknown_bus_aborts():
