@@ -5,8 +5,9 @@
  * Each function checks every argument before a kernel reads a byte: an
  * array of the wrong type or dtype is a TypeError, one of the wrong shape,
  * length, layout or writeability a ValueError, an index outside its range
- * an IndexError.  A feeder's tree is checked once, when bind_feeder copies
- * it into a Feeder, whose sweeps then check only the call's own vectors.
+ * an IndexError.  A feeder's tree and its place in its network are checked
+ * once, when bind_feeder copies them into a Feeder, whose sweeps then check
+ * only the call's own vectors, which span the whole network.
  * Only this file includes the CPython and numpy headers, so a build
  * parses them once.
  */
@@ -155,18 +156,40 @@ static PyArrayObject *new_vector(intptr_t n, double **data)
     return a;
 }
 
+/* a view of entries start to start + n of a, a float64 vector as
+ * vector() checks it, that keeps a alive */
+static PyArrayObject *span_view(PyArrayObject *a, intptr_t start, intptr_t n)
+{
+    npy_intp dims[1] = {n};
+    PyArray_Descr *descr = PyArray_DescrFromType(NPY_DOUBLE);
+    PyObject *view = PyArray_NewFromDescr(&PyArray_Type, descr, 1, dims, NULL,
+                                          (double *)PyArray_DATA(a) + start,
+                                          NPY_ARRAY_CARRAY, NULL);
+    if (view == NULL)
+        return NULL;
+    Py_INCREF(a);
+    if (PyArray_SetBaseObject((PyArrayObject *)view, (PyObject *)a) < 0) {
+        Py_DECREF(view);
+        return NULL;
+    }
+    return (PyArrayObject *)view;
+}
+
 /* ---------------------------------------------------------------------
  * _sweep.c: a feeder bound once, then swept
  * --------------------------------------------------------------------- */
 
 /* A feeder's tree and base injections, copied and checked once by
  * bind_feeder, with the scratch of its sweeps: the summed injections
- * (2n), then tdcoopt_sweep's (5n).  result is the type a converged sweep
- * returns, a tuple subclass of six entries (acpf.SweepResult). */
+ * (2n), then tdcoopt_sweep's (5n).  The feeder's n nodes are entries
+ * start to start + n of its network's n_network-entry vectors.  result
+ * is the type a converged sweep returns, a tuple subclass of six entries
+ * (acpf.SweepResult). */
 typedef struct {
     PyObject_HEAD
     PyTypeObject *result;
     int n, n_roots;
+    intptr_t start, n_network;
     double v0;
     int *order, *parent, *roots; /* one block: n, n, n_roots */
     double *r, *x, *p0, *q0, *work; /* one block: n each, then 7n */
@@ -209,16 +232,19 @@ static int parents_first(const int *order, const int *parent, intptr_t n)
 
 static PyTypeObject FeederType;
 
-/* bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder
+/* bind_feeder(result, order, parent, roots, r, x, p0, q0, v0, start,
+ *             n_network) -> a Feeder
  *
  * The model's tree (parent -1 at the substation) and base injections,
  * copied: every index in range, and order each node once, after its
- * parent.  result: a tuple subclass with no fields of its own, which
- * converged sweeps then return. */
+ * parent.  start and n_network place the feeder's n nodes in its
+ * network: entries start to start + n, which must lie in [0, n_network),
+ * of the vectors its sweeps take.  result: a tuple subclass with no
+ * fields of its own, which converged sweeps then return. */
 static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs_are("bind_feeder", nargs, 9) < 0)
+    if (nargs_are("bind_feeder", nargs, 11) < 0)
         return NULL;
     PyTypeObject *result = (PyTypeObject *)args[0];
     if (!PyType_Check(args[0]) || !PyType_FastSubclass(result, Py_TPFLAGS_TUPLE_SUBCLASS)
@@ -227,7 +253,7 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
         PyErr_SetString(PyExc_TypeError, "result must be a tuple subclass without fields");
         return NULL;
     }
-    intptr_t n = -1, n_roots = -1;
+    intptr_t n = -1, n_roots = -1, start, n_network;
     if (vector(args[1], NPY_INT, "order", &n, 0) == NULL)
         return NULL;
     if (n > INT_MAX / 8) {
@@ -244,7 +270,9 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
         || (x = vector(args[5], NPY_DOUBLE, "x", &n, 0)) == NULL
         || (p0 = vector(args[6], NPY_DOUBLE, "p0", &n, 0)) == NULL
         || (q0 = vector(args[7], NPY_DOUBLE, "q0", &n, 0)) == NULL
-        || real(args[8], "v0", &v0) < 0)
+        || real(args[8], "v0", &v0) < 0
+        || count(args[9], "start", -INT_MAX, INT_MAX, &start) < 0
+        || count(args[10], "n_network", -INT_MAX, INT_MAX, &n_network) < 0)
         return NULL;
     if (n_roots > INT_MAX / 2) {
         PyErr_SetString(PyExc_ValueError, "roots: too many entries");
@@ -252,6 +280,12 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
     }
     if (parents_first(order, parent, n) < 0)
         return NULL;
+    if (start < 0 || start > n_network - n) {
+        PyErr_Format(PyExc_ValueError,
+                     "nodes %zd to %zd lie outside a network of %zd nodes",
+                     (Py_ssize_t)start, (Py_ssize_t)(start + n), (Py_ssize_t)n_network);
+        return NULL;
+    }
     Feeder *f = PyObject_New(Feeder, &FeederType);
     if (f == NULL)
         return NULL;
@@ -259,6 +293,8 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
     Py_INCREF(result);
     f->n = (int)n;
     f->n_roots = (int)n_roots;
+    f->start = start;
+    f->n_network = n_network;
     f->v0 = v0;
     f->order = malloc((2 * (size_t)n + (size_t)n_roots + 1) * sizeof(int));
     f->r = calloc(11 * (size_t)n + 1, sizeof(double));
@@ -284,29 +320,33 @@ static PyObject *bind_feeder(PyObject *self, PyObject *const *args, Py_ssize_t n
 
 /* Feeder.sweep(p, q, v_init, tol, max_iter, out)
  *
- * p and q (any 1-D sequences of n reals) are added to p0 and q0, and the
- * sweep starts from v_init (one too), or flat at v0 where it is None.
- * The voltages go into out: a new array where it is None, else a
- * writeable float64 array of n entries, as vector() checks it, that
- * shares no memory with p, q or v_init.  The start is copied into out
- * and swept in place.  Returns (v, P_L, Q_L, loss, iterations,
- * residual), v being out, as the bound result type on convergence;
- * (status, iterations, node, residual) on a collapse or when the
- * iterations run out, out then holding the last pass; raises
- * ZeroDivisionError on a zero voltage, as the Python sweep does.  The
- * scratch is the Feeder's: with order checked, every entry is written
+ * p, q and v_init (any 1-D sequences of n_network reals; v_init may be
+ * None) and out (None, or a writeable float64 array of n_network entries,
+ * as vector() checks it, that shares no memory with p, q or v_init) span
+ * the feeder's network; the sweep reads and writes only the feeder's
+ * entries of them, start to start + n.  The feeder's p and q are added to
+ * p0 and q0, and the sweep starts from its entries of v_init, or flat at
+ * v0 where that is None.  The start is copied into the voltages and swept
+ * in place: the feeder's entries of out, or a new array of n entries
+ * where out is None.  Returns (v, P_L, Q_L, loss, iterations, residual)
+ * as the bound result type on convergence, v being those n voltages (out
+ * itself when the feeder is its whole network, else a view of its
+ * entries); (status, iterations, node, residual) on a collapse or when
+ * the iterations run out, the voltages then holding the last pass;
+ * raises ZeroDivisionError on a zero voltage, as the Python sweep does.
+ * The scratch is the Feeder's: with order checked, every entry is written
  * before it is read in each pass. */
 static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs_are("sweep", nargs, 6) < 0)
         return NULL;
-    intptr_t n = f->n, max_iter;
+    intptr_t n = f->n, n_network = f->n_network, start = f->start, max_iter;
     double tol;
     if (real(args[3], "tol", &tol) < 0
         || count(args[4], "max_iter", INT_MIN, INT_MAX, &max_iter) < 0)
         return NULL;
 
-    /* the call's vectors, as float64 arrays of n entries */
+    /* the call's vectors, as float64 arrays of n_network entries */
     const char *names[3] = {"p", "q", "v_init"};
     PyArrayObject *given[3] = {NULL, NULL, NULL}, *v = NULL;
     PyObject *result = NULL;
@@ -328,9 +368,9 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
             PyErr_Format(PyExc_ValueError, "%s must have 1 dimension(s)", names[i]);
             goto exit;
         }
-        if (PyArray_DIM(given[i], 0) != n) {
+        if (PyArray_DIM(given[i], 0) != n_network) {
             PyErr_Format(PyExc_ValueError, "%s must have length %zd", names[i],
-                         (Py_ssize_t)n);
+                         (Py_ssize_t)n_network);
             goto exit;
         }
     }
@@ -339,19 +379,25 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
         if ((v = new_vector(n, &vs)) == NULL)
             goto exit;
     } else {
-        if ((vs = vector(args[5], NPY_DOUBLE, "out", &n, 1)) == NULL)
+        if ((vs = vector(args[5], NPY_DOUBLE, "out", &n_network, 1)) == NULL)
             goto exit;
-        const char *lo = (const char *)vs, *hi = (const char *)(vs + n);
+        const char *lo = (const char *)vs, *hi = (const char *)(vs + n_network);
         for (int i = 0; i < 3; i++) {
             if (overlaps(args[i], lo, hi)) {
                 PyErr_Format(PyExc_ValueError, "out overlaps %s", names[i]);
                 goto exit;
             }
         }
-        v = (PyArrayObject *)args[5];
-        Py_INCREF(v);
+        vs += start;
+        if (n == n_network) {
+            v = (PyArrayObject *)args[5];
+            Py_INCREF(v);
+        } else if ((v = span_view((PyArrayObject *)args[5], start, n)) == NULL) {
+            goto exit;
+        }
     }
-    const double *p = PyArray_DATA(given[0]), *q = PyArray_DATA(given[1]);
+    const double *p = (const double *)PyArray_DATA(given[0]) + start;
+    const double *q = (const double *)PyArray_DATA(given[1]) + start;
     double *p_inj = f->work, *q_inj = f->work + n;
     for (intptr_t j = 0; j < n; j++) {
         p_inj[j] = f->p0[j] + p[j];
@@ -361,7 +407,8 @@ static PyObject *feeder_sweep(Feeder *f, PyObject *const *args, Py_ssize_t nargs
         for (intptr_t j = 0; j < n; j++)
             vs[j] = f->v0;
     } else {
-        memcpy(vs, PyArray_DATA(given[2]), (size_t)n * sizeof(double));
+        memcpy(vs, (const double *)PyArray_DATA(given[2]) + start,
+               (size_t)n * sizeof(double));
     }
 
     double out[4] = {0.0, 0.0, 0.0, 0.0};
@@ -412,8 +459,8 @@ static PyTypeObject FeederType = {
     .tp_basicsize = sizeof(Feeder),
     .tp_dealloc = (destructor)feeder_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "A feeder's tree, checked and copied once (bind_feeder), and the "
-              "scratch of its sweeps.",
+    .tp_doc = "A feeder's tree and its place in its network, checked and copied "
+              "once (bind_feeder), and the scratch of its sweeps.",
     .tp_methods = feeder_methods,
 };
 
@@ -519,34 +566,77 @@ static PyObject *dual_step(PyObject *self, PyObject *const *args, Py_ssize_t nar
     return Py_BuildValue("(Ndd)", (PyObject *)mu, lam, residual);
 }
 
-/* flat_signals(mu, n_nodes, n_generators, lam_ders, lam)
- *     -> core.der_signals' prices, a new array, when no multiplier is
- *        nonzero; None when one is, or when mu is not a float64 array of
- *        2 n_nodes entries, as array() checks it (der_signals' numpy code
- *        then runs) */
+/* flat_signals(mu, n_nodes, n_generators, lam_ders, lam, starts)
+ *     -> (prices, w, active): core.der_signals' prices in a new array,
+ *        but for the feeders listed in active (a tuple of their
+ *        positions), whose products core.der_signals then writes from
+ *        w = mu[:n_nodes] - mu[n_nodes:] (None when active is empty);
+ *        None when mu is not a float64 array of 2 n_nodes entries, as
+ *        array() checks it (der_signals' numpy code then runs).
+ *        starts (intp) holds each feeder's first node: it must rise from
+ *        0, and each feeder ends where the next starts, the last one at
+ *        n_nodes. */
 static PyObject *flat_signals(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs_are("flat_signals", nargs, 5) < 0)
+    if (nargs_are("flat_signals", nargs, 6) < 0)
         return NULL;
-    intptr_t n, n_generators;
+    intptr_t n, n_generators, n_feeders = -1;
     double lam_ders, lam, *out;
+    const intptr_t *starts;
     if (count(args[1], "n_nodes", 0, INTPTR_MAX / 4, &n) < 0
         || count(args[2], "n_generators", 0, INTPTR_MAX / 4, &n_generators) < 0
-        || real(args[3], "lam_ders", &lam_ders) < 0 || real(args[4], "lam", &lam) < 0)
+        || real(args[3], "lam_ders", &lam_ders) < 0 || real(args[4], "lam", &lam) < 0
+        || (starts = vector(args[5], NPY_INTP, "starts", &n_feeders, 0)) == NULL)
         return NULL;
+    int tiled = n_feeders == 0 ? n == 0 : starts[0] == 0;
+    for (intptr_t k = 0; k < n_feeders && tiled; k++)
+        tiled = starts[k] <= (k + 1 < n_feeders ? starts[k + 1] : n);
+    if (!tiled) {
+        PyErr_Format(PyExc_ValueError,
+                     "starts must rise from 0 to at most n_nodes = %zd", (Py_ssize_t)n);
+        return NULL;
+    }
     PyArrayObject *mu = (PyArrayObject *)args[0];
     if (!PyArray_Check(args[0]) || PyArray_TYPE(mu) != NPY_DOUBLE
         || !PyArray_ISCARRAY_RO(mu) || PyArray_NDIM(mu) != 1
         || PyArray_DIM(mu, 0) != 2 * n)
         Py_RETURN_NONE;
+    intptr_t *active = PyMem_Malloc(((size_t)n_feeders + 1) * sizeof(intptr_t));
     PyArrayObject *prices = new_vector(2 * n + n_generators, &out);
-    if (prices != NULL
-        && tdcoopt_flat_signals(n, PyArray_DATA(mu), n_generators, lam_ders, lam, out)) {
-        Py_DECREF(prices);
-        Py_RETURN_NONE;
+    PyObject *listed = NULL, *w = NULL, *result = NULL;
+    if (active == NULL || prices == NULL) {
+        if (active == NULL)
+            PyErr_NoMemory();
+        goto exit;
     }
-    return (PyObject *)prices;
+    const double *m = PyArray_DATA(mu);
+    intptr_t n_active = tdcoopt_flat_signals(n, m, n_feeders, starts, n_generators,
+                                             lam_ders, lam, out, active);
+    if ((listed = PyTuple_New(n_active)) == NULL)
+        goto exit;
+    for (intptr_t k = 0; k < n_active; k++) {
+        PyObject *position = PyLong_FromSsize_t(active[k]);
+        if (position == NULL)
+            goto exit;
+        PyTuple_SET_ITEM(listed, k, position);
+    }
+    if (n_active == 0) {
+        w = Py_None;
+        Py_INCREF(w);
+    } else {
+        double *ws;
+        if ((w = (PyObject *)new_vector(n, &ws)) == NULL)
+            goto exit;
+        tdcoopt_band_difference(n, m, ws);
+    }
+    result = PyTuple_Pack(3, (PyObject *)prices, w, listed);
+exit:
+    PyMem_Free(active);
+    Py_XDECREF(prices);
+    Py_XDECREF(w);
+    Py_XDECREF(listed);
+    return result;
 }
 
 /* step_norms(z_new, z, mu_new, mu, lam_new, lam, eps)
@@ -861,7 +951,8 @@ static PyObject *file_reports(PyObject *self, PyObject *const *args, Py_ssize_t 
 
 static PyMethodDef methods[] = {
     {"bind_feeder", FASTCALL(bind_feeder),
-     "bind_feeder(result, order, parent, roots, r, x, p0, q0, v0) -> a Feeder"},
+     "bind_feeder(result, order, parent, roots, r, x, p0, q0, v0, start, n_network) "
+     "-> a Feeder"},
     {"format_rows", FASTCALL(format_rows),
      "format_rows(iterations, cells, table, out) -> bytes written"},
     {"primal_step", FASTCALL(primal_step),
@@ -870,7 +961,8 @@ static PyMethodDef methods[] = {
      "dual_step(mu, v, v_min, v_max, eps, eta, lam, P_L, P_M, P0_slack, fixed) "
      "-> (mu, lam, residual)"},
     {"flat_signals", FASTCALL(flat_signals),
-     "flat_signals(mu, n_nodes, n_generators, lam_ders, lam) -> the prices, or None"},
+     "flat_signals(mu, n_nodes, n_generators, lam_ders, lam, starts) -> (prices, w, "
+     "active), or None"},
     {"step_norms", FASTCALL(step_norms),
      "step_norms(z_new, z, mu_new, mu, lam_new, lam, eps) -> (step_primal, "
      "step_dual, state)"},

@@ -41,8 +41,12 @@ long tdcoopt_format_rows(const int64_t *iterations, const double *cells,
 void tdcoopt_primal_step(intptr_t n, const double *z, double eps, const double *coef,
                          const double *signals, const double *lo, const double *hi,
                          double *out);
-int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
-                         double lam_ders, double lam, double *out); /* out 2n + n_generators */
+/* out 2n + n_generators, starts and active n_feeders each */
+intptr_t tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_feeders,
+                              const intptr_t *starts, intptr_t n_generators,
+                              double lam_ders, double lam, double *out,
+                              intptr_t *active);
+void tdcoopt_band_difference(intptr_t n, const double *mu, double *w);
 void tdcoopt_step_norms(intptr_t n, const double *z_new, const double *z, intptr_t m,
                         const double *mu_new, const double *mu, double lam_new,
                         double lam, double eps, double *out); /* z n, mu m, out 3 */

@@ -10,10 +10,10 @@ the first time a kernel is needed: at the first round, AC sweep or trace
 write, never at import or set-up.  The module is loaded with
 :class:`importlib.machinery.ExtensionFileLoader`, and its functions take
 numpy arrays and check every argument (dtype, layout, length, index
-range) before they read it.  A feeder's tree is checked once:
-``bind_feeder`` copies it into a ``Feeder``, which :mod:`tdcoopt.acpf`
-keeps beside the model and whose ``sweep`` checks only the call's own
-vectors.
+range) before they read it.  A feeder's tree and its place in its
+network are checked once: ``bind_feeder`` copies them into a ``Feeder``,
+which :mod:`tdcoopt.acpf` keeps beside the model and whose ``sweep``
+checks only the call's own vectors, each spanning the network.
 
 The library is cached under ``$XDG_CACHE_HOME/tdcoopt``, named by the
 CRC-32 and length of a key made of the sources, the build flags, the

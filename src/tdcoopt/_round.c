@@ -74,25 +74,42 @@ static double tdcoopt_inf_norm(intptr_t n, const double *a, const double *b)
     return m;
 }
 
-/* core.der_signals' prices when no multiplier is nonzero: 0, with out
- * (2n + n_generators) holding lam_ders + 0.0 against p, 0.0 against q and
- * lam against P_M; 1, out untouched, when an entry of mu (2n) is nonzero
- * or NaN, as np.count_nonzero counts them */
-int tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_generators,
-                         double lam_ders, double lam, double *out)
+/* core._der_prices without its products: feeder k holds nodes starts[k]
+ * to starts[k + 1] (the last one to n) and w = mu[:n] - mu[n:].  Each
+ * feeder whose w is all zero gets lam_ders + 0.0 against p and 0.0
+ * against q in out (2n + n_generators); lam goes against P_M.  Every other
+ * feeder, with a w entry nonzero or NaN as np.count_nonzero counts them,
+ * is listed in active (n_feeders entries), its prices left unwritten.
+ * Returns the number listed.  starts must rise from 0 to at most n. */
+intptr_t tdcoopt_flat_signals(intptr_t n, const double *mu, intptr_t n_feeders,
+                              const intptr_t *starts, intptr_t n_generators,
+                              double lam_ders, double lam, double *out, intptr_t *active)
 {
-    for (intptr_t i = 0; i < 2 * n; i++) {
-        if (mu[i] != 0.0)
-            return 1;
-    }
     double alpha = lam_ders + 0.0;
-    for (intptr_t i = 0; i < n; i++) {
-        out[i] = alpha;
-        out[n + i] = 0.0;
+    intptr_t n_active = 0;
+    for (intptr_t k = 0; k < n_feeders; k++) {
+        intptr_t lo = starts[k], hi = k + 1 < n_feeders ? starts[k + 1] : n, i = lo;
+        while (i < hi && mu[i] - mu[n + i] == 0.0)
+            i++;
+        if (i < hi) {
+            active[n_active++] = k;
+            continue;
+        }
+        for (i = lo; i < hi; i++) {
+            out[i] = alpha;
+            out[n + i] = 0.0;
+        }
     }
     for (intptr_t i = 0; i < n_generators; i++)
         out[2 * n + i] = lam;
-    return 0;
+    return n_active;
+}
+
+/* w = mu[:n] - mu[n:], as numpy subtracts them */
+void tdcoopt_band_difference(intptr_t n, const double *mu, double *w)
+{
+    for (intptr_t i = 0; i < n; i++)
+        w[i] = mu[i] - mu[n + i];
 }
 
 /* core.run_rounds' norms of a round, as its numpy reference

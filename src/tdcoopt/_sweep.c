@@ -13,7 +13,10 @@
  * lists every node once, each after its parent.  Every index in order,
  * parent and roots must lie in [0, n) (parent: -1 too).  The extension
  * module (_kernels.c) checks the tree once, when it binds a feeder, and
- * the binding keeps the tree and the scratch for all its sweeps.
+ * the binding keeps the tree and the scratch for all its sweeps.  v may
+ * be the feeder's entries of a longer vector, the voltages of its whole
+ * network (Feeder.sweep there).  A NaN change makes the residual NaN for
+ * good, so a sweep that meets a NaN never converges.
  */
 #include <math.h>
 
@@ -73,7 +76,7 @@ int tdcoopt_sweep(const struct tdcoopt_sweep *s)
             }
             double v_new = sqrt(u_j);
             double change = fabs(v_new - v[j]);
-            if (change > residual)
+            if (change > residual || isnan(change))
                 residual = change;
             v[j] = v_new;
         }

@@ -8,19 +8,27 @@ point satisfies the exact single-phase branch-flow equations.
 
 :func:`sweep_feeder` runs the sweep in C (``_sweep.c``), through the
 package's extension module (:mod:`tdcoopt._native`, built at the first
-kernel use and cached).  A model's first sweep binds its tree to the
-kernel: the binding checks the tree once (indices in range, ``order`` a
-parents-first permutation), keeps its own copy of it and of the base
-injections, and owns the scratch of every later sweep of that model, so
-nothing is allocated or re-checked per call but the call's own vectors.
-Each sweep adds the call's injections to the base ones, copies the warm
-start (or a flat one) into the voltage array, and sweeps it in place.
-The voltage array is the caller's ``out`` where one is given (the engine
-passes each feeder's slice of the round's voltage vector), else a new
-one; ``out`` never shares memory with the injections or the warm start.
+kernel use and cached).  A model's first sweep binds its tree and its
+place in its network to the kernel: the binding checks them once
+(indices in range, ``order`` a parents-first permutation, the span inside
+the network), keeps its own copy of them and of the base injections, and
+owns the scratch of every later sweep of that model, so nothing is
+allocated or re-checked per call but the call's own vectors.
+A sweep's vectors span the model's network (``model.n_network``
+entries; a feeder compiled alone is its own network), and the sweep
+reads and writes only the feeder's entries of them, ``model.span``, so
+the engine hands every feeder the round's whole injection, warm-start
+and voltage vectors and slices none of them.  Each sweep adds the
+feeder's injections to the base ones, copies its warm start (or a flat
+one) into its voltages, and sweeps them in place.  The voltages are the
+feeder's entries of the caller's ``out`` where one is given, else a new
+array of the feeder's nodes; ``out`` never shares memory with the
+injections or the warm start, and its other entries are left as they
+are.  A NaN voltage change keeps the residual NaN, so a sweep that meets
+a NaN never converges: it runs out of iterations and raises.
 The kernel repeats :func:`_sweep_python` operation for operation, so both
-give the same bits; the Python sweep is the reference and runs where no
-kernel can be built.
+give the same bits and refuse the same arguments with the same messages;
+the Python sweep is the reference and runs where no kernel can be built.
 
 Whether a model is bound is decided by :func:`tdcoopt._native.library`,
 read when the model is first swept: patching it to return ``None`` runs
@@ -36,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .lindistflow import LinearFeederModel
+from .lindistflow import LinearFeederModel, _check_span
 from .network import feeder_topology  # noqa: F401  (kept patchable here, see perfbench/spans.py)
 
 __all__ = ["SweepDivergence", "SweepResult", "sweep_feeder"]
@@ -51,8 +59,10 @@ class SweepDivergence(RuntimeError):
 
 
 class SweepResult(NamedTuple):
-    """Single-feeder slice of an AC solution; ``v`` is the sweep's ``out``,
-    or an array of its own where none was given."""
+    """Single-feeder slice of an AC solution; ``v`` holds the feeder's own
+    voltages: the feeder's entries of the sweep's ``out`` (``out`` itself
+    when the feeder is its whole network), or an array of its own where
+    none was given."""
 
     v: np.ndarray  # node voltage magnitudes, p.u.
     P_L: float  # real power entering at the substation (positive = draw)
@@ -73,13 +83,17 @@ def sweep_feeder(
 ) -> SweepResult:
     """Solve the compiled feeder's exact power flow for DER injections.
 
-    ``p`` and ``q`` are added to the fixed base injections of each node
-    (positive = generation).  ``v_init`` warm-starts the voltage profile;
-    the default is a flat start at the substation voltage.  ``out``, when
-    given, receives the voltages and is the result's ``v``: a writeable,
-    aligned, C-contiguous float64 array of ``n_nodes`` entries that
-    shares no memory with ``p``, ``q`` or ``v_init``.  After a failure
-    its contents are unspecified.
+    Every vector spans the model's network: ``model.n_network`` entries,
+    of which the feeder's are ``model.span`` (all of them for a feeder
+    compiled alone).  The feeder's entries of ``p`` and ``q`` are added
+    to the fixed base injections of its nodes (positive = generation).
+    Its entries of ``v_init`` warm-start the voltage profile; the default
+    is a flat start at the substation voltage.  ``out``, when given,
+    receives the voltages in the feeder's entries and leaves the others
+    as they are: a writeable, aligned, C-contiguous float64 array that
+    shares no memory with ``p``, ``q`` or ``v_init``.  The result's ``v``
+    is then those entries of ``out``; after a failure they are
+    unspecified.
 
     Runs the model's binding of the compiled kernel, which checks every
     argument, or :func:`_sweep_python` where none can be built; both give
@@ -100,7 +114,8 @@ def sweep_feeder(
 
 
 def _check_arguments(n, p, q, v_init, out) -> None:
-    """The kernel's refusals of the call's vectors, in its order."""
+    """The kernel's refusals of the call's vectors, each of ``n`` entries
+    (the network's), in its order."""
     for name, a in (("p", p), ("q", q), ("v_init", v_init)):
         if a is None:
             continue
@@ -175,18 +190,20 @@ def _sweep_python(
     order = model.order.tolist()
     parent = model.parent.tolist()
     _check_tree(order, parent)
-    _check_arguments(n, p, q, v_init, out)
+    sl = model.span
+    _check_span(sl.start, n, model.n_network)
+    _check_arguments(model.n_network, p, q, v_init, out)
     r = model.r.tolist()
     x = model.x.tolist()
 
-    p_inj = (model.p0 + p).tolist()
-    q_inj = (model.q0 + q).tolist()
+    p_inj = (model.p0 + p[sl]).tolist()
+    q_inj = (model.q0 + q[sl]).tolist()
 
     v0_sq = model.v0 * model.v0
     if v_init is None:
         v = [model.v0] * n
     else:
-        v = [float(vi) for vi in v_init]
+        v = [float(vi) for vi in v_init[sl]]
 
     rev = order[::-1]
     P_send = [0.0] * n
@@ -224,7 +241,7 @@ def _sweep_python(
                 raise _collapse(model, j, it)
             v_new = math.sqrt(u_j)
             change = abs(v_new - v[j])
-            if change > residual:
+            if change > residual or change != change:  # a NaN sticks
                 residual = change
             v[j] = v_new
         if residual < tol:
@@ -237,7 +254,9 @@ def _sweep_python(
             if out is None:
                 out = np.array(v)
             else:
-                out[:] = v
+                out[sl] = v
+                if n != model.n_network:
+                    out = out[sl]
             return SweepResult(
                 v=out,
                 P_L=P_L,
@@ -261,15 +280,16 @@ _BOUND = "_bound"
 
 
 def _bind(model: LinearFeederModel):
-    """Bind ``model``'s tree to the compiled sweep, once: the kernel checks
-    and copies it and keeps the scratch of its sweeps.  ``None`` (and no
-    binding kept) where no kernel can be built."""
+    """Bind ``model``'s tree and its place in its network to the compiled
+    sweep, once: the kernel checks and copies them and keeps the scratch
+    of its sweeps.  ``None`` (and no binding kept) where no kernel can be
+    built."""
     library = _native.library()
     if library is None:
         return None
     bound = library.bind_feeder(
         SweepResult, model.order, model.parent, model.roots, model.r, model.x,
-        model.p0, model.q0, model.v0,
+        model.p0, model.q0, model.v0, model.span.start, model.n_network,
     )
     model.__dict__[_BOUND] = bound
     return bound

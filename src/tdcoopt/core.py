@@ -43,7 +43,9 @@ and one box share that layout (nodes without a DER are pinned by
 events are each one expression over ``z``.  Voltages span every feeder
 node, the prices span ``z``, and ``mu`` holds the upper-band
 multipliers of all nodes, then the lower-band ones.  Only the per-feeder
-matvec or sweep, writing into the feeder's slice, and the per-feeder
+matvec (into the feeder's slice) or sweep (handed the round's whole
+vectors, writing the feeder's own entries), the products of the feeders
+whose voltage multipliers are nonzero, and the per-feeder
 trace cells loop over feeders.  The sign convention makes the converged price
 ``lambda`` negative when extra generation is needed: the stationarity
 condition for each generator is ``2 c P + lambda = 0``.
@@ -294,11 +296,11 @@ def build_problem(system: CoupledSystem, limits: VoltageLimits) -> DispatchProbl
     ``coef`` is zero exactly where no DER sits, each bus holds at most one
     generator (events name generators by bus), and every feeder has a node.
     """
+    N = system.n_total
     models = tuple(
-        build_lindistflow(f, offset)
+        build_lindistflow(f, offset, N)
         for f, offset in zip(system.feeders, system.offsets)
     )
-    N = system.n_total
     ts = system.transmission
     gens = ts.generators
     coef = np.zeros(2 * N + len(gens))
@@ -415,7 +417,8 @@ def measure_feeders(
 
     ``linear`` evaluates the affine models; ``ac`` runs the exact sweep
     (optionally warm-started from the ``warm`` voltages), each feeder's
-    written in place into its slice of the returned ``v``.  ``v`` is new
+    handed the whole ``p``, ``q``, ``warm`` and ``v`` and writing in place
+    into its own entries of the returned ``v``.  ``v`` is new
     on every call: earlier measurements, and the market journal's
     messages, hold views of theirs.  Needs only the network, so the
     market operator can call it.  A failed sweep raises
@@ -433,12 +436,7 @@ def measure_feeders(
         return Measurement(v, P_L)
     try:
         for k, model in enumerate(models):
-            sl = model.span
-            res = sweep_feeder(
-                model, p[sl], q[sl], v_init=None if warm is None else warm[sl],
-                out=v[sl],
-            )
-            P_L[k] = res.P_L
+            P_L[k] = sweep_feeder(model, p, q, v_init=warm, out=v).P_L
     except SweepDivergence as exc:
         raise EngineError(
             f"power flow failed at iteration {iteration} on feeder "
@@ -478,23 +476,26 @@ def der_signals(
     terms remain; the generators still see it) — the no-participation
     baseline.
 
-    When no multiplier is nonzero (``mu`` all zero; NaN counts as
-    nonzero) the products are skipped: they would all be ``+0.0``, since
-    ``A`` and ``B`` are finite and ``mu`` holds no ``-0.0`` (it starts at
+    A feeder whose ``w = mu_upper - mu_lower`` is all zero (NaN counts as
+    nonzero) skips its products: they would all be ``+0.0``, since ``A``
+    and ``B`` are finite and ``mu`` holds no ``-0.0`` (it starts at
     ``+0.0``, and :func:`dual_update` clamps with ``np.maximum(., 0.0)``),
-    so ``w`` is ``+0.0`` too.  The DER prices are then ``lambda + 0.0``
-    and ``0.0``, the same bits.  The same holds feeder by feeder: a feeder
-    whose ``w`` is all zero skips its products.  The whole shortcut is one
-    kernel call (``tdcoopt_flat_signals``); :func:`_der_prices` is its
-    reference, with every feeder skipped, and the products.
+    so ``w`` is ``+0.0`` too.  Its DER prices are then ``lambda + 0.0``
+    and ``0.0``, the same bits.  One kernel call (``tdcoopt_flat_signals``)
+    forms ``w``, writes the prices of every such feeder and of the
+    generators, and names the feeders left, whose products run here in
+    numpy (:func:`_price_feeder`); :func:`_der_prices` is its reference.
     """
     kernels = _native.library()
     if kernels is not None:
-        prices = kernels.flat_signals(
-            y.mu, network.n_nodes, network.n_generators,
-            0.0 if zero_lambda else y.lam, y.lam,
+        lam = 0.0 if zero_lambda else y.lam
+        signals = kernels.flat_signals(
+            y.mu, network.n_nodes, network.n_generators, lam, y.lam, network.starts,
         )
-        if prices is not None:  # None: some multiplier is nonzero
+        if signals is not None:  # None: mu is not an array the kernel reads
+            prices, w, active = signals
+            for k in active:
+                _price_feeder(prices, network.models[k], w, lam)
             return prices
     return _der_prices(network, y, zero_lambda)
 
@@ -509,17 +510,26 @@ def _der_prices(
     prices = np.empty(2 * n + network.n_generators)
     prices[2 * n :] = y.lam  # as it is: a -0.0 price keeps its sign
     w = y.mu[:n] - y.mu[n:]
-    # per feeder, not one block-diagonal product: that would change the
-    # rounding of the sums
     for model in network.models:
         sl = model.span
-        if not np.count_nonzero(w[sl]):
+        if np.count_nonzero(w[sl]):
+            _price_feeder(prices, model, w, lam)
+        else:
             prices[sl] = lam + 0.0
             prices[n + sl.start : n + sl.stop] = 0.0
-            continue
-        prices[sl] = lam + model.A.T @ w[sl]
-        prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
     return prices
+
+
+def _price_feeder(
+    prices: np.ndarray, model: LinearFeederModel, w: np.ndarray, lam: float
+) -> None:
+    """Write one feeder's DER prices from its voltage multipliers: the
+    products of :func:`der_signals`, ``w`` spanning every node.  Per
+    feeder, not one block-diagonal product: that would change the
+    rounding of the sums."""
+    n, sl = len(w), model.span
+    prices[sl] = lam + model.A.T @ w[sl]
+    prices[n + sl.start : n + sl.stop] = model.B.T @ w[sl]
 
 
 def _dual_gradient(

@@ -18,8 +18,8 @@ The same model also carries what the exact sweep needs (the tree as C
 arrays, read by the compiled sweep and its Python reference, base
 injections, substation voltage; its first compiled sweep binds them, see
 :mod:`tdcoopt.acpf`) and where the feeder's nodes sit in the global node
-vectors, but no DER data: it is all the market operator may know about a
-feeder.
+vectors of its network, with that network's node count, but no DER
+data: it is all the market operator may know about a feeder.
 :func:`tdcoopt.core.build_problem` compiles each feeder once.
 """
 
@@ -52,6 +52,7 @@ class LinearFeederModel:
     q0: np.ndarray
     v0: float  # substation voltage magnitude
     span: slice  # the feeder's positions in the global node vectors
+    n_network: int  # the length of those vectors: the network's node count
     # the tree (:func:`~tdcoopt.network.feeder_topology`) as contiguous
     # intc/float64 arrays, for the compiled sweep
     order: np.ndarray
@@ -73,15 +74,20 @@ class LinearFeederModel:
 
 
 def build_lindistflow(
-    feeder: DistributionFeeder, offset: int = 0
+    feeder: DistributionFeeder, offset: int = 0, n_network: int | None = None
 ) -> LinearFeederModel:
-    """Compile ``feeder``, its nodes placed at ``offset`` in global vectors.
+    """Compile ``feeder``, its nodes placed at ``offset`` in global vectors
+    of ``n_network`` entries (default: ``offset`` plus the feeder's nodes,
+    so a feeder compiled alone is its own network).
 
     The path matrices come from the edge-path incidence ``T`` (edge e lies
     on the path to node j), giving ``A = T' diag(r) T / v0``.
     """
-    topo = feeder_topology(feeder)
     n = feeder.n_nodes
+    if n_network is None:
+        n_network = offset + n
+    _check_span(offset, n, n_network)
+    topo = feeder_topology(feeder)
     T = np.zeros((n, n))
     for j in topo.order:
         pj = topo.parent[j]
@@ -115,6 +121,7 @@ def build_lindistflow(
         q0=q0,
         v0=feeder.v0,
         span=slice(offset, offset + n),
+        n_network=n_network,
         order=order,
         parent=parent,
         roots=roots,
@@ -122,6 +129,16 @@ def build_lindistflow(
         x=x,
         ones=ones,
     )
+
+
+def _check_span(start: int, n: int, n_network: int) -> None:
+    """The refusal of ``n`` nodes at ``start`` that do not fit a network of
+    ``n_network``: the compiled sweep's binding refuses them alike."""
+    if not 0 <= start <= n_network - n:
+        raise ValueError(
+            f"nodes {start} to {start + n} lie outside a network of "
+            f"{n_network} nodes"
+        )
 
 
 def predict(

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import pickle
+import re
 import shutil
 import stat
 import subprocess
@@ -31,6 +32,7 @@ from tdcoopt import _native, acpf
 from tdcoopt.acpf import SweepDivergence, sweep_feeder
 from tdcoopt.lindistflow import build_lindistflow
 from tdcoopt.network import DistributionFeeder, FeederLine, FeederNode, parse_case
+from tdcoopt.scenario import load_scenario
 
 from conftest import CASES_DIR, SCENARIOS_DIR, make_chain_feeder
 
@@ -603,6 +605,134 @@ def test_binding_refuses_an_order_that_is_not_parents_first(sweep_path, spoil, m
     with pytest.raises(ValueError, match=rf"^order\[\d+\] = \d+ {message}"):
         sweep_feeder(bad, zero, zero)
     assert "_bound" not in vars(bad)
+
+
+# ---------------------------------------------------------------------------
+# a feeder at its span of a network: its sweeps take the network's vectors
+# and read and write only the feeder's entries of them
+# ---------------------------------------------------------------------------
+
+# each path called directly: the kernel (with the ``kernels`` fixture) and
+# the Python sweep
+SWEEPS = {"compiled": sweep_feeder, "python": acpf._sweep_python}
+
+
+@st.composite
+def networks(draw):
+    """One to three drawn feeders, placed one after another: the feeders,
+    their offsets and the network's node count."""
+    feeders = draw(st.lists(radial_feeders(), min_size=1, max_size=3))
+    offsets = np.cumsum([0] + [f.n_nodes for f in feeders]).tolist()
+    return feeders, offsets[:-1], offsets[-1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    network=networks(),
+    data=st.data(),
+    max_iter=st.sampled_from([1, 3, 100]),
+    warm=st.booleans(),
+    into=st.booleans(),
+)
+def test_a_feeder_sweeps_its_span_as_it_sweeps_alone(
+    kernels, network, data, max_iter, warm, into
+):
+    # converged, collapsed and exhausted sweeps alike, cold and warm, into
+    # the network's out or a new array: the bits (or the error) of the
+    # feeder compiled alone and swept on copies of its entries, the inputs
+    # left as they are and no entry of out outside the span written
+    feeders, offsets, N = network
+    vectors = st.lists(st.floats(min_value=-2e-2, max_value=2e-2), min_size=N, max_size=N)
+    p = np.array(data.draw(vectors))
+    q = np.array(data.draw(vectors))
+    v_init = None
+    if warm:
+        v_init = np.array(data.draw(st.lists(
+            st.floats(min_value=0.5, max_value=1.2), min_size=N, max_size=N)))
+    inputs = [a.tobytes() for a in (p, q, v_init) if a is not None]
+    for path, sweep in SWEEPS.items():
+        out = np.arange(N) - 0.5 if into else None
+        for feeder, offset in zip(feeders, offsets):
+            model = build_lindistflow(feeder, offset, N)
+            alone = build_lindistflow(feeder)
+            sl, n = model.span, model.n_nodes
+
+            def at_span(model, p, q, tol, max_iter, v_init):
+                res = sweep(model, p, q, tol, max_iter, v_init, out)
+                assert out is None or np.shares_memory(res.v, out[sl])
+                return res
+
+            def on_copies(model, p, q, tol, max_iter, v_init):
+                own = np.empty(n) if into else None
+                return sweep(model, p.copy(), q.copy(), tol, max_iter,
+                             None if v_init is None else v_init.copy(), own)
+
+            kept = None if out is None else np.delete(out, np.r_[sl]).tobytes()
+            got = outcome(at_span, model, p, q, 1e-8, max_iter, v_init)
+            expected = outcome(on_copies, alone, p[sl], q[sl], 1e-8, max_iter,
+                               None if v_init is None else v_init[sl])
+            assert got == expected, (path, offset)
+            assert kept is None or np.delete(out, np.r_[sl]).tobytes() == kept
+        assert [a.tobytes() for a in (p, q, v_init) if a is not None] == inputs
+
+
+@pytest.mark.parametrize("path", sorted(SWEEPS))
+def test_a_feeder_at_its_span_refuses_vectors_of_another_length(kernels, path):
+    # feeder4 at nodes 2 to 6 of a network of 9: each vector must span the
+    # network, never the feeder alone, and out may share no memory with an
+    # input, not even outside the span
+    sweep = SWEEPS[path]
+    model = build_lindistflow(load_feeder("feeder4"), 2, 9)
+    n, N = model.n_nodes, 9
+    p, q, v_init = np.zeros(N), np.zeros(N), np.ones(N)
+    buffer = np.ones(2 * N)
+    refused = [
+        (dict(p=np.zeros(n)), f"p must have length {N}"),
+        (dict(q=np.zeros(N + 1)), f"q must have length {N}"),
+        (dict(v_init=np.ones(n)), f"v_init must have length {N}"),
+        (dict(out=np.empty(n)), f"out has length {n}, not {N}"),
+        (dict(out=np.empty(N + 1)), f"out has length {N + 1}, not {N}"),
+        (dict(out=p), "out overlaps p"),
+        (dict(q=buffer[:N], out=buffer[N - 1 : 2 * N - 1]), "out overlaps q"),
+        (dict(v_init=buffer[1 : N + 1], out=buffer[:N]), "out overlaps v_init"),
+    ]
+    for spoilt, message in refused:
+        args = dict(p=p, q=q, v_init=v_init, out=np.empty(N)) | spoilt
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            sweep(model, args["p"], args["q"], 1e-8, 100, args["v_init"], args["out"])
+    assert (p.tolist(), q.tolist(), buffer.tolist()) == ([0.0] * N, [0.0] * N,
+                                                         [1.0] * (2 * N))
+
+
+@pytest.mark.parametrize("path", sorted(SWEEPS))
+def test_a_feeder_outside_its_network_is_refused(kernels, path):
+    feeder = load_feeder("feeder4")
+    n = feeder.n_nodes
+    message = f"nodes 2 to {n + 2} lie outside a network of {n + 1} nodes"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_lindistflow(feeder, 2, n + 1)
+    bad = dataclasses.replace(build_lindistflow(feeder, 2, n + 2), n_network=n + 1)
+    zero = np.zeros(n + 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SWEEPS[path](bad, zero, zero, 1e-8, 100, None)
+    assert "_bound" not in vars(bad)
+
+
+@pytest.mark.parametrize("path", sorted(SWEEPS))
+@pytest.mark.parametrize("spoilt", ["p", "v_init"])
+def test_a_sweep_that_meets_a_nan_never_converges(kernels, path, spoilt):
+    # a NaN voltage change would lose every comparison with the residual,
+    # so the sweep once stopped after a few passes with NaN voltages
+    feeder = load_scenario(SCENARIOS_DIR / "default.json").system.feeders[0]
+    model = build_lindistflow(feeder)
+    n = model.n_nodes
+    vectors = {"p": np.zeros(n), "q": np.zeros(n), "v_init": np.ones(n)}
+    vectors[spoilt][n // 2] = math.nan
+    with pytest.raises(SweepDivergence, match=(
+        r"^sweep did not converge within 100 iterations \(last voltage change nan\)$"
+    )) as exc:
+        SWEEPS[path](model, vectors["p"], vectors["q"], 1e-8, 100, vectors["v_init"])
+    assert exc.value.iterations == 100 and math.isnan(exc.value.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -482,10 +482,52 @@ def test_measure_ac_writes_a_new_array_each_call(limits):
     assert not np.shares_memory(second.v, first.v)
     assert first.v.tobytes() == kept
     for k, model in enumerate(problem.models):
-        sl = model.span
-        ref = sweep_feeder(model, x.p[sl], x.q[sl], v_init=first.v[sl])
-        assert second.v[sl].tobytes() == ref.v.tobytes()
+        ref = sweep_feeder(model, x.p, x.q, v_init=first.v)
+        assert second.v[model.span].tobytes() == ref.v.tobytes()
         assert second.P_L[k] == ref.P_L
+
+
+def test_measure_ac_hands_every_feeder_the_round_vectors(limits, monkeypatch):
+    # no per-feeder slices: each sweep gets the same p, q, warm start and
+    # out, and writes its own entries of out, the measurement's v
+    problem = build_problem(make_system(n_feeders=3), limits)
+    x, _ = initial_state(problem)
+    warm = measure(problem, x, feedback="ac").v
+    calls = []
+
+    def spy(model, p, q, **kwargs):
+        calls.append((model, p, q, kwargs))
+        return sweep_feeder(model, p, q, **kwargs)
+
+    monkeypatch.setattr(core, "sweep_feeder", spy)
+    p, q = x.p, x.q
+    meas = core.measure_feeders(problem.network, p, q, "ac", warm=warm)
+    assert [model for model, *_ in calls] == list(problem.models)
+    for _, p_seen, q_seen, kwargs in calls:
+        assert p_seen is p and q_seen is q
+        assert kwargs.keys() == {"v_init", "out"}
+        assert kwargs["v_init"] is warm and kwargs["out"] is meas.v
+
+
+@pytest.mark.parametrize("path", ["compiled", "reference"])
+def test_a_nan_injection_fails_the_measurement_on_its_feeder(
+    limits, monkeypatch, request, path
+):
+    # the sweep never converges on a NaN, so the round stops naming the
+    # feeder instead of pricing NaN voltages
+    if path == "compiled":
+        request.getfixturevalue("kernels")
+    else:
+        monkeypatch.setattr(_native, "library", lambda: None)
+    problem = build_problem(make_system(n_feeders=2), limits)
+    x, _ = initial_state(problem)
+    p = x.p.copy()
+    p[problem.models[1].span.start] = math.nan
+    with pytest.raises(EngineError, match=(
+        r"^power flow failed at iteration 3 on feeder f1: sweep did not converge "
+        r"within 100 iterations \(last voltage change nan\)$"
+    )):
+        core.measure_feeders(problem.network, p, x.q, "ac", iteration=3)
 
 
 def test_a_power_flow_failure_names_its_feeder(limits):

@@ -335,15 +335,46 @@ def test_flat_signals_are_der_signals_shortcut(kernels, data, zero_lambda, mu_ki
     mu[at] = {"zero": 0.0, "minus-zero": -0.0, "one": 1e-3, "nan": math.nan}[mu_kind]
     y = DualState(lam=data.draw(values), mu=mu)
     lam_ders = 0.0 if zero_lambda else y.lam
-    got = kernels.flat_signals(mu, N, network.n_generators, lam_ders, y.lam)
+    prices, w, active = kernels.flat_signals(
+        mu, N, network.n_generators, lam_ders, y.lam, network.starts
+    )
+    expected = core._der_prices(network, y, zero_lambda)
     if mu_kind in ("one", "nan"):
-        assert got is None  # the products run
+        # the feeder of the multiplier is left for its products, from w
+        k = int(np.searchsorted(network.starts, at % N, side="right")) - 1
+        assert active == (k,)
+        assert same_bits(w, mu[:N] - mu[N:])
+        sl = network.models[k].span
+        prices[sl] = expected[sl]
+        prices[N + sl.start : N + sl.stop] = expected[N + sl.start : N + sl.stop]
     else:
-        assert same_bits(got, core._der_prices(network, y, zero_lambda))
-        assert same_bits(core.der_signals(network, y, zero_lambda), got)
+        assert active == () and w is None
+    assert same_bits(prices, expected)
+    assert same_bits(core.der_signals(network, y, zero_lambda), expected)
     # a multiplier vector the kernel cannot read as it is takes numpy's path
-    assert kernels.flat_signals(noncontiguous(mu), N, network.n_generators, 0.0, 0.0) is None
-    assert kernels.flat_signals(mu[:-1], N, network.n_generators, 0.0, 0.0) is None
+    starts = network.starts
+    assert kernels.flat_signals(noncontiguous(mu), N, network.n_generators, 0.0, 0.0,
+                                starts) is None
+    assert kernels.flat_signals(mu[:-1], N, network.n_generators, 0.0, 0.0, starts) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), zero_lambda=st.booleans())
+def test_der_signals_price_only_the_feeders_that_need_products(kernels, data, zero_lambda):
+    # feeders whose w is all zero (±0.0, or equal multipliers on both
+    # bands) take the kernel's flat prices, the rest numpy's products:
+    # the reference's bits either way
+    problem = build_problem(make_system(n_feeders=3), VoltageLimits(0.95, 1.05))
+    network, N = problem.network, problem.n_nodes
+    entries = st.sampled_from([0.0, 0.0, -0.0, 1e-3, 2.5, math.inf, math.nan])
+    mu = np.array(data.draw(st.lists(entries, min_size=2 * N, max_size=2 * N)))
+    if data.draw(st.booleans()):  # equal bands: w is +0.0 where both are finite
+        mu[N:] = mu[:N]
+    y = DualState(lam=data.draw(values), mu=mu)
+    with np.errstate(invalid="ignore"):
+        expected = core._der_prices(network, y, zero_lambda)
+        got = core.der_signals(network, y, zero_lambda)
+    assert same_bits(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +485,29 @@ def valid_calls():
                       np.ones(F), np.ones(G), 1.0, 0.25],
         "step_norms": [z, z[::-1].copy(), np.zeros(2 * n), np.ones(2 * n), 0.5, 0.25,
                        5e-4],
-        "flat_signals": [np.zeros(2 * n), n, G, 0.5, 0.5],
+        "flat_signals": [np.zeros(2 * n), n, G, 0.5, 0.5, np.array([0, 3], dtype=np.intp)],
         "agent_step": [(1, n + 1), z, 5e-4, np.ones(2 * n + G), np.zeros(2 * n + G),
                        np.full(2 * n + G, -1.0), np.ones(2 * n + G)],
         "file_reports": [[AgentMessage("setpoint-report", "user", 1, [0.5, -0.5])], 1,
                          {"user": (0, (1, n + 1))}, 2 * n + G],
         "bind_feeder": [SweepResult, order, np.array([-1, 0, 1], dtype=np.intc),
                         np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
-                        np.full(3, -1e-3), np.zeros(3), 1.0],
+                        np.full(3, -1e-3), np.zeros(3), 1.0, 1, 5],
+        # a feeder of 3 nodes at 1 to 4 of a network of 5
         "sweep": [order, np.array([-1, 0, 1], dtype=np.intc),
                   np.array([0], dtype=np.intc), np.full(3, 0.01), np.full(3, 0.01),
-                  np.full(3, -1e-3), np.zeros(3), 1.0, np.zeros(3), np.zeros(3),
+                  np.full(3, -1e-3), np.zeros(3), 1.0, 1, 5, np.zeros(5), np.zeros(5),
                   None, 1e-8, 100, None],
     }
 
 
 def entry(kernels, name):
     """The kernel ``name`` of :func:`valid_calls`.  ``sweep`` binds the tree
-    in its first eight arguments and sweeps with the rest, as
-    :mod:`tdcoopt.acpf` does:
-    ``bind_feeder(SweepResult, *a[:8]).sweep(*a[8:])``."""
+    and its place in the network in its first ten arguments and sweeps
+    with the rest, as :mod:`tdcoopt.acpf` does:
+    ``bind_feeder(SweepResult, *a[:10]).sweep(*a[10:])``."""
     if name == "sweep":
-        return lambda *a: kernels.bind_feeder(SweepResult, *a[:8]).sweep(*a[8:])
+        return lambda *a: kernels.bind_feeder(SweepResult, *a[:10]).sweep(*a[10:])
     return getattr(kernels, name)
 
 
@@ -525,18 +557,18 @@ SPOILT = [
     ("sweep", 2, lambda roots: np.array([3], dtype=np.intc), IndexError),
     ("sweep", 0, lambda order: order.astype(np.int64), TypeError),
     ("sweep", 3, lambda r: r[:-1], ValueError),
-    ("sweep", 8, lambda p: np.zeros(4), ValueError),
-    ("sweep", 10, lambda v_init: np.ones(2), ValueError),
-    ("sweep", 12, lambda max_iter: 2**40, ValueError),
-    ("sweep", 13, lambda out: np.empty(2), ValueError),
-    ("sweep", 13, lambda out: read_only(np.empty(3)), ValueError),
-    ("sweep", 13, lambda out: np.empty(3, dtype=np.float32), TypeError),
-    ("sweep", 13, lambda out: noncontiguous(np.empty(3)), ValueError),
-    ("sweep", 13, lambda out: np.empty((1, 3)), ValueError),
-    ("sweep", 13, lambda out: [0.0, 0.0, 0.0], TypeError),
-    ("sweep", 8, lambda p: p.reshape(3, 1), ValueError),
-    ("sweep", 9, lambda q: np.float64(0.0), ValueError),
-    ("sweep", 10, lambda v_init: np.ones((1, 3)), ValueError),
+    ("sweep", 10, lambda p: np.zeros(4), ValueError),
+    ("sweep", 12, lambda v_init: np.ones(2), ValueError),
+    ("sweep", 14, lambda max_iter: 2**40, ValueError),
+    ("sweep", 15, lambda out: np.empty(2), ValueError),
+    ("sweep", 15, lambda out: read_only(np.empty(5)), ValueError),
+    ("sweep", 15, lambda out: np.empty(5, dtype=np.float32), TypeError),
+    ("sweep", 15, lambda out: noncontiguous(np.empty(5)), ValueError),
+    ("sweep", 15, lambda out: np.empty((1, 5)), ValueError),
+    ("sweep", 15, lambda out: [0.0] * 5, TypeError),
+    ("sweep", 10, lambda p: p.reshape(5, 1), ValueError),
+    ("sweep", 11, lambda q: np.float64(0.0), ValueError),
+    ("sweep", 12, lambda v_init: np.ones((1, 5)), ValueError),
     ("dual_step", 0, lambda mu: mu[:-1], ValueError),  # not twice v's length
     ("dual_step", 7, lambda P_L: P_L.astype(np.float32), TypeError),
     ("dual_step", 8, noncontiguous, ValueError),
@@ -568,6 +600,24 @@ SPOILT = [
     ("file_reports", 0, tuple, TypeError),
     ("file_reports", 2, lambda slots: list(slots.items()), TypeError),
     ("file_reports", 3, lambda n: -1, ValueError),
+    # a sweep's vectors span the network (5), not the feeder (3) or more
+    ("sweep", 10, lambda p: np.zeros(3), ValueError),
+    ("sweep", 11, lambda q: np.zeros(3), ValueError),
+    ("sweep", 12, lambda v_init: np.ones(3), ValueError),
+    ("sweep", 15, lambda out: np.empty(3), ValueError),
+    ("sweep", 10, lambda p: np.zeros(6), ValueError),
+    ("sweep", 11, lambda q: np.zeros(6), ValueError),
+    ("sweep", 12, lambda v_init: np.ones(6), ValueError),
+    ("sweep", 15, lambda out: np.empty(6), ValueError),
+    ("bind_feeder", 9, lambda start: 3, ValueError),  # nodes 3 to 6 of 5
+    ("bind_feeder", 9, lambda start: -1, ValueError),
+    ("bind_feeder", 10, lambda n_network: 2, ValueError),
+    ("bind_feeder", 10, lambda n_network: 5.0, TypeError),
+    ("flat_signals", 5, lambda starts: np.array([1, 3], dtype=np.intp), ValueError),
+    ("flat_signals", 5, lambda starts: np.array([0, 7], dtype=np.intp), ValueError),
+    ("flat_signals", 5, lambda starts: np.array([0, 4, 2], dtype=np.intp), ValueError),
+    ("flat_signals", 5, lambda starts: np.array([], dtype=np.intp), ValueError),
+    ("flat_signals", 5, lambda starts: starts.astype(np.int32), TypeError),
 ]
 
 
@@ -589,20 +639,25 @@ def test_kernels_refuse_a_wrong_argument_count(kernels, name):
         entry(kernels, name)(*args[:-1])
 
 
-@pytest.mark.parametrize("shared", ["p", "q", "v_init", "v_init-shifted", "v_init-itself"])
+@pytest.mark.parametrize(
+    "shared", ["p", "q", "v_init", "v_init-shifted", "v_init-itself", "p-outside-span"]
+)
 def test_sweep_refuses_an_out_that_overlaps_its_inputs(kernels, shared):
     # the voltages are never written over the injections or the warm
-    # start, the warm start itself included, nor over part of either
+    # start, the warm start itself included, nor over part of either,
+    # even where neither entry is the feeder's (nodes 1 to 4 of 5)
     args = valid_calls()["sweep"]
-    buffer = np.ones(4)
-    at = {"p": 8, "q": 9}.get(shared, 10)
-    args[at] = buffer[:3]
-    args[13] = buffer[1:] if shared == "v_init-shifted" else buffer[:3]
+    buffer = np.ones(9)
+    at = {"p": 10, "q": 11, "p-outside-span": 10}.get(shared, 12)
+    args[at] = buffer[:5]
+    args[15] = {"v_init-shifted": buffer[1:6], "p-outside-span": buffer[4:]}.get(
+        shared, buffer[:5]
+    )
     if shared == "v_init-itself":
-        args[13] = args[at]
+        args[15] = args[at]
     with pytest.raises(ValueError, match="out overlaps"):
         entry(kernels, "sweep")(*args)
-    assert buffer.tolist() == [1.0] * 4
+    assert buffer.tolist() == [1.0] * 9
 
 
 def test_record_row_refuses_a_read_only_row(kernels):
