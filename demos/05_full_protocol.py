@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tdcoopt.core import build_problem, measure
+from tdcoopt.core import measure
 from tdcoopt.scenario import compare_runs, load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "tdcoopt" / "scenarios"
@@ -27,19 +27,19 @@ def main() -> None:
     out.mkdir(exist_ok=True)
 
     sc = load_scenario(SCENARIOS / "default.json")
-    print(f"running {sc.name!r} (events at iteration "
-          f"{min(e.iteration for e in sc.events)}) ...")
+    print(f"running {sc.name!r} ...")
     art = run_scenario(sc, out)
     res = art.result
-    print(f"  {res.status} after {res.iterations} iterations")
+    settled, perturbed = res.phases[0], res.phases[-1]
+    print(f"  {res.status} after {res.iterations} iterations "
+          f"(events at iteration {perturbed.first})")
 
-    pre = res.records[min(e.iteration for e in sc.events) - 1]
+    pre = res.records[settled.last]
     post = res.records[-1]
     print(f"  price lambda: {pre.lam:.4f} before the outage, "
           f"{post.lam:.4f} at the end (deeper price, more generation)")
 
-    problem = build_problem(sc.system, sc.limits)
-    v = measure(problem, res.x, feedback="ac").v
+    v = measure(res.problem, res.x, feedback="ac").v
     at_cap = int(np.sum(v > 1.05 - 1e-3))
     print(f"  exact voltages in [{v.min():.4f}, {v.max():.4f}] p.u.; "
           f"{at_cap} nodes ride the 1.05 cap")

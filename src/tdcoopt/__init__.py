@@ -22,10 +22,10 @@ Layout
                  events (applied once, to the compiled problem), the
                  round's shared network half `settle` (reads only the
                  `CompiledNetwork`, which holds no DER data), the
-                 shared driver loop `run_rounds`, `solve`
-``market``       stateless agents, each a name plus coordinates of
-                 ``z``, taking the one scalar `coordinate_step` against
-                 the broadcast price array over ``z``; message bus;
+                 shared driver loop `run_rounds` and its `Phase`s, `solve`
+``market``       stateless agents, each a name plus coordinates of ``z``
+                 stepped in one `agent_step` call (`coordinate_step` with
+                 no library) against the broadcast prices; message bus;
                  operator step (knows only its roster and the compiled
                  network; places reports, ends in `settle`);
                  `run_market` routes the round's messages through the

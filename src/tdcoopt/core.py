@@ -114,6 +114,7 @@ __all__ = [
     "iteration_record",
     "run_rounds",
     "solve",
+    "Phase",
     "SolveResult",
 ]
 
@@ -821,6 +822,11 @@ def check_stepsize(problem: DispatchProblem, eta: float) -> StepsizeReport | Non
 # events
 # ---------------------------------------------------------------------------
 
+def _check_iteration(iteration) -> None:
+    if type(iteration) is not int or iteration < 1:  # no bool, no float; 0 is the start
+        raise ValueError(f"iteration must be an integer >= 1, got {iteration!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorOutage:
     """Generator at ``bus_id`` trips at ``iteration``: output pinned to 0.
@@ -831,6 +837,9 @@ class GeneratorOutage:
     iteration: int
     bus_id: int
     kind = "generator-outage"
+
+    def __post_init__(self):
+        _check_iteration(self.iteration)
 
     @property
     def target(self) -> int:
@@ -850,6 +859,7 @@ class DerCapacityScale:
     target = "all-DERs"
 
     def __post_init__(self):
+        _check_iteration(self.iteration)
         # an infinite factor would make each pinned [0, 0] box NaN (0 * inf)
         if not (self.factor > 0 and math.isfinite(self.factor)):
             raise ValueError(f"needs a finite positive factor, got {self.factor}")
@@ -1021,11 +1031,20 @@ def iteration_record(
 # the solver
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Phase:
+    """Rounds ``first`` to ``last`` of a run, all stepped on ``problem``."""
+
+    first: int
+    last: int
+    problem: DispatchProblem
+
+
 @dataclass
 class SolveResult:
     """Final states, per-iteration records, and the stopping status.
 
-    ``problem`` is the one the last round stepped on, events applied.
+    ``phases`` tile the rounds run, ``[0, iterations]``, in order.
     ``stepsize`` is the run's certificate (:func:`check_stepsize`), or
     ``None`` when the problem has neither generators nor DERs.
     """
@@ -1036,13 +1055,18 @@ class SolveResult:
     y: DualState
     records: Records
     account: SlackAccount
-    problem: DispatchProblem
+    phases: tuple[Phase, ...]
     history: list[tuple[PrimalState, DualState]] | None = None
     stepsize: StepsizeReport | None = None
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def problem(self) -> DispatchProblem:
+        """The problem the last round stepped on, events applied."""
+        return self.phases[-1].problem
 
 
 # One round of an engine, called as :func:`primal_dual_step`: it runs round
@@ -1065,18 +1089,18 @@ def run_rounds(
 
     Events fire just before the step of their scheduled iteration, so the
     record of that iteration already shows their effect: the loop applies
-    each one (:func:`apply_event`) and hands ``step`` the changed problem,
-    the only copy of the limits either engine reads.  Step norms are
-    measured from the state after the event.  Without an explicit slack
-    account, the implied slack output at the start is recorded and held
-    as the balance target.  ``probes`` holds one node position per
-    feeder, counted within it (:func:`default_probes` when ``None``);
-    ``x`` and ``y`` are :func:`initial_state`'s when ``None``.
-    Raises :class:`ValueError`, before any round, when a box of the
-    problem is empty (``lo > hi``) or has a NaN bound, naming the first
-    such coordinate of ``z``; :class:`DivergenceError` when the state passes the blow-up
-    bound.  Any :class:`EngineError` raised here leaves with the records
-    kept so far.
+    each one (:func:`apply_event`; one iteration's in list order, starting a
+    :class:`Phase`) and hands ``step`` the changed problem, the only copy of
+    the limits either engine reads.  Step norms are measured from the state
+    after the event.  Without an explicit slack account, the implied slack
+    output at the start is recorded and held as the balance target.
+    ``probes`` holds one node position per feeder, counted within it
+    (:func:`default_probes` when ``None``); ``x`` and ``y`` are
+    :func:`initial_state`'s when ``None``.  Raises :class:`ValueError`,
+    before any round, when a box of the problem is empty (``lo > hi``) or
+    has a NaN bound, naming the first such coordinate of ``z``;
+    :class:`DivergenceError` when the state passes the blow-up bound.  Any
+    :class:`EngineError` raised here leaves with the records kept so far.
     """
     unboxed = np.flatnonzero(~(problem.lo <= problem.hi))
     if len(unboxed):
@@ -1115,6 +1139,11 @@ def run_rounds(
         [model.span.start + j for model, j in zip(problem.models, probes)],
         dtype=np.intp,
     )
+    schedule: dict[int, list] = {}
+    for event in events:
+        schedule.setdefault(event.iteration, []).append(event)
+    last_event = max(schedule, default=0)
+    starts = [(0, problem)]
     records = Records(problem.n_generators, len(problem.models))
     try:
         meas = measure(problem, x, feedback=cfg.feedback, iteration=0)
@@ -1132,9 +1161,10 @@ def run_rounds(
         status = "not-converged"
         executed = 0
         for t in range(1, cfg.max_iter + 1):
-            for event in events:
-                if event.iteration == t:
+            if t in schedule:
+                for event in schedule[t]:
                     problem, x = apply_event(problem, x, event)
+                starts.append((t, problem))
             outcome, signals = step(problem, x, y, account, cfg, t, warm, signals)
 
             step_primal, step_dual, worst = _step_norms(
@@ -1173,7 +1203,7 @@ def run_rounds(
                 step_primal < cfg.tol
                 and step_dual < cfg.tol
                 and abs(outcome.balance_residual) < cfg.tol
-                and all(event.iteration <= t for event in events)
+                and t >= last_event
             ):
                 status = "converged"
                 break
@@ -1181,6 +1211,7 @@ def run_rounds(
         exc.records = records
         raise
 
+    lasts = [first - 1 for first, _ in starts[1:]] + [executed]
     return SolveResult(
         status=status,
         iterations=executed,
@@ -1188,7 +1219,7 @@ def run_rounds(
         y=y,
         records=records,
         account=account,
-        problem=problem,
+        phases=tuple(Phase(f, last, p) for (f, p), last in zip(starts, lasts)),
         history=history,
         stepsize=report,
     )

@@ -363,7 +363,7 @@ def run_scenario(scenario: Scenario, out_dir=".") -> RunArtifacts:
             },
         )
         raise
-    summary = _summarize(scenario, problem, result)
+    summary = _summarize(scenario, result)
     write(result.records, summary)
     return RunArtifacts(
         scenario=scenario,
@@ -391,10 +391,9 @@ def _run_header(scenario: Scenario) -> dict:
     }
 
 
-def _summarize(
-    scenario: Scenario, problem: DispatchProblem, result: SolveResult
-) -> dict:
+def _summarize(scenario: Scenario, result: SolveResult) -> dict:
     system = scenario.system
+    problem = result.problem
     last = result.records[-1]
     active: dict[str, dict[str, list[int]]] = {}
     threshold = 1e-8
@@ -411,23 +410,6 @@ def _summarize(
             ],
         }
 
-    executed = result.iterations
-    boundaries = sorted(
-        {e.iteration for e in scenario.events if e.iteration <= executed}
-    )
-    edges = [0, *boundaries, executed + 1]
-    phases = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        phases.append(
-            {
-                "from_iteration": a,
-                "to_iteration": b - 1,
-                "lambda": result.records[b - 1].lam,
-            }
-        )
-
     report = result.stepsize
     stepsize = None
     if report is not None:
@@ -440,7 +422,7 @@ def _summarize(
     return {
         **_run_header(scenario),
         "status": result.status,
-        "iterations": executed,
+        "iterations": result.iterations,
         "stepsize": stepsize,
         "final": {
             "lambda": result.y.lam,
@@ -460,7 +442,14 @@ def _summarize(
             },
             "active_constraints": active,
         },
-        "phases": phases,
+        "phases": [
+            {
+                "from_iteration": phase.first,
+                "to_iteration": phase.last,
+                "lambda": result.records[phase.last].lam,
+            }
+            for phase in result.phases
+        ],
         "events": [
             {
                 "iteration": e.iteration,

@@ -875,6 +875,17 @@ def test_der_capacity_scale_needs_a_finite_positive_factor(factor):
         DerCapacityScale(iteration=5, factor=factor)
 
 
+@pytest.mark.parametrize("iteration", [0, -3, True, 5.0, np.int64(5), None])
+@pytest.mark.parametrize(
+    "make", [lambda t: GeneratorOutage(t, bus_id=2), lambda t: DerCapacityScale(t, 2.0)]
+)
+def test_an_event_needs_an_integer_round_of_at_least_one(make, iteration):
+    # the loop fires events at rounds 1..max_iter, so an event at round 0
+    # would have been dropped without a word
+    with pytest.raises(ValueError, match="iteration must be an integer >= 1"):
+        make(iteration)
+
+
 def test_apply_unknown_event(limits):
     problem = build_problem(make_system(), limits)
     x, _ = initial_state(problem)
@@ -1206,6 +1217,50 @@ def test_the_result_holds_the_problem_its_last_round_stepped_on(limits, engine):
     assert res.problem.lo[tripped] == res.problem.hi[tripped] == 0.0
     assert problem.hi[tripped] > 0.0  # the caller's copy keeps its box
     assert res.problem.network is problem.network
+
+
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_the_run_records_a_phase_per_event_round(limits, engine):
+    system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(system, limits)
+    cfg = SolverConfig(eps=0.01, max_iter=60, tol=0.0, record_state=True)
+    # listed out of round order; two events share round 40 and apply in list
+    # order, which shows: the other order rounds some boxes another way
+    assert not np.array_equal(problem.hi * 0.3 * 3.0, problem.hi * 3.0 * 0.3)
+    events = (
+        DerCapacityScale(iteration=40, factor=0.3),
+        GeneratorOutage(iteration=20, bus_id=2),
+        DerCapacityScale(iteration=40, factor=3.0),
+    )
+    run = solve if engine == "core" else run_market
+    res = run(problem, cfg, events=events)
+
+    assert [(p.first, p.last) for p in res.phases] == [(0, 19), (20, 39), (40, 60)]
+    assert res.phases[0].problem is problem
+    assert res.problem is res.phases[-1].problem
+    for before, phase in zip(res.phases, res.phases[1:]):
+        assert phase.first == before.last + 1
+        assert phase.problem.network is problem.network
+        expected, x = before.problem, res.history[before.last][0]
+        for event in events:
+            if event.iteration == phase.first:
+                expected, x = apply_event(expected, x, event)
+        for name in ("coef", "lo", "hi"):
+            np.testing.assert_array_equal(
+                getattr(phase.problem, name), getattr(expected, name), err_msg=name
+            )
+
+
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_a_run_cut_before_its_events_has_one_phase(limits, engine):
+    system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(system, limits)
+    cfg = SolverConfig(eps=0.01, max_iter=12, tol=0.0)
+    run = solve if engine == "core" else run_market
+    res = run(problem, cfg, events=(GeneratorOutage(iteration=13, bus_id=2),))
+    assert res.iterations == 12
+    assert [(p.first, p.last) for p in res.phases] == [(0, 12)]
+    assert res.phases[0].problem is problem
 
 
 def test_default_probes_pick_deepest_node(limits):
