@@ -24,8 +24,8 @@ Layout
                  `CompiledNetwork`, which holds no DER data), the
                  shared driver loop `run_rounds` and its `Phase`s, `solve`
 ``market``       stateless agents, each a name plus coordinates of ``z``
-                 stepped in one `agent_step` call (`coordinate_step` with
-                 no library) against the broadcast prices; message bus;
+                 stepped in one `agent_step` call (the core's numpy step
+                 with no library) against the broadcast prices; message bus;
                  operator step (knows only its roster and the compiled
                  network; places reports, ends in `settle`);
                  `run_market` routes the round's messages through the
@@ -63,7 +63,6 @@ from .core import (
     measure,
     measure_feeders,
     primal_dual_step,
-    project_box,
     settle,
     solve,
     total_cost,
@@ -76,7 +75,6 @@ from .market import (
     OperatorConfig,
     RoundAbort,
     UserAgent,
-    coordinate_step,
     operator_step,
     run_market,
 )
@@ -162,7 +160,6 @@ __all__ = [
     "build_problem",
     "check_stepsize",
     "compare_runs",
-    "coordinate_step",
     "der_signals",
     "dual_update",
     "eval_lagrangian",
@@ -177,7 +174,6 @@ __all__ = [
     "predict",
     "primal_dual_step",
     "probe_oracle",
-    "project_box",
     "read_trace",
     "rebase_feeder",
     "run_market",

@@ -661,21 +661,6 @@ static PyObject *step_norms(PyObject *self, PyObject *const *args, Py_ssize_t na
     return Py_BuildValue("(ddd)", out[0], out[1], out[2]);
 }
 
-/* total_cost(coef, z, n_nodes) -> core.total_cost's value */
-static PyObject *total_cost(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs_are("total_cost", nargs, 3) < 0)
-        return NULL;
-    intptr_t n = -1, n_nodes;
-    const double *coef, *z;
-    if ((coef = vector(args[0], NPY_DOUBLE, "coef", &n, 0)) == NULL
-        || (z = vector(args[1], NPY_DOUBLE, "z", &n, 0)) == NULL
-        || count(args[2], "n_nodes", 0, n / 2, &n_nodes) < 0)
-        return NULL;
-    return PyFloat_FromDouble(tdcoopt_total_cost(n, n_nodes, coef, z));
-}
-
 /* record_row(row, layout, lam, z, n_nodes, coef, P_L, v, starts, signals,
  *            probes, residual, step_primal, step_dual)
  *
@@ -768,8 +753,8 @@ static int exact_index(PyObject *obj, intptr_t n, intptr_t *out)
  * market.UserAgent.step and GeneratorAgent.step: tdcoopt_primal_step at
  * each coordinate of coords (a tuple of exact ints, each in [0, n)), in
  * order, of z and the round's other arrays (n entries each).  An empty
- * box (lo > hi) at a coordinate is a ValueError, as core.project_box
- * raises it. */
+ * box (lo > hi) at a coordinate is a ValueError, as the agents' numpy
+ * reference (market._report) raises it. */
 static PyObject *agent_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -966,7 +951,6 @@ static PyMethodDef methods[] = {
     {"step_norms", FASTCALL(step_norms),
      "step_norms(z_new, z, mu_new, mu, lam_new, lam, eps) -> (step_primal, "
      "step_dual, state)"},
-    {"total_cost", FASTCALL(total_cost), "total_cost(coef, z, n_nodes) -> sum of coef z z"},
     {"record_row", FASTCALL(record_row),
      "record_row(row, layout, lam, z, n_nodes, coef, P_L, v, starts, signals, "
      "probes, residual, step_primal, step_dual)"},

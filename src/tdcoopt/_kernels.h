@@ -59,8 +59,6 @@ struct tdcoopt_dual {
 };
 
 double tdcoopt_dual_step(const struct tdcoopt_dual *d, double *mu_out, double *lam_new);
-double tdcoopt_total_cost(intptr_t n, intptr_t n_nodes, const double *coef,
-                          const double *z);
 
 /* where record_row puts each field of a row: the order of trace.Records.layout */
 enum {

@@ -235,8 +235,8 @@ double tdcoopt_dual_step(const struct tdcoopt_dual *d, double *mu_out, double *l
 
 /* core.total_cost over z = [p, q, P_M], 2 n_nodes <= n: the generators'
  * block, then p's, then q's, each summed as np.add.reduce sums it */
-double tdcoopt_total_cost(intptr_t n, intptr_t n_nodes, const double *coef,
-                          const double *z)
+static double tdcoopt_total_cost(intptr_t n, intptr_t n_nodes, const double *coef,
+                                 const double *z)
 {
     double generators = 0.0 + pairwise(coef + 2 * n_nodes, z + 2 * n_nodes,
                                        n - 2 * n_nodes);

@@ -91,7 +91,6 @@ __all__ = [
     "DispatchProblem",
     "build_problem",
     "initial_state",
-    "project_box",
     "Measurement",
     "measure",
     "measure_feeders",
@@ -380,16 +379,6 @@ def initial_state(
     return PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
 
 
-def project_box(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into ``[lo, hi]`` as the core's array ``np.clip``
-    does, bit for bit: a tie gives the bound, so a signed zero takes the
-    bound's sign, and a NaN value or bound is the result."""
-    if lo > hi:
-        raise ValueError(f"empty box: lo {lo} > hi {hi}")
-    t = lo if value <= lo or lo != lo else value
-    return hi if t >= hi or hi != hi else t
-
-
 # ---------------------------------------------------------------------------
 # network feedback
 # ---------------------------------------------------------------------------
@@ -624,12 +613,10 @@ _ZERO_SLACK = SlackAccount(P0_slack=0.0)
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
     """Generation cost plus DER cost at the given primal state.
 
-    Summed per block, generators first, then ``p`` and ``q``.
+    Summed per block, generators first, then ``p`` and ``q``, as the
+    compiled ``record_row`` sums a trace row's total-cost cell.
     """
     N = x.n_nodes
-    kernels = _native.library()
-    if kernels is not None:
-        return kernels.total_cost(problem.coef, x.z, N)
     cost = problem.coef * x.z
     cost *= x.z
     add = np.add.reduce  # what ndarray.sum runs, without its Python wrapper

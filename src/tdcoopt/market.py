@@ -9,11 +9,11 @@ primal step on each of its coordinates and reports only the values, as
 Python floats in coordinate order.  The step is one call of the
 extension module's ``agent_step`` on the round's float64 arrays, the
 entry-wise arithmetic of the core's primal step kernel; where no library
-loads, it is the scalar :func:`coordinate_step` on each entry, read as a
-Python float.  The operator places the values at the coordinates its
-roster holds for each sender, in one call of ``file_reports`` for a
-round it accepts (:func:`operator_step`), and ends the round in the
-core engine's own network half,
+loads, it is the numpy primal step of :func:`tdcoopt.core.primal_dual_step`
+on the agent's entries of those arrays.  The operator places the values
+at the coordinates its roster holds for each sender, in one call of
+``file_reports`` for a round it accepts (:func:`operator_step`), and
+ends the round in the core engine's own network half,
 :func:`tdcoopt.core.settle` (measure the network response, update the
 duals, price anew).  No private cost or capacity data ever reaches the
 operator: it works from the reports, the roster (node and generator
@@ -70,7 +70,6 @@ from .core import (
     dual_update,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     measure_feeders,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
-    project_box,
     run_rounds,
     settle,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "RoundAbort",
     "AgentMessage",
     "MessageBus",
-    "coordinate_step",
     "UserAgent",
     "GeneratorAgent",
     "OperatorConfig",
@@ -179,23 +177,6 @@ class MessageBus:
 
 
 # ---------------------------------------------------------------------------
-# agent update rules (pure, one coordinate of z each)
-# ---------------------------------------------------------------------------
-
-def coordinate_step(
-    value: float, price: float, coef: float, lo: float, hi: float, eps: float
-) -> float:
-    """One projected gradient step on the cost ``coef value**2 + price value``.
-
-    The primal step of the centralized engine, for one coordinate of
-    ``z``: private cost gradient plus the received price, clamped into
-    ``[lo, hi]``.  An offline generator has the box ``[0, 0]`` and so
-    holds zero output.
-    """
-    return project_box(value - eps * (2.0 * coef * value + price), lo, hi)
-
-
-# ---------------------------------------------------------------------------
 # agents
 # ---------------------------------------------------------------------------
 
@@ -213,8 +194,10 @@ def _report(
     Python floats, in coordinate order.
 
     The arrays are the round's float64 arrays over ``z``.  One kernel call
-    (``agent_step``) steps every coordinate; where no library loads, each
-    takes :func:`coordinate_step` on the entries read as Python floats.
+    (``agent_step``) steps every coordinate; where no library loads, the
+    core's numpy primal step (:func:`~tdcoopt.core.primal_dual_step`) runs
+    on the agent's entries.  Either refuses an empty box (``lo > hi``) at
+    one of them with a ``ValueError``.
     """
     kernels = _native.library()
     if kernels is not None:
@@ -222,11 +205,12 @@ def _report(
     else:
         # a loop, not a comprehension: one would make a cell of each
         # argument on every call, the kernel's included (~3 us a round)
-        values = []
-        for c in agent.coords:
-            values.append(coordinate_step(
-                z.item(c), prices.item(c), coef.item(c), lo.item(c), hi.item(c), eps
-            ))
+        c = list(agent.coords)
+        for k in c:
+            if lo.item(k) > hi.item(k):
+                raise ValueError(f"empty box: lo {lo.item(k)} > hi {hi.item(k)}")
+        step = z[c] - eps * (2.0 * coef[c] * z[c] + prices[c])
+        values = np.clip(step, lo[c], hi[c]).tolist()
     return AgentMessage("setpoint-report", agent.name, tag, values)
 
 

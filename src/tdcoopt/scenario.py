@@ -40,6 +40,7 @@ from .core import (
     SlackAccount,
     SolveResult,
     SolverConfig,
+    _max_abs,
     build_problem,
     default_probes,
     der_signals,
@@ -126,7 +127,6 @@ class Scenario:
     account: SlackAccount | None = None  # None: record it at the start
     probes: dict[str, int] | None = None  # feeder id -> probe node id
     seed: int | None = None
-    path: Path | None = None
 
 
 def load_scenario(path, overrides: dict | None = None) -> Scenario:
@@ -275,7 +275,6 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
         account=account,
         probes=probes,
         seed=seed,
-        path=path,
     )
 
 
@@ -426,7 +425,7 @@ def _summarize(scenario: Scenario, result: SolveResult) -> dict:
         "stepsize": stepsize,
         "final": {
             "lambda": result.y.lam,
-            "total_cost": total_cost(problem, result.x),
+            "total_cost": last.total_cost,
             "slack_residual": last.slack_residual,
             "P_M": {
                 str(g.bus_id): float(P)
@@ -594,7 +593,7 @@ def exact_saddle(
                 r_bal = a @ x - b
                 r_band = G @ x + s - h
                 gap = float(s @ lam) / m
-                worst = max(_inf(r_dual), abs(r_bal), _inf(r_band))
+                worst = max(_max_abs(r_dual), abs(r_bal), _max_abs(r_band))
                 if gap < 1e-14 and worst < 1e-12:
                     break
                 D = lam / s
@@ -643,10 +642,6 @@ def _certified(
     return x, y
 
 
-def _inf(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a), initial=0.0))
-
-
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """The longest step along ``dv`` that keeps ``v`` nonnegative."""
     shrinking = dv < 0
@@ -673,7 +668,7 @@ def probe_oracle(scenario: Scenario) -> OracleReport:
         objective_oracle=best,
         objective_engine=engine,
         objective_gap_rel=gap / best if best else (np.inf if gap else 0.0),
-        coordinate_gap_inf=_inf(run.x.z - oracle.z),
+        coordinate_gap_inf=_max_abs(run.x.z - oracle.z),
         engine_feasibility=residual["band violation"],
         point_oracle=_point(oracle),
         point_engine=_point(run.x),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -45,7 +44,6 @@ from tdcoopt.core import (
     initial_state,
     measure,
     primal_dual_step,
-    project_box,
     solve,
     total_cost,
 )
@@ -105,68 +103,6 @@ def test_solver_config_allows_zero_tolerances():
     # zero tolerances force a fixed-horizon run (used by run comparisons)
     cfg = SolverConfig(tol=0.0)
     assert cfg.tol == 0.0
-
-
-def test_project_box():
-    assert project_box(0.5, 0.0, 1.0) == 0.5
-    assert project_box(-3.0, 0.0, 1.0) == 0.0
-    assert project_box(3.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError, match="empty box"):
-        project_box(0.5, 1.0, 0.0)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    a=st.floats(-50, 50), b=st.floats(-50, 50),
-    lo=st.floats(-10, 10), width=st.floats(0, 10),
-)
-def test_project_box_nonexpansive(a, b, lo, width):
-    hi = lo + width
-    pa, pb = project_box(a, lo, hi), project_box(b, lo, hi)
-    assert abs(pa - pb) <= abs(a - b) + 1e-12
-    assert project_box(pa, lo, hi) == pa
-
-
-def bits(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
-EDGES = (0.0, -0.0, math.inf, -math.inf)
-
-
-@settings(deadline=None, max_examples=400)
-@given(
-    value=st.one_of(st.sampled_from(EDGES + (math.nan,)), st.floats()),
-    bounds=st.lists(
-        st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False)),
-        min_size=2, max_size=2,
-    ),
-    equal=st.booleans(),
-)
-@example(value=-0.0, bounds=[0.0, 1.0], equal=False)
-@example(value=0.0, bounds=[-1.0, -0.0], equal=False)
-@example(value=-0.0, bounds=[0.0, -0.0], equal=False)
-@example(value=math.nan, bounds=[-math.inf, math.inf], equal=False)
-@example(value=0.5, bounds=[math.nan, 1.0], equal=False)
-@example(value=0.5, bounds=[0.0, math.nan], equal=False)
-@example(value=-2.0, bounds=[math.nan, math.nan], equal=False)
-def test_project_box_is_the_core_clip_to_the_bit(value, bounds, equal):
-    # signed zeros and NaN included; the agents' clamp must give the floats
-    # the core engine's does, since the two engines' records are compared
-    # bit for bit.  The core clips whole vectors against array bounds
-    # (``np.clip(step, problem.lo, problem.hi)``), so compare with that
-    # form, for one entry and for a vector long enough for numpy's
-    # vectorized loop
-    lo, hi = sorted(bounds)
-    if equal:
-        hi = lo
-    out = project_box(value, lo, hi)
-    for n in (1, 67):
-        clipped = np.clip(np.full(n, value), np.full(n, lo), np.full(n, hi))
-        assert {bits(c) for c in clipped.tolist()} == {bits(out)}
-    if lo < hi:
-        with pytest.raises(ValueError, match="empty box"):
-            project_box(value, hi, lo)
 
 
 # ---------------------------------------------------------------------------

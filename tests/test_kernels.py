@@ -3,15 +3,15 @@
 Each kernel of the package's extension module replaces a chain of numpy
 calls in :mod:`tdcoopt.core`, which stays as the reference and runs where
 no library can be built; the market agents' ``agent_step`` replaces
-their scalar :func:`~tdcoopt.market.coordinate_step` calls (the
-operator's ``file_reports`` meets its Python intake in
-``test_market.py``).  Here each kernel meets that numpy code on
-drawn inputs, special values included (signed zeros, NaN, infinities),
-and must give the same bits (NaN only as NaN: see :func:`same_bits`).  Every kernel checks its arguments before
-it reads them, so arrays that do not fit raise instead of being read out
-of bounds.  The last test runs short scenarios in fresh processes with
-no compiler on ``PATH`` and checks that the numpy and Python paths write
-the same trace and summary bytes.
+that numpy primal step on each agent's coordinates (the operator's
+``file_reports`` meets its Python intake in ``test_market.py``).  Here
+each kernel meets that numpy code on drawn inputs, special values
+included (signed zeros, NaN, infinities), and must give the same bits
+(NaN only as NaN: see :func:`same_bits`).  Every kernel checks its
+arguments before it reads them, so arrays that do not fit raise instead
+of being read out of bounds.  The last test runs short scenarios in
+fresh processes with no compiler on ``PATH`` and checks that the numpy
+and Python paths write the same trace and summary bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcoopt import _native, core, scenario, trace
@@ -38,7 +38,6 @@ from tdcoopt.market import (
     GeneratorAgent,
     MessageBus,
     UserAgent,
-    coordinate_step,
     run_market,
 )
 from tdcoopt.network import VoltageLimits
@@ -134,10 +133,11 @@ EDGES_OF_A_BOX = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan)
 @st.composite
 def agent_rounds(draw):
     """An agent (a user's two coordinates or a generator's one) and the
-    round's arrays over z.  Its coordinates sit in boxes of signed zeros,
-    [0, 0] ones and ones with a NaN edge, start on a bound or off it, and
-    get NaN prices."""
-    n = draw(st.integers(2, 8))
+    round's arrays over z, up to 80 entries long, so that numpy clips the
+    whole vector in its vectorized loop (67 entries and up).  The agent's
+    coordinates sit in boxes of signed zeros, [0, 0] ones and ones with a
+    NaN edge, start on a bound or off it, and get NaN prices."""
+    n = draw(st.integers(2, 80))
     coords = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
     agent = (UserAgent if len(coords) == 2 else GeneratorAgent)("a", tuple(coords))
     edges = st.one_of(st.sampled_from(EDGES_OF_A_BOX), st.floats(-1e3, 1e3))
@@ -151,24 +151,43 @@ def agent_rounds(draw):
     return agent, drawn["z"], drawn["coef"], drawn["signals"], lo, hi
 
 
+def held(value, lo, hi, n=67):
+    """A generator at coordinate 0 of a round of ``n`` entries, each
+    ``value`` in the box ``[lo, hi]`` at no cost and no price: the step
+    keeps ``value``, and the clip alone decides what is reported."""
+    zero = np.zeros(n)
+    return (GeneratorAgent("a", (0,)), np.full(n, value), zero, zero,
+            np.full(n, lo), np.full(n, hi))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     run=agent_rounds(),
     eps=st.one_of(st.sampled_from([5e-4, 1.0, 0.0]), st.floats(1e-6, 10.0)),
 )
+@example(run=held(-0.0, 0.0, 1.0), eps=5e-4)
+@example(run=held(0.0, -1.0, -0.0), eps=5e-4)
+@example(run=held(-0.0, 0.0, -0.0), eps=5e-4)
+@example(run=held(math.nan, -math.inf, math.inf), eps=5e-4)
+@example(run=held(0.5, math.nan, 1.0), eps=5e-4)
+@example(run=held(0.5, 0.0, math.nan), eps=5e-4)
+@example(run=held(-2.0, math.nan, math.nan), eps=5e-4)
 def test_agent_step_is_coordinate_step_to_the_bit(kernels, run, eps):
+    # at the agent's coordinates, the agent_step kernel gives the bits of
+    # the core's step on the whole z, compiled (primal_step) and in numpy
+    # (the clip of core.py's gradient step); the agent reports them on the
+    # kernel and on its numpy reference
     agent, z, coef, signals, lo, hi = run
+    at = list(agent.coords)
     values = kernels.agent_step(agent.coords, z, eps, coef, signals, lo, hi)
-    expected = [
-        coordinate_step(z.item(c), signals.item(c), coef.item(c), lo.item(c),
-                        hi.item(c), eps)
-        for c in agent.coords
-    ]
     assert type(values) is list and {type(v) for v in values} == {float}
-    assert same_bits(values, expected)
-    # the agent's step, on the kernel and on its reference, reports them
+    assert same_bits(values, kernels.primal_step(z, eps, coef, signals, lo, hi)[at])
+    x = PrimalState(z, 0)
+    with np.errstate(all="ignore"):
+        step = z - eps * core.grad_primal(SimpleNamespace(coef=coef), x, None, signals)
+        assert same_bits(values, np.clip(step, lo, hi)[at])
     reports = [agent.step(z, coef, lo, hi, signals, eps, 7)]
-    with numpy_reference():
+    with numpy_reference(), np.errstate(all="ignore"):
         reports.append(agent.step(z, coef, lo, hi, signals, eps, 7))
     for report in reports:
         assert (report.sender, report.iteration_tag) == ("a", 7)
@@ -178,13 +197,16 @@ def test_agent_step_is_coordinate_step_to_the_bit(kernels, run, eps):
 
 @pytest.mark.parametrize("at", [0, 1])
 def test_agent_step_refuses_an_empty_box_as_coordinate_step_does(kernels, at):
+    # the kernel and the agent's numpy reference name the agent's first
+    # empty box, in the same words
     z, zero = np.zeros(3), np.zeros(3)
-    lo, hi = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.5, 1.0])
+    lo, hi = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0])
     lo[at], hi[at] = 0.25, -0.0
-    with pytest.raises(ValueError) as reference:
-        coordinate_step(0.0, 0.0, 0.0, 0.25, -0.0, 5e-4)
+    agent = UserAgent("a", (at, 2))
     with pytest.raises(ValueError) as kernel:
-        kernels.agent_step((at, 2), z, 5e-4, zero, zero, lo, hi)
+        kernels.agent_step(agent.coords, z, 5e-4, zero, zero, lo, hi)
+    with numpy_reference(), pytest.raises(ValueError) as reference:
+        agent.step(z, zero, lo, hi, zero, 5e-4, 1)
     assert str(kernel.value) == str(reference.value) == "empty box: lo 0.25 > hi -0.0"
 
 
@@ -405,10 +427,14 @@ def test_total_cost_sums_in_numpys_order(kernels, n_nodes, n_generators, seed, k
         z = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 2, n)
         if kind == "special" and n:
             z[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0, math.inf, math.nan], 3)
-    x = PrimalState(z, n_nodes)
-    with numpy_reference(), np.errstate(all="ignore"):
-        expected = core.total_cost(SimpleNamespace(coef=coef), x)
-    assert same_bits(kernels.total_cost(coef, z, n_nodes), expected)
+    # record_row fills its total-cost cell as core.total_cost sums
+    records, none = Records(n_generators, 0), np.zeros(0, dtype=np.intp)
+    row = np.zeros(records.width)
+    kernels.record_row(row, records.layout, 0.0, z, n_nodes, coef, np.zeros(0),
+                       np.ones(n_nodes), none, np.zeros(2 * n_nodes), none, 0.0, 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        expected = core.total_cost(SimpleNamespace(coef=coef), PrimalState(z, n_nodes))
+    assert same_bits(row[records.total_cost], expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,7 +502,6 @@ def valid_calls():
     return {
         "primal_step": [z, 5e-4, np.ones(2 * n + G), np.zeros(2 * n + G),
                         np.full(2 * n + G, -1.0), np.ones(2 * n + G)],
-        "total_cost": [np.ones(2 * n + G), z, n],
         "record_row": [np.empty(records.width), records.layout, 0.5, z, n,
                        np.ones(2 * n + G), np.ones(F), np.ones(n),
                        np.array([0, 3], dtype=np.intp), np.ones(2 * n + G),
@@ -536,9 +561,9 @@ SPOILT = [
     ("step_norms", 0, lambda z_new: z_new[:-1], ValueError),
     ("step_norms", 2, noncontiguous, ValueError),
     ("step_norms", 0, lambda z_new: z_new.astype(np.float32), TypeError),
-    ("total_cost", 2, lambda n: 8, ValueError),  # 2 n_nodes > len(z)
-    ("total_cost", 2, lambda n: -1, ValueError),
-    ("total_cost", 1, lambda a: a[:-1], ValueError),
+    ("record_row", 4, lambda n_nodes: 8, ValueError),  # 2 n_nodes > len(z)
+    ("record_row", 4, lambda n_nodes: -1, ValueError),
+    ("record_row", 3, lambda z: z[:-1], ValueError),  # shorter than coef
     ("record_row", 0, lambda row: row[:-1], ValueError),  # the layout overruns it
     ("record_row", 0, lambda row: row.astype(np.float32), TypeError),
     ("record_row", 1, lambda layout: layout[:-1], ValueError),

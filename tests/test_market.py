@@ -37,10 +37,11 @@ from tdcoopt.core import (
 )
 from tdcoopt.market import (
     AgentMessage,
+    GeneratorAgent,
     MessageBus,
     OperatorConfig,
     RoundAbort,
-    coordinate_step,
+    UserAgent,
     operator_step,
     run_market,
 )
@@ -69,25 +70,43 @@ Q_COORD = (0.1, -0.02, 0.02)
 # agent update rules
 # ---------------------------------------------------------------------------
 
+def step(agent, z, prices, coef, lo, hi, eps):
+    """``agent``'s reported values, stepped from ``z`` at ``prices`` with
+    the cost coefficients and boxes ``coef``, ``lo`` and ``hi`` (one entry
+    each per coordinate): on the library's kernel and on the agent's numpy
+    reference, which must agree."""
+    arrays = [np.array(a, dtype=float) for a in (z, coef, lo, hi, prices)]
+    reports = [agent.step(*arrays, eps, 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "library", lambda: None)
+        reports.append(agent.step(*arrays, eps, 1))
+    assert reports[0].payload == reports[1].payload
+    return reports[0].payload
+
+
+def user_step(p, q, price_p, price_q, eps):
+    """A DER owner's ``(p, q)`` after one step, at P_COORD and Q_COORD."""
+    user = UserAgent("u", (0, 1))
+    return step(user, (p, q), (price_p, price_q), *zip(P_COORD, Q_COORD), eps)
+
+
 def test_user_step_arithmetic():
-    # [TRIVIAL] one projected gradient step from (0.01, 0.0), one
-    # coordinate at a time
-    p = coordinate_step(0.01, -1.0, *P_COORD, eps=0.01)
-    q = coordinate_step(0.0, 0.5, *Q_COORD, eps=0.01)
+    # [TRIVIAL] one projected gradient step from (0.01, 0.0)
+    p, q = user_step(0.01, 0.0, -1.0, 0.5, eps=0.01)
     assert p == pytest.approx(0.01 - 0.01 * (2 * 0.01 - 1.0))
     assert q == pytest.approx(max(-0.02, 0.0 - 0.01 * 0.5))
 
 
 def test_user_step_projects_into_box():
-    p = coordinate_step(0.05, -100.0, *P_COORD, eps=1.0)
-    q = coordinate_step(0.02, -100.0, *Q_COORD, eps=1.0)
-    assert (p, q) == (0.05, 0.02)
+    assert user_step(0.05, 0.02, -100.0, -100.0, eps=1.0) == [0.05, 0.02]
 
 
 def test_generator_step():
-    assert coordinate_step(1.0, -4.0, 1.0, 0.0, 10.0, eps=0.1) == pytest.approx(1.2)
+    generator = GeneratorAgent("g", (0,))
+    [P] = step(generator, [1.0], [-4.0], [1.0], [0.0], [10.0], eps=0.1)
+    assert P == pytest.approx(1.2)
     # an offline generator is the box [0, 0]: zero output at any price
-    assert coordinate_step(1.0, -4.0, 1.0, 0.0, 0.0, eps=0.1) == 0.0
+    assert step(generator, [1.0], [-4.0], [1.0], [0.0], [0.0], eps=0.1) == [0.0]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tdcoopt import acpf, core, lindistflow, market, network
+from tdcoopt import _native, acpf, core, lindistflow, market, network
 from tdcoopt.cli import main
 from tdcoopt.core import DerCapacityScale, EngineError, GeneratorOutage
 from tdcoopt.network import serialize_case
@@ -503,6 +503,26 @@ def test_market_engine_scenario_runs(tmp_path):
     )
     result = run_scenario_in_memory(load_scenario(path))
     assert result.iterations == 30
+
+
+@pytest.mark.parametrize("path", ["compiled", "reference"])
+@pytest.mark.parametrize(
+    "name, engine, rounds",
+    [("dispatch9", "core", None), ("dispatch9", "market", None), ("default", "core", 200)],
+    ids=["dispatch9-core", "dispatch9-market", "default-ac"],
+)
+def test_summary_cost_is_the_last_trace_row(tmp_path, monkeypatch, path, name, engine,
+                                            rounds):
+    # the summary's final cost is the last record's, as written to the trace
+    if path == "reference":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    sc = load_scenario(SCENARIOS_DIR / f"{name}.json", {"engine": engine})
+    if rounds is not None:
+        sc = fixed_horizon(sc, rounds)
+    artifacts = run_scenario(sc, out_dir=tmp_path)
+    summary = json.loads(artifacts.summary_path.read_text())
+    last = read_trace(artifacts.trace_path).column("total_cost")[-1]
+    assert summary["final"]["total_cost"] == last
 
 
 def test_scenario_probes_override_trace_column(tmp_path):
