@@ -16,7 +16,8 @@ Layout
 ``acpf``         backward/forward power-flow sweep
 ``core``         `build_problem` (compiles each feeder once; one cost
                  and one box vector over the primal ``z = [p, q, P_M]``),
-                 states, the slack account and the balance it prices,
+                 states, the balance target ``P0_slack`` and the
+                 residual it prices, a round's five values (`Round`),
                  one price array over ``z`` (`der_signals`),
                  the gradients the round steps along, step-size audit,
                  events (applied once, to the compiled problem), the
@@ -47,7 +48,6 @@ from .core import (
     GeneratorOutage,
     Measurement,
     PrimalState,
-    SlackAccount,
     SolveResult,
     SolverConfig,
     StepsizeReport,
@@ -143,7 +143,6 @@ __all__ = [
     "RunArtifacts",
     "Scenario",
     "ScenarioError",
-    "SlackAccount",
     "SolveResult",
     "SolverConfig",
     "StepsizeReport",

@@ -752,9 +752,7 @@ static int exact_index(PyObject *obj, intptr_t n, intptr_t *out)
  *
  * market.UserAgent.step and GeneratorAgent.step: tdcoopt_primal_step at
  * each coordinate of coords (a tuple of exact ints, each in [0, n)), in
- * order, of z and the round's other arrays (n entries each).  An empty
- * box (lo > hi) at a coordinate is a ValueError, as the agents' numpy
- * reference (market._report) raises it. */
+ * order, of z and the round's other arrays (n entries each). */
 static PyObject *agent_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -792,15 +790,6 @@ static PyObject *agent_step(PyObject *self, PyObject *const *args, Py_ssize_t na
     PyObject *values = PyList_New(m);
     for (Py_ssize_t k = 0; values != NULL && k < m; k++) {
         intptr_t i = PyLong_AsSsize_t(PyTuple_GET_ITEM(coords, k));
-        if (lo[i] > hi[i]) {
-            PyObject *low = PyFloat_FromDouble(lo[i]), *high = PyFloat_FromDouble(hi[i]);
-            if (low != NULL && high != NULL)
-                PyErr_Format(PyExc_ValueError, "empty box: lo %R > hi %R", low, high);
-            Py_XDECREF(low);
-            Py_XDECREF(high);
-            Py_CLEAR(values);
-            break;
-        }
         double value;
         tdcoopt_primal_step(1, z + i, eps, coef + i, signals + i, lo + i, hi + i, &value);
         PyObject *item = PyFloat_FromDouble(value);

@@ -38,7 +38,6 @@ from .network import CaseError, DistributionFeeder, parse_case
 from .scenario import (
     ENGINES,
     OracleInfeasible,
-    ScenarioError,
     compare_runs,
     load_scenario,
     probe_oracle,
@@ -170,14 +169,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (
-        ScenarioError,
-        CaseError,
-        EngineError,
-        OracleInfeasible,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (EngineError, OracleInfeasible, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ recorded value.
 
 The transmission level stays lossless: the slack bus supplies whatever the
 generators, feeders, and fixed injections do not.  Its output at the start
-of a run is recorded once (:class:`SlackAccount`), which turns the
+of a run is recorded once (the float ``P0_slack``), which turns the
 power-balance constraint into a deviation-from-start residual that is
 independent of any globally consistent load data; :func:`_balance` is the
 one place that residual is read.
@@ -85,7 +85,6 @@ __all__ = [
     "DivergenceError",
     "PrimalState",
     "DualState",
-    "SlackAccount",
     "SolverConfig",
     "CompiledNetwork",
     "DispatchProblem",
@@ -108,7 +107,6 @@ __all__ = [
     "DerCapacityScale",
     "apply_event",
     "primal_dual_step",
-    "StepOutcome",
     "default_probes",
     "iteration_record",
     "run_rounds",
@@ -180,16 +178,6 @@ class DualState:
 
     lam: float
     mu: np.ndarray
-
-
-@dataclass(frozen=True)
-class SlackAccount:
-    """Recorded slack-bus output; the balance target for the whole run.
-
-    ``P0_slack`` is set exactly once at scenario start.
-    """
-
-    P0_slack: float
 
 
 @dataclass(frozen=True)
@@ -527,7 +515,7 @@ def _dual_gradient(
     y: DualState,
     measurement: Measurement,
     P_M: np.ndarray,
-    account: SlackAccount,
+    P0_slack: float,
     eta: float,
 ) -> tuple[float, np.ndarray, float]:
     """Partial gradients of L in (lambda, mu) at a measurement.
@@ -539,7 +527,7 @@ def _dual_gradient(
     """
     limits, v = network.limits, measurement.v
     dmu = np.concatenate([v - limits.v_max, limits.v_min - v]) - eta * y.mu
-    dlam, residual = _balance(network, y.lam, measurement, P_M, account, eta)
+    dlam, residual = _balance(network, y.lam, measurement, P_M, P0_slack, eta)
     return dlam, dmu, residual
 
 
@@ -548,7 +536,7 @@ def _balance(
     lam: float,
     measurement: Measurement,
     P_M: np.ndarray,
-    account: SlackAccount,
+    P0_slack: float,
     eta: float,
 ) -> tuple[float, float]:
     """``(residual - eta * lam, residual)``: the partial gradient of L in
@@ -559,7 +547,7 @@ def _balance(
     start.  The one copy of the balance residual: every round, round 0
     included, reads it here.
     """
-    residual = account.P0_slack - _implied_slack(network, P_M, measurement.P_L)
+    residual = P0_slack - _implied_slack(network, P_M, measurement.P_L)
     return residual - eta * lam, residual
 
 
@@ -577,7 +565,7 @@ def dual_update(
     y: DualState,
     measurement: Measurement,
     P_M: np.ndarray,
-    account: SlackAccount,
+    P0_slack: float,
     eps: float,
     eta: float,
 ) -> tuple[DualState, float]:
@@ -594,10 +582,10 @@ def dual_update(
         limits = network.limits
         mu, lam, residual = kernels.dual_step(
             y.mu, measurement.v, limits.v_min, limits.v_max, eps, eta, y.lam,
-            measurement.P_L, P_M, account.P0_slack, network.fixed_injection,
+            measurement.P_L, P_M, P0_slack, network.fixed_injection,
         )
         return DualState(lam, mu), residual
-    dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, account, eta)
+    dlam, dmu, residual = _dual_gradient(network, y, measurement, P_M, P0_slack, eta)
     mu = np.maximum(y.mu + eps * dmu, 0.0)
     return DualState(lam=y.lam + eps * dlam, mu=mu), residual
 
@@ -605,10 +593,6 @@ def dual_update(
 # ---------------------------------------------------------------------------
 # Lagrangian and gradients
 # ---------------------------------------------------------------------------
-
-# the balance target when no slack account is given
-_ZERO_SLACK = SlackAccount(P0_slack=0.0)
-
 
 def total_cost(problem: DispatchProblem, x: PrimalState) -> float:
     """Generation cost plus DER cost at the given primal state.
@@ -627,12 +611,12 @@ def eval_lagrangian(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount = _ZERO_SLACK,
+    P0_slack: float = 0.0,
     eta: float = 0.0,
 ) -> float:
     """The regularized Lagrangian, with the affine feeder model throughout;
     each dual multiplies its constraint, :func:`grad_dual` at ``eta = 0``."""
-    balance, g = grad_dual(problem, x, y, account)
+    balance, g = grad_dual(problem, x, y, P0_slack)
     value = total_cost(problem, x) + float(y.mu @ g) + y.lam * balance
     if eta:
         value -= 0.5 * eta * (y.lam * y.lam + float(y.mu @ y.mu))
@@ -662,7 +646,7 @@ def grad_dual(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount = _ZERO_SLACK,
+    P0_slack: float = 0.0,
     eta: float = 0.0,
     measurement: Measurement | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -670,17 +654,17 @@ def grad_dual(
     default the affine model's at ``x``."""
     if measurement is None:
         measurement = measure(problem, x)
-    return _dual_gradient(problem.network, y, measurement, x.P_M, account, eta)[:2]
+    return _dual_gradient(problem.network, y, measurement, x.P_M, P0_slack, eta)[:2]
 
 
 def kkt_residual(
-    problem: DispatchProblem, x: PrimalState, y: DualState, account: SlackAccount
+    problem: DispatchProblem, x: PrimalState, y: DualState, P0_slack: float
 ) -> dict[str, float]:
     """The KKT residuals at ``(x, y)``, read from :func:`grad_primal` and
     :func:`grad_dual` (the affine model, ``eta = 0``): each of the five is
     zero exactly at a saddle of the ``eta = 0`` problem."""
     grad = grad_primal(problem, x, y)
-    balance, g = grad_dual(problem, x, y, account)
+    balance, g = grad_dual(problem, x, y, P0_slack)
     projected = x.z - np.clip(x.z - grad, problem.lo, problem.hi)
     return {
         "projected gradient": _max_abs(projected),
@@ -888,53 +872,48 @@ def apply_event(
 # one round, and the full iteration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Everything produced by one primal-dual round."""
-
-    x: PrimalState
-    y: DualState
-    measurement: Measurement
-    balance_residual: float
+# A round's five values ``(x, y, measurement, residual, prices)``: the primal
+# state, the new duals, the measurement at ``x``, the balance residual that
+# drove the price, and the prices over ``z`` of the new duals.
+Round = tuple[PrimalState, DualState, Measurement, float, np.ndarray]
 
 
 def settle(
     network: CompiledNetwork,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount,
+    P0_slack: float,
     cfg: SolverConfig,
     iteration: int | None,
     warm: np.ndarray | None,
-) -> tuple[StepOutcome, np.ndarray]:
+) -> Round:
     """The round's network half: measure at ``x``, step the duals, reprice.
 
     Takes only what the market operator may know, the network (no DER
-    data).  Returns the round's outcome and the prices over ``z`` of the
-    new duals.
+    data).  Returns the round's five values (:data:`Round`).
     """
     meas = measure_feeders(network, x.p, x.q, cfg.feedback, warm, iteration)
-    y_new, residual = dual_update(network, y, meas, x.P_M, account, cfg.eps, cfg.eta)
+    y_new, residual = dual_update(network, y, meas, x.P_M, P0_slack, cfg.eps, cfg.eta)
     prices = der_signals(network, y_new, cfg.zero_lambda_to_ders)
-    outcome = StepOutcome(x=x, y=y_new, measurement=meas, balance_residual=residual)
-    return outcome, prices
+    return x, y_new, meas, residual, prices
 
 
 def primal_dual_step(
     problem: DispatchProblem,
     x: PrimalState,
     y: DualState,
-    account: SlackAccount,
+    P0_slack: float,
     cfg: SolverConfig,
     iteration: int | None,
     warm: np.ndarray | None,
     signals: np.ndarray,
-) -> tuple[StepOutcome, np.ndarray]:
+) -> Round:
     """One synchronous round: primal moves, network response, dual moves.
 
     The primal vector steps along :func:`grad_primal` from the round's
     prices ``signals``, projected; :func:`settle` then moves the
-    duals along the gradient :func:`grad_dual` returns and prices them.
+    duals along the gradient :func:`grad_dual` returns, prices them and
+    returns the round's five values.
     """
     kernels = _native.library()
     if kernels is None:
@@ -945,7 +924,7 @@ def primal_dual_step(
             x.z, cfg.eps, problem.coef, signals, problem.lo, problem.hi
         )
     x_new = PrimalState(z, x.n_nodes)
-    return settle(problem.network, x_new, y, account, cfg, iteration, warm)
+    return settle(problem.network, x_new, y, P0_slack, cfg, iteration, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1020,7 @@ class SolveResult:
     x: PrimalState
     y: DualState
     records: Records
-    account: SlackAccount
+    P0_slack: float  # the balance target the run held
     phases: tuple[Phase, ...]
     history: list[tuple[PrimalState, DualState]] | None = None
     stepsize: StepsizeReport | None = None
@@ -1057,9 +1036,9 @@ class SolveResult:
 
 
 # One round of an engine, called as :func:`primal_dual_step`: it runs round
-# ``t`` from the prices ``signals`` of the current duals and returns its
-# outcome plus the prices of the new duals.
-Step = Callable[..., tuple[StepOutcome, np.ndarray]]
+# ``t`` from the prices ``signals`` of the current duals and returns the
+# round's five values (:data:`Round`).
+Step = Callable[..., Round]
 
 
 def run_rounds(
@@ -1067,7 +1046,7 @@ def run_rounds(
     cfg: SolverConfig,
     x: PrimalState | None,
     y: DualState | None,
-    account: SlackAccount | None,
+    P0_slack: float | None,
     events: tuple,
     probes: tuple[int, ...] | None,
     step: Step,
@@ -1079,7 +1058,7 @@ def run_rounds(
     each one (:func:`apply_event`; one iteration's in list order, starting a
     :class:`Phase`) and hands ``step`` the changed problem, the only copy of
     the limits either engine reads.  Step norms are measured from the state
-    after the event.  Without an explicit slack account, the implied slack
+    after the event.  Without an explicit ``P0_slack``, the implied slack
     output at the start is recorded and held as the balance target.
     ``probes`` holds one node position per feeder, counted within it
     (:func:`default_probes` when ``None``); ``x`` and ``y`` are
@@ -1134,9 +1113,9 @@ def run_rounds(
     records = Records(problem.n_generators, len(problem.models))
     try:
         meas = measure(problem, x, feedback=cfg.feedback, iteration=0)
-        if account is None:
-            account = SlackAccount(_implied_slack(problem.network, x.P_M, meas.P_L))
-        residual = _balance(problem.network, y.lam, meas, x.P_M, account, cfg.eta)[1]
+        if P0_slack is None:
+            P0_slack = _implied_slack(problem.network, x.P_M, meas.P_L)
+        residual = _balance(problem.network, y.lam, meas, x.P_M, P0_slack, cfg.eta)[1]
         signals = der_signals(problem.network, y, cfg.zero_lambda_to_ders)
 
         iteration_record(
@@ -1152,13 +1131,12 @@ def run_rounds(
                 for event in schedule[t]:
                     problem, x = apply_event(problem, x, event)
                 starts.append((t, problem))
-            outcome, signals = step(problem, x, y, account, cfg, t, warm, signals)
-
-            step_primal, step_dual, worst = _step_norms(
-                outcome.x, x, outcome.y, y, cfg.eps
+            x_new, y_new, meas, residual, signals = step(
+                problem, x, y, P0_slack, cfg, t, warm, signals
             )
-            x, y = outcome.x, outcome.y
-            warm = outcome.measurement.v
+            step_primal, step_dual, worst = _step_norms(x_new, x, y_new, y, cfg.eps)
+            x, y = x_new, y_new
+            warm = meas.v
             executed = t
 
             bound = cfg.divergence_limit
@@ -1174,8 +1152,8 @@ def run_rounds(
                 problem,
                 x,
                 y,
-                outcome.measurement,
-                outcome.balance_residual,
+                meas,
+                residual,
                 signals,
                 at_probe,
                 step_primal,
@@ -1189,7 +1167,7 @@ def run_rounds(
             if (
                 step_primal < cfg.tol
                 and step_dual < cfg.tol
-                and abs(outcome.balance_residual) < cfg.tol
+                and abs(residual) < cfg.tol
                 and t >= last_event
             ):
                 status = "converged"
@@ -1205,7 +1183,7 @@ def run_rounds(
         x=x,
         y=y,
         records=records,
-        account=account,
+        P0_slack=P0_slack,
         phases=tuple(Phase(f, last, p) for (f, p), last in zip(starts, lasts)),
         history=history,
         stepsize=report,
@@ -1217,7 +1195,7 @@ def solve(
     cfg: SolverConfig,
     x0: PrimalState | None = None,
     y0: DualState | None = None,
-    account: SlackAccount | None = None,
+    P0_slack: float | None = None,
     events: tuple = (),
     probes: tuple[int, ...] | None = None,
 ) -> SolveResult:
@@ -1225,7 +1203,7 @@ def solve(
 
     The caller's ``problem`` is not modified, events included.
     """
-    return run_rounds(problem, cfg, x0, y0, account, events, probes, primal_dual_step)
+    return run_rounds(problem, cfg, x0, y0, P0_slack, events, probes, primal_dual_step)
 
 
 def _step_norms(

@@ -62,10 +62,9 @@ from .core import (
     DualState,
     EngineError,
     PrimalState,
-    SlackAccount,
+    Round,
     SolveResult,
     SolverConfig,
-    StepOutcome,
     der_signals,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     dual_update,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
@@ -196,19 +195,14 @@ def _report(
     The arrays are the round's float64 arrays over ``z``.  One kernel call
     (``agent_step``) steps every coordinate; where no library loads, the
     core's numpy primal step (:func:`~tdcoopt.core.primal_dual_step`) runs
-    on the agent's entries.  Either refuses an empty box (``lo > hi``) at
-    one of them with a ``ValueError``.
+    on the agent's entries.
     """
     kernels = _native.library()
     if kernels is not None:
         values = kernels.agent_step(agent.coords, z, eps, coef, prices, lo, hi)
     else:
-        # a loop, not a comprehension: one would make a cell of each
-        # argument on every call, the kernel's included (~3 us a round)
+        # no comprehension in this function: its cells cost ~3 us a round
         c = list(agent.coords)
-        for k in c:
-            if lo.item(k) > hi.item(k):
-                raise ValueError(f"empty box: lo {lo.item(k)} > hi {hi.item(k)}")
         step = z[c] - eps * (2.0 * coef[c] * z[c] + prices[c])
         values = np.clip(step, lo[c], hi[c]).tolist()
     return AgentMessage("setpoint-report", agent.name, tag, values)
@@ -281,18 +275,19 @@ def operator_step(
     reports: list[AgentMessage],
     y: DualState,
     cfg: OperatorConfig,
-    account: SlackAccount,
+    P0_slack: float,
     tag: int,
     warm: np.ndarray | None = None,
-) -> tuple[StepOutcome, np.ndarray]:
+) -> Round:
     """File the round's reports, then settle it (:func:`~tdcoopt.core.settle`).
 
     Each report's values are placed at the coordinates the roster holds
-    for its sender.  Returns the round's outcome (reported setpoints, new
-    duals, and the measurement they rest on) and the fresh prices over
-    ``z``.  A stale, duplicated or missing report, one from a sender off
-    the roster, or one that is not a list of as many finite floats as the
-    sender has coordinates aborts the round.  One kernel call
+    for its sender.  Returns the round's five values
+    (:data:`~tdcoopt.core.Round`): the reported setpoints, the new duals,
+    the measurement they rest on, the balance residual and the fresh
+    prices over ``z``.  A stale, duplicated or missing report, one from a
+    sender off the roster, or one that is not a list of as many finite
+    floats as the sender has coordinates aborts the round.  One kernel call
     (``file_reports``) files a round it accepts; any other round, or every
     round where no library loads, goes through :func:`_file_reports`,
     which accepts the same rounds and names what is wrong with the others.
@@ -305,7 +300,7 @@ def operator_step(
     )
     if z is None:
         z = _file_reports(reports, cfg, tag)
-    return settle(network, PrimalState(z, n), y, account, cfg.solver, tag, warm)
+    return settle(network, PrimalState(z, n), y, P0_slack, cfg.solver, tag, warm)
 
 
 def _file_reports(
@@ -387,7 +382,7 @@ def run_market(
     events: tuple = (),
     x0: PrimalState | None = None,
     y0: DualState | None = None,
-    account: SlackAccount | None = None,
+    P0_slack: float | None = None,
     probes: tuple[int, ...] | None = None,
     bus: MessageBus | None = None,
 ) -> SolveResult:
@@ -425,7 +420,7 @@ def run_market(
         problem.network, {a.name: a.coords for a in agents}, cfg
     )
 
-    def step(problem, x, y, account, cfg, t, warm, signals):
+    def step(problem, x, y, P0_slack, cfg, t, warm, signals):
         if t == 1:  # the opening broadcast, at the starting duals
             bus.publish(AgentMessage("signal-broadcast", "operator", 0, signals))
 
@@ -444,17 +439,16 @@ def run_market(
         for agent in agents:
             publish(agent.step(z, coef, lo, hi, prices, eps, t))
 
-        outcome, signals = operator_step(
-            bus.collect("setpoint-report", t), y, op_cfg, account, tag=t, warm=warm
+        x, y, meas, residual, signals = operator_step(
+            bus.collect("setpoint-report", t), y, op_cfg, P0_slack, tag=t, warm=warm
         )
         if bus.record:  # observer messages, for the journal only
-            meas = outcome.measurement
             for k, model in enumerate(models):
                 pf = {"feeder": k, "v": meas.v[model.span], "P_L": float(meas.P_L[k])}
                 publish(AgentMessage("pf-result", "operator", t, pf))
-            dual = {"lambda": outcome.y.lam, "residual": outcome.balance_residual}
+            dual = {"lambda": y.lam, "residual": residual}
             publish(AgentMessage("dual-update", "operator", t, dual))
         publish(AgentMessage("signal-broadcast", "operator", t, signals))
-        return outcome, signals
+        return x, y, meas, residual, signals
 
-    return run_rounds(problem, cfg, x0, y0, account, events, probes, step)
+    return run_rounds(problem, cfg, x0, y0, P0_slack, events, probes, step)

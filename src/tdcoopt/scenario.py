@@ -37,7 +37,6 @@ from .core import (
     EngineError,
     GeneratorOutage,
     PrimalState,
-    SlackAccount,
     SolveResult,
     SolverConfig,
     _max_abs,
@@ -124,7 +123,7 @@ class Scenario:
     events: tuple[GeneratorOutage | DerCapacityScale, ...]
     init_mode: str = "midbox"
     init_P_M: tuple[float, ...] | None = None
-    account: SlackAccount | None = None  # None: record it at the start
+    P0_slack: float | None = None  # balance target; None: record it at start
     probes: dict[str, int] | None = None  # feeder id -> probe node id
     seed: int | None = None
 
@@ -245,7 +244,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
     refuse_unknown(slack, _KEYS["slack"], f"{name}: slack")
     slack_mode = choice(slack, "mode", name, SLACK_MODES, "record", "slack mode")
     slack_value = real(slack, "value", f"{name}: slack", 0.0)
-    account = SlackAccount(slack_value) if slack_mode == "explicit" else None
+    P0_slack = slack_value if slack_mode == "explicit" else None
 
     probes = section(raw, "probes", name, None)
     if probes is not None:
@@ -272,7 +271,7 @@ def _read_scenario(raw: dict, path: Path, overrides: dict) -> Scenario:
         events=tuple(events),
         init_mode=init_mode,
         init_P_M=init_P_M,
-        account=account,
+        P0_slack=P0_slack,
         probes=probes,
         seed=seed,
     )
@@ -533,20 +532,19 @@ class OracleReport:
     coordinate_gap_inf: float
     engine_feasibility: float  # the largest band violation at the engine point
     point_oracle: dict
-    point_engine: dict
     converged: bool
     iterations: int
 
 
 def exact_saddle(
-    problem: DispatchProblem, account: SlackAccount
+    problem: DispatchProblem, P0_slack: float
 ) -> tuple[PrimalState, DualState]:
     """The optimum ``z*`` of the affine-model dispatch and its multipliers.
 
     Minimises ``sum(coef * z * z)`` over the boxes, subject to a zero
-    balance residual against ``account`` and the affine model's voltage
-    band: a strictly convex QP on the free coordinates (``hi > lo``, each
-    of which carries a cost).  A Mehrotra predictor-corrector interior
+    balance residual against the target ``P0_slack`` and the affine
+    model's voltage band: a strictly convex QP on the free coordinates
+    (``hi > lo``, each of which carries a cost).  A Mehrotra predictor-corrector interior
     point (Nocedal & Wright, *Numerical Optimization*, ch. 16) identifies
     the active rows, those whose multiplier exceeds their slack; one KKT
     solve with them held as equalities gives the point exact to rounding,
@@ -565,8 +563,8 @@ def exact_saddle(
     z = np.where(problem.hi > problem.lo, 0.0, problem.lo)
     pinned, zero = PrimalState(z, N), DualState(lam=0.0, mu=np.zeros(2 * N))
     if n == 0:
-        return _certified(problem, pinned, zero, account)
-    balance, g = grad_dual(problem, pinned, zero, account)
+        return _certified(problem, pinned, zero, P0_slack)
+    balance, g = grad_dual(problem, pinned, zero, P0_slack)
     # on the free coordinates x: the band v = v(pinned) + V x and the
     # balance residual a x - b.  A row of V is the round's prices
     # (``der_signals``) of a unit upper-band multiplier, ``a`` those of a
@@ -629,14 +627,14 @@ def exact_saddle(
     band = rows < 2 * N
     mu[rows[band]] = sol[n + 1 :][band]
     ys = DualState(lam=float(sol[n]), mu=mu)
-    return _certified(problem, PrimalState(z, N), ys, account)
+    return _certified(problem, PrimalState(z, N), ys, P0_slack)
 
 
 def _certified(
-    problem: DispatchProblem, x: PrimalState, y: DualState, account: SlackAccount
+    problem: DispatchProblem, x: PrimalState, y: DualState, P0_slack: float
 ) -> tuple[PrimalState, DualState]:
     """``(x, y)``, once each KKT residual there is at most 1e-10."""
-    for name, value in kkt_residual(problem, x, y, account).items():
+    for name, value in kkt_residual(problem, x, y, P0_slack).items():
         if not value <= 1e-10:  # NaN fails too
             raise OracleInfeasible(f"no certified optimum: {name} {value:.3g}")
     return x, y
@@ -653,17 +651,17 @@ def probe_oracle(scenario: Scenario) -> OracleReport:
 
     Runs the scenario's engine on the affine feeder model (linear
     feedback, the model the oracle solves) and solves the problem its last
-    round stepped on against its own slack account (:func:`exact_saddle`).
+    round stepped on against its own balance target (:func:`exact_saddle`).
     The report says whether that run converged; the relative gap is
     infinite where only the engine's point has a cost.
     """
     linear = replace(scenario, config=replace(scenario.config, feedback="linear"))
     run = run_scenario_in_memory(linear)
     problem = run.problem
-    oracle, _ = exact_saddle(problem, run.account)
+    oracle, _ = exact_saddle(problem, run.P0_slack)
     best, engine = total_cost(problem, oracle), total_cost(problem, run.x)
     gap = abs(engine - best)
-    residual = kkt_residual(problem, run.x, run.y, run.account)
+    residual = kkt_residual(problem, run.x, run.y, run.P0_slack)
     return OracleReport(
         objective_oracle=best,
         objective_engine=engine,
@@ -671,7 +669,6 @@ def probe_oracle(scenario: Scenario) -> OracleReport:
         coordinate_gap_inf=_max_abs(run.x.z - oracle.z),
         engine_feasibility=residual["band violation"],
         point_oracle=_point(oracle),
-        point_engine=_point(run.x),
         converged=run.converged,
         iterations=run.iterations,
     )
@@ -711,7 +708,7 @@ def run_scenario_in_memory(
             scenario.config,
             x0=x0,
             y0=y0,
-            account=scenario.account,
+            P0_slack=scenario.P0_slack,
             events=scenario.events,
             probes=probes,
         )
@@ -721,6 +718,6 @@ def run_scenario_in_memory(
         events=scenario.events,
         x0=x0,
         y0=y0,
-        account=scenario.account,
+        P0_slack=scenario.P0_slack,
         probes=probes,
     )

@@ -15,7 +15,6 @@ import tdcoopt
 from tdcoopt import _native
 from tdcoopt.core import (
     PrimalState,
-    SlackAccount,
     SolverConfig,
     build_problem,
     check_stepsize,
@@ -248,7 +247,7 @@ def random_small_instance(seed: int) -> Scenario:
         engine="core",
         events=(),
         init_mode="setpoint",
-        account=SlackAccount(0.0),
+        P0_slack=0.0,
     )
 
 

@@ -21,7 +21,6 @@ from tdcoopt.core import (
     DivergenceError,
     DualState,
     PrimalState,
-    SlackAccount,
     SolverConfig,
     build_problem,
     check_stepsize,
@@ -95,7 +94,7 @@ def test_criterion_1_gradients_match_finite_differences():
     )
     system = attach_feeders(ts, [feeder_a, feeder_b])
     problem = build_problem(system, VoltageLimits(0.95, 1.05))
-    account = SlackAccount(P0_slack=0.3)
+    P0_slack = 0.3
     eta = 0.07
     h = 1e-6
     n_states = 120
@@ -126,7 +125,7 @@ def test_criterion_1_gradients_match_finite_differences():
         d_mu = rng.normal(size=2 * n_nodes)
 
         dx = grad_primal(problem, x, y)
-        dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
+        dlam, dmu = grad_dual(problem, x, y, P0_slack=P0_slack, eta=eta)
         analytic = float(dx @ d_x) + dlam * d_lam + float(dmu @ d_mu)
 
         def shifted(sign: float):
@@ -135,7 +134,7 @@ def test_criterion_1_gradients_match_finite_differences():
                 lam=y.lam + sign * h * d_lam,
                 mu=y.mu + sign * h * d_mu,
             )
-            return eval_lagrangian(problem, xs, ys, account=account, eta=eta)
+            return eval_lagrangian(problem, xs, ys, P0_slack=P0_slack, eta=eta)
 
         fd = (shifted(+1.0) - shifted(-1.0)) / (2.0 * h)
         rel = abs(fd - analytic) / max(1.0, abs(analytic))
@@ -293,7 +292,7 @@ def test_criterion_5_stepsize_certificate():
     # so P* = 2 / (1 + 2 eta) and lam* = -2 P*
     P_star = 2.0 / (1.0 + 2.0 * eta)
     lam_star = -2.0 * P_star
-    account = SlackAccount(P0_slack=0.0)
+    P0_slack = 0.0
 
     def distances(history):
         return np.array(
@@ -311,7 +310,7 @@ def test_criterion_5_stepsize_certificate():
         record_state=True,
     )
     x0, y0 = initial_state(problem, "explicit", P_M=np.array([5.0]))
-    res = solve(problem, cfg_good, x0=x0, y0=y0, account=account)
+    res = solve(problem, cfg_good, x0=x0, y0=y0, P0_slack=P0_slack)
     d = distances(res.history)
     max_increase = float(np.max(np.diff(d)))
 
@@ -319,7 +318,7 @@ def test_criterion_5_stepsize_certificate():
     x1 = PrimalState(np.array([P_star]), 0)
     y1 = DualState(lam=lam_star + 1.0, mu=np.zeros(0))
     try:
-        res_bad = solve(problem, cfg_bad, x0=x1, y0=y1, account=account)
+        res_bad = solve(problem, cfg_bad, x0=x1, y0=y1, P0_slack=P0_slack)
         d_bad = distances(res_bad.history)
         finite = bool(np.all(np.isfinite(d_bad)))
         bad_note = (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from tdcoopt.core import (
     GeneratorOutage,
     Measurement,
     PrimalState,
-    SlackAccount,
     SolverConfig,
     apply_event,
     build_problem,
@@ -240,10 +240,10 @@ def test_dual_update_arithmetic(limits):
     # balance residual
     meas = Measurement(v=np.array([1.06]), P_L=np.array([0.3]))
     y = DualState(lam=0.0, mu=np.array([0.02, 0.03]))
-    account = SlackAccount(P0_slack=1.1)  # matches P_M=1.2, P_L=0.3
+    P0_slack = 1.1  # matches P_M=1.2, P_L=0.3
     network = one_node_network(limits)
     y_new, residual = dual_update(
-        network, y, meas, np.array([1.2]), account, eps=0.1, eta=0.5
+        network, y, meas, np.array([1.2]), P0_slack, eps=0.1, eta=0.5
     )
     assert residual == pytest.approx(0.0)
     # g = [1.06 - 1.05, 0.95 - 1.06] = [0.01, -0.11]
@@ -252,7 +252,7 @@ def test_dual_update_arithmetic(limits):
     assert y_new.lam == pytest.approx(0.0)
 
     y_up, residual_up = dual_update(
-        network, y, meas, np.array([1.7]), account, eps=0.1, eta=0.0
+        network, y, meas, np.array([1.7]), P0_slack, eps=0.1, eta=0.0
     )
     assert residual_up == pytest.approx(0.5)  # over-supply by 0.5
     assert y_up.lam == pytest.approx(0.05)
@@ -261,9 +261,9 @@ def test_dual_update_arithmetic(limits):
 def test_dual_update_clamps_at_zero(limits):
     meas = Measurement(v=np.array([1.0]), P_L=np.array([0.0]))
     y = DualState(lam=0.0, mu=np.zeros(2))
-    account = SlackAccount(P0_slack=0.0)
+    P0_slack = 0.0
     y_new, _ = dual_update(
-        one_node_network(limits), y, meas, np.zeros(1), account, 0.1, 0.0
+        one_node_network(limits), y, meas, np.zeros(1), P0_slack, 0.1, 0.0
     )
     assert np.all(y_new.mu >= 0.0)
     np.testing.assert_allclose(y_new.mu, 0.0)  # violations are negative
@@ -368,11 +368,11 @@ def test_dual_update_never_makes_a_negative_zero(steps, eps, eta):
     # der_signals' shortcut relies on mu holding no -0.0; voltages drawn on
     # the band edges make zero violations, large steps make clamping
     network = one_node_network(VoltageLimits(0.95, 1.05))
-    account = SlackAccount(P0_slack=0.0)
+    P0_slack = 0.0
     y = DualState(lam=0.0, mu=np.zeros(6))
     for v in steps:
         meas = Measurement(v=np.array(v), P_L=np.zeros(1))
-        y, _ = dual_update(network, y, meas, np.zeros(1), account, eps, eta)
+        y, _ = dual_update(network, y, meas, np.zeros(1), P0_slack, eps, eta)
         assert not np.signbit(y.mu).any(), y.mu
 
 
@@ -497,7 +497,7 @@ def test_gradients_match_finite_differences(limits, rng):
         make_system(n_feeders=1, gen_specs=[(1, 1.0), (2, 1.5)]), limits
     )
     eta = 0.07
-    account = SlackAccount(P0_slack=0.4)
+    P0_slack = 0.4
     x = primal(
         rng.uniform(-0.01, 0.01, problem.n_nodes),
         rng.uniform(-0.01, 0.01, problem.n_nodes),
@@ -506,10 +506,10 @@ def test_gradients_match_finite_differences(limits, rng):
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 6))
 
     dx = grad_primal(problem, x, y)
-    dlam, dmu = grad_dual(problem, x, y, account=account, eta=eta)
+    dlam, dmu = grad_dual(problem, x, y, P0_slack=P0_slack, eta=eta)
 
     def L(x_, y_):
-        return eval_lagrangian(problem, x_, y_, account=account, eta=eta)
+        return eval_lagrangian(problem, x_, y_, P0_slack=P0_slack, eta=eta)
 
     h = 1e-6
     assert len(dx) == len(x.z) == 2 * problem.n_nodes + 2
@@ -542,7 +542,7 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     cfg = SolverConfig(
         eps=eps, eta=eta, feedback=feedback, zero_lambda_to_ders=zero_lambda
     )
-    account = SlackAccount(P0_slack=0.4)
+    P0_slack = 0.4
     N = problem.n_nodes
     x = primal(
         rng.uniform(problem.lo[:N], problem.hi[:N]),
@@ -552,8 +552,8 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     y = DualState(lam=-0.8, mu=rng.uniform(0.0, 0.5, 2 * problem.n_nodes))
 
     signals = der_signals(problem.network, y, zero_lambda=zero_lambda)
-    out, prices = primal_dual_step(
-        problem, x, y, account, cfg, iteration=t, warm=None, signals=signals
+    x_new, y_new, meas, balance_residual, prices = primal_dual_step(
+        problem, x, y, P0_slack, cfg, iteration=t, warm=None, signals=signals
     )
 
     if zero_lambda:
@@ -561,22 +561,21 @@ def test_round_steps_along_the_checked_gradients(limits, rng, feedback, zero_lam
     else:
         dx = grad_primal(problem, x, y)
     np.testing.assert_array_equal(
-        out.x.z, np.clip(x.z - eps * dx, problem.lo, problem.hi)
+        x_new.z, np.clip(x.z - eps * dx, problem.lo, problem.hi)
     )
     # and reprices the new duals as the round's next prices
     np.testing.assert_array_equal(
-        prices, der_signals(problem.network, out.y, zero_lambda=zero_lambda)
+        prices, der_signals(problem.network, y_new, zero_lambda=zero_lambda)
     )
 
-    meas = out.measurement
     dlam, dmu = grad_dual(
-        problem, out.x, y, account=account, eta=eta, measurement=meas
+        problem, x_new, y, P0_slack=P0_slack, eta=eta, measurement=meas
     )
-    np.testing.assert_array_equal(out.y.mu, np.maximum(y.mu + eps * dmu, 0.0))
-    assert out.y.lam == y.lam + eps * dlam
+    np.testing.assert_array_equal(y_new.mu, np.maximum(y.mu + eps * dmu, 0.0))
+    assert y_new.lam == y.lam + eps * dlam
     # without the regularization the price gradient is the residual itself
-    residual, _ = grad_dual(problem, out.x, y, account=account, measurement=meas)
-    assert out.balance_residual == residual
+    residual, _ = grad_dual(problem, x_new, y, P0_slack=P0_slack, measurement=meas)
+    assert balance_residual == residual
 
 
 def test_eval_lagrangian_regularization(limits, rng):
@@ -811,6 +810,30 @@ def test_der_capacity_scale_needs_a_finite_positive_factor(factor):
         DerCapacityScale(iteration=5, factor=factor)
 
 
+EVENTS = st.one_of(
+    # bus 1 and bus 2 host the generators; an outage may trip one twice
+    st.builds(GeneratorOutage, st.just(1), st.sampled_from([1, 2])),
+    st.builds(DerCapacityScale, st.just(1), st.floats(5e-324, sys.float_info.max)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(EVENTS, max_size=6))
+@example(events=[DerCapacityScale(1, sys.float_info.max)] * 3 + [GeneratorOutage(1, 2)])
+@example(events=[DerCapacityScale(1, 5e-324)] * 3)
+def test_no_event_empties_a_box_or_makes_a_nan_bound(events):
+    # run_rounds checks the boxes once, before round 1: an outage pins
+    # [0, 0], and a finite positive rescale keeps lo <= hi, since IEEE
+    # multiplication is monotone (a 1e308 one overflows edges to ±inf)
+    problem = build_problem(make_system(n_feeders=2), VoltageLimits(0.95, 1.05))
+    x, _ = initial_state(problem)
+    with np.errstate(over="ignore"):
+        for event in events:
+            problem, x = apply_event(problem, x, event)
+            assert not np.isnan(problem.lo).any() and not np.isnan(problem.hi).any()
+            assert (problem.lo <= problem.hi).all()
+
+
 @pytest.mark.parametrize("iteration", [0, -3, True, 5.0, np.int64(5), None])
 @pytest.mark.parametrize(
     "make", [lambda t: GeneratorOutage(t, bus_id=2), lambda t: DerCapacityScale(t, 2.0)]
@@ -838,7 +861,7 @@ def test_round_zero_records_the_implied_slack():
     # P_M = 1.2 and no feeder the implied slack output is 0 - 1.2 + 2.0
     problem = dispatch_only([(1, 1.0)])
     res = solve(problem, SolverConfig(max_iter=0), x0=PrimalState(np.array([1.2]), 0))
-    assert res.account.P0_slack == pytest.approx(0.8)
+    assert res.P0_slack == pytest.approx(0.8)
     assert res.records[0].slack_residual == 0.0
     # a feeder's head draw adds to it
     problem = build_problem(
@@ -847,7 +870,7 @@ def test_round_zero_records_the_implied_slack():
     x, _ = initial_state(problem)
     res = solve(problem, SolverConfig(max_iter=0), x0=x)
     P_L = measure(problem, x).P_L
-    assert res.account.P0_slack == pytest.approx(P_L[0] - x.P_M[0] + 2.0)
+    assert res.P0_slack == pytest.approx(P_L[0] - x.P_M[0] + 2.0)
     assert res.records[0].slack_residual == 0.0
 
 
@@ -857,16 +880,16 @@ def test_balance_residual_sign_convention():
         make_system(n_feeders=1, gen_specs=[(1, 1.0)]), VoltageLimits(0.95, 1.05)
     )
     x, y = initial_state(problem)
-    account = solve(problem, SolverConfig(max_iter=0), x0=x, y0=y).account
-    assert grad_dual(problem, x, y, account)[0] == 0.0
+    P0_slack = solve(problem, SolverConfig(max_iter=0), x0=x, y0=y).P0_slack
+    assert grad_dual(problem, x, y, P0_slack)[0] == 0.0
     z = x.z.copy()
     z[-1] += 0.25  # the one generator
     raised = PrimalState(z, x.n_nodes)
-    assert grad_dual(problem, raised, y, account)[0] == pytest.approx(0.25)
+    assert grad_dual(problem, raised, y, P0_slack)[0] == pytest.approx(0.25)
     # extra feeder draw under-supplies
     meas = measure(problem, x)
     drawn = Measurement(v=meas.v, P_L=meas.P_L + 0.1)
-    balance = grad_dual(problem, x, y, account, measurement=drawn)[0]
+    balance = grad_dual(problem, x, y, P0_slack, measurement=drawn)[0]
     assert balance == pytest.approx(-0.1)
 
 
@@ -881,20 +904,19 @@ def test_slack_bus_p0_excluded_from_fixed_injection():
     # the slack bus's own p0 must not enter the balance
     assert problem.network.fixed_injection == -2.0
     res = solve(problem, SolverConfig(max_iter=0), x0=PrimalState(np.array([1.2]), 0))
-    assert res.account.P0_slack == pytest.approx(0.8)
+    assert res.P0_slack == pytest.approx(0.8)
 
 
 def test_the_run_leaves_its_slack_account_unchanged():
-    account = SlackAccount(P0_slack=0.5)
+    P0_slack = 0.5
     problem = dispatch_only([(1, 1.0)])
     x, y = PrimalState(np.array([0.7]), 0), DualState(lam=0.0, mu=np.zeros(0))
-    first = grad_dual(problem, x, y, account)[0]
+    first = grad_dual(problem, x, y, P0_slack)[0]
     assert first == pytest.approx(0.5 - (2.0 - 0.7))
     cfg = SolverConfig(eps=0.05, max_iter=20, tol=0.0)
-    res = solve(problem, cfg, x0=x, y0=y, account=account)
-    assert res.account is account
-    assert account == SlackAccount(P0_slack=0.5)
-    assert grad_dual(problem, x, y, account)[0] == first
+    res = solve(problem, cfg, x0=x, y0=y, P0_slack=P0_slack)
+    assert res.P0_slack == 0.5
+    assert grad_dual(problem, x, y, P0_slack)[0] == first
     # every round reads its residual against the same target
     assert res.records[0].slack_residual == first
     last = res.records[-1]
@@ -909,7 +931,7 @@ def test_solve_two_generator_dispatch():
     # [DERIVED] closed form for demand 2: P = (1.2, 0.8), price -2.4
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
     cfg = SolverConfig(eps=0.05, max_iter=20000, tol=1e-10)
-    res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
+    res = solve(problem, cfg, P0_slack=0.0)
     assert res.converged
     np.testing.assert_allclose(res.x.P_M, [1.2, 0.8], atol=1e-6)
     assert res.y.lam == pytest.approx(-2.4, abs=1e-6)
@@ -944,7 +966,7 @@ def test_solve_builds_no_start_when_both_are_given(monkeypatch):
 def test_records_cover_every_iteration():
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
     cfg = SolverConfig(eps=0.05, max_iter=50, tol=0.0)
-    res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
+    res = solve(problem, cfg, P0_slack=0.0)
     assert res.status == "not-converged" and res.iterations == 50
     assert [r.iteration for r in res.records] == list(range(51))
     assert res.history is None
@@ -952,7 +974,7 @@ def test_records_cover_every_iteration():
     res2 = solve(
         problem,
         dataclasses.replace(cfg, record_state=True),
-        account=SlackAccount(P0_slack=0.0),
+        P0_slack=0.0,
     )
     assert len(res2.history) == len(res2.records)
 
@@ -1056,7 +1078,7 @@ def test_solve_divergence_error():
     problem = dispatch_only([(1, 1.0), (2, 1.5)])
     cfg = SolverConfig(eps=50.0, max_iter=100, divergence_limit=300.0)
     with pytest.raises(DivergenceError, match="blow-up bound") as exc:
-        solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
+        solve(problem, cfg, P0_slack=0.0)
     assert exc.value.iteration >= 1
 
 
@@ -1068,15 +1090,16 @@ def test_a_nan_multiplier_never_ends_a_run_as_converged(limits, monkeypatch, pat
         monkeypatch.setattr(_native, "library", lambda: None)
     problem = build_problem(make_system(n_feeders=1), limits)
 
-    def step(problem, x, y, account, cfg, t, warm, signals):
-        outcome, signals = primal_dual_step(problem, x, y, account, cfg, t, warm, signals)
+    def step(problem, x, y, P0_slack, cfg, t, warm, signals):
+        _, _, meas, _, signals = primal_dual_step(
+            problem, x, y, P0_slack, cfg, t, warm, signals
+        )
         mu = y.mu.copy()
         mu[0] = math.nan
-        y_new = DualState(y.lam, mu)
-        return dataclasses.replace(outcome, x=x, y=y_new, balance_residual=0.0), signals
+        return x, DualState(y.lam, mu), meas, 0.0, signals
 
     cfg = SolverConfig(eps=1e-3, max_iter=3, tol=1e-6)
-    res = core.run_rounds(problem, cfg, None, None, SlackAccount(0.0), (), None, step)
+    res = core.run_rounds(problem, cfg, None, None, 0.0, (), None, step)
     assert (res.status, res.iterations) == ("not-converged", 3)
     assert all(math.isnan(record.step_dual) for record in res.records[1:])
 
@@ -1088,7 +1111,7 @@ def test_solve_waits_for_scheduled_events():
     cfg = SolverConfig(eps=0.05, max_iter=20000, tol=1e-10)
     res = solve(
         problem, cfg,
-        account=SlackAccount(P0_slack=0.0),
+        P0_slack=0.0,
         events=(GeneratorOutage(iteration=3000, bus_id=2),),
     )
     assert res.converged
@@ -1105,12 +1128,12 @@ def test_solve_logs_stepsize_advisory(caplog, engine):
     # both engines share the driver loop that checks the stepsize
     problem = dispatch_only([(1, 1.0)])
     cfg = SolverConfig(eps=0.9, max_iter=1, tol=0.0)
-    account = SlackAccount(P0_slack=0.0)
+    P0_slack = 0.0
     with caplog.at_level(logging.INFO, logger="tdcoopt.core"):
         if engine == "core":
-            solve(problem, cfg, account=account)
+            solve(problem, cfg, P0_slack=P0_slack)
         else:
-            run_market(problem, cfg, account=account)
+            run_market(problem, cfg, P0_slack=P0_slack)
     assert any("advisory only at eta=0" in rec.message for rec in caplog.records)
 
 
@@ -1219,7 +1242,7 @@ def test_solve_with_voltage_constraint(limits):
     # at eta = 0 an active constraint leaves a small projection-induced
     # limit cycle, so the band and the stopping rule get 1e-3 headroom
     cfg = SolverConfig(eps=0.02, eta=0.0, max_iter=60000, tol=1e-3)
-    res = solve(problem, cfg, account=SlackAccount(P0_slack=0.0))
+    res = solve(problem, cfg, P0_slack=0.0)
     assert res.converged
     v = measure(problem, res.x, feedback="linear").v
     assert np.max(v) <= tight.v_max + 2e-3

@@ -27,7 +27,6 @@ from tdcoopt.core import (
     DualState,
     EngineError,
     GeneratorOutage,
-    SlackAccount,
     SolverConfig,
     build_problem,
     check_stepsize,
@@ -479,17 +478,17 @@ def report(sender: str, tag: int, *values: float) -> AgentMessage:
 
 def test_operator_step_accepts_complete_round():
     problem, y, cfg = operator_fixture()
-    account = SlackAccount(P0_slack=0.0)
+    P0_slack = 0.0
     reports = [
         report("user:f0:3", 1, 0.01, -0.005),
         report("generator:1", 1, 1.5),
     ]
-    outcome, prices = operator_step(reports, y, cfg, account, tag=1)
-    assert outcome.x.P_M[0] == 1.5
-    np.testing.assert_array_equal(outcome.x.p, [0.0, 0.01, 0.0])
-    np.testing.assert_array_equal(outcome.x.q, [0.0, -0.005, 0.0])
+    x, y_new, _, _, prices = operator_step(reports, y, cfg, P0_slack, tag=1)
+    assert x.P_M[0] == 1.5
+    np.testing.assert_array_equal(x.p, [0.0, 0.01, 0.0])
+    np.testing.assert_array_equal(x.q, [0.0, -0.005, 0.0])
     # the fresh prices are the core engine's, over all of z
-    np.testing.assert_array_equal(prices, der_signals(problem.network, outcome.y))
+    np.testing.assert_array_equal(prices, der_signals(problem.network, y_new))
 
 
 @pytest.mark.parametrize("sender", ["intruder", "user:f0:4"])
@@ -504,8 +503,7 @@ def test_operator_step_refuses_a_sender_off_the_roster(sender):
     ]
     with pytest.raises(RoundAbort, match=f"{sender}, who is not on the roster"
                        ) as exc:
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
     assert exc.value.iteration == 1
 
 
@@ -518,8 +516,7 @@ def test_operator_step_refuses_the_wrong_number_of_values(values):
     with pytest.raises(
         RoundAbort, match=f"user:f0:3 in round 1 holds {len(values)} values for 2"
     ) as exc:
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
     assert exc.value.iteration == 1
 
 
@@ -536,8 +533,7 @@ def test_operator_step_refuses_a_malformed_report(payload):
         AgentMessage("setpoint-report", "generator:1", 1, payload),
     ]
     with pytest.raises(RoundAbort, match="from generator:1 in round 1") as exc:
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
     assert exc.value.iteration == 1
 
 
@@ -611,14 +607,12 @@ def test_operator_step_gives_the_same_bits_in_any_report_order():
         shuffled.append(order)
 
     def bits(round_reports):
-        outcome, prices = operator_step(
-            round_reports, y, cfg, SlackAccount(P0_slack=0.0),
-            tag=1,
+        x, y_new, meas, residual, prices = operator_step(
+            round_reports, y, cfg, 0.0, tag=1
         )
-        meas = outcome.measurement
         return [
-            a.tobytes() for a in (outcome.x.z, outcome.y.mu, meas.v, meas.P_L, prices)
-        ] + [float(outcome.y.lam).hex(), float(outcome.balance_residual).hex()]
+            a.tobytes() for a in (x.z, y_new.mu, meas.v, meas.P_L, prices)
+        ] + [float(y_new.lam).hex(), float(residual).hex()]
 
     expected = bits(reports)
     assert len(reports) == 6  # 4 users + 2 generators
@@ -674,8 +668,7 @@ def test_operator_step_refuses_a_faulty_first_or_last_report(fault, where):
     problem, cfg, reports, match = faulty_round(fault, where)
     _, y = initial_state(problem)
     with pytest.raises(RoundAbort, match=match) as exc:
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
     assert exc.value.iteration == 1
 
 
@@ -688,8 +681,7 @@ def test_operator_step_refuses_a_fault_anywhere_in_a_shuffled_round(fault, at):
     problem, cfg, reports, match = faulty_round(fault, at, seed=at)
     _, y = initial_state(problem)
     with pytest.raises(RoundAbort, match=match) as exc:
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
     assert exc.value.iteration == 1
     assert "round 1" in str(exc.value)
 
@@ -781,15 +773,14 @@ def test_file_reports_defers_what_is_not_exactly_a_report(kernels, odd):
         assert filed.tobytes() == file_round(kernels, cfg, reports).tobytes()
     else:
         with pytest.raises(RoundAbort, match=f"from {good.sender} in round 1"):
-            operator_step(reports, y, cfg, SlackAccount(P0_slack=0.0), tag=1)
+            operator_step(reports, y, cfg, 0.0, tag=1)
 
 
 def test_operator_step_rejects_missing_report():
     problem, y, cfg = operator_fixture()
     reports = [report("generator:1", 1, 1.5)]
     with pytest.raises(RoundAbort, match="missing reports from: user:f0:3"):
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
 
 
 def test_operator_step_rejects_stale_report():
@@ -799,8 +790,7 @@ def test_operator_step_rejects_stale_report():
         report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="stale report"):
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
 
 
 def test_operator_step_rejects_duplicate_report():
@@ -811,8 +801,7 @@ def test_operator_step_rejects_duplicate_report():
         report("generator:1", 1, 1.5),
     ]
     with pytest.raises(RoundAbort, match="duplicate report"):
-        operator_step(reports, y, cfg,
-                      SlackAccount(P0_slack=0.0), tag=1)
+        operator_step(reports, y, cfg, 0.0, tag=1)
 
 
 def test_dropped_message_aborts_the_run():

@@ -83,7 +83,7 @@ def test_load_shipped_default_scenario():
         "generator-outage", "der-capacity-scale"
     }
     assert sc.init_mode == "setpoint"
-    assert sc.account is None  # recorded at the start
+    assert sc.P0_slack is None  # recorded at the start
 
 
 def test_event_mapping_to_engine_events(tmp_path):
@@ -713,22 +713,22 @@ def _dispatch(name):
             load_scenario(SCENARIOS_DIR / "oracle_demo.json")
             if name == "oracle_demo" else random_small_instance(name)
         )
-        return core.build_problem(sc.system, sc.limits), core.SlackAccount(0.0)
+        return core.build_problem(sc.system, sc.limits), 0.0
     sc = load_scenario(SCENARIOS_DIR / "default.json")
     problem = core.build_problem(sc.system, sc.limits)
     x, _ = core.initial_state(problem, "setpoint")
     P_L = core.measure(problem, x).P_L
     fixed = problem.network.fixed_injection
-    account = core.SlackAccount(float(np.sum(P_L)) - float(np.sum(x.P_M)) - fixed)
+    P0_slack = float(np.sum(P_L)) - float(np.sum(x.P_M)) - fixed
     for event in sc.events:
         problem, x = core.apply_event(problem, x, event)
-    return problem, account
+    return problem, P0_slack
 
 
 @pytest.mark.parametrize("name", [*range(20), "oracle_demo", "default"])
 def test_exact_saddle_meets_the_kkt_conditions(name):
-    problem, account = _dispatch(name)
-    x, y = exact_saddle(problem, account)
+    problem, P0_slack = _dispatch(name)
+    x, y = exact_saddle(problem, P0_slack)
     network = problem.network
     meas = core.measure(problem, x, "linear")
     g = np.concatenate(
@@ -737,7 +737,7 @@ def test_exact_saddle_meets_the_kkt_conditions(name):
     grad = 2.0 * problem.coef * x.z + core.der_signals(network, y)
     projected = x.z - np.clip(x.z - grad, problem.lo, problem.hi)
     implied = float(np.sum(meas.P_L)) - float(np.sum(x.P_M)) - network.fixed_injection
-    balance = account.P0_slack - implied
+    balance = P0_slack - implied
     assert np.max(np.abs(projected)) <= 1e-10
     assert np.max(g) <= 1e-10
     assert abs(balance) <= 1e-10
@@ -763,7 +763,7 @@ def _tripped():
 
 def test_exact_saddle_certifies_a_point_where_nothing_is_free():
     problem, x, implied = _tripped()
-    xs, ys = exact_saddle(problem, core.SlackAccount(implied))
+    xs, ys = exact_saddle(problem, implied)
     np.testing.assert_array_equal(xs.z, x.z)
     assert ys.lam == 0.0 and not np.any(ys.mu)
 
@@ -780,7 +780,7 @@ def test_exact_saddle_names_what_a_pinned_point_breaks(broken):
             problem, network=dataclasses.replace(problem.network, limits=limits)
         )
     with pytest.raises(OracleInfeasible, match=f"no certified optimum: {broken}"):
-        exact_saddle(problem, core.SlackAccount(implied))
+        exact_saddle(problem, implied)
 
 
 @pytest.mark.parametrize(
@@ -791,9 +791,9 @@ def test_exact_saddle_names_what_a_pinned_point_breaks(broken):
 def test_kkt_residual_breaking_one_condition_moves_only_its_entry(broken):
     # at oracle_demo's saddle no band binds, the one DER's p sits at its
     # cap and its q and both generators are interior
-    problem, account = _dispatch("oracle_demo")
-    x, y = exact_saddle(problem, account)
-    assert max(core.kkt_residual(problem, x, y, account).values()) <= 1e-10
+    problem, P0_slack = _dispatch("oracle_demo")
+    x, y = exact_saddle(problem, P0_slack)
+    assert max(core.kkt_residual(problem, x, y, P0_slack).values()) <= 1e-10
     N = problem.n_nodes
     v = core.measure(problem, x).v
     top = int(np.argmax(v))
@@ -826,7 +826,7 @@ def test_kkt_residual_breaking_one_condition_moves_only_its_entry(broken):
         problem = dataclasses.replace(capped(problem, v[top]), lo=lo, hi=hi)
         mu[top] = -1e-3
     after = core.kkt_residual(
-        problem, core.PrimalState(z, N), core.DualState(lam, mu), account
+        problem, core.PrimalState(z, N), core.DualState(lam, mu), P0_slack
     )
     assert {name for name, value in after.items() if value > 1e-10} == {broken}
 
