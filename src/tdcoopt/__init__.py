@@ -2,8 +2,8 @@
 
 A regularized saddle-point engine couples a transmission-level economic
 dispatch with voltage regulation on radial distribution feeders.  One
-driver loop runs two interchangeable rounds — a monolithic step (`solve`)
-and a message-passing market round (`run_market`) — and they produce
+driver loop (`solve`) runs two interchangeable rounds — a monolithic
+step and a message-passing market round (`run_market`) — and they produce
 identical trajectories and records, which is the point: the
 price-and-incentive protocol loses nothing relative to centrally
 coordinated gradient steps.
@@ -23,14 +23,13 @@ Layout
                  events (applied once, to the compiled problem), the
                  round's shared network half `settle` (reads only the
                  `CompiledNetwork`, which holds no DER data), the
-                 shared driver loop `run_rounds` and its `Phase`s, `solve`
+                 shared driver loop `solve` and its `Phase`s
 ``market``       stateless agents, each a name plus coordinates of ``z``
                  stepped in one `agent_step` call (the core's numpy step
                  with no library) against the broadcast prices; message bus;
                  operator step (knows only its roster and the compiled
                  network; places reports, ends in `settle`);
-                 `run_market` routes the round's messages through the
-                 shared loop
+                 `run_market` hands its round to `solve` as the step
 ``trace``        per-iteration records (one float64 row each, kept in
                  `Records`), CSV write/read round trip
 ``scenario``     scenario JSON, `run_scenario`, `compare_runs`, oracle

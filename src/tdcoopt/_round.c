@@ -112,7 +112,7 @@ void tdcoopt_band_difference(intptr_t n, const double *mu, double *w)
         w[i] = mu[i] - mu[n + i];
 }
 
-/* core.run_rounds' norms of a round, as its numpy reference
+/* core.solve's norms of a round, as its numpy reference
  * (core._step_norms) takes them: out[0] the primal step over eps, out[1]
  * the dual step over eps, out[2] the new state's norm; the two parts of
  * each of the last two are combined by larger(), so a NaN in either part

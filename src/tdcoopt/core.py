@@ -25,14 +25,15 @@ Each iteration is one synchronous round: DERs and generators move first
 (using the prices of the previous round), the network response at the new
 setpoints is then measured — either through the affine model or through an
 exact power-flow sweep — and the dual variables move last, consuming that
-measurement.  One driver loop, :func:`run_rounds`, serves both engines:
+measurement.  One driver loop, :func:`solve`, serves both engines:
 it takes the starting measurement and slack record, fires events,
 measures step norms, guards against divergence, keeps the records, and
-applies the stopping rule.  An engine supplies only its round — here
-:func:`primal_dual_step`, the projected primal step followed by the
-round's network half, :func:`settle` (measure, dual update, reprice).
-The market engine routes the primal half as messages between agents,
-and its operator ends the round in the same :func:`settle`.
+applies the stopping rule.  An engine supplies only its round, as
+``step`` — by default :func:`primal_dual_step`, the projected primal
+step followed by the round's network half, :func:`settle` (measure, dual
+update, reprice).  The market engine routes the primal half as messages
+between agents, and its operator ends the round in the same
+:func:`settle`.
 
 :func:`build_problem` compiles each feeder once, and the round runs on
 flat global vectors.  The primal is one vector ``z = [p, q, P_M]``: the
@@ -54,7 +55,7 @@ Each of the round's array steps is one call of the package's extension
 module (``_round.c``, see :mod:`tdcoopt._native`): the projected primal
 step, the dual step (the multipliers, then the price along the balance
 residual), the prices when no multiplier is nonzero, the three norms
-:func:`run_rounds` reads, the total cost and the record row.  Each ports the
+:func:`solve` reads, the total cost and the record row.  Each ports the
 numpy code written beside its call, which is the reference and runs
 where no library can be built, with the same bits.  Each call asks
 :func:`tdcoopt._native.library`, the one switch between kernel and
@@ -109,7 +110,6 @@ __all__ = [
     "primal_dual_step",
     "default_probes",
     "iteration_record",
-    "run_rounds",
     "solve",
     "Phase",
     "SolveResult",
@@ -124,8 +124,8 @@ FEEDBACK_MODES = ("linear", "ac")
 class EngineError(RuntimeError):
     """Engine failure carrying the iteration it happened at.
 
-    A failure inside :func:`run_rounds` also carries ``records``, the
-    trace rows of the iterations completed before it.
+    A failure inside :func:`solve` also carries ``records``, the trace
+    rows of the iterations completed before it.
     """
 
     def __init__(self, message: str, iteration: int | None = None):
@@ -1041,15 +1041,16 @@ class SolveResult:
 Step = Callable[..., Round]
 
 
-def run_rounds(
+def solve(
     problem: DispatchProblem,
     cfg: SolverConfig,
-    x: PrimalState | None,
-    y: DualState | None,
-    P0_slack: float | None,
-    events: tuple,
-    probes: tuple[int, ...] | None,
-    step: Step,
+    x0: PrimalState | None = None,
+    y0: DualState | None = None,
+    *,
+    P0_slack: float | None = None,
+    events: tuple = (),
+    probes: tuple[int, ...] | None = None,
+    step: Step | None = None,
 ) -> SolveResult:
     """The driver loop of both engines: iterate ``step`` until done.
 
@@ -1061,12 +1062,14 @@ def run_rounds(
     after the event.  Without an explicit ``P0_slack``, the implied slack
     output at the start is recorded and held as the balance target.
     ``probes`` holds one node position per feeder, counted within it
-    (:func:`default_probes` when ``None``); ``x`` and ``y`` are
-    :func:`initial_state`'s when ``None``.  Raises :class:`ValueError`,
-    before any round, when a box of the problem is empty (``lo > hi``) or
-    has a NaN bound, naming the first such coordinate of ``z``;
-    :class:`DivergenceError` when the state passes the blow-up bound.  Any
-    :class:`EngineError` raised here leaves with the records kept so far.
+    (:func:`default_probes` when ``None``); ``x0`` and ``y0`` are
+    :func:`initial_state`'s when ``None``, and ``step`` is
+    :func:`primal_dual_step`.  The caller's ``problem`` is not modified,
+    events included.  Raises :class:`ValueError`, before any round, when
+    a box of the problem is empty (``lo > hi``) or has a NaN bound, naming
+    the first such coordinate of ``z``; :class:`DivergenceError` when the
+    state passes the blow-up bound.  Any :class:`EngineError` raised here
+    leaves with the records kept so far.
     """
     unboxed = np.flatnonzero(~(problem.lo <= problem.hi))
     if len(unboxed):
@@ -1088,15 +1091,17 @@ def run_rounds(
             "" if cfg.eta > 0 else " — advisory only at eta=0",
         )
 
+    if step is None:  # read here, not as a default, so a patched one runs
+        step = primal_dual_step
     if probes is None:
         probes = default_probes(problem)
-    if x is None or y is None:
+    if x0 is None or y0 is None:
         x_init, y_init = initial_state(problem)
-        x = x_init if x is None else x
-        y = y_init if y is None else y
+        x0 = x_init if x0 is None else x0
+        y0 = y_init if y0 is None else y0
     # the round's kernels read float64 arrays in C order
-    x = PrimalState(np.ascontiguousarray(x.z, dtype=np.float64), x.n_nodes)
-    y = DualState(y.lam, np.ascontiguousarray(y.mu, dtype=np.float64))
+    x = PrimalState(np.ascontiguousarray(x0.z, dtype=np.float64), x0.n_nodes)
+    y = DualState(y0.lam, np.ascontiguousarray(y0.mu, dtype=np.float64))
     if len(probes) != len(problem.models) or not all(
         0 <= j < model.n_nodes for model, j in zip(problem.models, probes)
     ):
@@ -1188,22 +1193,6 @@ def run_rounds(
         history=history,
         stepsize=report,
     )
-
-
-def solve(
-    problem: DispatchProblem,
-    cfg: SolverConfig,
-    x0: PrimalState | None = None,
-    y0: DualState | None = None,
-    P0_slack: float | None = None,
-    events: tuple = (),
-    probes: tuple[int, ...] | None = None,
-) -> SolveResult:
-    """Iterate :func:`primal_dual_step` rounds (see :func:`run_rounds`).
-
-    The caller's ``problem`` is not modified, events included.
-    """
-    return run_rounds(problem, cfg, x0, y0, P0_slack, events, probes, primal_dual_step)
 
 
 def _step_norms(

@@ -22,7 +22,7 @@ positions) and the problem's compiled network
 fixed injection, the voltage band and the counts, no DER data) alone.
 
 The rounds run inside the centralized engine's driver loop
-(:func:`tdcoopt.core.run_rounds`), which owns the state, events, step
+(:func:`tdcoopt.core.solve`), which owns the state, events, step
 norms, records and the stopping rule.  Agents keep no state: each round
 every agent steps from its own coordinates of the loop's primal vector
 and reads its cost coefficient and box from the same coordinates of the
@@ -69,8 +69,8 @@ from .core import (
     dual_update,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     iteration_record,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
     measure_feeders,  # noqa: F401  (kept patchable here, see perfbench/spans.py)
-    run_rounds,
     settle,
+    solve,
 )
 
 __all__ = [
@@ -379,28 +379,21 @@ def _file_reports(
 def run_market(
     problem: DispatchProblem,
     cfg: SolverConfig,
-    events: tuple = (),
     x0: PrimalState | None = None,
     y0: DualState | None = None,
-    P0_slack: float | None = None,
-    probes: tuple[int, ...] | None = None,
+    *,
     bus: MessageBus | None = None,
+    **options,
 ) -> SolveResult:
-    """Run synchronous market rounds until the stopping rule fires.
+    """Run :func:`tdcoopt.core.solve` with the market's round as its step.
 
-    The rounds go through the centralized engine's driver loop
-    (:func:`~tdcoopt.core.run_rounds`); this engine only routes each
-    round's messages between the agents and the operator.  Each round
-    the agents step from their own entries of the loop's primal vector
-    and read their private data from the same entries of the problem the
-    loop hands it, events applied to both, each agent in one call on
-    those float64 arrays and the broadcast ones; the operator gets only
-    ``problem.network`` (no DER data) and the roster of each agent's
-    coordinates.  One user ``user:<feeder>:<node>`` stands at each DER's
-    ``(p, q)`` coordinates, in node order, and one ``generator:<bus>`` at
-    each generator's.  The trajectory equals the centralized engine's.
-    ``x0`` seeds the loop as given, as in the centralized engine.  The
-    caller's ``problem`` is not modified, events included.
+    ``options`` are :func:`~tdcoopt.core.solve`'s keywords but ``step``,
+    and the run keeps its contract.  One user ``user:<feeder>:<node>`` stands at each
+    DER's ``(p, q)`` coordinates, in node order, and one
+    ``generator:<bus>`` at each generator's; each round they exchange
+    their messages over ``bus`` (a fresh :class:`MessageBus` when
+    ``None``).  The operator sees only ``problem.network`` (no DER data),
+    the roster of each agent's coordinates and the reports.
     """
     models = problem.models
     bus = MessageBus() if bus is None else bus
@@ -451,4 +444,4 @@ def run_market(
         publish(AgentMessage("signal-broadcast", "operator", t, signals))
         return x, y, meas, residual, signals
 
-    return run_rounds(problem, cfg, x0, y0, P0_slack, events, probes, step)
+    return solve(problem, cfg, x0, y0, step=step, **options)

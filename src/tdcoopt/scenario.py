@@ -702,22 +702,13 @@ def run_scenario_in_memory(
         P_M=None if scenario.init_P_M is None else np.array(scenario.init_P_M),
         rng=rng,
     )
-    if scenario.engine == "core":
-        return solve(
-            problem,
-            scenario.config,
-            x0=x0,
-            y0=y0,
-            P0_slack=scenario.P0_slack,
-            events=scenario.events,
-            probes=probes,
-        )
-    return run_market(
+    run = solve if scenario.engine == "core" else run_market
+    return run(
         problem,
         scenario.config,
-        events=scenario.events,
-        x0=x0,
-        y0=y0,
+        x0,
+        y0,
         P0_slack=scenario.P0_slack,
+        events=scenario.events,
         probes=probes,
     )

@@ -822,7 +822,7 @@ EVENTS = st.one_of(
 @example(events=[DerCapacityScale(1, sys.float_info.max)] * 3 + [GeneratorOutage(1, 2)])
 @example(events=[DerCapacityScale(1, 5e-324)] * 3)
 def test_no_event_empties_a_box_or_makes_a_nan_bound(events):
-    # run_rounds checks the boxes once, before round 1: an outage pins
+    # solve checks the boxes once, before round 1: an outage pins
     # [0, 0], and a finite positive rescale keeps lo <= hi, since IEEE
     # multiplication is monotone (a 1e308 one overflows edges to ±inf)
     problem = build_problem(make_system(n_feeders=2), VoltageLimits(0.95, 1.05))
@@ -1099,7 +1099,7 @@ def test_a_nan_multiplier_never_ends_a_run_as_converged(limits, monkeypatch, pat
         return x, DualState(y.lam, mu), meas, 0.0, signals
 
     cfg = SolverConfig(eps=1e-3, max_iter=3, tol=1e-6)
-    res = core.run_rounds(problem, cfg, None, None, 0.0, (), None, step)
+    res = solve(problem, cfg, P0_slack=0.0, step=step)
     assert (res.status, res.iterations) == ("not-converged", 3)
     assert all(math.isnan(record.step_dual) for record in res.records[1:])
 
@@ -1220,6 +1220,22 @@ def test_a_run_cut_before_its_events_has_one_phase(limits, engine):
     assert res.iterations == 12
     assert [(p.first, p.last) for p in res.phases] == [(0, 12)]
     assert res.phases[0].problem is problem
+
+
+@pytest.mark.parametrize("engine", ["core", "market"])
+def test_both_engines_take_the_run_options_in_the_same_places(engine):
+    # the upper band binds, so the probe node shows in the records
+    system = make_system(n_feeders=2, gen_specs=[(1, 1.0), (2, 1.5)])
+    problem = build_problem(system, VoltageLimits(0.95, 1.002))
+    x0, y0 = initial_state(problem)
+    cfg = SolverConfig(eps=0.01, max_iter=200, tol=0.0)
+    events = (GeneratorOutage(iteration=100, bus_id=2),)
+    run = solve if engine == "core" else run_market
+    res = run(problem, cfg, x0, y0, P0_slack=0.0, events=events, probes=(0, 0))
+
+    options = dict(x0=x0, y0=y0, P0_slack=0.0, events=events)
+    assert res.records == solve(problem, cfg, probes=(0, 0), **options).records
+    assert res.records != solve(problem, cfg, **options).records
 
 
 def test_default_probes_pick_deepest_node(limits):

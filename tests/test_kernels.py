@@ -314,7 +314,7 @@ def test_norms_propagate_a_nan_at_any_position(kernels, n):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(0, 40), m=st.integers(0, 40))
-def test_step_norms_are_run_rounds_numpy_norms(kernels, data, n, m):
+def test_step_norms_are_the_driver_loops_numpy_norms(kernels, data, n, m):
     # lanes of four and a tail, NaN at any place, ±inf, signed zeros
     z_new, z = arrays(data, n), arrays(data, n)
     mu_new, mu = arrays(data, m), arrays(data, m)
